@@ -349,10 +349,9 @@ def exp_frontier_sort(
 def exp_compression_time(names: tuple[str, ...] = DEFAULT_SMALL) -> list[dict]:
     """Sec. VIII-F: wall-clock encode time, EFG vs CGR vs Ligra+.
 
-    This is real wall time of our encoders (not simulated): EFG's
-    vectorized encode should be several times faster than the
-    per-list sequential CGR/Ligra+ encoders, mirroring the paper's
-    minutes-vs-half-hour gap.
+    This is real wall time of our encoders (not simulated): the
+    batched EFG and CGR encodes against the per-list sequential
+    Ligra+ encoder.
     """
     records = []
     for name in names:

@@ -12,6 +12,10 @@ state-of-the-art comparator:
   id, sign-zigzagged) and written with a byte-oriented variable-length
   code (7 payload bits + continuation bit).
 
+Encoding is batched: :func:`cgr_encode` lays out every list's varint
+tokens with array passes over the whole CSR and packs them in at most
+ten scatter passes, one per byte index.
+
 Decoding a list is a *sequential dependent chain* — each varint must be
 parsed before the next can start — which is precisely why the paper's
 EFG wins on decompression throughput and why CGR cannot split a single
@@ -38,8 +42,11 @@ __all__ = ["CGRGraph", "cgr_encode", "cgr_encode_list", "cgr_decode_list", "cgr_
 MIN_INTERVAL = 4
 
 
-def _zigzag(value: int) -> int:
-    """Map a signed int to an unsigned one (0,-1,1,-2,... -> 0,1,2,3,...)."""
+def _zigzag(value: int | np.ndarray) -> int | np.ndarray:
+    """Map a signed int to an unsigned one (0,-1,1,-2,... -> 0,1,2,3,...).
+
+    Also maps an int64 array elementwise.
+    """
     return (value << 1) ^ (value >> 63)
 
 
@@ -90,24 +97,102 @@ def _read_varint(data: np.ndarray, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _find_intervals(nbrs: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Split a sorted list into (left, length) intervals and residuals."""
-    if nbrs.shape[0] == 0:
-        return [], nbrs
-    # Runs of consecutive integers: break where the gap is not exactly 1.
-    breaks = np.flatnonzero(np.diff(nbrs) != 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [nbrs.shape[0]]])
-    lengths = ends - starts
-    is_interval = lengths >= MIN_INTERVAL
-    intervals = [
-        (int(nbrs[s]), int(l))
-        for s, l in zip(starts[is_interval], lengths[is_interval])
-    ]
-    residual_mask = np.ones(nbrs.shape[0], dtype=bool)
-    for s, e in zip(starts[is_interval], ends[is_interval]):
-        residual_mask[s:e] = False
-    return intervals, nbrs[residual_mask]
+#: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes
+#: iff it is at least ``2**(7k)`` (ten bytes cover all of uint64).
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+
+
+def _pack_varints(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`_write_varint` over a uint64 token array.
+
+    Returns the concatenated varint bytes and the inclusive cumulative
+    byte count after each token.  One scatter pass per byte index:
+    pass ``b`` writes byte ``b`` of every token that is longer than
+    ``b`` bytes, so the loop runs at most ten times.
+    """
+    nbytes = np.searchsorted(_VARINT_LIMITS, tokens, side="right") + 1
+    ends = np.cumsum(nbytes)
+    out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
+    pos = ends - nbytes
+    while pos.shape[0]:
+        more = nbytes > 1
+        out[pos] = (tokens & 0x7F).astype(np.uint8) | (more.astype(np.uint8) << 7)
+        pos, tokens, nbytes = pos[more] + 1, tokens[more] >> 7, nbytes[more] - 1
+    return out, ends
+
+
+def _encode_lists(
+    vlist: np.ndarray, elist: np.ndarray, first_vertex: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode every list of a CSR ``(vlist, elist)`` in a few array passes.
+
+    List ``i`` belongs to vertex ``first_vertex + i``.  Each list's
+    tokens are ``[#iv, (gap, len-MIN)*, #res, res*]``, varint-packed.
+    The first interval gap and the first residual are zigzagged
+    relative to the vertex; later interval gaps are ``left - prev_end``
+    and later residual gaps ``value - prev - 1``.  Returns ``(offsets,
+    data, steps)``: per-list byte offsets, the payload, and the tokens
+    per list (the decode chain length).
+
+    Raises ``ValueError`` when a token is negative, which an unsorted
+    or duplicated list produces.
+    """
+    num_lists = vlist.shape[0] - 1
+    num_edges = elist.shape[0]
+    deg = np.diff(vlist)
+    owner = np.repeat(np.arange(num_lists, dtype=np.int64), deg)
+
+    # Runs of consecutive ids; a list start always starts a run.
+    run_start = np.ones(num_edges, dtype=bool)
+    np.not_equal(elist[1:], elist[:-1] + 1, out=run_start[1:])
+    run_start[vlist[:-1][deg > 0]] = True
+    run_first = np.flatnonzero(run_start)
+    run_len = np.diff(np.append(run_first, num_edges))
+    is_interval = run_len >= MIN_INTERVAL
+    iv_first = run_first[is_interval]
+    iv_len = run_len[is_interval]
+    iv_left = elist[iv_first]
+    iv_owner = owner[iv_first]
+    res_idx = np.flatnonzero(~np.repeat(is_interval, run_len))
+    res_val = elist[res_idx]
+    res_owner = owner[res_idx]
+
+    n_iv = np.bincount(iv_owner, minlength=num_lists)
+    n_res = np.bincount(res_owner, minlength=num_lists)
+    steps = 2 + 2 * n_iv + n_res
+    tok_bounds = np.zeros(num_lists + 1, dtype=np.int64)
+    np.cumsum(steps, out=tok_bounds[1:])
+    tok_first = tok_bounds[:-1]
+
+    tokens = np.empty(int(tok_bounds[-1]), dtype=np.int64)
+    tokens[tok_first] = n_iv
+    tokens[tok_first + 1 + 2 * n_iv] = n_res
+
+    # Interval j is number j - (intervals before its list) of its list.
+    iv_rank = np.arange(iv_owner.shape[0]) - (np.cumsum(n_iv) - n_iv)[iv_owner]
+    iv_pos = tok_first[iv_owner] + 1 + 2 * iv_rank
+    iv_gap = np.empty_like(iv_left)
+    iv_gap[1:] = iv_left[1:] - (iv_left[:-1] + iv_len[:-1])
+    head = iv_rank == 0
+    iv_gap[head] = _zigzag(iv_left[head] - (iv_owner[head] + first_vertex))
+    tokens[iv_pos] = iv_gap
+    tokens[iv_pos + 1] = iv_len - MIN_INTERVAL
+
+    res_rank = np.arange(res_owner.shape[0]) - (np.cumsum(n_res) - n_res)[res_owner]
+    res_gap = np.empty_like(res_val)
+    res_gap[1:] = res_val[1:] - res_val[:-1] - 1
+    head = res_rank == 0
+    res_gap[head] = _zigzag(res_val[head] - (res_owner[head] + first_vertex))
+    tokens[(tok_first + 2 + 2 * n_iv)[res_owner] + res_rank] = res_gap
+
+    negative = np.flatnonzero(tokens < 0)
+    if negative.shape[0]:
+        raise ValueError(
+            f"varint requires non-negative value, got {int(tokens[negative[0]])}"
+        )
+    data, byte_ends = _pack_varints(tokens.view(np.uint64))
+    offsets = np.concatenate([[0], byte_ends])[tok_bounds]
+    return offsets, data, steps
 
 
 def cgr_encode_list(v: int, nbrs: np.ndarray) -> bytes:
@@ -117,31 +202,8 @@ def cgr_encode_list(v: int, nbrs: np.ndarray) -> bytes:
     [first residual zigzag-relative-to-v, gaps - 1 ...]`` all varints.
     """
     nbrs = np.asarray(nbrs, dtype=np.int64)
-    out = bytearray()
-    intervals, residuals = _find_intervals(nbrs)
-    _write_varint(out, len(intervals))
-    prev = v
-    first = True
-    for left, length in intervals:
-        if first:
-            _write_varint(out, _zigzag(left - prev))
-            first = False
-        else:
-            _write_varint(out, left - prev)
-        _write_varint(out, length - MIN_INTERVAL)
-        prev = left + length
-    _write_varint(out, residuals.shape[0])
-    prev = v
-    first = True
-    for value in residuals:
-        value = int(value)
-        if first:
-            _write_varint(out, _zigzag(value - prev))
-            first = False
-        else:
-            _write_varint(out, value - prev - 1)
-        prev = value
-    return bytes(out)
+    _, data, _ = _encode_lists(np.array([0, nbrs.shape[0]]), nbrs, v)
+    return data.tobytes()
 
 
 def cgr_decode_list(
@@ -308,26 +370,14 @@ class CGRGraph:
 
 def cgr_list_steps(v: int, nbrs: np.ndarray) -> int:
     """Varints in the encoding of one list (decode chain length)."""
-    intervals, residuals = _find_intervals(np.asarray(nbrs, dtype=np.int64))
-    return 2 + 2 * len(intervals) + int(residuals.shape[0])
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    _, _, steps = _encode_lists(np.array([0, nbrs.shape[0]]), nbrs, v)
+    return int(steps[0])
 
 
 def cgr_encode(graph: Graph) -> CGRGraph:
-    """Encode every neighbour list; offline step."""
-    chunks: list[bytes] = []
-    offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-    steps = np.zeros(graph.num_nodes, dtype=np.int64)
-    for v in range(graph.num_nodes):
-        nbrs = graph.neighbours(v)
-        blob = cgr_encode_list(v, nbrs)
-        chunks.append(blob)
-        offsets[v + 1] = offsets[v] + len(blob)
-        steps[v] = cgr_list_steps(v, nbrs)
-    data = (
-        np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        if chunks
-        else np.empty(0, dtype=np.uint8)
-    )
+    """Encode every neighbour list in one batched pass; offline step."""
+    offsets, data, steps = _encode_lists(graph.vlist, graph.elist)
     for arr in (offsets, steps, data):
         if arr.flags.writeable:
             arr.flags.writeable = False
