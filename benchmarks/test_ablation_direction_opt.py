@@ -27,7 +27,7 @@ def _run():
     records = []
     for name in GRAPHS:
         enc = encoded_suite_graph(name)
-        backend = EFGBackend(enc.efg, SCALED_TITAN_XP)
+        backend = EFGBackend(enc.get("efg"), SCALED_TITAN_XP)
         src = int(np.argmax(enc.graph.degrees))
         top_down = bfs_direction_optimizing(
             backend, source=src, alpha=1e-12, beta=1e12
@@ -47,7 +47,7 @@ def _run():
         )
     # Storage side: in-edges for a *directed* graph double the footprint.
     directed = encoded_suite_graph("twitter")
-    out_bytes = directed.efg.nbytes
+    out_bytes = directed.get("efg").nbytes
     in_bytes = efg_encode(directed.graph.transposed()).nbytes
     storage = {
         "name": "twitter (directed)",

@@ -22,7 +22,7 @@ def _run():
     records = []
     for name in GRAPHS:
         enc = encoded_suite_graph(name)
-        csr = enc.csr.nbytes
+        csr = enc.get("csr").nbytes
         bv = bv_encode(enc.graph)
         # Spot-check correctness on a few lists.
         for v in range(0, enc.graph.num_nodes, enc.graph.num_nodes // 7):
@@ -31,9 +31,9 @@ def _run():
             {
                 "name": name,
                 "bv_ratio": csr / bv.nbytes,
-                "efg_ratio": csr / enc.efg.nbytes,
-                "cgr_ratio": csr / enc.cgr.nbytes,
-                "ligra_ratio": csr / enc.ligra.nbytes,
+                "efg_ratio": csr / enc.get("efg").nbytes,
+                "cgr_ratio": csr / enc.get("cgr").nbytes,
+                "ligra_ratio": csr / enc.get("ligra").nbytes,
             }
         )
     return records

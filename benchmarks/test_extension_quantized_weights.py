@@ -31,9 +31,11 @@ def _run():
         src = int(pick_sources(graph, 1)[0])
 
         f32 = EFGBackend(
-            enc.efg, SCALED_TITAN_XP, weight_bytes=weights.nbytes
+            enc.get("efg"), SCALED_TITAN_XP, weight_bytes=weights.nbytes
         )
-        q8 = EFGBackend(enc.efg, SCALED_TITAN_XP, weight_bytes=quant.nbytes)
+        q8 = EFGBackend(
+            enc.get("efg"), SCALED_TITAN_XP, weight_bytes=quant.nbytes
+        )
         exact = sssp(f32, src, weights)
         approx = sssp(q8, src, quant.dequantize())
         finite = np.isfinite(exact.distances)

@@ -17,7 +17,7 @@ from repro.ef.encoding import ef_decode_range, ef_encode
 @pytest.fixture(scope="module")
 def twitter():
     enc = encoded_suite_graph("twitter")
-    return enc.graph, enc.efg
+    return enc.graph, enc.get("efg")
 
 
 def test_decode_whole_graph_throughput(benchmark, twitter):

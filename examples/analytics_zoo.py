@@ -15,6 +15,7 @@ import numpy as np
 from repro.core import efg_encode
 from repro.datasets import rmat_graph
 from repro.datasets.rmat import SOCIAL_PARAMS
+from repro.dist import LinkTopology, ShardedCluster, distributed_bfs
 from repro.formats import generate_edge_weights
 from repro.gpusim import TITAN_XP
 from repro.traversal import (
@@ -25,7 +26,6 @@ from repro.traversal import (
     connected_components,
     connected_components_lp,
     delta_stepping_sssp,
-    multi_gpu_bfs,
     pagerank,
     sssp,
     triangle_count,
@@ -96,6 +96,10 @@ kc = kcore_decomposition(backend)
 print(f"{'k-core decomposition':34s} {kc.runtime_ms:9.3f}  "
       f"max core {kc.max_core}, {kc.peel_rounds} peel rounds")
 
-mg = multi_gpu_bfs(graph, src, 2, device, fmt="efg")
+cluster = ShardedCluster.build(
+    graph, 2, device, fmt="efg", wire="raw64", schedule="flat",
+    topology=LinkTopology.for_device(device, 2, contention=1.0),
+)
+mg = distributed_bfs(cluster, src)
 print(f"{'BFS (2 simulated GPUs, EFG)':34s} {mg.runtime_ms:9.3f}  "
       f"exchanged {mg.exchanged_bytes / 1e3:.0f} KB")

@@ -92,8 +92,8 @@ def exp_fig1(
         backend = make_backend("csr", enc, device)
         sources = pick_sources(enc.graph, num_sources, seed=source_seed)
         stats = run_bfs_average(backend, sources)
-        csr_bytes = enc.csr.nbytes
-        efg_bytes = enc.efg.nbytes
+        csr_bytes = enc.get("csr").nbytes
+        efg_bytes = enc.get("efg").nbytes
         cap = device.memory_bytes
         if backend.graph_fits_in_memory():
             region = 1
@@ -120,15 +120,15 @@ def exp_fig8(names: tuple[str, ...] = DEFAULT_FULL) -> list[dict]:
     for name in names:
         entry = next(e for e in suite_entries(include_v100=True) if e.name == name)
         enc = encoded_suite_graph(name)
-        csr_bytes = enc.csr.nbytes
+        csr_bytes = enc.get("csr").nbytes
         records.append(
             {
                 "name": name,
                 "category": entry.category,
                 "csr_bytes": csr_bytes,
-                "efg_ratio": csr_bytes / enc.efg.nbytes,
-                "cgr_ratio": csr_bytes / enc.cgr.nbytes,
-                "ligra_ratio": csr_bytes / enc.ligra.nbytes,
+                "efg_ratio": csr_bytes / enc.get("efg").nbytes,
+                "cgr_ratio": csr_bytes / enc.get("cgr").nbytes,
+                "ligra_ratio": csr_bytes / enc.get("ligra").nbytes,
             }
         )
     return records
@@ -155,10 +155,10 @@ def exp_tab2(
         for fmt in formats:
             backend = make_backend(fmt, enc, device)
             size = {
-                "csr": enc.csr.nbytes,
-                "efg": enc.efg.nbytes,
-                "cgr": enc.cgr.nbytes,
-                "ligra": enc.ligra.nbytes,
+                "csr": enc.get("csr").nbytes,
+                "efg": enc.get("efg").nbytes,
+                "cgr": enc.get("cgr").nbytes,
+                "ligra": enc.get("ligra").nbytes,
             }[fmt]
             row[f"{fmt}_bytes"] = size
             if fmt == "cgr" and not backend.graph_fits_in_memory():
@@ -274,10 +274,10 @@ def exp_fig12(
             enc = EncodedGraph(graph=graph)
             sources = pick_sources(graph, num_sources, seed=source_seed)
             rec: dict = {"name": name, "ordering": oname}
-            csr_bytes = enc.csr.nbytes
-            rec["efg_ratio"] = csr_bytes / enc.efg.nbytes
-            rec["cgr_ratio"] = csr_bytes / enc.cgr.nbytes
-            rec["ligra_ratio"] = csr_bytes / enc.ligra.nbytes
+            csr_bytes = enc.get("csr").nbytes
+            rec["efg_ratio"] = csr_bytes / enc.get("efg").nbytes
+            rec["cgr_ratio"] = csr_bytes / enc.get("cgr").nbytes
+            rec["ligra_ratio"] = csr_bytes / enc.get("ligra").nbytes
             for fmt in ("efg", "cgr", "ligra"):
                 backend = make_backend(fmt, enc, device)
                 stats = run_bfs_average(backend, sources)

@@ -8,25 +8,22 @@ an offline step (Sec. VIII-F) and benchmarks should not re-pay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.efg import EFGraph, efg_encode
 from repro.datasets.suite import SCALE_FACTOR, build_suite_graph
-from repro.formats.cgr import CGRGraph, cgr_encode
-from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
-from repro.formats.ligra_plus import LigraPlusGraph, ligra_encode
+from repro.formats.ligra_plus import ligra_encode
 from repro.gpusim.device import CPU_E5_2696V4_X2, DeviceSpec, TITAN_XP, V100
 from repro.obs.metrics import run_metrics
 from repro.obs.roofline import roofline_report
 from repro.traversal.backends import (
-    CGRBackend,
-    CSRBackend,
-    EFGBackend,
+    GPU_FORMATS,
     GraphBackend,
     LigraBackend,
+    build_backend,
+    encode,
 )
 from repro.traversal.bfs import bfs
 
@@ -57,37 +54,19 @@ SCALED_CPU = CPU_E5_2696V4_X2.scaled(SCALE_FACTOR)
 
 @dataclass
 class EncodedGraph:
-    """All four representations of one graph, built lazily."""
+    """Every representation of one graph, each built on first use."""
 
     graph: Graph
-    _csr: CSRGraph | None = None
-    _efg: EFGraph | None = None
-    _cgr: CGRGraph | None = None
-    _ligra: LigraPlusGraph | None = None
+    _built: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def csr(self) -> CSRGraph:
-        if self._csr is None:
-            self._csr = CSRGraph.from_graph(self.graph)
-        return self._csr
-
-    @property
-    def efg(self) -> EFGraph:
-        if self._efg is None:
-            self._efg = efg_encode(self.graph)
-        return self._efg
-
-    @property
-    def cgr(self) -> CGRGraph:
-        if self._cgr is None:
-            self._cgr = cgr_encode(self.graph)
-        return self._cgr
-
-    @property
-    def ligra(self) -> LigraPlusGraph:
-        if self._ligra is None:
-            self._ligra = ligra_encode(self.graph)
-        return self._ligra
+    def get(self, fmt: str):
+        """The ``fmt`` container: a registered GPU format or ``"ligra"``."""
+        if fmt not in self._built:
+            self._built[fmt] = (
+                ligra_encode(self.graph) if fmt == "ligra"
+                else encode(fmt, self.graph)
+            )
+        return self._built[fmt]
 
 
 _ENCODED: dict[str, EncodedGraph] = {}
@@ -102,8 +81,8 @@ def encoded_suite_graph(name: str) -> EncodedGraph:
 
 def encode_all(enc: EncodedGraph) -> None:
     """Force-build every representation (for compression reports)."""
-    for attr in ("csr", "efg", "cgr", "ligra"):
-        getattr(enc, attr)
+    for fmt in (*GPU_FORMATS, "ligra"):
+        enc.get(fmt)
 
 
 def make_backend(
@@ -114,15 +93,10 @@ def make_backend(
 ) -> GraphBackend:
     """Construct a backend for one format on one device."""
     wb = 4 * enc.graph.num_edges if with_weights else 0
-    if fmt == "csr":
-        return CSRBackend(enc.csr, device, weight_bytes=wb)
-    if fmt == "efg":
-        return EFGBackend(enc.efg, device, weight_bytes=wb)
-    if fmt == "cgr":
-        return CGRBackend(enc.cgr, device, weight_bytes=wb)
     if fmt == "ligra":
-        return LigraBackend(enc.ligra, SCALED_CPU, weight_bytes=wb)
-    raise ValueError(f"unknown format {fmt!r}")
+        # The Ligra+ CPU baseline always runs on the host, not ``device``.
+        return LigraBackend(enc.get("ligra"), SCALED_CPU, weight_bytes=wb)
+    return build_backend(fmt, enc.get(fmt), device, weight_bytes=wb)
 
 
 def pick_sources(graph: Graph, count: int, seed: int = 42) -> np.ndarray:

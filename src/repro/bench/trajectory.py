@@ -137,23 +137,6 @@ class BenchConfig:
         return _replace(self, **kwargs)
 
 
-def _build_backend(fmt: str, graph, device, weight_bytes: int):
-    from repro.core.efg import efg_encode
-    from repro.formats.cgr import cgr_encode
-    from repro.formats.csr import CSRGraph
-    from repro.traversal.backends import CGRBackend, CSRBackend, EFGBackend
-
-    if fmt == "csr":
-        return CSRBackend(
-            CSRGraph.from_graph(graph), device, weight_bytes=weight_bytes
-        )
-    if fmt == "efg":
-        return EFGBackend(efg_encode(graph), device, weight_bytes=weight_bytes)
-    if fmt == "cgr":
-        return CGRBackend(cgr_encode(graph), device, weight_bytes=weight_bytes)
-    raise ValueError(f"unknown bench format {fmt!r}")
-
-
 def run_bench_suite(
     config: BenchConfig | None = None,
 ) -> dict[str, dict]:
@@ -167,6 +150,7 @@ def run_bench_suite(
     from repro.bench.harness import pick_sources, run_profiled
     from repro.datasets.rmat import rmat_graph
     from repro.gpusim.device import TITAN_XP
+    from repro.traversal.backends import build_backend
 
     config = config or BenchConfig()
     graph = rmat_graph(
@@ -186,7 +170,7 @@ def run_bench_suite(
     for algo in config.algos:
         needs_weights = algo in ("sssp", "delta")
         for fmt in config.formats:
-            backend = _build_backend(
+            backend = build_backend(
                 fmt, graph, device,
                 weight_bytes=4 * graph.num_edges if needs_weights else 0,
             )
@@ -217,9 +201,9 @@ def _run_serve_workload(config: BenchConfig, graph, device) -> dict:
     gauges), so the batching speedup is a diffable bench column.
     """
     from repro.bench.harness import pick_sources
-    from repro.core.listcache import DecodedListCache
     from repro.obs.metrics import run_metrics
     from repro.serve import GraphService, drive, with_sequential_baseline
+    from repro.traversal.backends import build_backend
 
     sources = pick_sources(graph, 64, seed=config.source_seed)
     cache_kb = 256
@@ -229,11 +213,7 @@ def _run_serve_workload(config: BenchConfig, graph, device) -> dict:
     report = drive(service, sources, burst=64)
 
     def _sequential_backend():
-        backend = _build_backend("efg", graph, device, weight_bytes=0)
-        backend.attach_cache(
-            DecodedListCache(budget_bytes=cache_kb * 1024)
-        )
-        return backend
+        return build_backend("efg", graph, device, cache_kb=cache_kb)
 
     report = with_sequential_baseline(
         report, service, _sequential_backend, sources

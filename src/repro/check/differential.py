@@ -35,10 +35,6 @@ __all__ = [
 #: social entries cover both decode regimes (hub lists + long tails).
 CHECK_DATASETS = ("scc-lj", "orkut")
 
-#: Backends compared at algorithm level (ligra's backend models a CPU
-#: host but decodes the same streams; cgr covers the sequential chain).
-ALGO_FORMATS = ("csr", "efg", "cgr")
-
 #: Shard counts the dist drivers are cross-checked at.
 DIST_GPUS = (2, 4)
 
@@ -78,22 +74,6 @@ def decode_differential(
     return rows
 
 
-def _single_gpu_backends(graph: Graph, with_weights: bool):
-    from repro.core.efg import efg_encode
-    from repro.formats.cgr import cgr_encode
-    from repro.formats.csr import CSRGraph
-    from repro.gpusim.device import TITAN_XP
-    from repro.traversal.backends import CGRBackend, CSRBackend, EFGBackend
-
-    device = TITAN_XP.scaled(2048)
-    wb = 4 * graph.num_edges if with_weights else 0
-    return {
-        "csr": CSRBackend(CSRGraph.from_graph(graph), device, weight_bytes=wb),
-        "efg": EFGBackend(efg_encode(graph), device, weight_bytes=wb),
-        "cgr": CGRBackend(cgr_encode(graph), device, weight_bytes=wb),
-    }
-
-
 def _dist_cluster(graph: Graph, gpus: int, with_weights: bool):
     from repro.dist import ShardedCluster
     from repro.gpusim.device import TITAN_XP
@@ -111,6 +91,8 @@ def algorithm_differential(graph: Graph, seed: int = 0) -> list[dict]:
         distributed_pagerank,
         distributed_sssp,
     )
+    from repro.gpusim.device import TITAN_XP
+    from repro.traversal.backends import GPU_FORMATS, build_backend
     from repro.traversal.bfs import bfs
     from repro.traversal.pagerank import pagerank
     from repro.traversal.sssp import sssp
@@ -131,12 +113,21 @@ def algorithm_differential(graph: Graph, seed: int = 0) -> list[dict]:
             }
         )
 
-    backends = _single_gpu_backends(graph, with_weights=True)
+    # Every registered GPU format is checked against CSR; Ligra+ is a
+    # CPU baseline outside the registry.
+    device = TITAN_XP.scaled(2048)
+    backends = {
+        fmt: build_backend(
+            fmt, graph, device, weight_bytes=4 * graph.num_edges
+        )
+        for fmt in GPU_FORMATS
+    }
     ref_levels = bfs(backends["csr"], source).levels
     ref_dist = sssp(backends["csr"], source, weights).distances
     ref_ranks = pagerank(backends["csr"]).ranks
-    for name in ALGO_FORMATS[1:]:
-        backend = backends[name]
+    for name, backend in backends.items():
+        if name == "csr":
+            continue
         row("bfs-levels", name, np.array_equal(
             bfs(backend, source).levels, ref_levels
         ))

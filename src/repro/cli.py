@@ -158,39 +158,24 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_backend(
-    graph, fmt: str, device_scale: float, cache_kb: int, weight_bytes: int = 0
-):
-    from repro.core.efg import efg_encode
-    from repro.core.listcache import DecodedListCache
-    from repro.formats.cgr import cgr_encode
-    from repro.formats.csr import CSRGraph
+def _cli_backend(args: argparse.Namespace, graph, weight_bytes: int = 0):
+    """The ``--format`` backend on a Titan Xp shrunk by ``--device-scale``."""
     from repro.gpusim.device import TITAN_XP
-    from repro.traversal.backends import CGRBackend, CSRBackend, EFGBackend
+    from repro.traversal.backends import build_backend
 
-    device = TITAN_XP.scaled(device_scale)
-    if fmt == "efg":
-        backend = EFGBackend(efg_encode(graph), device, weight_bytes=weight_bytes)
-    elif fmt == "csr":
-        backend = CSRBackend(
-            CSRGraph.from_graph(graph), device, weight_bytes=weight_bytes
-        )
-    elif fmt == "cgr":
-        backend = CGRBackend(cgr_encode(graph), device, weight_bytes=weight_bytes)
-    else:
-        raise SystemExit(f"unknown format {fmt!r}")
-    if cache_kb < 0:
-        raise SystemExit(f"--cache-kb must be >= 0, got {cache_kb}")
-    if cache_kb:
-        backend.attach_cache(DecodedListCache(budget_bytes=cache_kb * 1024))
-    return backend
+    if args.cache_kb < 0:
+        raise SystemExit(f"--cache-kb must be >= 0, got {args.cache_kb}")
+    return build_backend(
+        args.format, graph, TITAN_XP.scaled(args.device_scale),
+        weight_bytes=weight_bytes, cache_kb=args.cache_kb,
+    )
 
 
 def _cmd_bfs(args: argparse.Namespace) -> int:
     from repro.traversal.bfs import bfs
 
     graph = _load(args.graph)
-    backend = _make_backend(graph, args.format, args.device_scale, args.cache_kb)
+    backend = _cli_backend(args, graph)
     source = args.source
     if graph.degrees[source] == 0:
         source = int(np.argmax(graph.degrees))
@@ -220,7 +205,7 @@ def _cmd_msbfs(args: argparse.Namespace) -> int:
     graph = _load(args.graph)
     if not 1 <= args.num_sources <= MAX_SOURCES:
         raise SystemExit(f"--num-sources must be in [1, {MAX_SOURCES}]")
-    backend = _make_backend(graph, args.format, args.device_scale, args.cache_kb)
+    backend = _cli_backend(args, graph)
     candidates = np.flatnonzero(graph.degrees > 0)
     if candidates.shape[0] == 0:
         raise SystemExit("graph has no vertex with out-edges")
@@ -356,9 +341,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    burst=args.burst, classes=classes, frame_cb=frame_cb)
     if args.baseline:
         def _mk():
-            return _make_backend(
-                graph, args.format, args.device_scale, args.cache_kb
-            )
+            return _cli_backend(args, graph)
         report = with_sequential_baseline(report, service, _mk, sources)
 
     counts = ", ".join(f"{k}={v}" for k, v in report.counts.items())
@@ -441,9 +424,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     needs_weights = args.algo in ("sssp", "delta")
     weight_bytes = 4 * graph.num_edges if needs_weights else 0
-    backend = _make_backend(
-        graph, args.format, args.device_scale, args.cache_kb, weight_bytes
-    )
+    backend = _cli_backend(args, graph, weight_bytes)
     rng = np.random.default_rng(args.seed)
     weights = (
         rng.uniform(0.1, 1.0, size=graph.num_edges).astype(np.float32)
@@ -1128,6 +1109,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
+    from repro.dist.cluster import DIST_FORMATS
+    from repro.traversal.backends import GPU_FORMATS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="EFG compressed-graph tools (IPDPS'23 reproduction)",
@@ -1149,7 +1133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("bfs", help="simulated-GPU BFS")
     p.add_argument("graph")
-    p.add_argument("--format", choices=("efg", "csr", "cgr"), default="efg")
+    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--device-scale", type=float, default=2048,
                    help="shrink the Titan Xp by this factor (default 2048)")
@@ -1159,7 +1143,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("msbfs", help="bit-parallel multi-source BFS")
     p.add_argument("graph")
-    p.add_argument("--format", choices=("efg", "csr", "cgr"), default="efg")
+    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--num-sources", type=int, default=64,
                    help="sources packed into the 64-bit masks (default 64)")
     p.add_argument("--seed", type=int, default=0,
@@ -1194,7 +1178,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="queries submitted between waves (default 16)")
     p.add_argument("--seed", type=int, default=7,
                    help="query-stream seed (default 7)")
-    p.add_argument("--format", default="efg", choices=["efg", "csr", "cgr"],
+    p.add_argument("--format", default="efg", choices=GPU_FORMATS,
                    help="resident representation (default efg)")
     p.add_argument("--cache-kb", type=int, default=256,
                    help="decoded-list cache budget in KiB (default 256)")
@@ -1258,7 +1242,7 @@ def main(argv: list[str] | None = None) -> int:
         "graph", nargs="?", default=None,
         help="graph file; omit to generate a deterministic RMAT graph",
     )
-    p.add_argument("--format", choices=("efg", "csr", "cgr"), default="efg")
+    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--num-sources", type=int, default=64,
                    help="sources for msbfs (default 64)")
@@ -1296,7 +1280,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--nodes", type=int, default=1,
                    help="nodes the GPUs are split across (default 1; "
                    ">1 builds a two-tier topology)")
-    p.add_argument("--fmt", choices=("csr", "efg"), default="csr",
+    p.add_argument("--fmt", choices=DIST_FORMATS, default="csr",
                    help="shard storage format (default csr)")
     p.add_argument("--wire", choices=_wire_codecs, default="auto",
                    help="frontier wire codec (default auto)")
@@ -1358,7 +1342,7 @@ def main(argv: list[str] | None = None) -> int:
                    "budget, >1 tunes the wire codec + overlap (default 1)")
     p.add_argument("--nodes", type=int, default=1,
                    help="nodes the GPUs are split across (default 1)")
-    p.add_argument("--fmt", choices=("csr", "efg"), default="efg",
+    p.add_argument("--fmt", choices=DIST_FORMATS, default="efg",
                    help="shard storage format for --gpus > 1 (default efg)")
     p.add_argument("--wire", choices=_wire_codecs, default="raw",
                    help="baseline wire codec the tuner starts from "
@@ -1424,7 +1408,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="number of simulated devices (default 8)")
     p.add_argument("--nodes", type=int, default=2,
                    help="nodes the GPUs are split across (default 2)")
-    p.add_argument("--fmt", choices=("csr", "efg"), default="csr",
+    p.add_argument("--fmt", choices=DIST_FORMATS, default="csr",
                    help="shard storage format (default csr)")
     p.add_argument("--wire", choices=_wire_codecs, default="ef",
                    help="frontier wire codec (default ef)")

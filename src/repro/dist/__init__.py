@@ -3,9 +3,8 @@
 The paper's introduction names distribution across devices as the
 classic answer to graphs that exceed one GPU's memory, with EFG as the
 single-GPU alternative; this package makes the comparison honest.  It
-grew out of :mod:`repro.traversal.distributed` (which remains as a
-compatibility wrapper) and models the part every multi-GPU BFS paper
-ends up fighting — the frontier exchange:
+models the part every multi-GPU BFS paper ends up fighting — the
+frontier exchange:
 
 * :mod:`repro.dist.partition` — 1-D contiguous vertex sharding;
 * :mod:`repro.dist.topology` — per-link serialization of the

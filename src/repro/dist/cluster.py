@@ -38,7 +38,7 @@ from repro.formats.graph import Graph
 from repro.gpusim.device import DeviceSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, Tracer
-from repro.traversal.backends import CSRBackend, EFGBackend, GraphBackend
+from repro.traversal.backends import GraphBackend, build_backend
 
 __all__ = ["DIST_FORMATS", "LevelCharge", "ShardedCluster"]
 
@@ -70,26 +70,6 @@ class LevelCharge:
     exchange: ExchangeStats
     sync_seconds: float = 0.0
     sync_record: dict | None = None
-
-
-def _make_shard_backend(
-    fmt: str, shard: Graph, device: DeviceSpec, weight_bytes: int
-) -> GraphBackend:
-    if fmt == "csr":
-        from repro.formats.csr import CSRGraph
-
-        return CSRBackend(
-            CSRGraph.from_graph(shard), device, weight_bytes=weight_bytes
-        )
-    if fmt == "efg":
-        from repro.core.efg import efg_encode
-
-        return EFGBackend(
-            efg_encode(shard), device, weight_bytes=weight_bytes
-        )
-    raise ValueError(
-        f"unsupported distributed format {fmt!r}; pick from {DIST_FORMATS}"
-    )
 
 
 class ShardedCluster:
@@ -153,12 +133,19 @@ class ShardedCluster:
             raise ValueError(
                 f"unknown schedule {schedule!r}; pick from {SCHEDULES}"
             )
+        if fmt not in DIST_FORMATS:
+            raise ValueError(
+                f"unsupported distributed format {fmt!r}; "
+                f"pick from {DIST_FORMATS}"
+            )
         partition = VertexPartition.even(graph.num_nodes, num_gpus)
         backends = []
         for g in range(num_gpus):
             shard = partition.subgraph(graph, g)
             wb = 4 * shard.num_edges if with_weights else 0
-            backends.append(_make_shard_backend(fmt, shard, device, wb))
+            backends.append(
+                build_backend(fmt, shard, device, weight_bytes=wb)
+            )
         if topology is None:
             topology = LinkTopology.for_device(device, num_gpus)
         elif topology.num_gpus != num_gpus:

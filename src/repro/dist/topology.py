@@ -1,8 +1,8 @@
 """Per-link cost model for the inter-GPU frontier exchange.
 
-The original ``multi_gpu_bfs`` divided the *total* wire bytes of an
-all-to-all by a single link's bandwidth — as if every transfer
-serialized through one pipe no matter how many GPUs participate.  Real
+A single-pipe model divides the *total* wire bytes of an all-to-all
+by one link's bandwidth — as if every transfer serialized through one
+pipe no matter how many GPUs participate.  Real
 exchanges overlap: each GPU owns one (full-duplex) link, its egress
 traffic serializes on that link while its ingress serializes on the
 receive side, and only the *shared* host fabric (PCIe switches, host

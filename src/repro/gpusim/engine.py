@@ -20,7 +20,6 @@ runs produce identical telemetry.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -163,21 +162,6 @@ class SimEngine:
         self.metrics = MetricsRegistry()
 
     # -- named counters and series (cache hits, frontier sizes, ...) -----
-
-    def record_counter(self, name: str, delta: float) -> None:
-        """Deprecated shim over ``metrics.inc`` — call that instead.
-
-        Kept one release for external callers; internal call sites have
-        migrated to ``engine.metrics.inc``.  Still lands the counter in
-        the registry so behaviour is unchanged apart from the warning.
-        """
-        warnings.warn(
-            "SimEngine.record_counter is deprecated; "
-            "use engine.metrics.inc(name, delta) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.metrics.inc(name, delta)
 
     @property
     def counters(self) -> dict[str, float]:

@@ -1,11 +1,8 @@
 """Metrics registry and the stable run-metrics JSON schema.
 
-The engine's ad-hoc ``record_counter`` strings grew organically; this
-module replaces them with a typed registry — counters (monotonic
-accumulators), gauges (last-value), and histograms (power-of-two
-buckets, the right shape for frontier sizes) — while
-:meth:`~repro.gpusim.engine.SimEngine.record_counter` survives as a
-compatibility shim that forwards into the registry.
+A typed registry of counters (monotonic accumulators), gauges
+(last-value) and histograms (power-of-two buckets, the right shape for
+frontier sizes); every engine owns one as ``engine.metrics``.
 
 :func:`run_metrics` serialises one finished run into a versioned,
 deterministically ordered dict: totals, per-kernel rows, the registry

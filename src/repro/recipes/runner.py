@@ -105,50 +105,15 @@ def build_topology(
     )
 
 
-def _single_backend(cell: RecipeCell, graph, device):
-    from repro.core.listcache import DecodedListCache
-
-    knobs = cell.knobs_dict
-    needs_weights = cell.algo in ("sssp", "delta")
-    weight_bytes = 4 * graph.num_edges if needs_weights else 0
-    if cell.fmt == "csr":
-        from repro.formats.csr import CSRGraph
-        from repro.traversal.backends import CSRBackend
-
-        backend = CSRBackend(
-            CSRGraph.from_graph(graph), device, weight_bytes=weight_bytes
-        )
-    elif cell.fmt == "efg":
-        from repro.core.efg import DEFAULT_QUANTUM, efg_encode
-        from repro.traversal.backends import EFGBackend
-
-        quantum = int(knobs.get("quantum", DEFAULT_QUANTUM))
-        backend = EFGBackend(
-            efg_encode(graph, quantum=quantum),
-            device,
-            weight_bytes=weight_bytes,
-        )
-    else:
-        from repro.formats.cgr import cgr_encode
-        from repro.traversal.backends import CGRBackend
-
-        backend = CGRBackend(
-            cgr_encode(graph), device, weight_bytes=weight_bytes
-        )
-    cache_kb = int(knobs.get("cache_kb", 0))
-    if cache_kb:
-        backend.attach_cache(DecodedListCache(budget_bytes=cache_kb * 1024))
-    return backend
-
-
-def _run_serve(cell: RecipeCell, graph, device, defaults) -> dict:
+def _run_serve(cell: RecipeCell, backend, graph, defaults) -> dict:
     """One serve cell: closed-loop drive over the recipe's backend.
 
-    Reuses :func:`_single_backend` so the quantum/cache knobs price
-    exactly as on the batch cells; the serve-only knobs (deadline mix,
-    hot fraction) shape the query stream.  The payload carries both the
-    PR 9 ``serve`` totals and the telemetry ``service`` section, so
-    recipe grids can sweep deadline mixes and diff p99 latency.
+    The backend is built by :func:`_run_single`, so the quantum/cache
+    knobs price exactly as on the batch cells; the serve-only knobs
+    (deadline mix, hot fraction) shape the query stream.  The payload
+    carries both the PR 9 ``serve`` totals and the telemetry
+    ``service`` section, so recipe grids can sweep deadline mixes and
+    diff p99 latency.
     """
     from repro.obs.metrics import run_metrics
     from repro.serve import GraphService, drive, make_labeled_stream
@@ -156,7 +121,6 @@ def _run_serve(cell: RecipeCell, graph, device, defaults) -> dict:
     from repro.serve.driver import parse_deadline_mix
 
     knobs = cell.knobs_dict
-    backend = _single_backend(cell, graph, device)
     service = GraphService(
         backend=backend, epoch=GraphContainer.from_graph(graph).epoch
     )
@@ -184,11 +148,23 @@ def _run_serve(cell: RecipeCell, graph, device, defaults) -> dict:
 def _run_single(cell: RecipeCell, graph, device, defaults) -> dict:
     """One single-GPU cell through :func:`run_profiled`."""
     from repro.bench.harness import pick_sources, run_profiled
+    from repro.traversal.backends import build_backend, encode
 
-    if cell.algo == "serve":
-        return _run_serve(cell, graph, device, defaults)
     knobs = cell.knobs_dict
-    backend = _single_backend(cell, graph, device)
+    # The spec keeps ``quantum`` on EFG cells only.
+    encode_kw = (
+        {"quantum": int(knobs["quantum"])} if "quantum" in knobs else {}
+    )
+    needs_weights = cell.algo in ("sssp", "delta")
+    backend = build_backend(
+        cell.fmt,
+        encode(cell.fmt, graph, **encode_kw),
+        device,
+        weight_bytes=4 * graph.num_edges if needs_weights else 0,
+        cache_kb=int(knobs.get("cache_kb", 0)),
+    )
+    if cell.algo == "serve":
+        return _run_serve(cell, backend, graph, defaults)
     kwargs: dict = {}
     if "sort_fraction" in knobs:
         kwargs["sort_fraction"] = float(knobs["sort_fraction"])

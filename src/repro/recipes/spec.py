@@ -29,6 +29,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.traversal.backends import GPU_FORMATS
+
 __all__ = [
     "ALGOS",
     "DIST_ALGOS",
@@ -57,7 +59,7 @@ ALGOS = ("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank", "serve")
 DIST_ALGOS = ("bfs", "sssp", "pagerank")
 
 #: Single-GPU storage formats; distributed cells use repro.dist's set.
-FORMATS = ("csr", "efg", "cgr")
+FORMATS = GPU_FORMATS
 
 #: Vertex-relabelling orders applied to the graph before encoding.
 REORDERS = ("none", "degree", "random")

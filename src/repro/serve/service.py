@@ -43,9 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.graph import Graph
+from repro.gpusim.device import TITAN_XP
 from repro.serve.container import GraphContainer
 from repro.serve.telemetry import ServiceTelemetry
-from repro.traversal.backends import GraphBackend
+from repro.traversal.backends import GraphBackend, build_backend
 from repro.traversal.msbfs import MAX_SOURCES, msbfs
 
 __all__ = ["QueryResult", "GraphService"]
@@ -150,10 +151,11 @@ class GraphService:
         device=None, cache_kb: int = 256, **kwargs
     ) -> "GraphService":
         """Stand a service up on a saved container image."""
-        return cls._build(
-            container.to_graph(), container.epoch,
-            fmt=fmt, device=device, cache_kb=cache_kb, **kwargs,
+        backend = build_backend(
+            fmt, container.to_graph(), device or TITAN_XP.scaled(2048),
+            cache_kb=cache_kb,
         )
+        return cls(backend=backend, epoch=container.epoch, **kwargs)
 
     @classmethod
     def from_graph(
@@ -161,36 +163,10 @@ class GraphService:
         device=None, cache_kb: int = 256, **kwargs
     ) -> "GraphService":
         """Stand a service up on an in-memory graph (epoch computed)."""
-        return cls._build(
-            graph, GraphContainer.from_graph(graph).epoch,
-            fmt=fmt, device=device, cache_kb=cache_kb, **kwargs,
+        epoch = GraphContainer.from_graph(graph).epoch
+        backend = build_backend(
+            fmt, graph, device or TITAN_XP.scaled(2048), cache_kb=cache_kb
         )
-
-    @classmethod
-    def _build(cls, graph, epoch, *, fmt, device, cache_kb, **kwargs):
-        from repro.core.efg import efg_encode
-        from repro.core.listcache import DecodedListCache
-        from repro.formats.cgr import cgr_encode
-        from repro.formats.csr import CSRGraph
-        from repro.gpusim.device import TITAN_XP
-        from repro.traversal.backends import (
-            CGRBackend,
-            CSRBackend,
-            EFGBackend,
-        )
-
-        if device is None:
-            device = TITAN_XP.scaled(2048)
-        if fmt == "efg":
-            backend = EFGBackend(efg_encode(graph), device)
-        elif fmt == "csr":
-            backend = CSRBackend(CSRGraph.from_graph(graph), device)
-        elif fmt == "cgr":
-            backend = CGRBackend(cgr_encode(graph), device)
-        else:
-            raise ValueError(f"unknown serving format {fmt!r}")
-        if cache_kb:
-            backend.attach_cache(DecodedListCache(budget_bytes=cache_kb * 1024))
         return cls(backend=backend, epoch=epoch, **kwargs)
 
     # -- clock & introspection ----------------------------------------

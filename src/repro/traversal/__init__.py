@@ -28,11 +28,6 @@ from repro.traversal.direction_optimizing import (
     DirectionOptimizingResult,
     bfs_direction_optimizing,
 )
-from repro.traversal.distributed import (
-    MultiGPUBFSResult,
-    VertexPartition,
-    multi_gpu_bfs,
-)
 from repro.traversal.kcore import KCoreResult, kcore_decomposition
 from repro.traversal.pagerank import PageRankResult, pagerank
 from repro.traversal.sssp import SSSPResult, sssp
@@ -59,9 +54,6 @@ __all__ = [
     "ComponentsResult",
     "betweenness_centrality",
     "BetweennessResult",
-    "multi_gpu_bfs",
-    "MultiGPUBFSResult",
-    "VertexPartition",
     "sssp",
     "SSSPResult",
     "delta_stepping_sssp",

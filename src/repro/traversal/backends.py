@@ -21,6 +21,11 @@ representation really generates:
 * **Ligra+** — same chain model on the CPU device (one list per
   thread, lane width 1), reflecting its shared-memory parallelism.
 
+The GPU formats are registered by key in one table: :func:`encode`
+builds a format's container and :func:`build_backend` binds it to a
+device, so every caller that takes a format name goes through the same
+two functions.  Ligra+ is a CPU baseline and stays outside the table.
+
 All per-array traffic uses :meth:`KernelLaunch.read_stream`, so
 coalescing is measured from the actual ids touched — this is what makes
 reordering (Sec. VIII-D) and partial frontier sorting (Sec. VI-E)
@@ -42,9 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.efg import EFGraph, csr_gather_indices, decode_lists
+from repro.core.efg import (
+    EFGraph,
+    csr_gather_indices,
+    decode_lists,
+    efg_encode,
+)
 from repro.core.listcache import DECODED_ELEM_BYTES, DecodedListCache
-from repro.formats.cgr import CGRGraph
+from repro.formats.cgr import CGRGraph, cgr_encode
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
 from repro.formats.ligra_plus import LigraPlusGraph
@@ -55,11 +65,14 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.primitives.scan import exclusive_scan
 
 __all__ = [
+    "GPU_FORMATS",
     "GraphBackend",
     "CSRBackend",
     "EFGBackend",
     "CGRBackend",
     "LigraBackend",
+    "build_backend",
+    "encode",
 ]
 
 #: Per-edge bookkeeping instructions shared by every format (frontier
@@ -572,3 +585,57 @@ class LigraBackend(GraphBackend):
         # warp_width is 1 on the CPU device, so this records full
         # efficiency — divergence is a SIMT-only effect.
         kernel.warp_occupancy(list_bytes)
+
+
+#: Format key -> (encoder, backend class) for every GPU format.
+_REGISTRY = {
+    "csr": (CSRGraph.from_graph, CSRBackend),
+    "efg": (efg_encode, EFGBackend),
+    "cgr": (cgr_encode, CGRBackend),
+}
+
+#: The registered GPU storage formats, in registry order.
+GPU_FORMATS = tuple(_REGISTRY)
+
+
+def _entry(fmt: str):
+    try:
+        return _REGISTRY[fmt]
+    except KeyError:
+        raise ValueError(
+            f"unknown format {fmt!r}; registered formats: "
+            f"{', '.join(GPU_FORMATS)}"
+        ) from None
+
+
+def encode(fmt: str, graph: Graph, **kw):
+    """Encode ``graph`` as format ``fmt``; ``kw`` goes to its encoder
+    (e.g. EFG's ``quantum``)."""
+    return _entry(fmt)[0](graph, **kw)
+
+
+def build_backend(
+    fmt: str,
+    graph_or_container,
+    device: DeviceSpec,
+    *,
+    weight_bytes: int = 0,
+    cache_kb: int = 0,
+) -> GraphBackend:
+    """Bind format ``fmt`` to ``device``.
+
+    A :class:`~repro.formats.graph.Graph` is encoded with the format's
+    default encoder arguments; anything else is taken as an already
+    encoded container.  ``cache_kb > 0`` attaches a decoded-list cache
+    of that many KiB.
+    """
+    encoder, backend_cls = _entry(fmt)
+    container = (
+        encoder(graph_or_container)
+        if isinstance(graph_or_container, Graph)
+        else graph_or_container
+    )
+    backend = backend_cls(container, device, weight_bytes=weight_bytes)
+    if cache_kb:
+        backend.attach_cache(DecodedListCache(budget_bytes=cache_kb * 1024))
+    return backend

@@ -60,3 +60,41 @@ class TestGenerator:
         out = str(tmp_path / "EXP.md")
         write_experiments_md(real, out)
         assert "paper" in open(out).read()
+
+
+def _multigpu(name, csr_1, efg_1, csr_2):
+    return {
+        "name": name, "csr_1gpu_ms": csr_1, "efg_1gpu_ms": efg_1,
+        "csr_2gpu_ms": csr_2, "csr_4gpu_ms": csr_2,
+        "exchanged_mb_2gpu": 0.5, "efg_speedup": csr_1 / efg_1,
+        "gpu2_speedup": csr_1 / csr_2,
+    }
+
+
+class TestMultiGPUClaim:
+    def _line(self, tmp_path, records):
+        d = tmp_path / "results"
+        d.mkdir()
+        (d / "multigpu.json").write_text(json.dumps(records))
+        out = str(tmp_path / "EXP.md")
+        write_experiments_md(str(d), out)
+        return next(
+            line for line in open(out).read().splitlines()
+            if line.startswith("**Intro: compression vs multi-GPU.**")
+        )
+
+    def test_names_graphs_where_efg_wins(self, tmp_path):
+        line = self._line(tmp_path, [
+            _multigpu("social", 1.0, 0.1, 0.3),
+            _multigpu("web", 1.0, 0.2, 0.1),
+        ])
+        assert "1-GPU EFG beats 2-GPU CSR outright on social (3.0x)" in line
+        assert "web (" not in line
+
+    def test_states_the_loss_when_efg_never_wins(self, tmp_path):
+        line = self._line(tmp_path, [
+            _multigpu("social", 1.0, 0.2, 0.1),
+            _multigpu("web", 1.0, 0.3, 0.2),
+        ])
+        assert "outright" not in line
+        assert "2-GPU CSR beats 1-GPU EFG on every graph, by 1.5-2.0x" in line

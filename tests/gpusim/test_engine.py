@@ -183,11 +183,6 @@ class TestCounters:
         assert "listcache:hits" in report
         assert "7" in report
 
-    def test_record_counter_shim_warns_and_still_counts(self, engine):
-        with pytest.warns(DeprecationWarning, match="record_counter"):
-            engine.record_counter("legacy", 4)
-        assert engine.counters["legacy"] == 4
-
 
 class TestCachedBytesSingleColumn:
     """Regression: cached reads must never double-count as DRAM bytes."""

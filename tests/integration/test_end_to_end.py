@@ -61,15 +61,15 @@ class TestFullPipeline:
 
 class TestCompressionShapes:
     def test_efg_compresses_suite_graph(self, scc_lj):
-        assert scc_lj.csr.nbytes > scc_lj.efg.nbytes
+        assert scc_lj.get("csr").nbytes > scc_lj.get("efg").nbytes
 
     def test_web_graph_favours_cgr(self):
         web = encoded_suite_graph("sk-05")
         social = encoded_suite_graph("scc-lj")
-        web_cgr = web.csr.nbytes / web.cgr.nbytes
-        web_efg = web.csr.nbytes / web.efg.nbytes
-        social_cgr = social.csr.nbytes / social.cgr.nbytes
-        social_efg = social.csr.nbytes / social.efg.nbytes
+        web_cgr = web.get("csr").nbytes / web.get("cgr").nbytes
+        web_efg = web.get("csr").nbytes / web.get("efg").nbytes
+        social_cgr = social.get("csr").nbytes / social.get("cgr").nbytes
+        social_efg = social.get("csr").nbytes / social.get("efg").nbytes
         # Fig. 8: CGR wins on web graphs, EFG wins elsewhere.
         assert web_cgr > web_efg
         assert social_efg >= social_cgr * 0.95

@@ -85,13 +85,19 @@ class TestDistributedProperty:
     @given(graph=graphs(), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_levels_invariant_to_gpu_count(self, graph, data):
-        from repro.traversal.distributed import multi_gpu_bfs
+        from repro.dist import LinkTopology, ShardedCluster, distributed_bfs
+
+        def levels(gpus):
+            cluster = ShardedCluster.build(
+                graph, gpus, DEVICE, wire="raw64", schedule="flat",
+                topology=LinkTopology.for_device(DEVICE, gpus, contention=1.0),
+            )
+            return distributed_bfs(cluster, src).levels
 
         src = data.draw(st.integers(0, graph.num_nodes - 1))
-        base = multi_gpu_bfs(graph, src, 1, DEVICE).levels
+        base = levels(1)
         for gpus in (2, 3):
-            got = multi_gpu_bfs(graph, src, gpus, DEVICE).levels
-            assert np.array_equal(got, base)
+            assert np.array_equal(levels(gpus), base)
 
 
 class TestUVMProperty:

@@ -9,11 +9,15 @@ from repro.formats.csr import CSRGraph
 from repro.formats.ligra_plus import ligra_encode
 from repro.gpusim.kernel import KernelLaunch
 from repro.traversal.backends import (
+    GPU_FORMATS,
     CGRBackend,
     CSRBackend,
     EFGBackend,
     LigraBackend,
+    build_backend,
+    encode,
 )
+from repro.traversal.bfs import bfs
 
 
 def _backends(graph, device):
@@ -129,3 +133,66 @@ class TestMemoryRegistration:
         tiny_dev = TITAN_XP.scaled_capacity(16)
         spilled = CSRBackend(CSRGraph.from_graph(small_graph), tiny_dev)
         assert not spilled.graph_fits_in_memory()
+
+
+#: What the registry must reproduce: each format's encoder and class,
+#: constructed by hand.
+_DIRECT = {
+    "csr": (CSRGraph.from_graph, CSRBackend),
+    "efg": (efg_encode, EFGBackend),
+    "cgr": (cgr_encode, CGRBackend),
+}
+
+
+class TestRegistry:
+    def test_registers_every_gpu_format(self):
+        assert GPU_FORMATS == tuple(_DIRECT)
+
+    @pytest.mark.parametrize(
+        "weight_bytes,cache_kb", [(0, 0), (4096, 8)], ids=["plain", "extras"]
+    )
+    @pytest.mark.parametrize("fmt", GPU_FORMATS)
+    def test_build_matches_direct(
+        self, small_graph, scaled_device, fmt, weight_bytes, cache_kb
+    ):
+        from repro.core.listcache import DecodedListCache
+
+        encoder, cls = _DIRECT[fmt]
+        direct = cls(encoder(small_graph), scaled_device,
+                     weight_bytes=weight_bytes)
+        if cache_kb:
+            direct.attach_cache(DecodedListCache(budget_bytes=cache_kb * 1024))
+        built = build_backend(
+            fmt, small_graph, scaled_device,
+            weight_bytes=weight_bytes, cache_kb=cache_kb,
+        )
+        assert type(built) is cls
+        assert (built.cache is None) == (cache_kb == 0)
+        assert built.engine.memory.plan() == direct.engine.memory.plan()
+        got, want = bfs(built, 3), bfs(direct, 3)
+        assert np.array_equal(got.levels, want.levels)
+        assert built.engine.elapsed_seconds == direct.engine.elapsed_seconds
+
+    @pytest.mark.parametrize("fmt", GPU_FORMATS)
+    def test_container_is_used_as_is(self, small_graph, scaled_device, fmt):
+        container = encode(fmt, small_graph)
+        backend = build_backend(fmt, container, scaled_device)
+        assert getattr(backend, fmt) is container
+
+    def test_unknown_key_names_every_format(self, small_graph, scaled_device):
+        for call in (
+            lambda: encode("zip", small_graph),
+            lambda: build_backend("zip", small_graph, scaled_device),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert "'zip'" in str(exc.value)
+            for fmt in GPU_FORMATS:
+                assert fmt in str(exc.value)
+
+    def test_encode_forwards_quantum(self, small_graph):
+        got = encode("efg", small_graph, quantum=8)
+        want = efg_encode(small_graph, quantum=8)
+        assert got.quantum == want.quantum == 8
+        for field in ("vlist", "num_lower_bits", "offsets", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -1,14 +1,27 @@
-"""Tests for multi-GPU partitioned BFS."""
+"""Tests for multi-GPU partitioned BFS (:mod:`repro.dist`).
+
+The BFS cases run one shared-pipe topology (``contention=1.0``) with
+device-width ``raw64`` ids on the wire and the flat schedule.
+"""
 
 import numpy as np
 import pytest
 
+from repro.dist import LinkTopology, ShardedCluster, distributed_bfs
+from repro.dist.partition import VertexPartition
 from repro.formats.graph import Graph
-from repro.traversal.distributed import (
-    VertexPartition,
-    multi_gpu_bfs,
-)
 from repro.traversal.validate import reference_bfs_levels
+
+
+def _shared_pipe_bfs(
+    graph, source, num_gpus, device, fmt="csr", wire="raw64",
+    partial_sort=True,
+):
+    cluster = ShardedCluster.build(
+        graph, num_gpus, device, fmt=fmt, wire=wire, schedule="flat",
+        topology=LinkTopology.for_device(device, num_gpus, contention=1.0),
+    )
+    return distributed_bfs(cluster, source, partial_sort=partial_sort)
 
 
 class TestVertexPartition:
@@ -53,26 +66,26 @@ class TestMultiGPUBFS:
         self, small_graph, scaled_device, num_gpus, fmt
     ):
         ref = reference_bfs_levels(small_graph, 3)
-        r = multi_gpu_bfs(small_graph, 3, num_gpus, scaled_device, fmt=fmt)
+        r = _shared_pipe_bfs(small_graph, 3, num_gpus, scaled_device, fmt=fmt)
         assert np.array_equal(r.levels, ref)
         assert r.num_gpus == num_gpus
 
     def test_single_gpu_no_exchange(self, small_graph, scaled_device):
-        r = multi_gpu_bfs(small_graph, 0, 1, scaled_device)
+        r = _shared_pipe_bfs(small_graph, 0, 1, scaled_device)
         assert r.exchanged_bytes == 0
 
     def test_exchange_happens_with_two(self, small_graph, scaled_device):
-        r = multi_gpu_bfs(small_graph, 0, 2, scaled_device)
+        r = _shared_pipe_bfs(small_graph, 0, 2, scaled_device)
         assert r.exchanged_bytes > 0
 
     def test_partial_sort_preserves_levels(self, small_graph, scaled_device):
         # Regression: the old implementation full-sorted the frontier, so
         # switching to the paper's partial sort (65% of the id bits,
         # Sec. VI-E) must not change the traversal outcome.
-        with_sort = multi_gpu_bfs(
+        with_sort = _shared_pipe_bfs(
             small_graph, 3, 4, scaled_device, partial_sort=True
         )
-        without = multi_gpu_bfs(
+        without = _shared_pipe_bfs(
             small_graph, 3, 4, scaled_device, partial_sort=False
         )
         assert np.array_equal(with_sort.levels, without.levels)
@@ -85,18 +98,18 @@ class TestMultiGPUBFS:
         assert FRONTIER_ID_BYTES == 8
         # The default raw64 wire ships device-width ids, so it must cost
         # more on the wire than explicitly narrowing to int32.
-        wide = multi_gpu_bfs(small_graph, 0, 2, scaled_device, wire="raw64")
-        narrow = multi_gpu_bfs(small_graph, 0, 2, scaled_device, wire="raw")
+        wide = _shared_pipe_bfs(small_graph, 0, 2, scaled_device, wire="raw64")
+        narrow = _shared_pipe_bfs(small_graph, 0, 2, scaled_device, wire="raw")
         assert wide.exchanged_bytes > narrow.exchanged_bytes
         assert np.array_equal(wide.levels, narrow.levels)
 
     def test_bad_source(self, small_graph, scaled_device):
         with pytest.raises(IndexError):
-            multi_gpu_bfs(small_graph, 10**7, 2, scaled_device)
+            _shared_pipe_bfs(small_graph, 10**7, 2, scaled_device)
 
     def test_bad_format(self, small_graph, scaled_device):
         with pytest.raises(ValueError):
-            multi_gpu_bfs(small_graph, 0, 2, scaled_device, fmt="zip")
+            _shared_pipe_bfs(small_graph, 0, 2, scaled_device, fmt="zip")
 
     def test_partitioning_brings_csr_in_memory(self, rng):
         # The Intro trade-off: a graph too big for one device fits when
@@ -117,5 +130,5 @@ class TestMultiGPUBFS:
         single = CSRBackend(csr, device)
         assert not single.graph_fits_in_memory()
         t_one = bfs(single, 0).sim_seconds
-        t_two = multi_gpu_bfs(g, 0, 2, device).sim_seconds
+        t_two = _shared_pipe_bfs(g, 0, 2, device).sim_seconds
         assert t_two < t_one
