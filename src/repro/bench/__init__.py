@@ -20,6 +20,7 @@ from repro.bench.harness import (
     SCALED_V100,
     encoded_suite_graph,
     make_backend,
+    make_weights,
     pick_sources,
     run_bfs_average,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "SCALED_CPU",
     "encoded_suite_graph",
     "make_backend",
+    "make_weights",
     "pick_sources",
     "run_bfs_average",
     "format_table",

@@ -37,6 +37,7 @@ __all__ = [
     "encoded_suite_graph",
     "encode_all",
     "make_backend",
+    "make_weights",
     "pick_sources",
     "run_bfs_average",
     "run_profiled",
@@ -108,6 +109,13 @@ def pick_sources(graph: Graph, count: int, seed: int = 42) -> np.ndarray:
         raise ValueError("graph has no vertex with out-degree > 0")
     count = min(count, candidates.size)
     return rng.choice(candidates, size=count, replace=False)
+
+
+def make_weights(graph: Graph, seed: int) -> np.ndarray:
+    """Deterministic float32 edge weights in ``[0.1, 1)``, in CSR slot
+    order (one ``default_rng(seed)`` draw per edge)."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 1.0, graph.num_edges).astype(np.float32)
 
 
 #: Algorithms :func:`run_profiled` can drive (CLI ``repro profile``).

@@ -99,7 +99,10 @@ import time
 
 import numpy as np
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
+
+
+# -- shared argument handling ---------------------------------------------
 
 
 def _load(path: str):
@@ -108,6 +111,181 @@ def _load(path: str):
     if path.endswith(".npz"):
         return load_graph(path)
     return read_edge_list(path, name=path)
+
+
+def _graph(args: argparse.Namespace):
+    """The ``graph`` file, else the seeded RMAT graph; plus a display name."""
+    if args.graph is not None:
+        return _load(args.graph), args.graph
+    from repro.datasets.rmat import rmat_graph
+
+    graph = rmat_graph(
+        scale=args.rmat_scale, edge_factor=args.edge_factor, seed=args.seed
+    )
+    return graph, (
+        f"rmat(scale={args.rmat_scale},ef={args.edge_factor},seed={args.seed})"
+    )
+
+
+def _rmat_family(args: argparse.Namespace) -> str:
+    """Tuned-store family key of the generated RMAT graph."""
+    from repro.tune.store import graph_family
+
+    return graph_family(
+        {"kind": "rmat", "scale": args.rmat_scale,
+         "edge_factor": args.edge_factor}
+    )
+
+
+def _source(args: argparse.Namespace, graph) -> int:
+    """``--source``, checked against |V|; a vertex without out-edges
+    falls back to the highest-degree one."""
+    source = args.source
+    if not 0 <= source < graph.num_nodes:
+        raise SystemExit(
+            f"--source must be in [0, {graph.num_nodes}), got {source}"
+        )
+    if graph.degrees[source] == 0:
+        source = int(np.argmax(graph.degrees))
+        print(f"source {args.source} has no out-edges; using {source}")
+    return source
+
+
+def _sample_sources(args: argparse.Namespace, graph) -> np.ndarray:
+    """``--num-sources`` out-edge vertices drawn with ``--seed``."""
+    from repro.bench.harness import pick_sources
+    from repro.traversal.msbfs import MAX_SOURCES
+
+    if not 1 <= args.num_sources <= MAX_SOURCES:
+        raise SystemExit(f"--num-sources must be in [1, {MAX_SOURCES}]")
+    try:
+        return pick_sources(graph, args.num_sources, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit("graph has no vertex with out-edges") from exc
+
+
+def _device(args: argparse.Namespace):
+    """The Titan Xp shrunk by ``--device-scale``."""
+    from repro.gpusim.device import TITAN_XP
+
+    return TITAN_XP.scaled(args.device_scale)
+
+
+def _cli_backend(args: argparse.Namespace, graph, weight_bytes: int = 0):
+    """The ``--format`` backend on :func:`_device`, with ``--cache-kb``."""
+    from repro.traversal.backends import build_backend
+
+    if args.cache_kb < 0:
+        raise SystemExit(f"--cache-kb must be >= 0, got {args.cache_kb}")
+    return build_backend(
+        args.format, graph, _device(args),
+        weight_bytes=weight_bytes, cache_kb=args.cache_kb,
+    )
+
+
+def _check_layout(args: argparse.Namespace) -> None:
+    if args.gpus < 1:
+        raise SystemExit(f"--gpus must be >= 1, got {args.gpus}")
+    if args.nodes < 1:
+        raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
+    if args.nodes > 1 and args.gpus % args.nodes:
+        raise SystemExit(
+            f"--gpus {args.gpus} not divisible by --nodes {args.nodes}"
+        )
+
+
+def _cluster(args: argparse.Namespace, graph, **build_kw):
+    """The ``ShardedCluster`` the cluster flags describe, layout checked."""
+    from repro.dist import ShardedCluster, build_topology
+
+    _check_layout(args)
+    device = _device(args)
+    topology = build_topology(
+        args.nodes, args.gpus, device,
+        args.link_gbs, args.inter_gbs, args.contention,
+    )
+    return ShardedCluster.build(
+        graph, args.gpus, device,
+        fmt=args.fmt, wire=args.wire, schedule=args.schedule,
+        topology=topology, with_weights=args.algo == "sssp", **build_kw,
+    )
+
+
+def _run_cluster(args: argparse.Namespace, graph, cluster):
+    """Run ``args.algo`` on ``cluster`` (SSSP weights seeded by ``--seed``)."""
+    from repro.bench.harness import make_weights
+    from repro.dist import run_distributed
+
+    source = args.source if args.algo == "pagerank" else _source(args, graph)
+    weights = make_weights(graph, args.seed) if args.algo == "sssp" else None
+    return run_distributed(cluster, args.algo, source, weights)
+
+
+def _cluster_label(args: argparse.Namespace, overlap: bool) -> str:
+    layout = (
+        f"{args.nodes} nodes x {args.gpus // args.nodes} GPUs"
+        if args.nodes > 1 else f"{args.gpus} GPUs"
+    )
+    return (
+        f"{args.fmt} dist-{args.algo} on {layout} "
+        f"(wire={args.wire}, schedule={args.schedule}"
+        f"{', overlap' if overlap else ''}): "
+    )
+
+
+def _tuned_config(args: argparse.Namespace, workload: str) -> dict | None:
+    """The ``--tuned`` config for this RMAT family and ``workload``.
+
+    Prints what it applies; on a miss prints the error and returns
+    ``None`` (the caller exits 2).
+    """
+    from repro.tune.store import lookup_tuned
+
+    family = _rmat_family(args)
+    entry = lookup_tuned(args.tuned, family, workload)
+    if entry is None:
+        print(
+            f"error: no tuned config for {family}/{workload} in "
+            f"{args.tuned} (run `repro tune` first)",
+            file=sys.stderr,
+        )
+        return None
+    config = entry["config"]
+    applied = ",".join(f"{k}={v}" for k, v in sorted(config.items()))
+    print(f"applying tuned config {family}/{workload}: {applied}")
+    return config
+
+
+def _threshold(args: argparse.Namespace) -> float:
+    """``--threshold`` (percent) as a relative fraction."""
+    if args.threshold < 0:
+        raise SystemExit(f"--threshold must be >= 0, got {args.threshold}")
+    return args.threshold / 100.0
+
+
+def _gate(args: argparse.Namespace, cmp) -> int:
+    """Print a comparison; exit status 1 when a key moved past threshold."""
+    from repro.obs.compare import format_comparison
+
+    print(format_comparison(cmp))
+    if cmp.ok:
+        return 0
+    print(
+        f"\nFAIL: {len(cmp.regressions)} key(s) moved more than "
+        f"{args.threshold:.2f}%"
+    )
+    return 1
+
+
+def _print_cache_stats(st) -> None:
+    print(
+        f"list cache: {st.hits}/{st.lookups} hits "
+        f"({100 * st.hit_rate:.1f}%), {st.bytes_saved:,.0f} "
+        f"compressed bytes saved"
+    )
+
+
+# -- commands ---------------------------------------------------------------
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -158,28 +336,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cli_backend(args: argparse.Namespace, graph, weight_bytes: int = 0):
-    """The ``--format`` backend on a Titan Xp shrunk by ``--device-scale``."""
-    from repro.gpusim.device import TITAN_XP
-    from repro.traversal.backends import build_backend
-
-    if args.cache_kb < 0:
-        raise SystemExit(f"--cache-kb must be >= 0, got {args.cache_kb}")
-    return build_backend(
-        args.format, graph, TITAN_XP.scaled(args.device_scale),
-        weight_bytes=weight_bytes, cache_kb=args.cache_kb,
-    )
-
-
 def _cmd_bfs(args: argparse.Namespace) -> int:
     from repro.traversal.bfs import bfs
 
     graph = _load(args.graph)
     backend = _cli_backend(args, graph)
-    source = args.source
-    if graph.degrees[source] == 0:
-        source = int(np.argmax(graph.degrees))
-        print(f"source {args.source} has no out-edges; using {source}")
+    source = _source(args, graph)
     result = bfs(backend, source)
     fits = "resident" if backend.graph_fits_in_memory() else "out-of-core"
     print(
@@ -188,46 +350,29 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
         f"({fits})"
     )
     if backend.cache is not None:
-        st = backend.cache.stats
-        print(
-            f"list cache: {st.hits}/{st.lookups} hits "
-            f"({100 * st.hit_rate:.1f}%), {st.bytes_saved:,.0f} "
-            f"compressed bytes saved"
-        )
+        _print_cache_stats(backend.cache.stats)
     print()
     print(backend.engine.profile_report())
     return 0
 
 
 def _cmd_msbfs(args: argparse.Namespace) -> int:
-    from repro.traversal.msbfs import MAX_SOURCES, msbfs
+    from repro.traversal.msbfs import msbfs
 
     graph = _load(args.graph)
-    if not 1 <= args.num_sources <= MAX_SOURCES:
-        raise SystemExit(f"--num-sources must be in [1, {MAX_SOURCES}]")
+    sources = _sample_sources(args, graph)
     backend = _cli_backend(args, graph)
-    candidates = np.flatnonzero(graph.degrees > 0)
-    if candidates.shape[0] == 0:
-        raise SystemExit("graph has no vertex with out-edges")
-    rng = np.random.default_rng(args.seed)
-    count = min(args.num_sources, candidates.shape[0])
-    sources = rng.choice(candidates, size=count, replace=False)
     result = msbfs(backend, sources)
     fits = "resident" if backend.graph_fits_in_memory() else "out-of-core"
     print(
-        f"{args.format} MSBFS, {count} sources: "
+        f"{args.format} MSBFS, {len(sources)} sources: "
         f"{result.sim_seconds * 1e3:.3f} ms simulated "
         f"({result.seconds_per_source * 1e3:.4f} ms/source), "
         f"{result.gteps:.2f} amortized GTEPS, "
         f"{result.lists_decoded:,} lists decoded ({fits})"
     )
     if result.cache_stats is not None:
-        st = result.cache_stats
-        print(
-            f"list cache: {st.hits}/{st.lookups} hits "
-            f"({100 * st.hit_rate:.1f}%), {st.bytes_saved:,.0f} "
-            f"compressed bytes saved"
-        )
+        _print_cache_stats(result.cache_stats)
     print()
     print(backend.engine.profile_report())
     return 0
@@ -296,24 +441,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         path=args.events, max_bytes=args.events_max_kb * 1024
     )
     telemetry = ServiceTelemetry(specs=specs, events=events)
+    service_kw = dict(
+        fmt=args.format, device=_device(args), cache_kb=args.cache_kb,
+        max_pending=args.max_pending, telemetry=telemetry,
+    )
     try:
         if is_container(args.target):
             container = open_container(args.target)
-            service = GraphService.from_container(
-                container, fmt=args.format,
-                device=_serve_device(args.device_scale),
-                cache_kb=args.cache_kb, max_pending=args.max_pending,
-                telemetry=telemetry,
-            )
+            service = GraphService.from_container(container, **service_kw)
             graph = container.to_graph()
         else:
             graph = _load(args.target)
-            service = GraphService.from_graph(
-                graph, fmt=args.format,
-                device=_serve_device(args.device_scale),
-                cache_kb=args.cache_kb, max_pending=args.max_pending,
-                telemetry=telemetry,
-            )
+            service = GraphService.from_graph(graph, **service_kw)
     except DecodeError as exc:
         raise SystemExit(f"cannot open {args.target}: {exc}") from exc
     except ValueError as exc:
@@ -325,10 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_mix = parse_deadline_mix(args.deadline_ms)
     except ValueError as exc:
         raise SystemExit(f"--deadline-ms: {exc}") from exc
-    sources, classes = make_labeled_stream(
-        graph.num_nodes, args.queries,
-        hot_fraction=args.hot_fraction, seed=args.seed,
-    )
 
     frame_cb = None
     if args.monitor:
@@ -337,8 +472,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(render_panel(panel))
             print()
 
-    report = drive(service, sources, deadline_mix=deadline_mix,
-                   burst=args.burst, classes=classes, frame_cb=frame_cb)
+    try:
+        sources, classes = make_labeled_stream(
+            graph.num_nodes, args.queries,
+            hot_fraction=args.hot_fraction, seed=args.seed,
+        )
+        report = drive(service, sources, deadline_mix=deadline_mix,
+                       burst=args.burst, classes=classes, frame_cb=frame_cb)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     if args.baseline:
         def _mk():
             return _cli_backend(args, graph)
@@ -399,49 +541,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_device(device_scale: float):
-    from repro.gpusim.device import TITAN_XP
-
-    return TITAN_XP.scaled(device_scale)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.bench.harness import run_profiled
+    from repro.bench.harness import make_weights, run_profiled
     from repro.obs.export import write_perfetto_trace
     from repro.obs.metrics import dump_metrics
-    from repro.traversal.msbfs import MAX_SOURCES
 
-    if args.graph is not None:
-        graph = _load(args.graph)
-        graph_name = args.graph
-    else:
-        from repro.datasets.rmat import rmat_graph
-
-        graph = rmat_graph(
-            scale=args.rmat_scale, edge_factor=args.edge_factor, seed=args.seed
-        )
-        graph_name = f"rmat(scale={args.rmat_scale},ef={args.edge_factor},seed={args.seed})"
-
+    graph, graph_name = _graph(args)
     needs_weights = args.algo in ("sssp", "delta")
-    weight_bytes = 4 * graph.num_edges if needs_weights else 0
-    backend = _cli_backend(args, graph, weight_bytes)
-    rng = np.random.default_rng(args.seed)
-    weights = (
-        rng.uniform(0.1, 1.0, size=graph.num_edges).astype(np.float32)
-        if needs_weights
-        else None
+    backend = _cli_backend(
+        args, graph, 4 * graph.num_edges if needs_weights else 0
     )
-    source = args.source
-    if args.algo != "pagerank" and graph.degrees[source] == 0:
-        source = int(np.argmax(graph.degrees))
-        print(f"source {args.source} has no out-edges; using {source}")
-    sources = None
-    if args.algo == "msbfs":
-        if not 1 <= args.num_sources <= MAX_SOURCES:
-            raise SystemExit(f"--num-sources must be in [1, {MAX_SOURCES}]")
-        candidates = np.flatnonzero(graph.degrees > 0)
-        count = min(args.num_sources, candidates.shape[0])
-        sources = rng.choice(candidates, size=count, replace=False)
+    weights = make_weights(graph, args.seed) if needs_weights else None
+    source = args.source if args.algo == "pagerank" else _source(args, graph)
+    sources = _sample_sources(args, graph) if args.algo == "msbfs" else None
 
     run = run_profiled(
         args.algo,
@@ -484,10 +596,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench,
         write_trajectory_index,
     )
-    from repro.obs.compare import format_comparison
 
-    if args.threshold < 0:
-        raise SystemExit(f"--threshold must be >= 0, got {args.threshold}")
+    threshold = _threshold(args)
     config = BenchConfig(
         rmat_scale=args.rmat_scale,
         edge_factor=args.edge_factor,
@@ -496,34 +606,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         device_scale=args.device_scale,
     )
     if args.tuned:
-        from repro.tune.store import graph_family, lookup_tuned, workload_key
+        from repro.tune.store import workload_key
 
-        family = graph_family(
-            {
-                "kind": "rmat",
-                "scale": args.rmat_scale,
-                "edge_factor": args.edge_factor,
-            }
-        )
-        workload = workload_key(
-            "bfs",
-            "csr",
-            config.dist_nodes,
+        tuned = _tuned_config(args, workload_key(
+            "bfs", "csr", config.dist_nodes,
             config.dist_nodes * config.dist_gpus_per_node,
-        )
-        entry = lookup_tuned(args.tuned, family, workload)
-        if entry is None:
-            print(
-                f"error: no tuned config for {family}/{workload} in "
-                f"{args.tuned} (run `repro tune` first)",
-                file=sys.stderr,
-            )
+        ))
+        if tuned is None:
             return 2
-        config = config.tuned(entry["config"])
-        applied = ",".join(
-            f"{k}={v}" for k, v in sorted(entry["config"].items())
-        )
-        print(f"applying tuned config {family}/{workload}: {applied}")
+        config = config.tuned(tuned)
     workloads = run_bench_suite(config)
     seq = args.seq if args.seq is not None else next_seq(args.out_dir)
     payload = bench_payload(workloads, seq=seq, config=config)
@@ -558,64 +649,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
         index_path = write_trajectory_index(args.out_dir)
         print(f"wrote {index_path}")
-    if args.against:
-        # A missing, stale or unreadable trajectory must degrade into a
-        # clear exit-2 diagnostic, never a raw traceback: load_bench
-        # already falls back from the index to a directory scan, and
-        # everything it can still raise is mapped here.
-        try:
-            baseline = load_bench(args.against)
-            cmp = compare_bench(
-                baseline, payload, threshold=args.threshold / 100.0
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"\nagainst BENCH_{baseline['meta']['seq']} "
-            f"(git {baseline['meta']['git_sha']}):"
-        )
-        print(format_comparison(cmp))
-        if not cmp.ok:
-            print(
-                f"\nFAIL: {len(cmp.regressions)} key(s) moved more than "
-                f"{args.threshold:.2f}%"
-            )
-            return 1
-    return 0
+    if not args.against:
+        return 0
+    # A missing, stale or unreadable trajectory must degrade into a
+    # clear exit-2 diagnostic, never a raw traceback: load_bench
+    # already falls back from the index to a directory scan, and
+    # everything it can still raise is mapped here.
+    try:
+        baseline = load_bench(args.against)
+        cmp = compare_bench(baseline, payload, threshold=threshold)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"\nagainst BENCH_{baseline['meta']['seq']} "
+        f"(git {baseline['meta']['git_sha']}):"
+    )
+    return _gate(args, cmp)
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    from repro.dist import (
-        ShardedCluster,
-        distributed_bfs,
-        distributed_pagerank,
-        distributed_sssp,
-    )
     from repro.dist.report import dist_report, dist_run_metrics
-    from repro.dist.topology import TIERS, LinkTopology
-    from repro.gpusim.device import TITAN_XP
+    from repro.dist.topology import TIERS
     from repro.obs.metrics import dump_metrics
 
-    if args.graph is not None:
-        graph = _load(args.graph)
-        graph_name = args.graph
-    else:
-        from repro.datasets.rmat import rmat_graph
-
-        graph = rmat_graph(
-            scale=args.rmat_scale, edge_factor=args.edge_factor, seed=args.seed
-        )
-        graph_name = (
-            f"rmat(scale={args.rmat_scale},ef={args.edge_factor},"
-            f"seed={args.seed})"
-        )
-    if args.gpus < 1:
-        raise SystemExit(f"--gpus must be >= 1, got {args.gpus}")
-    if args.nodes < 1:
-        raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
+    graph, graph_name = _graph(args)
     if args.tuned:
-        from repro.tune.store import graph_family, lookup_tuned, workload_key
+        from repro.tune.store import workload_key
 
         if args.graph is not None:
             print(
@@ -624,90 +684,28 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        family = graph_family(
-            {
-                "kind": "rmat",
-                "scale": args.rmat_scale,
-                "edge_factor": args.edge_factor,
-            }
+        tuned = _tuned_config(
+            args, workload_key(args.algo, args.fmt, args.nodes, args.gpus)
         )
-        workload = workload_key(args.algo, args.fmt, args.nodes, args.gpus)
-        entry = lookup_tuned(args.tuned, family, workload)
-        if entry is None:
-            print(
-                f"error: no tuned config for {family}/{workload} in "
-                f"{args.tuned} (run `repro tune` first)",
-                file=sys.stderr,
-            )
+        if tuned is None:
             return 2
-        tuned_config = entry["config"]
-        if "wire" in tuned_config:
-            args.wire = str(tuned_config["wire"])
-        if "schedule" in tuned_config:
-            args.schedule = str(tuned_config["schedule"])
-        if "overlap" in tuned_config:
-            args.overlap = bool(tuned_config["overlap"])
-        applied = ",".join(
-            f"{k}={v}" for k, v in sorted(tuned_config.items())
-        )
-        print(f"applying tuned config {family}/{workload}: {applied}")
-    device = TITAN_XP.scaled(args.device_scale)
-    if args.nodes > 1:
-        if args.gpus % args.nodes:
-            raise SystemExit(
-                f"--gpus {args.gpus} not divisible by --nodes {args.nodes}"
-            )
-        topology = LinkTopology.two_tier(
-            num_nodes=args.nodes,
-            gpus_per_node=args.gpus // args.nodes,
-            link_bandwidth=args.link_gbs * 1e9,
-            inter_bandwidth=args.inter_gbs * 1e9,
-            contention=args.contention,
-            message_latency_s=device.launch_overhead_s,
-        )
-    else:
-        topology = LinkTopology(
-            num_gpus=args.gpus,
-            link_bandwidth=args.link_gbs * 1e9,
-            contention=args.contention,
-            message_latency_s=device.launch_overhead_s,
-        )
-    needs_weights = args.algo == "sssp"
-    cluster = ShardedCluster.build(
-        graph, args.gpus, device,
-        fmt=args.fmt, wire=args.wire, schedule=args.schedule,
-        topology=topology, with_weights=needs_weights,
-        overlap=args.overlap,
-    )
-    source = args.source
-    if args.algo != "pagerank" and graph.degrees[source] == 0:
-        source = int(np.argmax(graph.degrees))
-        print(f"source {args.source} has no out-edges; using {source}")
+        if "wire" in tuned:
+            args.wire = str(tuned["wire"])
+        if "schedule" in tuned:
+            args.schedule = str(tuned["schedule"])
+        if "overlap" in tuned:
+            args.overlap = bool(tuned["overlap"])
+    cluster = _cluster(args, graph, overlap=args.overlap)
+    result = _run_cluster(args, graph, cluster)
     if args.algo == "bfs":
-        result = distributed_bfs(cluster, source)
         summary = f"{result.num_levels} levels"
-    elif args.algo == "sssp":
-        rng = np.random.default_rng(args.seed)
-        weights = rng.uniform(0.1, 1.0, size=graph.num_edges).astype(
-            np.float32
-        )
-        result = distributed_sssp(cluster, source, weights)
-        summary = f"{result.iterations} iterations"
     else:
-        result = distributed_pagerank(cluster)
-        summary = (
-            f"{result.iterations} iterations"
-            f"{' (converged)' if result.converged else ''}"
-        )
-    layout = (
-        f"{args.nodes} nodes x {args.gpus // args.nodes} GPUs"
-        if args.nodes > 1 else f"{args.gpus} GPUs"
-    )
+        summary = f"{result.iterations} iterations"
+        if args.algo == "pagerank" and result.converged:
+            summary += " (converged)"
     print(
-        f"{args.fmt} dist-{args.algo} on {layout} "
-        f"(wire={args.wire}, schedule={args.schedule}"
-        f"{', overlap' if args.overlap else ''}): "
-        f"{result.runtime_ms:.3f} ms simulated, {result.gteps:.2f} GTEPS, "
+        _cluster_label(args, args.overlap)
+        + f"{result.runtime_ms:.3f} ms simulated, {result.gteps:.2f} GTEPS, "
         f"{summary}, {result.exchanged_bytes:,} wire bytes"
     )
     if args.nodes > 1:
@@ -736,14 +734,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> int:
-    from repro.dist import (
-        ShardedCluster,
-        distributed_bfs,
-        distributed_pagerank,
-        distributed_sssp,
-    )
-    from repro.dist.topology import LinkTopology
-    from repro.gpusim.device import TITAN_XP
     from repro.obs.critpath import (
         critpath_report_line,
         extract_cluster_critical_path,
@@ -764,69 +754,13 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.graph is not None:
-        graph = _load(args.graph)
-    else:
-        from repro.datasets.rmat import rmat_graph
-
-        graph = rmat_graph(
-            scale=args.rmat_scale, edge_factor=args.edge_factor, seed=args.seed
-        )
-    if args.gpus < 1:
-        raise SystemExit(f"--gpus must be >= 1, got {args.gpus}")
-    if args.nodes < 1:
-        raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
-    if args.nodes > 1 and args.gpus % args.nodes:
-        raise SystemExit(
-            f"--gpus {args.gpus} not divisible by --nodes {args.nodes}"
-        )
-    device = TITAN_XP.scaled(args.device_scale)
-    if args.nodes > 1:
-        topology = LinkTopology.two_tier(
-            num_nodes=args.nodes,
-            gpus_per_node=args.gpus // args.nodes,
-            link_bandwidth=args.link_gbs * 1e9,
-            inter_bandwidth=args.inter_gbs * 1e9,
-            contention=args.contention,
-            message_latency_s=device.launch_overhead_s,
-        )
-    else:
-        topology = LinkTopology(
-            num_gpus=args.gpus,
-            link_bandwidth=args.link_gbs * 1e9,
-            contention=args.contention,
-            message_latency_s=device.launch_overhead_s,
-        )
+    graph, _ = _graph(args)
     overlap = not args.no_overlap
-    cluster = ShardedCluster.build(
-        graph, args.gpus, device,
-        fmt=args.fmt, wire=args.wire, schedule=args.schedule,
-        topology=topology, with_weights=args.algo == "sssp",
-        overlap=overlap, record_wire=True,
-    )
-    source = args.source
-    if args.algo != "pagerank" and graph.degrees[source] == 0:
-        source = int(np.argmax(graph.degrees))
-        print(f"source {args.source} has no out-edges; using {source}")
-    if args.algo == "bfs":
-        result = distributed_bfs(cluster, source)
-    elif args.algo == "sssp":
-        rng = np.random.default_rng(args.seed)
-        weights = rng.uniform(0.1, 1.0, size=graph.num_edges).astype(
-            np.float32
-        )
-        result = distributed_sssp(cluster, source, weights)
-    else:
-        result = distributed_pagerank(cluster)
-    layout = (
-        f"{args.nodes} nodes x {args.gpus // args.nodes} GPUs"
-        if args.nodes > 1 else f"{args.gpus} GPUs"
-    )
+    cluster = _cluster(args, graph, overlap=overlap, record_wire=True)
+    result = _run_cluster(args, graph, cluster)
     print(
-        f"{args.fmt} dist-{args.algo} on {layout} "
-        f"(wire={args.wire}, schedule={args.schedule}"
-        f"{', overlap' if overlap else ''}): "
-        f"{result.runtime_ms:.6f} ms simulated baseline"
+        _cluster_label(args, overlap)
+        + f"{result.runtime_ms:.6f} ms simulated baseline"
     )
     path = extract_cluster_critical_path(cluster)
     print(critpath_report_line(path))
@@ -896,42 +830,22 @@ def _cmd_recipe(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     import os
 
-    from repro.gpusim.device import TITAN_XP
     from repro.tune import (
         TuneBoundError,
-        graph_family,
         tune_cluster,
         tune_engine,
         write_tuned,
     )
 
-    if args.gpus < 1:
-        raise SystemExit(f"--gpus must be >= 1, got {args.gpus}")
-    if args.nodes < 1:
-        raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
-    if args.nodes > 1 and args.gpus % args.nodes:
-        raise SystemExit(
-            f"--gpus {args.gpus} not divisible by --nodes {args.nodes}"
-        )
+    _check_layout(args)
     if args.max_confirm < 1:
         raise SystemExit(f"--max-confirm must be >= 1, got {args.max_confirm}")
+    graph, _ = _graph(args)
     if args.graph is not None:
-        graph = _load(args.graph)
         family = os.path.splitext(os.path.basename(args.graph))[0]
     else:
-        from repro.datasets.rmat import rmat_graph
-
-        graph = rmat_graph(
-            scale=args.rmat_scale, edge_factor=args.edge_factor, seed=args.seed
-        )
-        family = graph_family(
-            {
-                "kind": "rmat",
-                "scale": args.rmat_scale,
-                "edge_factor": args.edge_factor,
-            }
-        )
-    device = TITAN_XP.scaled(args.device_scale)
+        family = _rmat_family(args)
+    device = _device(args)
     try:
         if args.gpus > 1:
             result = tune_cluster(
@@ -988,29 +902,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.obs.compare import (
-        compare_metrics,
-        format_comparison,
-        load_metrics,
-    )
+    from repro.obs.compare import compare_metrics, load_metrics
 
-    if args.threshold < 0:
-        raise SystemExit(f"--threshold must be >= 0, got {args.threshold}")
+    threshold = _threshold(args)
     try:
         a = load_metrics(args.metrics_a)
         b = load_metrics(args.metrics_b)
-        cmp = compare_metrics(a, b, threshold=args.threshold / 100.0)
+        cmp = compare_metrics(a, b, threshold=threshold)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_comparison(cmp))
-    if not cmp.ok:
-        print(
-            f"\nFAIL: {len(cmp.regressions)} key(s) moved more than "
-            f"{args.threshold:.2f}%"
-        )
-        return 1
-    return 0
+    return _gate(args, cmp)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -1107,10 +1009,103 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    from repro.dist.cluster import DIST_FORMATS
+# -- parser -------------------------------------------------------------------
+
+
+def _float_where(ok, wanted: str):
+    """An argparse float type that also requires ``ok(value)``."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse's "invalid float value" wording
+    return parse
+
+
+_POSITIVE_FLOAT = _float_where(lambda v: v > 0, "> 0")
+_UNIT_FLOAT = _float_where(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+_GRAPH_HELP = "graph file; omit to generate a deterministic RMAT graph"
+
+
+def _graph_source_args(
+    p, *, seed: int, seed_help: str, scale: int = 10,
+    graph_help: str | None = _GRAPH_HELP,
+) -> None:
+    """Optional ``graph`` file, else a generated RMAT graph.
+
+    ``graph_help=None`` drops the positional: the RMAT graph is then
+    the command's pinned input (``bench``).
+    """
+    what = "pinned" if graph_help is None else "generated"
+    if graph_help is not None:
+        p.add_argument("graph", nargs="?", default=None, help=graph_help)
+    p.add_argument("--rmat-scale", type=int, default=scale,
+                   help=f"log2 |V| of the {what} RMAT graph "
+                   f"(default {scale})")
+    p.add_argument("--edge-factor", type=int, default=8,
+                   help=f"edges per vertex of the {what} graph (default 8)")
+    p.add_argument("--seed", type=int, default=seed, help=seed_help)
+
+
+def _device_args(
+    p, *, formats: bool = False, cache_kb: int | None = None,
+    cache_help: str = "decoded-list cache budget in KiB (0 = no cache)",
+    format_help: str | None = None,
+) -> None:
+    """``--device-scale``, plus ``--format`` / ``--cache-kb`` when asked."""
     from repro.traversal.backends import GPU_FORMATS
+
+    if formats:
+        p.add_argument("--format", choices=GPU_FORMATS, default="efg",
+                       help=format_help)
+    p.add_argument("--device-scale", type=_POSITIVE_FLOAT, default=2048,
+                   help="shrink the Titan Xp by this factor (default 2048)")
+    if cache_kb is not None:
+        p.add_argument("--cache-kb", type=int, default=cache_kb,
+                       help=cache_help)
+
+
+def _cluster_args(
+    p, *, gpus: int, nodes: int, fmt: str, wire: str, schedule: str | None,
+    helps: dict | None = None,
+) -> None:
+    """Layout, shard format, exchange and link flags; ``helps`` overrides
+    a flag's help text by dest."""
+    from repro.dist import DIST_FORMATS, SCHEDULES, WIRE_CODECS
+
+    text = {
+        "gpus": f"number of simulated devices (default {gpus})",
+        "nodes": f"nodes the GPUs are split across (default {nodes}; "
+        ">1 builds a two-tier topology)",
+        "fmt": f"shard storage format (default {fmt})",
+        "wire": f"frontier wire codec (default {wire})",
+        "schedule": f"exchange schedule (default {schedule})",
+        **(helps or {}),
+    }
+    p.add_argument("--gpus", type=int, default=gpus, help=text["gpus"])
+    p.add_argument("--nodes", type=int, default=nodes, help=text["nodes"])
+    p.add_argument("--fmt", choices=DIST_FORMATS, default=fmt,
+                   help=text["fmt"])
+    p.add_argument("--wire", choices=WIRE_CODECS, default=wire,
+                   help=text["wire"])
+    p.add_argument("--schedule", choices=SCHEDULES, default=schedule,
+                   help=text["schedule"])
+    p.add_argument("--link-gbs", type=float, default=10.0,
+                   help="per-link intra-node bandwidth in GB/s (default 10)")
+    p.add_argument("--inter-gbs", type=float, default=1.0,
+                   help="inter-node fabric bandwidth in GB/s, used when "
+                   "--nodes > 1 (default 1)")
+    p.add_argument("--contention", type=_UNIT_FLOAT, default=0.5,
+                   help="shared-fabric contention in [0,1] (default 0.5)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: one subcommand per verb."""
+    from repro.bench.harness import PROFILE_ALGOS
+    from repro.dist import DIST_ALGOS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1133,25 +1128,17 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("bfs", help="simulated-GPU BFS")
     p.add_argument("graph")
-    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--source", type=int, default=0)
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--cache-kb", type=int, default=0,
-                   help="decoded-list cache budget in KiB (0 = no cache)")
+    _device_args(p, formats=True, cache_kb=0)
     p.set_defaults(func=_cmd_bfs)
 
     p = sub.add_parser("msbfs", help="bit-parallel multi-source BFS")
     p.add_argument("graph")
-    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--num-sources", type=int, default=64,
                    help="sources packed into the 64-bit masks (default 64)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for source sampling")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--cache-kb", type=int, default=256,
-                   help="decoded-list cache budget in KiB (0 = no cache)")
+    _device_args(p, formats=True, cache_kb=256)
     p.set_defaults(func=_cmd_msbfs)
 
     p = sub.add_parser(
@@ -1178,14 +1165,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="queries submitted between waves (default 16)")
     p.add_argument("--seed", type=int, default=7,
                    help="query-stream seed (default 7)")
-    p.add_argument("--format", default="efg", choices=GPU_FORMATS,
-                   help="resident representation (default efg)")
-    p.add_argument("--cache-kb", type=int, default=256,
-                   help="decoded-list cache budget in KiB (default 256)")
+    _device_args(
+        p, formats=True, cache_kb=256,
+        format_help="resident representation (default efg)",
+        cache_help="decoded-list cache budget in KiB (default 256)",
+    )
     p.add_argument("--max-pending", type=int, default=1024,
                    help="admission bound on queued queries (default 1024)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
     p.add_argument("--baseline", action="store_true",
                    help="also replay the stream one bfs at a time and "
                    "print the batching speedup")
@@ -1234,28 +1220,14 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "profile", help="run one algorithm under full telemetry"
     )
-    p.add_argument(
-        "algo",
-        choices=("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank"),
+    p.add_argument("algo", choices=PROFILE_ALGOS)
+    _graph_source_args(
+        p, seed=1, seed_help="seed for generated graphs, weights and sources"
     )
-    p.add_argument(
-        "graph", nargs="?", default=None,
-        help="graph file; omit to generate a deterministic RMAT graph",
-    )
-    p.add_argument("--format", choices=GPU_FORMATS, default="efg")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--num-sources", type=int, default=64,
                    help="sources for msbfs (default 64)")
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for generated graphs, weights and sources")
-    p.add_argument("--rmat-scale", type=int, default=10,
-                   help="log2 |V| of the generated RMAT graph (default 10)")
-    p.add_argument("--edge-factor", type=int, default=8,
-                   help="edges per vertex of the generated graph (default 8)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--cache-kb", type=int, default=0,
-                   help="decoded-list cache budget in KiB (0 = no cache)")
+    _device_args(p, formats=True, cache_kb=0)
     p.add_argument("--counters", action="store_true",
                    help="print the emulated hardware-counter tables")
     p.add_argument("--trace", metavar="PATH",
@@ -1267,43 +1239,16 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "dist", help="sharded traversal over multiple simulated GPUs"
     )
-    p.add_argument("algo", choices=("bfs", "sssp", "pagerank"))
-    p.add_argument(
-        "graph", nargs="?", default=None,
-        help="graph file; omit to generate a deterministic RMAT graph",
+    p.add_argument("algo", choices=DIST_ALGOS)
+    _graph_source_args(
+        p, seed=1, seed_help="seed for generated graphs and weights"
     )
-    from repro.dist.exchange import SCHEDULES as _schedules
-    from repro.dist.wire import WIRE_CODECS as _wire_codecs
-
-    p.add_argument("--gpus", type=int, default=4,
-                   help="number of simulated devices (default 4)")
-    p.add_argument("--nodes", type=int, default=1,
-                   help="nodes the GPUs are split across (default 1; "
-                   ">1 builds a two-tier topology)")
-    p.add_argument("--fmt", choices=DIST_FORMATS, default="csr",
-                   help="shard storage format (default csr)")
-    p.add_argument("--wire", choices=_wire_codecs, default="auto",
-                   help="frontier wire codec (default auto)")
-    p.add_argument("--schedule", choices=_schedules, default="flat",
-                   help="exchange schedule (default flat)")
+    _cluster_args(p, gpus=4, nodes=1, fmt="csr", wire="auto",
+                  schedule="flat")
     p.add_argument("--overlap", action="store_true",
                    help="overlap exchange with compute in the cost model")
     p.add_argument("--source", type=int, default=0)
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for generated graphs and weights")
-    p.add_argument("--rmat-scale", type=int, default=10,
-                   help="log2 |V| of the generated RMAT graph (default 10)")
-    p.add_argument("--edge-factor", type=int, default=8,
-                   help="edges per vertex of the generated graph (default 8)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--link-gbs", type=float, default=10.0,
-                   help="per-link intra-node bandwidth in GB/s (default 10)")
-    p.add_argument("--inter-gbs", type=float, default=1.0,
-                   help="inter-node fabric bandwidth in GB/s, used when "
-                   "--nodes > 1 (default 1)")
-    p.add_argument("--contention", type=float, default=0.5,
-                   help="shared-fabric contention in [0,1] (default 0.5)")
+    _device_args(p)
     p.add_argument("--metrics", metavar="PATH",
                    help="write the stable-schema metrics JSON")
     p.add_argument("--tuned", metavar="DIR",
@@ -1331,52 +1276,39 @@ def main(argv: list[str] | None = None) -> int:
         help="what-if-shortlisted autotune of one workload; persist the "
         "winning config",
     )
-    p.add_argument("algo", choices=("bfs", "sssp", "pagerank"))
-    p.add_argument(
-        "graph", nargs="?", default=None,
-        help="graph file; omit to generate a deterministic RMAT graph "
-        "(tuned configs are keyed by graph family)",
+    p.add_argument("algo", choices=DIST_ALGOS)
+    _graph_source_args(
+        p, seed=3, scale=8,
+        seed_help="seed for generated graphs and weights (default 3)",
+        graph_help=_GRAPH_HELP + " (tuned configs are keyed by graph family)",
     )
-    p.add_argument("--gpus", type=int, default=1,
-                   help="simulated devices; 1 tunes the decode-cache "
-                   "budget, >1 tunes the wire codec + overlap (default 1)")
-    p.add_argument("--nodes", type=int, default=1,
-                   help="nodes the GPUs are split across (default 1)")
-    p.add_argument("--fmt", choices=DIST_FORMATS, default="efg",
-                   help="shard storage format for --gpus > 1 (default efg)")
-    p.add_argument("--wire", choices=_wire_codecs, default="raw",
-                   help="baseline wire codec the tuner starts from "
-                   "(default raw)")
-    p.add_argument("--schedule", choices=_schedules, default=None,
-                   help="exchange schedule (default: hierarchical when "
-                   "--nodes > 1, flat otherwise)")
+    _cluster_args(
+        p, gpus=1, nodes=1, fmt="efg", wire="raw", schedule=None,
+        helps={
+            "gpus": "simulated devices; 1 tunes the decode-cache budget, "
+            ">1 tunes the wire codec + overlap (default 1)",
+            "fmt": "shard storage format for --gpus > 1 (default efg)",
+            "wire": "baseline wire codec the tuner starts from "
+            "(default raw)",
+            "schedule": "exchange schedule (default: hierarchical when "
+            "--nodes > 1, flat otherwise)",
+        },
+    )
     p.add_argument("--overlap", action="store_true",
                    help="baseline overlap flag the tuner starts from")
-    p.add_argument("--cache-kb", type=int, default=4,
-                   help="baseline decode-cache budget in KiB for the "
-                   "single-GPU workload (default 4)")
+    _device_args(
+        p, cache_kb=4,
+        cache_help="baseline decode-cache budget in KiB for the "
+        "single-GPU workload (default 4)",
+    )
     p.add_argument("--num-sources", type=int, default=6,
                    help="BFS sources in the repeated-traversal cache "
                    "workload (default 6)")
     p.add_argument("--max-confirm", type=int, default=4,
                    help="max shortlisted candidates to confirm with real "
                    "re-runs (default 4)")
-    p.add_argument("--seed", type=int, default=3,
-                   help="seed for generated graphs and weights (default 3)")
     p.add_argument("--source-seed", type=int, default=42,
                    help="seed of the start-vertex draw (default 42)")
-    p.add_argument("--rmat-scale", type=int, default=8,
-                   help="log2 |V| of the generated RMAT graph (default 8)")
-    p.add_argument("--edge-factor", type=int, default=8,
-                   help="edges per vertex of the generated graph (default 8)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--link-gbs", type=float, default=10.0,
-                   help="per-link intra-node bandwidth in GB/s (default 10)")
-    p.add_argument("--inter-gbs", type=float, default=1.0,
-                   help="inter-node fabric bandwidth in GB/s (default 1)")
-    p.add_argument("--contention", type=float, default=0.5,
-                   help="shared-fabric contention in [0,1] (default 0.5)")
     p.add_argument("--out-dir", default="benchmarks/tuned",
                    help="tuned-config store directory "
                    "(default benchmarks/tuned)")
@@ -1391,10 +1323,9 @@ def main(argv: list[str] | None = None) -> int:
         "whatif",
         help="critical-path + what-if replay on a recorded distributed run",
     )
-    p.add_argument("algo", choices=("bfs", "sssp", "pagerank"))
-    p.add_argument(
-        "graph", nargs="?", default=None,
-        help="graph file; omit to generate a deterministic RMAT graph",
+    p.add_argument("algo", choices=DIST_ALGOS)
+    _graph_source_args(
+        p, seed=1, seed_help="seed for generated graphs and weights"
     )
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="re-price the run under this knob (repeatable); "
@@ -1404,34 +1335,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rank", action="store_true",
                    help="print the standard scenario panel ranked by "
                    "predicted speedup")
-    p.add_argument("--gpus", type=int, default=8,
-                   help="number of simulated devices (default 8)")
-    p.add_argument("--nodes", type=int, default=2,
-                   help="nodes the GPUs are split across (default 2)")
-    p.add_argument("--fmt", choices=DIST_FORMATS, default="csr",
-                   help="shard storage format (default csr)")
-    p.add_argument("--wire", choices=_wire_codecs, default="ef",
-                   help="frontier wire codec (default ef)")
-    p.add_argument("--schedule", choices=_schedules, default="hierarchical",
-                   help="exchange schedule (default hierarchical)")
+    _cluster_args(p, gpus=8, nodes=2, fmt="csr", wire="ef",
+                  schedule="hierarchical")
     p.add_argument("--no-overlap", action="store_true",
                    help="price the baseline without the exchange/compute "
                    "overlap pipeline")
     p.add_argument("--source", type=int, default=0)
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for generated graphs and weights")
-    p.add_argument("--rmat-scale", type=int, default=10,
-                   help="log2 |V| of the generated RMAT graph (default 10)")
-    p.add_argument("--edge-factor", type=int, default=8,
-                   help="edges per vertex of the generated graph (default 8)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
-    p.add_argument("--link-gbs", type=float, default=10.0,
-                   help="per-link intra-node bandwidth in GB/s (default 10)")
-    p.add_argument("--inter-gbs", type=float, default=1.0,
-                   help="inter-node fabric bandwidth in GB/s (default 1)")
-    p.add_argument("--contention", type=float, default=0.5,
-                   help="shared-fabric contention in [0,1] (default 0.5)")
+    _device_args(p)
     p.set_defaults(func=_cmd_whatif)
 
     p = sub.add_parser(
@@ -1457,17 +1367,14 @@ def main(argv: list[str] | None = None) -> int:
                    help="max tolerated relative change in percent (default 0)")
     p.add_argument("--no-write", action="store_true",
                    help="compare only; do not write BENCH_<n>.json")
-    p.add_argument("--rmat-scale", type=int, default=9,
-                   help="log2 |V| of the pinned RMAT graph (default 9)")
-    p.add_argument("--edge-factor", type=int, default=8,
-                   help="edges per vertex of the pinned graph (default 8)")
-    p.add_argument("--seed", type=int, default=3,
-                   help="suite seed (default 3)")
+    _graph_source_args(
+        p, seed=3, scale=9, seed_help="suite seed (default 3)",
+        graph_help=None,
+    )
     p.add_argument("--source-seed", type=int, default=42,
                    help="seed of the start-vertex draw, stamped into the "
                    "payload meta (default 42)")
-    p.add_argument("--device-scale", type=float, default=2048,
-                   help="shrink the Titan Xp by this factor (default 2048)")
+    _device_args(p)
     p.add_argument("--tuned", metavar="DIR",
                    help="apply the persisted tuned config for this graph "
                    "family from DIR (see `repro tune`)")
@@ -1496,8 +1403,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--v100", action="store_true",
                    help="include the Table III additions")
     p.set_defaults(func=_cmd_suite)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -22,11 +22,14 @@ frontier exchange:
 * :mod:`repro.dist.bfs` / :mod:`~repro.dist.sssp` /
   :mod:`~repro.dist.pagerank` — bulk-synchronous drivers sharing the
   partition/exchange machinery, instrumented with the
-  :mod:`repro.obs` span/metrics layer.
+  :mod:`repro.obs` span/metrics layer;
+* :mod:`repro.dist.dispatch` — :func:`run_distributed`, the one
+  name-to-driver dispatch every front-end shares.
 """
 
 from repro.dist.bfs import DistBFSResult, distributed_bfs
 from repro.dist.cluster import DIST_FORMATS, ShardedCluster
+from repro.dist.dispatch import DIST_ALGOS, run_distributed
 from repro.dist.exchange import SCHEDULES, ExchangeStats, exchange
 from repro.dist.pagerank import DistPageRankResult, distributed_pagerank
 from repro.dist.partition import VertexPartition
@@ -41,6 +44,7 @@ from repro.dist.topology import (
     DEFAULT_PEER_BANDWIDTH,
     TIERS,
     LinkTopology,
+    build_topology,
 )
 from repro.dist.wire import (
     FRONTIER_ID_BYTES,
@@ -53,6 +57,7 @@ from repro.dist.wire import (
 __all__ = [
     "DEFAULT_INTER_BANDWIDTH",
     "DEFAULT_PEER_BANDWIDTH",
+    "DIST_ALGOS",
     "DIST_FORMATS",
     "DistBFSResult",
     "DistPageRankResult",
@@ -67,6 +72,7 @@ __all__ = [
     "VertexPartition",
     "WIRE_CODECS",
     "WireCodec",
+    "build_topology",
     "distributed_bfs",
     "distributed_pagerank",
     "distributed_sssp",
@@ -74,5 +80,6 @@ __all__ = [
     "dist_run_metrics",
     "exchange",
     "get_codec",
+    "run_distributed",
     "verify_dist_attribution",
 ]

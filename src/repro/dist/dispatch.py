@@ -1,0 +1,36 @@
+"""One entry point for the distributed drivers.
+
+``run_distributed(cluster, algo, ...)`` maps an algorithm name to its
+bulk-synchronous driver, so every front-end that runs a named workload
+on a :class:`~repro.dist.cluster.ShardedCluster` — ``repro dist`` and
+``whatif``, recipe cells, the autotuner — shares one dispatch.
+"""
+
+from __future__ import annotations
+
+from repro.dist.bfs import distributed_bfs
+from repro.dist.pagerank import distributed_pagerank
+from repro.dist.sssp import distributed_sssp
+
+__all__ = ["DIST_ALGOS", "run_distributed"]
+
+#: Algorithms :func:`run_distributed` can drive.
+DIST_ALGOS = ("bfs", "sssp", "pagerank")
+
+
+def run_distributed(cluster, algo: str, source: int = 0, weights=None, **kw):
+    """Run ``algo`` on ``cluster`` and return the driver's result.
+
+    ``source`` is ignored by PageRank and ``weights`` (edge weights in
+    CSR slot order) is used by SSSP only.  ``kw`` (e.g.
+    ``sort_fraction``) is forwarded to the BFS/SSSP drivers.
+    """
+    if algo == "bfs":
+        return distributed_bfs(cluster, source, **kw)
+    if algo == "sssp":
+        return distributed_sssp(cluster, source, weights, **kw)
+    if algo == "pagerank":
+        return distributed_pagerank(cluster)
+    raise ValueError(
+        f"unknown distributed algorithm {algo!r}; pick from {DIST_ALGOS}"
+    )

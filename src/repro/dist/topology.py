@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_INTER_BANDWIDTH",
     "TIERS",
     "LinkTopology",
+    "build_topology",
 ]
 
 #: PCIe peer-to-peer bandwidth between GPUs (no NVLink on a Titan Xp
@@ -278,3 +279,33 @@ class LinkTopology:
             egress_bytes, ingress_bytes, messages_per_gpu, tier=tier
         )
         return transfer + latency
+
+
+def build_topology(
+    nodes: int,
+    gpus: int,
+    device: DeviceSpec,
+    link_gbs: float,
+    inter_gbs: float,
+    contention: float,
+) -> LinkTopology:
+    """The link topology of a ``nodes`` x ``gpus`` cluster layout.
+
+    Two-tier when ``nodes > 1`` (the paper's multi-node shape), flat
+    peer links otherwise; bandwidths are in GB/s and the message
+    latency tracks the device's launch overhead.  The one layout
+    builder shared by ``repro dist`` / ``whatif``, recipe cells and
+    the autotuner.
+    """
+    if nodes > 1:
+        return LinkTopology.two_tier(
+            num_nodes=nodes,
+            gpus_per_node=gpus // nodes,
+            link_bandwidth=link_gbs * 1e9,
+            inter_bandwidth=inter_gbs * 1e9,
+            contention=contention,
+            message_latency_s=device.launch_overhead_s,
+        )
+    return LinkTopology.for_device(
+        device, gpus, link_bandwidth=link_gbs * 1e9, contention=contention
+    )

@@ -24,9 +24,10 @@ __all__ = ["DeltaRow", "Comparison", "load_metrics", "flatten_metrics",
 #: Sections never diffed: identity, not measurement.
 SKIP_SECTIONS = ("meta", "schema", "device")
 
-#: Sections allowed to exist on one side only: schema-growth sections
-#: (a ``repro.metrics/1`` baseline predates ``arrays``/``hw_counters``;
-#: ``critical_path``/``whatif`` appear only on profiled runs).  Any
+#: Sections allowed to exist on one side only: ``arrays`` and
+#: ``hw_counters`` are absent from dumps without per-array attribution
+#: (e.g. :func:`repro.dist.report.dist_run_metrics`), and
+#: ``critical_path``/``whatif`` appear only on profiled runs.  Any
 #: *other* one-sided section — e.g. the serving ``service`` section
 #: against a pre-observability dump — means the two dumps describe
 #: different workloads and the comparison refuses rather than silently
@@ -89,11 +90,9 @@ class Comparison:
 def load_metrics(path: str) -> dict:
     """Load and schema-check one metrics dump.
 
-    Accepts every schema in
-    :data:`~repro.obs.metrics.SUPPORTED_SCHEMAS` — ``repro.metrics/2``
-    is a strict superset of ``/1``, so a v1 baseline diffs cleanly
-    against a v2 run on the shared keys (new v2 sections compare
-    against 0 and show up as additions, not errors).
+    Accepts only :data:`~repro.obs.metrics.SUPPORTED_SCHEMAS` (the
+    current ``repro.metrics/2``); any other schema, ``/1`` included,
+    raises ``ValueError`` naming it.
     """
     with open(path) as fh:
         payload = json.load(fh)

@@ -38,13 +38,13 @@ __all__ = [
 #: ``/2`` adds per-array attribution (``arrays``), emulated hardware
 #: counters (``hw_counters``), sector totals, ``bound_array`` roofline
 #: labels, and self-describing ``meta.git_sha`` / ``meta.schema_versions``
-#: stamps.  ``/1`` dumps remain readable (see :data:`SUPPORTED_SCHEMAS`).
+#: stamps.  ``/1`` dumps are no longer read (see :data:`SUPPORTED_SCHEMAS`).
 METRICS_SCHEMA = "repro.metrics/2"
 
-#: Schemas the readers (``load_metrics`` / ``repro compare``) accept.
-#: ``/2`` is a superset of ``/1`` — every v1 key survives unchanged —
-#: so old dumps stay loadable and comparable key-by-key.
-SUPPORTED_SCHEMAS = ("repro.metrics/1", "repro.metrics/2")
+#: Schemas the readers (``load_metrics`` / ``repro compare``) accept:
+#: the current one only.  No committed baseline predates ``/2``, so a
+#: ``/1`` dump is refused like any other unknown schema.
+SUPPORTED_SCHEMAS = (METRICS_SCHEMA,)
 
 
 @functools.lru_cache(maxsize=1)

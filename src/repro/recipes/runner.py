@@ -21,16 +21,12 @@ byte-identical reports (CI gates this with ``cmp``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.obs.metrics import METRICS_SCHEMA, git_sha
 from repro.recipes.spec import RecipeCell, RecipeSpec, dataset_id
 
 __all__ = [
     "build_cell_graph",
-    "build_topology",
     "cell_summary",
-    "make_weights",
     "run_recipe",
 ]
 
@@ -64,45 +60,6 @@ def build_cell_graph(dataset: dict, reorder: str):
 
         graph = graph.relabelled(random_order(graph, seed=dataset["seed"]))
     return graph
-
-
-def make_weights(graph, seed: int) -> np.ndarray:
-    """Deterministic edge weights in CSR slot order (bench convention)."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.1, 1.0, graph.num_edges).astype(np.float32)
-
-
-def build_topology(
-    nodes: int,
-    gpus: int,
-    device,
-    link_gbs: float,
-    inter_gbs: float,
-    contention: float,
-):
-    """The link topology one recipe/tune cell runs on.
-
-    Two-tier when ``nodes > 1`` (the paper's multi-node shape), flat
-    peer links otherwise; message latency tracks the device's launch
-    overhead, matching the ``repro dist`` CLI.
-    """
-    from repro.dist.topology import LinkTopology
-
-    if nodes > 1:
-        return LinkTopology.two_tier(
-            num_nodes=nodes,
-            gpus_per_node=gpus // nodes,
-            link_bandwidth=link_gbs * 1e9,
-            inter_bandwidth=inter_gbs * 1e9,
-            contention=contention,
-            message_latency_s=device.launch_overhead_s,
-        )
-    return LinkTopology(
-        num_gpus=gpus,
-        link_bandwidth=link_gbs * 1e9,
-        contention=contention,
-        message_latency_s=device.launch_overhead_s,
-    )
 
 
 def _run_serve(cell: RecipeCell, backend, graph, defaults) -> dict:
@@ -147,7 +104,7 @@ def _run_serve(cell: RecipeCell, backend, graph, defaults) -> dict:
 
 def _run_single(cell: RecipeCell, graph, device, defaults) -> dict:
     """One single-GPU cell through :func:`run_profiled`."""
-    from repro.bench.harness import pick_sources, run_profiled
+    from repro.bench.harness import make_weights, pick_sources, run_profiled
     from repro.traversal.backends import build_backend, encode
 
     knobs = cell.knobs_dict
@@ -193,8 +150,8 @@ def _run_single(cell: RecipeCell, graph, device, defaults) -> dict:
 
 def _run_dist(cell: RecipeCell, graph, device, defaults) -> dict:
     """One multi-GPU cell through the sharded-cluster drivers."""
-    from repro.bench.harness import pick_sources
-    from repro.dist.cluster import ShardedCluster
+    from repro.bench.harness import make_weights, pick_sources
+    from repro.dist import ShardedCluster, build_topology, run_distributed
     from repro.dist.report import dist_run_metrics
 
     knobs = cell.knobs_dict
@@ -225,25 +182,13 @@ def _run_dist(cell: RecipeCell, graph, device, defaults) -> dict:
     kwargs: dict = {}
     if "sort_fraction" in knobs:
         kwargs["sort_fraction"] = float(knobs["sort_fraction"])
-    if cell.algo == "pagerank":
-        from repro.dist.pagerank import distributed_pagerank
-
-        result = distributed_pagerank(cluster)
-    else:
+    source = 0
+    if cell.algo != "pagerank":
         source = int(pick_sources(graph, 1, seed=defaults.source_seed)[0])
-        if cell.algo == "bfs":
-            from repro.dist.bfs import distributed_bfs
-
-            result = distributed_bfs(cluster, source, **kwargs)
-        else:
-            from repro.dist.sssp import distributed_sssp
-
-            result = distributed_sssp(
-                cluster,
-                source,
-                make_weights(graph, defaults.weight_seed),
-                **kwargs,
-            )
+    weights = None
+    if needs_weights:
+        weights = make_weights(graph, defaults.weight_seed)
+    result = run_distributed(cluster, cell.algo, source, weights, **kwargs)
     payload = dist_run_metrics(cluster, meta=_cell_meta(cell, defaults))
     payload["totals"]["run_gteps"] = float(result.gteps)
     return payload

@@ -29,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.dist.dispatch import DIST_ALGOS
 from repro.traversal.backends import GPU_FORMATS
 
 __all__ = [
@@ -54,9 +55,6 @@ class RecipeError(ValueError):
 #: Algorithms a single-GPU cell can run (``repro profile`` set, plus
 #: the closed-loop serving workload from :mod:`repro.serve`).
 ALGOS = ("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank", "serve")
-
-#: Algorithms a distributed cell can run (``repro dist`` set).
-DIST_ALGOS = ("bfs", "sssp", "pagerank")
 
 #: Single-GPU storage formats; distributed cells use repro.dist's set.
 FORMATS = GPU_FORMATS

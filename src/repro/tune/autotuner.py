@@ -187,21 +187,6 @@ def _check_trial(trial: TuneTrial, bound: float) -> None:
 # -- distributed workloads ------------------------------------------------
 
 
-def _drive_cluster(cluster, algo: str, source: int, weights) -> None:
-    if algo == "bfs":
-        from repro.dist.bfs import distributed_bfs
-
-        distributed_bfs(cluster, source)
-    elif algo == "sssp":
-        from repro.dist.sssp import distributed_sssp
-
-        distributed_sssp(cluster, source, weights)
-    else:
-        from repro.dist.pagerank import distributed_pagerank
-
-        distributed_pagerank(cluster)
-
-
 def tune_cluster(
     graph,
     algo: str,
@@ -232,9 +217,8 @@ def tune_cluster(
     Raises :class:`TuneBoundError` when any prediction breaks its
     contract (see module docstring).
     """
-    from repro.bench.harness import pick_sources
-    from repro.dist.cluster import ShardedCluster
-    from repro.recipes.runner import build_topology, make_weights
+    from repro.bench.harness import make_weights, pick_sources
+    from repro.dist import ShardedCluster, build_topology, run_distributed
     from repro.tune.store import workload_key
 
     if schedule is None:
@@ -259,7 +243,7 @@ def tune_cluster(
             overlap=overlap_,
             record_wire=record,
         )
-        _drive_cluster(cluster, algo, source, weights)
+        run_distributed(cluster, algo, source, weights)
         return cluster
 
     baseline_cluster = run(wire, overlap, record=True)

@@ -110,7 +110,7 @@ class TestSectionGuard:
             check_sections(a, b)
 
     def test_schema_growth_sections_exempt(self, metrics_payload):
-        # A v1 baseline legitimately lacks arrays/hw_counters and an
+        # A dist dump legitimately lacks arrays/hw_counters and an
         # unprofiled run lacks critical_path/whatif: still comparable.
         older = copy.deepcopy(metrics_payload)
         for section in OPTIONAL_SECTIONS:
@@ -135,19 +135,18 @@ class TestLoad:
         with pytest.raises(ValueError, match="schema"):
             load_metrics(str(path))
 
-    def test_v1_baseline_still_accepted(self, metrics_payload, tmp_path):
-        # /2 is a strict superset of /1; a pre-bump baseline must load
-        # and diff cleanly against a /2 run on the shared keys.
+    def test_v1_dump_refused(self, metrics_payload, tmp_path, capsys):
+        # Only the current schema is read: a /1 dump is refused like any
+        # unknown schema, by the loader and by `repro compare` (exit 2).
+        from repro.cli import main
+
         v1 = copy.deepcopy(metrics_payload)
         v1["schema"] = "repro.metrics/1"
-        for section in ("arrays", "hw_counters"):
-            v1.pop(section, None)
         path = tmp_path / "v1.json"
         dump_metrics(v1, str(path))
-        loaded = load_metrics(str(path))
-        cmp = compare_metrics(loaded, metrics_payload)
-        shared = flatten_metrics(loaded)
-        assert all(
-            r.delta == 0.0 for r in cmp.rows if r.key in shared
-        )
-        assert any(r.key.startswith("hw_counters.") for r in cmp.rows)
+        with pytest.raises(ValueError, match="'repro.metrics/1'"):
+            load_metrics(str(path))
+        current = tmp_path / "v2.json"
+        dump_metrics(metrics_payload, str(current))
+        assert main(["compare", str(path), str(current)]) == 2
+        assert "'repro.metrics/1'" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.formats.graph import Graph
 from repro.formats.io import save_graph
 
@@ -626,3 +628,223 @@ class TestTune:
             main([
                 "tune", "bfs", *self.SMALL, "--gpus", "6", "--nodes", "4",
             ])
+
+
+# -- parser surface ---------------------------------------------------------
+
+#: Positional arguments each verb needs to parse.
+REQUIRED = {
+    "info": ["g.npz"], "encode": ["g.npz"], "bfs": ["g.npz"],
+    "msbfs": ["g.npz"], "serve": ["base"], "top": ["m.json"],
+    "profile": ["bfs"], "dist": ["bfs"], "recipe": ["run", "r.toml"],
+    "tune": ["bfs"], "whatif": ["bfs"], "compare": ["a.json", "b.json"],
+    "bench": [], "check": [], "suite": [],
+}
+
+#: Every verb's parsed namespace with only the required arguments given.
+DEFAULTS = {
+    "bench": {
+        "against": None, "command": "bench", "device_scale": 2048,
+        "edge_factor": 8, "no_write": False, "out_dir": ".", "rmat_scale": 9,
+        "seed": 3, "seq": None, "source_seed": 42, "threshold": 0.0,
+        "tuned": None,
+    },
+    "bfs": {
+        "cache_kb": 0, "command": "bfs", "device_scale": 2048, "format": "efg",
+        "graph": "g.npz", "source": 0,
+    },
+    "check": {
+        "command": "check", "decode_only": False, "fuzz": 200, "graph": None,
+        "metrics": None, "seed": 7,
+    },
+    "compare": {
+        "command": "compare", "metrics_a": "a.json", "metrics_b": "b.json",
+        "threshold": 2.0,
+    },
+    "dist": {
+        "algo": "bfs", "command": "dist", "contention": 0.5,
+        "device_scale": 2048, "edge_factor": 8, "fmt": "csr", "gpus": 4,
+        "graph": None, "inter_gbs": 1.0, "link_gbs": 10.0, "metrics": None,
+        "nodes": 1, "overlap": False, "rmat_scale": 10, "schedule": "flat",
+        "seed": 1, "source": 0, "tuned": None, "wire": "auto",
+    },
+    "encode": {
+        "command": "encode", "graph": "g.npz", "output": None, "quantum": 512,
+    },
+    "info": {"all_formats": False, "command": "info", "graph": "g.npz"},
+    "msbfs": {
+        "cache_kb": 256, "command": "msbfs", "device_scale": 2048,
+        "format": "efg", "graph": "g.npz", "num_sources": 64, "seed": 0,
+    },
+    "profile": {
+        "algo": "bfs", "cache_kb": 0, "command": "profile", "counters": False,
+        "device_scale": 2048, "edge_factor": 8, "format": "efg", "graph": None,
+        "metrics": None, "num_sources": 64, "rmat_scale": 10, "seed": 1,
+        "source": 0, "trace": None,
+    },
+    "recipe": {
+        "action": "run", "against": None, "command": "recipe",
+        "recipe": "r.toml", "report": None,
+    },
+    "serve": {
+        "baseline": False, "build_from": None, "build_only": False,
+        "burst": 16, "cache_kb": 256, "command": "serve",
+        "deadline_ms": "none", "device_scale": 2048, "events": None,
+        "events_max_kb": 4096, "format": "efg", "hot_fraction": 0.5,
+        "max_pending": 1024, "metrics": None, "monitor": False, "queries": 200,
+        "seed": 7, "slo_burn": 10.0, "slo_exit_nonzero": False,
+        "slo_latency_ms": None, "slo_miss_objective": None,
+        "slo_objective": 0.99, "slo_window_us": 1.0, "target": "base",
+    },
+    "suite": {"command": "suite", "v100": False},
+    "top": {"artifact": "m.json", "command": "top"},
+    "tune": {
+        "algo": "bfs", "cache_kb": 4, "command": "tune", "contention": 0.5,
+        "device_scale": 2048, "edge_factor": 8, "expect_improvement": False,
+        "fmt": "efg", "gpus": 1, "graph": None, "inter_gbs": 1.0,
+        "link_gbs": 10.0, "max_confirm": 4, "no_write": False, "nodes": 1,
+        "num_sources": 6, "out_dir": "benchmarks/tuned", "overlap": False,
+        "rmat_scale": 8, "schedule": None, "seed": 3, "source_seed": 42,
+        "wire": "raw",
+    },
+    "whatif": {
+        "algo": "bfs", "command": "whatif", "contention": 0.5,
+        "device_scale": 2048, "edge_factor": 8, "fmt": "csr", "gpus": 8,
+        "graph": None, "inter_gbs": 1.0, "link_gbs": 10.0, "no_overlap": False,
+        "nodes": 2, "rank": False, "rmat_scale": 10,
+        "schedule": "hierarchical", "seed": 1, "set": [], "source": 0,
+        "wire": "ef",
+    },
+}
+
+#: Every flag or positional that restricts its values.
+CHOICES = {
+    "bench": {},
+    "bfs": {"format": ("csr", "efg", "cgr")},
+    "check": {},
+    "compare": {},
+    "dist": {
+        "algo": ("bfs", "sssp", "pagerank"), "fmt": ("csr", "efg"),
+        "schedule": ("flat", "butterfly", "hierarchical"),
+        "wire": ("raw", "raw64", "bitmap", "varint", "ef", "auto"),
+    },
+    "encode": {},
+    "info": {},
+    "msbfs": {"format": ("csr", "efg", "cgr")},
+    "profile": {
+        "algo": ("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank"),
+        "format": ("csr", "efg", "cgr"),
+    },
+    "recipe": {"action": ("run", "expand")},
+    "serve": {"format": ("csr", "efg", "cgr")},
+    "suite": {},
+    "top": {},
+    "tune": {
+        "algo": ("bfs", "sssp", "pagerank"), "fmt": ("csr", "efg"),
+        "schedule": ("flat", "butterfly", "hierarchical"),
+        "wire": ("raw", "raw64", "bitmap", "varint", "ef", "auto"),
+    },
+    "whatif": {
+        "algo": ("bfs", "sssp", "pagerank"), "fmt": ("csr", "efg"),
+        "schedule": ("flat", "butterfly", "hierarchical"),
+        "wire": ("raw", "raw64", "bitmap", "varint", "ef", "auto"),
+    },
+}
+
+
+def _verbs() -> dict:
+    """The ``repro`` subcommand parsers, by verb."""
+    (subparsers,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+class TestParserSurface:
+    """Pins every verb's defaults and choices, so a change to a shared
+    flag group cannot move one unnoticed."""
+
+    def test_every_verb_pinned(self):
+        assert set(_verbs()) == set(REQUIRED) == set(DEFAULTS) == set(CHOICES)
+
+    @pytest.mark.parametrize("verb", sorted(REQUIRED))
+    def test_defaults(self, verb):
+        args = vars(build_parser().parse_args([verb, *REQUIRED[verb]]))
+        assert args.pop("func").__name__ == f"_cmd_{verb}"
+        assert args == DEFAULTS[verb]
+
+    @pytest.mark.parametrize("verb", sorted(REQUIRED))
+    def test_choices(self, verb):
+        choices = {
+            a.dest: tuple(a.choices)
+            for a in _verbs()[verb]._actions if a.choices is not None
+        }
+        assert choices == CHOICES[verb]
+
+
+def _clean_exit(argv, capsys) -> str:
+    """Run ``argv``; it must exit non-zero through ``SystemExit`` (no
+    traceback) with a one-line message, which is returned."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    code = info.value.code
+    if isinstance(code, str):  # SystemExit(message): printed, exit 1
+        message = code
+    else:  # an argparse usage error
+        assert code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "\n" not in message
+    return message
+
+
+class TestSourceRange:
+    @pytest.mark.parametrize("source", ["999999", "-1"])
+    def test_bfs(self, graph_file, capsys, source):
+        message = _clean_exit(
+            ["bfs", graph_file, "--source", source], capsys
+        )
+        assert message == f"--source must be in [0, 300), got {source}"
+
+    def test_profile(self, graph_file, capsys):
+        message = _clean_exit(
+            ["profile", "bfs", graph_file, "--source", "100000"], capsys
+        )
+        assert message == "--source must be in [0, 300), got 100000"
+
+    def test_dist(self, graph_file, capsys):
+        message = _clean_exit(
+            ["dist", "bfs", graph_file, "--gpus", "2", "--source", "99999"],
+            capsys,
+        )
+        assert message == "--source must be in [0, 300), got 99999"
+
+    def test_whatif(self, graph_file, capsys):
+        message = _clean_exit(
+            ["whatif", "sssp", graph_file, "--source", "-1"], capsys
+        )
+        assert message == "--source must be in [0, 300), got -1"
+
+
+class TestLibraryErrorsExitCleanly:
+    def test_zero_device_scale(self, graph_file, capsys):
+        message = _clean_exit(
+            ["bfs", graph_file, "--device-scale", "0"], capsys
+        )
+        assert "argument --device-scale: must be > 0, got 0" in message
+
+    def test_contention_out_of_range(self, capsys):
+        message = _clean_exit(["dist", "bfs", "--contention", "2"], capsys)
+        assert "argument --contention: must be in [0, 1], got 2" in message
+
+    def test_zero_burst(self, graph_file, capsys):
+        message = _clean_exit(
+            ["serve", graph_file, "--burst", "0"], capsys
+        )
+        assert message == "burst must be >= 1, got 0"
+
+    def test_negative_queries(self, graph_file, capsys):
+        message = _clean_exit(
+            ["serve", graph_file, "--queries", "-1"], capsys
+        )
+        assert message == "num_queries must be > 0, got -1"
