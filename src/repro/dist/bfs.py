@@ -15,20 +15,20 @@ order-independent, so only the *costs* differ — which is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.cluster import ShardedCluster
+from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
 from repro.primitives.compact import atomic_or_claim
-from repro.primitives.sort import partial_sort_frontier
+from repro.primitives.sort import launch_partial_sort
 
 __all__ = ["DistBFSResult", "distributed_bfs"]
 
 
 @dataclass(frozen=True)
-class DistBFSResult:
+class DistBFSResult(DistRunResult):
     """Outcome of one distributed BFS run."""
 
     source: int
@@ -36,23 +36,6 @@ class DistBFSResult:
     #: Number of BFS levels counting the source's level 0 (levels.max()+1).
     num_levels: int
     edges_traversed: int
-    #: Bytes that crossed inter-GPU links (encoded ids + headers).
-    exchanged_bytes: int
-    #: Share of :attr:`sim_seconds` spent in the exchange.
-    exchange_seconds: float
-    #: Exchange time hidden under expansion by the overlap pipeline.
-    overlapped_seconds: float
-    sim_seconds: float
-    num_gpus: int
-    wire: str
-    schedule: str
-    messages: int
-    cluster: ShardedCluster = field(repr=False)
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
     @property
     def gteps(self) -> float:
@@ -86,130 +69,58 @@ def distributed_bfs(
     if not 0 <= source < nv:
         raise IndexError(f"source {source} out of range")
     cluster.reset()
-    partition = cluster.partition
-    num_gpus = cluster.num_gpus
 
     levels = np.full(nv, -1, dtype=np.int64)
     visited = np.zeros(nv, dtype=bool)
     levels[source] = 0
     visited[source] = True
-    source_owner = int(partition.owner(np.array([source]))[0])
-    frontiers: list[np.ndarray] = [
-        np.array([source], dtype=np.int64) if g == source_owner else
-        np.empty(0, dtype=np.int64)
-        for g in range(num_gpus)
-    ]
+    frontiers = cluster.source_frontiers(source)
+
+    def expand(g, backend):
+        frontier = frontiers[g]
+        if not frontier.size:
+            return None
+        engine = backend.engine
+        if partial_sort and frontier.size > 1:
+            frontier = launch_partial_sort(
+                engine, "dist_sort", frontier, nv, sort_fraction,
+                FRONTIER_ID_BYTES,
+            )
+        with engine.launch("dist_expand") as k:
+            nbrs, _ = backend.expand(frontier, k)
+            k.read_stream("work:visited", nbrs, 1)
+        return nbrs, None
+
+    def claim(g, k, candidates, _):
+        fresh = candidates[~visited[candidates]]
+        won = atomic_or_claim(visited, fresh)
+        mine = fresh[won]
+        k.read_stream("work:visited", candidates, 1)
+        k.instructions(2.0 * candidates.shape[0])
+        k.write("work:frontier", int(mine.shape[0]), FRONTIER_ID_BYTES)
+        levels[mine] = depth + 1
+        return mine
 
     depth = 0
-    edges_traversed = 0
-    exchanged_bytes = 0
-    exchange_seconds = 0.0
-    overlapped_seconds = 0.0
-    messages = 0
-    cluster.open_algorithm(
+    with cluster.algorithm(
         "dist_bfs", source=int(source), partial_sort=partial_sort
-    )
-    while any(f.size for f in frontiers):
-        frontier_total = int(sum(f.size for f in frontiers))
-        cluster.metrics.observe("dist.frontier_size", frontier_total)
-        with cluster.level(
-            f"level:{depth}", level=depth, frontier_size=frontier_total
-        ) as sp:
-            outgoing: list[list[np.ndarray]] = []
-            expand_seconds = 0.0
-            level_edges = 0
-            for g in range(num_gpus):
-                backend = cluster.backends[g]
-                engine = backend.engine
-                before = engine.elapsed_seconds
-                frontier = frontiers[g]
-                buckets = [
-                    np.empty(0, dtype=np.int64) for _ in range(num_gpus)
-                ]
-                if frontier.size:
-                    if partial_sort and frontier.size > 1:
-                        with engine.launch("dist_sort") as k:
-                            frontier = partial_sort_frontier(
-                                frontier, nv, sort_fraction
-                            )
-                            kept_bits = max(
-                                1,
-                                int(round(
-                                    np.log2(max(nv, 2)) * sort_fraction
-                                )),
-                            )
-                            passes = -(-kept_bits // 8)
-                            k.read(
-                                "work:frontier",
-                                2 * passes * frontier.shape[0],
-                                FRONTIER_ID_BYTES,
-                            )
-                            k.instructions(8.0 * passes * frontier.shape[0])
-                    with engine.launch("dist_expand") as k:
-                        nbrs, _ = backend.expand(frontier, k)
-                        k.read_stream("work:visited", nbrs, 1)
-                    level_edges += int(nbrs.shape[0])
-                    buckets, _ = cluster.pack(g, nbrs)
-                outgoing.append(buckets)
-                expand_seconds = max(
-                    expand_seconds, engine.elapsed_seconds - before
+    ):
+        while any(f.size for f in frontiers):
+            with cluster.level(
+                f"level:{depth}", depth,
+                frontier=int(sum(f.size for f in frontiers)),
+            ) as sp:
+                frontiers = cluster.superstep(
+                    sp, expand, claim,
+                    expand_kernel="dist_expand", claim_kernel="dist_claim",
                 )
-            edges_traversed += level_edges
-
-            incoming, _, ex = cluster.exchange_buckets(outgoing)
-            exchanged_bytes += ex.wire_bytes
-            exchange_seconds += ex.seconds
-            messages += ex.messages
-
-            claim_seconds = 0.0
-            next_frontiers: list[np.ndarray] = []
+                sp.annotate(claimed=int(sum(f.shape[0] for f in frontiers)))
             depth += 1
-            for g in range(num_gpus):
-                engine = cluster.backends[g].engine
-                before = engine.elapsed_seconds
-                candidates = incoming[g]
-                with engine.launch("dist_claim") as k:
-                    cluster.charge_unpack(k, g, ex)
-                    fresh = candidates[~visited[candidates]]
-                    won = atomic_or_claim(visited, fresh)
-                    mine = fresh[won]
-                    k.read_stream("work:visited", candidates, 1)
-                    k.instructions(2.0 * candidates.shape[0])
-                    k.write(
-                        "work:frontier", int(mine.shape[0]), FRONTIER_ID_BYTES
-                    )
-                levels[mine] = depth
-                next_frontiers.append(mine)
-                claim_seconds = max(
-                    claim_seconds, engine.elapsed_seconds - before
-                )
-            frontiers = next_frontiers
-            _, overlapped = cluster.finish_level(
-                sp,
-                expand_seconds,
-                ex,
-                claim_seconds,
-                expand_kernel="dist_expand",
-                claim_kernel="dist_claim",
-                edges_expanded=level_edges,
-                claimed=int(sum(f.shape[0] for f in next_frontiers)),
-            )
-            overlapped_seconds += overlapped
-    cluster.finish_run(edges_traversed, "dist_bfs")
-    cluster.close_algorithm()
 
     return DistBFSResult(
         source=source,
         levels=levels,
         num_levels=int(levels.max()) + 1,
-        edges_traversed=edges_traversed,
-        exchanged_bytes=exchanged_bytes,
-        exchange_seconds=exchange_seconds,
-        overlapped_seconds=overlapped_seconds,
-        sim_seconds=cluster.clock,
-        num_gpus=num_gpus,
-        wire=cluster.codec.name,
-        schedule=cluster.schedule,
-        messages=messages,
-        cluster=cluster,
+        edges_traversed=cluster.edges,
+        **cluster.run_fields(),
     )

@@ -3,16 +3,22 @@
 A :class:`ShardedCluster` binds one graph to ``num_gpus`` simulated
 devices: the 1-D partition, one backend per shard (CSR or EFG — the
 head-to-head the paper's introduction sets up), the link topology, the
-wire codec and the exchange schedule.  Drivers (BFS, SSSP, PageRank)
-use it for the three shared steps of every bulk-synchronous level —
+wire codec and the exchange schedule.
 
-* :meth:`pack` — dedupe/sort locally discovered ids (optionally folding
-  a value per id), bucket them by owner, and charge the pack kernel at
-  the device frontier width (:data:`~repro.dist.wire.FRONTIER_ID_BYTES`);
-* :meth:`exchange_buckets` — run the all-to-all through the codec and
-  topology, folding the stats into the cluster metrics;
-* :meth:`charge_unpack` — the receive-side decode cost on each claim
-  kernel.
+The cluster owns the run and level lifecycle, so a driver (BFS, SSSP,
+PageRank) is its state plus two kernel bodies per level:
+
+* :meth:`algorithm` opens the run's algorithm span and records the
+  end-of-run gauges; :meth:`level` opens one level span;
+* :meth:`superstep` runs one bulk-synchronous level: the driver's
+  per-GPU local phase, :meth:`pack` (dedupe/sort the discovered ids,
+  optionally folding a value per id, bucket them by owner, charged at
+  the device frontier width
+  :data:`~repro.dist.wire.FRONTIER_ID_BYTES`), :meth:`exchange_buckets`
+  (the all-to-all through the codec and topology), and the driver's
+  per-GPU owner phase inside the claim kernel, which is charged the
+  receive-side decode first.  It then prices the level, advances the
+  clock and adds to the run totals the driver's result reports.
 
 The cluster also owns the run's telemetry: a :class:`~repro.obs.spans.
 Tracer` over the *cluster* clock (max-over-GPUs per phase, the
@@ -25,8 +31,8 @@ runs feed, so ``repro compare`` can gate distributed runs too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -36,11 +42,12 @@ from repro.dist.topology import LinkTopology
 from repro.dist.wire import FRONTIER_ID_BYTES, WireCodec, get_codec
 from repro.formats.graph import Graph
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.kernel import KernelLaunch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, Tracer
 from repro.traversal.backends import GraphBackend, build_backend
 
-__all__ = ["DIST_FORMATS", "LevelCharge", "ShardedCluster"]
+__all__ = ["DIST_FORMATS", "DistRunResult", "LevelCharge", "ShardedCluster"]
 
 #: Shard storage formats the cluster can build.
 DIST_FORMATS = ("csr", "efg")
@@ -54,7 +61,7 @@ class LevelCharge:
     """The recorded pricing inputs of one bulk-synchronous level.
 
     The clock only ever advances through :meth:`ShardedCluster.
-    finish_level`, which appends one charge per level — so the
+    superstep`, which appends one charge per level — so the
     sequence is a complete replayable account of ``cluster.clock``:
     the critical-path extractor and the what-if engine re-price these
     records (no re-traversal) and reproduce the clock bit-exactly.
@@ -98,8 +105,6 @@ class ShardedCluster:
         self.record_wire = record_wire
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.clock = 0.0
-        self.charges: list[LevelCharge] = []
         self.reset()
 
     @classmethod
@@ -184,16 +189,20 @@ class ShardedCluster:
         self.metrics = MetricsRegistry()
         self.clock = 0.0
         self.charges = []
+        # Run totals the drivers' results report.
+        self.edges = 0
+        self.wire_bytes = 0
+        self.exchange_seconds = 0.0
+        self.overlapped_seconds = 0.0
+        self.messages = 0
 
-    def advance(self, seconds: float) -> None:
-        """Advance the cluster (bulk-synchronous) clock."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by {seconds}")
-        self.clock += seconds
+    @contextmanager
+    def algorithm(self, name: str, **attrs) -> Iterator[Span]:
+        """The run's algorithm span; records the end-of-run gauges.
 
-    def open_algorithm(self, name: str, **attrs) -> Span:
-        """Open the algorithm span (under the lazily created run root)."""
-        return self.tracer.open(
+        ``name`` is also the namespace of the ``<name>.gteps`` gauge.
+        """
+        span = self.tracer.open(
             name, "algorithm", self.clock,
             {
                 "num_gpus": self.num_gpus,
@@ -203,25 +212,41 @@ class ShardedCluster:
                 **attrs,
             },
         )
-
-    def close_algorithm(self) -> None:
-        """Close the algorithm span at the current cluster clock."""
-        self.tracer.close(self.clock)
+        try:
+            yield span
+            self._finish_run(name)
+        finally:
+            self.tracer.close(self.clock)
 
     @contextmanager
-    def level(self, name: str, **attrs) -> Iterator[Span]:
-        """One bulk-synchronous level span over the cluster clock."""
+    def level(
+        self, name: str, level: int, *, frontier: int | None = None
+    ) -> Iterator[Span]:
+        """One bulk-synchronous level span over the cluster clock.
+
+        A ``frontier`` size is observed in ``dist.frontier_size`` and
+        recorded on the span.
+        """
+        attrs: dict[str, Any] = {"level": level}
+        if frontier is not None:
+            self.metrics.observe("dist.frontier_size", frontier)
+            attrs["frontier_size"] = frontier
         span = self.tracer.open(name, "level", self.clock, attrs)
         try:
             yield span
         finally:
             self.tracer.close(self.clock)
 
-    # -- the shared per-level steps ---------------------------------------
+    def source_frontiers(self, source: int) -> list[np.ndarray]:
+        """Per-GPU starting frontiers: ``source`` on its owner only."""
+        owner = int(self.partition.owner(np.array([source]))[0])
+        return [
+            np.array([source], dtype=np.int64) if g == owner else
+            np.empty(0, dtype=np.int64)
+            for g in range(self.num_gpus)
+        ]
 
-    def gpu_seconds(self, gpu: int) -> float:
-        """Engine clock of one shard (for before/after deltas)."""
-        return self.backends[gpu].engine.elapsed_seconds
+    # -- the shared per-level steps ---------------------------------------
 
     def pack(
         self,
@@ -312,19 +337,121 @@ class ShardedCluster:
         m.observe("dist.level_wire_bytes", stats.wire_bytes)
         return incoming, in_vals, stats
 
-    def charge_unpack(self, kernel, gpu: int, stats: ExchangeStats) -> None:
-        """Receive-side decode instructions for one GPU's wire ids."""
-        received = int(stats.received_ids_per_gpu[gpu])
-        if received:
-            kernel.instructions(self.codec.decode_instr_per_id * received)
-
-    def level_seconds(
+    def superstep(
         self,
+        span: Span,
+        local: Callable[
+            [int, GraphBackend], tuple[np.ndarray, np.ndarray | None] | None
+        ],
+        owner: Callable[
+            [int, KernelLaunch, np.ndarray, np.ndarray | None], Any
+        ],
+        *,
+        expand_kernel: str,
+        claim_kernel: str,
+        combine: str | None = None,
+        sync_seconds: float = 0.0,
+        sync_record: dict | None = None,
+    ) -> list:
+        """Run one bulk-synchronous level and price it; returns the
+        ``owner`` results in GPU order.
+
+        * ``local(g, backend)`` runs GPU ``g``'s ``expand_kernel`` work
+          and returns ``(ids, values)`` — the discovered ids, with one
+          value per id to fold by ``combine`` (``values`` is ``None``
+          without one) — or ``None`` when it has nothing to send.  The
+          cluster packs returned ids on the same engine, so the phase
+          costs the max over GPUs of local work plus pack.
+        * :meth:`exchange_buckets` delivers the buckets to their owners.
+        * ``owner(g, kernel, ids, values)`` runs inside GPU ``g``'s
+          ``claim_kernel`` launch, after the receive-side decode of the
+          wire ids is charged to it; this phase also costs the max over
+          GPUs.
+
+        The level's time (overlap-aware, plus any serial post-level
+        ``sync_seconds`` such as PageRank's scalar allreduce, whose
+        step-record-shaped pricing inputs are ``sync_record``) advances
+        the clock and is appended as a :class:`LevelCharge` for the
+        replay engines.  ``span`` gets the canonical annotations
+        (:func:`repro.dist.report.level_annotations`) plus
+        ``edges_expanded``, the number of ids the local phase returned;
+        edges, wire bytes, exchange and overlapped seconds and messages
+        add to the run totals.
+        """
+        outgoing: list[list[np.ndarray]] = []
+        out_values: list[list[np.ndarray] | None] = []
+        expand_seconds = 0.0
+        edges = 0
+        for g, backend in enumerate(self.backends):
+            before = backend.engine.elapsed_seconds
+            found = local(g, backend)
+            if found is None:
+                buckets = [np.empty(0, dtype=np.int64)] * self.num_gpus
+                vals = None
+                if combine is not None:
+                    vals = [np.empty(0, dtype=np.float64)] * self.num_gpus
+            else:
+                ids, values = found
+                edges += int(ids.shape[0])
+                buckets, vals = self.pack(g, ids, values, combine)
+            outgoing.append(buckets)
+            out_values.append(vals)
+            expand_seconds = max(
+                expand_seconds, backend.engine.elapsed_seconds - before
+            )
+
+        incoming, in_values, stats = self.exchange_buckets(
+            outgoing, out_values if combine is not None else None, combine
+        )
+
+        results = []
+        claim_seconds = 0.0
+        for g, backend in enumerate(self.backends):
+            engine = backend.engine
+            before = engine.elapsed_seconds
+            with engine.launch(claim_kernel) as k:
+                received = int(stats.received_ids_per_gpu[g])
+                if received:
+                    k.instructions(self.codec.decode_instr_per_id * received)
+                results.append(
+                    owner(
+                        g, k, incoming[g],
+                        None if in_values is None else in_values[g],
+                    )
+                )
+            claim_seconds = max(
+                claim_seconds, engine.elapsed_seconds - before
+            )
+
+        overlapped = self._finish_level(
+            span, expand_seconds, stats, claim_seconds,
+            sync_seconds=sync_seconds,
+            sync_record=sync_record,
+            expand_kernel=expand_kernel,
+            claim_kernel=claim_kernel,
+        )
+        span.annotate(edges_expanded=edges)
+        self.edges += edges
+        self.wire_bytes += stats.wire_bytes
+        self.exchange_seconds += stats.seconds
+        self.overlapped_seconds += overlapped
+        self.messages += stats.messages
+        return results
+
+    def _finish_level(
+        self,
+        span: Span,
         expand_seconds: float,
         stats: ExchangeStats,
         claim_seconds: float,
-    ) -> tuple[float, float]:
-        """``(total, overlapped)`` seconds of one bulk-synchronous level.
+        *,
+        sync_seconds: float,
+        sync_record: dict | None,
+        expand_kernel: str,
+        claim_kernel: str,
+    ) -> float:
+        """Price one level, advance the clock, record and annotate it;
+        returns the overlapped seconds.
 
         Serial cost model (default): the three phases queue one after
         another.  With :attr:`overlap` the exchange streams buckets
@@ -333,45 +460,17 @@ class ShardedCluster:
         claim that needs the full incoming set; ``overlapped`` is the
         time hidden under the longer phase.
         """
-        if not self.overlap:
-            return expand_seconds + stats.seconds + claim_seconds, 0.0
-        overlapped = min(expand_seconds, stats.seconds)
-        total = max(expand_seconds, stats.seconds) + claim_seconds
-        self.metrics.inc("dist.overlapped_seconds", overlapped)
-        return total, overlapped
-
-    def finish_level(
-        self,
-        span: Span,
-        expand_seconds: float,
-        stats: ExchangeStats,
-        claim_seconds: float,
-        *,
-        sync_seconds: float = 0.0,
-        sync_record: dict | None = None,
-        expand_kernel: str = "",
-        claim_kernel: str = "",
-        **annotations,
-    ) -> tuple[float, float]:
-        """Price one level, advance the clock, record and annotate it.
-
-        The shared tail of every driver's level: compute the level's
-        wall-clock via :meth:`level_seconds` (overlap-aware), advance
-        the cluster clock (plus any serial post-level ``sync_seconds``,
-        e.g. PageRank's scalar allreduce), append the
-        :class:`LevelCharge` the replay engines consume, and attach the
-        canonical annotations (:func:`repro.dist.report.
-        level_annotations`) plus any driver-specific ``annotations`` to
-        the level span.  Returns ``(total, overlapped)`` seconds.
-        """
         # Function-level import: report imports this module at top level.
         from repro.dist.report import level_annotations
 
-        total, overlapped = self.level_seconds(
-            expand_seconds, stats, claim_seconds
-        )
-        advance = total + sync_seconds if sync_seconds else total
-        self.advance(advance)
+        if self.overlap:
+            overlapped = min(expand_seconds, stats.seconds)
+            total = max(expand_seconds, stats.seconds) + claim_seconds
+            self.metrics.inc("dist.overlapped_seconds", overlapped)
+        else:
+            overlapped = 0.0
+            total = expand_seconds + stats.seconds + claim_seconds
+        self.clock += total + sync_seconds
         self.charges.append(
             LevelCharge(
                 name=span.name,
@@ -393,10 +492,9 @@ class ShardedCluster:
                 sync_seconds=sync_seconds,
                 expand_kernel=expand_kernel,
                 claim_kernel=claim_kernel,
-            ),
-            **annotations,
+            )
         )
-        return total, overlapped
+        return overlapped
 
     @staticmethod
     def level_bound(
@@ -413,8 +511,9 @@ class ShardedCluster:
         }
         return max(terms.items(), key=lambda kv: kv[1])[0]
 
-    def finish_run(self, edges: int, algorithm: str) -> None:
+    def _finish_run(self, algorithm: str) -> None:
         """End-of-run gauges shared by every driver."""
+        edges = self.edges
         m = self.metrics
         m.set_gauge("dist.sim_seconds", self.clock)
         m.set_gauge("dist.num_gpus", float(self.num_gpus))
@@ -425,3 +524,40 @@ class ShardedCluster:
         wire = self.metrics.counters.get("dist.wire_bytes", 0.0)
         if edges:
             m.set_gauge("dist.wire_bytes_per_edge", wire / edges)
+
+    def run_fields(self) -> dict:
+        """The :class:`DistRunResult` fields of the run just finished."""
+        return {
+            "exchanged_bytes": self.wire_bytes,
+            "exchange_seconds": self.exchange_seconds,
+            "overlapped_seconds": self.overlapped_seconds,
+            "sim_seconds": self.clock,
+            "num_gpus": self.num_gpus,
+            "wire": self.codec.name,
+            "schedule": self.schedule,
+            "messages": self.messages,
+            "cluster": self,
+        }
+
+
+@dataclass(frozen=True)
+class DistRunResult:
+    """The fields every distributed driver's result shares."""
+
+    #: Bytes that crossed inter-GPU links (encoded ids + headers).
+    exchanged_bytes: int
+    #: Share of :attr:`sim_seconds` spent in the exchange.
+    exchange_seconds: float
+    #: Exchange time hidden under the local phase by the overlap pipeline.
+    overlapped_seconds: float
+    sim_seconds: float
+    num_gpus: int
+    wire: str
+    schedule: str
+    messages: int
+    cluster: ShardedCluster = field(repr=False)
+
+    @property
+    def runtime_ms(self) -> float:
+        """Simulated runtime in milliseconds."""
+        return self.sim_seconds * 1e3

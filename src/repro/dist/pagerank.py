@@ -21,11 +21,11 @@ not bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.cluster import ShardedCluster
+from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import MESSAGE_HEADER_BYTES
 
 __all__ = ["DistPageRankResult", "distributed_pagerank"]
@@ -35,28 +35,13 @@ MASS_VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
-class DistPageRankResult:
+class DistPageRankResult(DistRunResult):
     """Outcome of one distributed PageRank run."""
 
     ranks: np.ndarray
     iterations: int
     edges_processed: int
-    exchanged_bytes: int
-    exchange_seconds: float
-    #: Exchange time hidden under the push phase by the overlap pipeline.
-    overlapped_seconds: float
-    sim_seconds: float
     converged: bool
-    num_gpus: int
-    wire: str
-    schedule: str
-    messages: int
-    cluster: ShardedCluster = field(repr=False)
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
     @property
     def gteps(self) -> float:
@@ -79,7 +64,6 @@ def distributed_pagerank(
     nv = cluster.num_nodes
     num_gpus = cluster.num_gpus
     partition = cluster.partition
-    topology = cluster.topology
     for b in cluster.backends:
         b.engine.memory.register("work:rank2", 4 * nv, priority=-1)
 
@@ -92,11 +76,6 @@ def distributed_pagerank(
     ]
 
     ranks = np.full(nv, 1.0 / nv, dtype=np.float64)
-    edges_processed = 0
-    exchanged_bytes = 0
-    exchange_seconds = 0.0
-    overlapped_seconds = 0.0
-    messages = 0
     converged = False
     cached: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_gpus
 
@@ -104,7 +83,7 @@ def distributed_pagerank(
     scalar_bytes = np.full(
         num_gpus, (8.0 + MESSAGE_HEADER_BYTES) * (num_gpus - 1)
     )
-    allreduce_seconds = topology.step_seconds(
+    allreduce_seconds = cluster.topology.step_seconds(
         scalar_bytes, scalar_bytes, max(num_gpus - 1, 0)
     )
     # Step-record-shaped pricing inputs so the what-if engine can
@@ -117,113 +96,64 @@ def distributed_pagerank(
         }
     }
 
-    cluster.open_algorithm(
-        "dist_pagerank", damping=damping, max_iterations=max_iterations
-    )
+    def push(g, backend):
+        with backend.engine.launch("dist_pr_push") as k:
+            if cached[g] is None:
+                nbrs, seg = backend.expand(owned[g], k)
+                cached[g] = (nbrs, seg)
+            else:
+                nbrs, seg = cached[g]
+                # Re-charge the identical decode traffic; the functional
+                # decode is reused across iterations because the shard
+                # is static.
+                backend.charge_expand(owned[g], nbrs, k)
+            src = owned[g][seg]
+            contrib = ranks[src] / out_deg_safe[src]
+            k.read_stream("work:rank2", nbrs, 4)
+            k.instructions(4.0 * nbrs.shape[0])
+        return nbrs, contrib
+
+    def finalize(g, k, ids, mass):
+        lo, hi = partition.bounds(g)
+        acc = np.zeros(hi - lo, dtype=np.float64)
+        if ids.size:
+            acc[ids - lo] = mass
+        new_ranks[lo:hi] = (1 - damping) / nv + damping * (acc + dangling_mass)
+        k.read("work:labels", hi - lo, 4)
+        k.write("work:rank2", hi - lo, 4)
+        k.instructions(4.0 * (hi - lo))
+        return float(np.abs(new_ranks[lo:hi] - ranks[lo:hi]).sum())
+
     it = 0
-    for it in range(1, max_iterations + 1):
-        with cluster.level(f"iteration:{it}", level=it) as sp:
-            outgoing: list[list[np.ndarray]] = []
-            out_values: list[list[np.ndarray]] = []
-            push_seconds = 0.0
-            level_edges = 0
-            for g in range(num_gpus):
-                backend = cluster.backends[g]
-                engine = backend.engine
-                before = engine.elapsed_seconds
-                with engine.launch("dist_pr_push") as k:
-                    if cached[g] is None:
-                        nbrs, seg = backend.expand(owned[g], k)
-                        cached[g] = (nbrs, seg)
-                    else:
-                        nbrs, seg = cached[g]
-                        # Re-charge the identical decode traffic; the
-                        # functional decode is reused across iterations
-                        # because the shard is static.
-                        backend.charge_expand(owned[g], nbrs, k)
-                    src = owned[g][seg]
-                    contrib = ranks[src] / out_deg_safe[src]
-                    k.read_stream("work:rank2", nbrs, 4)
-                    k.instructions(4.0 * nbrs.shape[0])
-                level_edges += int(nbrs.shape[0])
-                buckets, val_buckets = cluster.pack(
-                    g, nbrs, values=contrib, combine="sum"
-                )
-                outgoing.append(buckets)
-                out_values.append(val_buckets)
-                push_seconds = max(
-                    push_seconds, engine.elapsed_seconds - before
-                )
-            edges_processed += level_edges
-
-            incoming, in_values, ex = cluster.exchange_buckets(
-                outgoing, values=out_values, combine="sum"
-            )
-            exchanged_bytes += ex.wire_bytes
-            exchange_seconds += ex.seconds
-            messages += ex.messages
-
+    with cluster.algorithm(
+        "dist_pagerank", damping=damping, max_iterations=max_iterations
+    ):
+        for it in range(1, max_iterations + 1):
             dangling_mass = ranks[dangling].sum() / nv
-            finalize_seconds = 0.0
             new_ranks = np.zeros(nv, dtype=np.float64)
-            delta = 0.0
-            for g in range(num_gpus):
-                engine = cluster.backends[g].engine
-                before = engine.elapsed_seconds
-                lo, hi = partition.bounds(g)
-                with engine.launch("dist_pr_finalize") as k:
-                    cluster.charge_unpack(k, g, ex)
-                    ids = incoming[g]
-                    acc = np.zeros(hi - lo, dtype=np.float64)
-                    if ids.size:
-                        acc[ids - lo] = in_values[g]
-                    new_ranks[lo:hi] = (
-                        (1 - damping) / nv
-                        + damping * (acc + dangling_mass)
+            with cluster.level(f"iteration:{it}", it) as sp:
+                # The scalar allreduce needs the finalized ranks: serial
+                # sync_seconds on top of the (possibly overlapped) level.
+                delta = sum(
+                    cluster.superstep(
+                        sp, push, finalize,
+                        expand_kernel="dist_pr_push",
+                        claim_kernel="dist_pr_finalize",
+                        combine="sum",
+                        sync_seconds=allreduce_seconds,
+                        sync_record=allreduce_record,
                     )
-                    delta += float(
-                        np.abs(new_ranks[lo:hi] - ranks[lo:hi]).sum()
-                    )
-                    k.read("work:labels", hi - lo, 4)
-                    k.write("work:rank2", hi - lo, 4)
-                    k.instructions(4.0 * (hi - lo))
-                finalize_seconds = max(
-                    finalize_seconds, engine.elapsed_seconds - before
                 )
+                sp.annotate(rank_delta=delta)
             ranks = new_ranks
-            # The scalar allreduce needs the finalized ranks: serial
-            # sync_seconds on top of the (possibly overlapped) level.
-            _, overlapped = cluster.finish_level(
-                sp,
-                push_seconds,
-                ex,
-                finalize_seconds,
-                sync_seconds=allreduce_seconds,
-                sync_record=allreduce_record,
-                expand_kernel="dist_pr_push",
-                claim_kernel="dist_pr_finalize",
-                edges_expanded=level_edges,
-                rank_delta=delta,
-            )
-            overlapped_seconds += overlapped
-        if delta < tolerance:
-            converged = True
-            break
-    cluster.finish_run(edges_processed, "dist_pagerank")
-    cluster.close_algorithm()
+            if delta < tolerance:
+                converged = True
+                break
 
     return DistPageRankResult(
         ranks=ranks,
         iterations=it,
-        edges_processed=edges_processed,
-        exchanged_bytes=exchanged_bytes,
-        exchange_seconds=exchange_seconds,
-        overlapped_seconds=overlapped_seconds,
-        sim_seconds=cluster.clock,
+        edges_processed=cluster.edges,
         converged=converged,
-        num_gpus=num_gpus,
-        wire=cluster.codec.name,
-        schedule=cluster.schedule,
-        messages=messages,
-        cluster=cluster,
+        **cluster.run_fields(),
     )

@@ -17,11 +17,11 @@ resulting distances are bit-identical to single-GPU
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.cluster import ShardedCluster
+from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
 from repro.primitives.sort import partial_sort_frontier
 
@@ -32,28 +32,13 @@ DISTANCE_VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
-class DistSSSPResult:
+class DistSSSPResult(DistRunResult):
     """Outcome of one distributed SSSP run."""
 
     source: int
     distances: np.ndarray
     iterations: int
     edges_relaxed: int
-    exchanged_bytes: int
-    exchange_seconds: float
-    #: Exchange time hidden under relaxation by the overlap pipeline.
-    overlapped_seconds: float
-    sim_seconds: float
-    num_gpus: int
-    wire: str
-    schedule: str
-    messages: int
-    cluster: ShardedCluster = field(repr=False)
-
-    @property
-    def runtime_ms(self) -> float:
-        """Simulated runtime in milliseconds."""
-        return self.sim_seconds * 1e3
 
     @property
     def gteps(self) -> float:
@@ -109,132 +94,57 @@ def distributed_sssp(
                 "cluster built without weights; use build(..., with_weights=True)"
             )
     cluster.reset()
-    partition = cluster.partition
-    num_gpus = cluster.num_gpus
     shard_weights = _shard_weight_slices(cluster, weights)
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
-    source_owner = int(partition.owner(np.array([source]))[0])
-    frontiers: list[np.ndarray] = [
-        np.array([source], dtype=np.int64) if g == source_owner else
-        np.empty(0, dtype=np.int64)
-        for g in range(num_gpus)
-    ]
+    frontiers = cluster.source_frontiers(source)
 
-    edges_relaxed = 0
-    exchanged_bytes = 0
-    exchange_seconds = 0.0
-    overlapped_seconds = 0.0
-    messages = 0
+    def relax(g, backend):
+        frontier = frontiers[g]
+        if not frontier.size:
+            return None
+        if partial_sort and frontier.size > 1:
+            frontier = partial_sort_frontier(frontier, nv, sort_fraction)
+        with backend.engine.launch("dist_relax") as k:
+            nbrs, seg = backend.expand(frontier, k)
+            slots = backend.edge_slots(frontier)
+            cand = dist[frontier[seg]] + shard_weights[g][slots]
+            k.read_stream("weights", slots, 4)
+            k.read_stream("work:labels", nbrs, 4)
+            k.instructions(4.0 * nbrs.shape[0])
+        return nbrs, cand
+
+    def update(g, k, ids, cand):
+        better = cand < dist[ids]
+        mine = ids[better]
+        dist[mine] = cand[better]
+        k.read_stream("work:labels", ids, 4)
+        k.atomic("work:visited", int(mine.shape[0]), 1)
+        k.instructions(2.0 * ids.shape[0])
+        k.write("work:frontier", int(mine.shape[0]), FRONTIER_ID_BYTES)
+        return mine
+
     iterations = 0
     cap = max_iterations if max_iterations is not None else nv
-    cluster.open_algorithm("dist_sssp", source=int(source))
-    while any(f.size for f in frontiers) and iterations < cap:
-        frontier_total = int(sum(f.size for f in frontiers))
-        cluster.metrics.observe("dist.frontier_size", frontier_total)
-        with cluster.level(
-            f"iteration:{iterations}",
-            level=iterations,
-            frontier_size=frontier_total,
-        ) as sp:
-            outgoing: list[list[np.ndarray]] = []
-            out_values: list[list[np.ndarray]] = []
-            relax_seconds = 0.0
-            level_edges = 0
-            for g in range(num_gpus):
-                backend = cluster.backends[g]
-                engine = backend.engine
-                before = engine.elapsed_seconds
-                frontier = frontiers[g]
-                buckets = [
-                    np.empty(0, dtype=np.int64) for _ in range(num_gpus)
-                ]
-                val_buckets = [
-                    np.empty(0, dtype=np.float64) for _ in range(num_gpus)
-                ]
-                if frontier.size:
-                    if partial_sort and frontier.size > 1:
-                        frontier = partial_sort_frontier(
-                            frontier, nv, sort_fraction
-                        )
-                    with engine.launch("dist_relax") as k:
-                        nbrs, seg = backend.expand(frontier, k)
-                        slots = backend.edge_slots(frontier)
-                        cand = dist[frontier[seg]] + shard_weights[g][slots]
-                        k.read_stream("weights", slots, 4)
-                        k.read_stream("work:labels", nbrs, 4)
-                        k.instructions(4.0 * nbrs.shape[0])
-                    level_edges += int(nbrs.shape[0])
-                    buckets, val_buckets = cluster.pack(
-                        g, nbrs, values=cand, combine="min"
-                    )
-                outgoing.append(buckets)
-                out_values.append(val_buckets)
-                relax_seconds = max(
-                    relax_seconds, engine.elapsed_seconds - before
+    with cluster.algorithm("dist_sssp", source=int(source)):
+        while any(f.size for f in frontiers) and iterations < cap:
+            with cluster.level(
+                f"iteration:{iterations}", iterations,
+                frontier=int(sum(f.size for f in frontiers)),
+            ) as sp:
+                frontiers = cluster.superstep(
+                    sp, relax, update,
+                    expand_kernel="dist_relax", claim_kernel="dist_update",
+                    combine="min",
                 )
-            edges_relaxed += level_edges
-
-            incoming, in_values, ex = cluster.exchange_buckets(
-                outgoing, values=out_values, combine="min"
-            )
-            exchanged_bytes += ex.wire_bytes
-            exchange_seconds += ex.seconds
-            messages += ex.messages
-
-            update_seconds = 0.0
-            next_frontiers: list[np.ndarray] = []
-            improved_total = 0
-            for g in range(num_gpus):
-                engine = cluster.backends[g].engine
-                before = engine.elapsed_seconds
-                ids = incoming[g]
-                cand = in_values[g]
-                with engine.launch("dist_update") as k:
-                    cluster.charge_unpack(k, g, ex)
-                    better = cand < dist[ids]
-                    mine = ids[better]
-                    dist[mine] = cand[better]
-                    k.read_stream("work:labels", ids, 4)
-                    k.atomic("work:visited", int(mine.shape[0]), 1)
-                    k.instructions(2.0 * ids.shape[0])
-                    k.write(
-                        "work:frontier", int(mine.shape[0]), FRONTIER_ID_BYTES
-                    )
-                next_frontiers.append(mine)
-                improved_total += int(mine.shape[0])
-                update_seconds = max(
-                    update_seconds, engine.elapsed_seconds - before
-                )
-            frontiers = next_frontiers
+                sp.annotate(improved=int(sum(f.shape[0] for f in frontiers)))
             iterations += 1
-            _, overlapped = cluster.finish_level(
-                sp,
-                relax_seconds,
-                ex,
-                update_seconds,
-                expand_kernel="dist_relax",
-                claim_kernel="dist_update",
-                edges_expanded=level_edges,
-                improved=improved_total,
-            )
-            overlapped_seconds += overlapped
-    cluster.finish_run(edges_relaxed, "dist_sssp")
-    cluster.close_algorithm()
 
     return DistSSSPResult(
         source=source,
         distances=dist,
         iterations=iterations,
-        edges_relaxed=edges_relaxed,
-        exchanged_bytes=exchanged_bytes,
-        exchange_seconds=exchange_seconds,
-        overlapped_seconds=overlapped_seconds,
-        sim_seconds=cluster.clock,
-        num_gpus=num_gpus,
-        wire=cluster.codec.name,
-        schedule=cluster.schedule,
-        messages=messages,
-        cluster=cluster,
+        edges_relaxed=cluster.edges,
+        **cluster.run_fields(),
     )

@@ -319,13 +319,13 @@ class EliasFanoCodec(WireCodec):
 class AutoCodec(WireCodec):
     """Per-message selection by actual trial-encoded payload size.
 
-    Every concrete candidate (raw/bitmap/varint/ef) encodes the
-    message; the smallest real payload wins, with earlier candidates
-    breaking ties (raw first — the cheapest decode).  Candidates that
-    cannot represent the message (raw past 2^31) drop out of the trial.
-    The winner's tag rides in the message header the receiver parses
-    anyway.  Functional decode delegates to the chosen codec, recovered
-    the same way.
+    Every concrete candidate (raw/bitmap/varint/ef) that could still
+    win encodes the message; the smallest real payload wins, with
+    earlier candidates breaking ties (raw first — the cheapest decode).
+    Candidates that cannot represent the message (raw past 2^31) drop
+    out of the trial.  The winner's tag rides in the message header the
+    receiver parses anyway.  Functional decode delegates to the chosen
+    codec, recovered the same way.
     """
 
     name = "auto"
@@ -341,9 +341,23 @@ class AutoCodec(WireCodec):
     def trial(
         self, ids: np.ndarray, lo: int, hi: int
     ) -> tuple[WireCodec, np.ndarray]:
-        """``(winner, payload)`` — the smallest actual encoding."""
-        best: tuple[WireCodec, np.ndarray] | None = None
-        for candidate in self._candidates:
+        """``(winner, payload)`` — the smallest actual encoding.
+
+        The bitmap's encode allocates one byte per vertex of the range
+        (8 GiB for a 2^33-id range), so it is tried last and skipped
+        when its exact size (:meth:`BitmapCodec.encoded_nbytes`) already
+        exceeds the smallest payload of the others — it could not win.
+        """
+        bitmap = self._candidates[1]
+        order = [c for c in self._candidates if c is not bitmap] + [bitmap]
+        best: tuple[int, int, WireCodec, np.ndarray] | None = None
+        for candidate in order:
+            if (
+                candidate is bitmap
+                and best is not None
+                and bitmap.encoded_nbytes(ids, lo, hi) > best[0]
+            ):
+                continue
             try:
                 payload = candidate.encode(ids, lo, hi)
             except ValueError:
@@ -353,11 +367,13 @@ class AutoCodec(WireCodec):
                     # let the first one surface the error.
                     _check_sorted_unique(ids)
                 continue
-            if best is None or payload.shape[0] < best[1].shape[0]:
-                best = (candidate, payload)
+            # Smallest payload wins; earlier candidates break ties.
+            key = (payload.shape[0], self._candidates.index(candidate))
+            if best is None or key < best[:2]:
+                best = (*key, candidate, payload)
         if best is None:
             raise ValueError("no wire codec can represent this message")
-        return best
+        return best[2], best[3]
 
     def choose(self, ids: np.ndarray, lo: int, hi: int) -> WireCodec:
         """Smallest-payload candidate for this message."""

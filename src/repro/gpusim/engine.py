@@ -9,13 +9,15 @@ profiling-style reports — mirroring how one reads an ``nvprof`` trace.
 
 The engine is also the root of the telemetry layer (:mod:`repro.obs`):
 every engine carries a :class:`~repro.obs.spans.Tracer` building the
-``run -> algorithm -> level -> kernel`` span hierarchy (:meth:`launch`
-opens kernel spans itself; drivers open the outer layers via
-:meth:`span`) and a :class:`~repro.obs.metrics.MetricsRegistry` of
-counters/gauges/histograms.  :meth:`sample` records named time series
-(frontier size, cache hit rate) that the Perfetto exporter turns into
-counter tracks.  All of it keys off the simulated clock, so identical
-runs produce identical telemetry.
+``run -> algorithm -> level -> kernel`` span hierarchy and a
+:class:`~repro.obs.metrics.MetricsRegistry` of
+counters/gauges/histograms.  :meth:`launch` opens kernel spans itself;
+:meth:`algorithm` and :meth:`level` own the rest of a driver's run and
+level lifecycle, so a driver is its state plus its kernel bodies.
+:meth:`sample` records named time series (frontier size, cache hit
+rate) that the Perfetto exporter turns into counter tracks.  All of it
+keys off the simulated clock, so identical runs produce identical
+telemetry.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from repro.gpusim.cost import CostModel, CostParams, KernelCost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryManager
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bytes_per_edge
 from repro.obs.spans import Span, Tracer
 
-__all__ = ["LaunchRecord", "SimEngine"]
+__all__ = ["AlgorithmRun", "LaunchRecord", "SimEngine"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,14 @@ class LaunchRecord:
     start_s: float
     seconds: float
     cost: KernelCost
+
+
+@dataclass
+class AlgorithmRun:
+    """What a driver reports back to :meth:`SimEngine.algorithm`."""
+
+    #: Edges traversed so far; the ``bytes_per_edge`` gauge divides by it.
+    edges: int = 0
 
 
 @dataclass
@@ -128,6 +138,56 @@ class SimEngine:
             yield span
         finally:
             self.tracer.close(self._elapsed)
+
+    @contextmanager
+    def algorithm(
+        self, name: str, *, gauge: str | None = None, **attrs
+    ) -> Iterator[AlgorithmRun]:
+        """One driver run: the ``algorithm`` span and its edge tally.
+
+        The driver adds its traversed edges to the yielded
+        :class:`AlgorithmRun`; on exit ``<gauge>.bytes_per_edge`` is set
+        from them (no gauge when ``gauge`` is ``None``).
+        """
+        self.tracer.open(name, "algorithm", self._elapsed, attrs)
+        run = AlgorithmRun()
+        try:
+            yield run
+            if gauge is not None:
+                self.metrics.set_gauge(
+                    f"{gauge}.bytes_per_edge", bytes_per_edge(self, run.edges)
+                )
+        finally:
+            self.tracer.close(self._elapsed)
+
+    @contextmanager
+    def level(
+        self,
+        name: str,
+        level: int,
+        *,
+        frontier: int | None = None,
+        histogram: str = "",
+        **attrs,
+    ) -> Iterator[Span]:
+        """One level of the level-synchronous loop (Alg. 1).
+
+        A ``frontier`` size is observed in the ``histogram`` metric,
+        sampled as the ``frontier_size`` series and recorded on the
+        span.  On exit the span is annotated with the per-array traffic
+        of the level's launches, after whatever the driver annotated.
+        """
+        # Function-level import: repro.obs.counters imports repro.gpusim.
+        from repro.obs.counters import arrays_since
+
+        if frontier is not None:
+            self.metrics.observe(histogram, frontier)
+            self.sample("frontier_size", frontier)
+            attrs = {"frontier_size": int(frontier), **attrs}
+        start = self.num_launches
+        with self.span(name, "level", level=level, **attrs) as sp:
+            yield sp
+            sp.annotate(**arrays_since(self, start))
 
     @property
     def elapsed_seconds(self) -> float:

@@ -9,7 +9,7 @@ path:
   advances through ``SimEngine.launch``, so every kernel launch is on
   the path and the chain is the timeline itself.
 * **Distributed** runs advance the cluster clock once per
-  bulk-synchronous level (``ShardedCluster.finish_level``), by
+  bulk-synchronous level (``ShardedCluster.superstep``), by
   ``expand + exchange + claim`` in the serial cost model or
   ``max(expand, exchange) + claim`` under overlap (PR 6), plus any
   serial post-level sync (PageRank's scalar allreduce).  Under overlap
@@ -176,9 +176,9 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
     Serial model: expand, exchange, claim (and sync) all queue — every
     segment is on-path.  Overlap model: the longer of expand/exchange
     is on-path (expand wins exact ties, mirroring ``max``'s
-    first-argument preference in ``level_seconds``) and the shorter is
-    hidden; claim and sync stay serial.  Exchange segments bind to the
-    tier that spent more fabric time.
+    first-argument preference in ``ShardedCluster._finish_level``) and
+    the shorter is hidden; claim and sync stay serial.  Exchange
+    segments bind to the tier that spent more fabric time.
     """
     path = CriticalPath(
         kind="cluster",
@@ -195,7 +195,7 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
             expand_on = charge.expand_seconds >= ex.seconds
             exchange_on = not expand_on
         longer = max(charge.expand_seconds, ex.seconds)
-        # Kernel spans carry per-launch names; finish_level recorded
+        # Kernel spans carry per-launch names; the superstep recorded
         # the phase kernels explicitly, so look them up from the
         # charge's driver annotations via the level span attrs.
         span_attrs = _charge_span_attrs(cluster, charge.name)
@@ -286,17 +286,17 @@ def _charge_span_attrs(cluster, name: str) -> dict:
 def _replay_level(charge, overlap: bool) -> float:
     """One level's clock advance, with the simulator's exact arithmetic.
 
-    Mirrors ``ShardedCluster.level_seconds`` + ``finish_level``: the
-    serial sum is left-associated, overlap takes ``max`` first, and a
-    sync adds on after — the same expressions, so the replayed float
-    is bit-identical to the recorded advance.
+    Mirrors ``ShardedCluster._finish_level``: the serial sum is
+    left-associated, overlap takes ``max`` first, and the sync adds on
+    after — the same expressions, so the replayed float is
+    bit-identical to the recorded advance.
     """
     ex_seconds = charge.exchange.seconds
     if overlap:
         total = max(charge.expand_seconds, ex_seconds) + charge.claim_seconds
     else:
         total = charge.expand_seconds + ex_seconds + charge.claim_seconds
-    return total + charge.sync_seconds if charge.sync_seconds else total
+    return total + charge.sync_seconds
 
 
 def verify_critpath(path: CriticalPath) -> None:
@@ -366,7 +366,7 @@ def verify_critpath(path: CriticalPath) -> None:
                     raise AssertionError(
                         f"level {sync.level_name!r}: sync is serial"
                     )
-                total = total + sync.seconds if sync.seconds else total
+                total = total + sync.seconds
             acc += total
     if acc != path.elapsed_seconds:
         raise AssertionError(

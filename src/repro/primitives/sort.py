@@ -92,3 +92,26 @@ def partial_sort_frontier(
     masked = partial_radix_sort_key(frontier, total_bits, fraction)
     order = np.argsort(masked, kind="stable")
     return frontier[order]
+
+
+def launch_partial_sort(
+    engine: "SimEngine",
+    kernel: str,
+    frontier: np.ndarray,
+    num_nodes: int,
+    fraction: float,
+    id_bytes: int,
+) -> np.ndarray:
+    """Partially sort ``frontier`` in one ``kernel`` launch on ``engine``.
+
+    The charge is CUB's radix sort: one pass per 8-bit digit of the
+    kept bit range, each pass reading and scattering the
+    ``id_bytes``-wide keys.
+    """
+    with engine.launch(kernel) as k:
+        ordered = partial_sort_frontier(frontier, num_nodes, fraction)
+        kept_bits = max(1, int(round(np.log2(max(num_nodes, 2)) * fraction)))
+        passes = -(-kept_bits // 8)
+        k.read("work:frontier", 2 * passes * frontier.shape[0], id_bytes)
+        k.instructions(8.0 * passes * frontier.shape[0])
+    return ordered

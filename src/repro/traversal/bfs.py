@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.frontier import Frontier
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.primitives.compact import atomic_or_claim
+from repro.primitives.sort import launch_partial_sort
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["BFSResult", "bfs"]
@@ -90,72 +88,58 @@ def bfs(
     levels[source] = 0
     parents[source] = source
     visited[source] = True
-    frontier = Frontier(np.array([source], dtype=np.int64), nv)
+    frontier = np.array([source], dtype=np.int64)
 
     depth = 0
-    edges_traversed = 0
     cap = max_levels if max_levels is not None else nv
-    engine.tracer.open(
-        "bfs", "algorithm", engine.elapsed_seconds,
-        {"source": int(source), "partial_sort": partial_sort},
-    )
-    while not frontier.is_empty and depth < cap:
-        engine.metrics.observe("bfs.frontier_size", len(frontier))
-        engine.sample("frontier_size", len(frontier))
-        level_start = engine.num_launches
-        with engine.span(
-            f"level:{depth}", "level", level=depth, frontier_size=len(frontier)
-        ) as sp:
-            if partial_sort and len(frontier) > 1:
-                with engine.launch("frontier_sort") as k:
-                    frontier = frontier.partially_sorted(sort_fraction)
-                    # CUB radix sort: ~4 passes over the kept digit range;
-                    # each pass reads + scatters the keys.
-                    kept_bits = max(
-                        1, int(round(np.log2(max(nv, 2)) * sort_fraction))
+    with engine.algorithm(
+        "bfs", gauge="bfs", source=int(source), partial_sort=partial_sort
+    ) as run:
+        while frontier.size and depth < cap:
+            with engine.level(
+                f"level:{depth}", depth,
+                frontier=frontier.size, histogram="bfs.frontier_size",
+            ) as sp:
+                if partial_sort and frontier.size > 1:
+                    frontier = launch_partial_sort(
+                        engine, "frontier_sort", frontier, nv,
+                        sort_fraction, 4,
                     )
-                    passes = -(-kept_bits // 8)
-                    k.read("work:frontier", 2 * passes * len(frontier), 4)
-                    k.instructions(8.0 * passes * len(frontier))
 
-            with engine.launch("bfs_expand") as k:
-                nbrs, seg = backend.expand(frontier.vertices, k)
-                # Visited-flag probe per candidate edge (Alg. 1 line 3);
-                # locality measured from the real neighbour id stream.
-                k.read_stream("work:visited", nbrs, 1)
-            edges_traversed += int(nbrs.shape[0])
+                with engine.launch("bfs_expand") as k:
+                    nbrs, seg = backend.expand(frontier, k)
+                    # Visited-flag probe per candidate edge (Alg. 1
+                    # line 3); locality measured from the real
+                    # neighbour id stream.
+                    k.read_stream("work:visited", nbrs, 1)
+                run.edges += int(nbrs.shape[0])
 
-            with engine.launch("bfs_filter") as k:
-                unvisited = ~visited[nbrs]
-                candidates = nbrs[unvisited]
-                cand_parents = frontier.vertices[seg[unvisited]]
-                won = atomic_or_claim(visited, candidates)
-                next_vertices = candidates[won]
-                parents[next_vertices] = cand_parents[won]
-                # Atomic claim per not-yet-visited candidate (line 4) and a
-                # compacted frontier write (line 6).
-                k.read_stream("work:visited", candidates, 1)
-                k.instructions(2.0 * candidates.shape[0])
-                k.write("work:frontier", int(next_vertices.shape[0]), 4)
+                with engine.launch("bfs_filter") as k:
+                    unvisited = ~visited[nbrs]
+                    candidates = nbrs[unvisited]
+                    cand_parents = frontier[seg[unvisited]]
+                    won = atomic_or_claim(visited, candidates)
+                    next_vertices = candidates[won]
+                    parents[next_vertices] = cand_parents[won]
+                    # Atomic claim per not-yet-visited candidate (line 4)
+                    # and a compacted frontier write (line 6).
+                    k.read_stream("work:visited", candidates, 1)
+                    k.instructions(2.0 * candidates.shape[0])
+                    k.write("work:frontier", int(next_vertices.shape[0]), 4)
 
-            depth += 1
-            levels[next_vertices] = depth
-            frontier = Frontier(next_vertices, nv)
-            sp.annotate(
-                edges_expanded=int(nbrs.shape[0]),
-                claimed=int(next_vertices.shape[0]),
-                **arrays_since(engine, level_start),
-            )
-    engine.metrics.set_gauge(
-        "bfs.bytes_per_edge", bytes_per_edge(engine, edges_traversed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
+                depth += 1
+                levels[next_vertices] = depth
+                frontier = next_vertices
+                sp.annotate(
+                    edges_expanded=int(nbrs.shape[0]),
+                    claimed=int(next_vertices.shape[0]),
+                )
 
     return BFSResult(
         source=source,
         levels=levels,
         parents=parents,
         num_levels=int(levels.max()) + 1,
-        edges_traversed=edges_traversed,
+        edges_traversed=run.edges,
         sim_seconds=engine.elapsed_seconds,
     )

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["DeltaSteppingResult", "delta_stepping_sssp", "suggest_delta"]
@@ -107,7 +105,6 @@ def delta_stepping_sssp(
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
-    edges_relaxed = 0
     light_phases = 0
     buckets_processed = 0
     cap = max_buckets if max_buckets is not None else 64 * nv
@@ -120,7 +117,6 @@ def delta_stepping_sssp(
 
     def relax(frontier: np.ndarray, light_only: bool) -> np.ndarray:
         """Relax frontier's (light|heavy) edges; return improved verts."""
-        nonlocal edges_relaxed
         with engine.launch("ds_relax") as k:
             nbrs, seg = backend.expand(frontier, k)
             slots = backend.edge_slots(frontier)
@@ -131,7 +127,7 @@ def delta_stepping_sssp(
             k.read_stream("weights", slots, 4)
             k.read_stream("work:labels", nbrs, 4)
             k.instructions(4.0 * nbrs.shape[0])
-        edges_relaxed += int(mask.sum())
+        run.edges += int(mask.sum())
         if targets.size == 0:
             return np.empty(0, dtype=np.int64)
         best = np.full(nv, np.inf, dtype=np.float64)
@@ -143,52 +139,45 @@ def delta_stepping_sssp(
             k.instructions(2.0 * targets.shape[0])
         return np.flatnonzero(improved)
 
-    engine.tracer.open(
-        "delta_stepping", "algorithm", engine.elapsed_seconds,
-        {"source": int(source), "delta": float(delta)},
-    )
-    current = 0
-    while buckets_processed < cap:
-        in_bucket = np.flatnonzero(bucket_of(dist) == current)
-        if in_bucket.size == 0:
-            finite = np.isfinite(dist)
-            remaining = bucket_of(dist[finite])
-            ahead = remaining[remaining > current]
-            if ahead.size == 0:
-                break
-            current = int(ahead.min())
-            continue
-        engine.metrics.observe("delta_stepping.bucket_size", in_bucket.size)
-        engine.sample("frontier_size", in_bucket.size)
-        level_start = engine.num_launches
-        with engine.span(
-            f"bucket:{current}", "level",
-            level=current, frontier_size=int(in_bucket.size),
-        ) as sp:
-            phases_before = light_phases
-            edges_before = edges_relaxed
-            settled: list[np.ndarray] = []
-            frontier = in_bucket
-            # Light-edge fixpoint within the bucket.
-            while frontier.size:
-                settled.append(frontier)
-                light_phases += 1
-                improved = relax(frontier, light_only=True)
-                frontier = improved[bucket_of(dist[improved]) == current]
-            # Heavy edges once for everything settled in this bucket.
-            all_settled = np.unique(np.concatenate(settled))
-            relax(all_settled, light_only=False)
-            buckets_processed += 1
-            current += 1
-            sp.annotate(
-                light_phases=light_phases - phases_before,
-                edges_expanded=edges_relaxed - edges_before,
-                **arrays_since(engine, level_start),
-            )
-    engine.metrics.set_gauge(
-        "delta_stepping.bytes_per_edge", bytes_per_edge(engine, edges_relaxed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
+    with engine.algorithm(
+        "delta_stepping", gauge="delta_stepping",
+        source=int(source), delta=float(delta),
+    ) as run:
+        current = 0
+        while buckets_processed < cap:
+            in_bucket = np.flatnonzero(bucket_of(dist) == current)
+            if in_bucket.size == 0:
+                finite = np.isfinite(dist)
+                remaining = bucket_of(dist[finite])
+                ahead = remaining[remaining > current]
+                if ahead.size == 0:
+                    break
+                current = int(ahead.min())
+                continue
+            with engine.level(
+                f"bucket:{current}", current,
+                frontier=in_bucket.size,
+                histogram="delta_stepping.bucket_size",
+            ) as sp:
+                phases_before = light_phases
+                edges_before = run.edges
+                settled: list[np.ndarray] = []
+                frontier = in_bucket
+                # Light-edge fixpoint within the bucket.
+                while frontier.size:
+                    settled.append(frontier)
+                    light_phases += 1
+                    improved = relax(frontier, light_only=True)
+                    frontier = improved[bucket_of(dist[improved]) == current]
+                # Heavy edges once for everything settled in this bucket.
+                all_settled = np.unique(np.concatenate(settled))
+                relax(all_settled, light_only=False)
+                buckets_processed += 1
+                current += 1
+                sp.annotate(
+                    light_phases=light_phases - phases_before,
+                    edges_expanded=run.edges - edges_before,
+                )
 
     return DeltaSteppingResult(
         source=source,
@@ -196,6 +185,6 @@ def delta_stepping_sssp(
         delta=float(delta),
         buckets_processed=buckets_processed,
         light_phases=light_phases,
-        edges_relaxed=edges_relaxed,
+        edges_relaxed=run.edges,
         sim_seconds=engine.elapsed_seconds,
     )

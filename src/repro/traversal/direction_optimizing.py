@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.counters import arrays_since
 from repro.primitives.compact import atomic_or_claim
 from repro.traversal.backends import GraphBackend
 
@@ -90,70 +89,64 @@ def bfs_direction_optimizing(
     out_deg = out_backend.degrees
     unexplored_edges = int(out_deg.sum()) - int(out_deg[source])
     depth = 0
-    edges_examined = 0
     bottom_up_levels = 0
 
-    engine.tracer.open(
-        "direction_optimizing", "algorithm", engine.elapsed_seconds,
-        {"source": int(source), "alpha": alpha, "beta": beta},
-    )
-    while frontier.size:
-        frontier_edges = int(out_deg[frontier].sum())
-        go_bottom_up = (
-            unexplored_edges > 0
-            and frontier_edges > unexplored_edges / alpha
-            and frontier.size > nv / beta
-        )
-        direction = "bottom_up" if go_bottom_up else "top_down"
-        engine.metrics.observe("dobfs.frontier_size", frontier.size)
-        engine.metrics.inc(f"dobfs.levels_{direction}")
-        engine.sample("frontier_size", frontier.size)
-        level_start = engine.num_launches
-        with engine.span(
-            f"level:{depth}", "level",
-            level=depth, frontier_size=int(frontier.size), direction=direction,
-        ) as sp:
-            if go_bottom_up:
-                bottom_up_levels += 1
-                in_frontier[:] = False
-                in_frontier[frontier] = True
-                candidates = np.flatnonzero(~visited)
-                with engine.launch("bfs_bottom_up") as k:
-                    scanned, found = _bottom_up_step(
-                        in_backend, candidates, in_frontier, k
-                    )
-                edges_examined += scanned
-                sp.annotate(edges_expanded=scanned)
-                next_vertices = found
-                visited[next_vertices] = True
-            else:
-                with engine.launch("bfs_top_down") as k:
-                    nbrs, _ = out_backend.expand(frontier, k)
-                    k.read_stream("work:visited", nbrs, 1)
-                edges_examined += int(nbrs.shape[0])
-                sp.annotate(edges_expanded=int(nbrs.shape[0]))
-                with engine.launch("bfs_filter") as k:
-                    fresh = nbrs[~visited[nbrs]]
-                    won = atomic_or_claim(visited, fresh)
-                    next_vertices = fresh[won]
-                    k.instructions(2.0 * fresh.shape[0])
-                    k.write("work:frontier", int(next_vertices.shape[0]), 4)
-
-            unexplored_edges -= int(out_deg[next_vertices].sum())
-            depth += 1
-            levels[next_vertices] = depth
-            frontier = next_vertices
-            sp.annotate(
-                claimed=int(next_vertices.shape[0]),
-                **arrays_since(engine, level_start),
+    with engine.algorithm(
+        "direction_optimizing", source=int(source), alpha=alpha, beta=beta
+    ) as run:
+        while frontier.size:
+            frontier_edges = int(out_deg[frontier].sum())
+            go_bottom_up = (
+                unexplored_edges > 0
+                and frontier_edges > unexplored_edges / alpha
+                and frontier.size > nv / beta
             )
-    engine.tracer.close(engine.elapsed_seconds)
+            direction = "bottom_up" if go_bottom_up else "top_down"
+            engine.metrics.inc(f"dobfs.levels_{direction}")
+            with engine.level(
+                f"level:{depth}", depth,
+                frontier=frontier.size, histogram="dobfs.frontier_size",
+                direction=direction,
+            ) as sp:
+                if go_bottom_up:
+                    bottom_up_levels += 1
+                    in_frontier[:] = False
+                    in_frontier[frontier] = True
+                    candidates = np.flatnonzero(~visited)
+                    with engine.launch("bfs_bottom_up") as k:
+                        scanned, found = _bottom_up_step(
+                            in_backend, candidates, in_frontier, k
+                        )
+                    run.edges += scanned
+                    sp.annotate(edges_expanded=scanned)
+                    next_vertices = found
+                    visited[next_vertices] = True
+                else:
+                    with engine.launch("bfs_top_down") as k:
+                        nbrs, _ = out_backend.expand(frontier, k)
+                        k.read_stream("work:visited", nbrs, 1)
+                    run.edges += int(nbrs.shape[0])
+                    sp.annotate(edges_expanded=int(nbrs.shape[0]))
+                    with engine.launch("bfs_filter") as k:
+                        fresh = nbrs[~visited[nbrs]]
+                        won = atomic_or_claim(visited, fresh)
+                        next_vertices = fresh[won]
+                        k.instructions(2.0 * fresh.shape[0])
+                        k.write(
+                            "work:frontier", int(next_vertices.shape[0]), 4
+                        )
+
+                unexplored_edges -= int(out_deg[next_vertices].sum())
+                depth += 1
+                levels[next_vertices] = depth
+                frontier = next_vertices
+                sp.annotate(claimed=int(next_vertices.shape[0]))
 
     return DirectionOptimizingResult(
         source=source,
         levels=levels,
         num_levels=int(levels.max()) + 1,
-        edges_examined=edges_examined,
+        edges_examined=run.edges,
         bottom_up_levels=bottom_up_levels,
         sim_seconds=engine.elapsed_seconds,
     )

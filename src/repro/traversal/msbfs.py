@@ -40,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.listcache import CacheStats
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.primitives.bitops import popcount_u64
 from repro.traversal.backends import GraphBackend
 
@@ -186,82 +184,75 @@ def msbfs(
     lane_levels[np.arange(num_lanes), lanes] = 0
 
     depth = 0
-    edges_traversed = 0
     cap = max_levels if max_levels is not None else nv
-    engine.tracer.open(
-        "msbfs", "algorithm", engine.elapsed_seconds,
-        {"num_sources": num_queries, "num_lanes": num_lanes},
-    )
-    while depth < cap:
-        active = np.flatnonzero(frontier_mask)
-        if active.size == 0:
-            break
-        engine.metrics.observe("msbfs.union_frontier_size", active.size)
-        engine.sample("frontier_size", active.size)
+    with engine.algorithm(
+        "msbfs", gauge="msbfs", num_sources=num_queries, num_lanes=num_lanes
+    ) as run:
+        while depth < cap:
+            active = np.flatnonzero(frontier_mask)
+            if active.size == 0:
+                break
+            with engine.level(
+                f"level:{depth}", depth,
+                frontier=active.size, histogram="msbfs.union_frontier_size",
+            ) as sp:
+                with engine.launch("msbfs_expand") as k:
+                    nbrs, seg = backend.expand(active, k)
+                    # Candidate visited-mask probe: one 8 B word per edge,
+                    # the 64-source analogue of BFS's 1 B visited-flag
+                    # probe.
+                    k.read_stream("work:visited_mask", nbrs, 8)
+                # Every decoded edge carries the masks of all lanes whose
+                # frontier contains its origin — each (source, edge) pair
+                # the sequential runs would traverse separately.  A lane
+                # serving m coalesced queries counts its edges m times:
+                # that is the work m sequential runs would have done.
+                active_masks = frontier_mask[active]
+                src_per_edge = active_masks[seg]
+                level_edges = int(popcount_u64(src_per_edge).sum())
+                for s in dup_lanes.tolist():
+                    lane_edges = int(
+                        ((src_per_edge >> np.uint64(s)) & np.uint64(1)).sum()
+                    )
+                    level_edges += (int(lane_counts[s]) - 1) * lane_edges
+                run.edges += level_edges
 
-        level_start = engine.num_launches
-        with engine.span(
-            f"level:{depth}", "level",
-            level=depth, frontier_size=int(active.size),
-        ) as sp:
-            with engine.launch("msbfs_expand") as k:
-                nbrs, seg = backend.expand(active, k)
-                # Candidate visited-mask probe: one 8 B word per edge, the
-                # 64-source analogue of BFS's 1 B visited-flag probe.
-                k.read_stream("work:visited_mask", nbrs, 8)
-            # Every decoded edge carries the masks of all lanes whose
-            # frontier contains its origin — each (source, edge) pair the
-            # sequential runs would traverse separately.  A lane serving
-            # m coalesced queries counts its edges m times: that is the
-            # work m sequential runs would have done.
-            active_masks = frontier_mask[active]
-            src_per_edge = active_masks[seg]
-            level_edges = int(popcount_u64(src_per_edge).sum())
-            for s in dup_lanes.tolist():
-                lane_edges = int(
-                    ((src_per_edge >> np.uint64(s)) & np.uint64(1)).sum()
+                with engine.launch("msbfs_update") as k:
+                    next_mask = np.zeros(nv, dtype=np.uint64)
+                    np.bitwise_or.at(next_mask, nbrs, src_per_edge)
+                    new_bits = next_mask & ~visited
+                    visited |= new_bits
+                    depth += 1
+                    changed = np.flatnonzero(new_bits)
+                    for s in range(num_lanes):
+                        reached = changed[
+                            (new_bits[changed] >> np.uint64(s)) & np.uint64(1)
+                            > 0
+                        ]
+                        lane_levels[s, reached] = depth
+                    frontier_mask = new_bits
+                    # One 64-wide OR propagates all lanes per edge; the
+                    # update is an atomic RMW on the candidate's frontier
+                    # word.
+                    k.bitmask_ops(nbrs.shape[0])
+                    k.instructions(MASK_INSTR_PER_EDGE * nbrs.shape[0])
+                    k.atomic("work:frontier_mask", int(nbrs.shape[0]), 8)
+                    # New frontier + level writes, one word per changed
+                    # vertex.
+                    k.write("work:frontier_mask", int(changed.shape[0]), 8)
+                    k.write("work:mslevels", int(changed.shape[0]), 4)
+                sp.annotate(
+                    edges_expanded=int(nbrs.shape[0]),
+                    source_edges=level_edges,
+                    claimed=int(changed.shape[0]),
                 )
-                level_edges += (int(lane_counts[s]) - 1) * lane_edges
-            edges_traversed += level_edges
-
-            with engine.launch("msbfs_update") as k:
-                next_mask = np.zeros(nv, dtype=np.uint64)
-                np.bitwise_or.at(next_mask, nbrs, src_per_edge)
-                new_bits = next_mask & ~visited
-                visited |= new_bits
-                depth += 1
-                changed = np.flatnonzero(new_bits)
-                for s in range(num_lanes):
-                    reached = changed[
-                        (new_bits[changed] >> np.uint64(s)) & np.uint64(1) > 0
-                    ]
-                    lane_levels[s, reached] = depth
-                frontier_mask = new_bits
-                # One 64-wide OR propagates all lanes per edge; the update
-                # is an atomic RMW on the candidate's frontier word.
-                k.bitmask_ops(nbrs.shape[0])
-                k.instructions(MASK_INSTR_PER_EDGE * nbrs.shape[0])
-                k.atomic("work:frontier_mask", int(nbrs.shape[0]), 8)
-                # New frontier + level writes, one word per changed vertex.
-                k.write("work:frontier_mask", int(changed.shape[0]), 8)
-                k.write("work:mslevels", int(changed.shape[0]), 4)
-            sp.annotate(
-                edges_expanded=int(nbrs.shape[0]),
-                source_edges=level_edges,
-                claimed=int(changed.shape[0]),
-                **arrays_since(engine, level_start),
-            )
-    engine.metrics.set_gauge(
-        "msbfs.bytes_per_edge", bytes_per_edge(engine, edges_traversed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
 
     return MSBFSResult(
         sources=sources,
         levels=lane_levels[inverse],
         num_levels=int(lane_levels.max()) + 1,
         num_lanes=num_lanes,
-        edges_traversed=edges_traversed,
+        edges_traversed=run.edges,
         lists_decoded=backend.lists_decoded - lists_decoded_before,
         sim_seconds=engine.elapsed_seconds - t_start,
         cache_stats=backend.cache.stats if backend.cache is not None else None,

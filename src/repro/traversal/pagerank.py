@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["PageRankResult", "pagerank"]
@@ -70,64 +68,57 @@ def pagerank(
     dangling = degrees == 0
 
     ranks = np.full(nv, 1.0 / nv, dtype=np.float64)
-    edges_processed = 0
     converged = False
     cached: tuple[np.ndarray, np.ndarray] | None = None
 
-    engine.tracer.open(
-        "pagerank", "algorithm", engine.elapsed_seconds,
-        {"damping": damping, "max_iterations": max_iterations},
-    )
-    it = 0
-    for it in range(1, max_iterations + 1):
-        level_start = engine.num_launches
-        with engine.span(f"iteration:{it}", "level", level=it) as sp:
-            with engine.launch("pr_push") as k:
-                if cached is None:
-                    nbrs, seg = backend.expand(all_vertices, k)
-                    cached = (nbrs, seg)
-                else:
-                    nbrs, seg = cached
-                    # Re-charge the identical decode traffic for this
-                    # iteration; the functional decode is reused because
-                    # the graph is static across iterations.
-                    backend.charge_expand(all_vertices, nbrs, k)
-                contrib = ranks[seg] / out_deg_safe[seg]
-                new_ranks = np.zeros(nv, dtype=np.float64)
-                np.add.at(new_ranks, nbrs, contrib)
-                # Atomic float add per edge into the destination ranks.
-                k.read_stream("work:rank2", nbrs, 4)
-                k.instructions(4.0 * nbrs.shape[0])
-            edges_processed += int(nbrs.shape[0])
+    with engine.algorithm(
+        "pagerank", gauge="pagerank",
+        damping=damping, max_iterations=max_iterations,
+    ) as run:
+        it = 0
+        for it in range(1, max_iterations + 1):
+            with engine.level(f"iteration:{it}", it) as sp:
+                with engine.launch("pr_push") as k:
+                    if cached is None:
+                        nbrs, seg = backend.expand(all_vertices, k)
+                        cached = (nbrs, seg)
+                    else:
+                        nbrs, seg = cached
+                        # Re-charge the identical decode traffic for this
+                        # iteration; the functional decode is reused
+                        # because the graph is static across iterations.
+                        backend.charge_expand(all_vertices, nbrs, k)
+                    contrib = ranks[seg] / out_deg_safe[seg]
+                    new_ranks = np.zeros(nv, dtype=np.float64)
+                    np.add.at(new_ranks, nbrs, contrib)
+                    # Atomic float add per edge into the destination ranks.
+                    k.read_stream("work:rank2", nbrs, 4)
+                    k.instructions(4.0 * nbrs.shape[0])
+                run.edges += int(nbrs.shape[0])
 
-            with engine.launch("pr_finalize") as k:
-                dangling_mass = ranks[dangling].sum() / nv
-                new_ranks = (
-                    (1 - damping) / nv + damping * (new_ranks + dangling_mass)
+                with engine.launch("pr_finalize") as k:
+                    dangling_mass = ranks[dangling].sum() / nv
+                    new_ranks = (
+                        (1 - damping) / nv
+                        + damping * (new_ranks + dangling_mass)
+                    )
+                    delta = float(np.abs(new_ranks - ranks).sum())
+                    ranks = new_ranks
+                    k.read("work:labels", nv, 4)
+                    k.write("work:rank2", nv, 4)
+                    k.instructions(4.0 * nv)
+                sp.annotate(
+                    edges_expanded=int(nbrs.shape[0]), rank_delta=delta
                 )
-                delta = float(np.abs(new_ranks - ranks).sum())
-                ranks = new_ranks
-                k.read("work:labels", nv, 4)
-                k.write("work:rank2", nv, 4)
-                k.instructions(4.0 * nv)
-            sp.annotate(
-                edges_expanded=int(nbrs.shape[0]),
-                rank_delta=delta,
-                **arrays_since(engine, level_start),
-            )
             engine.sample("rank_delta", delta)
-        if delta < tolerance:
-            converged = True
-            break
-    engine.metrics.set_gauge(
-        "pagerank.bytes_per_edge", bytes_per_edge(engine, edges_processed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
+            if delta < tolerance:
+                converged = True
+                break
 
     return PageRankResult(
         ranks=ranks,
         iterations=it,
-        edges_processed=edges_processed,
+        edges_processed=run.edges,
         sim_seconds=engine.elapsed_seconds,
         converged=converged,
     )

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.counters import arrays_since
-from repro.obs.metrics import bytes_per_edge
 from repro.primitives.compact import scatter_bitmap_to_indices
 from repro.traversal.backends import GraphBackend
 
@@ -75,65 +73,54 @@ def sssp(
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
-    edges_relaxed = 0
     iterations = 0
     cap = max_iterations if max_iterations is not None else nv
 
-    engine.tracer.open(
-        "sssp", "algorithm", engine.elapsed_seconds, {"source": int(source)}
-    )
-    while frontier.size and iterations < cap:
-        engine.metrics.observe("sssp.frontier_size", frontier.size)
-        engine.sample("frontier_size", frontier.size)
-        level_start = engine.num_launches
-        with engine.span(
-            f"iteration:{iterations}", "level",
-            level=iterations, frontier_size=int(frontier.size),
-        ) as sp:
-            with engine.launch("sssp_relax") as k:
-                nbrs, seg = backend.expand(frontier, k)
-                slots = backend.edge_slots(frontier)
-                cand = dist[frontier[seg]] + weights[slots]
-                # Weight gather follows the per-list slot stream.
-                k.read_stream("weights", slots, 4)
-                # Distance probe + atomicMin per candidate.
-                k.read_stream("work:labels", nbrs, 4)
-                k.instructions(4.0 * nbrs.shape[0])
-            edges_relaxed += int(nbrs.shape[0])
+    with engine.algorithm("sssp", gauge="sssp", source=int(source)) as run:
+        while frontier.size and iterations < cap:
+            with engine.level(
+                f"iteration:{iterations}", iterations,
+                frontier=frontier.size, histogram="sssp.frontier_size",
+            ) as sp:
+                with engine.launch("sssp_relax") as k:
+                    nbrs, seg = backend.expand(frontier, k)
+                    slots = backend.edge_slots(frontier)
+                    cand = dist[frontier[seg]] + weights[slots]
+                    # Weight gather follows the per-list slot stream.
+                    k.read_stream("weights", slots, 4)
+                    # Distance probe + atomicMin per candidate.
+                    k.read_stream("work:labels", nbrs, 4)
+                    k.instructions(4.0 * nbrs.shape[0])
+                run.edges += int(nbrs.shape[0])
 
-            with engine.launch("sssp_update") as k:
-                improved_bitmap = np.zeros(nv, dtype=bool)
-                if nbrs.size:
-                    best = np.full(nv, np.inf, dtype=np.float64)
-                    np.minimum.at(best, nbrs, cand)
-                    better = best < dist
-                    dist = np.where(better, best, dist)
-                    improved_bitmap = better
-                improved_count = int(improved_bitmap.sum())
-                k.atomic("work:visited", improved_count, 1)
-                k.instructions(2.0 * nbrs.shape[0])
+                with engine.launch("sssp_update") as k:
+                    improved_bitmap = np.zeros(nv, dtype=bool)
+                    if nbrs.size:
+                        best = np.full(nv, np.inf, dtype=np.float64)
+                        np.minimum.at(best, nbrs, cand)
+                        better = best < dist
+                        dist = np.where(better, best, dist)
+                        improved_bitmap = better
+                    improved_count = int(improved_bitmap.sum())
+                    k.atomic("work:visited", improved_count, 1)
+                    k.instructions(2.0 * nbrs.shape[0])
 
-            with engine.launch("sssp_scatter") as k:
-                frontier = scatter_bitmap_to_indices(improved_bitmap)
-                # Bitmap scan + compacted frontier write (Sec. VI-F).
-                k.read("work:visited", nv, 1)
-                k.write("work:frontier", int(frontier.shape[0]), 4)
-                k.instructions(float(nv))
-            iterations += 1
-            sp.annotate(
-                edges_expanded=int(nbrs.shape[0]),
-                improved=improved_count,
-                **arrays_since(engine, level_start),
-            )
-    engine.metrics.set_gauge(
-        "sssp.bytes_per_edge", bytes_per_edge(engine, edges_relaxed)
-    )
-    engine.tracer.close(engine.elapsed_seconds)
+                with engine.launch("sssp_scatter") as k:
+                    frontier = scatter_bitmap_to_indices(improved_bitmap)
+                    # Bitmap scan + compacted frontier write (Sec. VI-F).
+                    k.read("work:visited", nv, 1)
+                    k.write("work:frontier", int(frontier.shape[0]), 4)
+                    k.instructions(float(nv))
+                iterations += 1
+                sp.annotate(
+                    edges_expanded=int(nbrs.shape[0]),
+                    improved=improved_count,
+                )
 
     return SSSPResult(
         source=source,
         distances=dist,
         iterations=iterations,
-        edges_relaxed=edges_relaxed,
+        edges_relaxed=run.edges,
         sim_seconds=engine.elapsed_seconds,
     )

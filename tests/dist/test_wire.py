@@ -253,6 +253,33 @@ class TestAuto:
         back = chosen.decode(auto.encode(ids, lo, hi), lo, hi)
         assert np.array_equal(back, ids)
 
+    def test_trial_matches_always_encode_reference(self, rng):
+        # Skipping a bitmap that cannot win must leave the winner, the
+        # tie-break and the payload exactly as a trial that encodes
+        # every candidate.
+        auto = AutoCodec()
+        reference = [
+            RawCodec(), BitmapCodec(), VarintCodec(), EliasFanoCodec()
+        ]
+        winners = set()
+        for _ in range(300):
+            lo = int(rng.integers(0, 1 << 32))
+            hi = lo + int(rng.choice([1, 8, 64, 1000, 1 << 16]))
+            ids = _ids(rng, lo, hi, int(rng.integers(0, 301)))
+            best = None
+            for codec in reference:
+                try:
+                    payload = codec.encode(ids, lo, hi)
+                except ValueError:
+                    continue
+                if best is None or payload.shape[0] < best[1].shape[0]:
+                    best = (codec, payload)
+            chosen, payload = auto.trial(ids, lo, hi)
+            assert chosen.name == best[0].name
+            assert np.array_equal(payload, best[1])
+            winners.add(chosen.name)
+        assert winners == {"raw", "bitmap", "varint", "ef"}
+
     def test_bad_input_still_raises(self):
         with pytest.raises(ValueError):
             AutoCodec().encode(np.array([5, 3], dtype=np.int64), 0, 16)
