@@ -565,7 +565,7 @@ def decode_lists(
     has_low = l_per_val > 0
     if has_low.any():
         # extract_fields needs one width; group by width (few distinct).
-        widths = np.unique(l_per_val[has_low])
+        widths = np.flatnonzero(np.bincount(l_per_val[has_low]))
         lows = np.zeros(total_vals, dtype=np.int64)
         for w in widths:
             sel = l_per_val == w

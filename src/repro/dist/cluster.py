@@ -45,6 +45,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, Tracer
+from repro.primitives.unique import fold_duplicates, sorted_unique
 from repro.traversal.backends import GraphBackend, build_backend
 
 __all__ = ["DIST_FORMATS", "DistRunResult", "LevelCharge", "ShardedCluster"]
@@ -265,18 +266,13 @@ class ShardedCluster:
         backend = self.backends[gpu]
         ids = np.asarray(ids, dtype=np.int64)
         with backend.engine.launch("dist_pack") as k:
-            uniq, inverse = np.unique(ids, return_inverse=True)
             folded: np.ndarray | None = None
-            if values is not None:
-                values = np.asarray(values, dtype=np.float64)
-                if combine == "min":
-                    folded = np.full(uniq.shape[0], np.inf, dtype=np.float64)
-                    np.minimum.at(folded, inverse, values)
-                elif combine == "sum":
-                    folded = np.zeros(uniq.shape[0], dtype=np.float64)
-                    np.add.at(folded, inverse, values)
-                else:
-                    raise ValueError(f"unknown combiner {combine!r}")
+            if values is None:
+                uniq = sorted_unique(ids)
+            else:
+                uniq, folded = fold_duplicates(
+                    ids, np.asarray(values, dtype=np.float64), combine
+                )
             cuts = np.searchsorted(uniq, self.partition.boundaries)
             buckets = [
                 uniq[cuts[h] : cuts[h + 1]] for h in range(self.num_gpus)

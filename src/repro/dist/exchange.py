@@ -54,6 +54,7 @@ from repro.dist.wire import (
     WireCodec,
     get_codec,
 )
+from repro.primitives.unique import fold_duplicates, sorted_unique
 
 __all__ = ["SCHEDULES", "ExchangeStats", "exchange"]
 
@@ -248,18 +249,8 @@ def _combine(
         return ids_a, vals_a
     ids = np.concatenate([ids_a, ids_b])
     if vals_a is None:
-        return np.unique(ids), None
-    vals = np.concatenate([vals_a, vals_b])
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    if combine == "min":
-        folded = np.full(uniq.shape[0], np.inf, dtype=vals.dtype)
-        np.minimum.at(folded, inverse, vals)
-    elif combine == "sum":
-        folded = np.zeros(uniq.shape[0], dtype=vals.dtype)
-        np.add.at(folded, inverse, vals)
-    else:
-        raise ValueError(f"unknown combiner {combine!r}")
-    return uniq, folded
+        return sorted_unique(ids), None
+    return fold_duplicates(ids, np.concatenate([vals_a, vals_b]), combine)
 
 
 def _encode_message(

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.primitives.unique import sorted_unique
+
 __all__ = ["Graph"]
 
 
@@ -83,7 +85,7 @@ class Graph:
             raise ValueError("vertex id >= num_nodes")
         # Sort by (src, dst) then dedupe.
         key = src * np.int64(num_nodes) + dst
-        key = np.unique(key)
+        key = sorted_unique(key)
         src_s = key // num_nodes
         dst_s = key % num_nodes
         degrees = np.bincount(src_s, minlength=num_nodes)
@@ -98,7 +100,7 @@ class Graph:
     ) -> "Graph":
         """Build from per-vertex neighbour lists (sorted+deduped here)."""
         num_nodes = len(neighbours)
-        rows = [np.unique(np.asarray(nbrs, dtype=np.int64)) for nbrs in neighbours]
+        rows = [sorted_unique(np.asarray(nbrs, dtype=np.int64)) for nbrs in neighbours]
         degrees = np.array([r.shape[0] for r in rows], dtype=np.int64)
         vlist = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(degrees, out=vlist[1:])

@@ -4,7 +4,8 @@ These are the building blocks the paper decomposes decompression into
 (Sec. III-C, Sec. VI): parallel scans, segmented scans, bounded binary
 searches (``binsearch_maxle``), radix sort, stream compaction, and the
 bit-manipulation helpers (``popcount``, ``select1_byte``) that back the
-Elias-Fano ``select`` operation.
+Elias-Fano ``select`` operation, plus the sort-based dedup
+(``sorted_unique``, ``fold_duplicates``) behind every sorted id set.
 
 Everything here is vectorized NumPy: a call operates on a whole "grid" of
 threads at once, mirroring what one warp/thread-block instruction does on
@@ -34,6 +35,7 @@ from repro.primitives.scan import (
 )
 from repro.primitives.search import binsearch_maxle, binsearch_maxlt
 from repro.primitives.sort import partial_radix_sort_key, radix_sort
+from repro.primitives.unique import fold_duplicates, sorted_unique
 
 __all__ = [
     "POPCOUNT_TABLE",
@@ -55,4 +57,6 @@ __all__ = [
     "stream_compact",
     "gather",
     "scatter_bitmap_to_indices",
+    "sorted_unique",
+    "fold_duplicates",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.graph import Graph
+from repro.primitives.unique import sorted_unique
 
 __all__ = ["bp_order"]
 
@@ -62,7 +63,7 @@ def bp_order(
         bounds = np.array([0, nv], dtype=np.int64)
         for _ in range(depth):
             mids = (bounds[:-1] + bounds[1:]) // 2
-            bounds = np.unique(np.concatenate([bounds, mids]))
+            bounds = sorted_unique(np.concatenate([bounds, mids]))
         sizes = np.diff(bounds)
         if (sizes <= min_block).all():
             break

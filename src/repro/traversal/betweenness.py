@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.primitives.unique import sorted_unique
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["BetweennessResult", "betweenness_centrality"]
@@ -74,7 +75,7 @@ def betweenness_centrality(
             depth += 1
             # Vertices first reached at this depth.
             fresh_mask = dist[nbrs] == -1
-            fresh = np.unique(nbrs[fresh_mask])
+            fresh = sorted_unique(nbrs[fresh_mask])
             dist[fresh] = depth
             # sigma[w] += sigma[v] over tree/equal-level edges.
             on_shortest = dist[nbrs] == depth

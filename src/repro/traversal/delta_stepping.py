@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.primitives.unique import sorted_unique
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["DeltaSteppingResult", "delta_stepping_sssp", "suggest_delta"]
@@ -170,7 +171,7 @@ def delta_stepping_sssp(
                     improved = relax(frontier, light_only=True)
                     frontier = improved[bucket_of(dist[improved]) == current]
                 # Heavy edges once for everything settled in this bucket.
-                all_settled = np.unique(np.concatenate(settled))
+                all_settled = sorted_unique(np.concatenate(settled))
                 relax(all_settled, light_only=False)
                 buckets_processed += 1
                 current += 1
