@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""The analytics zoo: every algorithm in the library on one graph.
+"""Every traversal in the library on one graph.
 
 Runs BFS, direction-optimizing BFS, SSSP (frontier relaxation and
-delta-stepping), PageRank, connected components (both variants),
-betweenness centrality, triangle counting, and multi-GPU BFS on a
-single compressed social graph — with simulated runtimes, so the cost
-of each algorithm on the same EFG backend is directly comparable.
+delta-stepping), PageRank, and 2-GPU BFS on a single compressed social
+graph — with simulated runtimes, so the cost of each algorithm on the
+same EFG backend is directly comparable.
 
 Run:  python examples/analytics_zoo.py
 """
@@ -20,15 +19,11 @@ from repro.formats import generate_edge_weights
 from repro.gpusim import TITAN_XP
 from repro.traversal import (
     EFGBackend,
-    betweenness_centrality,
     bfs,
     bfs_direction_optimizing,
-    connected_components,
-    connected_components_lp,
     delta_stepping_sssp,
     pagerank,
     sssp,
-    triangle_count,
     validate_bfs_tree,
 )
 
@@ -68,33 +63,6 @@ print(f"{'SSSP (delta-stepping)':34s} {ds.runtime_ms:9.3f}  "
 p = pagerank(backend, max_iterations=50)
 print(f"{'PageRank (50-iter cap)':34s} {p.runtime_ms:9.3f}  "
       f"converged={p.converged} after {p.iterations} iters")
-
-cc = connected_components(backend)
-print(f"{'connected components (BFS)':34s} {cc.runtime_ms:9.3f}  "
-      f"{cc.num_components} components")
-
-lp = connected_components_lp(backend)
-print(f"{'connected components (label prop)':34s} {lp.runtime_ms:9.3f}  "
-      f"{lp.num_components} components (agree: "
-      f"{cc.num_components == lp.num_components})")
-
-bc = betweenness_centrality(
-    backend, sources=np.random.default_rng(0).choice(
-        np.flatnonzero(graph.degrees > 0), 4, replace=False
-    )
-)
-print(f"{'betweenness (4 sampled sources)':34s} {bc.runtime_ms:9.3f}  "
-      f"top vertex {int(np.argmax(bc.scores))}")
-
-tc = triangle_count(backend)
-print(f"{'triangle counting':34s} {tc.runtime_ms:9.3f}  "
-      f"{tc.triangles:,} triangles from {tc.wedges_checked:,} wedges")
-
-from repro.traversal import kcore_decomposition
-
-kc = kcore_decomposition(backend)
-print(f"{'k-core decomposition':34s} {kc.runtime_ms:9.3f}  "
-      f"max core {kc.max_core}, {kc.peel_rounds} peel rounds")
 
 cluster = ShardedCluster.build(
     graph, 2, device, fmt="efg", wire="raw64", schedule="flat",

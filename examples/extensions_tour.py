@@ -1,8 +1,6 @@
 #!/usr/bin/env python
 """Tour of the extensions beyond the paper's headline experiments.
 
-* connected components and betweenness centrality — the analytics the
-  paper says follow "a similar approach" (Sec. I / III-B);
 * direction-optimizing BFS — the Sec. VII trade-off, measured;
 * the PEF-coded graph format — the Sec. IX extension, realised;
 * BV / WebGraph — the famous CPU format EFG is positioned against;
@@ -19,30 +17,12 @@ from repro.datasets import web_graph
 from repro.formats import CSRGraph, bv_encode
 from repro.gpusim import TITAN_XP
 from repro.gpusim.uvm import UVMSimulator
-from repro.traversal import (
-    EFGBackend,
-    betweenness_centrality,
-    bfs_direction_optimizing,
-    connected_components,
-)
+from repro.traversal import EFGBackend, bfs_direction_optimizing
 
 graph = web_graph(20000, 25, mean_run_length=24, seed=21, name="tour").symmetrized()
 device = TITAN_XP.scaled(2048)
 backend = EFGBackend(efg_encode(graph), device)
 print(f"graph: {graph}\n")
-
-print("=== connected components (frontier expansion) ===")
-cc = connected_components(backend)
-sizes = np.sort(cc.component_sizes())[::-1]
-print(f"{cc.num_components} components in {cc.runtime_ms:.3f} ms; "
-      f"largest: {sizes[:3].tolist()}\n")
-
-print("=== betweenness centrality (Brandes, 8 sampled sources) ===")
-rng = np.random.default_rng(1)
-sources = rng.choice(np.flatnonzero(graph.degrees > 0), 8, replace=False)
-bc = betweenness_centrality(backend, sources=sources)
-top = np.argsort(-bc.scores)[:5]
-print(f"{bc.runtime_ms:.3f} ms; top-5 vertices by centrality: {top.tolist()}\n")
 
 print("=== direction-optimizing BFS (Sec. VII) ===")
 src = int(np.argmax(graph.degrees))

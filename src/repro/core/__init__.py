@@ -21,7 +21,6 @@ from repro.core.efg import (
     validate_efg,
 )
 from repro.core.errors import CorruptMetadataError, CorruptStreamError, DecodeError
-from repro.core.frontier import Frontier
 from repro.core.listcache import CacheStats, DecodedListCache
 from repro.core.partition import BlockAssignment, partition_edges_to_blocks
 
@@ -34,7 +33,6 @@ __all__ = [
     "DecodeError",
     "CorruptStreamError",
     "CorruptMetadataError",
-    "Frontier",
     "CacheStats",
     "DecodedListCache",
     "BlockAssignment",

@@ -1,9 +1,12 @@
-"""Graph analytics over CSR / EFG / CGR / Ligra+ backends.
+"""The paper's traversals over CSR / EFG / CGR / Ligra+ backends.
 
-Level-synchronous BFS (Alg. 1), frontier-relaxation SSSP and push-style
-PageRank, each running functionally in vectorized NumPy on a
+Level-synchronous BFS (Alg. 1) and its direction-optimizing variant,
+frontier-relaxation SSSP and delta-stepping, and push-style PageRank,
+each running functionally in vectorized NumPy on a
 :class:`~repro.gpusim.SimEngine` that charges the traffic the chosen
-graph representation actually generates.
+graph representation actually generates.  Every driver runs under
+``SimEngine.algorithm``/``level``.  Multi-source BFS lives in
+:mod:`repro.traversal.msbfs`.
 """
 
 from repro.traversal.backends import (
@@ -13,13 +16,7 @@ from repro.traversal.backends import (
     GraphBackend,
     LigraBackend,
 )
-from repro.traversal.betweenness import BetweennessResult, betweenness_centrality
 from repro.traversal.bfs import BFSResult, bfs
-from repro.traversal.components import (
-    ComponentsResult,
-    connected_components,
-    connected_components_lp,
-)
 from repro.traversal.delta_stepping import (
     DeltaSteppingResult,
     delta_stepping_sssp,
@@ -28,10 +25,8 @@ from repro.traversal.direction_optimizing import (
     DirectionOptimizingResult,
     bfs_direction_optimizing,
 )
-from repro.traversal.kcore import KCoreResult, kcore_decomposition
 from repro.traversal.pagerank import PageRankResult, pagerank
 from repro.traversal.sssp import SSSPResult, sssp
-from repro.traversal.triangles import TriangleCountResult, triangle_count
 from repro.traversal.validate_tree import BFSValidationError, validate_bfs_tree
 from repro.traversal.validate import (
     reference_bfs_levels,
@@ -49,19 +44,10 @@ __all__ = [
     "BFSResult",
     "bfs_direction_optimizing",
     "DirectionOptimizingResult",
-    "connected_components",
-    "connected_components_lp",
-    "ComponentsResult",
-    "betweenness_centrality",
-    "BetweennessResult",
     "sssp",
     "SSSPResult",
     "delta_stepping_sssp",
     "DeltaSteppingResult",
-    "triangle_count",
-    "TriangleCountResult",
-    "kcore_decomposition",
-    "KCoreResult",
     "pagerank",
     "PageRankResult",
     "reference_bfs_levels",

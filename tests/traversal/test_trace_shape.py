@@ -9,9 +9,12 @@ these literals were recorded from the hand-written drivers.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro import traversal
 from repro.datasets.rmat import rmat_graph
 from repro.dist import (
     ShardedCluster,
@@ -118,6 +121,20 @@ SHAPES = {
     ),
 }
 
+#: single-GPU SHAPES key -> (driver, how ``_run`` calls it on a backend
+#: and the edge weights).
+SINGLE_GPU = {
+    "bfs": (bfs, lambda f, b, w: f(b, 0)),
+    "dobfs": (
+        bfs_direction_optimizing,
+        lambda f, b, w: f(b, source=0, alpha=2.0, beta=4.0),
+    ),
+    "msbfs": (msbfs, lambda f, b, w: f(b, np.array([0, 3, 9]))),
+    "sssp": (sssp, lambda f, b, w: f(b, 0, w)),
+    "delta": (delta_stepping_sssp, lambda f, b, w: f(b, 0, w, delta=0.5)),
+    "pagerank": (pagerank, lambda f, b, w: f(b, max_iterations=3)),
+}
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -145,18 +162,8 @@ def _run(driver, graph, weights):
     backend = build_backend(
         "efg", graph, device, weight_bytes=4 * graph.num_edges
     )
-    if driver == "bfs":
-        bfs(backend, 0)
-    elif driver == "dobfs":
-        bfs_direction_optimizing(backend, source=0, alpha=2.0, beta=4.0)
-    elif driver == "msbfs":
-        msbfs(backend, np.array([0, 3, 9]))
-    elif driver == "sssp":
-        sssp(backend, 0, weights)
-    elif driver == "delta":
-        delta_stepping_sssp(backend, 0, weights, delta=0.5)
-    else:
-        pagerank(backend, max_iterations=3)
+    run, call = SINGLE_GPU[driver]
+    call(run, backend, weights)
     return backend.engine.tracer, [backend.engine]
 
 
@@ -171,3 +178,23 @@ def test_trace_shape_is_pinned(driver, graph, weights):
     assert names == (launches if driver.startswith("dist_") else (launches,))
     levels = [tuple(s.attrs) for s in tracer.root.find("level")]
     assert levels == [level_keys] * num_levels
+
+
+def test_every_exported_driver_is_pinned():
+    """Each driver ``repro.traversal`` exports runs the level scaffold.
+
+    A public function that is not a ``reference_*`` or ``validate_*``
+    helper must be a driver with a pinned ``SHAPES`` entry; one that
+    skips ``SimEngine.algorithm`` has no trace shape to pin and fails
+    here by name.
+    """
+    pinned = {
+        run.__name__ for key, (run, _) in SINGLE_GPU.items() if key in SHAPES
+    }
+    public = {
+        name
+        for name in traversal.__all__
+        if inspect.isfunction(getattr(traversal, name))
+        and not name.startswith(("reference_", "validate_"))
+    }
+    assert sorted(public - pinned) == []
