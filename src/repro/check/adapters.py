@@ -5,10 +5,11 @@ format: ``encode``, ``decode_all`` (flat neighbour stream in CSR
 order), ``payload`` / ``with_payload``, ``metadata_arrays`` /
 ``with_metadata``, and ``verify_integrity``.
 
-Rebuild operations construct **fresh** containers field by field rather
-than using :func:`dataclasses.replace` — ``EFGraph`` memoises its
-degree array in an init field, and a replace-based rebuild would smuggle
-the stale cache past a mutated ``vlist``.
+Rebuild operations of the compressed formats construct **fresh**
+containers field by field rather than using :func:`dataclasses.replace`
+— ``EFGraph`` memoises its degree array in an init field, and a
+replace-based rebuild would smuggle the stale cache past a mutated
+``vlist``.
 
 Mutated arrays are always writable copies; the originals stay frozen
 exactly as the encoders left them.
@@ -17,6 +18,7 @@ exactly as the encoders left them.
 from __future__ import annotations
 
 import abc
+import dataclasses
 
 import numpy as np
 
@@ -28,7 +30,7 @@ __all__ = ["FormatAdapter", "FORMAT_ADAPTERS", "get_adapter"]
 class FormatAdapter(abc.ABC):
     """One format's view for the fault-injection / differential harness."""
 
-    #: Short format key ("efg", "pef", "cgr", "ligra", "bv", "npz",
+    #: Short format key ("efg", "pef", "cgr", "ligra", "bv",
     #: "container").
     name: str = ""
 
@@ -289,132 +291,40 @@ class BVAdapter(FormatAdapter):
         )
 
 
-class _CSRImage:
-    """In-memory CSR container shared by the npz/serve-container adapters.
+class ContainerAdapter(FormatAdapter):
+    """The on-disk CSR container of :mod:`repro.serve.container`.
 
-    ``payload`` is the raw neighbour bytes (the on-disk shape both
-    formats store); ``meta_words`` are the scalars their meta CRC folds
-    after the offsets.
-    """
-
-    def __init__(self, vlist, payload, meta_words, payload_crc, meta_crc, fmt):
-        self.vlist = vlist
-        self.payload = payload
-        self.meta_words = meta_words
-        self.payload_crc = payload_crc
-        self.meta_crc = meta_crc
-        self.fmt = fmt
-
-    def verify_integrity(self) -> None:
-        from repro.formats.integrity import verify_csr_crcs
-
-        verify_csr_crcs(
-            self.vlist,
-            self.payload,
-            payload_crc=self.payload_crc,
-            meta_crc=self.meta_crc,
-            meta_words=self.meta_words,
-            fmt=self.fmt,
-        )
-
-
-class _CSRContainerAdapter(FormatAdapter):
-    """Shared machinery of the uncompressed CSR container adapters.
-
+    Fuzzes :class:`~repro.serve.container.GraphContainer` itself (it
+    caches nothing, so ``dataclasses.replace`` is a safe rebuild).
     ``decode_all`` is the structural load path (word parse + CSR
-    validation, no CRCs), matching what the loaders run after their
-    integrity check; in-range payload perturbations therefore decode
-    "successfully" in the structural pass and are caught by the primary
-    CRC pass — exactly the layered posture the loaders deploy.
+    validation, no CRCs) that :func:`~repro.serve.container.open_container`
+    runs after its integrity check; in-range payload perturbations
+    therefore decode "successfully" in the structural pass and are
+    caught by the primary CRC pass — the loader's layered posture.
     """
+
+    name = "container"
+
+    def encode(self, graph: Graph):
+        from repro.serve.container import GraphContainer
+
+        return GraphContainer.from_graph(graph)
 
     def decode_all(self, container) -> np.ndarray:
-        from repro.formats.integrity import (
-            parse_payload_words,
-            validate_csr_arrays,
-        )
-
-        elist = parse_payload_words(container.payload, fmt=self.name)
-        validate_csr_arrays(container.vlist, elist, fmt=self.name)
-        return elist
+        container.validate()
+        return container.elist
 
     def payload(self, container) -> np.ndarray:
         return container.payload
 
     def with_payload(self, container, payload: np.ndarray):
-        return self._rebuild(container, payload=payload)
+        return dataclasses.replace(container, payload=payload)
 
     def metadata_arrays(self, container) -> dict[str, np.ndarray]:
         return {"vlist": container.vlist}
 
     def with_metadata(self, container, field: str, arr: np.ndarray):
-        return self._rebuild(container, **{field: arr})
-
-    def _rebuild(self, container, **overrides):
-        fields = {"vlist": container.vlist, "payload": container.payload}
-        fields.update(overrides)
-        return _CSRImage(
-            meta_words=container.meta_words,
-            payload_crc=container.payload_crc,
-            meta_crc=container.meta_crc,
-            fmt=self.name,
-            **fields,
-        )
-
-
-class NpzAdapter(_CSRContainerAdapter):
-    """The ``.npz`` graph files of :mod:`repro.formats.io`.
-
-    ``encode`` round-trips through the real writer bytes (``save_graph``
-    into a buffer, raw ``np.load`` back out), so the harness fuzzes the
-    stamps the loader actually checks.
-    """
-
-    name = "npz"
-
-    def encode(self, graph: Graph):
-        import io as _io
-
-        from repro.formats.io import save_graph
-
-        buf = _io.BytesIO()
-        save_graph(graph, buf)
-        buf.seek(0)
-        with np.load(buf, allow_pickle=False) as data:
-            vlist = np.ascontiguousarray(data["vlist"], dtype="<i8")
-            elist = np.ascontiguousarray(data["elist"], dtype="<i8")
-            directed = bool(data["directed"])
-            version = int(data["version"])
-            payload_crc = int(data["payload_crc"])
-            meta_crc = int(data["meta_crc"])
-        payload = np.frombuffer(elist.tobytes(), dtype=np.uint8)
-        return _CSRImage(
-            vlist=vlist,
-            payload=payload,
-            meta_words=(int(directed), version),
-            payload_crc=payload_crc,
-            meta_crc=meta_crc,
-            fmt=self.name,
-        )
-
-
-class ContainerAdapter(_CSRContainerAdapter):
-    """The serve container of :mod:`repro.serve.container`."""
-
-    name = "container"
-
-    def encode(self, graph: Graph):
-        from repro.serve.container import CONTAINER_VERSION, GraphContainer
-
-        c = GraphContainer.from_graph(graph)
-        return _CSRImage(
-            vlist=c.vlist,
-            payload=c.payload,
-            meta_words=(int(c.directed), CONTAINER_VERSION),
-            payload_crc=c.payload_crc,
-            meta_crc=c.meta_crc,
-            fmt=self.name,
-        )
+        return dataclasses.replace(container, **{field: arr})
 
 
 #: All fuzzable formats, in campaign order.
@@ -426,7 +336,6 @@ FORMAT_ADAPTERS: dict[str, FormatAdapter] = {
         CGRAdapter(),
         LigraAdapter(),
         BVAdapter(),
-        NpzAdapter(),
         ContainerAdapter(),
     )
 }

@@ -2,22 +2,22 @@
 
 Commands
 --------
-``info <graph.npz|edges.txt>``
+``info <container|edges.txt>``
     Dataset statistics plus the sizes every format would take — EFG's
     a-priori bound means this needs no actual compression.
-``encode <graph.npz|edges.txt> -o out.npz``
+``encode <container|edges.txt> -o out.npz``
     Compress to EFG and report ratio/encode time.
-``bfs <graph.npz|edges.txt> [--format efg|csr|cgr] [--source N]``
+``bfs <container|edges.txt> [--format efg|csr|cgr] [--source N]``
     Run a simulated-GPU BFS and print runtime/GTEPS and the profile.
     ``--cache-kb`` attaches a decoded-list cache of that budget.
-``msbfs <graph.npz|edges.txt> [--num-sources N] [--cache-kb KB]``
+``msbfs <container|edges.txt> [--num-sources N] [--cache-kb KB]``
     Bit-parallel multi-source BFS: up to 64 sources share each list
     decode; prints amortized per-source time/GTEPS and cache hit rate.
-``serve <container-base|graph> [--build-from GRAPH] [--queries N]
+``serve <container|edges.txt> [--build-from GRAPH] [--queries N]
 [--deadline-ms MIX] [--hot-fraction F] [--baseline] [--metrics m.json]``
     Stand up the resident graph service (``repro.serve``): open an
-    O(1) mmap container (or build one with ``--build-from``, or load a
-    graph file directly), then drive a deterministic closed-loop query
+    O(1) mmap container (or build one with ``--build-from``, or read an
+    edge list directly), then drive a deterministic closed-loop query
     stream through batched 64-wide msbfs waves with admission limits,
     per-query deadlines, and a ``(source, epoch)`` result LRU.  Prints
     per-status counts and simulated queries/sec; ``--baseline`` also
@@ -106,11 +106,21 @@ __all__ = ["build_parser", "main"]
 
 
 def _load(path: str):
-    from repro.formats.io import load_graph, read_edge_list
+    """Open a container base path, else read a text edge list.
 
-    if path.endswith(".npz"):
-        return load_graph(path)
-    return read_edge_list(path, name=path)
+    A missing, unreadable or corrupt file exits with one line, not a
+    traceback.
+    """
+    from repro.core.errors import DecodeError
+    from repro.formats.io import read_edge_list
+    from repro.serve.container import is_container, open_container
+
+    try:
+        if is_container(path):
+            return open_container(path).to_graph()
+        return read_edge_list(path, name=path)
+    except (OSError, ValueError, DecodeError) as exc:
+        raise SystemExit(f"cannot open {path}: {exc}") from exc
 
 
 def _graph(args: argparse.Namespace):
@@ -404,16 +414,13 @@ def _serve_slo_specs(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.errors import DecodeError
     from repro.obs.metrics import dump_metrics, run_metrics
     from repro.obs.slo import EventLog
     from repro.serve import (
         GraphService,
         ServiceTelemetry,
         drive,
-        is_container,
         make_labeled_stream,
-        open_container,
         panel_from_service,
         parse_deadline_mix,
         render_panel,
@@ -445,16 +452,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fmt=args.format, device=_device(args), cache_kb=args.cache_kb,
         max_pending=args.max_pending, telemetry=telemetry,
     )
+    graph = _load(args.target)
     try:
-        if is_container(args.target):
-            container = open_container(args.target)
-            service = GraphService.from_container(container, **service_kw)
-            graph = container.to_graph()
-        else:
-            graph = _load(args.target)
-            service = GraphService.from_graph(graph, **service_kw)
-    except DecodeError as exc:
-        raise SystemExit(f"cannot open {args.target}: {exc}") from exc
+        service = GraphService.from_graph(graph, **service_kw)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     print(f"serving epoch {service.epoch} ({args.format}, "
@@ -1027,7 +1027,9 @@ def _float_where(ok, wanted: str):
 _POSITIVE_FLOAT = _float_where(lambda v: v > 0, "> 0")
 _UNIT_FLOAT = _float_where(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
-_GRAPH_HELP = "graph file; omit to generate a deterministic RMAT graph"
+_GRAPH_HELP = (
+    "<container|edges.txt>; omit to generate a deterministic RMAT graph"
+)
 
 
 def _graph_source_args(
@@ -1114,26 +1116,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="dataset statistics and format sizes")
-    p.add_argument("graph")
+    p.add_argument("graph", help="<container|edges.txt>")
     p.add_argument("--all-formats", action="store_true",
                    help="also encode CGR and Ligra+ (slower)")
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("encode", help="compress a graph to EFG")
-    p.add_argument("graph")
+    p.add_argument("graph", help="<container|edges.txt>")
     p.add_argument("-o", "--output", help="write EFG arrays to this .npz")
     p.add_argument("--quantum", type=int, default=512,
                    help="forward-pointer quantum k (default 512)")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("bfs", help="simulated-GPU BFS")
-    p.add_argument("graph")
+    p.add_argument("graph", help="<container|edges.txt>")
     p.add_argument("--source", type=int, default=0)
     _device_args(p, formats=True, cache_kb=0)
     p.set_defaults(func=_cmd_bfs)
 
     p = sub.add_parser("msbfs", help="bit-parallel multi-source BFS")
-    p.add_argument("graph")
+    p.add_argument("graph", help="<container|edges.txt>")
     p.add_argument("--num-sources", type=int, default=64,
                    help="sources packed into the 64-bit masks (default 64)")
     p.add_argument("--seed", type=int, default=0,
@@ -1147,10 +1149,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "target",
-        help="container base path (its .meta exists) or a graph file",
+        help="container base path (its .meta exists) or an edge list",
     )
     p.add_argument("--build-from", metavar="GRAPH",
-                   help="encode GRAPH into a container at TARGET first")
+                   help="write <container|edges.txt> GRAPH as a container "
+                   "at TARGET first")
     p.add_argument("--build-only", action="store_true",
                    help="with --build-from: write the container and exit")
     p.add_argument("--queries", type=int, default=200,
@@ -1386,8 +1389,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "graph", nargs="?", default=None,
-        help="graph file; omit to use the built-in fuzz graph and the "
-        "small dataset-suite entries",
+        help="<container|edges.txt>; omit to use the built-in fuzz graph "
+        "and the small dataset-suite entries",
     )
     p.add_argument("--fuzz", type=int, default=200,
                    help="fault injections per format (default 200)")

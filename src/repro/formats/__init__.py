@@ -13,7 +13,6 @@ from repro.formats.bv import BVGraph, bv_encode
 from repro.formats.cgr import CGRGraph, cgr_decode_list, cgr_encode
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
-from repro.formats.io import load_graph, save_graph
 from repro.formats.ligra_plus import LigraPlusGraph, ligra_decode_list, ligra_encode
 from repro.formats.weights import generate_edge_weights
 
@@ -29,6 +28,4 @@ __all__ = [
     "ligra_encode",
     "ligra_decode_list",
     "generate_edge_weights",
-    "save_graph",
-    "load_graph",
 ]

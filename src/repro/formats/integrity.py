@@ -13,8 +13,7 @@ their streams.
 The helpers here are deliberately tiny and dependency-light so that
 ``repro.core``, ``repro.formats`` and ``repro.serve`` modules can share
 them without an import cycle: the CRC fold plus the typed structural
-checks every CSR-shaped container (npz graph files, the serve
-container) runs at load time.
+checks the CSR-shaped serve container runs at load time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "arrays_crc32",
     "parse_payload_words",
     "validate_csr_arrays",
-    "verify_csr_crcs",
 ]
 
 
@@ -52,7 +50,7 @@ def arrays_crc32(*arrays: np.ndarray | int) -> int:
 def parse_payload_words(payload: np.ndarray, *, fmt: str) -> np.ndarray:
     """Reinterpret a raw uint8 payload as little-endian int64 words.
 
-    The wire shape of the npz/serve containers: 8 bytes per neighbour
+    The wire shape of the serve container: 8 bytes per neighbour
     id.  A byte count that is not a multiple of 8 can only come from a
     truncated or padded stream, so it raises the typed
     :class:`~repro.core.errors.CorruptStreamError` instead of letting a
@@ -110,38 +108,5 @@ def validate_csr_arrays(
             raise CorruptStreamError(
                 f"neighbour id out of range [0, {num_nodes}): "
                 f"min {lo}, max {hi}",
-                fmt=fmt,
-            )
-
-
-def verify_csr_crcs(
-    vlist: np.ndarray,
-    payload: np.ndarray,
-    *,
-    payload_crc: int | None,
-    meta_crc: int | None,
-    meta_words: tuple[int, ...],
-    fmt: str,
-) -> None:
-    """Check a CSR container's stored CRCs against its current bytes.
-
-    ``payload`` may be the int64 neighbour array or its raw uint8 view —
-    both hash to the same bytes.  ``meta_words`` are the scalar fields
-    folded after the offsets (direction flag, format version, ...).
-    ``None`` CRCs skip their check (legacy containers saved before the
-    stamp existed).
-    """
-    if payload_crc is not None and arrays_crc32(payload) != int(payload_crc):
-        raise CorruptStreamError(
-            "payload CRC mismatch: stored "
-            f"{int(payload_crc):#010x} != actual {arrays_crc32(payload):#010x}",
-            fmt=fmt,
-        )
-    if meta_crc is not None:
-        actual = arrays_crc32(vlist, *meta_words)
-        if actual != int(meta_crc):
-            raise CorruptMetadataError(
-                "metadata CRC mismatch: stored "
-                f"{int(meta_crc):#010x} != actual {actual:#010x}",
                 fmt=fmt,
             )

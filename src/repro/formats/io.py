@@ -1,17 +1,10 @@
-"""Graph persistence (``.npz`` based) and edge-list text IO.
+"""Edge-list text IO.
 
 Compression is an offline step (Sec. VIII-F): datasets are generated or
-converted once, saved, and reloaded by the benchmark harness.
-
-The npz layout is covered by the same integrity contract as the
-compressed containers (PR 4): :func:`save_graph` stamps a CRC32 over
-the neighbour payload and one over the metadata (offsets + direction
-flag + version), and :func:`load_graph` verifies both and structurally
-validates the arrays before constructing a :class:`Graph` — corruption
-surfaces as a typed :class:`~repro.core.errors.DecodeError` subclass at
-load time, never as an ``IndexError`` inside a traversal kernel.
-Files saved before the stamp existed (no CRC keys) still load; they
-simply skip the CRC comparison.
+converted once and reloaded by the benchmark harness.  The one binary
+on-disk CSR form is the mmap container of :mod:`repro.serve.container`
+(raw, CRC-stamped, O(1) to open); this module reads and writes the
+plain ``src dst`` text edge lists graphs arrive in.
 """
 
 from __future__ import annotations
@@ -20,101 +13,9 @@ import os
 
 import numpy as np
 
-from repro.core.errors import CorruptMetadataError
 from repro.formats.graph import Graph
-from repro.formats.integrity import (
-    arrays_crc32,
-    validate_csr_arrays,
-    verify_csr_crcs,
-)
 
-__all__ = [
-    "save_graph",
-    "load_graph",
-    "graph_payload_crc",
-    "graph_meta_crc",
-    "read_edge_list",
-    "write_edge_list",
-]
-
-_FORMAT_VERSION = 1
-
-#: npz keys every saved graph carries (CRC keys are additions, so the
-#: loader treats their absence as a legacy stampless file).
-_REQUIRED_KEYS = ("version", "vlist", "elist", "directed", "name")
-
-
-def graph_payload_crc(elist: np.ndarray) -> int:
-    """CRC32 over the neighbour payload bytes."""
-    return arrays_crc32(elist)
-
-
-def graph_meta_crc(
-    vlist: np.ndarray, directed: bool, version: int = _FORMAT_VERSION
-) -> int:
-    """CRC32 over the metadata: offsets, direction flag, format version."""
-    return arrays_crc32(vlist, int(bool(directed)), int(version))
-
-
-def save_graph(graph: Graph, path: str | os.PathLike) -> None:
-    """Save a graph to a compressed ``.npz`` file (CRC-stamped)."""
-    np.savez_compressed(
-        path,
-        version=np.int64(_FORMAT_VERSION),
-        vlist=graph.vlist,
-        elist=graph.elist,
-        directed=np.bool_(graph.directed),
-        name=np.str_(graph.name),
-        payload_crc=np.int64(graph_payload_crc(graph.elist)),
-        meta_crc=np.int64(graph_meta_crc(graph.vlist, graph.directed)),
-    )
-
-
-def load_graph(path: str | os.PathLike) -> Graph:
-    """Load a graph saved by :func:`save_graph`.
-
-    Verifies the stored CRCs (when present) and structurally validates
-    the arrays: offsets monotone and terminated at ``len(elist)``,
-    neighbour ids in range.  Failures raise
-    :class:`~repro.core.errors.CorruptMetadataError` /
-    :class:`~repro.core.errors.CorruptStreamError`; an unknown format
-    version is metadata corruption, not a plain ``ValueError``.
-    """
-    with np.load(path, allow_pickle=False) as data:
-        missing = [k for k in _REQUIRED_KEYS if k not in data.files]
-        if missing:
-            raise CorruptMetadataError(
-                f"graph file is missing keys: {', '.join(missing)}",
-                fmt="npz",
-            )
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise CorruptMetadataError(
-                f"unsupported graph file version {version} "
-                f"(expected {_FORMAT_VERSION})",
-                fmt="npz",
-            )
-        vlist = np.ascontiguousarray(data["vlist"], dtype=np.int64)
-        elist = np.ascontiguousarray(data["elist"], dtype=np.int64)
-        directed = bool(data["directed"])
-        name = str(data["name"])
-        payload_crc = (
-            int(data["payload_crc"]) if "payload_crc" in data.files else None
-        )
-        meta_crc = int(data["meta_crc"]) if "meta_crc" in data.files else None
-    verify_csr_crcs(
-        vlist,
-        elist,
-        payload_crc=payload_crc,
-        meta_crc=meta_crc,
-        meta_words=(int(directed), version),
-        fmt="npz",
-    )
-    validate_csr_arrays(vlist, elist, fmt="npz")
-    try:
-        return Graph(vlist=vlist, elist=elist, directed=directed, name=name)
-    except ValueError as exc:  # pragma: no cover - validate_csr_arrays first
-        raise CorruptMetadataError(str(exc), fmt="npz") from exc
+__all__ = ["read_edge_list", "write_edge_list"]
 
 
 def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:

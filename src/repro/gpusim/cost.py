@@ -3,7 +3,8 @@
 Converts the traffic a kernel *actually generated* — measured from the
 real data structures, not assumed — into a simulated runtime:
 
-``time = launch_overhead + max(dram_time, link_time, compute_time)``
+``time = launch_overhead + max(dram_time, link_time, cache_time,
+compute_time, floor)`` (:meth:`CostModel.time_terms` names the terms)
 
 * ``dram_time`` — bytes touched in device-resident arrays over the
   device bandwidth, with sector-granularity amplification for
@@ -134,9 +135,9 @@ class ArrayTraffic:
     * ``residency`` — ``"device"``, ``"host"`` or ``"cache"``; decides
       which byte column (and which transfer unit) the traffic landed in.
     * ``moved_bytes`` — bytes the memory system actually transferred,
-      at sector/cacheline granularity.  Sums over a launch's entries
-      reproduce ``device_bytes`` / ``host_bytes`` / ``cached_bytes``
-      exactly — the attribution invariant the counters module checks.
+      at sector/cacheline granularity.  The launch's
+      ``device_bytes`` / ``host_bytes`` / ``cached_bytes`` are summed
+      from these, so they need integer values to stay order-exact.
     * ``requested_bytes`` — bytes the lanes logically demanded
       (``count * elem_bytes``).  ``requested / moved`` is the coalescing
       efficiency; it exceeds 1 when broadcasts or the coalescing window
@@ -194,23 +195,49 @@ class KernelCost:
     a dependent chain no amount of parallel hardware can shorten
     (e.g. CGR's longest per-list varint chain).
 
-    ``traffic`` carries the per-array attribution of every byte term
-    (keyed by the registered array name, or ``cache:<tag>`` for cached
-    reads); ``active_lanes`` / ``lane_slots`` accumulate the warp
-    occupancy recorded by :meth:`KernelLaunch.warp_occupancy`.
+    ``traffic`` is the launch's one record of bytes, keyed by the
+    registered array name (or ``cache:<tag>`` for cached reads); the
+    ``device_bytes`` / ``host_bytes`` / ``cached_bytes`` columns and
+    ``breakdown`` are read-only views summed from it.  Every charge
+    records integer-valued bytes, so the sums are exact in any order.
+    ``active_lanes`` / ``lane_slots`` accumulate the warp occupancy
+    recorded by :meth:`KernelLaunch.warp_occupancy`.
     """
 
     name: str
-    device_bytes: float = 0.0
-    host_bytes: float = 0.0
-    cached_bytes: float = 0.0
     instructions: float = 0.0
     floor_seconds: float = 0.0
     launches: int = 1
-    breakdown: dict[str, float] = field(default_factory=dict)
     traffic: dict[str, ArrayTraffic] = field(default_factory=dict)
     active_lanes: float = 0.0
     lane_slots: float = 0.0
+
+    def _moved(self, residency: str) -> float:
+        total = 0.0
+        for entry in self.traffic.values():
+            if entry.residency == residency:
+                total += entry.moved_bytes
+        return total
+
+    @property
+    def device_bytes(self) -> float:
+        """Bytes moved over DRAM (device-resident arrays)."""
+        return self._moved("device")
+
+    @property
+    def host_bytes(self) -> float:
+        """Bytes moved over the host link (host-resident arrays)."""
+        return self._moved("host")
+
+    @property
+    def cached_bytes(self) -> float:
+        """Bytes served from on-chip cache."""
+        return self._moved("cache")
+
+    @property
+    def breakdown(self) -> dict[str, float]:
+        """Moved bytes per array, in first-charge order."""
+        return {key: entry.moved_bytes for key, entry in self.traffic.items()}
 
     @property
     def warp_efficiency(self) -> float:
@@ -228,50 +255,19 @@ class KernelCost:
         sectors: float,
         accesses: float,
     ) -> None:
-        """Accumulate one charge into the per-array attribution table."""
+        """Accumulate one charge into the per-array traffic table."""
         entry = self.traffic.get(array)
-        if entry is not None and entry.residency != residency:
-            # Residency changed between launches (re-planned memory):
-            # keep the entries separate so sums stay per-residency exact.
-            array = f"{array}@{residency}"
-            entry = self.traffic.get(array)
         if entry is None:
             entry = self.traffic[array] = ArrayTraffic(residency=residency)
         entry.add(moved, requested, sectors, accesses)
-
-    def merge(self, other: "KernelCost") -> None:
-        """Fold another launch's cost into this one (for summaries)."""
-        self.device_bytes += other.device_bytes
-        self.host_bytes += other.host_bytes
-        self.cached_bytes += other.cached_bytes
-        self.instructions += other.instructions
-        self.floor_seconds += other.floor_seconds
-        self.launches += other.launches
-        self.active_lanes += other.active_lanes
-        self.lane_slots += other.lane_slots
-        for key, value in other.breakdown.items():
-            self.breakdown[key] = self.breakdown.get(key, 0.0) + value
-        for key, entry in other.traffic.items():
-            self.add_traffic(
-                key,
-                entry.residency,
-                entry.moved_bytes,
-                entry.requested_bytes,
-                entry.sectors,
-                entry.accesses,
-            )
 
     def snapshot(self) -> "KernelCost":
         """Deep-enough copy for an immutable :class:`LaunchRecord`."""
         return KernelCost(
             name=self.name,
-            device_bytes=self.device_bytes,
-            host_bytes=self.host_bytes,
-            cached_bytes=self.cached_bytes,
             instructions=self.instructions,
             floor_seconds=self.floor_seconds,
             launches=self.launches,
-            breakdown=dict(self.breakdown),
             traffic={key: entry.copy() for key, entry in self.traffic.items()},
             active_lanes=self.active_lanes,
             lane_slots=self.lane_slots,
@@ -320,11 +316,6 @@ class CostModel:
         """Record an access to a registered array on ``cost``."""
         residency = self.memory.residency(array)
         nbytes = self.effective_bytes(count, elem_bytes, pattern, residency)
-        if residency is Residency.DEVICE:
-            cost.device_bytes += nbytes
-        else:
-            cost.host_bytes += nbytes
-        cost.breakdown[array] = cost.breakdown.get(array, 0.0) + nbytes
         unit = self.transfer_unit(residency)
         cost.add_traffic(
             array,
@@ -342,11 +333,6 @@ class CostModel:
         residency = self.memory.residency(array)
         unit = self.transfer_unit(residency)
         nbytes = float(stream_transfer_bytes(ids, elem_bytes, unit))
-        if residency is Residency.DEVICE:
-            cost.device_bytes += nbytes
-        else:
-            cost.host_bytes += nbytes
-        cost.breakdown[array] = cost.breakdown.get(array, 0.0) + nbytes
         ids = np.asarray(ids)
         cost.add_traffic(
             array,
@@ -368,17 +354,14 @@ class CostModel:
         neighbour array out of L2/shared memory instead of re-reading and
         re-decoding the compressed payload.  Charged at
         ``cached_bw_ratio`` times DRAM bandwidth in
-        :meth:`kernel_seconds`; the breakdown entry is prefixed with
-        ``cache:`` so reports can separate it from DRAM traffic.
+        :meth:`kernel_seconds`; the traffic entry is keyed
+        ``cache:<tag>`` so reports can separate it from DRAM traffic.
         """
         if count < 0 or elem_bytes < 0:
             raise ValueError("count and elem_bytes must be non-negative")
         nbytes = float(count * elem_bytes)
-        cost.cached_bytes += nbytes
-        key = f"cache:{tag}"
-        cost.breakdown[key] = cost.breakdown.get(key, 0.0) + nbytes
         cost.add_traffic(
-            key,
+            f"cache:{tag}",
             "cache",
             moved=nbytes,
             requested=nbytes,
@@ -386,20 +369,63 @@ class CostModel:
             accesses=float(count),
         )
 
+    @property
+    def instruction_rate(self) -> float:
+        """Effective (derated) instructions per second."""
+        return self.device.instruction_throughput * self.params.simt_efficiency
+
     def compute_seconds(self, instructions: float) -> float:
         """Instruction time at the effective (derated) issue rate."""
-        throughput = self.device.instruction_throughput * self.params.simt_efficiency
-        return instructions / throughput
+        return instructions / self.instruction_rate
+
+    def time_terms(
+        self,
+        launches: float,
+        device_bytes: float,
+        host_bytes: float,
+        cached_bytes: float,
+        instructions: float,
+        floor_seconds: float,
+    ) -> dict[str, float]:
+        """The named terms of ``overhead + max(...)`` for scalar totals.
+
+        The one pricing formula: ``overhead`` is the fixed launch cost,
+        the rest are the overlapped terms the ``max`` picks from, keyed
+        by the bound label each one gives a kernel (``memory`` = DRAM,
+        ``pcie`` = host link, ``cache`` = on-chip cached reads,
+        ``compute`` = derated instructions, ``latency`` = serial chain).
+        """
+        dev = self.device
+        return {
+            "overhead": launches * dev.launch_overhead_s,
+            "memory": device_bytes / dev.dram_bandwidth,
+            "pcie": host_bytes / dev.link_bandwidth,
+            "cache": cached_bytes
+            / (dev.dram_bandwidth * self.params.cached_bw_ratio),
+            "compute": self.compute_seconds(instructions),
+            "latency": floor_seconds,
+        }
+
+    @staticmethod
+    def total_seconds(terms: dict[str, float]) -> float:
+        """``overhead + max(the rest)`` of a :meth:`time_terms` dict."""
+        return terms["overhead"] + max(
+            terms["memory"],
+            terms["pcie"],
+            terms["cache"],
+            terms["compute"],
+            terms["latency"],
+        )
 
     def kernel_seconds(self, cost: KernelCost) -> float:
-        """Simulated duration of one (merged) kernel launch record."""
-        dram_time = cost.device_bytes / self.device.dram_bandwidth
-        link_time = cost.host_bytes / self.device.link_bandwidth
-        cache_time = cost.cached_bytes / (
-            self.device.dram_bandwidth * self.params.cached_bw_ratio
-        )
-        compute_time = self.compute_seconds(cost.instructions)
-        overhead = cost.launches * self.device.launch_overhead_s
-        return overhead + max(
-            dram_time, link_time, cache_time, compute_time, cost.floor_seconds
+        """Simulated duration of one kernel launch record."""
+        return self.total_seconds(
+            self.time_terms(
+                cost.launches,
+                cost.device_bytes,
+                cost.host_bytes,
+                cost.cached_bytes,
+                cost.instructions,
+                cost.floor_seconds,
+            )
         )

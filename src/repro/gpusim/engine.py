@@ -121,7 +121,7 @@ class SimEngine:
             host_bytes=snapshot.host_bytes,
             cached_bytes=snapshot.cached_bytes,
             instructions=snapshot.instructions,
-            breakdown=dict(snapshot.breakdown),
+            breakdown=snapshot.breakdown,
         )
         self.tracer.close(self._elapsed)
 

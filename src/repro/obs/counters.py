@@ -11,9 +11,9 @@ layer that turns those tags into the counter surface an ``nvprof`` /
 * :func:`emulated_counters` — per-kernel derived counters: sectors,
   transactions, coalescing efficiency (requested vs moved bytes at
   sector granularity), warp execution efficiency, cache-hit bytes;
-* :func:`verify_attribution` — the exactness invariant: per-array
-  moved bytes sum to each launch's byte columns with no loss and no
-  double count;
+* :func:`verify_attribution` — the premise of the one byte ledger:
+  every per-array moved-bytes entry is an exact integer with a known
+  residency, so the derived byte columns sum exactly;
 * :func:`top_array` / :func:`arrays_since` — helpers the roofline and
   the traversal drivers use to label what bound a kernel or a level.
 
@@ -39,13 +39,11 @@ __all__ = [
     "counters_report",
 ]
 
-#: Byte-column each residency's traffic lands in (the disjointness the
-#: attribution invariant checks).
-_RESIDENCY_COLUMN = {
-    "device": "device_bytes",
-    "host": "host_bytes",
-    "cache": "cached_bytes",
-}
+#: Residencies a traffic entry may carry (one per byte column).
+_RESIDENCIES = ("device", "host", "cache")
+
+#: Integer-valued floats below this add exactly in any order.
+_EXACT_LIMIT = 2.0**53
 
 
 def kernel_array_attribution(
@@ -126,25 +124,27 @@ def emulated_counters(
 
 
 def verify_attribution(engine: "SimEngine") -> None:
-    """Assert per-array bytes sum exactly to every launch's byte terms.
+    """Assert every launch's traffic can back its derived byte columns.
 
-    Exact equality is safe: every charge path records integer-valued
-    byte amounts, so the sums are float-exact.  Raises
-    ``AssertionError`` naming the first launch that loses or
-    double-counts a byte.
+    ``KernelCost`` keeps one ledger: ``device_bytes`` / ``host_bytes``
+    / ``cached_bytes`` are summed from ``traffic``, so they cannot
+    disagree with it.  They are exact in any summation order only if
+    every ``moved_bytes`` is a finite, non-negative integer below
+    2**53 with a known residency; this checks that premise and raises
+    ``AssertionError`` naming the first launch that breaks it.
     """
     for index, record in enumerate(engine.records):
-        sums = {"device_bytes": 0.0, "host_bytes": 0.0, "cached_bytes": 0.0}
-        for traffic in record.cost.traffic.values():
-            column = _RESIDENCY_COLUMN[traffic.residency]
-            sums[column] += traffic.moved_bytes
-        for column, total in sums.items():
-            recorded = getattr(record.cost, column)
-            if total != recorded:
-                raise AssertionError(
-                    f"launch {index} ({record.name}): attributed {column} "
-                    f"{total} != recorded {recorded}"
-                )
+        for array, traffic in record.cost.traffic.items():
+            moved = traffic.moved_bytes
+            if traffic.residency not in _RESIDENCIES:
+                problem = f"unknown residency {traffic.residency!r}"
+            elif not (0 <= moved < _EXACT_LIMIT and moved == int(moved)):
+                problem = f"moved_bytes {moved!r} is not an exact integer"
+            else:
+                continue
+            raise AssertionError(
+                f"launch {index} ({record.name}): {array}: {problem}"
+            )
 
 
 def top_array(

@@ -103,56 +103,30 @@ class LevelRoofline:
     attrs: dict
 
 
-def _bound_label(
-    dram_time: float,
-    link_time: float,
-    cache_time: float,
-    compute_time: float,
-    floor_seconds: float,
-    overhead_time: float,
-) -> str:
-    """Name the binding term of ``overhead + max(...)``."""
-    terms = {
-        "memory": dram_time,
-        "pcie": link_time,
-        "cache": cache_time,
-        "compute": compute_time,
-        "latency": floor_seconds,
-    }
-    # Deterministic tie-break: the fixed ordering above.
-    bound, peak = max(terms.items(), key=lambda kv: kv[1])
-    if overhead_time > peak:
-        return "overhead"
-    return bound
-
-
 def _analyze(
     engine: "SimEngine",
-    seconds: float,
     launches: float,
     device_bytes: float,
     host_bytes: float,
     cached_bytes: float,
     instructions: float,
     floor_seconds: float,
-) -> tuple[str, float, float, float, float, float, float]:
-    """Time components + bound label for one aggregated cost row."""
-    dev = engine.device
-    params = engine.params
-    dram_time = device_bytes / dev.dram_bandwidth
-    link_time = host_bytes / dev.link_bandwidth
-    cache_time = cached_bytes / (dev.dram_bandwidth * params.cached_bw_ratio)
-    effective_issue = dev.instruction_throughput * params.simt_efficiency
-    compute_time = instructions / effective_issue
-    overhead_time = launches * dev.launch_overhead_s
-    bound = _bound_label(
-        dram_time, link_time, cache_time, compute_time, floor_seconds,
-        overhead_time,
+) -> tuple[str, dict[str, float]]:
+    """Bound label + the cost model's named terms for one cost row.
+
+    The label names the binding term of ``overhead + max(...)``; ties
+    break in the terms' fixed order (memory, pcie, cache, compute,
+    latency).
+    """
+    terms = engine.model.time_terms(
+        launches, device_bytes, host_bytes, cached_bytes, instructions,
+        floor_seconds,
     )
-    return (
-        bound, dram_time, link_time, cache_time, compute_time, overhead_time,
-        effective_issue,
-    )
+    overlapped = [(k, v) for k, v in terms.items() if k != "overhead"]
+    bound, peak = max(overlapped, key=lambda kv: kv[1])
+    if terms["overhead"] > peak:
+        bound = "overhead"
+    return bound, terms
 
 
 #: Which traffic residency a bound label points at, for bound_array.
@@ -181,13 +155,12 @@ def kernel_rooflines(engine: "SimEngine") -> list[KernelRoofline]:
     from repro.obs.counters import kernel_array_attribution
 
     dev = engine.device
+    instruction_rate = engine.model.instruction_rate
     attribution = kernel_array_attribution(engine)
     out: list[KernelRoofline] = []
     for name, row in engine.kernel_summary().items():
-        (bound, dram_t, link_t, cache_t, compute_t, overhead_t,
-         effective_issue) = _analyze(
+        bound, terms = _analyze(
             engine,
-            row["seconds"],
             row["launches"],
             row["device_bytes"],
             row["host_bytes"],
@@ -205,11 +178,11 @@ def kernel_rooflines(engine: "SimEngine") -> list[KernelRoofline]:
                 host_bytes=row["host_bytes"],
                 cached_bytes=row["cached_bytes"],
                 instructions=row["instructions"],
-                dram_time=dram_t,
-                link_time=link_t,
-                cache_time=cache_t,
-                compute_time=compute_t,
-                overhead_time=overhead_t,
+                dram_time=terms["memory"],
+                link_time=terms["pcie"],
+                cache_time=terms["cache"],
+                compute_time=terms["compute"],
+                overhead_time=terms["overhead"],
                 floor_seconds=row.get("floor_seconds", 0.0),
                 bound=bound,
                 dram_frac=(
@@ -221,7 +194,7 @@ def kernel_rooflines(engine: "SimEngine") -> list[KernelRoofline]:
                     if seconds > 0 else 0.0
                 ),
                 compute_frac=(
-                    row["instructions"] / seconds / effective_issue
+                    row["instructions"] / seconds / instruction_rate
                     if seconds > 0 else 0.0
                 ),
                 bound_array=_bound_array(attribution, name, bound),
@@ -240,16 +213,15 @@ def level_rooflines(engine: "SimEngine") -> list[LevelRoofline]:
     for algo in root.children:
         for level in algo.find("level"):
             totals = aggregate_kernel_costs(level)
-            bound = _analyze(
+            bound, _ = _analyze(
                 engine,
-                totals["seconds"],
                 totals["launches"],
                 totals["device_bytes"],
                 totals["host_bytes"],
                 totals["cached_bytes"],
                 totals["instructions"],
                 0.0,
-            )[0]
+            )
             out.append(
                 LevelRoofline(
                     name=level.name,

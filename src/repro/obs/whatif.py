@@ -448,20 +448,16 @@ def whatif_cache(engine, cache, budget_bytes: int) -> WhatIfResult:
     for idx, rec in enumerate(engine.records):
         cost = rec.cost
         d = new_hits.get(idx, 0) - old_hits.get(idx, 0)
-        if d:
-            cost = replace(
-                cost,
-                device_bytes=max(
-                    cost.device_bytes - d * bytes_per_edge, 0.0
-                ),
-                cached_bytes=max(
-                    cost.cached_bytes + d * DECODED_ELEM_BYTES, 0.0
-                ),
-                instructions=max(
-                    cost.instructions - d * instr_per_edge, 0.0
-                ),
+        acc += model.total_seconds(
+            model.time_terms(
+                cost.launches,
+                max(cost.device_bytes - d * bytes_per_edge, 0.0),
+                cost.host_bytes,
+                max(cost.cached_bytes + d * DECODED_ELEM_BYTES, 0.0),
+                max(cost.instructions - d * instr_per_edge, 0.0),
+                cost.floor_seconds,
             )
-        acc += model.kernel_seconds(cost)
+        )
     return WhatIfResult(
         name=name,
         baseline_seconds=base,

@@ -2,10 +2,10 @@
 
 The serving story of the paper (Sec. VIII-F) assumes compression is an
 *offline* step: a graph is encoded once and then resident in device
-memory for the lifetime of the query service.  The npz files from
-:mod:`repro.formats.io` are the archival form, but opening one means
-zlib-decompressing every array — O(edges) work per process start.  The
-container layout here trades a little disk for O(1) opens:
+memory for the lifetime of the query service.  The container is the
+one on-disk CSR form, and it is laid out for O(1) opens rather than
+for small files (raw, not zlib-compressed: 8 B per edge — the paper's
+subject is compression in device memory, not archival files):
 
 * ``<base>.offsets`` — the CSR offsets, raw little-endian int64.
 * ``<base>.graph``   — the neighbour payload, raw bytes (8 B per id).
@@ -39,7 +39,6 @@ from repro.formats.integrity import (
     arrays_crc32,
     parse_payload_words,
     validate_csr_arrays,
-    verify_csr_crcs,
 )
 
 __all__ = [
@@ -59,7 +58,7 @@ CONTAINER_MAGIC = "repro.container/1"
 CONTAINER_VERSION = 1
 
 #: ``.meta`` keys every container carries; absence is corruption (the
-#: container format never existed without CRC stamps, unlike npz).
+#: container format never existed without CRC stamps).
 _REQUIRED_META = (
     "magic",
     "version",
@@ -133,14 +132,20 @@ class GraphContainer:
 
     def verify_integrity(self) -> None:
         """Check both CRC stamps against the current bytes (typed errors)."""
-        verify_csr_crcs(
-            self.vlist,
-            self.payload,
-            payload_crc=self.payload_crc,
-            meta_crc=self.meta_crc,
-            meta_words=(int(self.directed), CONTAINER_VERSION),
-            fmt="container",
-        )
+        actual = arrays_crc32(self.payload)
+        if actual != self.payload_crc:
+            raise CorruptStreamError(
+                "payload CRC mismatch: stored "
+                f"{self.payload_crc:#010x} != actual {actual:#010x}",
+                fmt="container",
+            )
+        actual = arrays_crc32(self.vlist, int(self.directed), CONTAINER_VERSION)
+        if actual != self.meta_crc:
+            raise CorruptMetadataError(
+                "metadata CRC mismatch: stored "
+                f"{self.meta_crc:#010x} != actual {actual:#010x}",
+                fmt="container",
+            )
 
     def validate(self) -> None:
         """Structural validation: offsets monotone, neighbour ids in range."""

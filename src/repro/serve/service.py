@@ -146,18 +146,6 @@ class GraphService:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_container(
-        cls, container: GraphContainer, *, fmt: str = "efg",
-        device=None, cache_kb: int = 256, **kwargs
-    ) -> "GraphService":
-        """Stand a service up on a saved container image."""
-        backend = build_backend(
-            fmt, container.to_graph(), device or TITAN_XP.scaled(2048),
-            cache_kb=cache_kb,
-        )
-        return cls(backend=backend, epoch=container.epoch, **kwargs)
-
-    @classmethod
     def from_graph(
         cls, graph: Graph, *, fmt: str = "efg",
         device=None, cache_kb: int = 256, **kwargs

@@ -9,14 +9,14 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.web import web_graph
-from repro.formats.io import save_graph
+from repro.serve.container import save_container
 
 
 @pytest.fixture
 def graph_file(tmp_path):
-    path = tmp_path / "g.npz"
-    save_graph(web_graph(256, 6.0, seed=9, name="cli-web"), str(path))
-    return str(path)
+    base = str(tmp_path / "g")
+    save_container(web_graph(256, 6.0, seed=9, name="cli-web"), base)
+    return base
 
 
 class TestCheckCommand:

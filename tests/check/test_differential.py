@@ -23,7 +23,7 @@ def diff_graph():
 class TestDecodeDifferential:
     def test_all_formats_agree(self, diff_graph):
         rows = decode_differential(diff_graph)
-        assert len(rows) == 7
+        assert len(rows) == 6
         for row in rows:
             assert row["agree"], row
             assert row["integrity_ok"], row
@@ -71,5 +71,5 @@ class TestRunDifferential:
         out = run_differential(datasets=("scc-lj",), algorithms=False)
         assert out["disagreements"] == 0
         assert {r["fmt"] for r in out["rows"]} == {
-            "efg", "pef", "cgr", "ligra", "bv", "npz", "container"
+            "efg", "pef", "cgr", "ligra", "bv", "container"
         }

@@ -68,6 +68,19 @@ class TestCorruptionMatrix:
         detected = sum(1 for r in campaign if r.structural_outcome == "detected")
         assert detected >= len(campaign) // 2
 
+    def test_format_faults_independent_of_other_formats(
+        self, fuzz_graph, campaign
+    ):
+        # Each format draws from its own fixed RNG stream, so running it
+        # alone reproduces its rows of the full campaign.
+        alone = run_fault_campaign(
+            fuzz_graph, fmts=("container",), trials=TRIALS, seed=7
+        )
+        assert [(r.injector, r.detail, r.outcome) for r in alone] == [
+            (r.injector, r.detail, r.outcome)
+            for r in campaign if r.fmt == "container"
+        ]
+
     def test_deterministic_in_seed(self, fuzz_graph, campaign):
         rerun = run_fault_campaign(fuzz_graph, trials=TRIALS, seed=7)
         assert [(r.fmt, r.injector, r.detail, r.outcome) for r in rerun] == [

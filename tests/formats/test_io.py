@@ -1,5 +1,7 @@
-"""Tests for graph persistence."""
+"""Tests for edge-list text IO and the on-disk CSR file graphs are
+converted into (the container of :mod:`repro.serve.container`)."""
 
+import json
 import warnings
 
 import numpy as np
@@ -10,156 +12,12 @@ from repro.core.errors import (
     CorruptStreamError,
     DecodeError,
 )
-from repro.formats.graph import Graph
-from repro.formats.io import (
-    graph_meta_crc,
-    graph_payload_crc,
-    load_graph,
-    read_edge_list,
-    save_graph,
-    write_edge_list,
+from repro.formats.io import read_edge_list, write_edge_list
+from repro.serve.container import (
+    container_paths,
+    open_container,
+    save_container,
 )
-
-
-def _resave(path, **overrides):
-    """Rewrite an npz graph file with some fields replaced/dropped."""
-    with np.load(path, allow_pickle=False) as data:
-        fields = {k: data[k] for k in data.files}
-    for key, value in overrides.items():
-        if value is None:
-            fields.pop(key, None)
-        else:
-            fields[key] = value
-    np.savez_compressed(path, **fields)
-
-
-class TestNpzRoundtrip:
-    def test_roundtrip(self, small_graph, tmp_path):
-        path = tmp_path / "g.npz"
-        save_graph(small_graph, path)
-        loaded = load_graph(path)
-        assert np.array_equal(loaded.vlist, small_graph.vlist)
-        assert np.array_equal(loaded.elist, small_graph.elist)
-        assert loaded.directed == small_graph.directed
-        assert loaded.name == small_graph.name
-
-    def test_undirected_flag(self, small_graph, tmp_path):
-        sym = small_graph.symmetrized()
-        path = tmp_path / "sym.npz"
-        save_graph(sym, path)
-        assert not load_graph(path).directed
-
-
-class TestNpzIntegrity:
-    @pytest.fixture
-    def saved(self, small_graph, tmp_path):
-        path = tmp_path / "g.npz"
-        save_graph(small_graph, path)
-        return path
-
-    def test_crcs_stamped_on_save(self, small_graph, saved):
-        with np.load(saved, allow_pickle=False) as data:
-            assert int(data["payload_crc"]) == graph_payload_crc(
-                small_graph.elist
-            )
-            assert int(data["meta_crc"]) == graph_meta_crc(
-                small_graph.vlist, small_graph.directed
-            )
-
-    def test_payload_tamper_detected(self, saved):
-        with np.load(saved, allow_pickle=False) as data:
-            elist = data["elist"].copy()
-        elist[0] ^= 1
-        _resave(saved, elist=elist)
-        with pytest.raises(CorruptStreamError, match="payload CRC"):
-            load_graph(saved)
-
-    def test_metadata_tamper_detected(self, small_graph, saved):
-        # A monotone-preserving vlist edit decodes structurally fine;
-        # only the meta CRC can catch it.
-        vlist = small_graph.vlist.copy()
-        idx = len(vlist) // 2
-        if vlist[idx] + 1 <= vlist[idx + 1]:
-            vlist[idx] += 1
-        else:
-            vlist[idx] -= 1
-        _resave(saved, vlist=vlist)
-        with pytest.raises(CorruptMetadataError, match="metadata CRC"):
-            load_graph(saved)
-
-    def test_direction_flip_detected(self, saved):
-        with np.load(saved, allow_pickle=False) as data:
-            directed = bool(data["directed"])
-        _resave(saved, directed=np.bool_(not directed))
-        with pytest.raises(CorruptMetadataError, match="metadata CRC"):
-            load_graph(saved)
-
-    def test_version_mismatch_is_typed(self, saved):
-        _resave(saved, version=np.int64(99))
-        with pytest.raises(CorruptMetadataError, match="version 99"):
-            load_graph(saved)
-
-    def test_missing_key_is_typed(self, saved):
-        _resave(saved, elist=None)
-        with pytest.raises(CorruptMetadataError, match="missing keys"):
-            load_graph(saved)
-
-    def test_legacy_file_without_crcs_loads(self, small_graph, saved):
-        _resave(saved, payload_crc=None, meta_crc=None)
-        loaded = load_graph(saved)
-        assert np.array_equal(loaded.elist, small_graph.elist)
-
-    def test_all_failures_are_decode_errors(self, saved):
-        # The npz loader is part of the typed-corruption contract: a
-        # tampered file must never escape as KeyError/ValueError.
-        _resave(saved, version=None)
-        with pytest.raises(DecodeError):
-            load_graph(saved)
-
-
-class TestNpzStructuralValidation:
-    """Stampless (legacy-shaped) files still get structural checks."""
-
-    @staticmethod
-    def _save_raw(path, vlist, elist, version=1):
-        np.savez_compressed(
-            path,
-            version=np.int64(version),
-            vlist=np.asarray(vlist, dtype=np.int64),
-            elist=np.asarray(elist, dtype=np.int64),
-            directed=np.bool_(True),
-            name=np.str_("raw"),
-        )
-
-    def test_non_monotone_offsets(self, tmp_path):
-        path = tmp_path / "g.npz"
-        self._save_raw(path, [0, 3, 2, 4], [1, 2, 0, 3])
-        with pytest.raises(CorruptMetadataError, match="non-decreasing"):
-            load_graph(path)
-
-    def test_terminal_offset_mismatch(self, tmp_path):
-        path = tmp_path / "g.npz"
-        self._save_raw(path, [0, 2, 5], [1, 0, 1])
-        with pytest.raises(CorruptMetadataError, match="terminal offset"):
-            load_graph(path)
-
-    def test_offsets_must_start_at_zero(self, tmp_path):
-        path = tmp_path / "g.npz"
-        self._save_raw(path, [1, 2, 4], [1, 0, 1])
-        with pytest.raises(CorruptMetadataError, match="start at 0"):
-            load_graph(path)
-
-    def test_neighbour_out_of_range(self, tmp_path):
-        path = tmp_path / "g.npz"
-        self._save_raw(path, [0, 2, 3], [1, 9, 0])
-        with pytest.raises(CorruptStreamError, match="out of range"):
-            load_graph(path)
-
-    def test_negative_neighbour(self, tmp_path):
-        path = tmp_path / "g.npz"
-        self._save_raw(path, [0, 2, 3], [1, -1, 0])
-        with pytest.raises(CorruptStreamError, match="out of range"):
-            load_graph(path)
 
 
 class TestEdgeListText:
@@ -199,3 +57,81 @@ class TestEdgeListText:
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 read_edge_list(path)
+
+
+def _edit_meta(base, **overrides):
+    """Rewrite a container's ``.meta`` with fields replaced (``None`` drops)."""
+    path = container_paths(base)[2]
+    with open(path) as fh:
+        meta = json.load(fh)
+    for key, value in overrides.items():
+        if value is None:
+            meta.pop(key, None)
+        else:
+            meta[key] = value
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+
+
+# The ``Npz`` class names date from when graphs were also stored as npz
+# archives; the container is now the one binary CSR file, and these cases
+# pin its contract from the offline-conversion side.
+class TestNpzRoundtrip:
+    def test_roundtrip(self, small_graph, tmp_path):
+        # The offline conversion path: text edge list -> container -> Graph.
+        edges = tmp_path / "edges.txt"
+        write_edge_list(small_graph, edges)
+        base = str(tmp_path / "g")
+        save_container(read_edge_list(edges, name=small_graph.name), base)
+        loaded = open_container(base).to_graph()
+        assert np.array_equal(loaded.vlist, small_graph.vlist)
+        assert np.array_equal(loaded.elist, small_graph.elist)
+        assert loaded.directed == small_graph.directed
+        assert loaded.name == small_graph.name
+
+
+class TestNpzIntegrity:
+    @pytest.fixture
+    def saved(self, small_graph, tmp_path):
+        base = str(tmp_path / "g")
+        save_container(small_graph, base)
+        return base
+
+    def test_payload_tamper_detected(self, saved):
+        # Change one neighbour id (not just a byte): still a valid id
+        # range-wise, so only the payload CRC can catch it.
+        path = container_paths(saved)[1]
+        elist = np.fromfile(path, dtype="<i8")
+        elist[0] ^= 1
+        elist.tofile(path)
+        with pytest.raises(CorruptStreamError, match="payload CRC"):
+            open_container(saved)
+
+    def test_metadata_tamper_detected(self, small_graph, saved):
+        # A monotone-preserving offsets edit decodes structurally fine;
+        # only the meta CRC can catch it.
+        vlist = small_graph.vlist.copy()
+        idx = len(vlist) // 2
+        if vlist[idx] + 1 <= vlist[idx + 1]:
+            vlist[idx] += 1
+        else:
+            vlist[idx] -= 1
+        vlist.astype("<i8").tofile(container_paths(saved)[0])
+        with pytest.raises(CorruptMetadataError, match="metadata CRC"):
+            open_container(saved)
+
+    def test_version_mismatch_is_typed(self, saved):
+        _edit_meta(saved, version=99)
+        with pytest.raises(CorruptMetadataError, match="version 99"):
+            open_container(saved)
+
+    def test_missing_key_is_typed(self, saved):
+        _edit_meta(saved, num_edges=None)
+        with pytest.raises(CorruptMetadataError, match="missing keys"):
+            open_container(saved)
+
+    def test_all_failures_are_decode_errors(self, saved):
+        # A tampered file must never escape as KeyError/ValueError.
+        _edit_meta(saved, version=None)
+        with pytest.raises(DecodeError):
+            open_container(saved)

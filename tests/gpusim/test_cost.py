@@ -1,7 +1,11 @@
 """Tests for the analytic cost model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim.cost import (
     AccessPattern,
@@ -12,6 +16,7 @@ from repro.gpusim.cost import (
 )
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.memory import MemoryManager, Residency
+from repro.obs.roofline import _analyze
 
 
 @pytest.fixture
@@ -83,18 +88,17 @@ class TestCharging:
         assert cost.breakdown["dev_array"] == 40
 
     def test_kernel_seconds_max_rule(self, model):
-        cost = KernelCost(name="k")
-        cost.device_bytes = 417.4e9  # exactly 1 second of DRAM
-        cost.host_bytes = 0
-        cost.instructions = 0
-        t = model.kernel_seconds(cost)
-        assert t == pytest.approx(1.0 + TITAN_XP.launch_overhead_s)
+        # Exactly 1 second of DRAM, nothing else.
+        terms = model.time_terms(1, 417.4e9, 0.0, 0.0, 0.0, 0.0)
+        assert terms["memory"] == pytest.approx(1.0)
+        assert model.total_seconds(terms) == pytest.approx(
+            1.0 + TITAN_XP.launch_overhead_s
+        )
 
     def test_link_time_dominates_when_host(self, model):
-        cost = KernelCost(name="k")
-        cost.host_bytes = 12.1e9  # 1 second of PCIe
-        cost.device_bytes = 417.4e9 / 100
-        assert model.kernel_seconds(cost) == pytest.approx(
+        # 1 second of PCIe against 1/100 s of DRAM.
+        terms = model.time_terms(1, 417.4e9 / 100, 12.1e9, 0.0, 0.0, 0.0)
+        assert model.total_seconds(terms) == pytest.approx(
             1.0 + TITAN_XP.launch_overhead_s
         )
 
@@ -109,16 +113,6 @@ class TestCharging:
         peak = TITAN_XP.instruction_throughput
         t = model.compute_seconds(peak)
         assert t == pytest.approx(1 / 0.15)
-
-    def test_merge(self):
-        a = KernelCost(name="k", device_bytes=10, instructions=5)
-        b = KernelCost(name="k", device_bytes=20, host_bytes=7,
-                       floor_seconds=0.5)
-        a.merge(b)
-        assert a.device_bytes == 30
-        assert a.host_bytes == 7
-        assert a.launches == 2
-        assert a.floor_seconds == 0.5
 
 
 class TestCostParams:
@@ -144,20 +138,132 @@ class TestCachedReads:
         mm = MemoryManager(capacity_bytes=10**9)
         model = CostModel(device=TITAN_XP, memory=mm)
         big = 10**12  # large enough to dominate every floor
-        dram = KernelCost("dram", device_bytes=big)
-        cached = KernelCost("hit", cached_bytes=big)
+        dram = model.time_terms(1, big, 0.0, 0.0, 0.0, 0.0)
+        cached = model.time_terms(1, 0.0, 0.0, big, 0.0, 0.0)
         ratio = model.params.cached_bw_ratio
         overhead = TITAN_XP.launch_overhead_s
-        assert model.kernel_seconds(dram) - overhead == pytest.approx(
-            ratio * (model.kernel_seconds(cached) - overhead), rel=1e-6
+        assert model.total_seconds(dram) - overhead == pytest.approx(
+            ratio * (model.total_seconds(cached) - overhead), rel=1e-6
         )
 
     def test_ratio_validated(self):
         with pytest.raises(ValueError):
             CostParams(cached_bw_ratio=0.5)
 
-    def test_merge_carries_cached_bytes(self):
-        a = KernelCost("a", cached_bytes=100)
-        b = KernelCost("b", cached_bytes=50)
-        a.merge(b)
-        assert a.cached_bytes == 150
+
+# -- the one byte ledger ----------------------------------------------------
+
+_ARRAYS = ("dev_array", "host_array")
+
+_charge = st.tuples(
+    st.just("charge"),
+    st.sampled_from(_ARRAYS),
+    st.integers(0, 10_000),
+    st.sampled_from((1, 4, 8, 64, 200)),
+    st.sampled_from(list(AccessPattern)),
+)
+_stream = st.tuples(
+    st.just("stream"),
+    st.sampled_from(_ARRAYS),
+    st.lists(st.integers(0, 1 << 20), max_size=80),
+    st.sampled_from((1, 4, 8)),
+)
+_cached = st.tuples(
+    st.just("cached"),
+    st.sampled_from(("efg_decoded", "lists")),
+    st.integers(0, 10_000),
+    st.sampled_from((4, 8)),
+)
+
+
+def _old_terms(model, launches, device, host, cached, instructions, floor):
+    """The pricing arithmetic as it stood inline before it was shared."""
+    dev, params = model.device, model.params
+    return {
+        "overhead": launches * dev.launch_overhead_s,
+        "memory": device / dev.dram_bandwidth,
+        "pcie": host / dev.link_bandwidth,
+        "cache": cached / (dev.dram_bandwidth * params.cached_bw_ratio),
+        "compute": instructions
+        / (dev.instruction_throughput * params.simt_efficiency),
+        "latency": floor,
+    }
+
+
+def _old_bound(terms):
+    overlapped = {k: v for k, v in terms.items() if k != "overhead"}
+    bound, peak = max(overlapped.items(), key=lambda kv: kv[1])
+    return "overhead" if terms["overhead"] > peak else bound
+
+
+class TestLedger:
+    @given(
+        ops=st.lists(st.one_of(_charge, _stream, _cached), max_size=40),
+        instructions=st.floats(0, 1e12),
+        floor=st.floats(0, 1e-3),
+        launches=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_derived_columns_match_running_sums(
+        self, ops, instructions, floor, launches
+    ):
+        mm = MemoryManager(capacity_bytes=1000)
+        mm.register("dev_array", 100)
+        mm.register("host_array", 5000)
+        model = CostModel(device=TITAN_XP, memory=mm)
+        unit = {"dev_array": TITAN_XP.sector_bytes,
+                "host_array": TITAN_XP.link_line_bytes}
+        column = {"dev_array": "device", "host_array": "host"}
+        cost = KernelCost("k", instructions=instructions,
+                          floor_seconds=floor, launches=launches)
+        sums = {"device": 0.0, "host": 0.0, "cache": 0.0}
+        per_array: dict[str, float] = {}
+        for op in ops:
+            if op[0] == "charge":
+                _, array, count, elem, pattern = op
+                model.charge(cost, array, count, elem, pattern)
+                if pattern is AccessPattern.COALESCED:
+                    moved = count * elem
+                elif pattern is AccessPattern.BROADCAST:
+                    moved = elem
+                else:
+                    moved = count * max(elem, unit[array])
+                key, residency = array, column[array]
+            elif op[0] == "stream":
+                _, array, ids, elem = op
+                ids = np.asarray(ids, dtype=np.int64)
+                model.charge_stream(cost, array, ids, elem)
+                moved = stream_transfer_bytes(ids, elem, unit[array])
+                key, residency = array, column[array]
+            else:
+                _, tag, count, elem = op
+                model.charge_cached(cost, tag, count, elem)
+                moved = count * elem
+                key, residency = f"cache:{tag}", "cache"
+            sums[residency] += moved
+            per_array[key] = per_array.get(key, 0.0) + moved
+
+        assert cost.device_bytes == sums["device"]
+        assert cost.host_bytes == sums["host"]
+        assert cost.cached_bytes == sums["cache"]
+        assert list(cost.breakdown.items()) == list(per_array.items())
+        snap = cost.snapshot()
+        assert snap.breakdown == cost.breakdown
+        assert snap.traffic is not cost.traffic
+
+        old = _old_terms(model, launches, sums["device"], sums["host"],
+                         sums["cache"], instructions, floor)
+        terms = model.time_terms(launches, cost.device_bytes,
+                                 cost.host_bytes, cost.cached_bytes,
+                                 instructions, floor)
+        assert terms == old
+        assert model.kernel_seconds(cost) == old["overhead"] + max(
+            old["memory"], old["pcie"], old["cache"], old["compute"],
+            old["latency"],
+        )
+        bound, roofline_terms = _analyze(
+            SimpleNamespace(model=model), launches, cost.device_bytes,
+            cost.host_bytes, cost.cached_bytes, instructions, floor,
+        )
+        assert roofline_terms == old
+        assert bound == _old_bound(old)

@@ -52,11 +52,35 @@ class TestAttributionExactness:
         verify_attribution(engine)
 
     def test_verify_catches_a_lost_byte(self, graph):
+        # Losing half a byte leaves a fractional entry; the derived
+        # byte columns are only order-exact over integer ones, so the
+        # check must name the launch.
+        engine = run_efg_bfs(graph)
+        index, record = next(
+            (i, r) for i, r in enumerate(engine.records) if r.cost.traffic
+        )
+        traffic = next(iter(record.cost.traffic.values()))
+        traffic.moved_bytes += 0.5
+        with pytest.raises(
+            AssertionError, match=rf"launch {index} \({record.name}\)"
+        ):
+            verify_attribution(engine)
+
+    @pytest.mark.parametrize(
+        "moved", [float("nan"), float("inf"), -32.0, 2.0**53]
+    )
+    def test_verify_rejects_inexact_bytes(self, graph, moved):
         engine = run_efg_bfs(graph)
         record = next(r for r in engine.records if r.cost.traffic)
-        traffic = next(iter(record.cost.traffic.values()))
-        traffic.moved_bytes += 1.0
-        with pytest.raises(AssertionError, match=record.name):
+        next(iter(record.cost.traffic.values())).moved_bytes = moved
+        with pytest.raises(AssertionError, match="not an exact integer"):
+            verify_attribution(engine)
+
+    def test_verify_rejects_unknown_residency(self, graph):
+        engine = run_efg_bfs(graph)
+        record = next(r for r in engine.records if r.cost.traffic)
+        next(iter(record.cost.traffic.values())).residency = "l2"
+        with pytest.raises(AssertionError, match="unknown residency 'l2'"):
             verify_attribution(engine)
 
     def test_counters_match_kernel_summary_columns(self, graph):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ class TestRoundTrip:
             directed=small_graph.directed, name=small_graph.name,
         ))
         assert a.epoch != b.epoch
+
+    def test_undirected_flag(self, small_graph, tmp_path):
+        base = str(tmp_path / "sym")
+        save_container(small_graph.symmetrized(), base)
+        assert not open_container(base).to_graph().directed
 
     def test_is_container(self, base, tmp_path):
         assert is_container(base)
@@ -157,6 +163,14 @@ class TestCorruption:
         with pytest.raises(CorruptMetadataError, match="epoch"):
             open_container(base)
 
+    def test_direction_flip_detected(self, base):
+        path = container_paths(base)[2]
+        meta = json.load(open(path))
+        meta["directed"] = not meta["directed"]
+        json.dump(meta, open(path, "w"))
+        with pytest.raises(CorruptMetadataError, match="metadata CRC"):
+            open_container(base)
+
     def test_missing_array_file(self, base):
         import os
 
@@ -172,4 +186,47 @@ class TestCorruption:
         meta["num_nodes"] = -5
         json.dump(meta, open(path, "w"))
         with pytest.raises(DecodeError):
+            open_container(base)
+
+
+class TestStructuralValidation:
+    """Malformed arrays under matching CRC stamps: only ``validate()``
+    can catch them, so the structural checks are what must fire."""
+
+    @staticmethod
+    def _save_raw(tmp_path, vlist, elist) -> str:
+        # The real writer stamps CRCs over whatever arrays it is given,
+        # so a graph-shaped namespace yields a well-stamped bad container.
+        base = str(tmp_path / "raw")
+        save_container(SimpleNamespace(
+            vlist=np.asarray(vlist, dtype=np.int64),
+            elist=np.asarray(elist, dtype=np.int64),
+            directed=True, name="raw",
+        ), base)
+        open_container(base, verify=False).verify_integrity()
+        return base
+
+    def test_non_monotone_offsets(self, tmp_path):
+        base = self._save_raw(tmp_path, [0, 3, 2, 4], [1, 2, 0, 3])
+        with pytest.raises(CorruptMetadataError, match="non-decreasing"):
+            open_container(base)
+
+    def test_terminal_offset_mismatch(self, tmp_path):
+        base = self._save_raw(tmp_path, [0, 2, 5], [1, 0, 1])
+        with pytest.raises(CorruptMetadataError, match="terminal offset"):
+            open_container(base)
+
+    def test_offsets_must_start_at_zero(self, tmp_path):
+        base = self._save_raw(tmp_path, [1, 2, 4], [1, 0, 1])
+        with pytest.raises(CorruptMetadataError, match="start at 0"):
+            open_container(base)
+
+    def test_neighbour_out_of_range(self, tmp_path):
+        base = self._save_raw(tmp_path, [0, 2, 3], [1, 9, 0])
+        with pytest.raises(CorruptStreamError, match="out of range"):
+            open_container(base)
+
+    def test_negative_neighbour(self, tmp_path):
+        base = self._save_raw(tmp_path, [0, 2, 3], [1, -1, 0])
+        with pytest.raises(CorruptStreamError, match="out of range"):
             open_container(base)

@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.formats.graph import Graph
-from repro.formats.io import save_graph
+from repro.serve.container import save_container
 
 
 @pytest.fixture
@@ -16,9 +19,9 @@ def graph_file(tmp_path, rng):
     g = Graph.from_edges(
         rng.integers(0, n, m), rng.integers(0, n, m), num_nodes=n, name="cli"
     )
-    path = tmp_path / "g.npz"
-    save_graph(g, path)
-    return str(path)
+    base = str(tmp_path / "g")
+    save_container(g, base)
+    return base
 
 
 @pytest.fixture
@@ -29,7 +32,7 @@ def edge_file(tmp_path):
 
 
 class TestInfo:
-    def test_npz(self, graph_file, capsys):
+    def test_container(self, graph_file, capsys):
         assert main(["info", graph_file]) == 0
         out = capsys.readouterr().out
         assert "num_edges" in out
@@ -74,9 +77,9 @@ class TestBFS:
 
     def test_dead_source_redirects(self, tmp_path, capsys):
         g = Graph.from_adjacency([[], [2], [1]])
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
-        assert main(["bfs", str(path), "--source", "0"]) == 0
+        base = str(tmp_path / "g")
+        save_container(g, base)
+        assert main(["bfs", base, "--source", "0"]) == 0
         assert "has no out-edges" in capsys.readouterr().out
 
 
@@ -634,8 +637,8 @@ class TestTune:
 
 #: Positional arguments each verb needs to parse.
 REQUIRED = {
-    "info": ["g.npz"], "encode": ["g.npz"], "bfs": ["g.npz"],
-    "msbfs": ["g.npz"], "serve": ["base"], "top": ["m.json"],
+    "info": ["g"], "encode": ["g"], "bfs": ["g"],
+    "msbfs": ["g"], "serve": ["base"], "top": ["m.json"],
     "profile": ["bfs"], "dist": ["bfs"], "recipe": ["run", "r.toml"],
     "tune": ["bfs"], "whatif": ["bfs"], "compare": ["a.json", "b.json"],
     "bench": [], "check": [], "suite": [],
@@ -651,7 +654,7 @@ DEFAULTS = {
     },
     "bfs": {
         "cache_kb": 0, "command": "bfs", "device_scale": 2048, "format": "efg",
-        "graph": "g.npz", "source": 0,
+        "graph": "g", "source": 0,
     },
     "check": {
         "command": "check", "decode_only": False, "fuzz": 200, "graph": None,
@@ -669,12 +672,12 @@ DEFAULTS = {
         "seed": 1, "source": 0, "tuned": None, "wire": "auto",
     },
     "encode": {
-        "command": "encode", "graph": "g.npz", "output": None, "quantum": 512,
+        "command": "encode", "graph": "g", "output": None, "quantum": 512,
     },
-    "info": {"all_formats": False, "command": "info", "graph": "g.npz"},
+    "info": {"all_formats": False, "command": "info", "graph": "g"},
     "msbfs": {
         "cache_kb": 256, "command": "msbfs", "device_scale": 2048,
-        "format": "efg", "graph": "g.npz", "num_sources": 64, "seed": 0,
+        "format": "efg", "graph": "g", "num_sources": 64, "seed": 0,
     },
     "profile": {
         "algo": "bfs", "cache_kb": 0, "command": "profile", "counters": False,
@@ -848,3 +851,46 @@ class TestLibraryErrorsExitCleanly:
             ["serve", graph_file, "--queries", "-1"], capsys
         )
         assert message == "num_queries must be > 0, got -1"
+
+
+def _run_cli(*argv) -> subprocess.CompletedProcess:
+    """``python -m repro argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestBadGraphPath:
+    """A graph path that cannot be opened exits with one stderr line."""
+
+    @staticmethod
+    def _corrupt_container(tmp_path) -> str:
+        base = str(tmp_path / "bad")
+        save_container(Graph.from_adjacency([[1], [0]]), base)
+        blob = bytearray(open(base + ".graph", "rb").read())
+        blob[0] ^= 1
+        open(base + ".graph", "wb").write(bytes(blob))
+        return base
+
+    @pytest.mark.parametrize("case", ["missing", "garbage", "corrupt"])
+    def test_one_line_no_traceback(self, tmp_path, case):
+        if case == "missing":
+            argv, expect = ["info", str(tmp_path / "missing.txt")], "No such file"
+        elif case == "garbage":
+            path = tmp_path / "garbage.txt"
+            path.write_text("hello world\n")
+            argv, expect = ["info", str(path)], "hello"
+        else:
+            argv = ["bfs", self._corrupt_container(tmp_path)]
+            expect = "payload CRC"
+        proc = _run_cli(*argv)
+        assert proc.returncode != 0
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"cannot open {argv[1]}: ")
+        assert expect in lines[0]
+        assert "Traceback" not in proc.stderr
