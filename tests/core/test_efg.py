@@ -1,9 +1,12 @@
 """Tests for the EFG format: encoder, layout, batched decoder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.efg import csr_gather_indices, decode_lists, efg_encode
+from repro.datasets import rmat_graph
 from repro.ef.bounds import ef_num_lower_bits
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
@@ -86,6 +89,31 @@ class TestEncoder:
         v = np.arange(small_graph.num_nodes)
         total = efg.fwd_nbytes(v) + efg.lower_nbytes(v) + efg.upper_nbytes(v)
         assert np.array_equal(total, np.diff(efg.offsets))
+
+
+class TestPinnedBytes:
+    """Any drift in the encoder's output fails here by name."""
+
+    @pytest.mark.parametrize(
+        "quantum, nbytes, payload_crc, meta_crc, digest",
+        [
+            (512, 6629, 1164935986, 421851879,
+             "efa7f494750a1961e35800056196588008e60a18ed0e5cc8c13692830f05a657"),
+            (64, 6681, 3032054679, 147972110,
+             "6e4bd87ff4628542b75675b2e4bbf3b3e4062d71f6c5b329ea1447fad5e28619"),
+        ],
+    )
+    def test_pinned_digest(self, quantum, nbytes, payload_crc, meta_crc, digest):
+        efg = efg_encode(rmat_graph(10, 8, seed=1), quantum=quantum)
+        assert efg.data.shape[0] == nbytes
+        assert (efg.payload_crc, efg.meta_crc) == (payload_crc, meta_crc)
+        got = hashlib.sha256(
+            efg.vlist.tobytes()
+            + efg.num_lower_bits.tobytes()
+            + efg.offsets.tobytes()
+            + efg.data.tobytes()
+        ).hexdigest()
+        assert got == digest
 
 
 class TestCompression:

@@ -1,5 +1,7 @@
 """Tests for the frontier wire codecs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,36 @@ class TestEliasFano:
         )
         with pytest.raises(CorruptStreamError):
             codec.decode(payload, 0, 16)
+
+
+    def test_pinned_payloads(self):
+        # Byte-for-byte pin of the EF wire format over a fixed message
+        # set: >= 512 ids (forward pointers at encode time, never
+        # shipped), l = 0, a single id, a sparse and a dense range.
+        rng = np.random.default_rng(2024)
+        messages = [
+            (np.arange(0, 4000, 3), 0, 4096),
+            (np.arange(0, 300, 3), 0, 4096),
+            (np.arange(1024, 2048), 1024, 2048),
+            (np.array([7]), 0, 16),
+            (np.sort(rng.choice(1 << 20, 256, replace=False)), 0, 1 << 20),
+            (
+                np.sort(rng.choice(np.arange(5000, 9096), 3000, replace=False)),
+                5000,
+                9096,
+            ),
+        ]
+        codec = EliasFanoCodec()
+        digest = hashlib.sha256()
+        sizes = []
+        for ids, lo, hi in messages:
+            payload = codec.encode(ids.astype(np.int64), lo, hi)
+            sizes.append(int(payload.shape[0]))
+            digest.update(len(payload).to_bytes(4, "little") + payload.tobytes())
+        assert sizes == [594, 96, 260, 6, 452, 891]
+        assert digest.hexdigest() == (
+            "c751ae9a8dd414aa6f79eed477a16f3bc231f9fa69865347bf43708f7cc3e6fb"
+        )
 
 
 class TestAuto:

@@ -1,5 +1,7 @@
 """Tests for partitioned Elias-Fano (Sec. IX extension)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.ef.partitioned import (
     PartitionCodec,
     pef_decode,
     pef_encode,
+    pef_from_blob,
+    pef_to_blob,
 )
 
 
@@ -102,3 +106,24 @@ class TestOptimalStrategy:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             pef_encode(np.array([1, 2, 3]), strategy="magic")
+
+
+class TestPinnedBlob:
+    def test_pinned_digest(self):
+        # Runs, a dense stretch and a sparse tail: every partition codec
+        # appears, so any drift in the EF or bitmap payload bytes fails.
+        rng = np.random.default_rng(2024)
+        vals = np.concatenate([
+            np.arange(0, 100),
+            200 + np.sort(rng.choice(160, 128, replace=False)),
+            np.arange(400, 450),
+            np.sort(rng.choice(np.arange(1000, 100000), 300, replace=False)),
+        ])
+        seq = pef_encode(vals)
+        assert {p.codec for p in seq.partitions} == set(PartitionCodec)
+        blob = pef_to_blob(seq)
+        assert blob.shape[0] == 563
+        assert hashlib.sha256(blob.tobytes()).hexdigest() == (
+            "337d7ff33d4bbfe2ffeba4338f4013982bc02d532e0250dcdf6ebbe3b9535818"
+        )
+        assert np.array_equal(pef_from_blob(blob), vals)
