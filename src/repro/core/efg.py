@@ -12,9 +12,13 @@ vertex id —
   bits | upper bits)* in that order, each byte aligned.
 
 The encoder is fully vectorized across all lists at once: lower bits
-are scattered with at most ``max(l)`` masked passes, upper-bit stop
+are scattered one byte of the widest field per pass, upper-bit stop
 positions (``(x >> l) + i``) and forward-pointer values (``x >> l`` at
-anchor elements) come straight from arithmetic — no bit scanning.
+anchor elements) come straight from arithmetic — no bit scanning.  It
+is the package's one Elias-Fano encoder: :func:`repro.ef.encoding.
+ef_encode` (and through it the EF wire codec and PEF partitions) runs
+it on a single list, and ``EFGraph.edge_at`` / ``ef_decode_at`` share
+one random access.
 
 ``decode_lists`` is the whole-batch equivalent of the multi-list
 thread-block kernel (Fig. 7): popcount -> segmented scans ->
@@ -32,11 +36,11 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.ef.bitstream import extract_fields
 from repro.ef.forward import DEFAULT_QUANTUM
+from repro.ef.select import select1_bitarray, select1_scalar
 from repro.formats.graph import Graph
 from repro.formats.integrity import arrays_crc32
-from repro.primitives.bitops import POPCOUNT_TABLE_I64, SELECT_IN_BYTE_TABLE_I64
+from repro.primitives.bitops import POPCOUNT_TABLE
 from repro.primitives.scan import exclusive_scan
-from repro.primitives.search import binsearch_maxle
 
 __all__ = [
     "EFGraph",
@@ -167,37 +171,18 @@ class EFGraph:
         if not 0 <= i < deg:
             raise IndexError(f"vertex {v} has no edge {i}")
         check_decode_batch(self, np.array([v], dtype=np.int64))
-        from repro.ef.select import select1_scalar
-
-        k = self.quantum
-        up_start = int(self.upper_start_byte(np.array([v]))[0])
-        up_len = int(self.upper_nbytes(np.array([v]))[0])
-        window = self.data[up_start : up_start + up_len]
-        fwd = self.forward_values(v)
-        l = int(self.num_lower_bits[v])
-        j = (i + 1) // k
-        try:
-            if j > 0:
-                anchor = j * k - 1
-                anchor_bit = int(fwd[j - 1]) + anchor  # select1(anchor)
-                if anchor == i:
-                    select_pos = anchor_bit
-                else:
-                    select_pos = select1_scalar(
-                        window, i - anchor - 1, start_bit=anchor_bit + 1
-                    )
-            else:
-                select_pos = select1_scalar(window, i)
-        except IndexError as exc:
-            # Fewer stop bits than the degree promises (or a forward
-            # pointer steering the scan past the section).
-            raise CorruptStreamError(str(exc), fmt="efg", vertex=v) from exc
-        upper_half = select_pos - i
-        if l == 0:
-            return upper_half
-        low_bit = int(self.lower_start_byte(np.array([v]))[0]) * 8 + i * l
-        lower_half = int(extract_fields(self.data, np.array([low_bit]), l)[0])
-        return (upper_half << l) | lower_half
+        lower = int(self.lower_start_byte(v))
+        upper = int(self.upper_start_byte(v))
+        return _value_at(
+            self.forward_values(v),
+            self.data[lower:upper],
+            self.data[upper : int(self.offsets[v + 1])],
+            int(self.num_lower_bits[v]),
+            self.quantum,
+            i,
+            fmt="efg",
+            vertex=v,
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency query in O(log deg) random accesses — constant-ish
@@ -261,61 +246,54 @@ class EFGraph:
         validate_efg(self)
 
 
-def efg_encode(
-    graph: Graph, quantum: int = DEFAULT_QUANTUM, name: str | None = None
-) -> EFGraph:
-    """Vectorized whole-graph EFG encoder.
+#: ``_POW2[k] = 2**k``: ``bit_length(x)`` is the number of entries <= x.
+_POW2 = np.int64(1) << np.arange(63, dtype=np.int64)
 
-    The only precondition is sorted neighbour lists (Sec. V); the
-    :class:`~repro.formats.graph.Graph` container guarantees strictly
-    increasing rows.
+
+def _encode_lists(
+    vlist: np.ndarray, elist: np.ndarray, u: np.ndarray, quantum: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elias-Fano-encode every list of a CSR ``(vlist, elist)`` at once.
+
+    List ``i`` is ``elist[vlist[i]:vlist[i+1]]`` (``vlist[0] == 0``),
+    non-decreasing and non-negative, with universe ``u[i]`` at or above
+    its last value.  Returns ``(num_lower_bits, offsets, data)``:
+    per-list ``l`` (uint8), byte offsets into ``data``, and the payload,
+    each list laid out as *forward pointers | lower bits | upper bits*,
+    byte aligned.  ``efg_encode`` passes every list's last value as
+    ``u``; ``ef_encode`` passes one list and the caller's bound.
+
+    Lower bits are scattered one byte of the widest field per pass;
+    upper-bit stop positions (``(x >> l) + i``) and forward-pointer
+    values (``x >> l`` at elements ``j*quantum - 1``) come straight from
+    arithmetic, with no bit scanning.
     """
     if quantum <= 0:
         raise ValueError(f"quantum must be positive, got {quantum}")
-    nv = graph.num_nodes
-    degrees = graph.degrees.astype(np.int64)
-    elist = graph.elist
-
-    # Per-list largest element u (0 for empty lists).
-    u = np.zeros(nv, dtype=np.int64)
+    vlist = np.asarray(vlist, dtype=np.int64)
+    elist = np.asarray(elist, dtype=np.int64)
+    num_lists = vlist.shape[0] - 1
+    degrees = np.diff(vlist)
     nonempty = degrees > 0
-    u[nonempty] = elist[graph.vlist[1:][nonempty] - 1]
 
-    # l = max(0, floor(log2(u / n))) — exact in integer arithmetic:
-    # bit_length(u // n) - 1 for u >= n, else 0.
-    ratio = np.zeros(nv, dtype=np.int64)
-    ratio[nonempty] = u[nonempty] // degrees[nonempty]
-    # np.int64 has no bit_length; use frexp-free trick via log2 of
-    # (ratio+1) is inexact for big ints — ratios here are < 2^53 so
-    # floor(log2(ratio)) via bit twiddling on float is safe up to 2^52.
-    l = np.zeros(nv, dtype=np.int64)
-    big = ratio >= 1
-    l[big] = np.floor(np.log2(ratio[big].astype(np.float64))).astype(np.int64)
-    # Guard against float rounding at exact powers of two.
-    lb = l[big]
-    rb = ratio[big]
-    lb = lb + ((rb >> (lb + 1)) > 0)
-    lb = lb - ((rb >> lb) == 0)
-    l[big] = lb
+    # l = max(0, floor(log2(u / n))) = bit_length(u // n) - 1, clamped at
+    # 0: exactly ef_num_lower_bits, one list per lane.
+    ratio = np.where(nonempty, u // np.maximum(degrees, 1), 0)
+    l = np.maximum(np.searchsorted(_POW2, ratio, side="right") - 1, 0)
 
     # --- section sizes and offsets ---
     num_fwd = degrees // quantum
     fwd_bytes = num_fwd * 4
     lower_bytes = (degrees * l + 7) >> 3
-    highs_last = np.zeros(nv, dtype=np.int64)
-    highs_last[nonempty] = u[nonempty] >> l[nonempty]
-    upper_bits = np.where(nonempty, degrees + highs_last, 0)
-    upper_bytes = (upper_bits + 7) >> 3
-    list_bytes = fwd_bytes + lower_bytes + upper_bytes
-    offsets = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(list_bytes, out=offsets[1:])
+    upper_bytes = np.where(nonempty, degrees + (u >> l) + 7, 0) >> 3
+    offsets = np.zeros(num_lists + 1, dtype=np.int64)
+    np.cumsum(fwd_bytes + lower_bytes + upper_bytes, out=offsets[1:])
 
     data = np.zeros(int(offsets[-1]), dtype=np.uint8)
 
-    # Per-edge bookkeeping: owning list and local index.
-    seg_ids = np.repeat(np.arange(nv, dtype=np.int64), degrees)
-    ex_deg, _ = exclusive_scan(degrees)
-    local_idx = np.arange(elist.shape[0], dtype=np.int64) - ex_deg[seg_ids]
+    # Per-element bookkeeping: owning list and local index.
+    seg_ids = np.repeat(np.arange(num_lists, dtype=np.int64), degrees)
+    local_idx = np.arange(elist.shape[0], dtype=np.int64) - vlist[seg_ids]
     l_per_edge = l[seg_ids]
     highs = elist >> l_per_edge
     lows = elist & ((np.int64(1) << l_per_edge) - 1)
@@ -328,35 +306,96 @@ def efg_encode(
     )
 
     # --- lower bits: l[v] bits per element, packed LSB-first ---
+    # One pass per 8-bit piece of the widest field: the piece at bit p
+    # of a field straddles at most two bytes, the second no further out
+    # than the list's first upper byte.
     lower_base_bit = (offsets[:-1] + fwd_bytes) * 8
     elem_bit0 = lower_base_bit[seg_ids] + local_idx * l_per_edge
-    max_l = int(l.max(initial=0))
-    for b in range(max_l):
-        mask = l_per_edge > b
-        if not mask.any():
-            break
-        bitset = ((lows[mask] >> np.int64(b)) & 1).astype(bool)
-        pos = elem_bit0[mask][bitset] + b
-        np.bitwise_or.at(data, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
+    for p in range(0, int(l.max(initial=0)), 8):
+        mask = l_per_edge > p
+        pos = elem_bit0[mask] + p
+        piece = (lows[mask] >> np.int64(p)) & 0xFF
+        off = pos & 7
+        np.bitwise_or.at(data, pos >> 3, ((piece << off) & 0xFF).astype(np.uint8))
+        np.bitwise_or.at(data, (pos >> 3) + 1, (piece >> (8 - off)).astype(np.uint8))
 
     # --- forward pointers: value of (x >> l) at elements j*quantum - 1 ---
-    total_fwd = int(num_fwd.sum())
-    if total_fwd:
-        anchor_pos, fwd_seg = csr_gather_indices(
-            np.zeros(nv, dtype=np.int64), num_fwd
-        )
+    if int(num_fwd.sum()):
         # anchor_pos is the pointer ordinal j-1 within its list.
-        anchor_elem = (anchor_pos + 1) * quantum - 1  # local element index
-        flat_elem = ex_deg[fwd_seg] + anchor_elem
+        anchor_pos, fwd_seg = csr_gather_indices(
+            np.zeros(num_lists, dtype=np.int64), num_fwd
+        )
+        flat_elem = vlist[fwd_seg] + (anchor_pos + 1) * quantum - 1
         values = (elist[flat_elem] >> l[fwd_seg]).astype("<u4")
         # Scatter 4-byte LE values into each list's fwd section.
         byte0 = offsets[fwd_seg] + anchor_pos * 4
         raw = values.view(np.uint8).reshape(-1, 4)
         for k in range(4):
             data[byte0 + k] = raw[:, k]
+    return l.astype(np.uint8), offsets, data
 
+
+def _value_at(
+    forward: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    l: int,
+    quantum: int,
+    i: int,
+    *,
+    fmt: str,
+    vertex: int | None = None,
+) -> int:
+    """Element ``i`` of one EF list from its three sections (Sec. IV-A).
+
+    ``x_i = ((select1(i) - i) << l) | lower[i]``.  Forward pointer ``j``
+    stores ``x_{jk-1} >> l``, so ``select1(jk-1)`` is that value plus
+    ``jk-1`` and :func:`select1_scalar` only scans the stop bits after
+    the closest anchor at or before ``i``.  ``forward`` may hold fewer
+    than ``n // quantum`` pointers (none at all scans from bit 0).
+
+    Raises
+    ------
+    CorruptStreamError
+        ``upper`` holds too few stop bits past the anchor.
+    """
+    j = min((i + 1) // quantum, forward.shape[0])
+    try:
+        if j == 0:
+            select_pos = select1_scalar(upper, i)
+        else:
+            anchor = j * quantum - 1
+            select_pos = int(forward[j - 1]) + anchor
+            if anchor < i:
+                select_pos = select1_scalar(
+                    upper, i - anchor - 1, start_bit=select_pos + 1
+                )
+    except IndexError as exc:
+        # Fewer stop bits than the length promises (or a forward
+        # pointer steering the scan past the section).
+        raise CorruptStreamError(str(exc), fmt=fmt, vertex=vertex) from exc
+    value = select_pos - i
+    if l:
+        value = (value << l) | int(extract_fields(lower, np.array([i * l]), l)[0])
+    return value
+
+
+def efg_encode(
+    graph: Graph, quantum: int = DEFAULT_QUANTUM, name: str | None = None
+) -> EFGraph:
+    """Vectorized whole-graph EFG encoder.
+
+    The only precondition is sorted neighbour lists (Sec. V); the
+    :class:`~repro.formats.graph.Graph` container guarantees strictly
+    increasing rows.  Each list's universe is its own last element.
+    """
     vlist = graph.vlist.copy()
-    num_lower_bits = l.astype(np.uint8)
+    last = np.zeros(graph.num_nodes, dtype=np.int64)
+    nonempty = graph.degrees > 0
+    last[nonempty] = graph.elist[vlist[1:][nonempty] - 1]
+    num_lower_bits, offsets, data = _encode_lists(
+        vlist, graph.elist, last, quantum
+    )
     # Freeze everything the decoders read: a buggy kernel scribbling on
     # shared payload bytes corrupts every later traversal, so the
     # container is immutable after encode (like the bitops LUTs and the
@@ -523,33 +562,25 @@ def decode_lists(
     byte_idx, byte_seg = csr_gather_indices(up_start, up_len)
     window = efg.data[byte_idx]
 
-    # popcount + block-wide exclusive scan (steps 2-3).
-    popc = POPCOUNT_TABLE_I64[window]
-    exsum, total_pop = exclusive_scan(popc)
+    # popcount + scan + binsearch + select1_byte (steps 2-5).  Every
+    # list contributes exactly its degree in stop bits, so value g of
+    # the batch owns the g-th set bit of the window — the arithmetic the
+    # segmented scan performs per block in the kernel.
+    total_pop = int(POPCOUNT_TABLE[window].sum(dtype=np.int64))
     if total_pop != total_vals:
         raise CorruptStreamError(
             f"{total_pop} stop bits for {total_vals} values", fmt="efg"
         )
+    select_pos = select1_bitarray(window, np.arange(total_vals, dtype=np.int64))
 
-    # Each value's global rank -> target byte via binsearch (steps 4-5).
+    # Bits preceding the stop bit *within its own list* (steps 6-8).
+    up_start_ex, _ = exclusive_scan(up_len)
+    select_in_list = select_pos - 8 * up_start_ex[byte_seg[select_pos >> 3]]
+
+    # upper half = select1(i) - i; combine with lower half (step 9).
     ex_deg, _ = exclusive_scan(degrees)
     val_seg = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degrees)
     local_rank = np.arange(total_vals, dtype=np.int64) - ex_deg[val_seg]
-    # Popcounts accumulate across list boundaries in `exsum`; since every
-    # list contributes exactly its degree in stop bits, the global rank of
-    # local value i of segment s is ex_deg[s] + i — the same arithmetic
-    # the segmented scan performs per block in the kernel.
-    global_rank = ex_deg[val_seg] + local_rank
-    target_byte = binsearch_maxle(exsum, global_rank)
-    in_byte_rank = global_rank - exsum[target_byte]
-    in_byte_pos = SELECT_IN_BYTE_TABLE_I64[window[target_byte], in_byte_rank]
-
-    # Bits preceding the target byte *within its own list* (steps 6-8).
-    up_start_ex, _ = exclusive_scan(up_len)
-    bytes_before = target_byte - up_start_ex[byte_seg[target_byte]]
-    select_in_list = bytes_before * 8 + in_byte_pos
-
-    # upper half = select1(i) - i; combine with lower half (step 9).
     upper_half = select_in_list - local_rank
     if int(upper_half.min()) < 0:
         # Total stop bits matched but migrated across a list boundary.

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.errors import CorruptStreamError
 from repro.ef.bounds import ef_num_lower_bits, ef_upper_bits
 from repro.ef.encoding import EFSequence, ef_decode, ef_encode
-from repro.ef.forward import DEFAULT_QUANTUM, build_forward_pointers
+from repro.primitives.bitops import pack_varints
 
 __all__ = [
     "FRONTIER_ID_BYTES",
@@ -70,31 +70,6 @@ def _check_sorted_unique(ids: np.ndarray) -> np.ndarray:
     if ids.size and np.any(np.diff(ids) <= 0):
         raise ValueError("wire codecs require sorted unique ids")
     return ids
-
-
-def _varint_encode(values: np.ndarray) -> np.ndarray:
-    """LEB128-encode a uint64 array (vectorized over byte positions)."""
-    values = values.astype(np.uint64)
-    if values.size == 0:
-        return np.empty(0, dtype=np.uint8)
-    lengths = np.ones(values.shape[0], dtype=np.int64)
-    bound = np.uint64(1 << 7)
-    while np.any(values >= bound):
-        lengths += values >= bound
-        if int(bound) >= 1 << 63:
-            break
-        bound = np.uint64(int(bound) << 7)
-    offsets = np.zeros(values.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    out = np.empty(int(lengths.sum()), dtype=np.uint8)
-    for b in range(int(lengths.max())):
-        live = lengths > b
-        chunk = (values[live] >> np.uint64(7 * b)) & np.uint64(0x7F)
-        more = lengths[live] > b + 1
-        out[offsets[live] + b] = (chunk | (np.uint64(0x80) * more)).astype(
-            np.uint8
-        )
-    return out
 
 
 def _varint_decode(payload: np.ndarray) -> np.ndarray:
@@ -225,7 +200,7 @@ class VarintCodec(WireCodec):
         gaps = np.empty(ids.shape[0], dtype=np.uint64)
         gaps[0] = np.uint64(int(ids[0]) - lo)
         gaps[1:] = np.diff(ids).astype(np.uint64)
-        return _varint_encode(gaps)
+        return pack_varints(gaps)[0]
 
     def decode(self, payload: np.ndarray, lo: int, hi: int) -> np.ndarray:
         gaps = _varint_decode(payload)
@@ -244,15 +219,16 @@ class EliasFanoCodec(WireCodec):
     lengths are closed-form in ``(n, u)`` (the a-priori bound the
     storage format advertises), so the count is the whole header and
     any truncation or padding is detected as a length mismatch.
-    Forward pointers are rebuilt receiver-side rather than shipped:
-    wire bytes stay minimal and the rebuild cost is part of the decode
-    instruction charge.
+    A message is always decoded whole, which needs no forward pointers,
+    so none are shipped or rebuilt.
     """
 
     name = "ef"
-    #: Lower/upper split, pack_bits store, unary stop-bit scatter.
+    #: Lower/upper split, lower-bit store, unary stop-bit scatter.
     encode_instr_per_id = 6.0
-    #: Forward-pointer rebuild + the Sec. VI-B select decomposition.
+    #: The Sec. VI-B select decomposition.  Priced as it was when the
+    #: receiver also rebuilt forward pointers, so simulated exchange
+    #: times stay fixed.
     decode_instr_per_id = 8.0
 
     @staticmethod
@@ -296,14 +272,12 @@ class EliasFanoCodec(WireCodec):
                 f"{lower_len + upper_len} implied by count {n}",
                 fmt="wire",
             )
-        upper = data[4 + lower_len :]
         seq = EFSequence(
             n=n,
             u=u,
             num_lower_bits=l,
             lower=data[4 : 4 + lower_len],
-            upper=upper,
-            forward=build_forward_pointers(upper, n, DEFAULT_QUANTUM),
+            upper=data[4 + lower_len :],
         )
         return ef_decode(seq) + lo
 

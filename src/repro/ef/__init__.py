@@ -4,10 +4,12 @@ Implements the quasi-succinct representation of monotone integer
 sequences: lower bits stored contiguously, upper bits as unary-coded
 gaps, ``select1``-based decoding, forward pointers for O(1) average
 select, a-priori storage bounds, and the partitioned (PEF) extension
-discussed in Sec. IX.
+discussed in Sec. IX.  Sequences are encoded by the batched EFG list
+codec (:mod:`repro.core.efg`): one Elias-Fano implementation serves
+the graph format, the EF frontier wire codec and PEF partitions.
 """
 
-from repro.ef.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.ef.bitstream import BitReader, BitWriter, unpack_bits
 from repro.ef.bounds import (
     ef_lower_bits,
     ef_total_bits,
@@ -21,7 +23,6 @@ from repro.ef.encoding import (
     ef_decode_range,
     ef_encode,
 )
-from repro.ef.forward import ForwardPointers, build_forward_pointers
 from repro.ef.partitioned import PEFSequence, pef_encode
 from repro.ef.queries import ef_contains, ef_intersect, ef_next_geq
 from repro.ef.select import select1_bitarray, select1_scalar
@@ -29,15 +30,12 @@ from repro.ef.select import select1_bitarray, select1_scalar
 __all__ = [
     "BitReader",
     "BitWriter",
-    "pack_bits",
     "unpack_bits",
     "EFSequence",
     "ef_encode",
     "ef_decode",
     "ef_decode_at",
     "ef_decode_range",
-    "ForwardPointers",
-    "build_forward_pointers",
     "PEFSequence",
     "pef_encode",
     "select1_bitarray",

@@ -8,15 +8,15 @@ Two layers are provided:
 
 * :class:`BitWriter` / :class:`BitReader` — incremental scalar access,
   used by encoders (compression is an offline step, Sec. VIII-F).
-* :func:`pack_bits` / :func:`unpack_bits` — fully vectorized fixed-width
-  field packing, used on the hot decode paths.
+* :func:`unpack_bits` / :func:`extract_fields` — fully vectorized
+  fixed-width field reads, used on the hot decode paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BitWriter", "BitReader", "pack_bits", "unpack_bits", "extract_fields"]
+__all__ = ["BitWriter", "BitReader", "unpack_bits", "extract_fields"]
 
 
 class BitWriter:
@@ -127,38 +127,10 @@ class BitReader:
         return gap
 
 
-def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Vectorized LSB-first packing of fixed-width fields into bytes.
-
-    ``values[i]`` occupies bits ``[i*width, (i+1)*width)`` of the output.
-    This builds the EF lower-bits section in one shot.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    if width < 0:
-        raise ValueError(f"negative width: {width}")
-    n = values.shape[0]
-    if width == 0 or n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if width < 64 and values.size and int(values.max()) >> width:
-        raise ValueError(f"a value does not fit in {width} bits")
-    total_bits = n * width
-    # Expand every field into individual bits, then repack 8 at a time.
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    flat = bits.reshape(-1)
-    nbytes = (total_bits + 7) >> 3
-    padded = np.zeros(nbytes * 8, dtype=np.uint8)
-    padded[:total_bits] = flat
-    byte_matrix = padded.reshape(nbytes, 8)
-    weights = (1 << np.arange(8)).astype(np.uint16)
-    return (byte_matrix * weights).sum(axis=1).astype(np.uint8)
-
-
 def unpack_bits(data: np.ndarray, width: int, count: int, start_bit: int = 0) -> np.ndarray:
-    """Vectorized inverse of :func:`pack_bits`.
+    """Read ``count`` consecutive ``width``-bit fields (LSB-first).
 
-    Reads ``count`` fields of ``width`` bits starting at bit offset
-    ``start_bit``.  Used by the decode kernels to fetch lower bits for a
+    The fields start at bit offset ``start_bit``.  Used by the decode kernels to fetch lower bits for a
     whole warp of values at once.
     """
     data = np.asarray(data, dtype=np.uint8)

@@ -5,9 +5,11 @@ A sequence ``0 <= x_0 <= ... <= x_{n-1} <= u`` is split per element into
 remaining upper bits (stored as unary-coded gaps with 1 as the stop bit).
 Total storage is at most ``n * (2 + ceil(log2(u/n)))`` bits.
 
-Encoders here are offline/CPU-side (Sec. VIII-F: compression is an
-offline step); the vectorized batch decoder mirrors the GPU
-decomposition and is what the simulator's kernels build on.
+There is one Elias-Fano codec in the package: a sequence is a one-list
+EFG, so :func:`ef_encode` runs the batched EFG list encoder, random
+access shares ``EFGraph.edge_at``'s implementation, and range decode
+runs the same batched :func:`~repro.ef.select.select1_bitarray` as
+:func:`repro.core.efg.decode_lists`.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
-from repro.ef.bitstream import pack_bits, unpack_bits
-from repro.ef.bounds import ef_num_lower_bits, ef_upper_bits
-from repro.ef.forward import DEFAULT_QUANTUM, ForwardPointers, build_forward_pointers
-from repro.ef.select import select1_bitarray, select1_scalar
-from repro.primitives.bitops import POPCOUNT_TABLE_I64, SELECT_IN_BYTE_TABLE_I64
-from repro.primitives.scan import exclusive_scan
-from repro.primitives.search import binsearch_maxle
+from repro.ef.bitstream import unpack_bits
+from repro.ef.forward import DEFAULT_QUANTUM
+from repro.ef.select import select1_bitarray
+from repro.primitives.bitops import POPCOUNT_TABLE
 
 __all__ = ["EFSequence", "ef_encode", "ef_decode", "ef_decode_at", "ef_decode_range"]
 
@@ -45,8 +44,11 @@ class EFSequence:
     upper:
         Byte-packed unary upper-bits section (LSB-first).
     forward:
-        Forward pointers over ``upper`` (may have zero entries for short
-        lists).
+        Forward pointers over ``upper`` (uint32): ``forward[j-1] =
+        x_{jk-1} >> l``, i.e. ``select1(jk-1) - (jk-1)``.  Empty for
+        short lists and for sequences read back without them.
+    quantum:
+        Forward-pointer spacing ``k``.
     """
 
     n: int
@@ -54,16 +56,21 @@ class EFSequence:
     num_lower_bits: int
     lower: np.ndarray
     upper: np.ndarray
-    forward: ForwardPointers = field(repr=False)
+    forward: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.uint32), repr=False
+    )
+    quantum: int = DEFAULT_QUANTUM
 
     @property
     def nbytes(self) -> int:
         """Total payload bytes (forward + lower + upper, byte aligned)."""
-        return self.forward.nbytes + int(self.lower.shape[0]) + int(self.upper.shape[0])
+        return 4 * int(self.forward.shape[0]) + int(self.lower.shape[0]) + int(
+            self.upper.shape[0]
+        )
 
     def to_blob(self) -> np.ndarray:
         """Serialize payload sections in EFG order: forward | lower | upper."""
-        fwd_bytes = self.forward.values.astype("<u4").view(np.uint8)
+        fwd_bytes = self.forward.astype("<u4").view(np.uint8)
         return np.concatenate([fwd_bytes, self.lower, self.upper])
 
 
@@ -85,6 +92,9 @@ def ef_encode(
     quantum:
         Forward-pointer spacing ``k`` (paper default 512).
     """
+    # Deferred: repro.core.efg imports this package.
+    from repro.core.efg import _encode_lists
+
     values = np.asarray(values, dtype=np.int64)
     if values.ndim != 1 or values.shape[0] == 0:
         raise ValueError("ef_encode requires a non-empty 1-D sequence")
@@ -99,23 +109,23 @@ def ef_encode(
     elif u < last:
         raise ValueError(f"upper bound {u} below the last value {last}")
 
-    l = ef_num_lower_bits(n, u)
-    low_mask = np.int64((1 << l) - 1)
-    lower = pack_bits((values & low_mask).astype(np.uint64), l)
-
-    highs = (values >> np.int64(l)).astype(np.int64)
-    total_upper_bits = ef_upper_bits(n, u)
-    # Stop bit for element i sits at bit position highs[i] + i.
-    stop_positions = highs + np.arange(n, dtype=np.int64)
-    upper = np.zeros((total_upper_bits + 7) >> 3, dtype=np.uint8)
-    np.bitwise_or.at(
-        upper,
-        stop_positions >> 3,
-        (np.uint8(1) << (stop_positions & 7).astype(np.uint8)),
+    l, _, data = _encode_lists(
+        np.array([0, n], dtype=np.int64),
+        values,
+        np.array([u], dtype=np.int64),
+        quantum,
     )
-    forward = build_forward_pointers(upper, n, quantum)
+    l = int(l[0])
+    lower_start = 4 * (n // quantum)
+    upper_start = lower_start + ((n * l + 7) >> 3)
     return EFSequence(
-        n=n, u=int(u), num_lower_bits=l, lower=lower, upper=upper, forward=forward
+        n=n,
+        u=int(u),
+        num_lower_bits=l,
+        lower=data[lower_start:upper_start],
+        upper=data[upper_start:],
+        forward=data[:lower_start].view("<u4"),
+        quantum=quantum,
     )
 
 
@@ -151,26 +161,20 @@ def ef_decode_at(seq: EFSequence, i: int) -> int:
     ``x_i = ((select1(i) - i) << l) | lower[i]`` — the forward pointer
     bounds the select scan to at most one quantum of stop bits.
     """
+    from repro.core.efg import _value_at  # deferred, as in ef_encode
+
     if not 0 <= i < seq.n:
         raise IndexError(f"index {i} out of range for sequence of {seq.n}")
     _check_sequence(seq)
-    anchor_elem, anchor_bit = seq.forward.floor_anchor(i)
-    try:
-        if anchor_elem == i:
-            select_pos = anchor_bit
-        elif anchor_elem < 0:
-            select_pos = select1_scalar(seq.upper, i)
-        else:
-            select_pos = select1_scalar(
-                seq.upper, i - anchor_elem - 1, start_bit=anchor_bit + 1
-            )
-    except IndexError as exc:
-        raise CorruptStreamError(str(exc), fmt="ef") from exc
-    upper_half = select_pos - i
-    lower_half = int(
-        unpack_bits(seq.lower, seq.num_lower_bits, 1, start_bit=i * seq.num_lower_bits)[0]
+    return _value_at(
+        seq.forward,
+        seq.lower,
+        seq.upper,
+        int(seq.num_lower_bits),
+        seq.quantum,
+        i,
+        fmt="ef",
     )
-    return (upper_half << seq.num_lower_bits) | lower_half
 
 
 def ef_decode_range(seq: EFSequence, a: int, b: int) -> np.ndarray:
@@ -188,75 +192,42 @@ def ef_decode_range(seq: EFSequence, a: int, b: int) -> np.ndarray:
     _check_sequence(seq)
 
     # --- bound the upper-bits scan with forward pointers (Fig. 6) ---
-    anchor_elem, anchor_bit = seq.forward.floor_anchor(a)
-    if anchor_elem >= a:
-        # floor_anchor anchors j*k-1 <= a only when (a+1) >= j*k; it can
-        # equal a itself, in which case start the scan at its stop bit.
-        start_bit = anchor_bit
-        base_rank = anchor_elem  # set bits strictly before start_bit
-    elif anchor_elem < 0:
-        start_bit = 0
-        base_rank = 0
+    # Pointer j anchors element jk-1 at stop bit forward[j-1] + jk-1.
+    k = seq.quantum
+    num_fwd = seq.forward.shape[0]
+    j = min((a + 1) // k, num_fwd)
+    start_bit = base_rank = 0
+    if j:
+        base_rank = j * k - 1
+        start_bit = int(seq.forward[j - 1]) + base_rank
+        if base_rank < a:
+            # Scan from just past the anchor's own stop bit.
+            start_bit += 1
+            base_rank += 1
+    j = -(-b // k)  # closest anchor at or after element b - 1
+    if j <= num_fwd:
+        stop_bit = int(seq.forward[j - 1]) + j * k
     else:
-        start_bit = anchor_bit + 1
-        base_rank = anchor_elem + 1
-
-    end_elem, end_bit = seq.forward.ceil_anchor(b - 1, seq.n)
-    if end_elem < 0:
         stop_bit = seq.upper.shape[0] * 8
-    else:
-        stop_bit = end_bit + 1
 
     first_byte = start_bit >> 3
-    last_byte = min((stop_bit + 7) >> 3, seq.upper.shape[0])
-    window = seq.upper[first_byte:last_byte]
+    window = seq.upper[first_byte : min((stop_bit + 7) >> 3, seq.upper.shape[0])]
+    # Ranks count from the window's bit 0; the stop bits of its first
+    # byte below start_bit precede element base_rank.
+    skipped = 0
+    if window.shape[0]:
+        skipped = int(POPCOUNT_TABLE[int(window[0]) & ((1 << (start_bit & 7)) - 1)])
 
-    # Bits before start_bit in the first byte must not count towards the
-    # ranks.  Only that one byte needs masking, so pass a patched first
-    # byte instead of copying the whole window (hot path: every partial
-    # decode of a hub list would otherwise copy up to a quantum of
-    # bytes just to mask three bits).
-    lead = start_bit & 7
-    first_value = np.uint8(int(window[0]) & ((0xFF << lead) & 0xFF)) if lead else None
-
-    # Ranks of the wanted elements relative to the window.
     want = np.arange(a, b, dtype=np.int64)
-    rel = want - base_rank
-    select_pos = (
-        _batched_select_window(window, rel, first_value) + first_byte * 8
-    )
+    try:
+        select_pos = select1_bitarray(window, want - base_rank + skipped)
+    except IndexError as exc:
+        # Fewer stop bits in the covering window than the requested
+        # element ranks imply — missing or truncated upper bits.
+        raise CorruptStreamError(str(exc), fmt="ef") from exc
 
-    upper_half = select_pos - want
+    upper_half = select_pos + first_byte * 8 - want
     lower_half = unpack_bits(
         seq.lower, seq.num_lower_bits, b - a, start_bit=a * seq.num_lower_bits
     ).astype(np.int64)
     return (upper_half << np.int64(seq.num_lower_bits)) | lower_half
-
-
-def _batched_select_window(
-    window: np.ndarray,
-    ranks: np.ndarray,
-    first_byte_value: np.uint8 | None = None,
-) -> np.ndarray:
-    """popcount + exclusive scan + binsearch + select1_byte over a window.
-
-    ``first_byte_value``, when given, stands in for ``window[0]`` — the
-    caller's way of masking leading bits without copying the window.
-    """
-    popc = POPCOUNT_TABLE_I64[window]
-    if first_byte_value is not None and window.shape[0]:
-        popc[0] = POPCOUNT_TABLE_I64[first_byte_value]
-    exsum, total = exclusive_scan(popc)
-    if ranks.size and ranks.max() >= total:
-        # Fewer stop bits in the covering window than the requested
-        # element ranks imply — missing or truncated upper bits.
-        raise CorruptStreamError(
-            "select rank beyond set bits in window", fmt="ef"
-        )
-    target_byte = binsearch_maxle(exsum, ranks)
-    target_value = window[target_byte]
-    if first_byte_value is not None:
-        target_value[target_byte == 0] = first_byte_value
-    in_rank = ranks - exsum[target_byte]
-    in_pos = SELECT_IN_BYTE_TABLE_I64[target_value, in_rank]
-    return target_byte * 8 + in_pos

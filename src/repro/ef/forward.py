@@ -3,8 +3,10 @@
 Following the folly convention: for a list of size ``n`` and quantum
 ``k > 0`` we store ``floor(n / k)`` pointers, where pointer ``j``
 (1-indexed) holds ``select1(j*k - 1) - (j*k - 1)`` — the *upper value*
-rather than the raw select position, because it takes fewer bits and the
-index can be re-added when needed.
+``x_{jk-1} >> l`` rather than the raw select position, because it takes
+fewer bits and the index can be re-added when needed.  The encoder
+computes them from that arithmetic; nothing scans the upper bits to
+rebuild them.
 
 To decode values ``[a, b]`` of a list, a thread block locates the
 closest preceding pointer for ``a`` and the closest covering pointer
@@ -13,101 +15,7 @@ after ``b``, and only scans the upper-bits bytes in between (Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.ef.select import select1_scalar
-
-__all__ = ["ForwardPointers", "build_forward_pointers", "DEFAULT_QUANTUM"]
+__all__ = ["DEFAULT_QUANTUM"]
 
 #: The paper's evaluation fixes k = 512 (Sec. VIII).
 DEFAULT_QUANTUM = 512
-
-
-@dataclass(frozen=True)
-class ForwardPointers:
-    """Precomputed select shortcuts for one EF upper-bits stream.
-
-    Attributes
-    ----------
-    quantum:
-        Spacing ``k`` between stored select positions.
-    values:
-        ``values[j] = select1((j+1)*k - 1) - ((j+1)*k - 1)`` — i.e. the
-        decoded *upper half* of element ``(j+1)*k - 1``; uint32.
-    """
-
-    quantum: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {self.quantum}")
-
-    @property
-    def nbytes(self) -> int:
-        """Storage cost of the pointer section (uint32 each)."""
-        return int(self.values.shape[0]) * 4
-
-    def floor_anchor(self, index: int) -> tuple[int, int]:
-        """Closest preceding anchor for element ``index``.
-
-        Returns ``(element_index, bit_position)`` where ``element_index``
-        is the anchored element (``j*k - 1``) and ``bit_position`` the bit
-        of its stop bit in the upper stream, or ``(-1, -1)`` when no
-        pointer precedes ``index`` (scan from the beginning).
-
-        The paper's example: for ``x_12`` with k=8, the pointer is at
-        ``forward[floor((12+1)/8) - 1]`` anchoring ``x_7``.
-        """
-        if index < 0:
-            raise ValueError(f"negative index: {index}")
-        j = (index + 1) // self.quantum  # number of usable pointers
-        j = min(j, self.values.shape[0])
-        if j == 0:
-            return -1, -1
-        elem = j * self.quantum - 1
-        upper_value = int(self.values[j - 1])
-        return elem, upper_value + elem  # select1(elem) = upper + index
-
-    def ceil_anchor(self, index: int, n: int) -> tuple[int, int]:
-        """Closest anchor at or after element ``index``.
-
-        Returns ``(element_index, bit_position)`` or ``(-1, -1)`` when no
-        pointer covers ``index`` (scan to the end of the stream).  ``n``
-        is the list length, used only for validation.
-        """
-        if not 0 <= index < n:
-            raise ValueError(f"index {index} out of range for list of {n}")
-        j = -(-(index + 1) // self.quantum)  # ceil division
-        if j > self.values.shape[0]:
-            return -1, -1
-        elem = j * self.quantum - 1
-        upper_value = int(self.values[j - 1])
-        return elem, upper_value + elem
-
-
-def build_forward_pointers(
-    upper_bits: np.ndarray, n: int, quantum: int = DEFAULT_QUANTUM
-) -> ForwardPointers:
-    """Scan an upper-bits stream once and record the pointer values.
-
-    Offline step (compression time).  Runs the sequential reference
-    ``select1`` from each previous anchor so the build is O(stream bits)
-    total, not O(n * stream).
-    """
-    if quantum <= 0:
-        raise ValueError(f"quantum must be positive, got {quantum}")
-    count = n // quantum
-    values = np.empty(count, dtype=np.uint32)
-    pos = 0
-    done = -1  # index of the last element whose stop bit we've passed
-    for j in range(1, count + 1):
-        target = j * quantum - 1
-        # Resume the scan from just past the previous anchor's stop bit.
-        pos = select1_scalar(upper_bits, target - done - 1, start_bit=pos)
-        values[j - 1] = pos - target
-        done = target
-        pos += 1  # next scan starts after this stop bit
-    return ForwardPointers(quantum=quantum, values=values)

@@ -395,13 +395,8 @@ def pef_from_blob(blob: np.ndarray) -> np.ndarray:
             payload = np.frombuffer(chunk, dtype=np.uint8)
             lower = payload[: nbytes - upper_bytes]
             upper = payload[nbytes - upper_bytes :]
-            from repro.ef.forward import ForwardPointers
-
             seq = EFSequence(
-                n=count, u=0, num_lower_bits=int(l), lower=lower, upper=upper,
-                forward=ForwardPointers(
-                    quantum=1 << 30, values=np.empty(0, dtype=np.uint32)
-                ),
+                n=count, u=0, num_lower_bits=int(l), lower=lower, upper=upper
             )
             local = ef_decode(seq)
         out.append(local + base)

@@ -26,9 +26,9 @@ __all__ = ["select1_scalar", "select1_bitarray", "rank1_bitarray"]
 def select1_scalar(data: np.ndarray, i: int, start_bit: int = 0) -> int:
     """Position (relative to bit 0 of ``data``) of the i-th set bit.
 
-    Sequential reference implementation used for validation and by the
-    CPU-side encoders.  ``start_bit`` lets callers resume from a forward
-    pointer boundary.
+    Sequential reference implementation: random access runs it from the
+    closest forward-pointer anchor (``start_bit``), and tests use it as
+    the oracle for the batched select and the stored pointers.
 
     Raises
     ------
@@ -65,8 +65,10 @@ def select1_bitarray(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
     Performs popcount per byte, an exclusive scan, then per query a
     ``binsearch_maxle`` into the scan plus a ``select1_byte`` LUT probe.
-    This is Alg. 2 applied to the full array at once (no tiling); the
-    tiled/kernel version lives in :mod:`repro.core.kernels`.
+    This is Alg. 2 applied to the full array at once (no tiling) and the
+    one batched select of the package: ``decode_lists`` and
+    ``ef_decode_range`` both run it.  The tiled/kernel version lives in
+    :mod:`repro.core.kernels`.
     """
     data = np.asarray(data, dtype=np.uint8)
     indices = np.asarray(indices, dtype=np.int64)

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.formats.graph import Graph
 from repro.formats.integrity import arrays_crc32
+from repro.primitives.bitops import pack_varints
 
 __all__ = ["CGRGraph", "cgr_encode", "cgr_encode_list", "cgr_decode_list", "cgr_list_steps"]
 
@@ -95,30 +96,6 @@ def _read_varint(data: np.ndarray, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return value, pos
         shift += 7
-
-
-#: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes
-#: iff it is at least ``2**(7k)`` (ten bytes cover all of uint64).
-_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
-
-
-def _pack_varints(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_write_varint` over a uint64 token array.
-
-    Returns the concatenated varint bytes and the inclusive cumulative
-    byte count after each token.  One scatter pass per byte index:
-    pass ``b`` writes byte ``b`` of every token that is longer than
-    ``b`` bytes, so the loop runs at most ten times.
-    """
-    nbytes = np.searchsorted(_VARINT_LIMITS, tokens, side="right") + 1
-    ends = np.cumsum(nbytes)
-    out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
-    pos = ends - nbytes
-    while pos.shape[0]:
-        more = nbytes > 1
-        out[pos] = (tokens & 0x7F).astype(np.uint8) | (more.astype(np.uint8) << 7)
-        pos, tokens, nbytes = pos[more] + 1, tokens[more] >> 7, nbytes[more] - 1
-    return out, ends
 
 
 def _encode_lists(
@@ -190,7 +167,7 @@ def _encode_lists(
         raise ValueError(
             f"varint requires non-negative value, got {int(tokens[negative[0]])}"
         )
-    data, byte_ends = _pack_varints(tokens.view(np.uint64))
+    data, byte_ends = pack_varints(tokens.view(np.uint64))
     offsets = np.concatenate([[0], byte_ends])[tok_bounds]
     return offsets, data, steps
 

@@ -1,4 +1,4 @@
-"""Bit-manipulation primitives: popcount and in-byte select.
+"""Bit-manipulation primitives: popcount, in-byte select, LEB128 varints.
 
 The paper's decompression kernels rest on two per-byte operations
 (Sec. VI-B):
@@ -8,6 +8,9 @@ The paper's decompression kernels rest on two per-byte operations
 * ``select1_byte(byte, i)`` — the position of the *i*-th (0-indexed) set
   bit inside a byte, implemented on the GPU as a 2 KiB lookup table in
   constant memory.  We build the identical 256x8 table here.
+
+:func:`pack_varints` is the one vectorized LEB128 packer behind the CGR
+payload and the ``varint`` frontier wire codec.
 
 Bit order convention: **LSB-first** (paper Fig. 3 footnote: the layout in
 memory puts the least significant bit at the right end, so ``select``
@@ -29,6 +32,7 @@ __all__ = [
     "select_in_bytes_vector",
     "bits_to_bytes",
     "bytes_to_bits",
+    "pack_varints",
 ]
 
 
@@ -159,3 +163,27 @@ def bytes_to_bits(nbytes: int) -> int:
     if nbytes < 0:
         raise ValueError(f"negative byte count: {nbytes}")
     return nbytes << 3
+
+
+#: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes
+#: iff it is at least ``2**(7k)`` (ten bytes cover all of uint64).
+_VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+
+
+def pack_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128-encode a uint64 array: 7 payload bits per byte, 0x80 = more.
+
+    Returns the concatenated varint bytes and the inclusive cumulative
+    byte count after each value.  One scatter pass per byte index: pass
+    ``b`` writes byte ``b`` of every value that is longer than ``b``
+    bytes, so the loop runs at most ten times.
+    """
+    nbytes = np.searchsorted(_VARINT_LIMITS, values, side="right") + 1
+    ends = np.cumsum(nbytes)
+    out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
+    pos = ends - nbytes
+    while pos.shape[0]:
+        more = nbytes > 1
+        out[pos] = (values & 0x7F).astype(np.uint8) | (more.astype(np.uint8) << 7)
+        pos, values, nbytes = pos[more] + 1, values[more] >> 7, nbytes[more] - 1
+    return out, ends

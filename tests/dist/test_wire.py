@@ -180,6 +180,18 @@ class TestEliasFano:
         with pytest.raises(CorruptStreamError):
             codec.decode(payload[:3], 0, 4096)
 
+    @pytest.mark.parametrize("n", [100, 1334])
+    def test_zeroed_back_half_is_typed_corruption(self, n):
+        # 1,334 ids span more than one forward-pointer quantum at encode
+        # time; the whole-message decode must still raise the typed
+        # error when the stop bits are gone.
+        codec = EliasFanoCodec()
+        ids = np.arange(0, 3 * n, 3, dtype=np.int64)
+        payload = codec.encode(ids, 0, 4096).copy()
+        payload[payload.shape[0] // 2 :] = 0
+        with pytest.raises(CorruptStreamError):
+            codec.decode(payload, 0, 4096)
+
     def test_absurd_count_is_typed_corruption(self):
         codec = EliasFanoCodec()
         ids = np.array([1, 2, 3], dtype=np.int64)

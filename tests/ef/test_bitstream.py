@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ef.bitstream import (
-    BitReader,
-    BitWriter,
-    extract_fields,
-    pack_bits,
-    unpack_bits,
-)
+from repro.ef.bitstream import BitReader, BitWriter, extract_fields
 
 
 class TestBitWriter:
@@ -99,36 +93,6 @@ class TestBitReader:
         r.seek(4)
         assert r.read_bits(4) == 0b1111
         assert r.position == 8
-
-
-class TestPackBits:
-    def test_roundtrip(self, rng):
-        for width in [0, 1, 3, 8, 13, 31, 40]:
-            count = 37
-            hi = (1 << width) if width else 1
-            values = rng.integers(0, hi, size=count).astype(np.uint64)
-            packed = pack_bits(values, width)
-            out = unpack_bits(packed, width, count)
-            if width == 0:
-                assert np.all(out == 0)
-            else:
-                assert np.array_equal(out, values)
-
-    def test_matches_bitwriter(self, rng):
-        width = 5
-        values = rng.integers(0, 32, size=20).astype(np.uint64)
-        packed = pack_bits(values, width)
-        w = BitWriter()
-        for v in values:
-            w.write_bits(int(v), width)
-        assert np.array_equal(packed, w.getvalue())
-
-    def test_value_too_wide(self):
-        with pytest.raises(ValueError):
-            pack_bits(np.array([4], dtype=np.uint64), 2)
-
-    def test_empty(self):
-        assert pack_bits(np.array([], dtype=np.uint64), 7).shape == (0,)
 
 
 class TestExtractFields:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ef.bounds import ef_num_lower_bits, ef_total_bits
 from repro.ef.encoding import ef_decode, ef_decode_at, ef_decode_range, ef_encode
+from repro.ef.select import select1_scalar
 
 
 class TestPaperExample:
@@ -142,17 +143,18 @@ class TestBlobLayout:
         n_fwd = 100 // 16
         assert blob.shape[0] == seq.nbytes
         fwd = blob[: 4 * n_fwd].view("<u4")
-        assert np.array_equal(fwd, seq.forward.values)
+        assert np.array_equal(fwd, seq.forward)
         lower_end = 4 * n_fwd + seq.lower.shape[0]
         assert np.array_equal(blob[4 * n_fwd : lower_end], seq.lower)
         assert np.array_equal(blob[lower_end:], seq.upper)
 
 
 class TestDecodeAtAnchorBranches:
-    """ef_decode_at has three select paths depending on floor_anchor:
-    the index IS an anchor, no pointer precedes it, or a mid-quantum
-    scan from the closest preceding anchor.  Exercise each explicitly
-    with a small quantum."""
+    """ef_decode_at has three select paths depending on the closest
+    anchor ``j*quantum - 1`` with ``j = (i + 1) // quantum``: the index
+    IS an anchor, no pointer precedes it, or a mid-quantum scan from the
+    closest preceding anchor.  Exercise each explicitly with a small
+    quantum."""
 
     def _seq(self, rng, n=20, quantum=4):
         vals = np.sort(rng.integers(0, 10**5, size=n))
@@ -163,22 +165,23 @@ class TestDecodeAtAnchorBranches:
         # from the forward pointer, no upper-bits scan at all.
         seq, vals = self._seq(rng)
         for i in (3, 7, 11, 15, 19):
-            assert seq.forward.floor_anchor(i)[0] == i
+            j = (i + 1) // 4
+            assert j * 4 - 1 == i
+            assert select1_scalar(seq.upper, i) == int(seq.forward[j - 1]) + i
             assert ef_decode_at(seq, i) == vals[i]
 
     def test_no_preceding_anchor(self, rng):
         # Indices before the first pointer scan from bit 0.
         seq, vals = self._seq(rng)
         for i in (0, 1, 2):
-            assert seq.forward.floor_anchor(i) == (-1, -1)
+            assert (i + 1) // 4 == 0
             assert ef_decode_at(seq, i) == vals[i]
 
     def test_mid_quantum(self, rng):
         # Between anchors: bounded scan from the preceding stop bit.
         seq, vals = self._seq(rng)
         for i in (4, 5, 6, 12, 18):
-            elem, bit = seq.forward.floor_anchor(i)
-            assert 0 <= elem < i and bit >= 0
+            assert 0 <= (i + 1) // 4 * 4 - 1 < i
             assert ef_decode_at(seq, i) == vals[i]
 
     def test_out_of_range(self, rng):

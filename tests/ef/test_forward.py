@@ -1,10 +1,27 @@
-"""Tests for forward pointers (Sec. IV-A / VI-C)."""
+"""Tests for forward pointers (Sec. IV-A / VI-C).
+
+The encoder computes pointer ``j`` as ``x_{jk-1} >> l``; the scalar
+``select1_scalar`` walk over the upper bits is the reference it must
+match, i.e. ``select1(jk-1) - (jk-1)``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ef.encoding import ef_encode
-from repro.ef.forward import ForwardPointers, build_forward_pointers
+from repro.ef.bitstream import BitWriter
+from repro.ef.encoding import ef_decode_at, ef_decode_range, ef_encode
+from repro.ef.select import select1_scalar
+
+
+def _reference_pointers(seq):
+    """Pointer values re-derived by scanning the upper bits."""
+    k = seq.quantum
+    return [
+        select1_scalar(seq.upper, j * k - 1) - (j * k - 1)
+        for j in range(1, seq.n // k + 1)
+    ]
 
 
 class TestBuild:
@@ -12,7 +29,7 @@ class TestBuild:
         for n, k in [(100, 8), (100, 512), (16, 8), (7, 8), (24, 8)]:
             vals = np.sort(rng.integers(0, 10**6, size=n))
             seq = ef_encode(vals, quantum=k)
-            assert seq.forward.values.shape[0] == n // k
+            assert seq.forward.shape[0] == n // k
 
     def test_values_are_upper_halves(self, rng):
         # Pointer j stores select1(jk-1) - (jk-1) = x_{jk-1} >> l.
@@ -20,58 +37,80 @@ class TestBuild:
         seq = ef_encode(vals, quantum=8)
         for j in range(1, 64 // 8 + 1):
             anchor = j * 8 - 1
-            assert seq.forward.values[j - 1] == vals[anchor] >> seq.num_lower_bits
+            assert seq.forward[j - 1] == vals[anchor] >> seq.num_lower_bits
 
-    def test_paper_fig6_convention(self):
+    def test_paper_fig6_convention(self, rng):
         # Fig. 6: k=8, pointer for x_12 is forward[floor((12+1)/8)-1],
-        # i.e. the first pointer, anchoring x_7.
-        fp = ForwardPointers(quantum=8, values=np.array([4], dtype=np.uint32))
-        elem, bit = fp.floor_anchor(12)
-        assert elem == 7
-        assert bit == 4 + 7  # select1(7) = value + index
+        # i.e. the first pointer, anchoring x_7 at select1(7).
+        vals = np.sort(rng.integers(0, 10**4, size=16))
+        seq = ef_encode(vals, quantum=8)
+        j = (12 + 1) // 8
+        assert j == 1
+        assert select1_scalar(seq.upper, 7) == int(seq.forward[j - 1]) + 7
 
     def test_rebuild_from_upper_matches(self, rng):
         vals = np.sort(rng.integers(0, 10**5, size=100))
         seq = ef_encode(vals, quantum=8)
-        rebuilt = build_forward_pointers(seq.upper, 100, quantum=8)
-        assert np.array_equal(rebuilt.values, seq.forward.values)
+        assert seq.forward.tolist() == _reference_pointers(seq)
 
 
-class TestAnchors:
-    def test_floor_anchor_none(self):
-        fp = ForwardPointers(quantum=8, values=np.array([], dtype=np.uint32))
-        assert fp.floor_anchor(5) == (-1, -1)
+@st.composite
+def _sequences(draw):
+    """Monotone sequences over the pointer edge cases.
 
-    def test_floor_anchor_exact(self):
-        fp = ForwardPointers(quantum=8, values=np.array([10, 20], dtype=np.uint32))
-        elem, bit = fp.floor_anchor(7)
-        assert elem == 7 and bit == 17
+    ``n < k``, ``n`` a multiple of ``k``, ``u`` above the last value,
+    all-equal values and ``l = 0`` (dense values), plus free draws.
+    """
+    k = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    case = draw(
+        st.sampled_from(
+            ["short", "multiple", "u-above", "all-equal", "l-zero", "free"]
+        )
+    )
+    if case == "short":
+        n = draw(st.integers(1, max(1, k - 1)))
+    elif case == "multiple":
+        n = k * draw(st.integers(1, 6))
+    else:
+        n = draw(st.integers(1, 300))
+    if case == "all-equal":
+        values = [draw(st.integers(0, 2**40))] * n
+    elif case == "l-zero":
+        values = sorted(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
+    else:
+        values = sorted(
+            draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+        )
+    u = None
+    if case == "u-above":
+        u = values[-1] + draw(st.integers(1, 2**41))
+    return np.array(values, dtype=np.int64), u, k, case
 
-    def test_floor_anchor_uses_latest(self):
-        fp = ForwardPointers(quantum=8, values=np.array([10, 20], dtype=np.uint32))
-        elem, bit = fp.floor_anchor(100)
-        assert elem == 15 and bit == 35
 
-    def test_ceil_anchor_none_when_past_last(self):
-        fp = ForwardPointers(quantum=8, values=np.array([10], dtype=np.uint32))
-        assert fp.ceil_anchor(9, 20) == (-1, -1)
-
-    def test_ceil_anchor_basic(self):
-        fp = ForwardPointers(quantum=8, values=np.array([10, 20], dtype=np.uint32))
-        elem, bit = fp.ceil_anchor(3, 20)
-        assert elem == 7 and bit == 17
-        elem, bit = fp.ceil_anchor(8, 20)
-        assert elem == 15 and bit == 35
-
-    def test_ceil_anchor_validates(self):
-        fp = ForwardPointers(quantum=8, values=np.array([], dtype=np.uint32))
-        with pytest.raises(ValueError):
-            fp.ceil_anchor(25, 20)
+class TestEncodeTimePointers:
+    @given(case=_sequences(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stored_pointers_match_select_reference(self, case, data):
+        vals, u, k, kind = case
+        seq = ef_encode(vals, u=u, quantum=k)
+        if kind == "l-zero":
+            assert seq.num_lower_bits == 0
+        assert seq.forward.dtype == np.dtype("<u4")
+        assert seq.forward.tolist() == _reference_pointers(seq)
+        assert seq.nbytes == 4 * (len(vals) // k) + seq.lower.shape[0] + seq.upper.shape[0]
+        # The lower section is the l-bit fields packed LSB-first.
+        w = BitWriter()
+        for x in vals:
+            w.write_bits(int(x) & ((1 << seq.num_lower_bits) - 1), seq.num_lower_bits)
+        assert np.array_equal(seq.lower, w.getvalue())
+        # Decoders anchor on the stored values: random access at, before
+        # and between anchors, and a range whose ends straddle them.
+        i = data.draw(st.integers(0, len(vals) - 1))
+        assert ef_decode_at(seq, i) == vals[i]
+        a = data.draw(st.integers(0, len(vals)))
+        b = data.draw(st.integers(a, len(vals)))
+        assert np.array_equal(ef_decode_range(seq, a, b), vals[a:b])
 
     def test_bad_quantum(self):
         with pytest.raises(ValueError):
-            ForwardPointers(quantum=0, values=np.array([], dtype=np.uint32))
-
-    def test_nbytes(self):
-        fp = ForwardPointers(quantum=8, values=np.array([1, 2, 3], dtype=np.uint32))
-        assert fp.nbytes == 12
+            ef_encode(np.array([1, 2, 3]), quantum=0)

@@ -8,7 +8,6 @@ import pytest
 from repro.datasets.rmat import rmat_graph
 from repro.formats.cgr import (
     MIN_INTERVAL,
-    _pack_varints,
     _write_varint,
     _zigzag,
     cgr_decode_list,
@@ -17,6 +16,7 @@ from repro.formats.cgr import (
     cgr_list_steps,
 )
 from repro.formats.graph import Graph
+from repro.primitives.bitops import pack_varints
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +199,7 @@ class TestInputContract:
         values = [0, 1, 2**63 - 1]
         for k in range(1, 10):
             values += [2 ** (7 * k) - 1, 2 ** (7 * k)]
-        data, ends = _pack_varints(np.array(values, dtype=np.uint64))
+        data, ends = pack_varints(np.array(values, dtype=np.uint64))
         blobs = []
         for value in values:
             out = bytearray()
