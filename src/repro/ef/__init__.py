@@ -9,7 +9,7 @@ codec (:mod:`repro.core.efg`): one Elias-Fano implementation serves
 the graph format, the EF frontier wire codec and PEF partitions.
 """
 
-from repro.ef.bitstream import BitReader, BitWriter, unpack_bits
+from repro.ef.bitstream import BitReader, BitWriter
 from repro.ef.bounds import (
     ef_lower_bits,
     ef_total_bits,
@@ -30,7 +30,6 @@ from repro.ef.select import select1_bitarray, select1_scalar
 __all__ = [
     "BitReader",
     "BitWriter",
-    "unpack_bits",
     "EFSequence",
     "ef_encode",
     "ef_decode",

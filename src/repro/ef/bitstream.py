@@ -8,15 +8,15 @@ Two layers are provided:
 
 * :class:`BitWriter` / :class:`BitReader` — incremental scalar access,
   used by encoders (compression is an offline step, Sec. VIII-F).
-* :func:`unpack_bits` / :func:`extract_fields` — fully vectorized
-  fixed-width field reads, used on the hot decode paths.
+* :func:`extract_fields` — fully vectorized fixed-width field reads,
+  used on the hot decode paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BitWriter", "BitReader", "unpack_bits", "extract_fields"]
+__all__ = ["BitWriter", "BitReader", "extract_fields"]
 
 
 class BitWriter:
@@ -125,21 +125,6 @@ class BitReader:
         while self.read_bit() == 0:
             gap += 1
         return gap
-
-
-def unpack_bits(data: np.ndarray, width: int, count: int, start_bit: int = 0) -> np.ndarray:
-    """Read ``count`` consecutive ``width``-bit fields (LSB-first).
-
-    The fields start at bit offset ``start_bit``.  Used by the decode kernels to fetch lower bits for a
-    whole warp of values at once.
-    """
-    data = np.asarray(data, dtype=np.uint8)
-    if width < 0 or count < 0 or start_bit < 0:
-        raise ValueError("width, count and start_bit must be non-negative")
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    positions = start_bit + np.arange(count, dtype=np.int64) * width
-    return extract_fields(data, positions, width)
 
 
 def extract_fields(data: np.ndarray, bit_positions: np.ndarray, width: int) -> np.ndarray:

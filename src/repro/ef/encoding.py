@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
-from repro.ef.bitstream import unpack_bits
+from repro.ef.bitstream import extract_fields
 from repro.ef.forward import DEFAULT_QUANTUM
 from repro.ef.select import select1_bitarray
 from repro.primitives.bitops import POPCOUNT_TABLE
@@ -64,9 +64,7 @@ class EFSequence:
     @property
     def nbytes(self) -> int:
         """Total payload bytes (forward + lower + upper, byte aligned)."""
-        return 4 * int(self.forward.shape[0]) + int(self.lower.shape[0]) + int(
-            self.upper.shape[0]
-        )
+        return 4 * self.forward.shape[0] + self.lower.shape[0] + self.upper.shape[0]
 
     def to_blob(self) -> np.ndarray:
         """Serialize payload sections in EFG order: forward | lower | upper."""
@@ -226,8 +224,7 @@ def ef_decode_range(seq: EFSequence, a: int, b: int) -> np.ndarray:
         # element ranks imply — missing or truncated upper bits.
         raise CorruptStreamError(str(exc), fmt="ef") from exc
 
+    l = int(seq.num_lower_bits)
     upper_half = select_pos + first_byte * 8 - want
-    lower_half = unpack_bits(
-        seq.lower, seq.num_lower_bits, b - a, start_bit=a * seq.num_lower_bits
-    ).astype(np.int64)
-    return (upper_half << np.int64(seq.num_lower_bits)) | lower_half
+    lower_half = extract_fields(seq.lower, want * l, l).astype(np.int64)
+    return (upper_half << np.int64(l)) | lower_half
