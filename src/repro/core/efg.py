@@ -255,9 +255,9 @@ def _encode_lists(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elias-Fano-encode every list of a CSR ``(vlist, elist)`` at once.
 
-    List ``i`` is ``elist[vlist[i]:vlist[i+1]]`` (``vlist[0] == 0``),
-    non-decreasing and non-negative, with universe ``u[i]`` at or above
-    its last value.  Returns ``(num_lower_bits, offsets, data)``:
+    All three are int64 arrays.  List ``i`` is ``elist[vlist[i]:vlist[i+1]]``
+    (``vlist[0] == 0``), non-decreasing and non-negative, with universe
+    ``u[i]`` at or above its last value (0 for an empty list).  Returns ``(num_lower_bits, offsets, data)``:
     per-list ``l`` (uint8), byte offsets into ``data``, and the payload,
     each list laid out as *forward pointers | lower bits | upper bits*,
     byte aligned.  ``efg_encode`` passes every list's last value as
@@ -270,37 +270,33 @@ def _encode_lists(
     """
     if quantum <= 0:
         raise ValueError(f"quantum must be positive, got {quantum}")
-    vlist = np.asarray(vlist, dtype=np.int64)
-    elist = np.asarray(elist, dtype=np.int64)
-    num_lists = vlist.shape[0] - 1
     degrees = np.diff(vlist)
-    nonempty = degrees > 0
 
     # l = max(0, floor(log2(u / n))) = bit_length(u // n) - 1, clamped at
     # 0: exactly ef_num_lower_bits, one list per lane.
-    ratio = np.where(nonempty, u // np.maximum(degrees, 1), 0)
-    l = np.maximum(np.searchsorted(_POW2, ratio, side="right") - 1, 0)
+    l = np.searchsorted(_POW2, u // np.maximum(degrees, 1), side="right")
+    l = np.maximum(l - 1, 0)
 
-    # --- section sizes and offsets ---
+    # --- section sizes and offsets (an empty list, u = 0, takes none) ---
     num_fwd = degrees // quantum
-    fwd_bytes = num_fwd * 4
     lower_bytes = (degrees * l + 7) >> 3
-    upper_bytes = np.where(nonempty, degrees + (u >> l) + 7, 0) >> 3
-    offsets = np.zeros(num_lists + 1, dtype=np.int64)
-    np.cumsum(fwd_bytes + lower_bytes + upper_bytes, out=offsets[1:])
+    offsets = np.zeros(degrees.shape[0] + 1, dtype=np.int64)
+    np.cumsum(
+        4 * num_fwd + lower_bytes + ((degrees + (u >> l) + 7) >> 3),
+        out=offsets[1:],
+    )
+    lower_bit0 = (offsets[:-1] + 4 * num_fwd) * 8
+    upper_bit0 = lower_bit0 + 8 * lower_bytes
 
     data = np.zeros(int(offsets[-1]), dtype=np.uint8)
 
     # Per-element bookkeeping: owning list and local index.
-    seg_ids = np.repeat(np.arange(num_lists, dtype=np.int64), degrees)
-    local_idx = np.arange(elist.shape[0], dtype=np.int64) - vlist[seg_ids]
+    seg_ids = np.repeat(np.arange(degrees.shape[0]), degrees)
+    local_idx = np.arange(elist.shape[0]) - vlist[seg_ids]
     l_per_edge = l[seg_ids]
-    highs = elist >> l_per_edge
-    lows = elist & ((np.int64(1) << l_per_edge) - 1)
 
     # --- upper bits: stop bit for local element i at (high_i + i) ---
-    upper_base_bit = (offsets[:-1] + fwd_bytes + lower_bytes) * 8
-    stop_pos = upper_base_bit[seg_ids] + highs + local_idx
+    stop_pos = upper_bit0[seg_ids] + (elist >> l_per_edge) + local_idx
     np.bitwise_or.at(
         data, stop_pos >> 3, np.uint8(1) << (stop_pos & 7).astype(np.uint8)
     )
@@ -309,21 +305,22 @@ def _encode_lists(
     # One pass per 8-bit piece of the widest field: the piece at bit p
     # of a field straddles at most two bytes, the second no further out
     # than the list's first upper byte.
-    lower_base_bit = (offsets[:-1] + fwd_bytes) * 8
-    elem_bit0 = lower_base_bit[seg_ids] + local_idx * l_per_edge
+    lows = elist & ((1 << l_per_edge) - 1)
+    elem_bit0 = lower_bit0[seg_ids] + local_idx * l_per_edge
     for p in range(0, int(l.max(initial=0)), 8):
         mask = l_per_edge > p
         pos = elem_bit0[mask] + p
-        piece = (lows[mask] >> np.int64(p)) & 0xFF
-        off = pos & 7
-        np.bitwise_or.at(data, pos >> 3, ((piece << off) & 0xFF).astype(np.uint8))
-        np.bitwise_or.at(data, (pos >> 3) + 1, (piece >> (8 - off)).astype(np.uint8))
+        piece = (lows[mask] >> p) & 0xFF
+        byte, off = pos >> 3, pos & 7
+        # The uint8 cast keeps the low 8 bits of each shifted piece.
+        np.bitwise_or.at(data, byte, (piece << off).astype(np.uint8))
+        np.bitwise_or.at(data, byte + 1, (piece >> (8 - off)).astype(np.uint8))
 
     # --- forward pointers: value of (x >> l) at elements j*quantum - 1 ---
     if int(num_fwd.sum()):
         # anchor_pos is the pointer ordinal j-1 within its list.
         anchor_pos, fwd_seg = csr_gather_indices(
-            np.zeros(num_lists, dtype=np.int64), num_fwd
+            np.zeros(degrees.shape[0], dtype=np.int64), num_fwd
         )
         flat_elem = vlist[fwd_seg] + (anchor_pos + 1) * quantum - 1
         values = (elist[flat_elem] >> l[fwd_seg]).astype("<u4")

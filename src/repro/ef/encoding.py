@@ -90,9 +90,6 @@ def ef_encode(
     quantum:
         Forward-pointer spacing ``k`` (paper default 512).
     """
-    # Deferred: repro.core.efg imports this package.
-    from repro.core.efg import _encode_lists
-
     values = np.asarray(values, dtype=np.int64)
     if values.ndim != 1 or values.shape[0] == 0:
         raise ValueError("ef_encode requires a non-empty 1-D sequence")
@@ -106,6 +103,9 @@ def ef_encode(
         u = last
     elif u < last:
         raise ValueError(f"upper bound {u} below the last value {last}")
+
+    # Deferred: repro.core.efg imports this package.
+    from repro.core.efg import _encode_lists
 
     l, _, data = _encode_lists(
         np.array([0, n], dtype=np.int64),
