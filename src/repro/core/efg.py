@@ -255,9 +255,10 @@ def _encode_lists(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elias-Fano-encode every list of a CSR ``(vlist, elist)`` at once.
 
-    All three are int64 arrays.  List ``i`` is ``elist[vlist[i]:vlist[i+1]]``
-    (``vlist[0] == 0``), non-decreasing and non-negative, with universe
-    ``u[i]`` at or above its last value (0 for an empty list).  Returns ``(num_lower_bits, offsets, data)``:
+    All three are int64 arrays.  List ``i`` is
+    ``elist[vlist[i]:vlist[i+1]]`` (``vlist[0] == 0``), non-decreasing
+    and non-negative, with universe ``u[i]`` at or above its last value
+    (0 for an empty list).  Returns ``(num_lower_bits, offsets, data)``:
     per-list ``l`` (uint8), byte offsets into ``data``, and the payload,
     each list laid out as *forward pointers | lower bits | upper bits*,
     byte aligned.  ``efg_encode`` passes every list's last value as
