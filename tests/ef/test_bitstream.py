@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ef.bitstream import BitReader, BitWriter, extract_fields
+from repro.ef.encoding import ef_encode
 
 
 class TestBitWriter:
@@ -93,6 +94,46 @@ class TestBitReader:
         r.seek(4)
         assert r.read_bits(4) == 0b1111
         assert r.position == 8
+
+
+class TestPackBits:
+    """Fixed-width fields packed LSB-first: the EF lower-bits section.
+
+    ``x_i = (i << w) | v_i`` with ``u = n << w`` gives ``l = w``, so the
+    encoder's lower section holds exactly the fields ``v_i``.
+    """
+
+    @staticmethod
+    def _pack(values, width):
+        n = values.shape[0]
+        seq = ef_encode(
+            (np.arange(n, dtype=np.int64) << width) | values.astype(np.int64),
+            u=n << width,
+            quantum=8,
+        )
+        assert seq.num_lower_bits == width
+        return seq.lower
+
+    def test_roundtrip(self, rng):
+        for width in [0, 1, 3, 8, 13, 31, 40]:
+            count = 37
+            hi = (1 << width) if width else 1
+            values = rng.integers(0, hi, size=count).astype(np.uint64)
+            packed = self._pack(values, width)
+            assert packed.shape[0] == (count * width + 7) // 8
+            if width == 0:
+                continue
+            out = extract_fields(packed, np.arange(count) * width, width)
+            assert np.array_equal(out, values)
+
+    def test_matches_bitwriter(self, rng):
+        width = 5
+        values = rng.integers(0, 32, size=20).astype(np.uint64)
+        packed = self._pack(values, width)
+        w = BitWriter()
+        for v in values:
+            w.write_bits(int(v), width)
+        assert np.array_equal(packed, w.getvalue())
 
 
 class TestExtractFields:
