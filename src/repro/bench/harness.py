@@ -19,7 +19,6 @@ from repro.gpusim.device import CPU_E5_2696V4_X2, DeviceSpec, TITAN_XP, V100
 from repro.obs.metrics import run_metrics
 from repro.obs.roofline import roofline_report
 from repro.traversal.backends import (
-    GPU_FORMATS,
     GraphBackend,
     LigraBackend,
     build_backend,
@@ -35,7 +34,6 @@ __all__ = [
     "PROFILE_ALGOS",
     "ProfiledRun",
     "encoded_suite_graph",
-    "encode_all",
     "make_backend",
     "make_weights",
     "pick_sources",
@@ -78,12 +76,6 @@ def encoded_suite_graph(name: str) -> EncodedGraph:
     if name not in _ENCODED:
         _ENCODED[name] = EncodedGraph(graph=build_suite_graph(name))
     return _ENCODED[name]
-
-
-def encode_all(enc: EncodedGraph) -> None:
-    """Force-build every representation (for compression reports)."""
-    for fmt in (*GPU_FORMATS, "ligra"):
-        enc.get(fmt)
 
 
 def make_backend(

@@ -6,17 +6,17 @@ corruption of their streams either round-trips clean or raises a typed
 never silently-wrong neighbours.  This package is the harness that
 keeps the promise honest:
 
-* :mod:`repro.check.adapters` — one uniform :class:`FormatAdapter` per
-  format: encode, full decode, payload/metadata accessors, and
-  rebuild-with-mutation that constructs *fresh* containers (no stale
-  caches).
-* :mod:`repro.check.faults` — seeded deterministic fault injectors
-  (payload bit flips, truncation, metadata perturbation, offset swaps)
-  and the two-pass classifier: a primary pass including the CRC
-  integrity check (must show zero silent corruption) and a
+* :mod:`repro.check.faults` — :data:`FORMAT_ENCODERS`, the one
+  name -> encoder table (campaign order); seeded deterministic fault
+  injectors (payload bit flips, truncation, metadata perturbation,
+  offset swaps); and the two-pass classifier: a primary pass including
+  the CRC integrity check (must show zero silent corruption) and a
   structural-only pass that skips the CRCs (must still show zero
   foreign exceptions — this is what proves the decoders themselves are
-  hardened).
+  hardened).  There is no per-format wrapper: each container states
+  its own fault surface (``PAYLOAD_FIELD``, ``METADATA_FIELDS`` and a
+  ``decode_all()`` that raises only typed errors), and mutated copies
+  are rebuilt with :func:`dataclasses.replace`.
 * :mod:`repro.check.differential` — cross-format agreement at decode
   level (every format vs the uncompressed reference) and at algorithm
   level (BFS / SSSP / PageRank across backends and vs the sharded
@@ -27,7 +27,6 @@ keeps the promise honest:
 Driven by ``repro check [--fuzz N --seed S]``.
 """
 
-from repro.check.adapters import FORMAT_ADAPTERS, FormatAdapter, get_adapter
 from repro.check.differential import (
     CHECK_DATASETS,
     algorithm_differential,
@@ -36,6 +35,7 @@ from repro.check.differential import (
 )
 from repro.check.faults import (
     FAULT_INJECTORS,
+    FORMAT_ENCODERS,
     FaultResult,
     default_fuzz_graph,
     run_fault_campaign,
@@ -43,9 +43,7 @@ from repro.check.faults import (
 from repro.check.report import check_report, summarize_faults
 
 __all__ = [
-    "FormatAdapter",
-    "FORMAT_ADAPTERS",
-    "get_adapter",
+    "FORMAT_ENCODERS",
     "FaultResult",
     "FAULT_INJECTORS",
     "run_fault_campaign",

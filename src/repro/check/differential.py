@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.check.adapters import FORMAT_ADAPTERS
+from repro.check.faults import FORMAT_ENCODERS, resolve_formats
 from repro.formats.graph import Graph
 
 __all__ = [
@@ -48,18 +48,17 @@ def decode_differential(
     neighbour stream) and ``integrity_ok`` (the clean container passes
     its own CRC check).
     """
-    names = tuple(fmts) if fmts is not None else tuple(FORMAT_ADAPTERS)
+    names = resolve_formats(fmts)
     reference = graph.elist.astype(np.int64, copy=False)
     rows: list[dict] = []
     for name in names:
-        adapter = FORMAT_ADAPTERS[name]
-        container = adapter.encode(graph)
+        container = FORMAT_ENCODERS[name](graph)
         try:
-            adapter.verify_integrity(container)
+            container.verify_integrity()
             integrity_ok = True
         except Exception:  # noqa: BLE001 - report, don't crash the sweep
             integrity_ok = False
-        decoded = adapter.decode_all(container)
+        decoded = container.decode_all()
         agree = bool(np.array_equal(decoded, reference))
         rows.append(
             {

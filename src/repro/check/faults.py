@@ -24,20 +24,32 @@ straight to the decoder (silent corruption is expected there for e.g.
 lower-bit flips, but foreign exceptions still must not occur — that is
 the test of the decoder hardening itself).
 
+Each container states its own fault surface: ``PAYLOAD_FIELD`` names
+the uint8 array bits are flipped in, ``METADATA_FIELDS`` the integer
+arrays that may be perturbed, and ``decode_all()`` is the full decode
+that must raise only typed errors.  Mutated containers are rebuilt with
+:func:`dataclasses.replace`.
+
 Everything is deterministic in ``(seed, format, trial)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.check.adapters import FORMAT_ADAPTERS, FormatAdapter
+from repro.core.efg import efg_encode
 from repro.core.errors import DecodeError
+from repro.core.pefgraph import pefg_encode
+from repro.formats.bv import bv_encode
+from repro.formats.cgr import cgr_encode
 from repro.formats.graph import Graph
+from repro.formats.ligra_plus import ligra_encode
+from repro.serve.container import GraphContainer
 
 __all__ = [
+    "FORMAT_ENCODERS",
     "FaultResult",
     "FAULT_INJECTORS",
     "run_fault_campaign",
@@ -46,6 +58,28 @@ __all__ = [
 
 #: Outcome labels, in severity order.
 OUTCOMES = ("ok", "detected", "silent-corruption", "foreign-exception")
+
+#: Every fuzzable format's encoder, in campaign order.
+FORMAT_ENCODERS = {
+    "efg": efg_encode,
+    "pef": pefg_encode,
+    "cgr": cgr_encode,
+    "ligra": ligra_encode,
+    "bv": bv_encode,
+    "container": GraphContainer.from_graph,
+}
+
+
+def resolve_formats(fmts: tuple[str, ...] | None) -> tuple[str, ...]:
+    """``fmts`` (default: all, in campaign order), each one registered."""
+    names = tuple(fmts) if fmts is not None else tuple(FORMAT_ENCODERS)
+    unknown = [n for n in names if n not in FORMAT_ENCODERS]
+    if unknown:
+        raise ValueError(
+            f"unknown format(s) {', '.join(map(repr, unknown))}; "
+            f"pick from {', '.join(FORMAT_ENCODERS)}"
+        )
+    return names
 
 
 @dataclass(frozen=True)
@@ -66,51 +100,45 @@ class FaultResult:
 
 # --- injectors -------------------------------------------------------
 #
-# Each takes (adapter, container, rng) and returns (detail, mutated) or
-# None when the container has nothing to mutate that way (e.g. an empty
-# payload).  Mutations always copy; the clean container stays frozen.
+# Each takes (container, rng) and returns (detail, mutated) or None when
+# the container has nothing to mutate that way (e.g. an empty payload).
+# Mutations always copy; the clean container stays frozen.
 
 
-def _inject_payload_bitflip(
-    adapter: FormatAdapter, container, rng: np.random.Generator
-):
-    data = adapter.payload(container)
+def _inject_payload_bitflip(container, rng: np.random.Generator):
+    data = getattr(container, container.PAYLOAD_FIELD)
     if data.shape[0] == 0:
         return None
     byte = int(rng.integers(data.shape[0]))
     bit = int(rng.integers(8))
     mutated = data.copy()
     mutated[byte] ^= np.uint8(1 << bit)
-    return f"flip bit {bit} of payload byte {byte}", adapter.with_payload(
-        container, mutated
+    return f"flip bit {bit} of payload byte {byte}", replace(
+        container, **{container.PAYLOAD_FIELD: mutated}
     )
 
 
-def _inject_payload_truncate(
-    adapter: FormatAdapter, container, rng: np.random.Generator
-):
-    data = adapter.payload(container)
+def _inject_payload_truncate(container, rng: np.random.Generator):
+    data = getattr(container, container.PAYLOAD_FIELD)
     if data.shape[0] == 0:
         return None
     cut = int(rng.integers(1, min(16, data.shape[0]) + 1))
     mutated = data[: data.shape[0] - cut].copy()
-    return f"truncate payload by {cut} bytes", adapter.with_payload(
-        container, mutated
+    return f"truncate payload by {cut} bytes", replace(
+        container, **{container.PAYLOAD_FIELD: mutated}
     )
 
 
-def _inject_metadata_perturb(
-    adapter: FormatAdapter, container, rng: np.random.Generator
-):
-    fields = adapter.metadata_arrays(container)
-    name = sorted(fields)[int(rng.integers(len(fields)))]
-    arr = fields[name]
+def _inject_metadata_perturb(container, rng: np.random.Generator):
+    fields = sorted(container.METADATA_FIELDS)
+    name = fields[int(rng.integers(len(fields)))]
+    arr = getattr(container, name)
     if arr.shape[0] == 0:
         return None
     idx = int(rng.integers(arr.shape[0]))
     mutated = arr.copy()
     if name == "num_lower_bits":
-        # The ISSUE's regression shape: an absurd-but-positive l (e.g.
+        # The known regression shape: an absurd-but-positive l (e.g.
         # 60) that inflates the lower section past the list bytes.
         new = int(rng.integers(33, 80))
         if new == int(mutated[idx]):
@@ -121,26 +149,25 @@ def _inject_metadata_perturb(
         delta = int(rng.integers(1, 9)) * (1 if rng.integers(2) else -1)
         mutated[idx] += delta
         detail = f"perturb {name}[{idx}] by {delta:+d}"
-    return detail, adapter.with_metadata(container, name, mutated)
+    return detail, replace(container, **{name: mutated})
 
 
-def _inject_offset_swap(
-    adapter: FormatAdapter, container, rng: np.random.Generator
-):
-    fields = adapter.metadata_arrays(container)
-    offset_like = [n for n in sorted(fields) if n in ("offsets", "vlist")]
+def _inject_offset_swap(container, rng: np.random.Generator):
+    offset_like = [
+        n for n in sorted(container.METADATA_FIELDS) if n in ("offsets", "vlist")
+    ]
     if not offset_like:
         return None
     name = offset_like[int(rng.integers(len(offset_like)))]
-    arr = fields[name]
+    arr = getattr(container, name)
     if arr.shape[0] < 2:
         return None
     i = int(rng.integers(arr.shape[0] - 1))
     j = int(rng.integers(i + 1, arr.shape[0]))
     mutated = arr.copy()
     mutated[i], mutated[j] = mutated[j], mutated[i]
-    return f"swap {name}[{i}] <-> {name}[{j}]", adapter.with_metadata(
-        container, name, mutated
+    return f"swap {name}[{i}] <-> {name}[{j}]", replace(
+        container, **{name: mutated}
     )
 
 
@@ -166,12 +193,10 @@ def _error_string(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _decode_stage(
-    adapter: FormatAdapter, container, clean: np.ndarray
-) -> tuple[str, str | None, str]:
+def _decode_stage(container, clean: np.ndarray) -> tuple[str, str | None, str]:
     """Decode + output-compare; returns (outcome, detected_by, error)."""
     try:
-        out = adapter.decode_all(container)
+        out = container.decode_all()
     except DecodeError as exc:
         return "detected", "decode", _error_string(exc)
     except Exception as exc:  # noqa: BLE001 - the whole point is to catch these
@@ -186,16 +211,16 @@ def _decode_stage(
 
 
 def classify_fault(
-    adapter: FormatAdapter, container, clean: np.ndarray
+    container, clean: np.ndarray
 ) -> tuple[tuple[str, str | None, str], tuple[str, str | None, str]]:
     """Classify one mutated container; returns (primary, structural).
 
     Primary runs ``verify_integrity`` first; structural always drives
     the decoder so foreign exceptions cannot hide behind the CRC.
     """
-    structural = _decode_stage(adapter, container, clean)
+    structural = _decode_stage(container, clean)
     try:
-        adapter.verify_integrity(container)
+        container.verify_integrity()
     except DecodeError as exc:
         primary = ("detected", "integrity", _error_string(exc))
     except Exception as exc:  # noqa: BLE001
@@ -223,26 +248,25 @@ def run_fault_campaign(
     """Inject ``trials`` seeded faults per format and classify each."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    names = tuple(fmts) if fmts is not None else tuple(FORMAT_ADAPTERS)
+    names = resolve_formats(fmts)
     injectors = list(FAULT_INJECTORS.items())
     results: list[FaultResult] = []
     for name in names:
-        adapter = FORMAT_ADAPTERS[name]
-        container = adapter.encode(graph)
-        clean = adapter.decode_all(container)
+        container = FORMAT_ENCODERS[name](graph)
+        clean = container.decode_all()
         for t in range(trials):
             rng = np.random.default_rng([seed, _FAULT_STREAMS[name], t])
             inj_name, injector = injectors[t % len(injectors)]
-            injected = injector(adapter, container, rng)
+            injected = injector(container, rng)
             if injected is None:
                 # Not applicable (empty target array); fall back to the
                 # universally applicable metadata perturbation.
                 inj_name = "metadata-perturb"
-                injected = _inject_metadata_perturb(adapter, container, rng)
+                injected = _inject_metadata_perturb(container, rng)
             if injected is None:  # pragma: no cover - degenerate graphs only
                 continue
             detail, mutated = injected
-            primary, structural = classify_fault(adapter, mutated, clean)
+            primary, structural = classify_fault(mutated, clean)
             results.append(
                 FaultResult(
                     fmt=name,

@@ -916,8 +916,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from repro.check.differential import CHECK_DATASETS, run_differential
-    from repro.check.faults import default_fuzz_graph, run_fault_campaign
+    from repro.check.faults import (
+        OUTCOMES,
+        default_fuzz_graph,
+        run_fault_campaign,
+    )
     from repro.check.report import check_report
     from repro.obs.metrics import dump_metrics
 
@@ -946,19 +952,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         },
     )
     fail = report["failures"]
-    per_fmt: dict[str, int] = {}
-    for r in faults:
-        per_fmt[r.fmt] = per_fmt.get(r.fmt, 0) + 1
-    for fmt, n in sorted(per_fmt.items()):
-        detected = sum(
-            1 for r in faults if r.fmt == fmt and r.outcome == "detected"
-        )
-        ok = sum(1 for r in faults if r.fmt == fmt and r.outcome == "ok")
+    counts = Counter((r.fmt, r.outcome) for r in faults)
+    for fmt in sorted({fmt for fmt, _ in counts}):
+        n = sum(counts[fmt, outcome] for outcome in OUTCOMES)
         print(
-            f"{fmt:6s}: {n} faults injected -> {detected} detected, "
-            f"{ok} inert, "
-            f"{sum(1 for r in faults if r.fmt == fmt and r.outcome == 'silent-corruption')} silent, "
-            f"{sum(1 for r in faults if r.fmt == fmt and r.outcome == 'foreign-exception')} foreign"
+            f"{fmt:6s}: {n} faults injected -> {counts[fmt, 'detected']} "
+            f"detected, {counts[fmt, 'ok']} inert, "
+            f"{counts[fmt, 'silent-corruption']} silent, "
+            f"{counts[fmt, 'foreign-exception']} foreign"
         )
     agree = sum(
         1 for r in differential["rows"]

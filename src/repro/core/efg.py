@@ -93,7 +93,14 @@ class EFGraph:
     #: :func:`efg_encode`; ``None`` on hand-built containers.
     payload_crc: int | None = None
     meta_crc: int | None = None
-    _degree_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _degree_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    #: Fault surface: the payload field and the integer metadata fields
+    #: a fault campaign may perturb (rebuilt with ``dataclasses.replace``).
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("vlist", "num_lower_bits", "offsets")
 
     @property
     def num_nodes(self) -> int:
@@ -204,12 +211,20 @@ class EFGraph:
                 hi = mid
         return False
 
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order (one batched decode)."""
+        values, _ = decode_lists(
+            self, np.arange(self.num_nodes, dtype=np.int64)
+        )
+        return values
+
     def to_graph(self) -> Graph:
         """Decode the whole graph back to sorted-adjacency form."""
-        verts = np.arange(self.num_nodes, dtype=np.int64)
-        elist, _ = decode_lists(self, verts)
         return Graph(
-            vlist=self.vlist.copy(), elist=elist, directed=True, name=self.name
+            vlist=self.vlist.copy(),
+            elist=self.decode_all(),
+            directed=True,
+            name=self.name,
         )
 
     # -- integrity ------------------------------------------------------

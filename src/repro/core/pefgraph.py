@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.ef.partitioned import pef_encode, pef_from_blob, pef_to_blob
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32
+from repro.formats.integrity import arrays_crc32, decode_by_vertex
 
 __all__ = ["PEFGraph", "pefg_encode"]
 
@@ -39,6 +39,10 @@ class PEFGraph:
     #: :func:`pefg_encode`; ``None`` on hand-built containers.
     payload_crc: int | None = None
     meta_crc: int | None = None
+
+    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("vlist", "offsets")
 
     @property
     def num_nodes(self) -> int:
@@ -101,13 +105,15 @@ class PEFGraph:
         if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
             raise CorruptStreamError("payload checksum mismatch", fmt="pef")
 
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order."""
+        return decode_by_vertex(self)
+
     def to_graph(self) -> Graph:
         """Decode the whole graph."""
-        rows = [self.neighbours(v) for v in range(self.num_nodes)]
-        elist = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        return Graph(
+            vlist=self.vlist.copy(), elist=self.decode_all(), name=self.name
         )
-        return Graph(vlist=self.vlist.copy(), elist=elist, name=self.name)
 
 
 def pefg_encode(graph: Graph, partition_size: int = 128) -> PEFGraph:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.formats.cgr import _read_varint, _unzigzag, _write_varint, _zigzag
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32
+from repro.formats.integrity import arrays_crc32, decode_by_vertex
 
 __all__ = ["BVGraph", "bv_encode", "bv_decode_list"]
 
@@ -129,6 +129,10 @@ class BVGraph:
     payload_crc: int | None = None
     meta_crc: int | None = None
 
+    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("offsets",)
+
     @property
     def num_nodes(self) -> int:
         """|V|."""
@@ -147,6 +151,10 @@ class BVGraph:
     def neighbours(self, v: int) -> np.ndarray:
         """Decode one list, following reference chains as needed."""
         return bv_decode_list(self, v)
+
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order."""
+        return decode_by_vertex(self)
 
     def verify_integrity(self) -> None:
         """Check the encode-time CRCs; no-op when they were never stamped."""

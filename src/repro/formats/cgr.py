@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32
+from repro.formats.integrity import arrays_crc32, decode_by_vertex
 from repro.primitives.bitops import pack_varints
 
 __all__ = ["CGRGraph", "cgr_encode", "cgr_encode_list", "cgr_decode_list", "cgr_list_steps"]
@@ -296,6 +296,10 @@ class CGRGraph:
     payload_crc: int | None = None
     meta_crc: int | None = None
 
+    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("offsets", "steps")
+
     @property
     def num_nodes(self) -> int:
         """|V|."""
@@ -329,6 +333,10 @@ class CGRGraph:
                 "negative degree (vlist not monotone)", fmt="cgr", vertex=v
             )
         return cgr_decode_list(v, self.data, lo, expected_degree=deg)
+
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order."""
+        return decode_by_vertex(self)
 
     def verify_integrity(self) -> None:
         """Check the encode-time CRCs; no-op when they were never stamped."""

@@ -43,7 +43,9 @@ class Graph:
     elist: np.ndarray
     directed: bool = True
     name: str = ""
-    _degree_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _degree_cache: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.vlist = np.ascontiguousarray(self.vlist, dtype=np.int64)

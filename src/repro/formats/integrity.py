@@ -12,8 +12,9 @@ their streams.
 
 The helpers here are deliberately tiny and dependency-light so that
 ``repro.core``, ``repro.formats`` and ``repro.serve`` modules can share
-them without an import cycle: the CRC fold plus the typed structural
-checks the CSR-shaped serve container runs at load time.
+them without an import cycle: the CRC fold, the typed structural
+checks the CSR-shaped serve container runs at load time, and the
+per-vertex full decode the list-at-a-time containers share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.errors import CorruptMetadataError, CorruptStreamError
 
 __all__ = [
     "arrays_crc32",
+    "decode_by_vertex",
     "parse_payload_words",
     "validate_csr_arrays",
 ]
@@ -45,6 +47,16 @@ def arrays_crc32(*arrays: np.ndarray | int) -> int:
         else:
             crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
     return crc & 0xFFFFFFFF
+
+
+def decode_by_vertex(container) -> np.ndarray:
+    """Every list of ``container``, flat int64 in CSR order.
+
+    One ``container.neighbours(v)`` call per vertex, so a corrupt stream
+    surfaces as that decoder's typed error for the first bad list.
+    """
+    rows = [container.neighbours(v) for v in range(container.num_nodes)]
+    return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
 
 
 def parse_payload_words(payload: np.ndarray, *, fmt: str) -> np.ndarray:

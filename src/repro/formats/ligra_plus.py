@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32
+from repro.formats.integrity import arrays_crc32, decode_by_vertex
 
 __all__ = ["LigraPlusGraph", "ligra_encode", "ligra_encode_list", "ligra_decode_list"]
 
@@ -153,6 +153,10 @@ class LigraPlusGraph:
     payload_crc: int | None = None
     meta_crc: int | None = None
 
+    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("offsets",)
+
     @property
     def num_nodes(self) -> int:
         """|V|."""
@@ -186,6 +190,10 @@ class LigraPlusGraph:
                 vertex=v,
             )
         return ligra_decode_list(v, degree, self.data, lo)
+
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order."""
+        return decode_by_vertex(self)
 
     def verify_integrity(self) -> None:
         """Check the encode-time CRCs; no-op when they were never stamped."""

@@ -88,6 +88,10 @@ class GraphContainer:
     payload_crc: int
     meta_crc: int
 
+    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
+    PAYLOAD_FIELD = "payload"
+    METADATA_FIELDS = ("vlist",)
+
     @property
     def num_nodes(self) -> int:
         return int(self.vlist.shape[0]) - 1
@@ -150,6 +154,16 @@ class GraphContainer:
     def validate(self) -> None:
         """Structural validation: offsets monotone, neighbour ids in range."""
         validate_csr_arrays(self.vlist, self.elist, fmt="container")
+
+    def decode_all(self) -> np.ndarray:
+        """The structural load path: :meth:`validate`, then :attr:`elist`.
+
+        No CRCs, like :func:`open_container` after its integrity check;
+        an in-range payload flip therefore decodes "successfully" here
+        and only the CRC pass catches it.
+        """
+        self.validate()
+        return self.elist
 
     def to_graph(self) -> Graph:
         """Materialise a :class:`Graph` (copies out of any mmap)."""

@@ -11,6 +11,7 @@ from repro.check.differential import (
     run_differential,
 )
 from repro.datasets.web import web_graph
+from repro.formats.ligra_plus import LigraPlusGraph
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +31,20 @@ class TestDecodeDifferential:
 
     def test_detects_a_planted_decode_bug(self, diff_graph, monkeypatch):
         # The oracle must actually fail when a decoder lies.
-        from repro.check import adapters as adapters_mod
-
-        ligra = adapters_mod.FORMAT_ADAPTERS["ligra"]
-        real = ligra.decode_all
+        real = LigraPlusGraph.decode_all
 
         def lying_decode(container):
             out = real(container).copy()
             out[7] += 1
             return out
 
-        monkeypatch.setattr(ligra, "decode_all", lying_decode)
+        monkeypatch.setattr(LigraPlusGraph, "decode_all", lying_decode)
         rows = decode_differential(diff_graph, fmts=("ligra",))
         assert not rows[0]["agree"]
+
+    def test_unknown_format_is_a_value_error(self, diff_graph):
+        with pytest.raises(ValueError, match="'nope'.*efg, pef, cgr"):
+            decode_differential(diff_graph, fmts=("efg", "nope"))
 
 
 class TestAlgorithmDifferential:

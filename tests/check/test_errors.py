@@ -8,10 +8,12 @@ frozen (read-only payload and metadata arrays).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.check.adapters import FORMAT_ADAPTERS
+from repro.check.faults import FORMAT_ENCODERS
 from repro.core.efg import check_decode_batch, decode_lists, efg_encode, validate_efg
 from repro.core.errors import CorruptMetadataError, CorruptStreamError, DecodeError
 from repro.core.kernels import decompress_single_list
@@ -48,7 +50,7 @@ class TestCorruptNumLowerBits:
         nlb = efg.num_lower_bits.copy()
         victim = int(np.argmax(graph.degrees))
         nlb[victim] = l_value
-        mutated = FORMAT_ADAPTERS["efg"].with_metadata(efg, "num_lower_bits", nlb)
+        mutated = replace(efg, num_lower_bits=nlb)
         return mutated, victim
 
     def test_batched_decode_raises_typed_error(self, small_graph):
@@ -84,7 +86,7 @@ class TestStructuralValidation:
         efg = efg_encode(small_graph)
         vlist = efg.vlist.copy()
         vlist[3], vlist[4] = vlist[4] + 5, vlist[3]
-        mutated = FORMAT_ADAPTERS["efg"].with_metadata(efg, "vlist", vlist)
+        mutated = replace(efg, vlist=vlist)
         with pytest.raises(CorruptMetadataError):
             validate_efg(mutated)
 
@@ -92,44 +94,39 @@ class TestStructuralValidation:
         efg = efg_encode(small_graph)
         offsets = efg.offsets.copy()
         offsets[-1] = efg.data.shape[0] + 100
-        mutated = FORMAT_ADAPTERS["efg"].with_metadata(efg, "offsets", offsets)
+        mutated = replace(efg, offsets=offsets)
         with pytest.raises(CorruptMetadataError):
             validate_efg(mutated)
 
     def test_truncated_upper_section_detected(self, small_graph):
         efg = efg_encode(small_graph)
-        mutated = FORMAT_ADAPTERS["efg"].with_payload(
-            efg, efg.data[: efg.data.shape[0] - 4].copy()
-        )
+        mutated = replace(efg, data=efg.data[: efg.data.shape[0] - 4].copy())
         with pytest.raises(DecodeError):
             decode_lists(mutated, np.arange(mutated.num_nodes, dtype=np.int64))
 
 
 class TestIntegrityChecksums:
-    @pytest.mark.parametrize("fmt", sorted(FORMAT_ADAPTERS))
+    @pytest.mark.parametrize("fmt", sorted(FORMAT_ENCODERS))
     def test_clean_container_passes(self, small_graph, fmt):
-        adapter = FORMAT_ADAPTERS[fmt]
-        adapter.verify_integrity(adapter.encode(small_graph))
+        FORMAT_ENCODERS[fmt](small_graph).verify_integrity()
 
-    @pytest.mark.parametrize("fmt", sorted(FORMAT_ADAPTERS))
+    @pytest.mark.parametrize("fmt", sorted(FORMAT_ENCODERS))
     def test_payload_flip_caught(self, small_graph, fmt):
-        adapter = FORMAT_ADAPTERS[fmt]
-        container = adapter.encode(small_graph)
-        data = adapter.payload(container).copy()
+        container = FORMAT_ENCODERS[fmt](small_graph)
+        data = getattr(container, container.PAYLOAD_FIELD).copy()
         data[0] ^= 1
+        mutated = replace(container, **{container.PAYLOAD_FIELD: data})
         with pytest.raises(CorruptStreamError):
-            adapter.verify_integrity(adapter.with_payload(container, data))
+            mutated.verify_integrity()
 
-    @pytest.mark.parametrize("fmt", sorted(FORMAT_ADAPTERS))
+    @pytest.mark.parametrize("fmt", sorted(FORMAT_ENCODERS))
     def test_metadata_flip_caught(self, small_graph, fmt):
-        adapter = FORMAT_ADAPTERS[fmt]
-        container = adapter.encode(small_graph)
-        fields = adapter.metadata_arrays(container)
-        name = sorted(fields)[0]
-        arr = fields[name].copy()
+        container = FORMAT_ENCODERS[fmt](small_graph)
+        name = sorted(container.METADATA_FIELDS)[0]
+        arr = getattr(container, name).copy()
         arr[0] += 1
         with pytest.raises(CorruptMetadataError):
-            adapter.verify_integrity(adapter.with_metadata(container, name, arr))
+            replace(container, **{name: arr}).verify_integrity()
 
 
 class TestFrozenArrays:

@@ -9,18 +9,49 @@ bit-identically across repeated calls.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.check.adapters import FORMAT_ADAPTERS
 from repro.check.faults import (
     FAULT_INJECTORS,
+    FORMAT_ENCODERS,
     default_fuzz_graph,
     run_fault_campaign,
 )
 from repro.check.report import check_report, summarize_faults
 
 TRIALS = 24  # 6 per injector per format; CI's deep run uses --fuzz 200
+
+#: sha256 over every campaign row at ``TRIALS`` trials, seed 7.  Any
+#: change to an injector's RNG draws, a format's fault surface or a
+#: decoder's error type moves it.
+CAMPAIGN_SHA256 = (
+    "d457891a4e218923f6e42f70bcbc7c20335558ded6bf58075b14dfff2defde02"
+)
+
+
+def _error_class(outcome: str, error: str) -> str:
+    """The exception class name of a detected or foreign outcome."""
+    if outcome in ("detected", "foreign-exception"):
+        return error.partition(":")[0]
+    return ""
+
+
+def campaign_digest(rows) -> str:
+    """sha256 over each row's identity, outcomes and error classes."""
+    h = hashlib.sha256()
+    for r in rows:
+        row = (
+            r.fmt, r.injector, r.trial, r.detail,
+            r.outcome, r.structural_outcome,
+            r.detected_by, r.structural_detected_by,
+            _error_class(r.outcome, r.error),
+            _error_class(r.structural_outcome, r.structural_error),
+        )
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +67,7 @@ def campaign(fuzz_graph):
 class TestCorruptionMatrix:
     def test_every_cell_covered(self, campaign):
         cells = {(r.fmt, r.injector) for r in campaign}
-        for fmt in FORMAT_ADAPTERS:
+        for fmt in FORMAT_ENCODERS:
             for injector in FAULT_INJECTORS:
                 assert (fmt, injector) in cells
 
@@ -81,6 +112,14 @@ class TestCorruptionMatrix:
             for r in campaign if r.fmt == "container"
         ]
 
+    def test_campaign_digest_pinned(self, campaign):
+        assert len(campaign) == 6 * TRIALS
+        assert campaign_digest(campaign) == CAMPAIGN_SHA256
+
+    def test_unknown_format_is_a_value_error(self, fuzz_graph):
+        with pytest.raises(ValueError, match="'nope'.*efg, pef, cgr"):
+            run_fault_campaign(fuzz_graph, fmts=("nope",), trials=1)
+
     def test_deterministic_in_seed(self, fuzz_graph, campaign):
         rerun = run_fault_campaign(fuzz_graph, trials=TRIALS, seed=7)
         assert [(r.fmt, r.injector, r.detail, r.outcome) for r in rerun] == [
@@ -89,12 +128,11 @@ class TestCorruptionMatrix:
 
 
 class TestCleanStreams:
-    @pytest.mark.parametrize("fmt", sorted(FORMAT_ADAPTERS))
+    @pytest.mark.parametrize("fmt", sorted(FORMAT_ENCODERS))
     def test_clean_decode_bit_identical(self, fuzz_graph, fmt):
-        adapter = FORMAT_ADAPTERS[fmt]
-        container = adapter.encode(fuzz_graph)
-        first = adapter.decode_all(container)
-        second = adapter.decode_all(container)
+        container = FORMAT_ENCODERS[fmt](fuzz_graph)
+        first = container.decode_all()
+        second = container.decode_all()
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, fuzz_graph.elist)
 
@@ -109,7 +147,7 @@ class TestReport:
         ) == len(campaign)
         assert summary["silent"] == 0
         assert summary["foreign"] == 0
-        for fmt in FORMAT_ADAPTERS:
+        for fmt in FORMAT_ENCODERS:
             assert summary["gauges"][f"check.faults.{fmt}.silent_rate"] == 0.0
             assert summary["gauges"][f"check.faults.{fmt}.foreign_rate"] == 0.0
 

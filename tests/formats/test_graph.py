@@ -1,8 +1,11 @@
 """Tests for the Graph container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.efg import efg_encode
 from repro.formats.graph import Graph
 
 
@@ -61,6 +64,16 @@ class TestQueries:
     def test_neighbours_bounds(self, tiny_graph):
         with pytest.raises(IndexError):
             tiny_graph.neighbours(8)
+
+    @pytest.mark.parametrize(
+        "make", [lambda g: g, efg_encode], ids=["Graph", "EFGraph"]
+    )
+    def test_replace_recomputes_degrees(self, make):
+        # A memoised degree array must not survive a replaced vlist.
+        g = make(Graph(vlist=np.array([0, 2, 3, 4]), elist=np.array([1, 2, 0, 0])))
+        assert g.degrees.tolist() == [2, 1, 1]
+        moved = replace(g, vlist=np.array([0, 1, 3, 4]))
+        assert moved.degrees.tolist() == [1, 2, 1]
 
     def test_stats(self, tiny_graph):
         s = tiny_graph.stats()
