@@ -3,8 +3,13 @@
 Unlike the table/figure benches (which report *simulated* device time),
 these measure our actual Python implementation: EFG whole-frontier
 decode, EF range decode, and the encode pipelines.  Useful for tracking
-regressions in the vectorized kernels themselves.
+regressions in the vectorized kernels themselves.  The whole-graph
+decode and encode cases also record the codec's host working set (the
+tracemalloc peak of one call, outputs included) in B/edge and hold it
+to the bound the tier-1 guard in ``tests/core/test_efg.py`` sets.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +19,29 @@ from repro.core.efg import decode_lists
 from repro.ef.encoding import ef_decode_range, ef_encode
 
 
+#: Bound on the whole-graph codec's working set, B/edge.
+PEAK_BYTES_PER_EDGE = 64
+
+
 @pytest.fixture(scope="module")
 def twitter():
     enc = encoded_suite_graph("twitter")
     return enc.graph, enc.get("efg")
+
+
+def peak_bytes_per_edge(benchmark, edges, fn, *args):
+    """Record one traced call's peak in ``extra_info`` and check it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    per_edge = (peak - before) / edges
+    benchmark.extra_info["peak_bytes_per_edge"] = per_edge
+    assert per_edge <= PEAK_BYTES_PER_EDGE, per_edge
 
 
 def test_decode_whole_graph_throughput(benchmark, twitter):
@@ -31,6 +55,8 @@ def test_decode_whole_graph_throughput(benchmark, twitter):
     vals = benchmark(run)
     assert vals.shape[0] == graph.num_edges
     benchmark.extra_info["edges"] = graph.num_edges
+    efg.degrees  # the cached degree array is not decode scratch
+    peak_bytes_per_edge(benchmark, graph.num_edges, decode_lists, efg, verts)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["edges_per_sec"] = graph.num_edges / benchmark.stats["mean"]
 
@@ -64,6 +90,7 @@ def test_efg_encode_throughput(benchmark, twitter):
 
     efg = benchmark(efg_encode, graph)
     assert efg.num_edges == graph.num_edges
+    peak_bytes_per_edge(benchmark, graph.num_edges, efg_encode, graph)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["edges_per_sec"] = graph.num_edges / benchmark.stats["mean"]
 

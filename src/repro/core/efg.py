@@ -20,11 +20,17 @@ ef_encode` (and through it the EF wire codec and PEF partitions) runs
 it on a single list, and ``EFGraph.edge_at`` / ``ef_decode_at`` share
 one random access.
 
-``decode_lists`` is the whole-batch equivalent of the multi-list
-thread-block kernel (Fig. 7): popcount -> segmented scans ->
-``binsearch_maxle`` -> ``select1_byte`` LUT, across every byte of every
-requested list in one shot.  The literal per-block kernel lives in
+``decode_lists`` produces the output of the multi-list thread-block
+kernel (Fig. 7) for a whole batch at once, by host-friendly means: one
+bit-map select over the gathered upper bytes and one field read at
+per-value widths.  The kernel's own decomposition (popcount, segmented
+scans, ``binsearch_maxle``, ``select1_byte`` LUT) is
 :mod:`repro.core.kernels`; tests assert both produce identical output.
+
+Both directions keep their host scratch proportional to their output,
+a few narrow arrays per edge: the encoder's per-element list ids are
+int32 and its widths uint8, and the decoder updates its per-value
+arrays in place.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.ef.bitstream import extract_fields
 from repro.ef.forward import DEFAULT_QUANTUM
-from repro.ef.select import select1_bitarray, select1_scalar
+from repro.ef.select import select1_all, select1_scalar
 from repro.formats.graph import Graph
 from repro.formats.integrity import arrays_crc32
-from repro.primitives.bitops import POPCOUNT_TABLE
 from repro.primitives.scan import exclusive_scan
 
 __all__ = [
@@ -57,18 +62,21 @@ def csr_gather_indices(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
 
     Returns ``(indices, segment_ids)`` where ``indices`` enumerates
     ``starts[s] + 0..lengths[s]-1`` for every segment ``s`` in order.
-    This is the ubiquitous CSR-expansion idiom (repeat + cumsum), the
+    This is the ubiquitous CSR-expansion idiom (repeat + arange), the
     vectorized form of "each thread finds its item via scan+search".
+    Its peak scratch is its two outputs: ``starts[s] - ex[s]`` (``ex``
+    the exclusive sum of ``lengths``) repeated plus the flat position.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    seg_ids = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
     ex, _ = exclusive_scan(lengths)
-    local = np.arange(total, dtype=np.int64) - ex[seg_ids]
-    return starts[seg_ids] + local, seg_ids
+    indices = np.repeat(starts - ex, lengths)
+    indices += np.arange(total, dtype=np.int64)
+    seg_ids = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    return indices, seg_ids
 
 
 @dataclass
@@ -306,31 +314,59 @@ def _encode_lists(
 
     data = np.zeros(int(offsets[-1]), dtype=np.uint8)
 
-    # Per-element bookkeeping: owning list and local index.
-    seg_ids = np.repeat(np.arange(degrees.shape[0]), degrees)
-    local_idx = np.arange(elist.shape[0]) - vlist[seg_ids]
-    l_per_edge = l[seg_ids]
+    # Per-element scratch is narrow (int32 list ids, uint8 widths) and
+    # each section's arrays go as soon as the section is written.  The
+    # local index of element g in its list is g - vlist[list], so every
+    # per-element position is arange(|E|) plus one per-list constant.
+    num_lists = degrees.shape[0]
+    seg_ids = np.repeat(
+        np.arange(num_lists, dtype=np.int32 if num_lists < 2**31 else np.int64),
+        degrees,
+    )
+    l_per_edge = l.astype(np.uint8)[seg_ids]
 
     # --- upper bits: stop bit for local element i at (high_i + i) ---
-    stop_pos = upper_bit0[seg_ids] + (elist >> l_per_edge) + local_idx
-    np.bitwise_or.at(
-        data, stop_pos >> 3, np.uint8(1) << (stop_pos & 7).astype(np.uint8)
-    )
+    stop_pos = np.arange(elist.shape[0], dtype=np.int64)
+    stop_pos += (upper_bit0 - vlist[:-1])[seg_ids]
+    stop_pos += elist >> l_per_edge
+    stop_bit = stop_pos.astype(np.uint8)
+    stop_bit &= 7
+    stop_pos >>= 3
+    np.bitwise_or.at(data, stop_pos, np.left_shift(np.uint8(1), stop_bit))
+    del stop_pos, stop_bit
 
     # --- lower bits: l[v] bits per element, packed LSB-first ---
     # One pass per 8-bit piece of the widest field: the piece at bit p
     # of a field straddles at most two bytes, the second no further out
     # than the list's first upper byte.
-    lows = elist & ((1 << l_per_edge) - 1)
-    elem_bit0 = lower_bit0[seg_ids] + local_idx * l_per_edge
+    elem_bit0 = np.arange(elist.shape[0], dtype=np.int64)
+    elem_bit0 *= l_per_edge
+    elem_bit0 += (lower_bit0 - vlist[:-1] * l)[seg_ids]
+    del seg_ids
+    lows = np.left_shift(np.int64(1), l_per_edge)
+    lows -= 1
+    lows &= elist
     for p in range(0, int(l.max(initial=0)), 8):
         mask = l_per_edge > p
-        pos = elem_bit0[mask] + p
-        piece = (lows[mask] >> p) & 0xFF
-        byte, off = pos >> 3, pos & 7
-        # The uint8 cast keeps the low 8 bits of each shifted piece.
-        np.bitwise_or.at(data, byte, (piece << off).astype(np.uint8))
-        np.bitwise_or.at(data, byte + 1, (piece >> (8 - off)).astype(np.uint8))
+        byte = elem_bit0[mask]
+        byte += p
+        off = byte.astype(np.uint8)
+        off &= 7
+        byte >>= 3
+        piece = lows[mask]
+        piece >>= p
+        del mask
+        # The piece's 8 bits land at bits off..off+7 of a 16-bit window
+        # over bytes (byte, byte + 1).
+        pair = (piece & 0xFF).astype(np.uint16)
+        del piece
+        pair <<= off
+        np.bitwise_or.at(data, byte, pair.astype(np.uint8))
+        pair >>= 8
+        byte += 1
+        np.bitwise_or.at(data, byte, pair.astype(np.uint8))
+        del byte, off, pair
+    del elem_bit0, lows, l_per_edge
 
     # --- forward pointers: value of (x >> l) at elements j*quantum - 1 ---
     if int(num_fwd.sum()):
@@ -550,10 +586,15 @@ def decode_lists(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode the full neighbour lists of a batch of vertices.
 
-    The whole-batch form of the multi-list kernel (Fig. 7): all upper
-    bytes of all requested lists are gathered into one window; popcount,
-    scans, ``binsearch_maxle`` and the ``select1_byte`` LUT then decode
-    every value in parallel.
+    The whole-batch form of the multi-list kernel (Fig. 7), with the
+    same output: the upper bytes of every requested list are gathered
+    into one window and every stop bit is selected from one bit map
+    (:func:`~repro.ef.select.select1_all`); each bit's list is a
+    ``searchsorted`` on the lists' first window bits, and one
+    :func:`~repro.ef.bitstream.extract_fields` call reads every lower
+    half at its list's width.  The popcount/scan/binsearch/LUT
+    decomposition a thread block runs is :mod:`repro.core.kernels`.
+    Scratch stays within a few int64 arrays per value.
 
     Returns
     -------
@@ -561,6 +602,12 @@ def decode_lists(
         ``values`` — concatenated decoded neighbour ids;
         ``segment_ids`` — for each value, the index *into ``vertices``*
         of the list it belongs to.
+
+    Raises
+    ------
+    CorruptStreamError
+        The window holds a different number of stop bits than the
+        lists have values, or a stop bit sits before its element's rank.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     check_decode_batch(efg, vertices)
@@ -569,52 +616,46 @@ def decode_lists(
     if total_vals == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    # Gather every upper byte of every list (threads <- bytes, Fig. 7 step 1).
-    up_start = efg.upper_start_byte(vertices)
+    # Gather every upper byte of every list (threads <- bytes, Fig. 7
+    # step 1) and select every stop bit of the window.
     up_len = efg.upper_nbytes(vertices)
-    byte_idx, byte_seg = csr_gather_indices(up_start, up_len)
-    window = efg.data[byte_idx]
-
-    # popcount + scan + binsearch + select1_byte (steps 2-5).  Every
-    # list contributes exactly its degree in stop bits, so value g of
-    # the batch owns the g-th set bit of the window — the arithmetic the
-    # segmented scan performs per block in the kernel.
-    total_pop = int(POPCOUNT_TABLE[window].sum(dtype=np.int64))
-    if total_pop != total_vals:
+    byte_idx, _ = csr_gather_indices(efg.upper_start_byte(vertices), up_len)
+    values = select1_all(efg.data[byte_idx])
+    del byte_idx
+    if values.shape[0] != total_vals:
         raise CorruptStreamError(
-            f"{total_pop} stop bits for {total_vals} values", fmt="efg"
+            f"{values.shape[0]} stop bits for {total_vals} values", fmt="efg"
         )
-    select_pos = select1_bitarray(window, np.arange(total_vals, dtype=np.int64))
 
-    # Bits preceding the stop bit *within its own list* (steps 6-8).
-    up_start_ex, _ = exclusive_scan(up_len)
-    select_in_list = select_pos - 8 * up_start_ex[byte_seg[select_pos >> 3]]
-
-    # upper half = select1(i) - i; combine with lower half (step 9).
+    # upper half = select1(i) - i within the list (steps 6-9).  The
+    # bits preceding a stop bit in its own list come from the list the
+    # *bit* lies in, found by a searchsorted on the window's list start
+    # bits (the bits are sorted, so that is B probes); the rank i from
+    # the list the *value* belongs to.  On a clean stream the two agree.
+    list_bit0, _ = exclusive_scan(up_len)
+    list_bit0 *= 8
+    bit_counts = np.diff(np.searchsorted(values, list_bit0), append=total_vals)
+    values -= np.repeat(list_bit0, bit_counts)
     ex_deg, _ = exclusive_scan(degrees)
-    val_seg = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degrees)
-    local_rank = np.arange(total_vals, dtype=np.int64) - ex_deg[val_seg]
-    upper_half = select_in_list - local_rank
-    if int(upper_half.min()) < 0:
+    values += np.repeat(ex_deg, degrees)
+    values -= np.arange(total_vals, dtype=np.int64)
+    if int(values.min()) < 0:
         # Total stop bits matched but migrated across a list boundary.
         raise CorruptStreamError(
             "select position precedes element rank (stop bits misplaced)",
             fmt="efg",
         )
-    l_per_val = efg.num_lower_bits[vertices][val_seg].astype(np.int64)
-    low_base_bit = efg.lower_start_byte(vertices) * 8
-    low_pos = low_base_bit[val_seg] + local_rank * l_per_val
 
-    values = upper_half << l_per_val
-    has_low = l_per_val > 0
-    if has_low.any():
-        # extract_fields needs one width; group by width (few distinct).
-        widths = np.flatnonzero(np.bincount(l_per_val[has_low]))
-        lows = np.zeros(total_vals, dtype=np.int64)
-        for w in widths:
-            sel = l_per_val == w
-            lows[sel] = extract_fields(efg.data, low_pos[sel], int(w)).astype(
-                np.int64
-            )
-        values |= lows
+    # Lower halves: element i of list v sits at bit lower_bit0[v] + i*l.
+    l = efg.num_lower_bits[vertices].astype(np.uint8)
+    l_per_val = np.repeat(l, degrees)
+    low_pos = np.arange(total_vals, dtype=np.int64)
+    low_pos *= l_per_val
+    low_pos += np.repeat(
+        efg.lower_start_byte(vertices) * 8 - ex_deg * l, degrees
+    )
+    values <<= l_per_val
+    values |= extract_fields(efg.data, low_pos, l_per_val).view(np.int64)
+    del low_pos, l_per_val
+    val_seg = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degrees)
     return values, val_seg

@@ -25,7 +25,7 @@ from repro.ef.encoding import (
 )
 from repro.ef.partitioned import PEFSequence, pef_encode
 from repro.ef.queries import ef_contains, ef_intersect, ef_next_geq
-from repro.ef.select import select1_bitarray, select1_scalar
+from repro.ef.select import select1_all, select1_bitarray, select1_scalar
 
 __all__ = [
     "BitReader",
@@ -37,6 +37,7 @@ __all__ = [
     "ef_decode_range",
     "PEFSequence",
     "pef_encode",
+    "select1_all",
     "select1_bitarray",
     "select1_scalar",
     "ef_next_geq",

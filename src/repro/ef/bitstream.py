@@ -8,13 +8,17 @@ Two layers are provided:
 
 * :class:`BitWriter` / :class:`BitReader` — incremental scalar access,
   used by encoders (compression is an offline step, Sec. VIII-F).
-* :func:`extract_fields` — fully vectorized fixed-width field reads,
-  used on the hot decode paths.
+* :func:`extract_fields` — vectorized field reads at arbitrary bit
+  positions with per-position widths, used on the hot decode paths:
+  one unaligned little-endian 64-bit load per field (a second only for
+  the rare field wider than 57 bits), so its scratch is a few bytes per
+  field whatever the mix of widths.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["BitWriter", "BitReader", "extract_fields"]
 
@@ -127,35 +131,77 @@ class BitReader:
         return gap
 
 
-def extract_fields(data: np.ndarray, bit_positions: np.ndarray, width: int) -> np.ndarray:
-    """Read a ``width``-bit field at each (arbitrary) bit position.
+def _load_u64(data: np.ndarray, byte_idx: np.ndarray) -> np.ndarray:
+    """The little-endian 64-bit word starting at each byte index.
+
+    One unaligned load per index, through a stride-1 ``<u8`` view of
+    ``data`` (contiguous ``uint8``).  Bytes outside ``data`` read as
+    zero: the few words that reach past either end are assembled byte
+    by byte.
+    """
+    n = data.shape[0]
+    head = n - 7  # words wholly inside data start at bytes [0, head)
+    inside = (byte_idx >= 0) & (byte_idx < head)
+    if head > 0 and inside.all():
+        return _u64_view(data)[byte_idx]
+    out = np.zeros(byte_idx.shape[0], dtype=np.uint64)
+    if inside.any():
+        out[inside] = _u64_view(data)[byte_idx[inside]]
+    edge = np.flatnonzero(~inside)
+    idx = byte_idx[edge, None] + np.arange(8)
+    ok = (idx >= 0) & (idx < n)
+    raw = np.zeros(idx.shape, dtype=np.uint64)
+    raw[ok] = data[idx[ok]]
+    raw <<= np.uint64(8) * np.arange(8, dtype=np.uint64)
+    out[edge] = np.bitwise_or.reduce(raw, axis=1)
+    return out
+
+
+def _u64_view(data: np.ndarray) -> np.ndarray:
+    """Read-only ``<u8`` view of ``data`` (``n >= 8``), one word per byte."""
+    return as_strided(
+        data[: data.shape[0] & ~7].view("<u8"),
+        shape=(data.shape[0] - 7,),
+        strides=(1,),
+        writeable=False,
+    )
+
+
+def extract_fields(
+    data: np.ndarray, bit_positions: np.ndarray, width: int | np.ndarray
+) -> np.ndarray:
+    """Read the field of ``width`` bits at each bit position (uint64).
 
     This is the random-access primitive behind ``get_lower_half`` in
-    Alg. 2: each thread fetches its own value's lower bits.  Handles
-    fields straddling up to 8 byte boundaries (width <= 57 guaranteed by
-    EF since l <= 57 for 64-bit universes; we support width <= 56 safely
-    and fall back for wider fields).
+    Alg. 2: each thread fetches its own value's lower bits.  ``width``
+    is one width for every field or an array with one width (0-64) per
+    position, so a batch of lists with different ``l`` is one call.
+    Each field is one unaligned little-endian 64-bit load at its first
+    byte, shifted by the bit offset and masked; a field only needs a
+    second load when the offset pushes it past that word, which takes
+    more than 57 bits.  Bits outside ``data`` read as zero.
     """
-    data = np.asarray(data, dtype=np.uint8)
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     bit_positions = np.asarray(bit_positions, dtype=np.int64)
-    if width == 0:
-        return np.zeros(bit_positions.shape[0], dtype=np.uint64)
-    if width > 56:
-        # Rare slow path: per-element scalar reads.
-        out = np.empty(bit_positions.shape[0], dtype=np.uint64)
-        for i, pos in enumerate(bit_positions):
-            out[i] = BitReader(data, int(pos)).read_bits(width)
-        return out
+    width = np.asarray(width)
+    if width.size and (int(width.min()) < 0 or int(width.max()) > 64):
+        raise ValueError(f"field widths must lie in [0, 64], got {width}")
+    width = width.astype(np.uint8)
     byte_idx = bit_positions >> 3
-    bit_off = (bit_positions & 7).astype(np.uint64)
-    # Gather 8 consecutive bytes per field (little-endian window).
-    offsets = np.arange(8, dtype=np.int64)
-    gather_idx = byte_idx[:, None] + offsets[None, :]
-    safe_idx = np.minimum(gather_idx, data.shape[0] - 1)
-    window = data[safe_idx].astype(np.uint64)
-    window[gather_idx >= data.shape[0]] = 0
-    word = (window << (np.uint64(8) * offsets.astype(np.uint64))[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
-    mask = np.uint64((1 << width) - 1)
-    return (word >> bit_off) & mask
+    bit_off = bit_positions.astype(np.uint8)
+    bit_off &= 7
+    word = _load_u64(data, byte_idx)
+    word >>= bit_off
+    if width.size and int(width.max()) > 57:
+        # Fields that run past their word take their top bits from the
+        # word 8 bytes on.
+        wide = np.flatnonzero(bit_off + width > 64)
+        spill = np.uint8(64) - bit_off[wide]
+        word[wide] |= _load_u64(data, byte_idx[wide] + 8) << spill
+    del byte_idx
+    # Keep the low ``width`` bits: numpy shifts by 64 give 0, so width 0
+    # clears the word and width 64 keeps it.
+    drop = np.uint8(64) - width
+    word <<= drop
+    word >>= drop
+    return word

@@ -8,8 +8,8 @@ Total storage is at most ``n * (2 + ceil(log2(u/n)))`` bits.
 There is one Elias-Fano codec in the package: a sequence is a one-list
 EFG, so :func:`ef_encode` runs the batched EFG list encoder, random
 access shares ``EFGraph.edge_at``'s implementation, and range decode
-runs the same batched :func:`~repro.ef.select.select1_bitarray` as
-:func:`repro.core.efg.decode_lists`.
+runs the same bit-map select (:func:`~repro.ef.select.select1_bitarray`)
+as :func:`repro.core.efg.decode_lists`.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def ef_decode_range(seq: EFSequence, a: int, b: int) -> np.ndarray:
 
     This is the partial-list problem of Sec. VI-C: locate the closest
     forward pointer preceding ``a`` and the closest covering pointer at
-    or after ``b - 1``, then run the popcount/scan/binsearch/select
-    pipeline over just the bytes in between.
+    or after ``b - 1``, then run the batched select over just the bytes
+    in between.
     """
     if not 0 <= a <= b <= seq.n:
         raise IndexError(f"range [{a}, {b}) invalid for sequence of {seq.n}")

@@ -3,24 +3,20 @@
 ``select1(i)`` returns the position of the i-th (0-indexed) set bit of a
 bitstream — the foundational operation of EF decoding (Sec. IV-A).  The
 GPU kernels never call the scalar version in a loop; they batch it via
-popcount + scan + binsearch (:func:`select1_bitarray`), exactly the
-decomposition of Alg. 2.
+popcount + scan + binsearch, the decomposition of Alg. 2 that
+:mod:`repro.core.kernels` executes literally.  On the host the batched
+select is a bitmap walk instead (:func:`select1_all`): unpack the bits
+once and list the set ones, which answers every rank at the cost of one
+pass and no per-byte scan arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.primitives.bitops import (
-    POPCOUNT_TABLE,
-    POPCOUNT_TABLE_I64,
-    SELECT_IN_BYTE_TABLE,
-    SELECT_IN_BYTE_TABLE_I64,
-)
-from repro.primitives.scan import exclusive_scan
-from repro.primitives.search import binsearch_maxle
+from repro.primitives.bitops import POPCOUNT_TABLE, SELECT_IN_BYTE_TABLE
 
-__all__ = ["select1_scalar", "select1_bitarray", "rank1_bitarray"]
+__all__ = ["select1_scalar", "select1_all", "select1_bitarray", "rank1_bitarray"]
 
 
 def select1_scalar(data: np.ndarray, i: int, start_bit: int = 0) -> int:
@@ -60,30 +56,43 @@ def select1_scalar(data: np.ndarray, i: int, start_bit: int = 0) -> int:
     raise IndexError(f"select1({i}): not enough set bits")
 
 
-def select1_bitarray(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Batched ``select1`` over one bit array — the GPU decomposition.
+def select1_all(data: np.ndarray) -> np.ndarray:
+    """``select1(i)`` for every set bit of ``data``, in order (int64).
 
-    Performs popcount per byte, an exclusive scan, then per query a
-    ``binsearch_maxle`` into the scan plus a ``select1_byte`` LUT probe.
-    This is Alg. 2 applied to the full array at once (no tiling) and the
-    one batched select of the package: ``decode_lists`` and
-    ``ef_decode_range`` both run it.  The tiled/kernel version lives in
-    :mod:`repro.core.kernels`.
+    One ``unpackbits`` (LSB first) and one ``flatnonzero`` over the bit
+    map: element ``i`` of the result is the position of the i-th set
+    bit, and its length is the popcount.  Scratch is one byte per bit.
     """
     data = np.asarray(data, dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little").view(bool))
+
+
+def select1_bitarray(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Batched ``select1`` over one bit array.
+
+    Indexes :func:`select1_all` with the requested ranks.  This is the
+    one batched select of the package: ``decode_lists`` and
+    ``ef_decode_range`` both run it (``decode_lists`` through
+    :func:`select1_all` directly, since it wants every rank).  The
+    tiled popcount/scan/binsearch kernel lives in
+    :mod:`repro.core.kernels`.
+
+    Raises
+    ------
+    ValueError
+        A negative rank.
+    IndexError
+        A rank at or beyond the number of set bits.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return np.empty(0, dtype=np.int64)
     if indices.min() < 0:
         raise ValueError("negative select index")
-    popc = POPCOUNT_TABLE_I64[data]
-    exsum, total = exclusive_scan(popc)
-    if indices.max() >= total:
+    positions = select1_all(data)
+    if indices.max() >= positions.shape[0]:
         raise IndexError("select index beyond number of set bits")
-    target_byte = binsearch_maxle(exsum, indices)
-    in_byte_rank = indices - exsum[target_byte]
-    in_byte_pos = SELECT_IN_BYTE_TABLE_I64[data[target_byte], in_byte_rank]
-    return target_byte * 8 + in_byte_pos
+    return positions[indices]
 
 
 def rank1_bitarray(data: np.ndarray, pos: int) -> int:

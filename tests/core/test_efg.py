@@ -1,9 +1,12 @@
 """Tests for the EFG format: encoder, layout, batched decoder."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.efg import csr_gather_indices, decode_lists, efg_encode
 from repro.datasets import rmat_graph
@@ -26,6 +29,61 @@ class TestCsrGatherIndices:
     def test_all_empty(self):
         idx, seg = csr_gather_indices(np.array([1, 2]), np.array([0, 0]))
         assert idx.shape == (0,) and seg.shape == (0,)
+
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(-50, 10**6), st.integers(0, 6)), max_size=30
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_segment_loop(self, segments):
+        starts = np.array([s for s, _ in segments], dtype=np.int64)
+        lengths = np.array([n for _, n in segments], dtype=np.int64)
+        idx, seg = csr_gather_indices(starts, lengths)
+        want_idx = [s + k for s, n in segments for k in range(n)]
+        want_seg = [i for i, (_, n) in enumerate(segments) for _ in range(n)]
+        assert idx.dtype == seg.dtype == np.int64
+        assert idx.tolist() == want_idx
+        assert seg.tolist() == want_seg
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of ``fn(*args)`` above the memory live before it,
+    with its outputs still held (they count against the working set)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - before
+
+
+class TestWorkingSet:
+    """The codec's host scratch scales with its output: a whole-graph
+    decode or encode peaks at no more than 64 B per edge, outputs
+    included, on a pinned RMAT graph."""
+
+    BOUND_BYTES_PER_EDGE = 64
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        graph = rmat_graph(14, 16, seed=1)
+        return graph, efg_encode(graph)
+
+    def test_decode_lists_peak_per_edge(self, pinned):
+        graph, efg = pinned
+        efg.degrees  # the cached degree array is not decode scratch
+        verts = np.arange(graph.num_nodes, dtype=np.int64)
+        per_edge = _peak_bytes(decode_lists, efg, verts) / graph.num_edges
+        assert per_edge <= self.BOUND_BYTES_PER_EDGE, per_edge
+
+    def test_efg_encode_peak_per_edge(self, pinned):
+        graph, _ = pinned
+        per_edge = _peak_bytes(efg_encode, graph) / graph.num_edges
+        assert per_edge <= self.BOUND_BYTES_PER_EDGE, per_edge
 
 
 class TestEncoder:
@@ -170,8 +228,8 @@ class TestBatchedDecode:
         assert vals.shape == (0,)
 
     def test_mixed_lower_bit_widths(self, rng):
-        # Lists with very different universes exercise the per-width
-        # grouping in the lower-bits fetch.
+        # Lists with very different universes exercise the per-position
+        # widths of the one lower-bits fetch.
         adjacency = [
             np.unique(rng.integers(0, 10, size=5)),
             np.unique(rng.integers(0, 10**6, size=5)),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ef.bitstream import BitReader, BitWriter, extract_fields
 from repro.ef.encoding import ef_encode
@@ -166,3 +168,94 @@ class TestExtractFields:
         w.write_bits(value, 61)
         got = extract_fields(w.getvalue(), np.array([3]), 61)
         assert int(got[0]) == value
+
+    def test_width_out_of_range(self):
+        data = np.zeros(16, dtype=np.uint8)
+        for bad in (65, -1):
+            with pytest.raises(ValueError):
+                extract_fields(data, np.array([0]), bad)
+        with pytest.raises(ValueError):
+            extract_fields(data, np.array([0, 8]), np.array([3, 65]))
+
+
+def _bitreader_fields(payload: bytes, positions, widths) -> list[int]:
+    """Oracle: one ``BitReader.read_bits`` per field, bits past the end
+    of the payload reading as zero."""
+    padded = np.frombuffer(payload + bytes(9), dtype=np.uint8)
+    return [BitReader(padded, p).read_bits(w) for p, w in zip(positions, widths)]
+
+
+@st.composite
+def field_reads(draw, max_bytes=24):
+    """A payload and fields on it: mixed widths 0-64, with positions
+    anywhere and positions in the payload's last 7 bytes."""
+    payload = draw(st.binary(max_size=max_bytes))
+    nbits = max(8 * len(payload), 1)
+    position = st.one_of(
+        st.integers(0, nbits - 1), st.integers(max(0, nbits - 56), nbits - 1)
+    )
+    positions = draw(st.lists(position, max_size=16))
+    widths = draw(
+        st.lists(st.integers(0, 64), min_size=len(positions), max_size=len(positions))
+    )
+    return payload, positions, widths
+
+
+class TestExtractFieldsProperties:
+    """``extract_fields`` equals a ``BitReader.read_bits`` per field."""
+
+    @given(read=field_reads())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_widths(self, read):
+        payload, positions, widths = read
+        got = extract_fields(
+            np.frombuffer(payload, dtype=np.uint8),
+            np.array(positions, dtype=np.int64),
+            np.array(widths, dtype=np.int64),
+        )
+        assert got.dtype == np.uint64
+        assert [int(x) for x in got] == _bitreader_fields(payload, positions, widths)
+
+    @given(read=field_reads(), width=st.integers(0, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_one_width(self, read, width):
+        payload, positions, _ = read
+        got = extract_fields(
+            np.frombuffer(payload, dtype=np.uint8), np.array(positions, dtype=np.int64), width
+        )
+        widths = [width] * len(positions)
+        assert [int(x) for x in got] == _bitreader_fields(payload, positions, widths)
+
+    @given(read=field_reads(max_bytes=8))
+    @settings(max_examples=150, deadline=None)
+    def test_short_payloads(self, read):
+        # 0-8 bytes: no field has a whole 64-bit word inside the payload.
+        payload, positions, widths = read
+        got = extract_fields(
+            np.frombuffer(payload, dtype=np.uint8),
+            np.array(positions, dtype=np.int64),
+            np.array(widths, dtype=np.int64),
+        )
+        assert [int(x) for x in got] == _bitreader_fields(payload, positions, widths)
+
+    @given(read=field_reads(), pad=st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_read_only_and_sliced_inputs(self, read, pad):
+        payload, positions, widths = read
+        want = _bitreader_fields(payload, positions, widths)
+        n = len(payload)
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        # A contiguous slice at an odd offset inside a larger buffer,
+        # read-only, with junk on both sides that must not leak in.
+        buf = np.full(n + 2 * pad, 0xFF, dtype=np.uint8)
+        buf[pad : pad + n] = raw
+        buf.flags.writeable = False
+        # A strided (non-contiguous) view of the same bytes.
+        doubled = np.full(2 * n, 0xAA, dtype=np.uint8)
+        doubled[::2] = raw
+        pos = np.array(positions, dtype=np.int64)
+        pos.flags.writeable = False
+        wid = np.array(widths, dtype=np.int64)
+        for data in (buf[pad : pad + n], doubled[::2]):
+            got = extract_fields(data, pos, wid)
+            assert [int(x) for x in got] == want

@@ -24,6 +24,25 @@ def graphs(draw):
     )
 
 
+@st.composite
+def mixed_l_graphs(draw):
+    """4,096 vertices; the first few hold lists whose universes span 1
+    to 4,096, so one batch mixes widths ``l`` from 0 to 12."""
+    num_nodes = 4096
+    lists = []
+    for _ in range(draw(st.integers(1, 12))):
+        span = 1 << draw(st.integers(0, 12))
+        size = draw(st.integers(0, 40))
+        seed = draw(st.integers(0, 2**31))
+        lists.append(np.unique(np.random.default_rng(seed).integers(0, span, size)))
+    degrees = np.zeros(num_nodes, dtype=np.int64)
+    degrees[: len(lists)] = [a.shape[0] for a in lists]
+    vlist = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=vlist[1:])
+    elist = np.concatenate(lists).astype(np.int64)
+    return Graph(vlist=vlist, elist=elist, directed=True), len(lists)
+
+
 class TestEFGProperties:
     @given(graph=graphs(), quantum=st.sampled_from([1, 2, 8, 512]))
     @settings(max_examples=60, deadline=None)
@@ -83,6 +102,26 @@ class TestEFGProperties:
         ref_vals, ref_seg = decode_lists(efg, frontier)
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(seg, ref_seg)
+
+    @given(case=mixed_l_graphs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_l_matches_kernel(self, case, data):
+        # The whole-batch decoder (one field read over every width)
+        # against the literal Alg. 2 multi-list kernel, at quantum 8.
+        graph, num_lists = case
+        efg = efg_encode(graph, quantum=8)
+        frontier = np.array(
+            data.draw(
+                st.lists(st.integers(0, num_lists), min_size=1, max_size=20)
+            ),
+            dtype=np.int64,
+        )
+        vals, seg, _ = decompress_multiple_lists(efg, frontier)
+        ref_vals, ref_seg = decode_lists(efg, frontier)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(seg, ref_seg)
+        expect = np.concatenate([graph.neighbours(int(v)) for v in frontier])
+        assert np.array_equal(ref_vals, expect)
 
     @given(graph=graphs(), data=st.data())
     @settings(max_examples=30, deadline=None)
