@@ -5,6 +5,11 @@ corresponding ``repro.bench.experiments`` function once (timed through
 pytest-benchmark's ``pedantic`` mode), prints the paper-style rows, and
 saves the structured records to ``benchmarks/results/*.json`` so
 EXPERIMENTS.md can be regenerated from the exact numbers.
+
+``REPRO_BENCH_QUICK=1`` marks a smoke run (CI's bench-smoke job): the
+benchmarks that can shrink their inputs do, and every record goes under
+pytest's temporary directory instead, so only a full run refreshes the
+tracked results.
 """
 
 from __future__ import annotations
@@ -16,10 +21,17 @@ import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: A smoke run: smaller inputs where a benchmark supports them, and
+#: records kept out of ``RESULTS_DIR``.
+QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
+
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    """Directory where experiment records are stored."""
+def results_dir(tmp_path_factory) -> str:
+    """Directory where experiment records are stored: ``RESULTS_DIR``,
+    or a temporary one on a quick run."""
+    if QUICK:
+        return str(tmp_path_factory.mktemp("results"))
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
 

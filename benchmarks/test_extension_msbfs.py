@@ -14,13 +14,12 @@ the two amortization layers added on top:
 Reported per graph: total list decodes, amortized per-source simulated
 time and GTEPS for sequential single-source BFS vs. the 64-source
 bit-parallel batch, plus the cache hit rate.  Set ``REPRO_BENCH_QUICK=1``
-to shrink the graphs for CI smoke runs.
+to shrink the graphs for CI smoke runs (the records then stay out of
+``benchmarks/results``).
 """
 
-import os
-
 import numpy as np
-from conftest import run_once, save_records
+from conftest import QUICK, run_once, save_records
 
 from repro.core.efg import efg_encode
 from repro.core.listcache import DecodedListCache
@@ -32,7 +31,6 @@ from repro.traversal.backends import EFGBackend
 from repro.traversal.bfs import bfs
 from repro.traversal.msbfs import msbfs
 
-QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 SCALE = 11 if QUICK else 13
 NUM_SOURCES = 64
 CACHE_BYTES = 1 << 21  # 2 MiB of modeled on-chip residency

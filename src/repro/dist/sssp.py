@@ -110,7 +110,7 @@ def distributed_sssp(
             nbrs, seg = backend.expand(frontier, k)
             slots = backend.edge_slots(frontier)
             cand = dist[frontier[seg]] + shard_weights[g][slots]
-            k.read_stream("weights", slots, 4)
+            k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
             k.read_stream("work:labels", nbrs, 4)
             k.instructions(4.0 * nbrs.shape[0])
         return nbrs, cand

@@ -46,6 +46,7 @@ __all__ = [
     "CostParams",
     "KernelCost",
     "CostModel",
+    "range_transfer_bytes",
     "stream_transfer_bytes",
 ]
 
@@ -77,16 +78,113 @@ def stream_transfer_bytes(
     ids = np.asarray(ids)
     if ids.size == 0:
         return 0
-    if elem_bytes <= 0 or unit_bytes <= 0:
-        raise ValueError("elem_bytes and unit_bytes must be positive")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    _check_stream_args(elem_bytes, unit_bytes, window)
     units = (ids.astype(np.int64) * elem_bytes) // unit_bytes
     merged = np.zeros(units.shape[0], dtype=bool)
     for k in range(1, min(window, units.shape[0] - 1) + 1):
         merged[k:] |= units[k:] == units[:-k]
     misses = int((~merged).sum())
     return misses * unit_bytes
+
+
+def _check_stream_args(elem_bytes: int, unit_bytes: int, window: int) -> None:
+    if elem_bytes <= 0 or unit_bytes <= 0:
+        raise ValueError("elem_bytes and unit_bytes must be positive")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+
+
+def range_transfer_bytes(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    elem_bytes: int,
+    unit_bytes: int,
+    window: int = COALESCE_WINDOW,
+) -> int:
+    """:func:`stream_transfer_bytes` of a stream of contiguous id ranges.
+
+    The stream is ``starts[r], starts[r]+1, ..., starts[r]+lengths[r]-1``
+    for each range ``r`` in order (the ids ``csr_gather_indices`` would
+    build), and the result equals ``stream_transfer_bytes`` over those
+    ids for every input, but is computed from the O(ranges) arrays
+    without building the O(total) stream:
+
+    * Units never decrease inside a range, so a position whose unit
+      equals its predecessor's merges, and a unit change at in-range
+      index ``j >= window`` misses: its whole window lies in the range,
+      at lower units.  Those are counted per range in closed form.
+    * The remaining candidates (``j = 0`` and the unit changes at
+      ``1 <= j < window``) are checked against the last ``window - j``
+      accesses of the earlier ranges, walking back one range tail per
+      pass.  A tail's ids are contiguous, so its units form the closed
+      interval between its first and last unit.  Each pass uses up at
+      least one access of every live candidate, so there are at most
+      ``window`` passes.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.shape != lengths.shape:
+        raise ValueError("starts and lengths must have the same shape")
+    if lengths.size and int(lengths.min()) < 0:
+        raise ValueError("lengths must be non-negative")
+    if not lengths.all():
+        keep = lengths > 0
+        starts, lengths = starts[keep], lengths[keep]
+    if lengths.size == 0:
+        return 0
+    _check_stream_args(elem_bytes, unit_bytes, window)
+    e, u = int(elem_bytes), int(unit_bytes)
+    ends = starts + lengths  # one past each range's last id
+    last_unit = (ends - 1) * e // u
+    head = np.minimum(lengths, window)
+
+    # Unit changes at in-range index j >= window: always misses.  With
+    # elem_bytes <= unit_bytes a step moves at most one unit, so the
+    # changes are the unit distance; with larger elements every step
+    # changes unit.
+    deep = lengths > window
+    if e > u:
+        misses = int(lengths[deep].sum()) - window * int(deep.sum())
+    else:
+        misses = int(
+            (last_unit[deep] - (starts[deep] + window - 1) * e // u).sum()
+        )
+
+    # Candidates: range id, unit, and how many earlier accesses are in
+    # their window (``window - j``).
+    if e > u:
+        count = head
+    else:
+        first_unit = starts * e // u
+        count = (starts + head - 1) * e // u - first_unit + 1
+    total = int(count.sum())
+    rng = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), count)
+    offset = np.arange(total, dtype=np.int64)
+    offset -= np.repeat(np.cumsum(count) - count, count)
+    if e > u:
+        # Every head position changes unit: j is the offset itself.
+        budget = window - offset
+        unit = (starts[rng] + offset) * e // u
+    else:
+        # The k-th candidate is the first id of unit first_unit + k.
+        unit = first_unit[rng] + offset
+        j = -((-unit * u) // e) - starts[rng]
+        np.maximum(j, 0, out=j)
+        budget = window - j
+
+    while rng.size:
+        rng -= 1
+        # A candidate before the first range has no earlier access left.
+        alive = rng >= 0
+        misses += rng.size - int(np.count_nonzero(alive))
+        rng, unit, budget = rng[alive], unit[alive], budget[alive]
+        take = np.minimum(lengths[rng], budget)
+        hit = ((ends[rng] - take) * e // u <= unit) & (unit <= last_unit[rng])
+        budget -= take
+        misses += int(np.count_nonzero(~hit & (budget == 0)))
+        pending = ~hit & (budget > 0)
+        rng, unit, budget = rng[pending], unit[pending], budget[pending]
+    return misses * u
 
 
 class AccessPattern(enum.Enum):
@@ -332,17 +430,50 @@ class CostModel:
         """Charge an access stream with measured coalescing."""
         residency = self.memory.residency(array)
         unit = self.transfer_unit(residency)
-        nbytes = float(stream_transfer_bytes(ids, elem_bytes, unit))
-        ids = np.asarray(ids)
+        nbytes = stream_transfer_bytes(ids, elem_bytes, unit)
+        self._add_stream(
+            cost, array, residency, nbytes, unit, np.asarray(ids).size, elem_bytes
+        )
+
+    def charge_ranges(
+        self,
+        cost: KernelCost,
+        array: str,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        elem_bytes: int,
+    ) -> None:
+        """Charge a stream of contiguous id ranges with measured coalescing.
+
+        Records exactly what :meth:`charge_stream` records for the
+        concatenated ranges, priced by :func:`range_transfer_bytes` in
+        O(ranges) host memory.
+        """
+        residency = self.memory.residency(array)
+        unit = self.transfer_unit(residency)
+        nbytes = range_transfer_bytes(starts, lengths, elem_bytes, unit)
+        count = int(np.asarray(lengths, dtype=np.int64).sum())
+        self._add_stream(cost, array, residency, nbytes, unit, count, elem_bytes)
+
+    @staticmethod
+    def _add_stream(
+        cost: KernelCost,
+        array: str,
+        residency: Residency,
+        nbytes: int,
+        unit: int,
+        count: int,
+        elem_bytes: int,
+    ) -> None:
         cost.add_traffic(
             array,
             residency.value,
-            moved=nbytes,
-            requested=float(ids.size * elem_bytes),
-            # stream_transfer_bytes returns misses * unit, so this is
+            moved=float(nbytes),
+            requested=float(count * elem_bytes),
+            # The stream pricers return misses * unit, so this is
             # exactly the miss count — the sectors the stream moved.
-            sectors=nbytes / unit,
-            accesses=float(ids.size),
+            sectors=float(nbytes // unit),
+            accesses=float(count),
         )
 
     def charge_cached(

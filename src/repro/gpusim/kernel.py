@@ -65,6 +65,15 @@ class KernelLaunch:
         """
         self.model.charge_stream(self.cost, array, ids, elem_bytes)
 
+    def read_ranges(self, array: str, starts, lengths, elem_bytes: int) -> None:
+        """Record a stream of contiguous id ranges with measured coalescing.
+
+        The same charge as :meth:`read_stream` over ``starts[r] +
+        0..lengths[r]-1`` for each range in order (one segment per
+        frontier vertex, say), without building those ids.
+        """
+        self.model.charge_ranges(self.cost, array, starts, lengths, elem_bytes)
+
     def cached_read(self, tag: str, count: int, elem_bytes: int) -> None:
         """Record reads served from on-chip cache (decoded-list hits).
 

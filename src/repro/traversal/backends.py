@@ -26,10 +26,13 @@ builds a format's container and :func:`build_backend` binds it to a
 device, so every caller that takes a format name goes through the same
 two functions.  Ligra+ is a CPU baseline and stays outside the table.
 
-All per-array traffic uses :meth:`KernelLaunch.read_stream`, so
-coalescing is measured from the actual ids touched — this is what makes
-reordering (Sec. VIII-D) and partial frontier sorting (Sec. VI-E)
-matter in the model.
+All per-array traffic measures coalescing from the ids actually
+touched — this is what makes reordering (Sec. VIII-D) and partial
+frontier sorting (Sec. VI-E) matter in the model.  Per-vertex reads
+(``vlist``, metadata) go through :meth:`KernelLaunch.read_stream`; the
+payload slices, one contiguous range per frontier vertex, go through
+:meth:`KernelLaunch.read_ranges`, which prices the same stream from the
+``(start, length)`` pairs without expanding it per byte or per edge.
 
 A :class:`~repro.core.listcache.DecodedListCache` can be attached to
 any backend (:meth:`GraphBackend.attach_cache`): frontier lists found
@@ -318,11 +321,14 @@ class GraphBackend(abc.ABC):
         Slot numbering is CSR edge order (``vlist[v] + n``), shared by
         every backend (Sec. VI-F: weights are not compressed).
         """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        slots, _ = csr_gather_indices(
-            self._vlist()[frontier], self.degrees[frontier]
-        )
+        slots, _ = csr_gather_indices(*self.edge_ranges(frontier))
         return slots
+
+    def edge_ranges(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the frontier's :meth:`edge_slots` ranges,
+        one per frontier vertex, for :meth:`KernelLaunch.read_ranges`."""
+        frontier = np.asarray(frontier, dtype=np.int64)
+        return self._vlist()[frontier], self.degrees[frontier]
 
     @abc.abstractmethod
     def _vlist(self) -> np.ndarray:
@@ -370,9 +376,7 @@ class CSRBackend(GraphBackend):
         return self.csr.graph.vlist
 
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edge_idx, seg = csr_gather_indices(
-            self.csr.graph.vlist[frontier], self.degrees[frontier]
-        )
+        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
         return self.csr.graph.elist[edge_idx], seg
 
     def _payload_info(self, vertices):
@@ -381,12 +385,9 @@ class CSRBackend(GraphBackend):
     def charge_expand(
         self, frontier: np.ndarray, nbrs: np.ndarray, kernel: KernelLaunch
     ) -> None:
-        edge_idx, _ = csr_gather_indices(
-            self.csr.graph.vlist[frontier], self.degrees[frontier]
-        )
         # Traffic: vlist pair per frontier vertex + the elist slices.
         kernel.read_stream("vlist", frontier, 8)
-        kernel.read_stream("elist", edge_idx, 4)
+        kernel.read_ranges("elist", *self.edge_ranges(frontier), 4)
         kernel.instructions(BASE_INSTR_PER_EDGE * nbrs.shape[0])
         kernel.warp_occupancy(self.degrees[frontier])
 
@@ -444,11 +445,10 @@ class EFGBackend(GraphBackend):
         # Traffic: per-vertex metadata + the full compressed payloads
         # (forward pointers, lower and upper sections are all touched).
         kernel.read_stream("efg_meta", frontier, 9)
-        payload_idx, _ = csr_gather_indices(
-            self.efg.offsets[frontier],
-            self.efg.offsets[frontier + 1] - self.efg.offsets[frontier],
+        starts = self.efg.offsets[frontier]
+        kernel.read_ranges(
+            "efg_data", starts, self.efg.offsets[frontier + 1] - starts, 1
         )
-        kernel.read_stream("efg_data", payload_idx, 1)
         kernel.instructions(
             (BASE_INSTR_PER_EDGE + EFG_DECODE_INSTR_PER_EDGE) * nbrs.shape[0]
         )
@@ -496,11 +496,8 @@ class CGRBackend(GraphBackend):
         return self.cgr.graph.vlist
 
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        graph = self.cgr.graph
-        edge_idx, seg = csr_gather_indices(
-            graph.vlist[frontier], self.degrees[frontier]
-        )
-        return graph.elist[edge_idx], seg
+        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
+        return self.cgr.graph.elist[edge_idx], seg
 
     def _payload_info(self, vertices):
         return "cgr_data", self.cgr.list_nbytes(vertices), "cgr_offsets", 8
@@ -510,8 +507,7 @@ class CGRBackend(GraphBackend):
     ) -> None:
         list_bytes = self.cgr.list_nbytes(frontier)
         kernel.read_stream("cgr_offsets", frontier, 8)
-        payload_idx, _ = csr_gather_indices(self.cgr.offsets[frontier], list_bytes)
-        kernel.read_stream("cgr_data", payload_idx, 1)
+        kernel.read_ranges("cgr_data", self.cgr.offsets[frontier], list_bytes, 1)
         # Dependent varint chains: one lane per list parses serially,
         # at the measured chain length (varints per list).
         steps = self.cgr.steps[frontier]
@@ -564,11 +560,8 @@ class LigraBackend(GraphBackend):
         return self.ligra.graph.vlist
 
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        graph = self.ligra.graph
-        edge_idx, seg = csr_gather_indices(
-            graph.vlist[frontier], self.degrees[frontier]
-        )
-        return graph.elist[edge_idx], seg
+        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
+        return self.ligra.graph.elist[edge_idx], seg
 
     def _payload_info(self, vertices):
         return "lg_data", self.ligra.list_nbytes(vertices), "lg_vertices", 8
@@ -578,8 +571,7 @@ class LigraBackend(GraphBackend):
     ) -> None:
         list_bytes = self.ligra.list_nbytes(frontier)
         kernel.read_stream("lg_vertices", frontier, 8)
-        payload_idx, _ = csr_gather_indices(self.ligra.offsets[frontier], list_bytes)
-        kernel.read_stream("lg_data", payload_idx, 1)
+        kernel.read_ranges("lg_data", self.ligra.offsets[frontier], list_bytes, 1)
         kernel.serial_work(LIGRA_CYCLES_PER_BYTE * float(list_bytes.sum()))
         kernel.instructions(BASE_INSTR_PER_EDGE * nbrs.shape[0])
         # warp_width is 1 on the CPU device, so this records full

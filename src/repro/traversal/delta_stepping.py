@@ -125,7 +125,7 @@ def delta_stepping_sssp(
             mask = (w < delta) if light_only else (w >= delta)
             cand = dist[frontier[seg[mask]]] + w[mask]
             targets = nbrs[mask]
-            k.read_stream("weights", slots, 4)
+            k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
             k.read_stream("work:labels", nbrs, 4)
             k.instructions(4.0 * nbrs.shape[0])
         run.edges += int(mask.sum())

@@ -88,7 +88,8 @@ def pagerank(
                         # iteration; the functional decode is reused
                         # because the graph is static across iterations.
                         backend.charge_expand(all_vertices, nbrs, k)
-                    contrib = ranks[seg] / out_deg_safe[seg]
+                    # One share per vertex, gathered once per edge.
+                    contrib = (ranks / out_deg_safe)[seg]
                     new_ranks = np.zeros(nv, dtype=np.float64)
                     np.add.at(new_ranks, nbrs, contrib)
                     # Atomic float add per edge into the destination ranks.

@@ -87,7 +87,7 @@ def sssp(
                     slots = backend.edge_slots(frontier)
                     cand = dist[frontier[seg]] + weights[slots]
                     # Weight gather follows the per-list slot stream.
-                    k.read_stream("weights", slots, 4)
+                    k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
                     # Distance probe + atomicMin per candidate.
                     k.read_stream("work:labels", nbrs, 4)
                     k.instructions(4.0 * nbrs.shape[0])

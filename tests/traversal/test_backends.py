@@ -1,12 +1,16 @@
 """Tests for the format backends' expansion and accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.efg import efg_encode
+from repro.core.efg import csr_gather_indices, efg_encode
+from repro.datasets import rmat_graph
 from repro.formats.cgr import cgr_encode
 from repro.formats.csr import CSRGraph
 from repro.formats.ligra_plus import ligra_encode
+from repro.gpusim.device import TITAN_XP
 from repro.gpusim.kernel import KernelLaunch
 from repro.traversal.backends import (
     GPU_FORMATS,
@@ -111,6 +115,79 @@ class TestEdgeSlots:
         ]
         for s in slot_sets[1:]:
             assert np.array_equal(s, slot_sets[0])
+
+
+    def test_ranges_expand_to_slots(self, small_graph, scaled_device):
+        frontier = np.array([4, 0, 4, 9])
+        for backend in _backends(small_graph, scaled_device):
+            slots, _ = csr_gather_indices(*backend.edge_ranges(frontier))
+            assert np.array_equal(slots, backend.edge_slots(frontier))
+
+
+#: Payload array and per-list (starts, bytes) of each backend's slices.
+_PAYLOADS = {
+    "csr": lambda b, f: ("elist", b.csr.graph.vlist[f], b.degrees[f], 4),
+    "efg": lambda b, f: (
+        "efg_data", b.efg.offsets[f], b.efg.offsets[f + 1] - b.efg.offsets[f], 1
+    ),
+    "cgr": lambda b, f: ("cgr_data", b.cgr.offsets[f], b.cgr.list_nbytes(f), 1),
+    "ligra+": lambda b, f: (
+        "lg_data", b.ligra.offsets[f], b.ligra.list_nbytes(f), 1
+    ),
+}
+
+
+class TestPayloadCharge:
+    """The payload slices are priced exactly as the per-byte (per-edge)
+    stream they stand for."""
+
+    def test_matches_expanded_stream(self, small_graph, scaled_device, rng):
+        frontier = rng.permutation(small_graph.num_nodes)[:300]
+        for backend in _backends(small_graph, scaled_device):
+            nbrs, _ = backend._decode(frontier)
+            with backend.engine.launch("t") as k:
+                backend.charge_expand(frontier, nbrs, k)
+            array, starts, lengths, elem = _PAYLOADS[backend.format_name](
+                backend, frontier
+            )
+            with backend.engine.launch("oracle") as want:
+                want.read_stream(
+                    array, csr_gather_indices(starts, lengths)[0], elem
+                )
+            assert (
+                k.cost.traffic[array].to_dict()
+                == want.cost.traffic[array].to_dict()
+            ), backend.format_name
+
+
+class TestChargeWorkingSet:
+    """Pricing an expansion needs host memory in proportion to the
+    frontier, not to its payload: on a pinned RMAT graph with every
+    vertex in the frontier, ``charge_expand`` peaks at no more than
+    256 B per frontier vertex."""
+
+    BOUND_BYTES_PER_VERTEX = 256
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(14, 16, seed=1)
+
+    @pytest.mark.parametrize("fmt", GPU_FORMATS)
+    def test_peak_per_frontier_vertex(self, graph, fmt):
+        backend = build_backend(fmt, graph, TITAN_XP)
+        frontier = np.arange(graph.num_nodes, dtype=np.int64)
+        nbrs, _ = backend._decode(frontier)
+        backend.degrees  # a cached per-vertex array is not pricing scratch
+        with backend.engine.launch("t") as k:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                backend.charge_expand(frontier, nbrs, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_vertex = (peak - before) / graph.num_nodes
+        assert per_vertex <= self.BOUND_BYTES_PER_VERTEX, per_vertex
 
 
 class TestMemoryRegistration:

@@ -1,14 +1,36 @@
 """Tests for PageRank."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.efg import efg_encode
+from repro.datasets import rmat_graph
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
-from repro.traversal.backends import CSRBackend, EFGBackend
+from repro.gpusim.device import TITAN_XP
+from repro.traversal.backends import CSRBackend, EFGBackend, build_backend
 from repro.traversal.pagerank import pagerank
 from repro.traversal.validate import reference_pagerank
+
+
+class TestPinnedRanks:
+    """The ranks are bit-identical to a pinned run: a change to how the
+    per-edge shares are formed must keep every IEEE operation."""
+
+    #: sha256 of the float64 ranks on rmat_graph(12, 16, seed=2), defaults.
+    DIGEST = "b15e1c3d1a3538a1eda0add5370623c4c4b778b3ac3304354265956025e1e5d3"
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(12, 16, seed=2)
+
+    @pytest.mark.parametrize("fmt", ["csr", "efg", "cgr"])
+    def test_ranks_digest(self, graph, fmt):
+        r = pagerank(build_backend(fmt, graph, TITAN_XP))
+        assert r.iterations == 11
+        assert hashlib.sha256(r.ranks.tobytes()).hexdigest() == self.DIGEST
 
 
 class TestCorrectness:
