@@ -4,9 +4,10 @@ Unlike the table/figure benches (which report *simulated* device time),
 these measure our actual Python implementation: EFG whole-frontier
 decode, EF range decode, and the encode pipelines.  Useful for tracking
 regressions in the vectorized kernels themselves.  The whole-graph
-decode and encode cases also record the codec's host working set (the
-tracemalloc peak of one call, outputs included) in B/edge and hold it
-to the bound the tier-1 guard in ``tests/core/test_efg.py`` sets.
+decode and encode cases (EFG and CGR) also record the codec's host
+working set (the tracemalloc peak of one call, outputs included) in
+B/edge and hold it to the bound the tier-1 guards in
+``tests/core/test_efg.py`` and ``tests/formats/test_cgr.py`` set.
 """
 
 import tracemalloc
@@ -91,6 +92,17 @@ def test_efg_encode_throughput(benchmark, twitter):
     efg = benchmark(efg_encode, graph)
     assert efg.num_edges == graph.num_edges
     peak_bytes_per_edge(benchmark, graph.num_edges, efg_encode, graph)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["edges_per_sec"] = graph.num_edges / benchmark.stats["mean"]
+
+
+def test_cgr_encode_throughput(benchmark, twitter):
+    graph, _ = twitter
+    from repro.formats.cgr import cgr_encode
+
+    cgr = benchmark(cgr_encode, graph)
+    assert cgr.offsets.shape[0] == graph.num_nodes + 1
+    peak_bytes_per_edge(benchmark, graph.num_edges, cgr_encode, graph)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["edges_per_sec"] = graph.num_edges / benchmark.stats["mean"]
 

@@ -4,7 +4,10 @@ Recursive-matrix sampling: each edge picks one quadrant per scale level
 with probabilities (a, b, c, d).  The Graph500 parameters
 (0.57, 0.19, 0.19, 0.05) produce the heavy power-law degree skew of the
 paper's ``kron_2x`` graphs; milder parameters approximate social
-networks.  Fully vectorized: all edges draw all levels at once.
+networks.  Fully vectorized, one level at a time: each level draws its
+two uniforms per edge into one reused float64 buffer and compares them
+into reused bool buffers, and the int32 endpoints accumulate the level
+bits in place, so the generator holds a few arrays per edge.
 """
 
 from __future__ import annotations
@@ -55,24 +58,37 @@ def rmat_graph(
     nv = 1 << scale
     ne = int(round(edge_factor * nv))
 
-    src = np.zeros(ne, dtype=np.int64)
-    dst = np.zeros(ne, dtype=np.int64)
-    # Per level, choose the quadrant for every edge at once.
-    for level in range(scale):
-        bit = np.int64(1 << (scale - 1 - level))
-        r1 = rng.random(ne)
-        r2 = rng.random(ne)
-        # Row bit set with probability (c + d); the column bit's
-        # probability is conditional on the chosen row half.
-        row_one = r1 < (c + d)
-        col_prob = np.where(row_one, d / (c + d), b / (a + b))
-        col_one = r2 < col_prob
-        src += bit * row_one
-        dst += bit * col_one
+    # Each level draws r1 (row) then r2 (column) for every edge, in the
+    # stream order of two rng.random(ne) calls, into one buffer.  The row
+    # bit is set with probability (c + d); the column bit's probability
+    # is conditional on the chosen row half.  The ids accumulate MSB
+    # first (Horner form), which equals summing bit * row_one per level.
+    src = np.zeros(ne, dtype=np.int32)
+    dst = np.zeros(ne, dtype=np.int32)
+    draw = np.empty(ne, dtype=np.float64)
+    row_one = np.empty(ne, dtype=bool)
+    col_one = np.empty(ne, dtype=bool)
+    col_if_row = np.empty(ne, dtype=bool)
+    for _ in range(scale):
+        rng.random(out=draw)
+        np.less(draw, c + d, out=row_one)
+        rng.random(out=draw)
+        np.less(draw, b / (a + b), out=col_one)
+        np.less(draw, d / (c + d), out=col_if_row)
+        np.copyto(col_one, col_if_row, where=row_one)
+        src <<= 1
+        src += row_one
+        dst <<= 1
+        dst += col_one
+    del draw, row_one, col_one, col_if_row
     # Drop self loops; dedup happens in Graph.from_edges.
     keep = src != dst
-    src, dst = src[keep], dst[keep]
+    src = src[keep]
+    dst = dst[keep]
+    del keep
     if permute_ids:
-        perm = rng.permutation(nv)
-        src, dst = perm[src], perm[dst]
+        perm = rng.permutation(nv).astype(np.int32)
+        src = perm[src]
+        dst = perm[dst]
+        del perm
     return Graph.from_edges(src, dst, num_nodes=nv, directed=directed, name=name)

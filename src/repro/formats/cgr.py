@@ -117,22 +117,24 @@ def _encode_lists(
     num_lists = vlist.shape[0] - 1
     num_edges = elist.shape[0]
     deg = np.diff(vlist)
-    owner = np.repeat(np.arange(num_lists, dtype=np.int64), deg)
 
     # Runs of consecutive ids; a list start always starts a run.
     run_start = np.ones(num_edges, dtype=bool)
     np.not_equal(elist[1:], elist[:-1] + 1, out=run_start[1:])
     run_start[vlist[:-1][deg > 0]] = True
     run_first = np.flatnonzero(run_start)
-    run_len = np.diff(np.append(run_first, num_edges))
+    del run_start
+    run_len = np.diff(run_first, append=num_edges)
     is_interval = run_len >= MIN_INTERVAL
     iv_first = run_first[is_interval]
     iv_len = run_len[is_interval]
-    iv_left = elist[iv_first]
-    iv_owner = owner[iv_first]
-    res_idx = np.flatnonzero(~np.repeat(is_interval, run_len))
-    res_val = elist[res_idx]
-    res_owner = owner[res_idx]
+    is_res = np.repeat(~is_interval, run_len)
+    del run_first, run_len, is_interval
+    # An edge's list is the last one starting at or before it.
+    iv_owner = np.searchsorted(vlist, iv_first, side="right") - 1
+    res_idx = np.flatnonzero(is_res)
+    del is_res
+    res_owner = np.searchsorted(vlist, res_idx, side="right") - 1
 
     n_iv = np.bincount(iv_owner, minlength=num_lists)
     n_res = np.bincount(res_owner, minlength=num_lists)
@@ -145,22 +147,37 @@ def _encode_lists(
     tokens[tok_first] = n_iv
     tokens[tok_first + 1 + 2 * n_iv] = n_res
 
-    # Interval j is number j - (intervals before its list) of its list.
-    iv_rank = np.arange(iv_owner.shape[0]) - (np.cumsum(n_iv) - n_iv)[iv_owner]
-    iv_pos = tok_first[iv_owner] + 1 + 2 * iv_rank
+    # Intervals: interval j is number j - (intervals before its list) of
+    # its list, and a list's first interval is where the owner changes.
+    iv_left = elist[iv_first]
+    del iv_first
+    iv_pos = tok_first - 2 * (np.cumsum(n_iv) - n_iv) + 1
+    iv_pos = iv_pos[iv_owner]
+    iv_pos += 2 * np.arange(iv_owner.shape[0])
+    head = _owner_changes(iv_owner)
     iv_gap = np.empty_like(iv_left)
-    iv_gap[1:] = iv_left[1:] - (iv_left[:-1] + iv_len[:-1])
-    head = iv_rank == 0
+    np.subtract(iv_left[1:], iv_left[:-1], out=iv_gap[1:])
+    iv_gap[1:] -= iv_len[:-1]
     iv_gap[head] = _zigzag(iv_left[head] - (iv_owner[head] + first_vertex))
     tokens[iv_pos] = iv_gap
-    tokens[iv_pos + 1] = iv_len - MIN_INTERVAL
+    iv_pos += 1
+    iv_len -= MIN_INTERVAL
+    tokens[iv_pos] = iv_len
+    del iv_left, iv_len, iv_owner, iv_pos, iv_gap, head
 
-    res_rank = np.arange(res_owner.shape[0]) - (np.cumsum(n_res) - n_res)[res_owner]
+    # Residuals: residual j sits at its list's base plus j.
+    res_val = elist[res_idx]
+    del res_idx
+    res_pos = tok_first + 2 + 2 * n_iv - (np.cumsum(n_res) - n_res)
+    res_pos = res_pos[res_owner]
+    res_pos += np.arange(res_owner.shape[0])
+    head = _owner_changes(res_owner)
     res_gap = np.empty_like(res_val)
-    res_gap[1:] = res_val[1:] - res_val[:-1] - 1
-    head = res_rank == 0
+    np.subtract(res_val[1:], res_val[:-1], out=res_gap[1:])
+    res_gap[1:] -= 1
     res_gap[head] = _zigzag(res_val[head] - (res_owner[head] + first_vertex))
-    tokens[(tok_first + 2 + 2 * n_iv)[res_owner] + res_rank] = res_gap
+    tokens[res_pos] = res_gap
+    del res_val, res_owner, res_pos, res_gap, head
 
     negative = np.flatnonzero(tokens < 0)
     if negative.shape[0]:
@@ -168,8 +185,19 @@ def _encode_lists(
             f"varint requires non-negative value, got {int(tokens[negative[0]])}"
         )
     data, byte_ends = pack_varints(tokens.view(np.uint64))
-    offsets = np.concatenate([[0], byte_ends])[tok_bounds]
+    del tokens
+    # Every list has at least two tokens, so each list ends at a token.
+    offsets = np.zeros(num_lists + 1, dtype=np.int64)
+    offsets[1:] = byte_ends[tok_bounds[1:] - 1]
     return offsets, data, steps
+
+
+def _owner_changes(owner: np.ndarray) -> np.ndarray:
+    """Mask of the positions whose owner differs from the previous one's
+    (the first of each list's intervals or residuals)."""
+    head = np.ones(owner.shape[0], dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
+    return head
 
 
 def cgr_encode_list(v: int, nbrs: np.ndarray) -> bytes:

@@ -20,6 +20,15 @@ from repro.primitives.unique import sorted_unique
 __all__ = ["Graph"]
 
 
+def _as_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as an array whose dtype int64 holds exactly; any other
+    dtype (floats, uint64, an empty list's float64) converts to int64."""
+    ids = np.asarray(ids)
+    if not np.can_cast(ids.dtype, np.int64):
+        ids = ids.astype(np.int64)
+    return ids
+
+
 @dataclass
 class Graph:
     """Sorted-adjacency static graph.
@@ -74,26 +83,37 @@ class Graph:
         directed: bool = True,
         name: str = "",
     ) -> "Graph":
-        """Build from an edge list; sorts rows and drops duplicate edges."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        """Build from an edge list; sorts rows and drops duplicate edges.
+
+        ``src`` and ``dst`` may hold ids of any integer dtype (anything
+        else is converted to int64 first).  Neither input is mutated: the
+        one working array is an int64 ``src * num_nodes + dst`` key, which
+        becomes ``elist`` in place after the dedup.
+        """
+        src = _as_ids(src)
+        dst = _as_ids(dst)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
         if num_nodes is None:
-            num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
+            num_nodes = max(
+                int(src.max()) if src.size else -1,
+                int(dst.max()) if dst.size else -1,
+            ) + 1
         if src.size and (src.min() < 0 or dst.min() < 0):
             raise ValueError("negative vertex ids")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise ValueError("vertex id >= num_nodes")
         # Sort by (src, dst) then dedupe.
-        key = src * np.int64(num_nodes) + dst
+        key = src.astype(np.int64)
+        key *= np.int64(num_nodes)
+        key += dst
         key = sorted_unique(key)
-        src_s = key // num_nodes
-        dst_s = key % num_nodes
-        degrees = np.bincount(src_s, minlength=num_nodes)
-        vlist = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=vlist[1:])
-        return cls(vlist=vlist, elist=dst_s, directed=directed, name=name)
+        # Row v holds the keys in [v * num_nodes, (v + 1) * num_nodes).
+        bounds = np.arange(num_nodes + 1, dtype=np.int64)
+        bounds *= np.int64(num_nodes)
+        vlist = np.searchsorted(key, bounds)
+        elist = np.remainder(key, num_nodes, out=key)
+        return cls(vlist=vlist, elist=elist, directed=directed, name=name)
 
     @classmethod
     def from_adjacency(

@@ -30,8 +30,6 @@ __all__ = [
     "popcount_u64",
     "select_in_byte",
     "select_in_bytes_vector",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "pack_varints",
 ]
 
@@ -151,20 +149,6 @@ def select_in_bytes_vector(bytes_: np.ndarray, indices: np.ndarray) -> np.ndarra
     return SELECT_IN_BYTE_TABLE_I64[bytes_, indices]
 
 
-def bits_to_bytes(nbits: int) -> int:
-    """Number of bytes needed to hold ``nbits`` bits."""
-    if nbits < 0:
-        raise ValueError(f"negative bit count: {nbits}")
-    return (nbits + 7) >> 3
-
-
-def bytes_to_bits(nbytes: int) -> int:
-    """Bit capacity of ``nbytes`` bytes."""
-    if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
-    return nbytes << 3
-
-
 #: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes
 #: iff it is at least ``2**(7k)`` (ten bytes cover all of uint64).
 _VARINT_LIMITS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
@@ -176,14 +160,25 @@ def pack_varints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the concatenated varint bytes and the inclusive cumulative
     byte count after each value.  One scatter pass per byte index: pass
     ``b`` writes byte ``b`` of every value that is longer than ``b``
-    bytes, so the loop runs at most ten times.
+    bytes, so the loop runs at most ten times.  Byte counts are held as
+    uint8, so the scratch beside the int64 ends is a few bytes a value.
     """
-    nbytes = np.searchsorted(_VARINT_LIMITS, values, side="right") + 1
-    ends = np.cumsum(nbytes)
+    nbytes = np.searchsorted(_VARINT_LIMITS, values, side="right").astype(np.uint8)
+    nbytes += 1
+    ends = np.cumsum(nbytes, dtype=np.int64)
     out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
     pos = ends - nbytes
     while pos.shape[0]:
         more = nbytes > 1
-        out[pos] = (values & 0x7F).astype(np.uint8) | (more.astype(np.uint8) << 7)
-        pos, values, nbytes = pos[more] + 1, values[more] >> 7, nbytes[more] - 1
+        byte = values.astype(np.uint8)  # the low 8 bits
+        byte &= 0x7F
+        byte |= more.view(np.uint8) << 7
+        out[pos] = byte
+        keep = np.flatnonzero(more)
+        pos = pos[keep]
+        pos += 1
+        values = values[keep]
+        values >>= 7
+        nbytes = nbytes[keep]
+        nbytes -= 1
     return out, ends

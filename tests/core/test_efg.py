@@ -1,7 +1,6 @@
 """Tests for the EFG format: encoder, layout, batched decoder."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from repro.datasets import rmat_graph
 from repro.ef.bounds import ef_num_lower_bits
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
+from tests.working_set import peak_bytes
 
 
 class TestCsrGatherIndices:
@@ -47,20 +47,6 @@ class TestCsrGatherIndices:
         assert seg.tolist() == want_seg
 
 
-def _peak_bytes(fn, *args):
-    """tracemalloc peak of ``fn(*args)`` above the memory live before it,
-    with its outputs still held (they count against the working set)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    del out
-    return peak - before
-
-
 class TestWorkingSet:
     """The codec's host scratch scales with its output: a whole-graph
     decode or encode peaks at no more than 64 B per edge, outputs
@@ -77,12 +63,12 @@ class TestWorkingSet:
         graph, efg = pinned
         efg.degrees  # the cached degree array is not decode scratch
         verts = np.arange(graph.num_nodes, dtype=np.int64)
-        per_edge = _peak_bytes(decode_lists, efg, verts) / graph.num_edges
+        per_edge = peak_bytes(decode_lists, efg, verts) / graph.num_edges
         assert per_edge <= self.BOUND_BYTES_PER_EDGE, per_edge
 
     def test_efg_encode_peak_per_edge(self, pinned):
         graph, _ = pinned
-        per_edge = _peak_bytes(efg_encode, graph) / graph.num_edges
+        per_edge = peak_bytes(efg_encode, graph) / graph.num_edges
         assert per_edge <= self.BOUND_BYTES_PER_EDGE, per_edge
 
 

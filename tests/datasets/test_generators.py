@@ -6,6 +6,7 @@ import pytest
 from repro.datasets.random_graph import uniform_random_graph
 from repro.datasets.rmat import GRAPH500_PARAMS, SOCIAL_PARAMS, rmat_graph
 from repro.datasets.web import web_graph
+from tests.working_set import peak_bytes
 
 
 class TestRmat:
@@ -42,6 +43,16 @@ class TestRmat:
             rmat_graph(0, 8)
         with pytest.raises(ValueError):
             rmat_graph(8, 8, params=(0.5, 0.5, 0.5, 0.5))
+
+
+class TestWorkingSet:
+    def test_rmat_graph_peak_per_edge(self):
+        # The generator reuses one draw buffer per level and int32 ids,
+        # and the dedup works on one int64 key: the whole build, Graph
+        # included, peaks at no more than 48 B per stored edge.
+        peak = peak_bytes(rmat_graph, 14, 16, seed=1)
+        per_edge = peak / rmat_graph(14, 16, seed=1).num_edges
+        assert per_edge <= 48, per_edge
 
 
 class TestUniformRandom:

@@ -42,6 +42,18 @@ PINNED = {
         2048, 13934,
         "42b42b2adbbd4c62a9eafd211d7e9574bea876339af2de37fe6b4b9429e59084",
     ),
+    # No relabelling, and a fractional edge factor (1,280 draws).
+    "rmat-s9-e2.5-seed4-unpermuted": (
+        lambda: rmat_graph(9, 2.5, seed=4, permute_ids=False),
+        512, 1129,
+        "072d5dd9dd6ca8df3a54e18fb289b391281a0df432c9771e2b1b5545d3a8b3c6",
+    ),
+    # The smallest scale: one level, two vertices, self loops dropped.
+    "rmat-s1-e8-seed0": (
+        lambda: rmat_graph(1, 8, seed=0),
+        2, 2,
+        "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0",
+    ),
     "urnd-4096-40000-seed4": (
         lambda: uniform_random_graph(4096, 40_000, seed=4),
         4096, 39947,

@@ -17,6 +17,7 @@ from repro.formats.cgr import (
 )
 from repro.formats.graph import Graph
 from repro.primitives.bitops import pack_varints
+from tests.working_set import peak_bytes
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +185,29 @@ class TestBatchedMatchesReference:
         assert digest == (
             "92a298f1999ff907c3496d905189fd61fe4f43634e814ad4682b0b0e71f498fe"
         )
+
+    def test_pinned_digest_s16(self):
+        # The e2e benchmark graph's size class, where the token and
+        # varint passes run over a million edges.
+        g = rmat_graph(16, 16, seed=3)
+        cg = cgr_encode(g)
+        assert cg.data.shape[0] == 1760936
+        assert (cg.payload_crc, cg.meta_crc) == (1968408904, 505519932)
+        digest = hashlib.sha256(
+            cg.offsets.tobytes() + cg.data.tobytes() + cg.steps.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "9ca14cfa3b0514cbe40678b51dcf9769381e18f81ae78a04131f11daacfdb625"
+        )
+
+
+class TestWorkingSet:
+    def test_cgr_encode_peak_per_edge(self):
+        # No per-edge owner array and uint8 varint lengths: the encode,
+        # outputs included, peaks at no more than 64 B per edge.
+        g = rmat_graph(14, 16, seed=1)
+        per_edge = peak_bytes(cgr_encode, g) / g.num_edges
+        assert per_edge <= 64, per_edge
 
 
 class TestInputContract:

@@ -4,9 +4,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.efg import efg_encode
 from repro.formats.graph import Graph
+from repro.primitives.unique import sorted_unique
+
+
+def _reference_from_edges(src, dst, num_nodes=None):
+    """``(vlist, elist)`` by the earlier dedup, kept as the oracle: an
+    int64 key, ``sorted_unique``, ``//`` and ``%``, ``bincount``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if num_nodes is None:
+        num_nodes = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
+    key = sorted_unique(src * np.int64(num_nodes) + dst)
+    degrees = np.bincount(key // num_nodes, minlength=num_nodes)
+    vlist = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=vlist[1:])
+    return vlist, key % num_nodes
 
 
 class TestConstruction:
@@ -48,6 +65,50 @@ class TestConstruction:
         g = Graph(vlist=np.array([0]), elist=np.array([], dtype=np.int64))
         assert g.num_nodes == 0
         assert g.num_edges == 0
+
+
+class TestFromEdgesMatchesReference:
+    @given(
+        num_nodes=st.integers(1, 300),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint32]),
+        infer=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, num_nodes, dtype, infer, data):
+        ids = st.integers(0, num_nodes - 1)
+        # Few distinct ids make duplicates and self loops common.
+        pairs = data.draw(
+            st.lists(st.tuples(ids, ids), max_size=80)
+            | st.lists(st.tuples(st.sampled_from([0, num_nodes - 1]), ids), max_size=20)
+        )
+        src = np.array([u for u, _ in pairs], dtype=dtype)
+        dst = np.array([v for _, v in pairs], dtype=dtype)
+        src_before, dst_before = src.copy(), dst.copy()
+        n = None if infer else num_nodes
+        g = Graph.from_edges(src, dst, num_nodes=n)
+        vlist, elist = _reference_from_edges(src, dst, n)
+        assert g.vlist.dtype == g.elist.dtype == np.int64
+        assert np.array_equal(g.vlist, vlist)
+        assert np.array_equal(g.elist, elist)
+        # The inputs are neither mutated nor replaced.
+        assert src.dtype == dst.dtype == dtype
+        assert np.array_equal(src, src_before)
+        assert np.array_equal(dst, dst_before)
+
+    @pytest.mark.parametrize("num_nodes", [None, 0, 5])
+    def test_empty_input(self, num_nodes):
+        g = Graph.from_edges([], [], num_nodes=num_nodes)
+        vlist, elist = _reference_from_edges([], [], num_nodes)
+        assert np.array_equal(g.vlist, vlist) and g.num_edges == 0
+        assert g.num_nodes == (num_nodes or 0)
+
+    def test_keeps_self_loops_and_drops_duplicates(self):
+        src = np.array([2, 2, 0, 2], dtype=np.int32)
+        dst = np.array([2, 2, 1, 0], dtype=np.int32)
+        g = Graph.from_edges(src, dst, num_nodes=3)
+        assert g.vlist.tolist() == [0, 1, 1, 3]
+        assert g.elist.tolist() == [1, 0, 2]
 
 
 class TestQueries:

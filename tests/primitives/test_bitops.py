@@ -6,8 +6,6 @@ import pytest
 from repro.primitives.bitops import (
     POPCOUNT_TABLE,
     SELECT_IN_BYTE_TABLE,
-    bits_to_bytes,
-    bytes_to_bits,
     popcount_bytes,
     popcount_u64,
     select_in_byte,
@@ -110,19 +108,3 @@ class TestSelectInBytesVector:
                 np.zeros(1, dtype=np.uint8), np.array([8])
             )
 
-
-class TestBitByteConversions:
-    @pytest.mark.parametrize(
-        "bits,expected", [(0, 0), (1, 1), (8, 1), (9, 2), (64, 8), (65, 9)]
-    )
-    def test_bits_to_bytes(self, bits, expected):
-        assert bits_to_bytes(bits) == expected
-
-    def test_bytes_to_bits(self):
-        assert bytes_to_bits(3) == 24
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes(-1)
-        with pytest.raises(ValueError):
-            bytes_to_bits(-1)
