@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "ascii_series", "format_ratio"]
+__all__ = ["format_table", "ascii_series"]
 
 
 def format_table(
@@ -54,11 +54,6 @@ def ascii_series(
         bar = "#" * (int(round(width * value / peak)) if peak > 0 else 0)
         lines.append(f"{label.ljust(label_w)} | {bar} {value:.3g}{unit}")
     return "\n".join(lines)
-
-
-def format_ratio(measured: float, paper: float) -> str:
-    """'measured (paper: x)' cell used in paper-vs-measured tables."""
-    return f"{measured:.2f} (paper {paper:.2f})"
 
 
 def _fmt(cell: object) -> str:

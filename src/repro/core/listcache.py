@@ -171,11 +171,6 @@ class DecodedListCache:
     def __contains__(self, vertex: int) -> bool:
         return int(vertex) in self._entries
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes of budget currently occupied by decoded lists."""
-        return self._bytes
-
     # -- lookup -----------------------------------------------------------
 
     def probe(self, vertices: np.ndarray) -> np.ndarray:
@@ -239,19 +234,6 @@ class DecodedListCache:
             if size and dist + size <= budget_bytes:
                 edges += size // DECODED_ELEM_BYTES
         return float(edges)
-
-    def hit_curve(self, budgets) -> dict[int, float]:
-        """Modeled hit edges at each candidate budget, smallest first.
-
-        The autotuner's shortlist input: one
-        :meth:`modeled_hit_edges` evaluation per candidate, keyed by
-        the byte budget — monotone non-decreasing in the budget, since
-        every reuse footprint that fits a budget fits every larger one.
-        """
-        return {
-            int(b): self.modeled_hit_edges(int(b))
-            for b in sorted(int(b) for b in budgets)
-        }
 
     def batch_hit_edges(self, budget_bytes: int) -> dict[int, int]:
         """Modeled hit edges per recorded launch index at ``budget_bytes``."""

@@ -14,7 +14,6 @@ from repro.ef.bounds import (
     ef_lower_bits,
     ef_total_bits,
     ef_upper_bits,
-    plain_binary_bits,
 )
 from repro.ef.encoding import (
     EFSequence,
@@ -24,7 +23,7 @@ from repro.ef.encoding import (
     ef_encode,
 )
 from repro.ef.partitioned import PEFSequence, pef_encode
-from repro.ef.queries import ef_contains, ef_intersect, ef_next_geq
+from repro.ef.queries import ef_intersect, ef_next_geq
 from repro.ef.select import select1_all, select1_bitarray, select1_scalar
 
 __all__ = [
@@ -41,10 +40,8 @@ __all__ = [
     "select1_bitarray",
     "select1_scalar",
     "ef_next_geq",
-    "ef_contains",
     "ef_intersect",
     "ef_lower_bits",
     "ef_upper_bits",
     "ef_total_bits",
-    "plain_binary_bits",
 ]

@@ -79,11 +79,6 @@ class BitWriter:
         self._nbits += gap  # zeros are already present in the buffer
         self.write_bit(1)
 
-    def align_to_byte(self) -> None:
-        """Zero-pad to the next byte boundary (sections are byte aligned)."""
-        self._nbits = (self._nbits + 7) & ~7
-        self._ensure(0)
-
     def getvalue(self) -> np.ndarray:
         """Packed uint8 array holding all written bits."""
         return self._buf[: (self._nbits + 7) >> 3].copy()

@@ -14,7 +14,6 @@ __all__ = [
     "ef_lower_bits",
     "ef_upper_bits",
     "ef_total_bits",
-    "plain_binary_bits",
 ]
 
 
@@ -53,11 +52,3 @@ def ef_total_bits(n: int, u: int) -> int:
     """Upper bound on total EF bits, ``<= n * (2 + ceil(log2(u / n)))``."""
     return ef_lower_bits(n, u) + ef_upper_bits(n, u)
 
-
-def plain_binary_bits(n: int, u: int) -> int:
-    """Bits for the plain binary encoding, ``n * ceil(log2(u + 1))``."""
-    if n < 0 or u < 0:
-        raise ValueError("n and u must be non-negative")
-    width = (u + 1 - 1).bit_length() if u > 0 else 0
-    # ceil(log2(u+1)) == bit_length(u) for u >= 1, 0 for u == 0.
-    return n * max(width, 1 if u > 0 else 0)

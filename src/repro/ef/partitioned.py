@@ -28,7 +28,7 @@ from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.ef.bounds import ef_total_bits
 from repro.ef.encoding import EFSequence, ef_decode, ef_encode
 
-__all__ = ["PartitionCodec", "PEFPartition", "PEFSequence", "pef_encode", "pef_decode"]
+__all__ = ["PartitionCodec", "PEFPartition", "PEFSequence", "pef_encode"]
 
 #: Default number of elements per partition.
 DEFAULT_PARTITION_SIZE = 128
@@ -407,25 +407,3 @@ def pef_from_blob(blob: np.ndarray) -> np.ndarray:
         )
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
-
-def pef_decode(seq: PEFSequence) -> np.ndarray:
-    """Decode all partitions back to the original sequence."""
-    out: list[np.ndarray] = []
-    for p in seq.partitions:
-        if p.codec is PartitionCodec.RUN:
-            local = np.arange(p.count, dtype=np.int64)
-        elif p.codec is PartitionCodec.BITMAP:
-            _require_payload_type(p, np.ndarray)
-            bits = np.unpackbits(p.payload, bitorder="little")
-            local = np.flatnonzero(bits).astype(np.int64)
-            if local.shape[0] != p.count:
-                raise CorruptStreamError(
-                    f"bitmap has {local.shape[0]} set bits, partition "
-                    f"promises {p.count}",
-                    fmt="pef",
-                )
-        else:
-            _require_payload_type(p, EFSequence)
-            local = ef_decode(p.payload)
-        out.append(local + p.base)
-    return np.concatenate(out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.ef.encoding import EFSequence, ef_decode_at
 
-__all__ = ["ef_next_geq", "ef_contains", "ef_intersect"]
+__all__ = ["ef_next_geq", "ef_intersect"]
 
 
 def ef_next_geq(seq: EFSequence, x: int) -> tuple[int, int]:
@@ -42,12 +42,6 @@ def ef_next_geq(seq: EFSequence, x: int) -> tuple[int, int]:
         else:
             lo = mid
     return ef_decode_at(seq, hi), hi
-
-
-def ef_contains(seq: EFSequence, x: int) -> bool:
-    """Membership test in O(log n) probes."""
-    value, _ = ef_next_geq(seq, x)
-    return value == x
 
 
 def ef_intersect(a: EFSequence, b: EFSequence) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.primitives.bitops import POPCOUNT_TABLE, SELECT_IN_BYTE_TABLE
 
-__all__ = ["select1_scalar", "select1_all", "select1_bitarray", "rank1_bitarray"]
+__all__ = ["select1_scalar", "select1_all", "select1_bitarray"]
 
 
 def select1_scalar(data: np.ndarray, i: int, start_bit: int = 0) -> int:
@@ -94,17 +94,3 @@ def select1_bitarray(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise IndexError("select index beyond number of set bits")
     return positions[indices]
 
-
-def rank1_bitarray(data: np.ndarray, pos: int) -> int:
-    """Number of set bits strictly before bit position ``pos``."""
-    if pos < 0:
-        raise ValueError(f"negative position: {pos}")
-    data = np.asarray(data, dtype=np.uint8)
-    pos = min(pos, data.shape[0] * 8)
-    full_bytes = pos >> 3
-    count = int(POPCOUNT_TABLE[data[:full_bytes]].sum()) if full_bytes else 0
-    rem = pos & 7
-    if rem:
-        partial = int(data[full_bytes]) & ((1 << rem) - 1)
-        count += int(POPCOUNT_TABLE[partial])
-    return count

@@ -37,7 +37,7 @@ from repro.formats.graph import Graph
 from repro.formats.integrity import arrays_crc32, decode_by_vertex
 from repro.primitives.bitops import pack_varints
 
-__all__ = ["CGRGraph", "cgr_encode", "cgr_encode_list", "cgr_decode_list", "cgr_list_steps"]
+__all__ = ["CGRGraph", "cgr_encode", "cgr_decode_list"]
 
 #: Minimum run length promoted to an interval (CGR default).
 MIN_INTERVAL = 4
@@ -99,11 +99,11 @@ def _read_varint(data: np.ndarray, pos: int) -> tuple[int, int]:
 
 
 def _encode_lists(
-    vlist: np.ndarray, elist: np.ndarray, first_vertex: int = 0
+    vlist: np.ndarray, elist: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode every list of a CSR ``(vlist, elist)`` in a few array passes.
 
-    List ``i`` belongs to vertex ``first_vertex + i``.  Each list's
+    List ``i`` belongs to vertex ``i``.  Each list's
     tokens are ``[#iv, (gap, len-MIN)*, #res, res*]``, varint-packed.
     The first interval gap and the first residual are zigzagged
     relative to the vertex; later interval gaps are ``left - prev_end``
@@ -158,7 +158,7 @@ def _encode_lists(
     iv_gap = np.empty_like(iv_left)
     np.subtract(iv_left[1:], iv_left[:-1], out=iv_gap[1:])
     iv_gap[1:] -= iv_len[:-1]
-    iv_gap[head] = _zigzag(iv_left[head] - (iv_owner[head] + first_vertex))
+    iv_gap[head] = _zigzag(iv_left[head] - iv_owner[head])
     tokens[iv_pos] = iv_gap
     iv_pos += 1
     iv_len -= MIN_INTERVAL
@@ -175,7 +175,7 @@ def _encode_lists(
     res_gap = np.empty_like(res_val)
     np.subtract(res_val[1:], res_val[:-1], out=res_gap[1:])
     res_gap[1:] -= 1
-    res_gap[head] = _zigzag(res_val[head] - (res_owner[head] + first_vertex))
+    res_gap[head] = _zigzag(res_val[head] - res_owner[head])
     tokens[res_pos] = res_gap
     del res_val, res_owner, res_pos, res_gap, head
 
@@ -198,17 +198,6 @@ def _owner_changes(owner: np.ndarray) -> np.ndarray:
     head = np.ones(owner.shape[0], dtype=bool)
     np.not_equal(owner[1:], owner[:-1], out=head[1:])
     return head
-
-
-def cgr_encode_list(v: int, nbrs: np.ndarray) -> bytes:
-    """Encode one neighbour list of vertex ``v``.
-
-    Layout: ``#intervals, [left-gaps..., len-MIN...], #residuals,
-    [first residual zigzag-relative-to-v, gaps - 1 ...]`` all varints.
-    """
-    nbrs = np.asarray(nbrs, dtype=np.int64)
-    _, data, _ = _encode_lists(np.array([0, nbrs.shape[0]]), nbrs, v)
-    return data.tobytes()
 
 
 def cgr_decode_list(
@@ -379,13 +368,6 @@ class CGRGraph:
         """Compressed byte length of one or many lists."""
         v = np.asarray(v)
         return (self.offsets[v + 1] - self.offsets[v]).astype(np.int64)
-
-
-def cgr_list_steps(v: int, nbrs: np.ndarray) -> int:
-    """Varints in the encoding of one list (decode chain length)."""
-    nbrs = np.asarray(nbrs, dtype=np.int64)
-    _, _, steps = _encode_lists(np.array([0, nbrs.shape[0]]), nbrs, v)
-    return int(steps[0])
 
 
 def cgr_encode(graph: Graph) -> CGRGraph:

@@ -52,14 +52,6 @@ class CSRGraph:
         """Storage: 4 B per offset + 4 B per edge."""
         return int(self.vlist32.nbytes + self.elist32.nbytes)
 
-    def edge_destination(self, v: int, n: int) -> int:
-        """Destination of the n-th edge of vertex v — O(1) in CSR."""
-        start = int(self.vlist32[v])
-        end = int(self.vlist32[v + 1])
-        if not 0 <= n < end - start:
-            raise IndexError(f"vertex {v} has no edge {n}")
-        return int(self.elist32[start + n])
-
     def neighbours(self, v: int) -> np.ndarray:
         """Sorted neighbour list of ``v``."""
         return self.elist32[self.vlist32[v] : self.vlist32[v + 1]].astype(np.int64)

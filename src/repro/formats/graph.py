@@ -99,6 +99,10 @@ class Graph:
                 int(src.max()) if src.size else -1,
                 int(dst.max()) if dst.size else -1,
             ) + 1
+        if int(num_nodes) ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"{num_nodes} vertices overflow the int64 src * num_nodes + dst key"
+            )
         if src.size and (src.min() < 0 or dst.min() < 0):
             raise ValueError("negative vertex ids")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
@@ -157,17 +161,6 @@ class Graph:
         if not 0 <= v < self.num_nodes:
             raise IndexError(f"vertex {v} out of range")
         return self.elist[self.vlist[v] : self.vlist[v + 1]]
-
-    def has_sorted_rows(self) -> bool:
-        """Check the EFG precondition: every row strictly increasing."""
-        if self.num_edges == 0:
-            return True
-        diffs = np.diff(self.elist)
-        row_starts = self.vlist[1:-1]  # positions where a new row begins
-        row_starts = row_starts[(row_starts > 0) & (row_starts < self.num_edges)]
-        ok = diffs > 0
-        ok[row_starts - 1] = True  # diffs straddling a row boundary don't matter
-        return bool(ok.all())
 
     # ------------------------------------------------------------------
     # transforms

@@ -3,8 +3,8 @@
 Compression is an offline step (Sec. VIII-F): datasets are generated or
 converted once and reloaded by the benchmark harness.  The one binary
 on-disk CSR form is the mmap container of :mod:`repro.serve.container`
-(raw, CRC-stamped, O(1) to open); this module reads and writes the
-plain ``src dst`` text edge lists graphs arrive in.
+(raw, CRC-stamped, O(1) to open); this module reads the plain
+``src dst`` text edge lists graphs arrive in.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import numpy as np
 
 from repro.formats.graph import Graph
 
-__all__ = ["read_edge_list", "write_edge_list"]
-
-
-def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:
-    """Write a whitespace-separated ``src dst`` text edge list."""
-    src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
-    np.savetxt(path, np.column_stack([src, graph.elist]), fmt="%d")
+__all__ = ["read_edge_list"]
 
 
 def read_edge_list(

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.formats.graph import Graph
 
-__all__ = ["generate_edge_weights", "weights_nbytes"]
+__all__ = ["generate_edge_weights"]
 
 
 def generate_edge_weights(graph: Graph, seed: int = 0) -> np.ndarray:
@@ -47,8 +47,3 @@ def generate_edge_weights(graph: Graph, seed: int = 0) -> np.ndarray:
     return ((base + jitter * np.float32(seed % 7 + 1)) % np.float32(1.0)).astype(
         np.float32
     )
-
-
-def weights_nbytes(graph: Graph) -> int:
-    """Storage of the weight array: 4 B per arc."""
-    return 4 * graph.num_edges

@@ -87,13 +87,6 @@ class MemoryManager:
             raise KeyError(f"array {name!r} was never registered")
         return plan[name].residency
 
-    def device_bytes_used(self) -> int:
-        """Bytes of device memory consumed by resident arrays + reserve."""
-        plan = self.plan()
-        return self.reserve_bytes + sum(
-            p.nbytes for p in plan.values() if p.residency is Residency.DEVICE
-        )
-
     def all_resident(self) -> bool:
         """True when every registered array fits on the device."""
         return all(

@@ -197,10 +197,6 @@ class SLOEngine:
     def any_alerting(self) -> bool:
         return any(s.alerting for s in self.states.values())
 
-    @property
-    def total_alerts(self) -> int:
-        return sum(s.alerts for s in self.states.values())
-
 
 #: Default rotation bound: one log file tops out at 4 MiB.
 DEFAULT_MAX_BYTES = 4 * 1024 * 1024

@@ -52,13 +52,6 @@ class Span:
     attrs: dict[str, object] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
 
-    @property
-    def duration_s(self) -> float:
-        """Span duration; 0 while still open."""
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
-
     def annotate(self, **attrs: object) -> None:
         """Attach (or overwrite) attributes on this span."""
         self.attrs.update(attrs)

@@ -35,17 +35,14 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "CLUSTER_KNOBS",
-    "ENGINE_KNOBS",
     "WhatIfResult",
     "parse_sets",
     "rank_cluster_whatifs",
     "rank_engine_whatifs",
     "replay_cluster_seconds",
     "replay_engine_seconds",
-    "top_target",
     "whatif_cache",
     "whatif_cluster",
-    "whatif_engine",
     "whatif_section",
 ]
 
@@ -60,14 +57,6 @@ CLUSTER_KNOBS = (
     "inter_latency_us",
     "overlap",
     "wire",
-)
-
-#: ``--set`` knobs on a single-GPU run.
-ENGINE_KNOBS = (
-    "dram_gbs",
-    "pcie_gbs",
-    "cached_bw_ratio",
-    "launch_us",
 )
 
 
@@ -335,35 +324,6 @@ def replay_engine_seconds(engine, device=None, params=None) -> float:
     return acc
 
 
-def whatif_engine(engine, sets: dict) -> WhatIfResult:
-    """Predict a single-GPU run's elapsed under a ``--set`` knob dict."""
-    device = engine.device
-    params = engine.params
-    for key in sorted(sets):
-        raw = sets[key]
-        if key == "dram_gbs":
-            device = replace(device, dram_bandwidth=float(raw) * 1e9)
-        elif key == "pcie_gbs":
-            device = replace(device, link_bandwidth=float(raw) * 1e9)
-        elif key == "cached_bw_ratio":
-            params = replace(params, cached_bw_ratio=float(raw))
-        elif key == "launch_us":
-            device = replace(device, launch_overhead_s=float(raw) * 1e-6)
-        else:
-            raise ValueError(
-                f"unknown knob {key!r}; engine knobs: "
-                f"{', '.join(ENGINE_KNOBS)}"
-            )
-    predicted = replay_engine_seconds(engine, device=device, params=params)
-    name = ",".join(f"{k}={sets[k]}" for k in sorted(sets))
-    return WhatIfResult(
-        name=name or "baseline",
-        baseline_seconds=engine.elapsed_seconds,
-        predicted_seconds=predicted,
-        exact=True,
-    )
-
-
 def rank_engine_whatifs(engine) -> list[WhatIfResult]:
     """The standard single-GPU scenario panel, ranked by speedup."""
     base = engine.elapsed_seconds
@@ -512,10 +472,3 @@ def whatif_section(results: list[WhatIfResult]) -> dict:
         }
         for r in results
     }
-
-
-def top_target(results: list[WhatIfResult]) -> WhatIfResult | None:
-    """Best predicted scenario (ties broken by name) or ``None``."""
-    if not results:
-        return None
-    return sorted(results, key=lambda r: (-r.speedup, r.name))[0]

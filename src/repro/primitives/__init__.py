@@ -19,8 +19,6 @@ from repro.primitives.bitops import (
     SELECT_IN_BYTE_TABLE_I64,
     popcount_bytes,
     popcount_u64,
-    select_in_byte,
-    select_in_bytes_vector,
 )
 from repro.primitives.compact import (
     gather,
@@ -29,7 +27,6 @@ from repro.primitives.compact import (
 )
 from repro.primitives.scan import (
     exclusive_scan,
-    inclusive_scan,
     segmented_exclusive_scan,
     segment_ids_from_flags,
 )
@@ -44,10 +41,7 @@ __all__ = [
     "SELECT_IN_BYTE_TABLE_I64",
     "popcount_bytes",
     "popcount_u64",
-    "select_in_byte",
-    "select_in_bytes_vector",
     "exclusive_scan",
-    "inclusive_scan",
     "segmented_exclusive_scan",
     "segment_ids_from_flags",
     "binsearch_maxle",

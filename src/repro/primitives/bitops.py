@@ -28,8 +28,6 @@ __all__ = [
     "SELECT_IN_BYTE_TABLE_I64",
     "popcount_bytes",
     "popcount_u64",
-    "select_in_byte",
-    "select_in_bytes_vector",
     "pack_varints",
 ]
 
@@ -108,45 +106,6 @@ def popcount_u64(values: np.ndarray) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.uint64)
     as_bytes = values.view(np.uint8).reshape(values.shape + (8,))
     return POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
-def select_in_byte(byte: int, i: int) -> int:
-    """Scalar select: position of the i-th (0-indexed) set bit of ``byte``.
-
-    Returns 8 when the byte has at most ``i`` set bits — callers must
-    guard, exactly as the CUDA kernel does by bounding ``val_id``.
-    """
-    if not 0 <= byte <= 255:
-        raise ValueError(f"byte out of range: {byte}")
-    if not 0 <= i <= 7:
-        raise ValueError(f"select index out of range: {i}")
-    return int(SELECT_IN_BYTE_TABLE[byte, i])
-
-
-def select_in_bytes_vector(bytes_: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorized ``select1_byte`` — one LUT probe per (byte, index) pair.
-
-    Parameters
-    ----------
-    bytes_:
-        uint8 array of target bytes, one per thread.
-    indices:
-        Per-thread rank of the set bit to locate within its byte
-        (0-indexed, must be in ``[0, 8)``).
-
-    Returns
-    -------
-    int64 array of in-byte bit positions; 8 marks "not present".
-    """
-    bytes_ = np.asarray(bytes_, dtype=np.uint8)
-    indices = np.asarray(indices)
-    if bytes_.shape != indices.shape:
-        raise ValueError(
-            f"shape mismatch: bytes {bytes_.shape} vs indices {indices.shape}"
-        )
-    if indices.size and (indices.min() < 0 or indices.max() > 7):
-        raise ValueError("select indices must be within [0, 8)")
-    return SELECT_IN_BYTE_TABLE_I64[bytes_, indices]
 
 
 #: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes

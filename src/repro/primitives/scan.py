@@ -17,17 +17,9 @@ import numpy as np
 
 __all__ = [
     "exclusive_scan",
-    "inclusive_scan",
     "segmented_exclusive_scan",
-    "segmented_inclusive_scan",
     "segment_ids_from_flags",
 ]
-
-
-def inclusive_scan(values: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Inclusive prefix sum ``[a0, a0+a1, ...]``."""
-    values = np.asarray(values)
-    return np.cumsum(values, dtype=dtype)
 
 
 def exclusive_scan(values: np.ndarray, dtype=np.int64) -> tuple[np.ndarray, int]:
@@ -83,12 +75,3 @@ def segmented_exclusive_scan(
     starts = np.flatnonzero(np.diff(seg_ids, prepend=-1))
     return ex - ex[starts][seg_ids]
 
-
-def segmented_inclusive_scan(
-    values: np.ndarray, is_segment_start: np.ndarray, dtype=np.int64
-) -> np.ndarray:
-    """Inclusive variant of :func:`segmented_exclusive_scan`."""
-    values = np.asarray(values)
-    return segmented_exclusive_scan(values, is_segment_start, dtype=dtype) + values.astype(
-        dtype
-    )

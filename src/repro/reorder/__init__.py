@@ -16,7 +16,7 @@ of old vertex ``v``, applied via
 from repro.reorder.bp import bp_order
 from repro.reorder.degree import degree_order
 from repro.reorder.halo import halo_order
-from repro.reorder.metrics import gap_statistics, locality_statistics
+from repro.reorder.metrics import gap_statistics
 from repro.reorder.random_order import random_order
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "random_order",
     "degree_order",
     "gap_statistics",
-    "locality_statistics",
 ]

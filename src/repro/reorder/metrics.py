@@ -1,9 +1,8 @@
-"""Ordering quality metrics: gap structure and locality.
+"""Ordering quality metrics: gap structure.
 
 Used by the reordering study (Fig. 12) to explain *why* an ordering
 helps which format: gap codes react to ``mean_log2_gap`` (smaller gaps
-→ fewer code bits), traversals react to ``mean_edge_span`` (closer
-neighbour ids → better coalescing), and EF reacts to neither.
+→ fewer code bits), and EF does not.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 
 from repro.formats.graph import Graph
 
-__all__ = ["gap_statistics", "locality_statistics"]
+__all__ = ["gap_statistics"]
 
 
 def gap_statistics(graph: Graph) -> dict[str, float]:
@@ -38,21 +37,4 @@ def gap_statistics(graph: Graph) -> dict[str, float]:
         "mean_log2_gap": float(logs.mean()),
         "median_log2_gap": float(np.median(logs)),
         "unit_gap_fraction": float((gaps == 1).mean()) if gaps.size else 0.0,
-    }
-
-
-def locality_statistics(graph: Graph) -> dict[str, float]:
-    """Edge-span statistics: how far neighbours sit from their source.
-
-    ``mean_edge_span`` is the average ``|dst - src|``; smaller spans
-    mean a traversal's scattered reads cluster into fewer memory
-    sectors.
-    """
-    if graph.num_edges == 0:
-        return {"mean_edge_span": 0.0, "median_edge_span": 0.0}
-    src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
-    span = np.abs(graph.elist - src).astype(np.float64)
-    return {
-        "mean_edge_span": float(span.mean()),
-        "median_edge_span": float(np.median(span)),
     }

@@ -30,7 +30,6 @@ from repro.serve.driver import (
     DriveReport,
     drive,
     make_labeled_stream,
-    make_query_stream,
     parse_deadline_mix,
     sequential_seconds,
     with_sequential_baseline,
@@ -61,7 +60,6 @@ __all__ = [
     "DriveReport",
     "drive",
     "make_labeled_stream",
-    "make_query_stream",
     "parse_deadline_mix",
     "sequential_seconds",
     "with_sequential_baseline",

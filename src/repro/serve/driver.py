@@ -25,7 +25,6 @@ from repro.serve.service import GraphService
 
 __all__ = [
     "DriveReport",
-    "make_query_stream",
     "make_labeled_stream",
     "parse_deadline_mix",
     "drive",
@@ -86,22 +85,6 @@ def make_labeled_stream(
     sources = np.where(is_hot, hot_pick, uniform).astype(np.int64)
     classes = ["hot" if flag else "cold" for flag in is_hot.tolist()]
     return sources, classes
-
-
-def make_query_stream(
-    num_nodes: int,
-    num_queries: int,
-    *,
-    hot_fraction: float = 0.5,
-    hot_set_size: int = 8,
-    seed: int = 7,
-) -> np.ndarray:
-    """Sources only (see :func:`make_labeled_stream` for the labels)."""
-    sources, _ = make_labeled_stream(
-        num_nodes, num_queries,
-        hot_fraction=hot_fraction, hot_set_size=hot_set_size, seed=seed,
-    )
-    return sources
 
 
 def parse_deadline_mix(spec: str) -> tuple[float | None, ...]:

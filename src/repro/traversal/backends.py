@@ -477,8 +477,6 @@ class CGRBackend(GraphBackend):
         self.engine.memory.register("cgr_offsets", 4 * (nv + 1), priority=0)
         self.engine.memory.register("cgr_data", int(cgr.data.shape[0]), priority=1)
         self._finish_setup(weight_bytes)
-        # CGR has no out-of-core path (Sec. VIII-B: DNR beyond memory).
-        self.supports_out_of_core = False
 
     @property
     def num_nodes(self) -> int:

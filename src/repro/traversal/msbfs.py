@@ -94,13 +94,6 @@ class MSBFSResult:
         """Amortized simulated time of one traversal in the batch."""
         return self.sim_seconds / max(1, self.num_sources)
 
-    def levels_for(self, source: int) -> np.ndarray:
-        """Level array of one source in the batch (by vertex id)."""
-        idx = np.flatnonzero(self.sources == source)
-        if idx.size == 0:
-            raise KeyError(f"source {source} not in this batch")
-        return self.levels[int(idx[0])]
-
 
 def msbfs(
     backend: GraphBackend,

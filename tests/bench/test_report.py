@@ -1,6 +1,6 @@
 """Tests for the text report helpers."""
 
-from repro.bench.report import ascii_series, format_ratio, format_table
+from repro.bench.report import ascii_series, format_table
 
 
 class TestFormatTable:
@@ -48,8 +48,3 @@ class TestAsciiSeries:
 
         with pytest.raises(ValueError):
             ascii_series(["a"], [1.0, 2.0])
-
-
-class TestFormatRatio:
-    def test_format(self):
-        assert format_ratio(1.234, 1.55) == "1.23 (paper 1.55)"

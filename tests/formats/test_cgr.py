@@ -12,8 +12,6 @@ from repro.formats.cgr import (
     _zigzag,
     cgr_decode_list,
     cgr_encode,
-    cgr_encode_list,
-    cgr_list_steps,
 )
 from repro.formats.graph import Graph
 from repro.primitives.bitops import pack_varints
@@ -154,6 +152,27 @@ def _oracle_graphs() -> dict[str, Graph]:
 _ORACLE_GRAPHS = _oracle_graphs()
 
 
+def _encode_rows(rows: dict[int, np.ndarray]) -> dict[int, tuple[np.ndarray, int]]:
+    """``{v: (payload, steps)}`` of each list through one ``cgr_encode`` of
+    a graph whose row ``v`` holds ``rows[v]`` and whose other rows are empty."""
+    rows = {v: np.asarray(nbrs, dtype=np.int64) for v, nbrs in sorted(rows.items())}
+    top = max(max(rows), max(int(n.max(initial=0)) for n in rows.values()))
+    degrees = np.zeros(top + 2, dtype=np.int64)
+    for v, nbrs in rows.items():
+        degrees[v + 1] = nbrs.shape[0]
+    elist = np.concatenate([np.empty(0, dtype=np.int64), *rows.values()])
+    cg = cgr_encode(Graph(vlist=np.cumsum(degrees), elist=elist))
+    return {
+        v: (cg.data[cg.offsets[v] : cg.offsets[v + 1]], int(cg.steps[v]))
+        for v in rows
+    }
+
+
+def _encode_list(v: int, nbrs: np.ndarray) -> np.ndarray:
+    """The payload of one list of vertex ``v``."""
+    return _encode_rows({v: nbrs})[v][0]
+
+
 class TestBatchedMatchesReference:
     @pytest.mark.parametrize(
         "graph", list(_ORACLE_GRAPHS.values()), ids=list(_ORACLE_GRAPHS)
@@ -166,11 +185,14 @@ class TestBatchedMatchesReference:
         assert cg.steps.dtype == steps.dtype and np.array_equal(cg.steps, steps)
 
     def test_single_list_entry_points(self, rng):
-        for v, nbrs in enumerate(_random_adjacency(rng, 60)):
+        adjacency = _random_adjacency(rng, 60)
+        encoded = _encode_rows(dict(enumerate(adjacency)))
+        for v, nbrs in enumerate(adjacency):
             nbrs = np.asarray(nbrs, dtype=np.int64)
-            assert cgr_encode_list(v, nbrs) == _reference_encode_list(v, nbrs)
+            blob, steps = encoded[v]
+            assert blob.tobytes() == _reference_encode_list(v, nbrs)
             intervals, residuals = _find_intervals(nbrs)
-            assert cgr_list_steps(v, nbrs) == 2 + 2 * len(intervals) + residuals.shape[0]
+            assert steps == 2 + 2 * len(intervals) + residuals.shape[0]
 
     def test_pinned_digest(self):
         # Any drift in the encoder's output fails here, oracle or not.
@@ -216,8 +238,6 @@ class TestInputContract:
         g = Graph(vlist=np.array([0, 0, 2, 2, 2]), elist=np.array(elist))
         with pytest.raises(ValueError, match="non-negative"):
             cgr_encode(g)
-        with pytest.raises(ValueError, match="non-negative"):
-            cgr_encode_list(1, np.array(elist))
 
     def test_varint_packer_boundaries(self):
         values = [0, 1, 2**63 - 1]
@@ -235,44 +255,45 @@ class TestInputContract:
 
 class TestListRoundtrip:
     def test_residuals_only(self, rng):
-        for _ in range(20):
+        # Twenty lists, one row each (vertices 10..29) of one encode.
+        rows = {}
+        for v in range(10, 30):
             nbrs = np.unique(rng.integers(0, 10**6, size=int(rng.integers(1, 30))))
             # Force no runs by spacing.
-            nbrs = nbrs * 3
-            blob = np.frombuffer(cgr_encode_list(10, nbrs), dtype=np.uint8)
-            assert np.array_equal(cgr_decode_list(10, blob), nbrs)
+            rows[v] = nbrs * 3
+        for v, (blob, _) in _encode_rows(rows).items():
+            assert np.array_equal(cgr_decode_list(v, blob), rows[v])
 
     def test_single_interval(self):
         nbrs = np.arange(100, 120)
-        blob = np.frombuffer(cgr_encode_list(5, nbrs), dtype=np.uint8)
-        assert np.array_equal(cgr_decode_list(5, blob), nbrs)
+        assert np.array_equal(cgr_decode_list(5, _encode_list(5, nbrs)), nbrs)
 
     def test_mixed(self, rng):
-        for _ in range(30):
+        # Thirty lists, one row each (vertices 99..128) of one encode.
+        rows = {}
+        for v in range(99, 129):
             runs = [np.arange(s, s + rng.integers(MIN_INTERVAL, 20))
                     for s in rng.choice(10**5, size=3, replace=False) * 7]
             scattered = rng.integers(10**6, 2 * 10**6, size=5)
-            nbrs = np.unique(np.concatenate(runs + [scattered]))
-            blob = np.frombuffer(cgr_encode_list(99, nbrs), dtype=np.uint8)
-            assert np.array_equal(cgr_decode_list(99, blob), nbrs)
+            rows[v] = np.unique(np.concatenate(runs + [scattered]))
+        for v, (blob, _) in _encode_rows(rows).items():
+            assert np.array_equal(cgr_decode_list(v, blob), rows[v])
 
     def test_empty_list(self):
-        blob = np.frombuffer(cgr_encode_list(0, np.array([], dtype=np.int64)),
-                             dtype=np.uint8)
+        blob = _encode_list(0, np.array([], dtype=np.int64))
         assert cgr_decode_list(0, blob).shape == (0,)
 
     def test_neighbour_below_source(self):
         # First gap can be negative relative to the source id (zigzag).
         nbrs = np.array([2, 90])
-        blob = np.frombuffer(cgr_encode_list(50, nbrs), dtype=np.uint8)
-        assert np.array_equal(cgr_decode_list(50, blob), nbrs)
+        assert np.array_equal(cgr_decode_list(50, _encode_list(50, nbrs)), nbrs)
 
     def test_short_runs_stay_residuals(self):
         # Runs below MIN_INTERVAL are not promoted to intervals.
         nbrs = np.array([10, 11, 12, 100])  # run of 3 < MIN_INTERVAL=4
-        blob = np.frombuffer(cgr_encode_list(0, nbrs), dtype=np.uint8)
+        blob, steps = _encode_rows({0: nbrs})[0]
         assert np.array_equal(cgr_decode_list(0, blob), nbrs)
-        assert cgr_list_steps(0, nbrs) == 2 + 0 + 4
+        assert steps == 2 + 0 + 4
 
 
 class TestWholeGraph:
@@ -289,7 +310,8 @@ class TestWholeGraph:
     def test_steps_counts(self, small_graph):
         cg = cgr_encode(small_graph)
         for v in range(0, small_graph.num_nodes, 7):
-            assert cg.steps[v] == cgr_list_steps(v, small_graph.neighbours(v))
+            intervals, residuals = _find_intervals(small_graph.neighbours(v))
+            assert cg.steps[v] == 2 + 2 * len(intervals) + residuals.shape[0]
 
     def test_list_nbytes(self, small_graph):
         cg = cgr_encode(small_graph)

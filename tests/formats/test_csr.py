@@ -16,13 +16,14 @@ class TestCSRGraph:
     def test_constant_time_edge_access(self, tiny_graph):
         csr = CSRGraph.from_graph(tiny_graph)
         # Destination of the n-th edge of vertex i is elist[vlist[i]+n].
-        assert csr.edge_destination(4, 0) == 2
-        assert csr.edge_destination(4, 2) == 7
+        assert csr.elist32[csr.vlist32[4] + 0] == 2
+        assert csr.elist32[csr.vlist32[4] + 2] == 7
 
     def test_edge_access_bounds(self, tiny_graph):
         csr = CSRGraph.from_graph(tiny_graph)
+        assert csr.neighbours(5).shape == (1,)
         with pytest.raises(IndexError):
-            csr.edge_destination(5, 1)  # degree(5) == 1
+            csr.neighbours(5)[1]  # degree(5) == 1
 
     def test_neighbours_match_graph(self, small_graph):
         csr = CSRGraph.from_graph(small_graph)

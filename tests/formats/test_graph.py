@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.efg import efg_encode
 from repro.formats.graph import Graph
 from repro.primitives.unique import sorted_unique
+from tests.graph_oracles import has_sorted_rows
 
 
 def _reference_from_edges(src, dst, num_nodes=None):
@@ -50,6 +51,14 @@ class TestConstruction:
     def test_rejects_negative_ids(self):
         with pytest.raises(ValueError):
             Graph.from_edges(np.array([-1]), np.array([0]), num_nodes=2)
+
+    @pytest.mark.parametrize("src, num_nodes", [(3037000500, None), (0, 2**32)])
+    def test_rejects_key_overflow(self, src, num_nodes):
+        # The sort key src * num_nodes + dst must fit int64; at
+        # 3,037,000,501 vertices it would wrap negative.  Refused before
+        # any per-vertex array is allocated.
+        with pytest.raises(ValueError, match="overflow"):
+            Graph.from_edges(np.array([src]), np.array([0]), num_nodes=num_nodes)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -116,11 +125,11 @@ class TestQueries:
         assert tiny_graph.degrees.tolist() == [2, 2, 2, 2, 3, 1, 1, 2]
 
     def test_has_sorted_rows(self, small_graph):
-        assert small_graph.has_sorted_rows()
+        assert has_sorted_rows(small_graph)
 
     def test_unsorted_rows_detected(self):
         g = Graph(vlist=np.array([0, 2, 2]), elist=np.array([1, 0]), directed=True)
-        assert not g.has_sorted_rows()
+        assert not has_sorted_rows(g)
 
     def test_neighbours_bounds(self, tiny_graph):
         with pytest.raises(IndexError):

@@ -12,7 +12,7 @@ from repro.core.errors import (
     CorruptStreamError,
     DecodeError,
 )
-from repro.formats.io import read_edge_list, write_edge_list
+from repro.formats.io import read_edge_list
 from repro.serve.container import (
     container_paths,
     open_container,
@@ -20,10 +20,16 @@ from repro.serve.container import (
 )
 
 
+def _write_edge_list(graph, path) -> None:
+    """A whitespace-separated ``src dst`` text edge list."""
+    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    np.savetxt(path, np.column_stack([src, graph.elist]), fmt="%d")
+
+
 class TestEdgeListText:
     def test_roundtrip(self, small_graph, tmp_path):
         path = tmp_path / "edges.txt"
-        write_edge_list(small_graph, path)
+        _write_edge_list(small_graph, path)
         loaded = read_edge_list(path, name="reload")
         assert np.array_equal(loaded.vlist, small_graph.vlist)
         assert np.array_equal(loaded.elist, small_graph.elist)
@@ -80,7 +86,7 @@ class TestNpzRoundtrip:
     def test_roundtrip(self, small_graph, tmp_path):
         # The offline conversion path: text edge list -> container -> Graph.
         edges = tmp_path / "edges.txt"
-        write_edge_list(small_graph, edges)
+        _write_edge_list(small_graph, edges)
         base = str(tmp_path / "g")
         save_container(read_edge_list(edges, name=small_graph.name), base)
         loaded = open_container(base).to_graph()

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.formats.weights import generate_edge_weights, weights_nbytes
+from repro.formats.weights import generate_edge_weights
 
 
 class TestWeights:
@@ -35,4 +35,5 @@ class TestWeights:
             assert lookup[(d, s)] == wt
 
     def test_nbytes(self, small_graph):
-        assert weights_nbytes(small_graph) == 4 * small_graph.num_edges
+        # float32: 4 B per arc.
+        assert generate_edge_weights(small_graph).nbytes == 4 * small_graph.num_edges

@@ -62,7 +62,10 @@ class TestPlanning:
         mm = MemoryManager(capacity_bytes=1000, reserve_bytes=100)
         mm.register("a", 300)
         mm.register("b", 5000)
-        assert mm.device_bytes_used() == 400
+        resident = sum(
+            p.nbytes for p in mm.plan().values() if p.residency is Residency.DEVICE
+        )
+        assert mm.reserve_bytes + resident == 400
 
     def test_summary_mentions_arrays(self):
         mm = MemoryManager(capacity_bytes=100)

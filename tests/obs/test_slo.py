@@ -64,14 +64,14 @@ class TestEngine:
         changes = engine.observe(1e-8, outcome="done", latency_s=5e-7)
         assert changes == [("lat", True)]
         assert engine.any_alerting
-        assert engine.total_alerts == 1
+        assert engine.states["lat"].alerts == 1
         # Enough in-budget observations inside both windows recover it.
         t = 2e-8
         while engine.any_alerting:
             t += 1e-9
             changes = engine.observe(t, outcome="done", latency_s=1e-9)
         assert changes == [("lat", False)]
-        assert engine.total_alerts == 1  # recovery is not a new alert
+        assert engine.states["lat"].alerts == 1  # recovery is not a new alert
 
     def test_no_alert_without_short_window_evidence(self):
         # Bad history outside the short window must not keep alerting.

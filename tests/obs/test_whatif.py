@@ -20,16 +20,15 @@ from repro.dist.topology import LinkTopology
 from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
 from repro.obs.whatif import (
+    CLUSTER_KNOBS,
     WhatIfResult,
     parse_sets,
     rank_cluster_whatifs,
     rank_engine_whatifs,
     replay_cluster_seconds,
     replay_engine_seconds,
-    top_target,
     whatif_cache,
     whatif_cluster,
-    whatif_engine,
     whatif_section,
 )
 from repro.traversal.backends import CSRBackend, EFGBackend
@@ -163,10 +162,12 @@ class TestEngineExactness:
         engine = self._run(graph, device)
         assert replay_engine_seconds(engine) == engine.elapsed_seconds
 
+    def _panel(self, engine) -> dict[str, WhatIfResult]:
+        return {r.name: r for r in rank_engine_whatifs(engine)}
+
     def test_dram_prediction_matches_rerun(self, graph, device):
         engine = self._run(graph, device)
-        gbs = engine.device.dram_bandwidth * 2.0 / 1e9
-        result = whatif_engine(engine, {"dram_gbs": str(gbs)})
+        result = self._panel(engine)["dram_bandwidth x2"]
         fast = dataclasses.replace(
             device, dram_bandwidth=device.dram_bandwidth * 2.0
         )
@@ -176,16 +177,17 @@ class TestEngineExactness:
 
     def test_launch_overhead_prediction_matches_rerun(self, graph, device):
         engine = self._run(graph, device)
-        result = whatif_engine(engine, {"launch_us": "0"})
+        result = self._panel(engine)["zero launch overhead"]
         actual = self._run(
             graph, dataclasses.replace(device, launch_overhead_s=0.0)
         )
         assert result.predicted_seconds == actual.elapsed_seconds
 
-    def test_unknown_knob_rejected(self, graph, device):
-        engine = self._run(graph, device)
-        with pytest.raises(ValueError, match="unknown knob"):
-            whatif_engine(engine, {"inter_gbs": "2"})
+    def test_unknown_knob_rejected(self):
+        # ``--set`` re-prices a cluster run only: single-GPU device knobs
+        # are refused before any run.
+        with pytest.raises(ValueError, match="unknown knob 'dram_gbs'"):
+            parse_sets(["dram_gbs=2"], known=CLUSTER_KNOBS)
 
 
 class TestCacheWhatIf:
@@ -268,12 +270,17 @@ class TestRanking:
         }
         assert all(r.exact for r in results)
 
-    def test_top_target(self):
-        a = WhatIfResult("a", 2.0, 1.0, True)
-        b = WhatIfResult("b", 2.0, 1.0, True)
-        c = WhatIfResult("c", 2.0, 2.0, True)
-        assert top_target([c, b, a]).name == "a"  # tie -> name order
-        assert top_target([]) is None
+    def test_top_target(self, graph, device):
+        # The panel's head is the top target; equal speedups fall back to
+        # name order (nothing streams over PCIe and no cache is attached,
+        # so two scenarios tie at 1x).
+        backend = CSRBackend(CSRGraph.from_graph(graph), device)
+        bfs(backend, 0)
+        ranked = rank_engine_whatifs(backend.engine)
+        keys = [(-r.speedup, r.name) for r in ranked]
+        assert keys == sorted(keys)
+        ties = [r.name for r in ranked if r.speedup == 1.0]
+        assert ties == ["cached_bw_ratio x2", "pcie_bandwidth x2"]
 
 
 class TestSurfaces:

@@ -6,10 +6,9 @@ import pytest
 from repro.primitives.bitops import (
     POPCOUNT_TABLE,
     SELECT_IN_BYTE_TABLE,
+    SELECT_IN_BYTE_TABLE_I64,
     popcount_bytes,
     popcount_u64,
-    select_in_byte,
-    select_in_bytes_vector,
 )
 
 
@@ -71,40 +70,43 @@ class TestPopcountU64:
 
 
 class TestSelectInByte:
+    """In-byte select is one probe of the table, as in the kernels."""
+
     def test_example_from_paper(self):
         # Fig. 5: select the 2nd (0-indexed) set bit of 10101000b.
         # LSB-first: set bits at positions 3, 5, 7 -> rank 2 is pos 7.
-        assert select_in_byte(0b10101000, 2) == 7
+        assert SELECT_IN_BYTE_TABLE[0b10101000, 2] == 7
 
     def test_not_enough_bits_returns_8(self):
-        assert select_in_byte(0b1, 1) == 8
+        assert SELECT_IN_BYTE_TABLE[0b1, 1] == 8
 
     def test_rejects_bad_byte(self):
-        with pytest.raises(ValueError):
-            select_in_byte(300, 0)
+        with pytest.raises(IndexError):
+            SELECT_IN_BYTE_TABLE[300, 0]
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            select_in_byte(1, 9)
+        with pytest.raises(IndexError):
+            SELECT_IN_BYTE_TABLE[1, 9]
 
 
 class TestSelectInBytesVector:
+    """The int64 view ``repro.core.kernels`` gathers from, one probe per thread."""
+
     def test_matches_scalar(self, rng):
         bytes_ = rng.integers(0, 256, size=64).astype(np.uint8)
         idx = rng.integers(0, 8, size=64)
-        got = select_in_bytes_vector(bytes_, idx)
+        got = SELECT_IN_BYTE_TABLE_I64[bytes_, idx]
+        assert got.dtype == np.int64
         for b, i, g in zip(bytes_, idx, got):
-            assert g == select_in_byte(int(b), int(i))
+            assert g == SELECT_IN_BYTE_TABLE[int(b), int(i)]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            select_in_bytes_vector(
+        with pytest.raises(IndexError):
+            SELECT_IN_BYTE_TABLE_I64[
                 np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.int64)
-            )
+            ]
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            select_in_bytes_vector(
-                np.zeros(1, dtype=np.uint8), np.array([8])
-            )
+        with pytest.raises(IndexError):
+            SELECT_IN_BYTE_TABLE_I64[np.zeros(1, dtype=np.uint8), np.array([8])]
 

@@ -5,10 +5,8 @@ import pytest
 
 from repro.primitives.scan import (
     exclusive_scan,
-    inclusive_scan,
     segment_ids_from_flags,
     segmented_exclusive_scan,
-    segmented_inclusive_scan,
 )
 
 
@@ -38,13 +36,19 @@ class TestExclusiveScan:
 
 
 class TestInclusiveScan:
+    """The inclusive sum is the exclusive scan plus the input."""
+
     def test_basic(self):
-        assert inclusive_scan(np.array([1, 2, 3])).tolist() == [1, 3, 6]
+        vals = np.array([1, 2, 3])
+        ex, total = exclusive_scan(vals)
+        assert (ex + vals).tolist() == [1, 3, 6]
+        assert total == 6
 
     def test_relationship_with_exclusive(self, rng):
         vals = rng.integers(0, 50, size=200)
-        ex, _ = exclusive_scan(vals)
-        assert np.array_equal(inclusive_scan(vals), ex + vals)
+        ex, total = exclusive_scan(vals)
+        assert np.array_equal(ex + vals, np.cumsum(vals))
+        assert total == int(ex[-1] + vals[-1])
 
 
 class TestSegmentIds:
@@ -84,7 +88,8 @@ class TestSegmentedScan:
     def test_inclusive_variant(self):
         vals = np.array([1, 2, 3, 4])
         flags = np.array([True, False, True, False])
-        assert segmented_inclusive_scan(vals, flags).tolist() == [1, 3, 3, 7]
+        inclusive = segmented_exclusive_scan(vals, flags) + vals
+        assert inclusive.tolist() == [1, 3, 3, 7]
 
     def test_random_against_reference(self, rng):
         vals = rng.integers(0, 10, size=500)

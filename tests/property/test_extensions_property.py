@@ -149,7 +149,7 @@ class TestMSBFSProperty:
     @settings(max_examples=25, deadline=None)
     def test_cache_never_changes_bfs_result(self, graph, budget, policy):
         from repro.core.efg import efg_encode
-        from repro.core.listcache import DecodedListCache
+        from repro.core.listcache import DECODED_ELEM_BYTES, DecodedListCache
         from repro.traversal.backends import EFGBackend
         from repro.traversal.bfs import bfs
 
@@ -163,4 +163,5 @@ class TestMSBFSProperty:
             got = bfs(cached, source)
             assert np.array_equal(got.levels, ref.levels)
             assert got.edges_traversed == ref.edges_traversed
-        assert cached.cache.used_bytes <= budget
+        resident = sum(e.shape[0] for e in cached.cache._entries.values())
+        assert resident * DECODED_ELEM_BYTES <= budget

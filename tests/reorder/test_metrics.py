@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.formats.graph import Graph
-from repro.reorder.metrics import gap_statistics, locality_statistics
+from repro.reorder.metrics import gap_statistics
+from tests.graph_oracles import locality_statistics
 
 
 class TestGapStatistics:

@@ -80,7 +80,7 @@ class TestEffectiveness:
         assert after < before
 
     def test_halo_improves_locality(self, locality_graph):
-        from repro.reorder.metrics import locality_statistics
+        from tests.graph_oracles import locality_statistics
 
         before = locality_statistics(locality_graph)["mean_edge_span"]
         improved = locality_graph.relabelled(halo_order(locality_graph))
@@ -92,7 +92,7 @@ class TestEffectiveness:
         local = Graph.from_adjacency(
             [np.arange(i + 1, min(i + 6, n)) for i in range(n)]
         )
-        from repro.reorder.metrics import locality_statistics
+        from tests.graph_oracles import locality_statistics
 
         before = locality_statistics(local)["mean_edge_span"]
         scrambled = local.relabelled(random_order(local, 7))

@@ -8,7 +8,7 @@ import pytest
 from repro.core.efg import efg_encode
 from repro.core.listcache import DecodedListCache
 from repro.gpusim.device import TITAN_XP
-from repro.serve import GraphService, drive, make_query_stream
+from repro.serve import GraphService, drive, make_labeled_stream
 from repro.serve.driver import sequential_seconds, with_sequential_baseline
 from repro.traversal.backends import EFGBackend
 from repro.traversal.bfs import bfs
@@ -179,7 +179,7 @@ class TestDriver:
             service = GraphService.from_graph(
                 small_graph, fmt="efg", cache_kb=256
             )
-            stream = make_query_stream(small_graph.num_nodes, 120, seed=7)
+            stream, _ = make_labeled_stream(small_graph.num_nodes, 120, seed=7)
             report = drive(
                 service, stream,
                 deadline_mix=(None, 0.5, None, 1e-9), burst=96,
@@ -198,7 +198,7 @@ class TestDriver:
 
     def test_driven_results_match_sequential(self, small_graph):
         service = GraphService.from_graph(small_graph, fmt="efg", cache_kb=256)
-        stream = make_query_stream(small_graph.num_nodes, 80, seed=11)
+        stream, _ = make_labeled_stream(small_graph.num_nodes, 80, seed=11)
         drive(service, stream, burst=32)
         for r in service.results:
             assert r.ok

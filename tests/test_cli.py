@@ -764,9 +764,29 @@ def _verbs() -> dict:
     return subparsers.choices
 
 
+def _help_paths() -> list[tuple[str, ...]]:
+    """Every verb, and every verb followed by each choice of its first
+    positional: the sub-verbs (``recipe run``, ``dist bfs``)."""
+    out = []
+    for verb, parser in _verbs().items():
+        out.append((verb,))
+        positionals = [a for a in parser._actions if not a.option_strings]
+        if positionals and positionals[0].choices:
+            out += [(verb, choice) for choice in positionals[0].choices]
+    return out
+
+
 class TestParserSurface:
     """Pins every verb's defaults and choices, so a change to a shared
     flag group cannot move one unnoticed."""
+
+    @pytest.mark.parametrize("path", _help_paths(), ids=" ".join)
+    def test_help_renders(self, path, capsys):
+        # ``repro <path> --help`` builds and formats that parser.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([*path, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {path[0]} ")
 
     def test_every_verb_pinned(self):
         assert set(_verbs()) == set(REQUIRED) == set(DEFAULTS) == set(CHOICES)
@@ -876,7 +896,7 @@ class TestBadGraphPath:
         open(base + ".graph", "wb").write(bytes(blob))
         return base
 
-    @pytest.mark.parametrize("case", ["missing", "garbage", "corrupt"])
+    @pytest.mark.parametrize("case", ["missing", "garbage", "corrupt", "huge-id"])
     def test_one_line_no_traceback(self, tmp_path, case):
         if case == "missing":
             argv, expect = ["info", str(tmp_path / "missing.txt")], "No such file"
@@ -884,6 +904,10 @@ class TestBadGraphPath:
             path = tmp_path / "garbage.txt"
             path.write_text("hello world\n")
             argv, expect = ["info", str(path)], "hello"
+        elif case == "huge-id":
+            path = tmp_path / "huge.txt"
+            path.write_text("99999999999 0\n")
+            argv, expect = ["info", str(path)], "overflow"
         else:
             argv = ["bfs", self._corrupt_container(tmp_path)]
             expect = "payload CRC"

@@ -26,7 +26,6 @@ def _assert_matches_sequential(graph, device, sources, cache_bytes=0):
     for row, s in enumerate(sources):
         ref = bfs(seq_backend, int(s))
         assert np.array_equal(ms.levels[row], ref.levels), s
-        assert np.array_equal(ms.levels_for(int(s)), ref.levels)
         total_edges += ref.edges_traversed
     assert ms.edges_traversed == total_edges
     assert ms.num_levels == int(ms.levels.max()) + 1
@@ -39,7 +38,7 @@ class TestCorrectness:
             chain_graph, scaled_device, np.array([0, 5])
         )
         assert ms.num_levels == 10  # source 0 reaches depth 9
-        assert ms.levels_for(5)[9] == 4
+        assert ms.levels[1][9] == 4  # row 1 is source 5
 
     def test_small_graph_all_lanes(self, small_graph, scaled_device):
         rng = np.random.default_rng(3)
@@ -169,8 +168,3 @@ class TestValidation:
             msbfs(backend, np.array([small_graph.num_nodes]))
         with pytest.raises(IndexError):
             msbfs(backend, np.array([-1]))
-
-    def test_levels_for_unknown_source(self, small_graph, scaled_device):
-        ms = msbfs(_efg_backend(small_graph, scaled_device), np.array([0]))
-        with pytest.raises(KeyError):
-            ms.levels_for(99)
