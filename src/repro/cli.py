@@ -108,8 +108,8 @@ __all__ = ["build_parser", "main"]
 def _load(path: str):
     """Open a container base path, else read a text edge list.
 
-    A missing, unreadable or corrupt file exits with one line, not a
-    traceback.
+    A missing, unreadable or corrupt file, or one naming more vertices
+    than memory holds, exits with one line, not a traceback.
     """
     from repro.core.errors import DecodeError
     from repro.formats.io import read_edge_list
@@ -119,7 +119,7 @@ def _load(path: str):
         if is_container(path):
             return open_container(path).to_graph()
         return read_edge_list(path, name=path)
-    except (OSError, ValueError, DecodeError) as exc:
+    except (OSError, ValueError, DecodeError, MemoryError) as exc:
         raise SystemExit(f"cannot open {path}: {exc}") from exc
 
 
@@ -388,42 +388,13 @@ def _cmd_msbfs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_slo_specs(args: argparse.Namespace) -> tuple:
-    """Translate the ``--slo-*`` flags into SLOSpecs (possibly none)."""
-    from repro.obs.slo import SLOSpec
-
-    long_s = args.slo_window_us / 1e6
-    short_s = long_s / 8.0
-    specs = []
-    if args.slo_latency_ms is not None:
-        specs.append(SLOSpec(
-            name="latency", kind="latency",
-            objective=args.slo_objective,
-            threshold_s=args.slo_latency_ms / 1e3,
-            long_window_s=long_s, short_window_s=short_s,
-            burn_threshold=args.slo_burn,
-        ))
-    if args.slo_miss_objective is not None:
-        specs.append(SLOSpec(
-            name="miss-rate", kind="miss",
-            objective=args.slo_miss_objective,
-            long_window_s=long_s, short_window_s=short_s,
-            burn_threshold=args.slo_burn,
-        ))
-    return tuple(specs)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.metrics import dump_metrics, run_metrics
-    from repro.obs.slo import EventLog
     from repro.serve import (
         GraphService,
-        ServiceTelemetry,
         drive,
         make_labeled_stream,
-        panel_from_service,
         parse_deadline_mix,
-        render_panel,
         save_container,
         serve_report,
         with_sequential_baseline,
@@ -440,21 +411,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.build_only:
             return 0
 
-    try:
-        specs = _serve_slo_specs(args)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    events = EventLog(
-        path=args.events, max_bytes=args.events_max_kb * 1024
-    )
-    telemetry = ServiceTelemetry(specs=specs, events=events)
-    service_kw = dict(
-        fmt=args.format, device=_device(args), cache_kb=args.cache_kb,
-        max_pending=args.max_pending, telemetry=telemetry,
-    )
     graph = _load(args.target)
     try:
-        service = GraphService.from_graph(graph, **service_kw)
+        service = GraphService.from_graph(
+            graph, fmt=args.format, device=_device(args),
+            cache_kb=args.cache_kb, max_pending=args.max_pending,
+        )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     print(f"serving epoch {service.epoch} ({args.format}, "
@@ -465,20 +427,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"--deadline-ms: {exc}") from exc
 
-    frame_cb = None
-    if args.monitor:
-        def frame_cb(svc):
-            panel = panel_from_service(svc, frame=svc.num_waves - 1)
-            print(render_panel(panel))
-            print()
-
     try:
         sources, classes = make_labeled_stream(
             graph.num_nodes, args.queries,
             hot_fraction=args.hot_fraction, seed=args.seed,
         )
         report = drive(service, sources, deadline_mix=deadline_mix,
-                       burst=args.burst, classes=classes, frame_cb=frame_cb)
+                       burst=args.burst, classes=classes)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     if args.baseline:
@@ -521,23 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         dump_metrics(payload, args.metrics)
         print(f"wrote {args.metrics}")
-    if args.events:
-        events.close()
-        print(f"wrote {len(events)} events to {args.events}"
-              + (f" ({events.rotations} rotations)" if events.rotations
-                 else ""))
-    return int(bool(telemetry.slo.any_alerting) and args.slo_exit_nonzero)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.serve import load_panel, render_panel
-
-    try:
-        panel = load_panel(args.artifact)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_panel(panel))
     return 0
 
 
@@ -1182,44 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", metavar="PATH",
                    help="write the stable-schema metrics JSON (includes "
                    "the serve and service sections)")
-    p.add_argument("--monitor", action="store_true",
-                   help="render a dashboard frame after every wave "
-                   "(plain text, byte-deterministic)")
-    p.add_argument("--events", metavar="PATH",
-                   help="append the JSONL event log (admissions, waves, "
-                   "SLO transitions) to PATH")
-    p.add_argument("--events-max-kb", type=int, default=4096,
-                   help="rotate the event log past this size "
-                   "(default 4096 KiB)")
-    p.add_argument("--slo-latency-ms", type=float, default=None,
-                   help="latency SLO: served queries must finish within "
-                   "this simulated budget")
-    p.add_argument("--slo-objective", type=float, default=0.99,
-                   help="good fraction the latency SLO targets "
-                   "(default 0.99)")
-    p.add_argument("--slo-miss-objective", type=float, default=None,
-                   help="miss SLO: target fraction of outcomes served "
-                   "(not rejected/expired), e.g. 0.95")
-    p.add_argument("--slo-window-us", type=float, default=1.0,
-                   help="long burn-rate window in simulated microseconds "
-                   "(short window = long/8; default 1.0)")
-    p.add_argument("--slo-burn", type=float, default=10.0,
-                   help="burn-rate alert threshold on both windows "
-                   "(default 10.0)")
-    p.add_argument("--slo-exit-nonzero", action="store_true",
-                   help="exit 1 when any SLO is alerting at end of run")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "top",
-        help="render the serving dashboard from a recorded artifact",
-    )
-    p.add_argument(
-        "artifact",
-        help="a metrics JSON with a service section, or a .jsonl "
-        "event log",
-    )
-    p.set_defaults(func=_cmd_top)
 
     p = sub.add_parser(
         "profile", help="run one algorithm under full telemetry"

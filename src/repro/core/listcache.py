@@ -10,13 +10,8 @@ payload traffic, no select/binsearch pipeline.
 
 :class:`DecodedListCache` models that residency: a byte-budgeted map
 from vertex id to its decoded neighbour array (4 B per edge, the int32
-ids a GPU would keep).  Two replacement policies:
-
-* ``"lru"`` — classic least-recently-used, the behaviour of a
-  hardware-managed cache under temporal locality.
-* ``"degree"`` — evict the smallest list first, approximating an
-  explicitly-managed hot-list buffer that pins hubs (the entries whose
-  re-decode is most expensive and most frequent).
+ids a GPU would keep), evicting least-recently-used lists first — the
+behaviour of a hardware-managed cache under temporal locality.
 
 The cache is purely functional state plus counters; *cost* accounting
 lives in :meth:`repro.traversal.backends.GraphBackend.expand`, which
@@ -27,7 +22,7 @@ and credits the compressed bytes + decode instructions a hit avoided.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,29 +75,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
         }
 
-    def snapshot(self) -> "CacheStats":
-        """Frozen copy of the counters at this instant.
-
-        The serve layer keeps the cache's cumulative counters alive
-        across msbfs waves (cross-wave reuse is the point of a resident
-        graph) and uses ``snapshot``/:meth:`since` pairs for per-wave
-        accounting instead of :meth:`DecodedListCache.reset_stats`.
-        """
-        return replace(self)
-
-    def since(self, baseline: "CacheStats") -> "CacheStats":
-        """Counter deltas accumulated after ``baseline`` was snapshot."""
-        return CacheStats(
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            evictions=self.evictions - baseline.evictions,
-            rejected=self.rejected - baseline.rejected,
-            hit_edges=self.hit_edges - baseline.hit_edges,
-            miss_edges=self.miss_edges - baseline.miss_edges,
-            bytes_saved=self.bytes_saved - baseline.bytes_saved,
-            instr_saved=self.instr_saved - baseline.instr_saved,
-        )
-
     def publish(self, metrics, prefix: str = "listcache") -> None:
         """Export the final counters into a metrics registry as gauges.
 
@@ -125,8 +97,6 @@ class DecodedListCache:
         Capacity modeling the on-chip residency the traversal can spare
         (a slice of L2 / persistent shared memory).  Entries are charged
         ``DECODED_ELEM_BYTES`` per neighbour.
-    policy:
-        ``"lru"`` (default) or ``"degree"`` (evict smallest list first).
     record_reuse:
         Additionally maintain an unbounded *ghost* LRU and log, per
         lookup, the byte reuse distance (bytes touched since this
@@ -141,15 +111,11 @@ class DecodedListCache:
     def __init__(
         self,
         budget_bytes: int,
-        policy: str = "lru",
         record_reuse: bool = False,
     ) -> None:
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        if policy not in ("lru", "degree"):
-            raise ValueError(f"unknown policy {policy!r}")
         self.budget_bytes = int(budget_bytes)
-        self.policy = policy
         self.record_reuse = bool(record_reuse)
         #: ``(reuse_distance_bytes, entry_bytes)`` per lookup; first
         #: touches log ``(inf, 0)`` (a miss at every budget).
@@ -221,22 +187,14 @@ class DecodedListCache:
         """
         self._batches.append((int(launch_index), len(self.reuse_log)))
 
-    def modeled_hit_edges(self, budget_bytes: int) -> float:
-        """Edges an LRU cache of ``budget_bytes`` would have served.
+    def batch_hit_edges(self, budget_bytes: int) -> dict[int, int]:
+        """Modeled hit edges per recorded launch index at ``budget_bytes``.
 
         Reads the recorded reuse-distance log: a lookup hits iff its
         reuse footprint (distance + own size) fits the budget.  A model
         of the cache, not a replay of it — the what-if engine differences
         two evaluations so the model bias largely cancels.
         """
-        edges = 0
-        for dist, size in self.reuse_log:
-            if size and dist + size <= budget_bytes:
-                edges += size // DECODED_ELEM_BYTES
-        return float(edges)
-
-    def batch_hit_edges(self, budget_bytes: int) -> dict[int, int]:
-        """Modeled hit edges per recorded launch index at ``budget_bytes``."""
         out: dict[int, int] = {}
         ends = [start for _, start in self._batches[1:]]
         ends.append(len(self.reuse_log))
@@ -256,7 +214,7 @@ class DecodedListCache:
     # -- insertion --------------------------------------------------------
 
     def put(self, vertex: int, neighbours: np.ndarray) -> bool:
-        """Insert one decoded list; evicts per policy until it fits.
+        """Insert one decoded list; evicts LRU lists until it fits.
 
         Lists larger than the whole budget are rejected (caching one
         would flush everything for a single-visit win).  Returns whether
@@ -277,7 +235,9 @@ class DecodedListCache:
         if old is not None:
             self._bytes -= int(old.shape[0]) * DECODED_ELEM_BYTES
         while self._bytes + nbytes > self.budget_bytes and self._entries:
-            self._evict_one()
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= int(victim.shape[0]) * DECODED_ELEM_BYTES
+            self.stats.evictions += 1
         # Materialise views: a slice of a batch-decode buffer would pin
         # the whole buffer in host memory, breaking the byte budget.
         if neighbours.base is not None:
@@ -292,15 +252,6 @@ class DecodedListCache:
         """Insert a batch of decoded lists (one expand's misses)."""
         for v, nbrs in zip(np.asarray(vertices, dtype=np.int64), lists):
             self.put(int(v), nbrs)
-
-    def _evict_one(self) -> None:
-        if self.policy == "lru":
-            _, victim = self._entries.popitem(last=False)
-        else:  # degree: drop the smallest list — hubs stay pinned
-            v = min(self._entries, key=lambda k: self._entries[k].shape[0])
-            victim = self._entries.pop(v)
-        self._bytes -= int(victim.shape[0]) * DECODED_ELEM_BYTES
-        self.stats.evictions += 1
 
     # -- lifecycle --------------------------------------------------------
 

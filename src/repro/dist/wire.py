@@ -349,10 +349,6 @@ class AutoCodec(WireCodec):
             raise ValueError("no wire codec can represent this message")
         return best[2], best[3]
 
-    def choose(self, ids: np.ndarray, lo: int, hi: int) -> WireCodec:
-        """Smallest-payload candidate for this message."""
-        return self.trial(ids, lo, hi)[0]
-
     @property
     def encode_instr_per_id(self) -> float:  # type: ignore[override]
         return max(c.encode_instr_per_id for c in self._candidates)
@@ -366,7 +362,7 @@ class AutoCodec(WireCodec):
 
     def decode(self, payload: np.ndarray, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError(
-            "auto is a selector; decode with the codec choose() returned"
+            "auto is a selector; decode with the codec trial() returned"
         )
 
     def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:

@@ -4,10 +4,9 @@ Vigna's quasi-succinct indices exist to answer exactly these queries:
 ``next_geq`` (the smallest element >= x, the inverted-index *skip*
 operation) and list intersection via galloping.  The paper only needs
 full-list decode for traversal, but adjacency membership and
-intersections fall out of the representation for free — and they power
-the triangle-counting and has-edge APIs on compressed graphs.
+intersections fall out of the representation for free.
 
-``ef_next_geq`` runs in O(log n) random accesses, each bounded by a
+``ef_next_geq`` gallops in O(log n) random accesses, each bounded by a
 forward-pointer quantum; ``ef_intersect`` gallops the smaller list
 through the larger one, which beats linear merge whenever the sizes
 are skewed (the common case for adjacency lists).
@@ -20,28 +19,6 @@ import numpy as np
 from repro.ef.encoding import EFSequence, ef_decode_at
 
 __all__ = ["ef_next_geq", "ef_intersect"]
-
-
-def ef_next_geq(seq: EFSequence, x: int) -> tuple[int, int]:
-    """Smallest element >= x and its index, or (-1, n) when none exists.
-
-    Binary search over random accesses; each probe is O(1) average via
-    the sequence's forward pointers.
-    """
-    n = seq.n
-    if x <= ef_decode_at(seq, 0):
-        return ef_decode_at(seq, 0), 0
-    last = ef_decode_at(seq, n - 1)
-    if x > last:
-        return -1, n
-    lo, hi = 0, n - 1  # invariant: value(lo) < x <= value(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ef_decode_at(seq, mid) >= x:
-            hi = mid
-        else:
-            lo = mid
-    return ef_decode_at(seq, hi), hi
 
 
 def ef_intersect(a: EFSequence, b: EFSequence) -> np.ndarray:
@@ -60,7 +37,7 @@ def ef_intersect(a: EFSequence, b: EFSequence) -> np.ndarray:
         if value == prev:
             continue
         prev = value
-        hit, idx = _next_geq_from(big, value, big_idx)
+        hit, idx = ef_next_geq(big, value, big_idx)
         if hit == -1:
             break
         big_idx = idx
@@ -69,8 +46,14 @@ def ef_intersect(a: EFSequence, b: EFSequence) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _next_geq_from(seq: EFSequence, x: int, start: int) -> tuple[int, int]:
-    """``next_geq`` restricted to indices >= start, galloping outward."""
+def ef_next_geq(seq: EFSequence, x: int, start: int = 0) -> tuple[int, int]:
+    """Smallest element >= x at index >= ``start`` and its index, or
+    ``(-1, n)`` when none exists.
+
+    Gallops outward from ``start`` to bracket ``x``, then binary-searches
+    the bracket; each probe is O(1) average via the sequence's forward
+    pointers.
+    """
     n = seq.n
     if start >= n:
         return -1, n

@@ -20,7 +20,7 @@ from repro.gpusim.device import CPU_E5_2696V4_X2, DeviceSpec, TITAN_XP, V100
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryManager, Residency
-from repro.gpusim.trace import timeline_events, write_chrome_trace
+from repro.gpusim.trace import timeline_events
 from repro.gpusim.uvm import UVMSimulator
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "SimEngine",
     "UVMSimulator",
     "timeline_events",
-    "write_chrome_trace",
 ]

@@ -337,13 +337,6 @@ class KernelCost:
         """Moved bytes per array, in first-charge order."""
         return {key: entry.moved_bytes for key, entry in self.traffic.items()}
 
-    @property
-    def warp_efficiency(self) -> float:
-        """Active-lane fraction of the occupied warp slots (1.0 = none)."""
-        if self.lane_slots <= 0:
-            return 1.0
-        return self.active_lanes / self.lane_slots
-
     def add_traffic(
         self,
         array: str,

@@ -1,24 +1,19 @@
-"""Chrome-trace export of a simulation timeline.
+"""Chrome-trace events of a simulation timeline.
 
-``chrome://tracing`` / Perfetto accept a simple JSON event format; this
-module serialises a :class:`~repro.gpusim.engine.SimEngine` timeline to
-it, so a simulated traversal can be inspected kernel-by-kernel the way
-one would inspect an ``nsys`` capture of the real implementation.
-
-:func:`write_chrome_trace` keeps the original flat per-kernel layout.
-For the full picture — nested ``run -> algorithm -> level -> kernel``
-spans plus counter tracks (frontier size, cumulative bytes, cache hit
-rate) — use :func:`repro.obs.export.write_perfetto_trace`, which
-composes :func:`timeline_events` with the span and counter exporters.
+``chrome://tracing`` / Perfetto accept a simple JSON event format;
+:func:`timeline_events` turns a :class:`~repro.gpusim.engine.SimEngine`
+timeline into its flat per-kernel events, so a simulated traversal can
+be inspected kernel-by-kernel the way one would inspect an ``nsys``
+capture of the real implementation.  :func:`repro.obs.export.
+write_perfetto_trace` composes them with the nested ``run -> algorithm
+-> level -> kernel`` spans and the counter tracks into one file.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.gpusim.engine import SimEngine
 
-__all__ = ["timeline_events", "write_chrome_trace"]
+__all__ = ["timeline_events"]
 
 
 def timeline_events(engine: SimEngine, pid: int = 0) -> list[dict]:
@@ -44,14 +39,3 @@ def timeline_events(engine: SimEngine, pid: int = 0) -> list[dict]:
             }
         )
     return events
-
-
-def write_chrome_trace(engine: SimEngine, path: str, pid: int = 0) -> None:
-    """Write the kernel timeline as a chrome://tracing JSON file."""
-    payload = {
-        "traceEvents": timeline_events(engine, pid=pid),
-        "displayTimeUnit": "ms",
-        "metadata": {"device": engine.device.name},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)

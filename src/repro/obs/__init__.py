@@ -15,11 +15,10 @@ top:
 * :mod:`repro.obs.export` — Perfetto traces with nested spans and
   counter tracks (one per attributed array);
 * :mod:`repro.obs.compare` — diff two metrics dumps, gate regressions;
-* :mod:`repro.obs.timeseries` / :mod:`repro.obs.sketch` /
-  :mod:`repro.obs.slo` — the service-side streaming layer: ring-buffer
-  time-series on the simulated clock, mergeable quantile sketches with
-  a proven relative-error bound, and SLO burn-rate evaluation with a
-  canonical JSONL event log.
+* :mod:`repro.obs.timeseries` / :mod:`repro.obs.sketch` — the
+  service-side streaming layer: a ring-buffer time-series on the
+  simulated clock and quantile sketches with a proven relative-error
+  bound.
 
 Only the building blocks are re-exported here: the heavier layers
 import the engine and are loaded as submodules on demand, keeping the
@@ -34,19 +33,15 @@ from repro.obs.metrics import (
     git_sha,
 )
 from repro.obs.sketch import QuantileSketch
-from repro.obs.slo import EventLog, SLOEngine, SLOSpec
 from repro.obs.spans import Span, Tracer, aggregate_kernel_costs
 from repro.obs.timeseries import TimeSeries
 
 __all__ = [
     "METRICS_SCHEMA",
     "SUPPORTED_SCHEMAS",
-    "EventLog",
     "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
-    "SLOEngine",
-    "SLOSpec",
     "Span",
     "TimeSeries",
     "Tracer",

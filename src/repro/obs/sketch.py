@@ -1,9 +1,9 @@
-"""Mergeable log-bucketed quantile sketch (DDSketch-style).
+"""Log-bucketed quantile sketch (DDSketch-style).
 
 Serving percentiles (p50/p95/p99 latency, wave width, queue wait) must
-be computed over unbounded streams in bounded memory, be mergeable
-across shards, and — in this codebase — be *byte-deterministic*.  The
-DDSketch construction (Masson, Rim & Lee, VLDB'19) gives all three:
+be computed over unbounded streams in bounded memory and — in this
+codebase — be *byte-deterministic*.  The DDSketch construction
+(Masson, Rim & Lee, VLDB'19) gives both:
 values are counted in logarithmically-spaced buckets, so every bucket's
 representative value is within a fixed **relative** error of anything
 the bucket holds.
@@ -31,31 +31,16 @@ representative of the bucket holding the order statistic of rank
 for any input distribution, adversarial or not (property-tested in
 ``tests/property/test_sketch_property.py``).
 
-Merging adds bucket counts index-wise, which is associative and
-commutative and preserves the bound, because bucket indices depend only
-on ``alpha`` — two sketches with equal ``alpha`` share a bucket space.
 The ``sum`` moment is carried as an exact Shewchuk expansion (plain
-float ``+=`` is not associative), so even the serialized rounded float
-is merge-order-free.
-
-Serialization is a canonical little-endian byte string (buckets sorted
-by index), so equal sketches — including merge results computed in any
-order — dump byte-identically, and ``loads(dumps(s)).to_bytes() ==
-s.to_bytes()`` exactly.
+float ``+=`` is not associative), so the reported total is the
+correctly-rounded sum of the stream, whatever order it arrived in.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 __all__ = ["QuantileSketch"]
-
-_MAGIC = b"RQSK"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHd4Q3d")  # magic, ver, alpha, count, zero,
-#                                       n_buckets, pad, min, max, sum
-_BUCKET = struct.Struct("<qQ")  # bucket index, count
 
 
 def _exact_add(partials: list[float], x: float) -> None:
@@ -63,9 +48,7 @@ def _exact_add(partials: list[float], x: float) -> None:
 
     Keeps ``partials`` an exact non-overlapping representation of the
     running sum, so the total — and its correctly-rounded float — is
-    independent of accumulation order.  That is what makes ``merge``
-    *byte*-associative: plain float ``+=`` is not associative, and the
-    serialized ``sum`` field would otherwise depend on merge order.
+    independent of accumulation order.
     """
     i = 0
     for y in partials:
@@ -193,89 +176,6 @@ class QuantileSketch:
                 self.quantile(q) if self.count else 0.0
             )
         return out
-
-    # -- merge --------------------------------------------------------
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """A new sketch holding both streams (associative, commutative).
-
-        Requires equal ``relative_accuracy``: bucket indices are only
-        comparable within one ``gamma``.
-        """
-        if not isinstance(other, QuantileSketch):
-            raise TypeError(f"cannot merge with {type(other).__name__}")
-        if other.alpha != self.alpha:
-            raise ValueError(
-                f"cannot merge sketches with different accuracy: "
-                f"{self.alpha} != {other.alpha}"
-            )
-        out = QuantileSketch(relative_accuracy=self.alpha)
-        out._buckets = dict(self._buckets)
-        for index, n in other._buckets.items():
-            out._buckets[index] = out._buckets.get(index, 0) + n
-        out.zero_count = self.zero_count + other.zero_count
-        out.count = self.count + other.count
-        out._sum_partials = list(self._sum_partials)
-        for part in other._sum_partials:
-            _exact_add(out._sum_partials, part)
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        return out
-
-    # -- serialization ------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Canonical dump: header + buckets sorted by index.
-
-        Equal sketches serialize byte-identically regardless of
-        insertion or merge order (bucket dicts are canonicalized by
-        sorting).
-        """
-        parts = [_HEADER.pack(
-            _MAGIC, _VERSION, self.alpha,
-            self.count, self.zero_count, len(self._buckets), 0,
-            self.min if self.count else 0.0, self.max, self.sum,
-        )]
-        for index in sorted(self._buckets):
-            parts.append(_BUCKET.pack(index, self._buckets[index]))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "QuantileSketch":
-        if len(blob) < _HEADER.size:
-            raise ValueError(f"sketch blob truncated: {len(blob)} bytes")
-        (magic, version, alpha, count, zero_count, n_buckets, _pad,
-         vmin, vmax, vsum) = _HEADER.unpack_from(blob, 0)
-        if magic != _MAGIC:
-            raise ValueError(f"bad sketch magic {magic!r}")
-        if version != _VERSION:
-            raise ValueError(f"unsupported sketch version {version}")
-        expected = _HEADER.size + n_buckets * _BUCKET.size
-        if len(blob) != expected:
-            raise ValueError(
-                f"sketch blob size {len(blob)} != expected {expected}"
-            )
-        out = cls(relative_accuracy=alpha)
-        offset = _HEADER.size
-        prev = None
-        for _ in range(n_buckets):
-            index, n = _BUCKET.unpack_from(blob, offset)
-            offset += _BUCKET.size
-            if prev is not None and index <= prev:
-                raise ValueError("sketch buckets not strictly ascending")
-            prev = index
-            out._buckets[index] = n
-        out.zero_count = zero_count
-        out.count = count
-        out._sum_partials = [vsum] if vsum else []
-        out.min = vmin if count else math.inf
-        out.max = vmax
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantileSketch):
-            return NotImplemented
-        return self.to_bytes() == other.to_bytes()
 
     def __repr__(self) -> str:
         return (

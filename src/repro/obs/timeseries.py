@@ -1,29 +1,24 @@
 """Deterministic ring-buffer time-series on the simulated clock.
 
-A long-running service needs *streaming* views of its own behaviour —
-queries per second over the last window, mean queue depth, peak lane
-occupancy — not one end-of-run total.  :class:`TimeSeries` is the
-building block: a fixed-capacity ring of ``(t, value)`` points keyed on
-the **simulated** clock (``engine.elapsed_seconds``), so two identical
-drives record identical points and every rollup is byte-reproducible.
+A long-running service needs a *streaming* view of its own behaviour —
+queries per second over the last window — not one end-of-run total.
+:class:`TimeSeries` is the building block: a fixed-capacity ring of
+``(t, value)`` points keyed on the **simulated** clock
+(``engine.elapsed_seconds``), so two identical drives record identical
+points and every rollup is byte-reproducible.
 
 Design constraints, in order:
 
 * **Bounded memory.**  Capacity is fixed at construction; recording
-  point ``capacity + 1`` silently drops the oldest (``dropped`` counts
-  how many).  A service alive for millions of sim-seconds keeps a
-  constant footprint.
+  point ``capacity + 1`` silently drops the oldest.  A service alive
+  for millions of sim-seconds keeps a constant footprint.
 * **Monotone time.**  ``record`` requires non-decreasing timestamps —
   the simulated clock never goes backwards, and enforcing it here
   keeps :meth:`stats` a single reverse scan instead of a sort.
-* **Windowed rollups.**  ``stats(window_s)`` aggregates the points in
-  ``(now - window_s, now]``: count, sum, mean, max, and the two rates
-  (events/sec and value/sec).  This is what SLO burn rates and the
-  live dashboard read.
-* **Byte-stable serialization.**  ``to_dict`` is plain floats in
-  chronological order; dumped through
-  :func:`repro.obs.metrics.dump_metrics` it is byte-identical across
-  identical runs.
+* **Windowed rollups.**  ``stats(window_s, now)`` aggregates the points
+  in ``(now - window_s, now]``: count, sum, mean, max, and the two
+  rates (events/sec and value/sec).  The ``service`` metrics section
+  reads its ``windowed_qps`` from here.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ __all__ = ["TimeSeries"]
 class TimeSeries:
     """Fixed-capacity ring of ``(t, value)`` samples, monotone in ``t``."""
 
-    __slots__ = ("capacity", "_t", "_v", "_start", "_len", "_dropped")
+    __slots__ = ("capacity", "_t", "_v", "_start", "_len")
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
@@ -44,17 +39,14 @@ class TimeSeries:
         self._v: list[float] = [0.0] * self.capacity
         self._start = 0  # index of the oldest live point
         self._len = 0
-        self._dropped = 0
-
-    # -- recording ----------------------------------------------------
 
     def record(self, t: float, value: float = 1.0) -> None:
         """Append one sample; ``t`` must not precede the last sample."""
         t = float(t)
-        if self._len and t < self.last_t:
-            raise ValueError(
-                f"time went backwards: {t} < {self.last_t}"
-            )
+        if self._len:
+            last = self._t[(self._start + self._len - 1) % self.capacity]
+            if t < last:
+                raise ValueError(f"time went backwards: {t} < {last}")
         idx = (self._start + self._len) % self.capacity
         self._t[idx] = t
         self._v[idx] = float(value)
@@ -62,49 +54,18 @@ class TimeSeries:
             self._len += 1
         else:  # ring full: the slot we just wrote was the oldest point
             self._start = (self._start + 1) % self.capacity
-            self._dropped += 1
 
-    # -- introspection ------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def dropped(self) -> int:
-        """Samples evicted by the ring since construction."""
-        return self._dropped
-
-    @property
-    def last_t(self) -> float:
-        """Timestamp of the newest sample (0.0 when empty)."""
-        if not self._len:
-            return 0.0
-        return self._t[(self._start + self._len - 1) % self.capacity]
-
-    def points(self) -> list[tuple[float, float]]:
-        """Live samples in chronological order."""
-        return [
-            (self._t[(self._start + i) % self.capacity],
-             self._v[(self._start + i) % self.capacity])
-            for i in range(self._len)
-        ]
-
-    # -- rollups ------------------------------------------------------
-
-    def stats(self, window_s: float, now: float | None = None) -> dict:
+    def stats(self, window_s: float, now: float) -> dict:
         """Aggregate the samples in ``(now - window_s, now]``.
 
-        ``now`` defaults to the newest sample's timestamp.  Returns a
-        numeric-only dict (diffable by ``repro compare``): ``count``,
-        ``sum``, ``mean``, ``max``, ``rate`` (count / window) and
-        ``value_rate`` (sum / window).  Samples newer than ``now`` are
-        excluded, so replaying a prefix of a run reproduces the exact
-        rollup that run saw at that instant.
+        Returns a numeric-only dict (diffable by ``repro compare``):
+        ``count``, ``sum``, ``mean``, ``max``, ``rate`` (count / window)
+        and ``value_rate`` (sum / window).  Samples newer than ``now``
+        are excluded, so replaying a prefix of a run reproduces the
+        exact rollup that run saw at that instant.
         """
         if window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
-        if now is None:
-            now = self.last_t
         lo = now - window_s
         count = 0
         total = 0.0
@@ -130,19 +91,4 @@ class TimeSeries:
             "max": peak,
             "rate": count / window_s,
             "value_rate": total / window_s,
-        }
-
-    # -- serialization ------------------------------------------------
-
-    def to_dict(self, max_points: int | None = None) -> dict:
-        """Canonical numeric dump (newest ``max_points`` samples)."""
-        pts = self.points()
-        if max_points is not None:
-            pts = pts[-max_points:]
-        return {
-            "capacity": float(self.capacity),
-            "dropped": float(self._dropped),
-            "count": float(self._len),
-            "t": [p[0] for p in pts],
-            "v": [p[1] for p in pts],
         }

@@ -26,7 +26,6 @@ __all__ = [
     "SELECT_IN_BYTE_TABLE",
     "POPCOUNT_TABLE_I64",
     "SELECT_IN_BYTE_TABLE_I64",
-    "popcount_bytes",
     "popcount_u64",
     "pack_varints",
 ]
@@ -78,27 +77,6 @@ POPCOUNT_TABLE.setflags(write=False)
 SELECT_IN_BYTE_TABLE.setflags(write=False)
 POPCOUNT_TABLE_I64.setflags(write=False)
 SELECT_IN_BYTE_TABLE_I64.setflags(write=False)
-
-
-def popcount_bytes(data: np.ndarray) -> np.ndarray:
-    """Vectorized popcount over a uint8 array.
-
-    Models every thread in a block issuing ``__popc`` on its local byte
-    simultaneously.
-
-    Parameters
-    ----------
-    data:
-        Array of ``uint8`` byte values (any shape).
-
-    Returns
-    -------
-    Array of the same shape, dtype ``uint8``: set-bit count per byte.
-    """
-    data = np.asarray(data)
-    if data.dtype != np.uint8:
-        raise TypeError(f"popcount_bytes expects uint8, got {data.dtype}")
-    return POPCOUNT_TABLE[data]
 
 
 def popcount_u64(values: np.ndarray) -> np.ndarray:

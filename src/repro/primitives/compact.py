@@ -1,41 +1,16 @@
-"""Stream compaction, gather/scatter, and bitmap-to-frontier conversion.
+"""Bitmap-to-frontier conversion and the atomic claim.
 
 The SSSP implementation (Sec. VI-F) marks relaxed nodes atomically in an
 O(|V|) bitmap and then uses a parallel scatter to build the next frontier;
-``scatter_bitmap_to_indices`` is that step.  ``stream_compact`` is the
-filter+compact idiom used when BFS drops already-visited neighbours.
+``scatter_bitmap_to_indices`` is that step.  ``atomic_or_claim`` is the
+BFS visited-flag claim.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "stream_compact",
-    "gather",
-    "scatter_bitmap_to_indices",
-    "atomic_or_claim",
-]
-
-
-def stream_compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Keep ``values[i]`` where ``keep[i]`` — scan + scatter on a GPU."""
-    values = np.asarray(values)
-    keep = np.asarray(keep, dtype=bool)
-    if values.shape[0] != keep.shape[0]:
-        raise ValueError(
-            f"length mismatch: values {values.shape[0]} vs keep {keep.shape[0]}"
-        )
-    return values[keep]
-
-
-def gather(source: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Parallel gather ``out[i] = source[indices[i]]`` with bounds checks."""
-    source = np.asarray(source)
-    indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= source.shape[0]):
-        raise IndexError("gather index out of bounds")
-    return source[indices]
+__all__ = ["scatter_bitmap_to_indices", "atomic_or_claim"]
 
 
 def scatter_bitmap_to_indices(bitmap: np.ndarray) -> np.ndarray:

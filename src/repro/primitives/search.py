@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["binsearch_maxle", "binsearch_maxlt"]
+__all__ = ["binsearch_maxle"]
 
 
 def binsearch_maxle(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -46,14 +46,3 @@ def binsearch_maxle(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarra
         raise ValueError("query below the smallest element has no maxle index")
     return idx.astype(np.int64)
 
-
-def binsearch_maxlt(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of the largest value strictly less than the query, per query."""
-    sorted_values = np.asarray(sorted_values)
-    if sorted_values.shape[0] == 0:
-        raise ValueError("binsearch_maxlt on an empty array")
-    queries = np.asarray(queries)
-    idx = np.searchsorted(sorted_values, queries, side="left") - 1
-    if np.any(idx < 0):
-        raise ValueError("query at or below the smallest element has no maxlt index")
-    return idx.astype(np.int64)

@@ -1,4 +1,4 @@
-"""Radix sort and the partial-bit sort used for frontier ordering.
+"""The partial-bit sort used for frontier ordering.
 
 Sec. VI-E: exact frontier sorting at every BFS level is too expensive, so
 the paper radix-sorts only the top 65% of the key bits with CUB — an
@@ -12,47 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["radix_sort", "partial_radix_sort_key", "partial_sort_frontier"]
-
-
-def radix_sort(keys: np.ndarray, num_bits: int | None = None) -> np.ndarray:
-    """LSD radix sort of non-negative integer keys; returns sorted copy.
-
-    A faithful byte-at-a-time counting-sort implementation (the same
-    digit loop CUB runs on the GPU), vectorized per digit pass.
-
-    Parameters
-    ----------
-    keys:
-        Non-negative integers.
-    num_bits:
-        Key width to sort on.  Defaults to enough bits for ``keys.max()``.
-
-    .. warning::
-        An explicit ``num_bits`` narrower than the widest key is a
-        *truncated* sort, not a full one: keys compare on their low
-        ``num_bits`` only (rounded up to whole 8-bit digits), higher
-        bits are ignored, and keys equal under truncation keep their
-        input order.  This mirrors CUB's ``begin_bit``/``end_bit``
-        interface, where restricting the bit range is exactly how the
-        paper's Sec. VI-E partial frontier sort is expressed — callers
-        wanting a total order must not pass ``num_bits`` (the default
-        always covers the widest key).
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return keys.copy()
-    if keys.min() < 0:
-        raise ValueError("radix_sort requires non-negative keys")
-    out = keys.astype(np.uint64)
-    if num_bits is None:
-        num_bits = max(1, int(out.max()).bit_length())
-    for shift in range(0, num_bits, 8):
-        digit = ((out >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.int64)
-        # Counting sort on this digit (stable).
-        order = np.argsort(digit, kind="stable")
-        out = out[order]
-    return out.astype(keys.dtype)
+__all__ = ["partial_radix_sort_key", "partial_sort_frontier"]
 
 
 def partial_radix_sort_key(

@@ -9,12 +9,10 @@ queries into batched :func:`~repro.traversal.msbfs.msbfs` waves; and
 :mod:`~repro.serve.driver` is the deterministic closed-loop client
 that turns queries/sec into a bench column.
 
-The service-side observability stack rides on top:
-:mod:`~repro.serve.telemetry` fans every lifecycle hook into quantile
-sketches, windowed time-series, SLO burn-rate evaluation, and a
-canonical JSONL event log; :mod:`~repro.serve.monitor` renders the
-deterministic ``repro serve --monitor`` / ``repro top`` dashboard;
-:mod:`~repro.serve.report` prints the dist-style text block.
+:mod:`~repro.serve.telemetry` keeps the latency, queue-wait and
+wave-width sketches and the outcome counts behind the ``service``
+metrics section, and :mod:`~repro.serve.report` prints the dist-style
+text block.
 """
 
 from repro.serve.container import (
@@ -33,14 +31,6 @@ from repro.serve.driver import (
     parse_deadline_mix,
     sequential_seconds,
     with_sequential_baseline,
-)
-from repro.serve.monitor import (
-    PanelData,
-    load_panel,
-    panel_from_events,
-    panel_from_metrics,
-    panel_from_service,
-    render_panel,
 )
 from repro.serve.report import serve_report
 from repro.serve.service import GraphService, QueryResult
@@ -63,11 +53,5 @@ __all__ = [
     "parse_deadline_mix",
     "sequential_seconds",
     "with_sequential_baseline",
-    "PanelData",
-    "render_panel",
-    "panel_from_service",
-    "panel_from_metrics",
-    "panel_from_events",
-    "load_panel",
     "serve_report",
 ]

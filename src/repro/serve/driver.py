@@ -70,7 +70,8 @@ def make_labeled_stream(
     set (exercising lane coalescing and the result LRU); the rest is
     uniform over all vertices.  The second return value labels each
     query ``"hot"`` or ``"cold"`` — the telemetry ``source_class``
-    dimension, so the dashboard can attribute misses per workload.
+    dimension, so the ``service`` section's ``by_class`` counts can
+    attribute misses per workload.
     """
     if num_queries <= 0:
         raise ValueError(f"num_queries must be > 0, got {num_queries}")
@@ -121,7 +122,6 @@ def drive(
     deadline_mix: tuple[float | None, ...] = (None,),
     burst: int = 16,
     classes: list[str] | None = None,
-    frame_cb=None,
 ) -> DriveReport:
     """Run a closed-loop client: submit in bursts, drain between them.
 
@@ -132,8 +132,7 @@ def drive(
     closed loop, no unbounded backlog.
 
     ``classes`` (from :func:`make_labeled_stream`) labels each query's
-    telemetry ``source_class``; ``frame_cb(service)`` fires after every
-    wave — the hook the live ``--monitor`` dashboard renders from.
+    telemetry ``source_class``.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if burst < 1:
@@ -150,12 +149,8 @@ def drive(
         )
         if (i + 1) % burst == 0:
             service.step_wave()
-            if frame_cb is not None:
-                frame_cb(service)
     while service.num_pending:
         service.step_wave()
-        if frame_cb is not None:
-            frame_cb(service)
 
     counts = service.counts()
     served = counts.get("done", 0) + counts.get("cached", 0)

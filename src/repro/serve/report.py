@@ -2,10 +2,9 @@
 
 The :mod:`repro.dist` layer prints a per-level table plus total/tier
 summary lines; :func:`serve_report` is the serving-side equivalent —
-one block that finally surfaces the admission and result-LRU counters
-(hits, evictions, rejects) that previously lived only on the service
-object, together with the latency percentiles and SLO state from the
-telemetry cluster.
+one block with the admission and result-LRU counters (hits, evictions,
+rejects) from the engine's registry, together with the latency
+percentiles and wave widths from the telemetry cluster.
 """
 
 from __future__ import annotations
@@ -60,13 +59,4 @@ def serve_report(service: GraphService) -> str:
         f"throughput: {served / elapsed if elapsed > 0 else 0.0:,.0f} "
         f"queries/sec over the run"
     )
-    for name, state in sorted(tel.slo.states.items()):
-        burn_long = state.burn(state.spec.long_window_s, elapsed)
-        burn_short = state.burn(state.spec.short_window_s, elapsed)
-        status = "ALERTING" if state.alerting else "ok"
-        lines.append(
-            f"slo {name}: {status}, burn {burn_long:.2f} long / "
-            f"{burn_short:.2f} short (threshold "
-            f"{state.spec.burn_threshold:g}), {state.alerts} alerts"
-        )
     return "\n".join(lines)

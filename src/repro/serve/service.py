@@ -86,13 +86,6 @@ class QueryResult:
     def ok(self) -> bool:
         return self.status in ("done", "cached")
 
-    def reaches(self, target: int) -> bool:
-        """Reachability view of the level answer (
-        ``True`` iff ``target`` was reached from ``source``)."""
-        if self.levels is None:
-            raise ValueError(f"query {self.qid} has no levels ({self.status})")
-        return int(self.levels[target]) >= 0
-
 
 @dataclass
 class _Pending:
@@ -120,10 +113,11 @@ class GraphService:
     max_pending: int = DEFAULT_MAX_PENDING
     result_cache_entries: int = DEFAULT_RESULT_CACHE
     max_wave: int = MAX_SOURCES
-    #: Instrument cluster: sketches, time-series, SLOs, event log.
-    #: Separate from ``engine.metrics`` so attaching SLOs or an event
-    #: log never perturbs the byte-stable bench counters.
-    telemetry: ServiceTelemetry = field(default_factory=ServiceTelemetry)
+    #: Instrument cluster: sketches and windowed throughput.  Separate
+    #: from ``engine.metrics``, which feeds the byte-stable bench counters.
+    telemetry: ServiceTelemetry = field(
+        default_factory=ServiceTelemetry, init=False
+    )
 
     _pending: deque = field(default_factory=deque, repr=False)
     _results: list = field(default_factory=list, repr=False)
@@ -141,7 +135,6 @@ class GraphService:
         self.backend.engine.reset_timeline()
         if self.backend.cache is not None:
             self.backend.cache.reset_stats()
-        self.telemetry.on_epoch(self.clock, self.epoch)
 
     # -- construction -------------------------------------------------
 
@@ -191,7 +184,7 @@ class GraphService:
         admission rejections resolve immediately (their
         :class:`QueryResult` is recorded at submit time).
         ``source_class`` is a free-form workload label ("hot", "batch",
-        …) threaded through telemetry and the event log.
+        …) that telemetry counts outcomes by.
         """
         metrics = self.backend.engine.metrics
         metrics.inc("serve.queries.submitted")
@@ -210,7 +203,7 @@ class GraphService:
             self._cache.move_to_end(key)
             metrics.inc("serve.cache.hits")
             metrics.inc("serve.queries.served")
-            self.telemetry.on_cache_hit(now, qid, source, source_class)
+            self.telemetry.on_cache_hit(now, source_class)
             self._results.append(QueryResult(
                 qid=qid, source=source, status="cached",
                 levels=self._cache[key],
@@ -221,7 +214,7 @@ class GraphService:
 
         if len(self._pending) >= self.max_pending:
             metrics.inc("serve.queries.rejected")
-            self.telemetry.on_reject(now, qid, source, source_class)
+            self.telemetry.on_reject(now, source_class)
             self._results.append(QueryResult(
                 qid=qid, source=source, status="rejected",
                 submitted_s=now, completed_s=now,
@@ -235,10 +228,6 @@ class GraphService:
             deadline_s=None if deadline_s is None else now + deadline_s,
             submitted_s=now, source_class=source_class,
         ))
-        self.telemetry.on_submit(
-            now, qid, source, source_class, deadline_s,
-            depth=len(self._pending),
-        )
         return qid
 
     def _cache_put(self, source: int, levels: np.ndarray) -> None:
@@ -248,9 +237,8 @@ class GraphService:
         self._cache[key] = levels
         self._cache.move_to_end(key)
         while len(self._cache) > self.result_cache_entries:
-            evicted_key, _ = self._cache.popitem(last=False)
+            self._cache.popitem(last=False)
             self.backend.engine.metrics.inc("serve.cache.evictions")
-            self.telemetry.on_cache_evict(self.clock, evicted_key[0])
 
     def step_wave(self) -> list:
         """Form and run one msbfs wave; returns its results.
@@ -273,10 +261,7 @@ class GraphService:
             q = self._pending.popleft()
             if q.deadline_s is not None and now > q.deadline_s:
                 metrics.inc("serve.queries.expired")
-                self.telemetry.on_expire(
-                    now, q.qid, q.source, q.source_class,
-                    waited_s=now - q.submitted_s,
-                )
+                self.telemetry.on_expire(now, q.source_class)
                 batch_results.append(QueryResult(
                     qid=q.qid, source=q.source, status="expired",
                     submitted_s=q.submitted_s, completed_s=now,
@@ -308,17 +293,14 @@ class GraphService:
         ):
             result = msbfs(self.backend, sources, reset_timeline=False)
         done = self.clock
-        self.telemetry.on_wave(
-            done, wave_idx, queries=len(taken), lanes=len(lanes),
-            seconds=done - now, depth=len(self._pending),
-        )
+        self.telemetry.on_wave(len(lanes))
 
         for i, q in enumerate(taken):
             levels = result.levels[i]
             self._cache_put(q.source, levels)
             metrics.inc("serve.queries.served")
             self.telemetry.on_done(
-                done, q.qid, q.source, q.source_class, wave_idx,
+                done, q.source_class,
                 latency_s=done - q.submitted_s,
                 queue_wait_s=now - q.submitted_s,
             )
@@ -369,11 +351,10 @@ class GraphService:
         }
 
     def service_section(self) -> dict:
-        """The ``service`` section: sketches, rates, SLOs (telemetry).
+        """The ``service`` section: sketches, outcomes and rates.
 
-        Distinct from :meth:`metrics_section` (the PR 9 ``serve``
-        totals, which the bench trajectory depends on byte-for-byte):
-        this one carries the distribution and SLO state and is free to
-        grow.
+        Distinct from :meth:`metrics_section` (the ``serve`` totals,
+        which the bench trajectory depends on byte-for-byte): this one
+        carries the latency, queue-wait and wave-width distributions.
         """
         return self.telemetry.section(self.clock)

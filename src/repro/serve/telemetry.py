@@ -1,36 +1,28 @@
-"""Service-side observability: sketches, time-series, SLOs, events.
+"""Service-side telemetry: quantile sketches and windowed throughput.
 
 :class:`ServiceTelemetry` is the per-service instrument cluster.  The
-:class:`~repro.serve.service.GraphService` calls one hook per lifecycle
-point (submit, reject, cache hit/evict, expire, wave, done, epoch) and
-this module fans each call out to:
+:class:`~repro.serve.service.GraphService` calls one hook per terminal
+outcome (reject, cache hit, expire, done) and one per wave, and this
+module feeds:
 
 * **quantile sketches** (:mod:`repro.obs.sketch`) for per-query
   latency, queue wait, and wave width distributions;
-* **ring-buffer time-series** (:mod:`repro.obs.timeseries`) for
-  windowed QPS, lane occupancy, and queue depth on the simulated
-  clock;
-* the **SLO engine** (:mod:`repro.obs.slo`) judging every terminal
-  outcome against the configured burn-rate objectives;
-* the **event log** — one canonical JSONL line per lifecycle point,
-  labelled with source class, epoch, and outcome.
+* a **ring-buffer time-series** (:mod:`repro.obs.timeseries`) of
+  completions, for the windowed QPS on the simulated clock;
+* outcome counts, overall and per source class.
 
 The cluster is deliberately *separate* from the engine's
 :class:`~repro.obs.metrics.MetricsRegistry`: the registry feeds the
 byte-stable bench trajectory, while telemetry feeds the ``service``
-metrics section, the live dashboard, and ``repro top``.  Keeping them
-apart means adding an SLO never perturbs a committed bench baseline.
+metrics section and :func:`~repro.serve.report.serve_report`.
 
 Everything is keyed on the simulated clock, so two identical drives
-produce byte-identical sketches, sections, and event logs.
+produce byte-identical sketches and sections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.obs.sketch import QuantileSketch
-from repro.obs.slo import EventLog, SLOEngine, SLOSpec
 from repro.obs.timeseries import TimeSeries
 
 __all__ = ["ServiceTelemetry"]
@@ -39,125 +31,54 @@ __all__ = ["ServiceTelemetry"]
 #: reported percentile is within 1% of the exact order statistic).
 SKETCH_ACCURACY = 0.01
 
-#: Default window for dashboard QPS/occupancy rollups (simulated
-#: seconds; sim runs at device scale live in the microsecond range).
-DEFAULT_WINDOW_S = 1e-6
+#: Window of the ``windowed_qps`` rollup (simulated seconds; sim runs
+#: at device scale live in the microsecond range).
+WINDOW_S = 1e-6
 
 
-@dataclass
 class ServiceTelemetry:
     """Instrument cluster for one :class:`GraphService` lifetime."""
 
-    specs: tuple[SLOSpec, ...] = ()
-    events: EventLog = field(default_factory=EventLog)
-    window_s: float = DEFAULT_WINDOW_S
-
-    def __post_init__(self) -> None:
-        self.slo = SLOEngine(self.specs)
+    def __init__(self) -> None:
         self.latency = QuantileSketch(SKETCH_ACCURACY)
         self.queue_wait = QuantileSketch(SKETCH_ACCURACY)
         self.wave_lanes = QuantileSketch(SKETCH_ACCURACY)
         #: One point per served query at its completion time.
         self.completions = TimeSeries(capacity=8192)
-        #: One point per wave: distinct sources occupying lanes.
-        self.lanes = TimeSeries(capacity=2048)
-        #: Queue depth sampled after every submit and wave.
-        self.depth = TimeSeries(capacity=8192)
         #: outcome -> count and (source_class, outcome) -> count.
         self.outcomes: dict[str, int] = {}
         self.by_class: dict[tuple[str, str], int] = {}
-        self.epoch = ""
 
-    # -- internals ----------------------------------------------------
-
-    def _terminal(
-        self, t: float, outcome: str, source_class: str,
-        latency_s: float | None = None,
-    ) -> None:
+    def _terminal(self, t: float, outcome: str, source_class: str) -> None:
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         key = (source_class, outcome)
         self.by_class[key] = self.by_class.get(key, 0) + 1
         if outcome in ("done", "cached"):
             self.completions.record(t, 1.0)
-        for name, firing in self.slo.observe(
-            t, outcome=outcome, latency_s=latency_s
-        ):
-            state = self.slo.states[name]
-            self.events.emit(
-                t, "slo", slo=name,
-                state="alerting" if firing else "ok",
-                burn_long=state.burn(state.spec.long_window_s, t),
-                burn_short=state.burn(state.spec.short_window_s, t),
-            )
 
-    # -- lifecycle hooks (called by GraphService) ---------------------
+    # -- hooks (called by GraphService) -------------------------------
 
-    def on_epoch(self, t: float, epoch: str) -> None:
-        self.epoch = epoch
-        self.events.emit(t, "epoch", epoch=epoch)
-        # Declare every SLO up front so a replayed log knows the full
-        # spec set even when a spec never changes state.
-        for name in sorted(self.slo.states):
-            self.events.emit(
-                t, "slo", slo=name, state="ok",
-                burn_long=0.0, burn_short=0.0,
-            )
-
-    def on_submit(
-        self, t: float, qid: int, source: int, source_class: str,
-        deadline_s: float | None, depth: int,
-    ) -> None:
-        self.events.emit(
-            t, "admit", qid=qid, src=source, cls=source_class,
-            deadline_s=deadline_s if deadline_s is not None else -1.0,
-        )
-        self.depth.record(t, float(depth))
-
-    def on_reject(
-        self, t: float, qid: int, source: int, source_class: str,
-    ) -> None:
-        self.events.emit(t, "reject", qid=qid, src=source, cls=source_class)
+    def on_reject(self, t: float, source_class: str) -> None:
         self._terminal(t, "rejected", source_class)
 
-    def on_cache_hit(
-        self, t: float, qid: int, source: int, source_class: str,
-    ) -> None:
-        self.events.emit(t, "cache_hit", qid=qid, src=source,
-                         cls=source_class)
+    def on_cache_hit(self, t: float, source_class: str) -> None:
         self.latency.add(0.0)
         self.queue_wait.add(0.0)
-        self._terminal(t, "cached", source_class, latency_s=0.0)
+        self._terminal(t, "cached", source_class)
 
-    def on_cache_evict(self, t: float, source: int) -> None:
-        self.events.emit(t, "cache_evict", src=source)
-
-    def on_expire(
-        self, t: float, qid: int, source: int, source_class: str,
-        waited_s: float,
-    ) -> None:
-        self.events.emit(t, "expire", qid=qid, src=source, cls=source_class,
-                         waited_s=waited_s)
+    def on_expire(self, t: float, source_class: str) -> None:
         self._terminal(t, "expired", source_class)
 
-    def on_wave(
-        self, t: float, wave: int, queries: int, lanes: int,
-        seconds: float, depth: int,
-    ) -> None:
+    def on_wave(self, lanes: int) -> None:
         self.wave_lanes.add(float(lanes))
-        self.lanes.record(t, float(lanes))
-        self.depth.record(t, float(depth))
-        self.events.emit(t, "wave", wave=wave, queries=queries,
-                         lanes=lanes, seconds=seconds)
 
     def on_done(
-        self, t: float, qid: int, source: int, source_class: str,
-        wave: int, latency_s: float, queue_wait_s: float,
+        self, t: float, source_class: str, latency_s: float,
+        queue_wait_s: float,
     ) -> None:
         self.latency.add(latency_s)
         self.queue_wait.add(queue_wait_s)
-        self.events.emit(t, "done", qid=qid, src=source, cls=source_class,
-                         wave=wave, latency_s=latency_s, wait_s=queue_wait_s)
-        self._terminal(t, "done", source_class, latency_s=latency_s)
+        self._terminal(t, "done", source_class)
 
     # -- derived views ------------------------------------------------
 
@@ -187,7 +108,7 @@ class ServiceTelemetry:
 
     def windowed_qps(self, now: float) -> float:
         """Served queries per simulated second over the last window."""
-        return self.completions.stats(self.window_s, now=now)["rate"]
+        return self.completions.stats(WINDOW_S, now=now)["rate"]
 
     def lane_occupancy(self) -> float:
         """Mean lanes per wave over the full run, as a fraction of 64."""
@@ -215,11 +136,6 @@ class ServiceTelemetry:
                 "hit_rate": self.hit_rate,
                 "lane_occupancy": self.lane_occupancy(),
                 "windowed_qps": self.windowed_qps(now),
-                "window_s": self.window_s,
-            },
-            "slo": self.slo.section(now),
-            "events": {
-                "count": float(len(self.events)),
-                "rotations": float(self.events.rotations),
+                "window_s": WINDOW_S,
             },
         }

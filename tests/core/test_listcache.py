@@ -20,10 +20,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             DecodedListCache(budget_bytes=0)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            DecodedListCache(budget_bytes=64, policy="mru")
-
 
 class TestPutAndBudget:
     def test_put_and_probe(self):
@@ -78,14 +74,6 @@ class TestEviction:
         assert 0 in cache and 2 in cache and 1 not in cache
         assert cache.stats.evictions == 1
 
-    def test_degree_policy_pins_hubs(self):
-        cache = DecodedListCache(budget_bytes=20 * DECODED_ELEM_BYTES,
-                                 policy="degree")
-        cache.put(0, _lst(16))  # the hub
-        cache.put(1, _lst(4))
-        cache.put(2, _lst(4))  # must evict — smallest (1) goes, hub stays
-        assert 0 in cache and 2 in cache and 1 not in cache
-
 
 class TestEdgeCases:
     def test_reput_resident_vertex_under_tight_budget(self):
@@ -101,31 +89,18 @@ class TestEdgeCases:
         (got,) = cache.get_many(np.array([0]))
         assert np.array_equal(got, _lst(8))
 
-    def test_degree_eviction_tie_breaks_oldest_first(self):
-        # Equal-degree victims: the earliest-inserted one goes, so the
-        # policy degrades to FIFO (not arbitrary) among same-size lists.
-        cache = DecodedListCache(budget_bytes=8 * DECODED_ELEM_BYTES,
-                                 policy="degree")
-        cache.put(0, _lst(4))
-        cache.put(1, _lst(4))
-        cache.put(2, _lst(4))
-        assert 0 not in cache
-        assert 1 in cache and 2 in cache
-
     def test_used_bytes_never_exceeds_budget(self, rng):
         # Invariant lock: arbitrary interleaving of puts, re-puts and
         # probes keeps the occupied bytes within the budget.
-        for policy in ("lru", "degree"):
-            cache = DecodedListCache(budget_bytes=25 * DECODED_ELEM_BYTES,
-                                     policy=policy)
-            for _ in range(300):
-                v = int(rng.integers(0, 12))
-                n = int(rng.integers(0, 30))
-                cache.put(v, _lst(n, start=v))
-                cache.probe(rng.integers(0, 12, size=3))
-                assert _used_bytes(cache) <= cache.budget_bytes
-                # The running count the eviction loop reads agrees.
-                assert cache._bytes == _used_bytes(cache)
+        cache = DecodedListCache(budget_bytes=25 * DECODED_ELEM_BYTES)
+        for _ in range(300):
+            v = int(rng.integers(0, 12))
+            n = int(rng.integers(0, 30))
+            cache.put(v, _lst(n, start=v))
+            cache.probe(rng.integers(0, 12, size=3))
+            assert _used_bytes(cache) <= cache.budget_bytes
+            # The running count the eviction loop reads agrees.
+            assert cache._bytes == _used_bytes(cache)
 
 
 class TestStats:

@@ -241,7 +241,7 @@ class TestAuto:
             np.arange(0, 4096, 2, dtype=np.int64),  # dense -> bitmap
             np.array([7, 4000], dtype=np.int64),  # sparse -> varint
         ):
-            chosen = auto.choose(ids, lo, hi)
+            chosen = auto.trial(ids, lo, hi)[0]
             assert chosen.encoded_nbytes(ids, lo, hi) == min(
                 c.encoded_nbytes(ids, lo, hi) for c in auto._candidates
             )
@@ -262,7 +262,7 @@ class TestAuto:
         assert any(c.name == "ef" for c in auto._candidates)
         lo, hi = 0, 1 << 20
         ids = _ids(rng, lo, hi, 256)
-        assert auto.choose(ids, lo, hi).name == "ef"
+        assert auto.trial(ids, lo, hi)[0].name == "ef"
 
     @pytest.mark.parametrize(
         "make_ids",
@@ -292,7 +292,7 @@ class TestAuto:
         auto = AutoCodec()
         lo, hi = 0, 1 << 33
         ids = np.array([5, 1 << 31, (1 << 32) + 17], dtype=np.int64)
-        chosen = auto.choose(ids, lo, hi)
+        chosen = auto.trial(ids, lo, hi)[0]
         assert chosen.name != "raw"
         back = chosen.decode(auto.encode(ids, lo, hi), lo, hi)
         assert np.array_equal(back, ids)

@@ -224,7 +224,7 @@ class TestWarpOccupancy:
         with engine.launch("k") as k:
             k.warp_occupancy(np.full(64, 5))
         (record,) = engine.records
-        assert record.cost.warp_efficiency == 1.0
+        assert record.cost.active_lanes == record.cost.lane_slots
 
     def test_skewed_warp_diverges(self, engine):
         # One hub of 320 among 31 leaves of 10: warp runs 320 steps.
@@ -234,7 +234,8 @@ class TestWarpOccupancy:
             k.warp_occupancy(degrees)
         (record,) = engine.records
         expected = (31 * 10 + 320) / (32 * 320)
-        assert record.cost.warp_efficiency == pytest.approx(expected)
+        cost = record.cost
+        assert cost.active_lanes / cost.lane_slots == pytest.approx(expected)
 
     def test_partial_warp_padded(self, engine):
         with engine.launch("k") as k:

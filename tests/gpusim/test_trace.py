@@ -1,12 +1,10 @@
 """Tests for the chrome-trace exporter."""
 
-import json
-
 import pytest
 
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.engine import SimEngine
-from repro.gpusim.trace import timeline_events, write_chrome_trace
+from repro.gpusim.trace import timeline_events
 
 
 @pytest.fixture
@@ -71,13 +69,3 @@ class TestTimelineEvents:
     def test_empty_timeline(self):
         eng = SimEngine.for_device(TITAN_XP)
         assert timeline_events(eng) == []
-
-
-class TestWriteTrace:
-    def test_valid_json(self, engine, tmp_path):
-        path = tmp_path / "trace.json"
-        write_chrome_trace(engine, str(path))
-        payload = json.loads(path.read_text())
-        assert payload["metadata"]["device"] == "Titan Xp"
-        assert len(payload["traceEvents"]) == 3
-        assert all(e["ph"] == "X" for e in payload["traceEvents"])

@@ -10,14 +10,17 @@ class TestRecord:
         ts = TimeSeries(capacity=8)
         for t in (0.0, 1.0, 2.5):
             ts.record(t, t * 10)
-        assert ts.points() == [(0.0, 0.0), (1.0, 10.0), (2.5, 25.0)]
-        assert ts.last_t == 2.5
+        assert ts.stats(10.0, now=2.5)["sum"] == 35.0
+        # (1.0, 2.5] holds only the newest sample.
+        assert ts.stats(1.5, now=2.5)["sum"] == 25.0
+        with pytest.raises(ValueError, match="backwards"):
+            ts.record(2.0)
 
     def test_equal_timestamps_allowed(self):
         ts = TimeSeries(capacity=4)
         ts.record(1.0, 1.0)
         ts.record(1.0, 2.0)
-        assert len(ts.points()) == 2
+        assert ts.stats(1.0, now=1.0)["count"] == 2
 
     def test_time_backwards_raises(self):
         ts = TimeSeries(capacity=4)
@@ -35,13 +38,15 @@ class TestEviction:
         ts = TimeSeries(capacity=3)
         for t in range(6):
             ts.record(float(t), float(t))
-        assert ts.points() == [(3.0, 3.0), (4.0, 4.0), (5.0, 5.0)]
-        assert ts.dropped == 3
+        stats = ts.stats(100.0, now=5.0)
+        assert stats["count"] == 3
+        assert stats["sum"] == 3.0 + 4.0 + 5.0
 
     def test_no_drop_below_capacity(self):
         ts = TimeSeries(capacity=3)
-        ts.record(0.0)
-        assert ts.dropped == 0
+        for t in range(3):
+            ts.record(float(t))
+        assert ts.stats(100.0, now=2.0)["count"] == 3
 
 
 class TestStats:
@@ -78,21 +83,3 @@ class TestStats:
         ts.record(2.0, 5.0)
         assert ts.stats(10.0, now=2.0)["max"] == 7.0
 
-
-class TestToDict:
-    def test_round_values(self):
-        ts = TimeSeries(capacity=4)
-        ts.record(0.5, 2.0)
-        d = ts.to_dict()
-        assert d["capacity"] == 4
-        assert d["count"] == 1
-        assert d["t"] == [0.5]
-        assert d["v"] == [2.0]
-
-    def test_max_points_keeps_tail(self):
-        ts = TimeSeries(capacity=8)
-        for t in range(6):
-            ts.record(float(t), float(t))
-        d = ts.to_dict(max_points=2)
-        assert d["t"] == [4.0, 5.0]
-        assert d["count"] == 6  # full count survives the truncation

@@ -7,7 +7,6 @@ from repro.primitives.bitops import (
     POPCOUNT_TABLE,
     SELECT_IN_BYTE_TABLE,
     SELECT_IN_BYTE_TABLE_I64,
-    popcount_bytes,
     popcount_u64,
 )
 
@@ -42,20 +41,6 @@ class TestSelectTable:
     def test_table_is_immutable(self):
         with pytest.raises(ValueError):
             SELECT_IN_BYTE_TABLE[0, 0] = 1
-
-
-class TestPopcountBytes:
-    def test_vectorized(self):
-        data = np.array([0, 1, 3, 255, 0b10101000], dtype=np.uint8)
-        assert popcount_bytes(data).tolist() == [0, 1, 2, 8, 3]
-
-    def test_preserves_shape(self):
-        data = np.zeros((3, 4), dtype=np.uint8)
-        assert popcount_bytes(data).shape == (3, 4)
-
-    def test_rejects_wrong_dtype(self):
-        with pytest.raises(TypeError):
-            popcount_bytes(np.array([1, 2], dtype=np.int32))
 
 
 class TestPopcountU64:

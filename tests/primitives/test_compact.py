@@ -1,40 +1,9 @@
-"""Tests for stream compaction, gather/scatter, and atomic claiming."""
+"""Tests for the bitmap scatter and atomic claiming."""
 
 import numpy as np
 import pytest
 
-from repro.primitives.compact import (
-    atomic_or_claim,
-    gather,
-    scatter_bitmap_to_indices,
-    stream_compact,
-)
-
-
-class TestStreamCompact:
-    def test_basic(self):
-        vals = np.array([10, 20, 30, 40])
-        keep = np.array([True, False, True, False])
-        assert stream_compact(vals, keep).tolist() == [10, 30]
-
-    def test_empty_keep(self):
-        vals = np.array([1, 2, 3])
-        assert stream_compact(vals, np.zeros(3, dtype=bool)).shape == (0,)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            stream_compact(np.array([1]), np.array([True, False]))
-
-
-class TestGather:
-    def test_basic(self):
-        assert gather(np.array([5, 6, 7]), np.array([2, 0])).tolist() == [7, 5]
-
-    def test_bounds_check(self):
-        with pytest.raises(IndexError):
-            gather(np.array([1, 2]), np.array([2]))
-        with pytest.raises(IndexError):
-            gather(np.array([1, 2]), np.array([-1]))
+from repro.primitives.compact import atomic_or_claim, scatter_bitmap_to_indices
 
 
 class TestScatterBitmap:

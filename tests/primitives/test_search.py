@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.primitives.search import binsearch_maxle, binsearch_maxlt
+from repro.primitives.search import binsearch_maxle
 
 
 class TestBinsearchMaxle:
@@ -46,17 +46,3 @@ class TestBinsearchMaxle:
             assert vals[g] <= q
             assert g == len(vals) - 1 or vals[g + 1] > q
 
-
-class TestBinsearchMaxlt:
-    def test_basic(self):
-        vals = np.array([0, 5, 10])
-        assert binsearch_maxlt(vals, np.array([5]))[0] == 0
-        assert binsearch_maxlt(vals, np.array([6]))[0] == 1
-
-    def test_at_minimum_raises(self):
-        with pytest.raises(ValueError):
-            binsearch_maxlt(np.array([0, 5]), np.array([0]))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            binsearch_maxlt(np.array([]), np.array([1]))

@@ -1,4 +1,4 @@
-"""Tests for radix sort and the partial frontier sort (Sec. VI-E)."""
+"""Tests for the partial frontier sort (Sec. VI-E)."""
 
 import numpy as np
 import pytest
@@ -6,62 +6,7 @@ import pytest
 from repro.primitives.sort import (
     partial_radix_sort_key,
     partial_sort_frontier,
-    radix_sort,
 )
-
-
-class TestRadixSort:
-    def test_sorts(self, rng):
-        keys = rng.integers(0, 10**6, size=2000)
-        assert np.array_equal(radix_sort(keys), np.sort(keys))
-
-    def test_empty(self):
-        assert radix_sort(np.array([], dtype=np.int64)).shape == (0,)
-
-    def test_single(self):
-        assert radix_sort(np.array([42])).tolist() == [42]
-
-    def test_already_sorted(self):
-        keys = np.arange(100)
-        assert np.array_equal(radix_sort(keys), keys)
-
-    def test_duplicates(self):
-        keys = np.array([3, 1, 3, 1, 3])
-        assert radix_sort(keys).tolist() == [1, 1, 3, 3, 3]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            radix_sort(np.array([-1, 2]))
-
-    def test_respects_num_bits(self):
-        # Sorting only the low 8 bits leaves higher-bit order untouched
-        # for equal low bytes (stability check).
-        keys = np.array([0x201, 0x101, 0x102])
-        got = radix_sort(keys, num_bits=8)
-        assert got.tolist() == [0x201, 0x101, 0x102]
-
-    def test_narrow_num_bits_is_truncated_sort(self, rng):
-        # Documented semantics: explicit num_bits narrower than the
-        # widest key compares the low num_bits only (CUB begin/end-bit
-        # style) — the output is totally ordered on the truncated key
-        # and a permutation of the input.
-        keys = rng.integers(0, 1 << 20, size=500)
-        got = radix_sort(keys, num_bits=8)
-        assert np.all(np.diff(got & 0xFF) >= 0)
-        assert np.array_equal(np.sort(got), np.sort(keys))
-
-    def test_truncated_sort_is_stable_on_equal_low_bits(self):
-        # Keys equal under truncation keep their input order, so a
-        # truncated sort composes into multi-pass partial sorts.
-        keys = np.array([0x305, 0x105, 0x205, 0x104])
-        got = radix_sort(keys, num_bits=8)
-        assert got.tolist() == [0x104, 0x305, 0x105, 0x205]
-
-    def test_num_bits_rounds_up_to_whole_digit(self):
-        # Passes are 8-bit digits, so num_bits=4 still sorts the full
-        # low byte (documented round-up).
-        keys = np.array([0xF0, 0x0F])
-        assert radix_sort(keys, num_bits=4).tolist() == [0x0F, 0xF0]
 
 
 class TestPartialKey:

@@ -144,10 +144,9 @@ class TestMSBFSProperty:
             ref = bfs(ref_backend, int(s))
             assert np.array_equal(ms.levels[row], ref.levels), (s, cache_bytes)
 
-    @given(graph=graphs(), budget=st.sampled_from([64, 1024, 1 << 15]),
-           policy=st.sampled_from(["lru", "degree"]))
+    @given(graph=graphs(), budget=st.sampled_from([64, 1024, 1 << 15]))
     @settings(max_examples=25, deadline=None)
-    def test_cache_never_changes_bfs_result(self, graph, budget, policy):
+    def test_cache_never_changes_bfs_result(self, graph, budget):
         from repro.core.efg import efg_encode
         from repro.core.listcache import DECODED_ELEM_BYTES, DecodedListCache
         from repro.traversal.backends import EFGBackend
@@ -155,9 +154,7 @@ class TestMSBFSProperty:
 
         plain = EFGBackend(efg_encode(graph), DEVICE)
         cached = EFGBackend(efg_encode(graph), DEVICE)
-        cached.attach_cache(
-            DecodedListCache(budget_bytes=budget, policy=policy)
-        )
+        cached.attach_cache(DecodedListCache(budget_bytes=budget))
         for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 5)):
             ref = bfs(plain, source)
             got = bfs(cached, source)

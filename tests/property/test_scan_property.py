@@ -12,7 +12,6 @@ from repro.primitives.scan import (
     segmented_exclusive_scan,
 )
 from repro.primitives.search import binsearch_maxle
-from repro.primitives.sort import radix_sort
 
 
 small_ints = arrays(
@@ -78,15 +77,6 @@ class TestSearchProperties:
         within = tids - scan[idx]
         assert np.all(within >= 0)
         assert np.all(within < np.maximum(values[idx], 1))
-
-
-class TestSortProperties:
-    @given(
-        keys=arrays(np.int64, st.integers(0, 500), elements=st.integers(0, 2**40))
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_radix_equals_npsort(self, keys):
-        assert np.array_equal(radix_sort(keys), np.sort(keys))
 
 
 class TestAtomicProperties:
