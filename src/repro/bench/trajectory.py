@@ -115,27 +115,6 @@ class BenchConfig:
             "dist_inter_gbs": self.dist_inter_gbs,
         }
 
-    def tuned(self, config: dict) -> "BenchConfig":
-        """This suite with a tuned config applied to the dist leg.
-
-        ``config`` is the ``config`` block of a tuned entry
-        (:mod:`repro.tune.store`): ``wire`` replaces the wire axis,
-        ``schedule`` / ``overlap`` replace the exchange schedule and
-        the overlap flag.  Everything applied lands in ``suite_meta``,
-        so a tuned trajectory can never silently gate against the
-        default one.
-        """
-        from dataclasses import replace as _replace
-
-        kwargs: dict = {}
-        if "wire" in config:
-            kwargs["dist_wires"] = (str(config["wire"]),)
-        if "schedule" in config:
-            kwargs["dist_schedule"] = str(config["schedule"])
-        if "overlap" in config:
-            kwargs["dist_overlap"] = bool(config["overlap"])
-        return _replace(self, **kwargs)
-
 
 def run_bench_suite(
     config: BenchConfig | None = None,

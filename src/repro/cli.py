@@ -52,25 +52,16 @@ Commands
     Bandwidth/latency/contention/overlap predictions are bit-exact
     against an actual re-run; codec swaps are estimates from recorded
     trial encodings.  Exit 2 on an unknown knob or malformed --set.
-``recipe run|expand <file.toml|file.json> [--report PATH] [--against DIR]``
-    Declarative experiment recipes: ``expand`` prints the
-    deterministic cell list (algo x format x reorder x layout x
-    dataset x knob grid, irrelevant-knob duplicates collapsed);
-    ``run`` executes every cell through the profile/dist paths and
-    emits a byte-identical recipe report joining counters, roofline
-    bounds, per-tier bytes and (with ``--against``) trajectory deltas.
-    Exit 2 on any malformed recipe, at parse time.
 ``tune <algo> [graph] [--gpus N --nodes M] [--out-dir D]``
     What-if-driven autotune: record one baseline run, shortlist knob
     candidates analytically (``rank_cluster_whatifs`` /
     ``whatif_cache``), confirm only the shortlisted winners with real
     re-runs, and persist the best config per graph family under
-    ``--out-dir`` so ``bench --tuned`` / ``dist --tuned`` can apply
-    it.  Exact predictions must match their confirming re-run
-    bit-for-bit and estimates must land within the documented bounds —
-    violations exit 1.
+    ``--out-dir`` so ``dist --tuned`` can apply it.  Exact predictions
+    must match their confirming re-run bit-for-bit and estimates must
+    land within the documented bounds — violations exit 1.
 ``bench [--out-dir D] [--against FILE|DIR] [--threshold PCT]
-[--source-seed S] [--tuned DIR]``
+[--source-seed S]``
     Run the pinned workload suite (BFS/SSSP/PageRank x csr/efg/cgr on
     a seeded RMAT graph) and append ``BENCH_<n>.json`` — full emulated
     counters, simulated times, git sha and schema versions — to the
@@ -78,8 +69,7 @@ Commands
     against a baseline entry (or the latest in a directory; a stale or
     missing TRAJECTORY.json falls back to scanning, and only a fully
     unreadable baseline exits 2) and the command exits non-zero on any
-    relative regression past the threshold.  ``--tuned DIR`` applies
-    the persisted tuned config for the suite's graph family.
+    relative regression past the threshold.
 ``check [graph] [--fuzz N --seed S]``
     Decode-path verification: N seeded fault injections per compressed
     format (classified ok / detected / silent-corruption /
@@ -543,16 +533,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         source_seed=args.source_seed,
         device_scale=args.device_scale,
     )
-    if args.tuned:
-        from repro.tune.store import workload_key
-
-        tuned = _tuned_config(args, workload_key(
-            "bfs", "csr", config.dist_nodes,
-            config.dist_nodes * config.dist_gpus_per_node,
-        ))
-        if tuned is None:
-            return 2
-        config = config.tuned(tuned)
     workloads = run_bench_suite(config)
     seq = args.seq if args.seq is not None else next_seq(args.out_dir)
     payload = bench_payload(workloads, seq=seq, config=config)
@@ -725,43 +705,6 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
                 f"{r.name:28s} {r.predicted_seconds * 1e3:14.6f} "
                 f"{r.speedup:8.4f}x {kind}"
             )
-    return 0
-
-
-def _cmd_recipe(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import dump_metrics
-    from repro.recipes import RecipeError, load_recipe, run_recipe
-
-    try:
-        spec = load_recipe(args.recipe)
-        cells = spec.expand()
-    except (OSError, RecipeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"recipe {spec.name}: {len(cells)} cells")
-    if args.action == "expand":
-        for cell in cells:
-            print(f"  {cell.name}")
-        return 0
-    try:
-        report = run_recipe(
-            spec,
-            against=args.against,
-            progress=lambda line: print(f"  {line}"),
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    deltas = report.get("trajectory_deltas", {})
-    for name in sorted(deltas):
-        row = deltas[name]
-        print(
-            f"  vs trajectory {row['workload']}: {row['speedup']:.4f}x "
-            f"({name})"
-        )
-    if args.report:
-        dump_metrics(report, args.report)
-        print(f"wrote {args.report}")
     return 0
 
 
@@ -1162,21 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser(
-        "recipe",
-        help="expand or run a declarative experiment recipe (TOML/JSON)",
-    )
-    p.add_argument("action", choices=("run", "expand"),
-                   help="expand: print the deterministic cell list; "
-                   "run: execute every cell and emit the recipe report")
-    p.add_argument("recipe", help="recipe file (.toml or .json)")
-    p.add_argument("--report", metavar="PATH",
-                   help="write the recipe report (canonical metrics JSON)")
-    p.add_argument("--against", metavar="FILE|DIR",
-                   help="join per-cell deltas vs this bench trajectory "
-                   "(dir = latest readable entry)")
-    p.set_defaults(func=_cmd_recipe)
-
-    p = sub.add_parser(
         "tune",
         help="what-if-shortlisted autotune of one workload; persist the "
         "winning config",
@@ -1280,9 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the start-vertex draw, stamped into the "
                    "payload meta (default 42)")
     _device_args(p)
-    p.add_argument("--tuned", metavar="DIR",
-                   help="apply the persisted tuned config for this graph "
-                   "family from DIR (see `repro tune`)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

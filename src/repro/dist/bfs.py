@@ -49,7 +49,6 @@ def distributed_bfs(
     cluster: ShardedCluster,
     source: int,
     partial_sort: bool = True,
-    sort_fraction: float = 0.65,
 ) -> DistBFSResult:
     """BFS from ``source`` across the cluster's shards.
 
@@ -61,9 +60,7 @@ def distributed_bfs(
         Start vertex (global id).
     partial_sort:
         Apply the Sec. VI-E partial radix sort to each local frontier
-        shard before expansion (65% of the id bits by default).
-    sort_fraction:
-        Fraction of high id bits the partial sort keys on.
+        shard before expansion (65% of the id bits).
     """
     nv = cluster.num_nodes
     if not 0 <= source < nv:
@@ -83,8 +80,7 @@ def distributed_bfs(
         engine = backend.engine
         if partial_sort and frontier.size > 1:
             frontier = launch_partial_sort(
-                engine, "dist_sort", frontier, nv, sort_fraction,
-                FRONTIER_ID_BYTES,
+                engine, "dist_sort", frontier, nv, FRONTIER_ID_BYTES,
             )
         with engine.launch("dist_expand") as k:
             nbrs, _ = backend.expand(frontier, k)

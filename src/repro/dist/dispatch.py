@@ -2,8 +2,8 @@
 
 ``run_distributed(cluster, algo, ...)`` maps an algorithm name to its
 bulk-synchronous driver, so every front-end that runs a named workload
-on a :class:`~repro.dist.cluster.ShardedCluster` — ``repro dist`` and
-``whatif``, recipe cells, the autotuner — shares one dispatch.
+on a :class:`~repro.dist.cluster.ShardedCluster` — ``repro dist``,
+``whatif`` and the autotuner — shares one dispatch.
 """
 
 from __future__ import annotations
@@ -18,17 +18,16 @@ __all__ = ["DIST_ALGOS", "run_distributed"]
 DIST_ALGOS = ("bfs", "sssp", "pagerank")
 
 
-def run_distributed(cluster, algo: str, source: int = 0, weights=None, **kw):
+def run_distributed(cluster, algo: str, source: int = 0, weights=None):
     """Run ``algo`` on ``cluster`` and return the driver's result.
 
     ``source`` is ignored by PageRank and ``weights`` (edge weights in
-    CSR slot order) is used by SSSP only.  ``kw`` (e.g.
-    ``sort_fraction``) is forwarded to the BFS/SSSP drivers.
+    CSR slot order) is used by SSSP only.
     """
     if algo == "bfs":
-        return distributed_bfs(cluster, source, **kw)
+        return distributed_bfs(cluster, source)
     if algo == "sssp":
-        return distributed_sssp(cluster, source, weights, **kw)
+        return distributed_sssp(cluster, source, weights)
     if algo == "pagerank":
         return distributed_pagerank(cluster)
     raise ValueError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
-from repro.primitives.sort import partial_sort_frontier
+from repro.primitives.sort import SORT_FRACTION, partial_sort_frontier
 
 __all__ = ["DistSSSPResult", "distributed_sssp"]
 
@@ -72,7 +72,6 @@ def distributed_sssp(
     weights: np.ndarray,
     max_iterations: int | None = None,
     partial_sort: bool = True,
-    sort_fraction: float = 0.65,
 ) -> DistSSSPResult:
     """Shortest paths from ``source`` across the cluster's shards.
 
@@ -105,7 +104,7 @@ def distributed_sssp(
         if not frontier.size:
             return None
         if partial_sort and frontier.size > 1:
-            frontier = partial_sort_frontier(frontier, nv, sort_fraction)
+            frontier = partial_sort_frontier(frontier, nv, SORT_FRACTION)
         with backend.engine.launch("dist_relax") as k:
             nbrs, seg = backend.expand(frontier, k)
             slots = backend.edge_slots(frontier)

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["partial_radix_sort_key", "partial_sort_frontier"]
+__all__ = ["SORT_FRACTION", "partial_radix_sort_key", "partial_sort_frontier"]
+
+#: Share of the high vertex-id bits the frontier sort keys on (Sec. VI-E).
+SORT_FRACTION = 0.65
 
 
 def partial_radix_sort_key(
-    keys: np.ndarray, total_bits: int, fraction: float = 0.65
+    keys: np.ndarray, total_bits: int, fraction: float = SORT_FRACTION
 ) -> np.ndarray:
     """Masked sort key keeping only the top ``fraction`` of ``total_bits``.
 
@@ -38,7 +41,7 @@ def partial_radix_sort_key(
 
 
 def partial_sort_frontier(
-    frontier: np.ndarray, num_nodes: int, fraction: float = 0.65
+    frontier: np.ndarray, num_nodes: int, fraction: float = SORT_FRACTION
 ) -> np.ndarray:
     """Approximately sort a BFS frontier on the top bits of the vertex id.
 
@@ -59,18 +62,20 @@ def launch_partial_sort(
     kernel: str,
     frontier: np.ndarray,
     num_nodes: int,
-    fraction: float,
     id_bytes: int,
 ) -> np.ndarray:
     """Partially sort ``frontier`` in one ``kernel`` launch on ``engine``.
 
-    The charge is CUB's radix sort: one pass per 8-bit digit of the
-    kept bit range, each pass reading and scattering the
-    ``id_bytes``-wide keys.
+    The sort keys on the top :data:`SORT_FRACTION` of the id bits.  The
+    charge is CUB's radix sort: one pass per 8-bit digit of the kept
+    bit range, each pass reading and scattering the ``id_bytes``-wide
+    keys.
     """
     with engine.launch(kernel) as k:
-        ordered = partial_sort_frontier(frontier, num_nodes, fraction)
-        kept_bits = max(1, int(round(np.log2(max(num_nodes, 2)) * fraction)))
+        ordered = partial_sort_frontier(frontier, num_nodes, SORT_FRACTION)
+        kept_bits = max(
+            1, int(round(np.log2(max(num_nodes, 2)) * SORT_FRACTION))
+        )
         passes = -(-kept_bits // 8)
         k.read("work:frontier", 2 * passes * frontier.shape[0], id_bytes)
         k.instructions(8.0 * passes * frontier.shape[0])

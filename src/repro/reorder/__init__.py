@@ -6,7 +6,6 @@
   HALO (Gera et al., VLDB'20).
 * :func:`random_order` — the pathological control (destroys all
   locality; CGR/Ligra+ compression collapses, EFG is unaffected).
-* :func:`degree_order` — descending-degree baseline.
 
 All functions return a permutation ``perm`` with ``perm[v]`` = new id
 of old vertex ``v``, applied via
@@ -14,7 +13,6 @@ of old vertex ``v``, applied via
 """
 
 from repro.reorder.bp import bp_order
-from repro.reorder.degree import degree_order
 from repro.reorder.halo import halo_order
 from repro.reorder.metrics import gap_statistics
 from repro.reorder.random_order import random_order
@@ -23,6 +21,5 @@ __all__ = [
     "bp_order",
     "halo_order",
     "random_order",
-    "degree_order",
     "gap_statistics",
 ]

@@ -3,9 +3,9 @@
 Benchmarking a serving layer needs a *workload*, not a single call: a
 stream of queries with realistic skew (hot sources repeat), mixed
 deadlines, and bursty arrival.  This module provides a deterministic
-one — seeded numpy RNG, simulated-clock timing — so two runs of the
-same recipe produce byte-identical metrics, which is what lets
-``queries/sec`` become a diffable bench column.
+one — seeded numpy RNG, simulated-clock timing — so two runs with the
+same seed and settings produce byte-identical metrics, which is what
+lets ``queries/sec`` become a diffable bench column.
 
 The headline number is the **batching speedup**: the same query list is
 also replayed one :func:`~repro.traversal.bfs.bfs` at a time against a
@@ -91,8 +91,8 @@ def make_labeled_stream(
 def parse_deadline_mix(spec: str) -> tuple[float | None, ...]:
     """Parse a deadline mix ("none,0.5,none", in ms) into second budgets.
 
-    Raises ``ValueError`` on malformed entries; the CLI and the recipe
-    validator both route through here so the two paths cannot drift.
+    Raises ``ValueError`` on malformed entries; ``repro serve`` exits
+    with the message, prefixed ``--deadline-ms:``.
     """
     mix: list[float | None] = []
     for part in spec.split(","):

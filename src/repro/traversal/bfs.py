@@ -58,7 +58,6 @@ def bfs(
     backend: GraphBackend,
     source: int,
     partial_sort: bool = True,
-    sort_fraction: float = 0.65,
     max_levels: int | None = None,
 ) -> BFSResult:
     """Breadth-first search from ``source``.
@@ -71,8 +70,6 @@ def bfs(
         Start vertex.
     partial_sort:
         Apply the Sec. VI-E partial radix sort to each frontier.
-    sort_fraction:
-        Fraction of high id bits the partial sort keys on (paper: 0.65).
     max_levels:
         Optional safety cap (default: |V|).
     """
@@ -102,8 +99,7 @@ def bfs(
             ) as sp:
                 if partial_sort and frontier.size > 1:
                     frontier = launch_partial_sort(
-                        engine, "frontier_sort", frontier, nv,
-                        sort_fraction, 4,
+                        engine, "frontier_sort", frontier, nv, 4,
                     )
 
                 with engine.launch("bfs_expand") as k:

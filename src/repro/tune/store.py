@@ -1,12 +1,12 @@
 """Persisted tuned configs: per-family JSON files plus an index.
 
 The autotuner's output has to outlive the process that found it —
-``repro bench --tuned`` and ``repro dist --tuned`` read the chosen
-knob settings back at a later date, possibly from CI.  The layout
-mirrors the bench trajectory's: one canonical-JSON file per *graph
-family* under ``benchmarks/tuned/``, each holding one entry per
-*workload* (``algo/fmt/nodes x gpus-per-node``), plus a ``TUNED.json``
-index enumerating what is on disk (the TRAJECTORY.json analogue).
+``repro dist --tuned`` reads the chosen knob settings back at a later
+date, possibly from CI.  The layout mirrors the bench trajectory's:
+one canonical-JSON file per *graph family* under ``benchmarks/tuned/``,
+each holding one entry per *workload* (``algo/fmt/nodes x
+gpus-per-node``), plus a ``TUNED.json`` index enumerating what is on
+disk (the TRAJECTORY.json analogue).
 
 A family groups graphs whose tuning transfers: same generator, scale
 and edge factor (``rmat-s9-e8``).  Different seeds of one family share

@@ -137,24 +137,6 @@ class TestSourceSeed:
             compare_bench(payload, reseeded)
 
 
-class TestTunedConfig:
-    def test_tuned_applies_dist_knobs_into_meta(self):
-        tuned = SMALL.tuned(
-            {"wire": "ef", "schedule": "flat", "overlap": False}
-        )
-        meta = tuned.suite_meta()
-        assert meta["dist_wires"] == ["ef"]
-        assert meta["dist_schedule"] == "flat"
-        assert meta["dist_overlap"] is False
-        # ... which makes a tuned trajectory incomparable by design.
-        assert meta != SMALL.suite_meta()
-
-    def test_partial_config_keeps_other_defaults(self):
-        tuned = SMALL.tuned({"wire": "bitmap"})
-        assert tuned.dist_wires == ("bitmap",)
-        assert tuned.dist_schedule == SMALL.dist_schedule
-
-
 class TestLoadFallback:
     def test_stale_index_falls_back_to_scan(self, payload, tmp_path):
         # An index referencing entries no longer on disk is stale: the

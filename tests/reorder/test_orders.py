@@ -6,7 +6,6 @@ import pytest
 from repro.formats.graph import Graph
 from repro.reorder import (
     bp_order,
-    degree_order,
     halo_order,
     random_order,
 )
@@ -37,9 +36,6 @@ class TestPermutationValidity:
             random_order(small_graph, 1), small_graph.num_nodes
         )
 
-    def test_degree(self, small_graph):
-        _assert_is_permutation(degree_order(small_graph), small_graph.num_nodes)
-
     def test_bp(self, small_graph):
         _assert_is_permutation(bp_order(small_graph), small_graph.num_nodes)
 
@@ -52,11 +48,6 @@ class TestPermutationValidity:
 
 
 class TestSemantics:
-    def test_degree_order_puts_hubs_first(self, small_graph):
-        perm = degree_order(small_graph)
-        hub = int(np.argmax(small_graph.degrees))
-        assert perm[hub] == 0
-
     def test_random_orders_differ_by_seed(self, small_graph):
         a = random_order(small_graph, 1)
         b = random_order(small_graph, 2)

@@ -473,51 +473,6 @@ class TestBenchAgainstErrors:
         assert "different suites" in capsys.readouterr().err
 
 
-class TestRecipe:
-    def recipe_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({
-            "name": "clitest",
-            "axes": {"algo": ["bfs"], "format": ["csr", "efg"]},
-            "dataset": {"kind": "rmat", "scale": 7, "edge_factor": 4,
-                        "seed": 3},
-        }))
-        return str(path)
-
-    def test_expand_prints_cell_list(self, tmp_path, capsys):
-        assert main(["recipe", "expand", self.recipe_file(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "recipe clitest: 2 cells" in out
-        assert "bfs/csr/none/rmat-s7e4d3/n1g1" in out
-        assert "bfs/efg/none/rmat-s7e4d3/n1g1" in out
-
-    def test_run_writes_byte_identical_reports(self, tmp_path, capsys):
-        recipe = self.recipe_file(tmp_path)
-        reports = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            assert main([
-                "recipe", "run", recipe, "--report", str(out),
-            ]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-        assert "ms simulated" in capsys.readouterr().out
-
-    def test_invalid_recipe_exits_two(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"knobs": {"warp_size": [32]}}))
-        assert main(["recipe", "run", str(path)]) == 2
-        assert "unknown knob" in capsys.readouterr().err
-
-    def test_missing_recipe_exits_two(self, tmp_path, capsys):
-        assert main(["recipe", "run", str(tmp_path / "nope.toml")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestTune:
     SMALL = ["--rmat-scale", "7", "--edge-factor", "4"]
 
@@ -564,8 +519,7 @@ class TestTune:
 REQUIRED = {
     "info": ["g"], "encode": ["g"], "bfs": ["g"],
     "msbfs": ["g"], "serve": ["base"],
-    "profile": ["bfs"], "dist": ["bfs"], "recipe": ["run", "r.toml"],
-    "tune": ["bfs"], "whatif": ["bfs"], "compare": ["a.json", "b.json"],
+    "profile": ["bfs"], "dist": ["bfs"], "tune": ["bfs"], "whatif": ["bfs"], "compare": ["a.json", "b.json"],
     "bench": [], "check": [], "suite": [],
 }
 
@@ -575,7 +529,6 @@ DEFAULTS = {
         "against": None, "command": "bench", "device_scale": 2048,
         "edge_factor": 8, "no_write": False, "out_dir": ".", "rmat_scale": 9,
         "seed": 3, "seq": None, "source_seed": 42, "threshold": 0.0,
-        "tuned": None,
     },
     "bfs": {
         "cache_kb": 0, "command": "bfs", "device_scale": 2048, "format": "efg",
@@ -609,10 +562,6 @@ DEFAULTS = {
         "device_scale": 2048, "edge_factor": 8, "format": "efg", "graph": None,
         "metrics": None, "num_sources": 64, "rmat_scale": 10, "seed": 1,
         "source": 0, "trace": None,
-    },
-    "recipe": {
-        "action": "run", "against": None, "command": "recipe",
-        "recipe": "r.toml", "report": None,
     },
     "serve": {
         "baseline": False, "build_from": None, "build_only": False,
@@ -659,7 +608,6 @@ CHOICES = {
         "algo": ("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank"),
         "format": ("csr", "efg", "cgr"),
     },
-    "recipe": {"action": ("run", "expand")},
     "serve": {"format": ("csr", "efg", "cgr")},
     "suite": {},
     "tune": {
@@ -686,7 +634,7 @@ def _verbs() -> dict:
 
 def _help_paths() -> list[tuple[str, ...]]:
     """Every verb, and every verb followed by each choice of its first
-    positional: the sub-verbs (``recipe run``, ``dist bfs``)."""
+    positional: the sub-verbs (``dist bfs``, ``profile sssp``)."""
     out = []
     for verb, parser in _verbs().items():
         out.append((verb,))

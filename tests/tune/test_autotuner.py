@@ -216,9 +216,9 @@ class TestCommittedTunedConfigs:
         return path
 
     def test_bench_dist_workload_present(self, tuned_dir):
-        # `repro bench --tuned` reads this exact family/workload: the
-        # bench dist leg runs bfs on csr shards over 2 nodes x 4 GPUs
-        # of the scale-9 rmat graph.
+        # CI's `repro dist bfs --rmat-scale 9 --gpus 8 --nodes 2
+        # --tuned` reads this exact family/workload: bfs on csr shards
+        # over 2 nodes x 4 GPUs of the scale-9 rmat graph.
         entry = lookup_tuned(tuned_dir, "rmat-s9-e8", "bfs/csr/2x4")
         assert entry is not None
         assert entry["speedup"] > 1.0
