@@ -52,14 +52,6 @@ Commands
     Bandwidth/latency/contention/overlap predictions are bit-exact
     against an actual re-run; codec swaps are estimates from recorded
     trial encodings.  Exit 2 on an unknown knob or malformed --set.
-``tune <algo> [graph] [--gpus N --nodes M] [--out-dir D]``
-    What-if-driven autotune: record one baseline run, shortlist knob
-    candidates analytically (``rank_cluster_whatifs`` /
-    ``whatif_cache``), confirm only the shortlisted winners with real
-    re-runs, and persist the best config per graph family under
-    ``--out-dir`` so ``dist --tuned`` can apply it.  Exact predictions
-    must match their confirming re-run bit-for-bit and estimates must
-    land within the documented bounds — violations exit 1.
 ``bench [--out-dir D] [--against FILE|DIR] [--threshold PCT]
 [--source-seed S]``
     Run the pinned workload suite (BFS/SSSP/PageRank x csr/efg/cgr on
@@ -124,16 +116,6 @@ def _graph(args: argparse.Namespace):
     )
     return graph, (
         f"rmat(scale={args.rmat_scale},ef={args.edge_factor},seed={args.seed})"
-    )
-
-
-def _rmat_family(args: argparse.Namespace) -> str:
-    """Tuned-store family key of the generated RMAT graph."""
-    from repro.tune.store import graph_family
-
-    return graph_family(
-        {"kind": "rmat", "scale": args.rmat_scale,
-         "edge_factor": args.edge_factor}
     )
 
 
@@ -231,29 +213,6 @@ def _cluster_label(args: argparse.Namespace, overlap: bool) -> str:
         f"(wire={args.wire}, schedule={args.schedule}"
         f"{', overlap' if overlap else ''}): "
     )
-
-
-def _tuned_config(args: argparse.Namespace, workload: str) -> dict | None:
-    """The ``--tuned`` config for this RMAT family and ``workload``.
-
-    Prints what it applies; on a miss prints the error and returns
-    ``None`` (the caller exits 2).
-    """
-    from repro.tune.store import lookup_tuned
-
-    family = _rmat_family(args)
-    entry = lookup_tuned(args.tuned, family, workload)
-    if entry is None:
-        print(
-            f"error: no tuned config for {family}/{workload} in "
-            f"{args.tuned} (run `repro tune` first)",
-            file=sys.stderr,
-        )
-        return None
-    config = entry["config"]
-    applied = ",".join(f"{k}={v}" for k, v in sorted(config.items()))
-    print(f"applying tuned config {family}/{workload}: {applied}")
-    return config
 
 
 def _threshold(args: argparse.Namespace) -> float:
@@ -592,27 +551,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     from repro.obs.metrics import dump_metrics
 
     graph, graph_name = _graph(args)
-    if args.tuned:
-        from repro.tune.store import workload_key
-
-        if args.graph is not None:
-            print(
-                "error: --tuned requires a generated RMAT graph (the "
-                "tuned store is keyed by graph family, not file name)",
-                file=sys.stderr,
-            )
-            return 2
-        tuned = _tuned_config(
-            args, workload_key(args.algo, args.fmt, args.nodes, args.gpus)
-        )
-        if tuned is None:
-            return 2
-        if "wire" in tuned:
-            args.wire = str(tuned["wire"])
-        if "schedule" in tuned:
-            args.schedule = str(tuned["schedule"])
-        if "overlap" in tuned:
-            args.overlap = bool(tuned["overlap"])
     cluster = _cluster(args, graph, overlap=args.overlap)
     result = _run_cluster(args, graph, cluster)
     if args.algo == "bfs":
@@ -705,80 +643,6 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
                 f"{r.name:28s} {r.predicted_seconds * 1e3:14.6f} "
                 f"{r.speedup:8.4f}x {kind}"
             )
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.tune import (
-        TuneBoundError,
-        tune_cluster,
-        tune_engine,
-        write_tuned,
-    )
-
-    _check_layout(args)
-    if args.max_confirm < 1:
-        raise SystemExit(f"--max-confirm must be >= 1, got {args.max_confirm}")
-    graph, _ = _graph(args)
-    if args.graph is not None:
-        family = os.path.splitext(os.path.basename(args.graph))[0]
-    else:
-        family = _rmat_family(args)
-    device = _device(args)
-    try:
-        if args.gpus > 1:
-            result = tune_cluster(
-                graph,
-                args.algo,
-                device,
-                gpus=args.gpus,
-                nodes=args.nodes,
-                fmt=args.fmt,
-                wire=args.wire,
-                schedule=args.schedule,
-                overlap=args.overlap,
-                link_gbs=args.link_gbs,
-                inter_gbs=args.inter_gbs,
-                contention=args.contention,
-                source_seed=args.source_seed,
-                weight_seed=args.seed,
-                max_confirm=args.max_confirm,
-            )
-        else:
-            if args.algo != "bfs":
-                print(
-                    "error: single-GPU tuning drives the repeated-source "
-                    "BFS cache workload; use --gpus > 1 for "
-                    f"{args.algo!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = tune_engine(
-                graph,
-                device,
-                cache_kb=args.cache_kb,
-                num_sources=args.num_sources,
-                source_seed=args.source_seed,
-                max_confirm=args.max_confirm,
-            )
-    except TuneBoundError as exc:
-        print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
-        return 1
-    print(result.report())
-    if not args.no_write:
-        path = write_tuned(
-            args.out_dir, family, result.workload,
-            result.entry(args.source_seed),
-        )
-        print(f"wrote {path}")
-    if args.expect_improvement and not result.improved:
-        print(
-            "FAIL: no confirmed candidate beat the baseline "
-            "(--expect-improvement)",
-        )
-        return 1
     return 0
 
 
@@ -894,20 +758,25 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _float_where(ok, wanted: str):
-    """An argparse float type that also requires ``ok(value)``."""
-    def parse(text: str) -> float:
-        value = float(text)
+def _checked(kind, ok, wanted: str):
+    """An argparse ``kind`` (``int``/``float``) type that also requires
+    ``ok(value)``."""
+    def parse(text: str):
+        value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 
-    parse.__name__ = "float"  # argparse's "invalid float value" wording
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
     return parse
 
 
-_POSITIVE_FLOAT = _float_where(lambda v: v > 0, "> 0")
-_UNIT_FLOAT = _float_where(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0, "> 0")
+_UNIT_FLOAT = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "> 0")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+#: The scales ``rmat_graph`` accepts.
+_RMAT_SCALE = _checked(int, lambda v: 1 <= v <= 30, "in [1, 30]")
 
 _GRAPH_HELP = (
     "<container|edges.txt>; omit to generate a deterministic RMAT graph"
@@ -926,10 +795,10 @@ def _graph_source_args(
     what = "pinned" if graph_help is None else "generated"
     if graph_help is not None:
         p.add_argument("graph", nargs="?", default=None, help=graph_help)
-    p.add_argument("--rmat-scale", type=int, default=scale,
+    p.add_argument("--rmat-scale", type=_RMAT_SCALE, default=scale,
                    help=f"log2 |V| of the {what} RMAT graph "
                    f"(default {scale})")
-    p.add_argument("--edge-factor", type=int, default=8,
+    p.add_argument("--edge-factor", type=_NON_NEGATIVE_INT, default=8,
                    help=f"edges per vertex of the {what} graph (default 8)")
     p.add_argument("--seed", type=int, default=seed, help=seed_help)
 
@@ -953,33 +822,25 @@ def _device_args(
 
 
 def _cluster_args(
-    p, *, gpus: int, nodes: int, fmt: str, wire: str, schedule: str | None,
-    helps: dict | None = None,
+    p, *, gpus: int, nodes: int, fmt: str, wire: str, schedule: str,
 ) -> None:
-    """Layout, shard format, exchange and link flags; ``helps`` overrides
-    a flag's help text by dest."""
+    """Layout, shard format, exchange and link flags."""
     from repro.dist import DIST_FORMATS, SCHEDULES, WIRE_CODECS
 
-    text = {
-        "gpus": f"number of simulated devices (default {gpus})",
-        "nodes": f"nodes the GPUs are split across (default {nodes}; "
-        ">1 builds a two-tier topology)",
-        "fmt": f"shard storage format (default {fmt})",
-        "wire": f"frontier wire codec (default {wire})",
-        "schedule": f"exchange schedule (default {schedule})",
-        **(helps or {}),
-    }
-    p.add_argument("--gpus", type=int, default=gpus, help=text["gpus"])
-    p.add_argument("--nodes", type=int, default=nodes, help=text["nodes"])
+    p.add_argument("--gpus", type=int, default=gpus,
+                   help=f"number of simulated devices (default {gpus})")
+    p.add_argument("--nodes", type=int, default=nodes,
+                   help=f"nodes the GPUs are split across (default {nodes}; "
+                   ">1 builds a two-tier topology)")
     p.add_argument("--fmt", choices=DIST_FORMATS, default=fmt,
-                   help=text["fmt"])
+                   help=f"shard storage format (default {fmt})")
     p.add_argument("--wire", choices=WIRE_CODECS, default=wire,
-                   help=text["wire"])
+                   help=f"frontier wire codec (default {wire})")
     p.add_argument("--schedule", choices=SCHEDULES, default=schedule,
-                   help=text["schedule"])
-    p.add_argument("--link-gbs", type=float, default=10.0,
+                   help=f"exchange schedule (default {schedule})")
+    p.add_argument("--link-gbs", type=_POSITIVE_FLOAT, default=10.0,
                    help="per-link intra-node bandwidth in GB/s (default 10)")
-    p.add_argument("--inter-gbs", type=float, default=1.0,
+    p.add_argument("--inter-gbs", type=_POSITIVE_FLOAT, default=1.0,
                    help="inter-node fabric bandwidth in GB/s, used when "
                    "--nodes > 1 (default 1)")
     p.add_argument("--contention", type=_UNIT_FLOAT, default=0.5,
@@ -1006,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="compress a graph to EFG")
     p.add_argument("graph", help="<container|edges.txt>")
     p.add_argument("-o", "--output", help="write EFG arrays to this .npz")
-    p.add_argument("--quantum", type=int, default=512,
+    p.add_argument("--quantum", type=_POSITIVE_INT, default=512,
                    help="forward-pointer quantum k (default 512)")
     p.set_defaults(func=_cmd_encode)
 
@@ -1099,58 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     _device_args(p)
     p.add_argument("--metrics", metavar="PATH",
                    help="write the stable-schema metrics JSON")
-    p.add_argument("--tuned", metavar="DIR",
-                   help="apply the persisted tuned config for this graph "
-                   "family/workload from DIR (see `repro tune`)")
     p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser(
-        "tune",
-        help="what-if-shortlisted autotune of one workload; persist the "
-        "winning config",
-    )
-    p.add_argument("algo", choices=DIST_ALGOS)
-    _graph_source_args(
-        p, seed=3, scale=8,
-        seed_help="seed for generated graphs and weights (default 3)",
-        graph_help=_GRAPH_HELP + " (tuned configs are keyed by graph family)",
-    )
-    _cluster_args(
-        p, gpus=1, nodes=1, fmt="efg", wire="raw", schedule=None,
-        helps={
-            "gpus": "simulated devices; 1 tunes the decode-cache budget, "
-            ">1 tunes the wire codec + overlap (default 1)",
-            "fmt": "shard storage format for --gpus > 1 (default efg)",
-            "wire": "baseline wire codec the tuner starts from "
-            "(default raw)",
-            "schedule": "exchange schedule (default: hierarchical when "
-            "--nodes > 1, flat otherwise)",
-        },
-    )
-    p.add_argument("--overlap", action="store_true",
-                   help="baseline overlap flag the tuner starts from")
-    _device_args(
-        p, cache_kb=4,
-        cache_help="baseline decode-cache budget in KiB for the "
-        "single-GPU workload (default 4)",
-    )
-    p.add_argument("--num-sources", type=int, default=6,
-                   help="BFS sources in the repeated-traversal cache "
-                   "workload (default 6)")
-    p.add_argument("--max-confirm", type=int, default=4,
-                   help="max shortlisted candidates to confirm with real "
-                   "re-runs (default 4)")
-    p.add_argument("--source-seed", type=int, default=42,
-                   help="seed of the start-vertex draw (default 42)")
-    p.add_argument("--out-dir", default="benchmarks/tuned",
-                   help="tuned-config store directory "
-                   "(default benchmarks/tuned)")
-    p.add_argument("--no-write", action="store_true",
-                   help="report only; do not persist the winning config")
-    p.add_argument("--expect-improvement", action="store_true",
-                   help="exit 1 unless a confirmed candidate beat the "
-                   "baseline (CI gate)")
-    p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser(
         "whatif",

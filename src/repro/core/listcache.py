@@ -97,36 +97,14 @@ class DecodedListCache:
         Capacity modeling the on-chip residency the traversal can spare
         (a slice of L2 / persistent shared memory).  Entries are charged
         ``DECODED_ELEM_BYTES`` per neighbour.
-    record_reuse:
-        Additionally maintain an unbounded *ghost* LRU and log, per
-        lookup, the byte reuse distance (bytes touched since this
-        vertex's previous access) and the entry's size.  A re-access at
-        distance ``d`` with size ``s`` would hit an LRU cache of budget
-        ``B`` iff ``d + s <= B`` — the hit curve the what-if engine
-        (:func:`repro.obs.whatif.whatif_cache`) prices alternative
-        budgets from.  Off by default: the walk is O(stack depth) per
-        lookup.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        record_reuse: bool = False,
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
         self.budget_bytes = int(budget_bytes)
-        self.record_reuse = bool(record_reuse)
-        #: ``(reuse_distance_bytes, entry_bytes)`` per lookup; first
-        #: touches log ``(inf, 0)`` (a miss at every budget).
-        self.reuse_log: list[tuple[float, int]] = []
-        #: ``(launch_index, reuse_log offset)`` per lookup batch — maps
-        #: log spans back to the kernel launch that probed them.
-        self._batches: list[tuple[int, int]] = []
         self.stats = CacheStats()
         self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
-        #: Ghost LRU: vertex -> entry bytes, unbounded, admission-free.
-        self._ghost: OrderedDict[int, int] = OrderedDict()
         self._bytes = 0
 
     # -- introspection ----------------------------------------------------
@@ -148,63 +126,15 @@ class DecodedListCache:
         vertices = np.asarray(vertices, dtype=np.int64)
         mask = np.empty(vertices.shape[0], dtype=bool)
         entries = self._entries
-        record = self.record_reuse
         for i, v in enumerate(vertices.tolist()):
             hit = v in entries
             mask[i] = hit
             if hit:
                 entries.move_to_end(v)
-            if record:
-                self._log_reuse(v)
         hits = int(mask.sum())
         self.stats.hits += hits
         self.stats.misses += vertices.shape[0] - hits
         return mask
-
-    def _log_reuse(self, vertex: int) -> None:
-        """Log one lookup's ghost-LRU byte reuse distance."""
-        ghost = self._ghost
-        size = ghost.get(vertex)
-        if size is None:
-            self.reuse_log.append((float("inf"), 0))
-            return
-        dist = 0
-        for other in reversed(ghost):
-            if other == vertex:
-                break
-            dist += ghost[other]
-        self.reuse_log.append((float(dist), size))
-        ghost.move_to_end(vertex)
-
-    def begin_batch(self, launch_index: int) -> None:
-        """Mark the start of one kernel launch's lookup batch.
-
-        The backend calls this before each cache-aware expand so the
-        what-if engine can attribute modeled hit deltas to the specific
-        launch records they would have changed (a kernel's time is a
-        ``max`` over resource terms — adjustments must land per record,
-        not on the run aggregate).
-        """
-        self._batches.append((int(launch_index), len(self.reuse_log)))
-
-    def batch_hit_edges(self, budget_bytes: int) -> dict[int, int]:
-        """Modeled hit edges per recorded launch index at ``budget_bytes``.
-
-        Reads the recorded reuse-distance log: a lookup hits iff its
-        reuse footprint (distance + own size) fits the budget.  A model
-        of the cache, not a replay of it — the what-if engine differences
-        two evaluations so the model bias largely cancels.
-        """
-        out: dict[int, int] = {}
-        ends = [start for _, start in self._batches[1:]]
-        ends.append(len(self.reuse_log))
-        for (launch, start), end in zip(self._batches, ends):
-            edges = 0
-            for dist, size in self.reuse_log[start:end]:
-                if size and dist + size <= budget_bytes:
-                    edges += size // DECODED_ELEM_BYTES
-            out[launch] = out.get(launch, 0) + edges
-        return out
 
     def get_many(self, vertices: np.ndarray) -> list[np.ndarray]:
         """Decoded arrays for vertices known to be cached (post-probe)."""
@@ -223,11 +153,6 @@ class DecodedListCache:
         vertex = int(vertex)
         neighbours = np.asarray(neighbours, dtype=np.int64)
         nbytes = int(neighbours.shape[0]) * DECODED_ELEM_BYTES
-        if self.record_reuse:
-            # The ghost admits everything (it models arbitrary budgets,
-            # including ones big enough for lists this budget rejects).
-            self._ghost.pop(vertex, None)
-            self._ghost[vertex] = nbytes
         if nbytes > self.budget_bytes:
             self.stats.rejected += 1
             return False
@@ -258,11 +183,8 @@ class DecodedListCache:
     def clear(self) -> None:
         """Drop every entry (budget and stats objects survive)."""
         self._entries.clear()
-        self._ghost.clear()
         self._bytes = 0
 
     def reset_stats(self) -> None:
         """Start a fresh counter epoch (e.g. per benchmark run)."""
         self.stats = CacheStats()
-        self.reuse_log = []
-        self._batches = []

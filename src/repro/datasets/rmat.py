@@ -51,6 +51,8 @@ def rmat_graph(
     """
     if scale <= 0 or scale > 30:
         raise ValueError(f"scale must be in [1, 30], got {scale}")
+    if edge_factor < 0:
+        raise ValueError(f"edge_factor must be >= 0, got {edge_factor}")
     a, b, c, d = params
     if not np.isclose(a + b + c + d, 1.0):
         raise ValueError(f"R-MAT params must sum to 1, got {params}")

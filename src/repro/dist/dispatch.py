@@ -1,9 +1,9 @@
 """One entry point for the distributed drivers.
 
 ``run_distributed(cluster, algo, ...)`` maps an algorithm name to its
-bulk-synchronous driver, so every front-end that runs a named workload
-on a :class:`~repro.dist.cluster.ShardedCluster` — ``repro dist``,
-``whatif`` and the autotuner — shares one dispatch.
+bulk-synchronous driver, so both front-ends that run a named workload
+on a :class:`~repro.dist.cluster.ShardedCluster` — ``repro dist`` and
+``repro whatif`` — share one dispatch.
 """
 
 from __future__ import annotations

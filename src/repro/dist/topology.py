@@ -294,7 +294,7 @@ def build_topology(
     Two-tier when ``nodes > 1`` (the paper's multi-node shape), flat
     peer links otherwise; bandwidths are in GB/s and the message
     latency tracks the device's launch overhead.  The one layout
-    builder shared by ``repro dist`` / ``whatif`` and the autotuner.
+    builder shared by ``repro dist`` and ``repro whatif``.
     """
     if nodes > 1:
         return LinkTopology.two_tier(

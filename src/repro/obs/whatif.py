@@ -3,7 +3,7 @@
 A finished run is a complete pricing record — per-launch cost
 snapshots on the single-GPU timeline, per-step byte/message maxima in
 the cluster's :class:`~repro.dist.cluster.LevelCharge` sequence.
-Because none of the tunable knobs (bandwidths, latencies, contention,
+Because none of the priced knobs (bandwidths, latencies, contention,
 ``cached_bw_ratio``, overlap) change the *functional* traversal, a
 run's charges can be re-priced under new parameters without
 re-traversing anything, in milliseconds instead of a full re-run.
@@ -15,13 +15,11 @@ Replays come in two flavours:
   floating-point operations in the same order as an actual re-run
   under the changed parameters, so predicted equals actual
   *bit-for-bit* (asserted in tests).
-* **Estimates** — wire-codec swaps (per-tier byte rescaling from the
-  recorded per-codec trial sizes; run with ``record_wire=True``) and
-  decode-cache budgets (LRU byte-reuse-distance hit curve recorded by
-  :class:`~repro.core.listcache.DecodedListCache` with
-  ``record_reuse=True``, applied additively to the bandwidth /
-  instruction terms — the per-kernel ``max`` is not replayed, hence a
-  stated tolerance rather than exactness).
+* **Estimates** — wire-codec swaps: per-tier byte rescaling from the
+  recorded per-codec trial sizes (run with ``record_wire=True``).  The
+  recorded trials give each codec's total bytes per tier, not each
+  message's, so the per-step message maxima are rescaled by a ratio of
+  totals — close, not bit-exact.
 
 :func:`rank_engine_whatifs` / :func:`rank_cluster_whatifs` run the
 standard scenario panel and rank by predicted speedup — the "top
@@ -41,7 +39,6 @@ __all__ = [
     "rank_engine_whatifs",
     "replay_cluster_seconds",
     "replay_engine_seconds",
-    "whatif_cache",
     "whatif_cluster",
     "whatif_section",
 ]
@@ -365,67 +362,6 @@ def rank_engine_whatifs(engine) -> list[WhatIfResult]:
     return sorted(results, key=lambda r: (-r.speedup, r.name))
 
 
-def whatif_cache(engine, cache, budget_bytes: int) -> WhatIfResult:
-    """Predict the elapsed under a different decode-cache budget.
-
-    Uses the LRU byte-reuse-distance log the cache recorded
-    (``record_reuse=True``): a lookup hits at budget ``B`` iff its
-    reuse footprint (distance + own size) fits.  The per-launch
-    difference between the modeled hit edges at the new and current
-    budgets (differencing out model bias) adjusts that launch's
-    recorded cost — decode bytes/instructions swap for cached-stream
-    bytes at the run's calibrated per-hit-edge rates — and the whole
-    timeline is re-priced through the engine's cost model, per-kernel
-    ``max`` included.  An estimate, not an exact replay: the per-edge
-    rates are run averages, and eviction order under the new budget is
-    modeled, not simulated.
-    """
-    from repro.core.listcache import DECODED_ELEM_BYTES
-    from repro.gpusim.cost import CostModel
-
-    if not getattr(cache, "reuse_log", None):
-        raise ValueError(
-            "cache recorded no reuse distances; build it with "
-            "record_reuse=True"
-        )
-    base = engine.elapsed_seconds
-    stats = cache.stats
-    name = f"cache budget {budget_bytes}B"
-    if stats.hit_edges <= 0:
-        # No realized hits to calibrate the per-hit-edge rates against.
-        return WhatIfResult(
-            name=name,
-            baseline_seconds=base,
-            predicted_seconds=base,
-            exact=False,
-        )
-    bytes_per_edge = stats.bytes_saved / stats.hit_edges
-    instr_per_edge = stats.instr_saved / stats.hit_edges
-    new_hits = cache.batch_hit_edges(budget_bytes)
-    old_hits = cache.batch_hit_edges(cache.budget_bytes)
-    model = CostModel(engine.device, engine.memory, engine.params)
-    acc = 0.0
-    for idx, rec in enumerate(engine.records):
-        cost = rec.cost
-        d = new_hits.get(idx, 0) - old_hits.get(idx, 0)
-        acc += model.total_seconds(
-            model.time_terms(
-                cost.launches,
-                max(cost.device_bytes - d * bytes_per_edge, 0.0),
-                cost.host_bytes,
-                max(cost.cached_bytes + d * DECODED_ELEM_BYTES, 0.0),
-                max(cost.instructions - d * instr_per_edge, 0.0),
-                cost.floor_seconds,
-            )
-        )
-    return WhatIfResult(
-        name=name,
-        baseline_seconds=base,
-        predicted_seconds=acc,
-        exact=False,
-    )
-
-
 # -- shared surfaces ------------------------------------------------------
 
 
@@ -434,8 +370,8 @@ def parse_sets(
 ) -> dict[str, str]:
     """``["k=v", ...]`` (CLI ``--set``) to an ordered knob dict.
 
-    Strict by design — the autotuner trusts this surface: a duplicated
-    key raises (last-wins would silently drop the earlier setting), and
+    Strict by design — a scenario must say exactly what it prices: a
+    duplicated key raises (last-wins would silently drop the earlier setting), and
     with ``known`` given an unknown key raises up front, before any
     expensive run, naming the offending key.  The CLI maps these
     :class:`ValueError`\\ s to exit code 2.

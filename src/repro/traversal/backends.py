@@ -183,11 +183,6 @@ class GraphBackend(abc.ABC):
         """Cache-aware expansion: decode misses, stream hits, merge."""
         cache = self.cache
         evictions_before = cache.stats.evictions
-        if cache.record_reuse:
-            # The launch in flight becomes engine.records[len(records)]
-            # when it closes — tagging the batch with that index lets
-            # the what-if engine re-price exactly this kernel.
-            cache.begin_batch(len(self.engine.records))
         hit_mask = cache.probe(frontier)
         hit_pos = np.flatnonzero(hit_mask)
         miss_pos = np.flatnonzero(~hit_mask)

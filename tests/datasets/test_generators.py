@@ -43,6 +43,8 @@ class TestRmat:
             rmat_graph(0, 8)
         with pytest.raises(ValueError):
             rmat_graph(8, 8, params=(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="edge_factor"):
+            rmat_graph(8, -1)
 
 
 class TestWorkingSet:

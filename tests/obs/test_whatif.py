@@ -2,21 +2,20 @@
 
 The headline acceptance criterion: for the bandwidth / latency /
 contention / overlap knobs, the replayed prediction equals an **actual
-re-run** under the changed parameters bit-for-bit.  Codec swaps and
-cache budgets are estimates with a stated tolerance, pinned here too.
+re-run** under the changed parameters bit-for-bit.  Codec swaps are
+estimates with a stated tolerance, pinned here too.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.efg import efg_encode
-from repro.core.listcache import DecodedListCache
+from repro.bench.harness import pick_sources
 from repro.datasets.rmat import rmat_graph
 from repro.dist.bfs import distributed_bfs
 from repro.dist.cluster import ShardedCluster
 from repro.dist.pagerank import distributed_pagerank
-from repro.dist.topology import LinkTopology
+from repro.dist.topology import LinkTopology, build_topology
 from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
 from repro.obs.whatif import (
@@ -27,11 +26,10 @@ from repro.obs.whatif import (
     rank_engine_whatifs,
     replay_cluster_seconds,
     replay_engine_seconds,
-    whatif_cache,
     whatif_cluster,
     whatif_section,
 )
-from repro.traversal.backends import CSRBackend, EFGBackend
+from repro.traversal.backends import CSRBackend
 from repro.traversal.bfs import bfs
 
 
@@ -151,6 +149,51 @@ class TestCodecSwap:
             cluster.clock, rel=0.02
         )
 
+    #: Every codec the recorded 2x4 panel below lists (``auto`` is a
+    #: per-message choice, not a trialed codec).
+    PANEL_CODECS = ("bitmap", "ef", "raw", "raw64", "varint")
+
+    @staticmethod
+    def _raw_cluster(graph, device, wire, record_wire=False):
+        """2 nodes x 4 GPUs of efg shards, hierarchical, overlap off,
+        at the CLI's default links: the exchange is on the clock."""
+        cluster = ShardedCluster.build(
+            graph, 8, device, fmt="efg", wire=wire,
+            schedule="hierarchical",
+            topology=build_topology(2, 8, device, 10.0, 1.0, 0.5),
+            record_wire=record_wire,
+        )
+        distributed_bfs(cluster, int(pick_sources(graph, 1, seed=42)[0]))
+        return cluster
+
+    @pytest.fixture(scope="class")
+    def raw_panel(self, graph, device):
+        cluster = self._raw_cluster(graph, device, "raw", record_wire=True)
+        return {r.name: r for r in rank_cluster_whatifs(cluster)}
+
+    @pytest.mark.parametrize("codec", PANEL_CODECS)
+    def test_estimates_within_documented_bound(
+        self, graph, device, raw_panel, codec
+    ):
+        """A cross-codec ``wire X`` estimate lands within 10% of a real
+        re-run with that codec.
+
+        The estimate rescales each tier's per-step maxima by the codec's
+        recorded total trial bytes; the re-run encodes every message on
+        its own, so per-message skew (headers, short-list shapes) moves
+        the max-over-GPUs step terms.  Swapping to the run's own codec
+        is pinned at 2% above; the cross-codec bound is 10% because
+        bitmap, whose message size depends strongly on id spread, has
+        been seen to err by about 8%.
+        """
+        listed = {n for n in raw_panel if n.startswith("wire ")}
+        assert listed == {f"wire {c}" for c in self.PANEL_CODECS}
+        estimate = raw_panel[f"wire {codec}"]
+        assert not estimate.exact
+        actual = self._raw_cluster(graph, device, codec).clock
+        rel_err = abs(estimate.predicted_seconds - actual) / actual
+        assert rel_err <= 0.10
+
 
 class TestEngineExactness:
     def _run(self, graph, device):
@@ -188,53 +231,6 @@ class TestEngineExactness:
         # are refused before any run.
         with pytest.raises(ValueError, match="unknown knob 'dram_gbs'"):
             parse_sets(["dram_gbs=2"], known=CLUSTER_KNOBS)
-
-
-class TestCacheWhatIf:
-    BUDGET = 1 << 16
-    SOURCES = (0, 1, 2, 5, 9, 17)
-
-    def _run(self, graph, device, budget, record=False):
-        backend = EFGBackend(efg_encode(graph), device)
-        cache = DecodedListCache(budget, record_reuse=record)
-        backend.attach_cache(cache)
-        for s in self.SOURCES:  # repeat queries so lists get reused
-            bfs(backend, s)
-        return backend.engine, cache
-
-    def test_requires_reuse_log(self, graph, device):
-        engine, cache = self._run(graph, device, self.BUDGET)
-        with pytest.raises(ValueError, match="record_reuse"):
-            whatif_cache(engine, cache, self.BUDGET * 2)
-
-    def test_self_replay_exact(self, graph, device):
-        engine, cache = self._run(
-            graph, device, self.BUDGET, record=True
-        )
-        assert cache.stats.hit_edges > 0  # scenario must exercise hits
-        result = whatif_cache(engine, cache, self.BUDGET)
-        assert result.predicted_seconds == engine.elapsed_seconds
-
-    def test_budget_growth_within_tolerance(self, graph, device):
-        engine, cache = self._run(
-            graph, device, self.BUDGET, record=True
-        )
-        result = whatif_cache(engine, cache, self.BUDGET * 4)
-        actual, _ = self._run(graph, device, self.BUDGET * 4)
-        assert not result.exact
-        assert result.predicted_seconds == pytest.approx(
-            actual.elapsed_seconds, rel=0.02
-        )
-
-    def test_budget_shrink_within_tolerance(self, graph, device):
-        engine, cache = self._run(
-            graph, device, self.BUDGET, record=True
-        )
-        result = whatif_cache(engine, cache, self.BUDGET // 4)
-        actual, _ = self._run(graph, device, self.BUDGET // 4)
-        assert result.predicted_seconds == pytest.approx(
-            actual.elapsed_seconds, rel=0.10
-        )
 
 
 class TestRanking:

@@ -473,53 +473,14 @@ class TestBenchAgainstErrors:
         assert "different suites" in capsys.readouterr().err
 
 
-class TestTune:
-    SMALL = ["--rmat-scale", "7", "--edge-factor", "4"]
-
-    def test_single_gpu_tunes_and_persists(self, tmp_path, capsys):
-        assert main([
-            "tune", "bfs", *self.SMALL, "--out-dir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "tune bfs/efg/1x1: baseline" in out
-        assert "winner:" in out
-        assert (tmp_path / "rmat-s7-e4.json").exists()
-        assert (tmp_path / "TUNED.json").exists()
-
-    def test_cluster_tune_expects_improvement(self, tmp_path, capsys):
-        assert main([
-            "tune", "bfs", *self.SMALL, "--gpus", "4",
-            "--out-dir", str(tmp_path), "--expect-improvement",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "tune bfs/efg/1x4" in out
-        assert "winner:" in out
-
-    def test_no_write_leaves_dir_untouched(self, tmp_path, capsys):
-        assert main([
-            "tune", "bfs", *self.SMALL,
-            "--out-dir", str(tmp_path), "--no-write",
-        ]) == 0
-        assert list(tmp_path.iterdir()) == []
-
-    def test_non_bfs_single_gpu_exits_two(self, capsys):
-        assert main(["tune", "sssp", *self.SMALL, "--no-write"]) == 2
-        assert "single-GPU" in capsys.readouterr().err
-
-    def test_rejects_indivisible_layout(self):
-        with pytest.raises(SystemExit):
-            main([
-                "tune", "bfs", *self.SMALL, "--gpus", "6", "--nodes", "4",
-            ])
-
-
 # -- parser surface ---------------------------------------------------------
 
 #: Positional arguments each verb needs to parse.
 REQUIRED = {
     "info": ["g"], "encode": ["g"], "bfs": ["g"],
     "msbfs": ["g"], "serve": ["base"],
-    "profile": ["bfs"], "dist": ["bfs"], "tune": ["bfs"], "whatif": ["bfs"], "compare": ["a.json", "b.json"],
+    "profile": ["bfs"], "dist": ["bfs"], "whatif": ["bfs"],
+    "compare": ["a.json", "b.json"],
     "bench": [], "check": [], "suite": [],
 }
 
@@ -547,7 +508,7 @@ DEFAULTS = {
         "device_scale": 2048, "edge_factor": 8, "fmt": "csr", "gpus": 4,
         "graph": None, "inter_gbs": 1.0, "link_gbs": 10.0, "metrics": None,
         "nodes": 1, "overlap": False, "rmat_scale": 10, "schedule": "flat",
-        "seed": 1, "source": 0, "tuned": None, "wire": "auto",
+        "seed": 1, "source": 0, "wire": "auto",
     },
     "encode": {
         "command": "encode", "graph": "g", "output": None, "quantum": 512,
@@ -571,15 +532,6 @@ DEFAULTS = {
         "queries": 200, "seed": 7, "target": "base",
     },
     "suite": {"command": "suite", "v100": False},
-    "tune": {
-        "algo": "bfs", "cache_kb": 4, "command": "tune", "contention": 0.5,
-        "device_scale": 2048, "edge_factor": 8, "expect_improvement": False,
-        "fmt": "efg", "gpus": 1, "graph": None, "inter_gbs": 1.0,
-        "link_gbs": 10.0, "max_confirm": 4, "no_write": False, "nodes": 1,
-        "num_sources": 6, "out_dir": "benchmarks/tuned", "overlap": False,
-        "rmat_scale": 8, "schedule": None, "seed": 3, "source_seed": 42,
-        "wire": "raw",
-    },
     "whatif": {
         "algo": "bfs", "command": "whatif", "contention": 0.5,
         "device_scale": 2048, "edge_factor": 8, "fmt": "csr", "gpus": 8,
@@ -610,11 +562,6 @@ CHOICES = {
     },
     "serve": {"format": ("csr", "efg", "cgr")},
     "suite": {},
-    "tune": {
-        "algo": ("bfs", "sssp", "pagerank"), "fmt": ("csr", "efg"),
-        "schedule": ("flat", "butterfly", "hierarchical"),
-        "wire": ("raw", "raw64", "bitmap", "varint", "ef", "auto"),
-    },
     "whatif": {
         "algo": ("bfs", "sssp", "pagerank"), "fmt": ("csr", "efg"),
         "schedule": ("flat", "butterfly", "hierarchical"),
@@ -717,6 +664,27 @@ class TestSourceRange:
         assert message == "--source must be in [0, 300), got -1"
 
 
+#: Out-of-range flags a library would reject with a traceback: argv
+#: (``GRAPH`` stands for the graph file) -> the one-line usage error.
+_OUT_OF_RANGE = [
+    ("dist bfs --link-gbs 0", "argument --link-gbs: must be > 0, got 0"),
+    ("whatif bfs --link-gbs 0", "argument --link-gbs: must be > 0, got 0"),
+    ("dist bfs --inter-gbs -1 --nodes 2",
+     "argument --inter-gbs: must be > 0, got -1"),
+    ("whatif bfs --inter-gbs -1 --nodes 2",
+     "argument --inter-gbs: must be > 0, got -1"),
+    ("encode GRAPH --quantum 0", "argument --quantum: must be > 0, got 0"),
+    ("profile bfs --rmat-scale 0",
+     "argument --rmat-scale: must be in [1, 30], got 0"),
+    ("dist bfs --rmat-scale 0",
+     "argument --rmat-scale: must be in [1, 30], got 0"),
+    ("bench --no-write --rmat-scale 0",
+     "argument --rmat-scale: must be in [1, 30], got 0"),
+    ("profile bfs --edge-factor -1",
+     "argument --edge-factor: must be >= 0, got -1"),
+]
+
+
 class TestLibraryErrorsExitCleanly:
     def test_zero_device_scale(self, graph_file, capsys):
         message = _clean_exit(
@@ -739,6 +707,12 @@ class TestLibraryErrorsExitCleanly:
             ["serve", graph_file, "--queries", "-1"], capsys
         )
         assert message == "num_queries must be > 0, got -1"
+
+    @pytest.mark.parametrize("argv, expected", _OUT_OF_RANGE,
+                             ids=[argv for argv, _ in _OUT_OF_RANGE])
+    def test_flag_out_of_range(self, graph_file, capsys, argv, expected):
+        argv = [graph_file if a == "GRAPH" else a for a in argv.split()]
+        assert expected in _clean_exit(argv, capsys)
 
 
 def _run_cli(*argv) -> subprocess.CompletedProcess:

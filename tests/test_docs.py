@@ -180,22 +180,22 @@ def test_docs_name_only_existing_cli_surface():
 
 def test_cli_checker_catches_stale_commands():
     doc = (
-        "Run `repro bench --tuned DIR` or `python -m repro nosuchverb`;\n"
-        "`repro dist\n--tuned DIR` and `repro.dist` are fine, `from\n"
+        "Run `repro bench --stale DIR` or `python -m repro nosuchverb`;\n"
+        "`repro dist\n--overlap` and `repro.dist` are fine, `from\n"
         "repro import x` is not a command.\n\n"
         "```\n"
         "python -m repro bench [--out-dir D] [--seq N]\n"
         "                      [--rmat-scale S] [--bogus X]\n"
-        "$ repro tune bfs --rmat-scale 8 \\\n"
+        "$ repro profile bfs --rmat-scale 8 \\\n"
         "      --no-such-flag\n"
         "repro info g && repro encode g --quantum 8 --nope  # --fine\n"
-        "tune bfs/efg: --not-a-command\n"
+        "profile bfs/efg: --not-a-command\n"
         "```\n"
     )
     assert stale_cli(doc) == [
         "repro bench --bogus",
-        "repro tune --no-such-flag",
+        "repro profile --no-such-flag",
         "repro encode --nope",
-        "repro bench --tuned",
+        "repro bench --stale",
         "repro nosuchverb",
     ]
