@@ -18,7 +18,6 @@ from repro.primitives.bitops import (
     POPCOUNT_TABLE_I64,
     SELECT_IN_BYTE_TABLE,
     SELECT_IN_BYTE_TABLE_I64,
-    popcount_u64,
 )
 from repro.primitives.compact import scatter_bitmap_to_indices
 from repro.primitives.scan import (
@@ -35,7 +34,6 @@ __all__ = [
     "POPCOUNT_TABLE_I64",
     "SELECT_IN_BYTE_TABLE",
     "SELECT_IN_BYTE_TABLE_I64",
-    "popcount_u64",
     "exclusive_scan",
     "segmented_exclusive_scan",
     "segment_ids_from_flags",

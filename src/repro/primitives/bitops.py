@@ -26,7 +26,6 @@ __all__ = [
     "SELECT_IN_BYTE_TABLE",
     "POPCOUNT_TABLE_I64",
     "SELECT_IN_BYTE_TABLE_I64",
-    "popcount_u64",
     "pack_varints",
 ]
 
@@ -77,13 +76,6 @@ POPCOUNT_TABLE.setflags(write=False)
 SELECT_IN_BYTE_TABLE.setflags(write=False)
 POPCOUNT_TABLE_I64.setflags(write=False)
 SELECT_IN_BYTE_TABLE_I64.setflags(write=False)
-
-
-def popcount_u64(values: np.ndarray) -> np.ndarray:
-    """Vectorized popcount over uint64 words (8 LUT probes per word)."""
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    as_bytes = values.view(np.uint8).reshape(values.shape + (8,))
-    return POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
 #: ``_VARINT_LIMITS[k-1] = 2**(7k)``: a value needs ``k+1`` varint bytes

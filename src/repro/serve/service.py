@@ -25,7 +25,9 @@ heavily, so the expensive compressed-list decodes are repeated up to
   ``expired`` without ever occupying a lane.
 * **Result LRU.**  Completed level arrays are cached ``(source,
   epoch)``; repeat queries for hot sources are answered without
-  touching the device at all.
+  touching the device at all.  A level array is the read-only int32
+  row view ``msbfs`` hands out, so coalesced queries, the LRU and every
+  later hit share one row, and none of them can write through it.
 
 Every result is bit-identical to a stand-alone single-source
 :func:`~repro.traversal.bfs.bfs` — batching, caching, and wave
@@ -69,6 +71,9 @@ class QueryResult:
     * ``"rejected"``— shed at admission (queue full); never enqueued.
     * ``"expired"`` — deadline passed before a lane was free; dropped
       without occupying one.
+
+    ``levels`` is a read-only int32 view of the serving wave's lane row
+    (see :class:`~repro.traversal.msbfs.MSBFSResult`).
     """
 
     qid: int

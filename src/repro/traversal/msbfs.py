@@ -21,7 +21,8 @@ a :class:`~repro.core.listcache.DecodedListCache` attached, hot lists
 are not even decoded once per level but streamed from on-chip memory —
 and a single 64-wide OR per edge propagates all sources' reachability
 simultaneously.  Newly set bits become the next frontier, and the level
-index is recorded per (source, vertex) pair.
+index is recorded per (lane, vertex) pair in one int32 lane matrix, the
+4 B per pair the simulator charges for ``work:mslevels``.
 
 The per-source levels are bit-identical to 64 independent
 :func:`repro.traversal.bfs.bfs` runs (asserted by the test suite): BFS
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.listcache import CacheStats
-from repro.primitives.bitops import popcount_u64
 from repro.traversal.backends import GraphBackend
 
 __all__ = ["MSBFSResult", "msbfs", "MAX_SOURCES"]
@@ -57,14 +57,16 @@ MASK_INSTR_PER_EDGE = 6.0
 class MSBFSResult:
     """Outcome of one bit-parallel multi-source BFS batch.
 
-    ``levels[s, v]`` is the BFS level of vertex ``v`` from
+    ``levels[s][v]`` is the BFS level of vertex ``v`` from
     ``sources[s]`` (-1 when unreached) — row ``s`` equals
-    ``bfs(backend, sources[s]).levels``.
+    ``bfs(backend, sources[s]).levels``.  Each row is a read-only int32
+    view of its lane's row in the wave's lane matrix, so coalesced
+    queries for one source share a single row.
     """
 
     sources: np.ndarray
-    levels: np.ndarray
-    #: Number of BFS levels of the *deepest* source (levels.max() + 1).
+    levels: tuple[np.ndarray, ...]
+    #: Number of BFS levels of the *deepest* source (max level + 1).
     num_levels: int
     #: Distinct mask lanes the batch ran (duplicate sources share one).
     num_lanes: int
@@ -113,8 +115,8 @@ def msbfs(
     sources:
         1-D array of start vertices.  Duplicates are allowed — a serving
         batcher naturally coalesces concurrent queries for the same hot
-        source — and share one mask lane, with their result rows aliased
-        back per query.  At most :data:`MAX_SOURCES` *distinct* vertices.
+        source — and share one mask lane and one result row.  At most
+        :data:`MAX_SOURCES` *distinct* vertices.
     max_levels:
         Optional safety cap on the number of expansion rounds.
     reset_timeline:
@@ -134,7 +136,7 @@ def msbfs(
         raise ValueError("sources must be a non-empty 1-D array")
     # Duplicate queries share a lane: `lanes` are the distinct start
     # vertices (sorted by np.unique), `inverse` maps each query to its
-    # lane so rows alias back per query at the end.
+    # lane so each query gets a view of its lane's row at the end.
     lanes, inverse = np.unique(sources, return_inverse=True)
     num_lanes = int(lanes.shape[0])
     if num_lanes > MAX_SOURCES:
@@ -166,7 +168,7 @@ def msbfs(
     mem.register("work:frontier_mask", 16 * nv, priority=-1)
     mem.register("work:mslevels", 4 * nv * num_lanes, priority=-1)
 
-    lane_levels = np.full((num_lanes, nv), -1, dtype=np.int64)
+    lane_levels = np.full((num_lanes, nv), -1, dtype=np.int32)
     visited = np.zeros(nv, dtype=np.uint64)
     frontier_mask = np.zeros(nv, dtype=np.uint64)
     lane_bits = np.uint64(1) << np.arange(num_lanes, dtype=np.uint64)
@@ -176,6 +178,7 @@ def msbfs(
     frontier_mask[lanes] = visited[lanes]
     lane_levels[np.arange(num_lanes), lanes] = 0
 
+    degrees = backend.degrees
     depth = 0
     cap = max_levels if max_levels is not None else nv
     with engine.algorithm(
@@ -197,22 +200,29 @@ def msbfs(
                     k.read_stream("work:visited_mask", nbrs, 8)
                 # Every decoded edge carries the masks of all lanes whose
                 # frontier contains its origin — each (source, edge) pair
-                # the sequential runs would traverse separately.  A lane
+                # the sequential runs would traverse separately.  All
+                # deg(v) edges of a frontier vertex carry its one mask, so
+                # the pairs are counted per vertex, not per edge.  A lane
                 # serving m coalesced queries counts its edges m times:
                 # that is the work m sequential runs would have done.
                 active_masks = frontier_mask[active]
-                src_per_edge = active_masks[seg]
-                level_edges = int(popcount_u64(src_per_edge).sum())
+                active_degrees = degrees[active]
+                level_edges = int(
+                    (np.bitwise_count(active_masks) * active_degrees).sum()
+                )
                 for s in dup_lanes.tolist():
-                    lane_edges = int(
-                        ((src_per_edge >> np.uint64(s)) & np.uint64(1)).sum()
-                    )
+                    in_lane = (active_masks >> np.uint64(s)) & np.uint64(1)
+                    lane_edges = int(active_degrees[in_lane > 0].sum())
                     level_edges += (int(lane_counts[s]) - 1) * lane_edges
                 run.edges += level_edges
 
                 with engine.launch("msbfs_update") as k:
                     next_mask = np.zeros(nv, dtype=np.uint64)
-                    np.bitwise_or.at(next_mask, nbrs, src_per_edge)
+                    np.bitwise_or.at(next_mask, nbrs, active_masks[seg])
+                    # The per-edge arrays are done; free them before the
+                    # next level's expansion builds its own.
+                    num_edges = int(nbrs.shape[0])
+                    del nbrs, seg
                     new_bits = next_mask & ~visited
                     visited |= new_bits
                     depth += 1
@@ -227,22 +237,27 @@ def msbfs(
                     # One 64-wide OR propagates all lanes per edge; the
                     # update is an atomic RMW on the candidate's frontier
                     # word.
-                    k.bitmask_ops(nbrs.shape[0])
-                    k.instructions(MASK_INSTR_PER_EDGE * nbrs.shape[0])
-                    k.atomic("work:frontier_mask", int(nbrs.shape[0]), 8)
+                    k.bitmask_ops(num_edges)
+                    k.instructions(MASK_INSTR_PER_EDGE * num_edges)
+                    k.atomic("work:frontier_mask", num_edges, 8)
                     # New frontier + level writes, one word per changed
                     # vertex.
                     k.write("work:frontier_mask", int(changed.shape[0]), 8)
                     k.write("work:mslevels", int(changed.shape[0]), 4)
                 sp.annotate(
-                    edges_expanded=int(nbrs.shape[0]),
+                    edges_expanded=num_edges,
                     source_edges=level_edges,
                     claimed=int(changed.shape[0]),
                 )
 
+    # Hand out read-only views: a served row is shared by its coalesced
+    # queries and by the service's result cache, so no caller may write
+    # through it.
+    lane_levels.setflags(write=False)
+    lane_rows = tuple(lane_levels)
     return MSBFSResult(
         sources=sources,
-        levels=lane_levels[inverse],
+        levels=tuple(lane_rows[lane] for lane in inverse.tolist()),
         num_levels=int(lane_levels.max()) + 1,
         num_lanes=num_lanes,
         edges_traversed=run.edges,

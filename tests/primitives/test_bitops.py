@@ -7,7 +7,6 @@ from repro.primitives.bitops import (
     POPCOUNT_TABLE,
     SELECT_IN_BYTE_TABLE,
     SELECT_IN_BYTE_TABLE_I64,
-    popcount_u64,
 )
 
 
@@ -41,17 +40,6 @@ class TestSelectTable:
     def test_table_is_immutable(self):
         with pytest.raises(ValueError):
             SELECT_IN_BYTE_TABLE[0, 0] = 1
-
-
-class TestPopcountU64:
-    def test_against_python_bitcount(self, rng):
-        values = rng.integers(0, 2**63, size=100).astype(np.uint64)
-        got = popcount_u64(values)
-        for v, g in zip(values, got):
-            assert g == bin(int(v)).count("1")
-
-    def test_all_ones(self):
-        assert popcount_u64(np.array([2**64 - 1], dtype=np.uint64))[0] == 64
 
 
 class TestSelectInByte:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.efg import efg_encode
 from repro.core.listcache import DecodedListCache
+from repro.datasets.rmat import rmat_graph
 from repro.gpusim.device import TITAN_XP
 from repro.serve import GraphService, drive, make_labeled_stream
 from repro.serve.driver import sequential_seconds, with_sequential_baseline
@@ -265,3 +269,63 @@ class TestDriver:
             run_metrics(
                 service.backend.engine, sections={"totals": {}}
             )
+
+
+class TestServedRows:
+    """Served level arrays: shared, read-only, 4 B per vertex per lane."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(scale=10, edge_factor=8, seed=1)
+
+    @pytest.fixture(scope="class")
+    def driven(self, graph):
+        service = GraphService.from_graph(graph, fmt="efg", cache_kb=256)
+        stream, classes = make_labeled_stream(graph.num_nodes, 200, seed=0)
+        drive(service, stream, burst=96, classes=classes)
+        return service
+
+    def test_write_raises_and_cached_hit_is_intact(self, graph):
+        service = GraphService.from_graph(graph, fmt="efg", cache_kb=256)
+        service.submit(5)
+        (done,) = service.step_wave()
+        with pytest.raises(ValueError):
+            done.levels[:] = 7
+        service.submit(5)
+        cached = service.results[-1]
+        assert cached.status == "cached"
+        assert np.array_equal(cached.levels, _reference_levels(graph, 5))
+
+    def test_result_bytes_within_one_int32_row_per_lane(self, driven):
+        # Count every buffer behind the served arrays once: a row view's
+        # base is its wave's lane matrix, one int32 row per lane.
+        buffers = {}
+        for r in driven.results:
+            if r.levels is not None:
+                owner = r.levels if r.levels.base is None else r.levels.base
+                buffers[id(owner)] = owner
+        lanes_served = sum(
+            len({r.source for r in driven.results if r.wave == wave})
+            for wave in range(driven.num_waves)
+        )
+        held = sum(b.nbytes for b in buffers.values())
+        assert held <= 4 * driven.backend.num_nodes * lanes_served, held
+
+    def test_metrics_dump_pinned(self, driven):
+        # sha256 of the run's canonical metrics payload minus ``meta``
+        # (which stamps the git sha): how the served rows are stored
+        # must not move any simulated count, byte or second.
+        from repro.obs.metrics import run_metrics
+
+        payload = run_metrics(
+            driven.backend.engine, meta={},
+            sections={"serve": driven.metrics_section(),
+                      "service": driven.service_section()},
+        )
+        del payload["meta"]
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "e746a26c35dc12cd36351b4957bac82cd26d8ef3900177dfd1125230ce5d0916"
+        )

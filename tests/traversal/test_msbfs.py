@@ -7,9 +7,11 @@ from repro.core.efg import efg_encode
 from repro.core.listcache import DecodedListCache
 from repro.datasets.rmat import rmat_graph
 from repro.formats.csr import CSRGraph
-from repro.traversal.backends import CSRBackend, EFGBackend
+from repro.primitives.bitops import POPCOUNT_TABLE
+from repro.traversal.backends import CSRBackend, EFGBackend, build_backend
 from repro.traversal.bfs import bfs
 from repro.traversal.msbfs import MAX_SOURCES, msbfs
+from tests.working_set import peak_bytes
 
 
 def _efg_backend(graph, device, cache_bytes=0):
@@ -28,7 +30,7 @@ def _assert_matches_sequential(graph, device, sources, cache_bytes=0):
         assert np.array_equal(ms.levels[row], ref.levels), s
         total_edges += ref.edges_traversed
     assert ms.edges_traversed == total_edges
-    assert ms.num_levels == int(ms.levels.max()) + 1
+    assert ms.num_levels == int(np.max(ms.levels)) + 1
     return ms
 
 
@@ -84,7 +86,7 @@ class TestCorrectness:
         ms = msbfs(_efg_backend(chain_graph, scaled_device),
                    np.array([0]), max_levels=3)
         assert ms.num_levels == 4
-        assert ms.levels[0, 4] == -1
+        assert ms.levels[0][4] == -1
 
 
 class TestAmortization:
@@ -168,3 +170,93 @@ class TestValidation:
             msbfs(backend, np.array([small_graph.num_nodes]))
         with pytest.raises(IndexError):
             msbfs(backend, np.array([-1]))
+
+
+def _per_edge_source_edges(graph, sources, device):
+    """Each level's source-edge count, taken edge by edge.
+
+    The reference msbfs's per-vertex count must equal: every edge out of
+    the union frontier carries its origin's lane mask, the mask's
+    popcount (eight byte-table probes per word) counts its (lane, edge)
+    pairs, and a lane serving ``m`` queries adds ``m - 1`` more per edge.
+    Frontiers come from sequential ``bfs`` levels, not from msbfs.
+    """
+    lanes, counts = np.unique(sources, return_counts=True)
+    ref = build_backend("csr", graph, device)
+    lane_levels = np.stack([bfs(ref, int(s)).levels for s in lanes])
+    per_level = []
+    for depth in range(int(lane_levels.max()) + 1):
+        masks = np.zeros(graph.num_nodes, dtype=np.uint64)
+        for lane in range(lanes.shape[0]):
+            masks[lane_levels[lane] == depth] |= np.uint64(1 << lane)
+        active = np.flatnonzero(masks)
+        src_per_edge = np.repeat(masks[active], graph.degrees[active])
+        level = int(POPCOUNT_TABLE[src_per_edge.view(np.uint8)].sum())
+        for lane in np.flatnonzero(counts > 1).tolist():
+            in_lane = (src_per_edge >> np.uint64(lane)) & np.uint64(1)
+            level += (int(counts[lane]) - 1) * int(in_lane.sum())
+        per_level.append(level)
+    return per_level
+
+
+class TestSourceEdgeCount:
+    """Source-edges are counted per frontier vertex, exactly as per edge."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_graph(scale=9, edge_factor=8, seed=5)
+
+    @pytest.fixture(scope="class")
+    def sources(self, graph):
+        # 40 distinct lanes: 24 serve one query, 10 serve two, 6 serve
+        # three (72 queries in all).
+        picked = np.flatnonzero(graph.degrees > 0)[:40]
+        return np.concatenate([picked, picked[24:], picked[34:]])
+
+    @pytest.mark.parametrize(
+        "fmt,cache_kb",
+        [("csr", 0), ("efg", 0), ("cgr", 0), ("efg", 64), ("csr", 64)],
+    )
+    def test_matches_per_edge_oracle(
+        self, graph, sources, scaled_device, fmt, cache_kb
+    ):
+        backend = build_backend(fmt, graph, scaled_device, cache_kb=cache_kb)
+        ms = msbfs(backend, sources)
+        expected = _per_edge_source_edges(graph, sources, scaled_device)
+        spans = backend.engine.tracer.root.find("level")
+        assert [s.attrs["source_edges"] for s in spans] == expected
+        assert ms.edges_traversed == sum(expected)
+        ref = build_backend("csr", graph, scaled_device)
+        assert ms.edges_traversed == sum(
+            bfs(ref, int(s)).edges_traversed for s in sources
+        )
+        if cache_kb:
+            assert ms.cache_stats.hits > 0
+
+
+class TestLevelRows:
+    def test_rows_are_shared_read_only_int32_views(
+        self, small_graph, scaled_device
+    ):
+        ms = msbfs(_efg_backend(small_graph, scaled_device),
+                   np.array([3, 7, 3]))
+        assert isinstance(ms.levels, tuple) and len(ms.levels) == 3
+        assert ms.levels[0] is ms.levels[2]
+        assert ms.levels[0].base is ms.levels[1].base
+        for row in ms.levels:
+            assert row.dtype == np.int32
+            with pytest.raises(ValueError):
+                row[0] = 1
+
+    def test_wave_peak_per_lane_vertex(self, scaled_device):
+        # tracemalloc peak of one 64-lane efg wave with its result held,
+        # per (lane x vertex).  The int32 lane matrix is 4 B of it and
+        # the largest level's expansion scratch most of the rest; int64
+        # levels, or a per-query copy of the matrix, do not fit.
+        graph = rmat_graph(14, 16, seed=1)
+        backend = build_backend("efg", graph, scaled_device)
+        backend.degrees  # the cached degree array is not wave scratch
+        sources = np.flatnonzero(graph.degrees > 0)[:MAX_SOURCES]
+        peak = peak_bytes(msbfs, backend, sources)
+        per_lane_vertex = peak / (MAX_SOURCES * graph.num_nodes)
+        assert per_lane_vertex <= 20, per_lane_vertex
