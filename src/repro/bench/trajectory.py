@@ -19,9 +19,8 @@ comparison reuses :mod:`repro.obs.compare`; any cost-term drift shows
 up as a non-zero delta and a non-zero exit).
 
 File naming: ``BENCH_<n>.json`` where ``n`` continues the highest
-sequence already in the output directory; on an empty directory it
-falls back to the repo's PR count (one ``CHANGES.md`` line per PR), so
-the first bench of PR *n* seeds the trajectory at ``BENCH_<n>.json``.
+sequence already in the output directory (1 in an empty one); a
+directory resolves to its highest-numbered readable entry.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.obs.metrics import METRICS_SCHEMA, git_sha
 
 __all__ = [
     "BENCH_SCHEMA",
-    "TRAJECTORY_SCHEMA",
     "BenchConfig",
     "run_bench_suite",
     "crossover_summary",
@@ -47,16 +45,12 @@ __all__ = [
     "next_seq",
     "bench_path",
     "write_bench",
-    "write_trajectory_index",
     "load_bench",
     "compare_bench",
 ]
 
 #: Version tag of the bench-trajectory JSON layout.
 BENCH_SCHEMA = "repro.bench/1"
-
-#: Version tag of the ``TRAJECTORY.json`` index layout.
-TRAJECTORY_SCHEMA = "repro.bench.trajectory/1"
 
 _BENCH_FILE_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -189,14 +183,12 @@ def _run_serve_workload(config: BenchConfig, graph, device) -> dict:
     service = GraphService.from_graph(
         graph, fmt="efg", device=device, cache_kb=cache_kb
     )
-    report = drive(service, sources, burst=64)
+    drive(service, sources, burst=64)
 
     def _sequential_backend():
         return build_backend("efg", graph, device, cache_kb=cache_kb)
 
-    report = with_sequential_baseline(
-        report, service, _sequential_backend, sources
-    )
+    with_sequential_baseline(service, _sequential_backend, sources)
     return run_metrics(
         service.backend.engine,
         meta={"bench_workload": "serve/qps"},
@@ -360,31 +352,16 @@ def bench_payload(
 def next_seq(out_dir: str) -> int:
     """Next trajectory sequence number for ``out_dir``.
 
-    Continues the highest existing ``BENCH_<n>.json``; with none, falls
-    back to the repo's PR count — the number of non-empty lines in
-    ``CHANGES.md`` (looked up in ``out_dir``, then the cwd) — so the
-    first bench entry of PR *n* is ``BENCH_<n>.json``.  Last resort: 1.
+    Continues the highest existing ``BENCH_<n>.json``; an empty or
+    missing directory starts at 1.
     """
-    existing = []
+    existing = [0]
     if os.path.isdir(out_dir):
         for name in os.listdir(out_dir):
             match = _BENCH_FILE_RE.match(name)
             if match:
                 existing.append(int(match.group(1)))
-    if existing:
-        return max(existing) + 1
-    for candidate in (
-        os.path.join(out_dir, "CHANGES.md"),
-        os.path.join(os.getcwd(), "CHANGES.md"),
-    ):
-        try:
-            with open(candidate) as fh:
-                lines = [line for line in fh if line.strip()]
-        except OSError:
-            continue
-        if lines:
-            return len(lines)
-    return 1
+    return max(existing) + 1
 
 
 def bench_path(out_dir: str, seq: int) -> str:
@@ -407,58 +384,6 @@ def write_bench(payload: dict, out_dir: str) -> str:
     return path
 
 
-def write_trajectory_index(out_dir: str) -> str:
-    """Write/refresh ``TRAJECTORY.json``: the ordered trajectory digest.
-
-    Scans every ``BENCH_<n>.json`` in ``out_dir`` and writes one small
-    index — entries in sequence order, each with its file name, git
-    sha, and per-workload headline numbers (elapsed seconds plus the
-    top predicted what-if target) — so reading the whole perf history
-    doesn't require loading megabytes of full counter dumps.  Canonical
-    JSON like :func:`write_bench`: refreshing over unchanged entries is
-    byte-stable.
-    """
-    found = []
-    if os.path.isdir(out_dir):
-        for name in os.listdir(out_dir):
-            match = _BENCH_FILE_RE.match(name)
-            if match:
-                found.append((int(match.group(1)), name))
-    entries = []
-    for seq, name in sorted(found):
-        with open(os.path.join(out_dir, name)) as fh:
-            payload = json.load(fh)
-        targets = payload.get("whatif_targets") or whatif_targets(
-            payload.get("workloads", {})
-        )
-        works: dict = {}
-        for wname, metrics in sorted(payload.get("workloads", {}).items()):
-            row: dict = {
-                "elapsed_seconds": metrics.get("totals", {}).get(
-                    "elapsed_seconds", 0.0
-                )
-            }
-            target = targets.get(wname)
-            if target is not None:
-                row["top_whatif"] = target["scenario"]
-                row["top_speedup"] = target["speedup"]
-            works[wname] = row
-        entries.append(
-            {
-                "seq": int(seq),
-                "file": name,
-                "git_sha": payload.get("meta", {}).get("git_sha", ""),
-                "workloads": works,
-            }
-        )
-    index = {"schema": TRAJECTORY_SCHEMA, "entries": entries}
-    path = os.path.join(out_dir, "TRAJECTORY.json")
-    with open(path, "w") as fh:
-        json.dump(index, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
 def _read_entry(path: str) -> dict:
     """Load + schema-check one ``BENCH_<n>.json`` file."""
     with open(path) as fh:
@@ -474,44 +399,12 @@ def _read_entry(path: str) -> dict:
     return payload
 
 
-def _index_order(out_dir: str, on_disk: list[str]) -> list[str] | None:
-    """Entry order from a fresh ``TRAJECTORY.json``, else ``None``.
-
-    The index is trusted only when it lists exactly the
-    ``BENCH_<n>.json`` files present on disk; a missing, unreadable, or
-    stale index (files added or removed since the last refresh) returns
-    ``None`` so the caller falls back to scanning the directory.
-    """
-    index_path = os.path.join(out_dir, "TRAJECTORY.json")
-    try:
-        with open(index_path) as fh:
-            index = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if index.get("schema") != TRAJECTORY_SCHEMA:
-        return None
-    entries = index.get("entries")
-    if not isinstance(entries, list):
-        return None
-    files = []
-    for entry in entries:
-        name = entry.get("file") if isinstance(entry, dict) else None
-        if not isinstance(name, str) or not _BENCH_FILE_RE.match(name):
-            return None
-        files.append(name)
-    if sorted(files) != sorted(on_disk):
-        return None  # stale: the index disagrees with the directory
-    return files
-
-
 def load_bench(path: str) -> dict:
     """Load one trajectory entry from a file, or the latest from a dir.
 
-    A directory resolves its latest entry through ``TRAJECTORY.json``
-    when the index is present and fresh; a missing or stale index falls
-    back to scanning the ``BENCH_<n>.json`` files directly.  Unreadable
-    entries are skipped latest-first, and only when *no* entry is
-    readable does the lookup raise — with a message naming the
+    A directory resolves to its highest-numbered ``BENCH_<n>.json``.
+    Unreadable entries are skipped latest-first, and only when *no*
+    entry is readable does the lookup raise — with a message naming the
     directory, never a raw traceback from a half-written file.
     """
     if not os.path.isdir(path):
@@ -522,9 +415,8 @@ def load_bench(path: str) -> dict:
     )
     if not on_disk:
         raise FileNotFoundError(f"{path}: no BENCH_<n>.json files")
-    order = _index_order(path, on_disk) or on_disk
     errors: list[str] = []
-    for name in reversed(order):
+    for name in reversed(on_disk):
         try:
             return _read_entry(os.path.join(path, name))
         except (OSError, ValueError) as exc:

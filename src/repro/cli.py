@@ -58,10 +58,10 @@ Commands
     a seeded RMAT graph) and append ``BENCH_<n>.json`` — full emulated
     counters, simulated times, git sha and schema versions — to the
     bench trajectory.  With ``--against`` the new entry is gated
-    against a baseline entry (or the latest in a directory; a stale or
-    missing TRAJECTORY.json falls back to scanning, and only a fully
-    unreadable baseline exits 2) and the command exits non-zero on any
-    relative regression past the threshold.
+    against a baseline entry (or the latest readable one in a
+    directory; only a fully unreadable baseline exits 2) and the
+    command exits non-zero on any relative regression past the
+    threshold.
 ``check [graph] [--fuzz N --seed S]``
     Decode-path verification: N seeded fault injections per compressed
     format (classified ok / detected / silent-corruption /
@@ -381,29 +381,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             graph.num_nodes, args.queries,
             hot_fraction=args.hot_fraction, seed=args.seed,
         )
-        report = drive(service, sources, deadline_mix=deadline_mix,
-                       burst=args.burst, classes=classes)
+        drive(service, sources, deadline_mix=deadline_mix,
+              burst=args.burst, classes=classes)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     if args.baseline:
         def _mk():
             return _cli_backend(args, graph)
-        report = with_sequential_baseline(report, service, _mk, sources)
+        seq = with_sequential_baseline(service, _mk, sources)
 
-    counts = ", ".join(f"{k}={v}" for k, v in report.counts.items())
+    section = service.metrics_section()
+    counts = ", ".join(f"{k}={int(v)}" for k, v in section["queries"].items())
     print(
-        f"{report.num_queries} queries in {report.num_waves} waves: "
+        f"{len(sources)} queries in {int(section['waves'])} waves: "
         f"{counts}"
     )
     print(
-        f"batched: {report.elapsed_seconds * 1e3:.3f} ms simulated, "
-        f"{report.qps:,.0f} queries/sec"
+        f"batched: {section['elapsed_seconds'] * 1e3:.3f} ms simulated, "
+        f"{section['qps']:,.0f} queries/sec"
     )
     if args.baseline:
+        gauges = service.backend.engine.metrics.gauges
         print(
-            f"sequential: {report.sequential_seconds * 1e3:.3f} ms "
-            f"simulated, {report.qps_sequential:,.0f} queries/sec "
-            f"({report.speedup_vs_sequential:.2f}x batching speedup)"
+            f"sequential: {seq * 1e3:.3f} ms simulated, "
+            f"{gauges['serve.qps_sequential']:,.0f} queries/sec "
+            f"({gauges['serve.speedup_vs_sequential']:.2f}x batching speedup)"
         )
     print()
     print(serve_report(service))
@@ -481,7 +483,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         next_seq,
         run_bench_suite,
         write_bench,
-        write_trajectory_index,
     )
 
     threshold = _threshold(args)
@@ -524,14 +525,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.no_write:
         path = write_bench(payload, args.out_dir)
         print(f"wrote {path}")
-        index_path = write_trajectory_index(args.out_dir)
-        print(f"wrote {index_path}")
     if not args.against:
         return 0
-    # A missing, stale or unreadable trajectory must degrade into a
-    # clear exit-2 diagnostic, never a raw traceback: load_bench
-    # already falls back from the index to a directory scan, and
-    # everything it can still raise is mapped here.
+    # A missing or unreadable trajectory must degrade into a clear
+    # exit-2 diagnostic, never a raw traceback: load_bench already
+    # skips unreadable entries, and everything it can still raise is
+    # mapped here.
     try:
         baseline = load_bench(args.against)
         cmp = compare_bench(baseline, payload, threshold=threshold)

@@ -43,6 +43,7 @@ from repro.dist.wire import FRONTIER_ID_BYTES, WireCodec, get_codec
 from repro.formats.graph import Graph
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
+from repro.obs.critpath import level_seconds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, Tracer
 from repro.primitives.unique import fold_duplicates, sorted_unique
@@ -78,6 +79,9 @@ class LevelCharge:
     exchange: ExchangeStats
     sync_seconds: float = 0.0
     sync_record: dict | None = None
+    #: The level's expand and claim kernel names (critical-path labels).
+    expand_kernel: str = ""
+    claim_kernel: str = ""
 
 
 class ShardedCluster:
@@ -459,14 +463,14 @@ class ShardedCluster:
         # Function-level import: report imports this module at top level.
         from repro.dist.report import level_annotations
 
+        overlapped = 0.0
         if self.overlap:
             overlapped = min(expand_seconds, stats.seconds)
-            total = max(expand_seconds, stats.seconds) + claim_seconds
             self.metrics.inc("dist.overlapped_seconds", overlapped)
-        else:
-            overlapped = 0.0
-            total = expand_seconds + stats.seconds + claim_seconds
-        self.clock += total + sync_seconds
+        self.clock += level_seconds(
+            expand_seconds, stats.seconds, claim_seconds, sync_seconds,
+            self.overlap,
+        )
         self.charges.append(
             LevelCharge(
                 name=span.name,
@@ -476,6 +480,8 @@ class ShardedCluster:
                 exchange=stats,
                 sync_seconds=sync_seconds,
                 sync_record=sync_record,
+                expand_kernel=expand_kernel,
+                claim_kernel=claim_kernel,
             )
         )
         span.annotate(

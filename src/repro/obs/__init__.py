@@ -14,11 +14,10 @@ top:
   with the array responsible for the binding term;
 * :mod:`repro.obs.export` — Perfetto traces with nested spans and
   counter tracks (one per attributed array);
-* :mod:`repro.obs.compare` — diff two metrics dumps, gate regressions;
-* :mod:`repro.obs.timeseries` / :mod:`repro.obs.sketch` — the
-  service-side streaming layer: a ring-buffer time-series on the
-  simulated clock and quantile sketches with a proven relative-error
-  bound.
+* :mod:`repro.obs.compare` — diff two metrics dumps, gate regressions.
+
+Serving statistics are not kept here: :mod:`repro.serve.telemetry`
+computes them exactly from the service's recorded query results.
 
 Only the building blocks are re-exported here: the heavier layers
 import the engine and are loaded as submodules on demand, keeping the
@@ -32,18 +31,14 @@ from repro.obs.metrics import (
     MetricsRegistry,
     git_sha,
 )
-from repro.obs.sketch import QuantileSketch
 from repro.obs.spans import Span, Tracer, aggregate_kernel_costs
-from repro.obs.timeseries import TimeSeries
 
 __all__ = [
     "METRICS_SCHEMA",
     "SUPPORTED_SCHEMAS",
     "Histogram",
     "MetricsRegistry",
-    "QuantileSketch",
     "Span",
-    "TimeSeries",
     "Tracer",
     "aggregate_kernel_costs",
     "git_sha",

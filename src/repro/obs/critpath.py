@@ -10,9 +10,9 @@ path:
   the path and the chain is the timeline itself.
 * **Distributed** runs advance the cluster clock once per
   bulk-synchronous level (``ShardedCluster.superstep``), by
-  ``expand + exchange + claim`` in the serial cost model or
-  ``max(expand, exchange) + claim`` under overlap (PR 6), plus any
-  serial post-level sync (PageRank's scalar allreduce).  Under overlap
+  :func:`level_seconds`: ``expand + exchange + claim`` in the serial
+  cost model or ``max(expand, exchange) + claim`` under overlap, plus
+  any serial post-level sync (PageRank's scalar allreduce).  Under overlap
   the shorter of expand/exchange is *off* the path — its whole
   duration is hidden, and its ``slack_seconds`` says how much it could
   grow before surfacing.
@@ -36,6 +36,7 @@ __all__ = [
     "critpath_report_line",
     "extract_cluster_critical_path",
     "extract_critical_path",
+    "level_seconds",
     "verify_critpath",
 ]
 
@@ -176,7 +177,7 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
     Serial model: expand, exchange, claim (and sync) all queue — every
     segment is on-path.  Overlap model: the longer of expand/exchange
     is on-path (expand wins exact ties, mirroring ``max``'s
-    first-argument preference in ``ShardedCluster._finish_level``) and
+    first-argument preference in :func:`level_seconds`) and
     the shorter is hidden; claim and sync stay serial.  Exchange
     segments bind to the tier that spent more fabric time.
     """
@@ -195,12 +196,8 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
             expand_on = charge.expand_seconds >= ex.seconds
             exchange_on = not expand_on
         longer = max(charge.expand_seconds, ex.seconds)
-        # Kernel spans carry per-launch names; the superstep recorded
-        # the phase kernels explicitly, so look them up from the
-        # charge's driver annotations via the level span attrs.
-        span_attrs = _charge_span_attrs(cluster, charge.name)
-        expand_kernel = str(span_attrs.get("expand_kernel", ""))
-        claim_kernel = str(span_attrs.get("claim_kernel", ""))
+        expand_kernel = charge.expand_kernel
+        claim_kernel = charge.claim_kernel
         intra_s = (
             ex.tier_transfer_seconds["intra"]
             + ex.tier_latency_seconds["intra"]
@@ -269,34 +266,30 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
                     on_path=True,
                 )
             )
-        clock += _replay_level(charge, cluster.overlap)
+        clock += level_seconds(
+            charge.expand_seconds, ex.seconds, charge.claim_seconds,
+            charge.sync_seconds, cluster.overlap,
+        )
     return path
 
 
-def _charge_span_attrs(cluster, name: str) -> dict:
-    root = cluster.tracer.root
-    if root is None:
-        return {}
-    for span in root.find("level"):
-        if span.name == name:
-            return span.attrs
-    return {}
+def level_seconds(
+    expand: float, exchange: float, claim: float, sync: float, overlap: bool
+) -> float:
+    """One bulk-synchronous level's clock advance.
 
-
-def _replay_level(charge, overlap: bool) -> float:
-    """One level's clock advance, with the simulator's exact arithmetic.
-
-    Mirrors ``ShardedCluster._finish_level``: the serial sum is
-    left-associated, overlap takes ``max`` first, and the sync adds on
-    after — the same expressions, so the replayed float is
-    bit-identical to the recorded advance.
+    Serial model: expand, exchange and claim queue (a left-associated
+    sum).  Overlap: the exchange streams while expansion still runs, so
+    the level pays ``max(expand, exchange)`` plus the claim.  A serial
+    post-level sync adds on after.  ``ShardedCluster`` prices its clock
+    with this function and every replay calls it too, so a replay of
+    the recorded inputs is bit-identical to the recorded advance.
     """
-    ex_seconds = charge.exchange.seconds
     if overlap:
-        total = max(charge.expand_seconds, ex_seconds) + charge.claim_seconds
+        total = max(expand, exchange) + claim
     else:
-        total = charge.expand_seconds + ex_seconds + charge.claim_seconds
-    return total + charge.sync_seconds
+        total = expand + exchange + claim
+    return total + sync
 
 
 def verify_critpath(path: CriticalPath) -> None:
@@ -346,28 +339,24 @@ def verify_critpath(path: CriticalPath) -> None:
                         f"level {expand.level_name!r}: overlap on-path "
                         "labels disagree with the longer phase"
                     )
-                total = (
-                    max(expand.seconds, exchange.seconds) + claim.seconds
+            elif not (expand.on_path and exchange.on_path):
+                raise AssertionError(
+                    f"level {expand.level_name!r}: serial phases "
+                    "must all be on-path"
                 )
-            else:
-                if not (expand.on_path and exchange.on_path):
-                    raise AssertionError(
-                        f"level {expand.level_name!r}: serial phases "
-                        "must all be on-path"
-                    )
-                total = expand.seconds + exchange.seconds + claim.seconds
             if not claim.on_path:
                 raise AssertionError(
                     f"level {claim.level_name!r}: claim is never hidden"
                 )
             sync = phases.get("sync")
-            if sync is not None:
-                if not sync.on_path:
-                    raise AssertionError(
-                        f"level {sync.level_name!r}: sync is serial"
-                    )
-                total = total + sync.seconds
-            acc += total
+            if sync is not None and not sync.on_path:
+                raise AssertionError(
+                    f"level {sync.level_name!r}: sync is serial"
+                )
+            acc += level_seconds(
+                expand.seconds, exchange.seconds, claim.seconds,
+                0.0 if sync is None else sync.seconds, path.overlap,
+            )
     if acc != path.elapsed_seconds:
         raise AssertionError(
             f"on-path replay {acc!r} != elapsed {path.elapsed_seconds!r} "

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.obs.critpath import level_seconds
+
 __all__ = [
     "CLUSTER_KNOBS",
     "WhatIfResult",
@@ -164,19 +166,13 @@ def replay_cluster_seconds(
         ex_seconds = 0.0
         for rec in charge.exchange.step_records:
             ex_seconds += _price_step(rec, topo, scale)
-        if ov:
-            total = max(charge.expand_seconds, ex_seconds) + (
-                charge.claim_seconds
-            )
-        else:
-            total = (
-                charge.expand_seconds + ex_seconds + charge.claim_seconds
-            )
+        # The sync carries scalars, not codec traffic: never scaled.
+        sync = 0.0
         if charge.sync_record is not None:
-            # The sync carries scalars, not codec traffic: never scaled.
             sync = _price_step(charge.sync_record, topo)
-            total = total + sync if sync else total
-        clock += total
+        clock += level_seconds(
+            charge.expand_seconds, ex_seconds, charge.claim_seconds, sync, ov
+        )
     return clock
 
 

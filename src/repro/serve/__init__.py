@@ -9,10 +9,11 @@ queries into batched :func:`~repro.traversal.msbfs.msbfs` waves; and
 :mod:`~repro.serve.driver` is the deterministic closed-loop client
 that turns queries/sec into a bench column.
 
-:mod:`~repro.serve.telemetry` keeps the latency, queue-wait and
-wave-width sketches and the outcome counts behind the ``service``
-metrics section, and :mod:`~repro.serve.report` prints the dist-style
-text block.
+:mod:`~repro.serve.telemetry` computes the latency, queue-wait and
+wave-width distributions (exact quantiles) and the outcome counts
+behind the ``service`` metrics section from the service's query
+results, and :mod:`~repro.serve.report` prints the dist-style text
+block.
 """
 
 from repro.serve.container import (
@@ -25,7 +26,6 @@ from repro.serve.container import (
     save_container,
 )
 from repro.serve.driver import (
-    DriveReport,
     drive,
     make_labeled_stream,
     parse_deadline_mix,
@@ -47,7 +47,6 @@ __all__ = [
     "GraphService",
     "QueryResult",
     "ServiceTelemetry",
-    "DriveReport",
     "drive",
     "make_labeled_stream",
     "parse_deadline_mix",

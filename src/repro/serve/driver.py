@@ -17,43 +17,17 @@ where 64 sequential runs decode it up to 64 times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.serve.service import GraphService
 
 __all__ = [
-    "DriveReport",
     "make_labeled_stream",
     "parse_deadline_mix",
     "drive",
     "sequential_seconds",
     "with_sequential_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class DriveReport:
-    """Outcome of one closed-loop serve run (simulated-clock timings)."""
-
-    num_queries: int
-    #: Per-status counts ("done"/"cached"/"rejected"/"expired").
-    counts: dict
-    num_waves: int
-    elapsed_seconds: float
-    #: Served queries (done + cached) per simulated second, batched.
-    qps: float
-    #: The same stream replayed one bfs() at a time (0 when skipped).
-    sequential_seconds: float = 0.0
-    qps_sequential: float = 0.0
-
-    @property
-    def speedup_vs_sequential(self) -> float:
-        """Batched-over-sequential throughput ratio (0 when no baseline)."""
-        if self.sequential_seconds <= 0 or self.elapsed_seconds <= 0:
-            return 0.0
-        return self.sequential_seconds / self.elapsed_seconds
 
 
 def make_labeled_stream(
@@ -122,7 +96,7 @@ def drive(
     deadline_mix: tuple[float | None, ...] = (None,),
     burst: int = 16,
     classes: list[str] | None = None,
-) -> DriveReport:
+) -> None:
     """Run a closed-loop client: submit in bursts, drain between them.
 
     ``deadline_mix`` cycles per query (``None`` = no deadline), so a
@@ -132,7 +106,9 @@ def drive(
     closed loop, no unbounded backlog.
 
     ``classes`` (from :func:`make_labeled_stream`) labels each query's
-    telemetry ``source_class``.
+    telemetry ``source_class``.  The run's outcome lives on the
+    service: its results, :meth:`~GraphService.metrics_section` and the
+    ``serve.qps`` / ``serve.elapsed_seconds`` gauges set here.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if burst < 1:
@@ -152,20 +128,10 @@ def drive(
     while service.num_pending:
         service.step_wave()
 
-    counts = service.counts()
-    served = counts.get("done", 0) + counts.get("cached", 0)
-    elapsed = service.clock
-    report = DriveReport(
-        num_queries=int(sources.shape[0]),
-        counts=counts,
-        num_waves=service.num_waves,
-        elapsed_seconds=elapsed,
-        qps=served / elapsed if elapsed > 0 else 0.0,
-    )
+    section = service.metrics_section()
     metrics = service.backend.engine.metrics
-    metrics.set_gauge("serve.qps", report.qps)
-    metrics.set_gauge("serve.elapsed_seconds", elapsed)
-    return report
+    metrics.set_gauge("serve.qps", section["qps"])
+    metrics.set_gauge("serve.elapsed_seconds", section["elapsed_seconds"])
 
 
 def sequential_seconds(
@@ -193,22 +159,23 @@ def sequential_seconds(
 
 
 def with_sequential_baseline(
-    report: DriveReport, service: GraphService, make_backend, sources
-) -> DriveReport:
-    """Attach the sequential-replay baseline to a drive report."""
+    service: GraphService, make_backend, sources
+) -> float:
+    """Price the sequential-replay baseline of a driven service.
+
+    Sets the ``serve.qps_sequential`` and ``serve.speedup_vs_sequential``
+    gauges (batched-over-sequential throughput; 0 when either clock is
+    0) and returns the sequential simulated seconds.
+    """
     seq = sequential_seconds(make_backend, sources)
-    counts = report.counts
-    served = counts.get("done", 0) + counts.get("cached", 0)
-    out = DriveReport(
-        num_queries=report.num_queries,
-        counts=counts,
-        num_waves=report.num_waves,
-        elapsed_seconds=report.elapsed_seconds,
-        qps=report.qps,
-        sequential_seconds=seq,
-        qps_sequential=served / seq if seq > 0 else 0.0,
-    )
+    section = service.metrics_section()
+    elapsed = section["elapsed_seconds"]
     metrics = service.backend.engine.metrics
-    metrics.set_gauge("serve.qps_sequential", out.qps_sequential)
-    metrics.set_gauge("serve.speedup_vs_sequential", out.speedup_vs_sequential)
-    return out
+    metrics.set_gauge(
+        "serve.qps_sequential", section["served"] / seq if seq > 0 else 0.0
+    )
+    metrics.set_gauge(
+        "serve.speedup_vs_sequential",
+        seq / elapsed if seq > 0 and elapsed > 0 else 0.0,
+    )
+    return seq

@@ -3,8 +3,8 @@
 The :mod:`repro.dist` layer prints a per-level table plus total/tier
 summary lines; :func:`serve_report` is the serving-side equivalent —
 one block with the admission and result-LRU counters (hits, evictions,
-rejects) from the engine's registry, together with the latency
-percentiles and wave widths from the telemetry cluster.
+rejects) from the engine's registry, together with the exact latency
+percentiles and wave widths computed from the query results.
 """
 
 from __future__ import annotations

@@ -83,6 +83,8 @@ class QueryResult:
     #: Index of the wave that served it (-1 when no wave ran it).
     wave: int = -1
     submitted_s: float = 0.0
+    #: When the serving wave began; ``completed_s`` when no wave ran it.
+    started_s: float = 0.0
     completed_s: float = 0.0
     #: Client-provided workload label (telemetry dimension).
     source_class: str = "any"
@@ -118,11 +120,6 @@ class GraphService:
     max_pending: int = DEFAULT_MAX_PENDING
     result_cache_entries: int = DEFAULT_RESULT_CACHE
     max_wave: int = MAX_SOURCES
-    #: Instrument cluster: sketches and windowed throughput.  Separate
-    #: from ``engine.metrics``, which feeds the byte-stable bench counters.
-    telemetry: ServiceTelemetry = field(
-        default_factory=ServiceTelemetry, init=False
-    )
 
     _pending: deque = field(default_factory=deque, repr=False)
     _results: list = field(default_factory=list, repr=False)
@@ -175,6 +172,11 @@ class GraphService:
         """All results recorded so far, in completion order."""
         return list(self._results)
 
+    @property
+    def telemetry(self) -> ServiceTelemetry:
+        """Serving statistics computed from :attr:`results` as of now."""
+        return ServiceTelemetry(self._results, self.clock)
+
     # -- request path -------------------------------------------------
 
     def submit(
@@ -208,21 +210,19 @@ class GraphService:
             self._cache.move_to_end(key)
             metrics.inc("serve.cache.hits")
             metrics.inc("serve.queries.served")
-            self.telemetry.on_cache_hit(now, source_class)
             self._results.append(QueryResult(
                 qid=qid, source=source, status="cached",
                 levels=self._cache[key],
-                submitted_s=now, completed_s=now,
+                submitted_s=now, started_s=now, completed_s=now,
                 source_class=source_class,
             ))
             return qid
 
         if len(self._pending) >= self.max_pending:
             metrics.inc("serve.queries.rejected")
-            self.telemetry.on_reject(now, source_class)
             self._results.append(QueryResult(
                 qid=qid, source=source, status="rejected",
-                submitted_s=now, completed_s=now,
+                submitted_s=now, started_s=now, completed_s=now,
                 source_class=source_class,
             ))
             return qid
@@ -266,10 +266,10 @@ class GraphService:
             q = self._pending.popleft()
             if q.deadline_s is not None and now > q.deadline_s:
                 metrics.inc("serve.queries.expired")
-                self.telemetry.on_expire(now, q.source_class)
                 batch_results.append(QueryResult(
                     qid=q.qid, source=q.source, status="expired",
-                    submitted_s=q.submitted_s, completed_s=now,
+                    submitted_s=q.submitted_s, started_s=now,
+                    completed_s=now,
                     source_class=q.source_class,
                 ))
                 continue
@@ -298,21 +298,16 @@ class GraphService:
         ):
             result = msbfs(self.backend, sources, reset_timeline=False)
         done = self.clock
-        self.telemetry.on_wave(len(lanes))
 
         for i, q in enumerate(taken):
             levels = result.levels[i]
             self._cache_put(q.source, levels)
             metrics.inc("serve.queries.served")
-            self.telemetry.on_done(
-                done, q.source_class,
-                latency_s=done - q.submitted_s,
-                queue_wait_s=now - q.submitted_s,
-            )
             batch_results.append(QueryResult(
                 qid=q.qid, source=q.source, status="done",
                 levels=levels, wave=wave_idx,
-                submitted_s=q.submitted_s, completed_s=done,
+                submitted_s=q.submitted_s, started_s=now,
+                completed_s=done,
                 source_class=q.source_class,
             ))
         self._results.extend(batch_results)
@@ -356,10 +351,10 @@ class GraphService:
         }
 
     def service_section(self) -> dict:
-        """The ``service`` section: sketches, outcomes and rates.
+        """The ``service`` section: distributions, outcomes and rates.
 
         Distinct from :meth:`metrics_section` (the ``serve`` totals,
         which the bench trajectory depends on byte-for-byte): this one
         carries the latency, queue-wait and wave-width distributions.
         """
-        return self.telemetry.section(self.clock)
+        return self.telemetry.section()

@@ -1,86 +1,119 @@
-"""Service-side telemetry: quantile sketches and windowed throughput.
+"""Service telemetry: a read-only view of a run's query results.
 
-:class:`ServiceTelemetry` is the per-service instrument cluster.  The
-:class:`~repro.serve.service.GraphService` calls one hook per terminal
-outcome (reject, cache hit, expire, done) and one per wave, and this
-module feeds:
+A :class:`~repro.serve.service.GraphService` records one
+:class:`~repro.serve.service.QueryResult` per query — status, wave,
+source class and its submit, start and completion times on the
+simulated clock.  That list is the only record of a serve run;
+:class:`ServiceTelemetry` computes every serving statistic from it:
 
-* **quantile sketches** (:mod:`repro.obs.sketch`) for per-query
-  latency, queue wait, and wave width distributions;
-* a **ring-buffer time-series** (:mod:`repro.obs.timeseries`) of
-  completions, for the windowed QPS on the simulated clock;
-* outcome counts, overall and per source class.
+* **latency** (``completed_s - submitted_s``) and **queue wait**
+  (``started_s - submitted_s``) of each served query — a result-LRU
+  hit completes at submit time, so both are 0 for it;
+* **wave width**: the distinct sources among each wave's ``done``
+  results (coalesced duplicates share a lane);
+* outcome counts, overall and per source class, and the windowed QPS
+  (served completions in the last :data:`WINDOW_S` simulated seconds).
 
-The cluster is deliberately *separate* from the engine's
-:class:`~repro.obs.metrics.MetricsRegistry`: the registry feeds the
-byte-stable bench trajectory, while telemetry feeds the ``service``
-metrics section and :func:`~repro.serve.report.serve_report`.
-
-Everything is keyed on the simulated clock, so two identical drives
-produce byte-identical sketches and sections.
+Each distribution is a :class:`Samples` holding every value, so its
+quantiles are exact order statistics.  The view is separate from the
+engine's :class:`~repro.obs.metrics.MetricsRegistry`, which feeds the
+byte-stable bench counters; telemetry feeds the ``service`` metrics
+section and :func:`~repro.serve.report.serve_report`.  Everything is
+keyed on the simulated clock, so two identical drives produce
+byte-identical sections.
 """
 
 from __future__ import annotations
 
-from repro.obs.sketch import QuantileSketch
-from repro.obs.timeseries import TimeSeries
+import math
 
-__all__ = ["ServiceTelemetry"]
-
-#: Relative accuracy of every service sketch (documented bound: each
-#: reported percentile is within 1% of the exact order statistic).
-SKETCH_ACCURACY = 0.01
+__all__ = ["Samples", "ServiceTelemetry"]
 
 #: Window of the ``windowed_qps`` rollup (simulated seconds; sim runs
 #: at device scale live in the microsecond range).
 WINDOW_S = 1e-6
 
 
-class ServiceTelemetry:
-    """Instrument cluster for one :class:`GraphService` lifetime."""
+class Samples:
+    """Every recorded value of one quantity, sorted; exact statistics."""
 
-    def __init__(self) -> None:
-        self.latency = QuantileSketch(SKETCH_ACCURACY)
-        self.queue_wait = QuantileSketch(SKETCH_ACCURACY)
-        self.wave_lanes = QuantileSketch(SKETCH_ACCURACY)
-        #: One point per served query at its completion time.
-        self.completions = TimeSeries(capacity=8192)
+    __slots__ = ("values",)
+
+    def __init__(self, values) -> None:
+        self.values = sorted(float(v) for v in values)
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
+    def sum(self) -> float:
+        """Correctly-rounded total, independent of recording order."""
+        return math.fsum(self.values)
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.values else 0.0
+
+    @property
+    def min(self) -> float:
+        return self.values[0] if self.values else 0.0
+
+    @property
+    def max(self) -> float:
+        return self.values[-1] if self.values else 0.0
+
+    def quantile(self, q: float) -> float:
+        """The order statistic at rank ``ceil(q * (n - 1))`` (0-indexed).
+
+        The same element ``numpy.quantile(values, q, method="higher")``
+        returns, so it always lies in ``[min, max]``.
+        """
+        if not (0.0 <= q <= 1.0):
+            raise ValueError(f"q must be in [0, 1], got {q}")
+        if not self.values:
+            raise ValueError("quantile of an empty sample")
+        return self.values[math.ceil(q * (len(self.values) - 1))]
+
+    def summary(self, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> dict:
+        """Numeric-only summary for a metrics section (diffable)."""
+        out = {
+            "count": float(self.count),
+            "sum": self.sum,
+            "mean": self.mean,
+            "min": self.min,
+            "max": self.max,
+        }
+        for q in qs:
+            out[f"p{q * 100:g}".replace(".", "_")] = (
+                self.quantile(q) if self.values else 0.0
+            )
+        return out
+
+
+class ServiceTelemetry:
+    """Statistics over one service's results, as of simulated time ``now``."""
+
+    def __init__(self, results, now: float) -> None:
+        served = [r for r in results if r.ok]
+        self.latency = Samples(r.completed_s - r.submitted_s for r in served)
+        self.queue_wait = Samples(r.started_s - r.submitted_s for r in served)
         #: outcome -> count and (source_class, outcome) -> count.
         self.outcomes: dict[str, int] = {}
         self.by_class: dict[tuple[str, str], int] = {}
-
-    def _terminal(self, t: float, outcome: str, source_class: str) -> None:
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        key = (source_class, outcome)
-        self.by_class[key] = self.by_class.get(key, 0) + 1
-        if outcome in ("done", "cached"):
-            self.completions.record(t, 1.0)
-
-    # -- hooks (called by GraphService) -------------------------------
-
-    def on_reject(self, t: float, source_class: str) -> None:
-        self._terminal(t, "rejected", source_class)
-
-    def on_cache_hit(self, t: float, source_class: str) -> None:
-        self.latency.add(0.0)
-        self.queue_wait.add(0.0)
-        self._terminal(t, "cached", source_class)
-
-    def on_expire(self, t: float, source_class: str) -> None:
-        self._terminal(t, "expired", source_class)
-
-    def on_wave(self, lanes: int) -> None:
-        self.wave_lanes.add(float(lanes))
-
-    def on_done(
-        self, t: float, source_class: str, latency_s: float,
-        queue_wait_s: float,
-    ) -> None:
-        self.latency.add(latency_s)
-        self.queue_wait.add(queue_wait_s)
-        self._terminal(t, "done", source_class)
-
-    # -- derived views ------------------------------------------------
+        waves: dict[int, set[int]] = {}
+        for r in results:
+            self.outcomes[r.status] = self.outcomes.get(r.status, 0) + 1
+            key = (r.source_class, r.status)
+            self.by_class[key] = self.by_class.get(key, 0) + 1
+            if r.status == "done":
+                waves.setdefault(r.wave, set()).add(r.source)
+        self.wave_lanes = Samples(len(lanes) for lanes in waves.values())
+        #: Served queries per simulated second over the last window,
+        #: ``(now - WINDOW_S, now]``.
+        self.windowed_qps = sum(
+            now - WINDOW_S < r.completed_s <= now for r in served
+        ) / WINDOW_S
 
     @property
     def total(self) -> int:
@@ -106,21 +139,13 @@ class ServiceTelemetry:
             return 0.0
         return self.outcomes.get("cached", 0) / self.served
 
-    def windowed_qps(self, now: float) -> float:
-        """Served queries per simulated second over the last window."""
-        return self.completions.stats(WINDOW_S, now=now)["rate"]
-
     def lane_occupancy(self) -> float:
         """Mean lanes per wave over the full run, as a fraction of 64."""
         from repro.traversal.msbfs import MAX_SOURCES
 
-        if not self.wave_lanes.count:
-            return 0.0
         return self.wave_lanes.mean / MAX_SOURCES
 
-    # -- export -------------------------------------------------------
-
-    def section(self, now: float) -> dict:
+    def section(self) -> dict:
         """The ``service`` metrics section (numeric-only, diffable)."""
         by_class: dict[str, dict[str, float]] = {}
         for (cls, outcome), n in sorted(self.by_class.items()):
@@ -135,7 +160,7 @@ class ServiceTelemetry:
                 "miss_rate": self.miss_rate,
                 "hit_rate": self.hit_rate,
                 "lane_occupancy": self.lane_occupancy(),
-                "windowed_qps": self.windowed_qps(now),
+                "windowed_qps": self.windowed_qps,
                 "window_s": WINDOW_S,
             },
         }

@@ -102,9 +102,12 @@ class TestNextSeq:
         write_bench(bench_payload({}, seq=11, config=SMALL), str(tmp_path))
         assert next_seq(str(tmp_path)) == 12
 
-    def test_changes_md_fallback(self, tmp_path):
+    def test_empty_dir_starts_at_one(self, tmp_path, monkeypatch):
+        # Unrelated files (a changelog, say) never number the trajectory.
         (tmp_path / "CHANGES.md").write_text("PR 1: a\nPR 2: b\n\n")
-        assert next_seq(str(tmp_path)) == 2
+        monkeypatch.chdir(tmp_path)
+        assert next_seq(str(tmp_path)) == 1
+        assert next_seq(".") == 1
 
     def test_last_resort_is_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -139,8 +142,8 @@ class TestSourceSeed:
 
 class TestLoadFallback:
     def test_stale_index_falls_back_to_scan(self, payload, tmp_path):
-        # An index referencing entries no longer on disk is stale: the
-        # scan order applies and resolution still succeeds.
+        # A leftover TRAJECTORY.json index (older trajectories wrote
+        # one) is ignored: the directory scan alone resolves the entry.
         write_bench(payload, str(tmp_path))
         (tmp_path / "TRAJECTORY.json").write_text(
             json.dumps(
@@ -295,53 +298,3 @@ class TestWhatIfTargets:
         assert list(targets) == ["new/one"]
         # Equal speedups break alphabetically for a stable digest.
         assert targets["new/one"] == {"scenario": "a", "speedup": 2.0}
-
-
-class TestTrajectoryIndex:
-    def test_index_orders_entries_and_digests(self, payload, tmp_path):
-        from repro.bench.trajectory import (
-            TRAJECTORY_SCHEMA,
-            write_trajectory_index,
-        )
-
-        write_bench(payload, str(tmp_path))
-        later = bench_payload(
-            payload["workloads"], seq=4, config=SMALL
-        )
-        write_bench(later, str(tmp_path))
-        index_path = write_trajectory_index(str(tmp_path))
-        index = json.loads(open(index_path).read())
-        assert index["schema"] == TRAJECTORY_SCHEMA
-        assert [e["seq"] for e in index["entries"]] == [1, 4]
-        entry = index["entries"][0]
-        assert entry["file"] == "BENCH_1.json"
-        assert entry["git_sha"] == payload["meta"]["git_sha"]
-        for name, row in entry["workloads"].items():
-            totals = payload["workloads"][name]["totals"]
-            assert row["elapsed_seconds"] == totals["elapsed_seconds"]
-            assert row["top_whatif"]
-            assert row["top_speedup"] > 0.0
-
-    def test_refresh_is_byte_stable(self, payload, tmp_path):
-        from repro.bench.trajectory import write_trajectory_index
-
-        write_bench(payload, str(tmp_path))
-        first = open(write_trajectory_index(str(tmp_path)), "rb").read()
-        second = open(write_trajectory_index(str(tmp_path)), "rb").read()
-        assert first == second
-
-    def test_entries_without_whatif_sections(self, tmp_path):
-        from repro.bench.trajectory import write_trajectory_index
-
-        old = bench_payload(
-            {"old/one": {"totals": {"elapsed_seconds": 0.5}}},
-            seq=2,
-            config=SMALL,
-        )
-        write_bench(old, str(tmp_path))
-        index = json.loads(
-            open(write_trajectory_index(str(tmp_path))).read()
-        )
-        row = index["entries"][0]["workloads"]["old/one"]
-        assert row["elapsed_seconds"] == 0.5
-        assert "top_whatif" not in row

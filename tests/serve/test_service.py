@@ -184,17 +184,17 @@ class TestDriver:
                 small_graph, fmt="efg", cache_kb=256
             )
             stream, _ = make_labeled_stream(small_graph.num_nodes, 120, seed=7)
-            report = drive(
+            drive(
                 service, stream,
                 deadline_mix=(None, 0.5, None, 1e-9), burst=96,
             )
-            return report, service
+            return service
 
-        r1, s1 = run_once()
-        r2, s2 = run_once()
-        assert r1.counts == r2.counts
-        assert r1.elapsed_seconds == r2.elapsed_seconds
-        assert r1.qps == r2.qps
+        s1 = run_once()
+        s2 = run_once()
+        assert s1.metrics_section() == s2.metrics_section()
+        assert (s1.backend.engine.metrics.gauges
+                == s2.backend.engine.metrics.gauges)
         for a, b in zip(s1.results, s2.results):
             assert a.status == b.status and a.source == b.source
             if a.levels is not None:
@@ -218,7 +218,7 @@ class TestDriver:
             small_graph.num_nodes, size=MAX_SOURCES, replace=False
         ).astype(np.int64)
         service = GraphService.from_graph(small_graph, fmt="efg", cache_kb=256)
-        report = drive(service, sources, burst=64)
+        drive(service, sources, burst=64)
 
         def mk():
             backend = EFGBackend(
@@ -227,9 +227,11 @@ class TestDriver:
             backend.attach_cache(DecodedListCache(budget_bytes=256 * 1024))
             return backend
 
-        report = with_sequential_baseline(report, service, mk, sources)
-        assert report.num_waves == 1
-        assert report.speedup_vs_sequential >= 3.0
+        seq = with_sequential_baseline(service, mk, sources)
+        gauges = service.backend.engine.metrics.gauges
+        assert service.num_waves == 1
+        assert gauges["serve.speedup_vs_sequential"] == seq / service.clock
+        assert gauges["serve.speedup_vs_sequential"] >= 3.0
 
     def test_sequential_seconds_positive(self, small_graph):
         def mk():
@@ -311,21 +313,31 @@ class TestServedRows:
         held = sum(b.nbytes for b in buffers.values())
         assert held <= 4 * driven.backend.num_nodes * lanes_served, held
 
-    def test_metrics_dump_pinned(self, driven):
+    @staticmethod
+    def _digest(driven, with_service):
         # sha256 of the run's canonical metrics payload minus ``meta``
-        # (which stamps the git sha): how the served rows are stored
-        # must not move any simulated count, byte or second.
+        # (which stamps the git sha).
         from repro.obs.metrics import run_metrics
 
-        payload = run_metrics(
-            driven.backend.engine, meta={},
-            sections={"serve": driven.metrics_section(),
-                      "service": driven.service_section()},
-        )
+        sections = {"serve": driven.metrics_section()}
+        if with_service:
+            sections["service"] = driven.service_section()
+        payload = run_metrics(driven.backend.engine, meta={}, sections=sections)
         del payload["meta"]
-        digest = hashlib.sha256(
+        return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
-        assert digest == (
-            "e746a26c35dc12cd36351b4957bac82cd26d8ef3900177dfd1125230ce5d0916"
+
+    def test_metrics_dump_pinned_without_service(self, driven):
+        # How the served rows are stored and how telemetry is computed
+        # must not move any simulated count, byte or second.
+        assert self._digest(driven, with_service=False) == (
+            "79dee203f2b7f281d1a305b20d34af41c9b7dd14fe3e257ec36351696cb95a45"
+        )
+
+    def test_metrics_dump_pinned(self, driven):
+        # The full dump, ``service`` distributions (exact quantiles)
+        # included.
+        assert self._digest(driven, with_service=True) == (
+            "b60ec2b909636e659bb483e6ca3c53a1f6286b84972052b4da59d6fb2293bfe4"
         )

@@ -448,7 +448,7 @@ class TestBenchAgainstErrors:
         assert main([
             "bench", "--out-dir", str(tmp_path), "--seq", "1", *self.SMALL,
         ]) == 0
-        # Point the index at an entry that is not on disk: stale.
+        # A leftover TRAJECTORY.json naming an absent entry is ignored.
         (tmp_path / "TRAJECTORY.json").write_text(
             json.dumps({"entries": [{"seq": 9, "file": "BENCH_9.json"}]})
         )
