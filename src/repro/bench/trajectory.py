@@ -247,7 +247,7 @@ def _run_dist_workload(
 ) -> dict:
     """One distributed-BFS workload on the pinned two-tier cluster."""
     from repro.dist import ShardedCluster, distributed_bfs
-    from repro.dist.report import dist_run_metrics, verify_dist_attribution
+    from repro.dist.report import dist_run_metrics
     from repro.dist.topology import LinkTopology
 
     topology = LinkTopology.two_tier(
@@ -267,7 +267,6 @@ def _run_dist_workload(
         overlap=config.dist_overlap,
     )
     distributed_bfs(cluster, source)
-    verify_dist_attribution(cluster)
     return dist_run_metrics(
         cluster, meta={"bench_workload": f"dist_bfs/{wire}"}
     )

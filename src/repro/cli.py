@@ -7,12 +7,6 @@ Commands
     a-priori bound means this needs no actual compression.
 ``encode <container|edges.txt> -o out.npz``
     Compress to EFG and report ratio/encode time.
-``bfs <container|edges.txt> [--format efg|csr|cgr] [--source N]``
-    Run a simulated-GPU BFS and print runtime/GTEPS and the profile.
-    ``--cache-kb`` attaches a decoded-list cache of that budget.
-``msbfs <container|edges.txt> [--num-sources N] [--cache-kb KB]``
-    Bit-parallel multi-source BFS: up to 64 sources share each list
-    decode; prints amortized per-source time/GTEPS and cache hit rate.
 ``serve <container|edges.txt> [--build-from GRAPH] [--queries N]
 [--deadline-ms MIX] [--hot-fraction F] [--baseline] [--metrics m.json]``
     Stand up the resident graph service (``repro.serve``): open an
@@ -24,11 +18,13 @@ Commands
     replays the stream one ``bfs`` at a time and prints the batching
     speedup.
 ``profile <algo> [graph] [--trace out.json] [--metrics m.json]``
-    Run one algorithm under full telemetry: prints the roofline report
-    (per-kernel and per-level bound labels), optionally writes a
-    Perfetto trace with nested spans + counter tracks and a
-    stable-schema metrics JSON.  Without a graph a deterministic RMAT
-    graph is generated, so two invocations are byte-identical.
+    Run one algorithm under full telemetry: prints runtime/GTEPS,
+    residency, the list-cache hit rate when ``--cache-kb`` attaches a
+    decoded-list cache, and the roofline report (per-kernel and
+    per-level bound labels); optionally writes a Perfetto trace with
+    nested spans + counter tracks and a stable-schema metrics JSON.
+    Without a graph a deterministic RMAT graph is generated, so two
+    invocations are byte-identical.
 ``dist <algo> [graph] [--gpus N] [--nodes M] [--fmt csr|efg]
 [--wire CODEC] [--schedule flat|butterfly|hierarchical] [--overlap]``
     Sharded traversal (bfs/sssp/pagerank) over N simulated GPUs with a
@@ -236,14 +232,6 @@ def _gate(args: argparse.Namespace, cmp) -> int:
     return 1
 
 
-def _print_cache_stats(st) -> None:
-    print(
-        f"list cache: {st.hits}/{st.lookups} hits "
-        f"({100 * st.hit_rate:.1f}%), {st.bytes_saved:,.0f} "
-        f"compressed bytes saved"
-    )
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -292,48 +280,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             quantum=np.int64(efg.quantum),
         )
         print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_bfs(args: argparse.Namespace) -> int:
-    from repro.traversal.bfs import bfs
-
-    graph = _load(args.graph)
-    backend = _cli_backend(args, graph)
-    source = _source(args, graph)
-    result = bfs(backend, source)
-    fits = "resident" if backend.graph_fits_in_memory() else "out-of-core"
-    print(
-        f"{args.format} BFS from {source}: {result.runtime_ms:.3f} ms "
-        f"simulated, {result.gteps:.2f} GTEPS, {result.num_levels} levels "
-        f"({fits})"
-    )
-    if backend.cache is not None:
-        _print_cache_stats(backend.cache.stats)
-    print()
-    print(backend.engine.profile_report())
-    return 0
-
-
-def _cmd_msbfs(args: argparse.Namespace) -> int:
-    from repro.traversal.msbfs import msbfs
-
-    graph = _load(args.graph)
-    sources = _sample_sources(args, graph)
-    backend = _cli_backend(args, graph)
-    result = msbfs(backend, sources)
-    fits = "resident" if backend.graph_fits_in_memory() else "out-of-core"
-    print(
-        f"{args.format} MSBFS, {len(sources)} sources: "
-        f"{result.sim_seconds * 1e3:.3f} ms simulated "
-        f"({result.seconds_per_source * 1e3:.4f} ms/source), "
-        f"{result.gteps:.2f} amortized GTEPS, "
-        f"{result.lists_decoded:,} lists decoded ({fits})"
-    )
-    if result.cache_stats is not None:
-        _print_cache_stats(result.cache_stats)
-    print()
-    print(backend.engine.profile_report())
     return 0
 
 
@@ -453,11 +399,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         meta={"graph": graph_name, "seed": str(args.seed)},
     )
     result = run.result
+    fits = "resident" if backend.graph_fits_in_memory() else "out-of-core"
     print(
         f"{args.format} {args.algo}: "
         f"{result.sim_seconds * 1e3:.3f} ms simulated"
         + (f", {result.gteps:.2f} GTEPS" if hasattr(result, "gteps") else "")
+        + f" ({fits})"
     )
+    if backend.cache is not None:
+        st = backend.cache.stats
+        print(
+            f"list cache: {st.hits}/{st.lookups} hits "
+            f"({100 * st.hit_rate:.1f}%), {st.bytes_saved:,.0f} "
+            f"compressed bytes saved"
+        )
     print()
     print(run.report)
     if args.counters:
@@ -869,21 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantum", type=_POSITIVE_INT, default=512,
                    help="forward-pointer quantum k (default 512)")
     p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("bfs", help="simulated-GPU BFS")
-    p.add_argument("graph", help="<container|edges.txt>")
-    p.add_argument("--source", type=int, default=0)
-    _device_args(p, formats=True, cache_kb=0)
-    p.set_defaults(func=_cmd_bfs)
-
-    p = sub.add_parser("msbfs", help="bit-parallel multi-source BFS")
-    p.add_argument("graph", help="<container|edges.txt>")
-    p.add_argument("--num-sources", type=int, default=64,
-                   help="sources packed into the 64-bit masks (default 64)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for source sampling")
-    _device_args(p, formats=True, cache_kb=256)
-    p.set_defaults(func=_cmd_msbfs)
 
     p = sub.add_parser(
         "serve",

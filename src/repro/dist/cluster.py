@@ -67,9 +67,10 @@ class LevelCharge:
     sequence is a complete replayable account of ``cluster.clock``:
     the critical-path extractor and the what-if engine re-price these
     records (no re-traversal) and reproduce the clock bit-exactly.
-    ``sync_record`` holds the step-record-shaped inputs of a serial
-    post-level synchronization (PageRank's scalar allreduce), when one
-    was priced into the level.
+    ``sync_record`` holds the step record of a serial post-level
+    synchronization (PageRank's scalar allreduce), when one was priced
+    into the level; ``sync_seconds`` is its price,
+    :meth:`~repro.dist.topology.LinkTopology.step_seconds` of it.
     """
 
     name: str
@@ -350,7 +351,6 @@ class ShardedCluster:
         expand_kernel: str,
         claim_kernel: str,
         combine: str | None = None,
-        sync_seconds: float = 0.0,
         sync_record: dict | None = None,
     ) -> list:
         """Run one bulk-synchronous level and price it; returns the
@@ -369,10 +369,10 @@ class ShardedCluster:
           GPUs.
 
         The level's time (overlap-aware, plus any serial post-level
-        ``sync_seconds`` such as PageRank's scalar allreduce, whose
-        step-record-shaped pricing inputs are ``sync_record``) advances
-        the clock and is appended as a :class:`LevelCharge` for the
-        replay engines.  ``span`` gets the canonical annotations
+        sync such as PageRank's scalar allreduce, priced from its step
+        record ``sync_record``) advances the clock and is appended as a
+        :class:`LevelCharge` for the replay engines.  ``span`` gets the
+        canonical annotations
         (:func:`repro.dist.report.level_annotations`) plus
         ``edges_expanded``, the number of ids the local phase returned;
         edges, wire bytes, exchange and overlapped seconds and messages
@@ -425,7 +425,6 @@ class ShardedCluster:
 
         overlapped = self._finish_level(
             span, expand_seconds, stats, claim_seconds,
-            sync_seconds=sync_seconds,
             sync_record=sync_record,
             expand_kernel=expand_kernel,
             claim_kernel=claim_kernel,
@@ -445,7 +444,6 @@ class ShardedCluster:
         stats: ExchangeStats,
         claim_seconds: float,
         *,
-        sync_seconds: float,
         sync_record: dict | None,
         expand_kernel: str,
         claim_kernel: str,
@@ -463,6 +461,9 @@ class ShardedCluster:
         # Function-level import: report imports this module at top level.
         from repro.dist.report import level_annotations
 
+        sync_seconds = 0.0
+        if sync_record is not None:
+            sync_seconds = self.topology.step_seconds(sync_record)
         overlapped = 0.0
         if self.overlap:
             overlapped = min(expand_seconds, stats.seconds)

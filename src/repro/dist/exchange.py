@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dist.partition import VertexPartition
-from repro.dist.topology import TIERS, LinkTopology
+from repro.dist.topology import TIERS, LinkTopology, tier_record
 from repro.dist.wire import (
     MESSAGE_HEADER_BYTES,
     AutoCodec,
@@ -127,10 +127,10 @@ class ExchangeStats:
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
     #: One entry per bulk-synchronous step, in pricing order: per-tier
-    #: ``{"link_bytes", "total_bytes", "messages"}`` — exactly the
-    #: inputs :meth:`repro.dist.topology.LinkTopology.step_breakdown`
-    #: consumed, so the what-if engine can re-price the exchange under
-    #: a different topology bit-exactly.
+    #: ``{"link_bytes", "total_bytes", "messages"}`` — the only inputs
+    #: :meth:`repro.dist.topology.LinkTopology.tier_seconds` prices, so
+    #: the what-if engine can re-price the exchange under a different
+    #: topology bit-exactly.
     step_records: list[dict] = field(default_factory=list)
     #: Encoded id bytes per tier (compressible share of ``tier_bytes``).
     tier_id_bytes: dict[str, int] = field(default_factory=_tier_zeros)
@@ -172,57 +172,67 @@ class ExchangeStats:
 
 
 class _Step:
-    """Per-tier byte/message accumulator for one bulk-synchronous step.
+    """One bulk-synchronous step: sends its messages, then prices them.
 
-    Each tier is an independent fabric, so a step in which both tiers
-    carry traffic finishes when the slower one drains — the step time
-    is the ``max`` over tiers of ``transfer + latency``, while the
-    per-tier breakdowns accumulate into the stats for attribution.
+    :meth:`send` puts one message through the codec and books its bytes
+    on the tier it crosses; :meth:`finish` turns the per-GPU totals
+    into one step record per tier and prices it.  Each tier is an
+    independent fabric, so the step finishes when the slower one drains
+    — the step time is the ``max`` over tiers of ``transfer + latency``,
+    while the per-tier breakdowns accumulate into the stats for
+    attribution.
     """
 
-    def __init__(self, topology: LinkTopology) -> None:
+    def __init__(
+        self,
+        topology: LinkTopology,
+        codec: WireCodec,
+        stats: ExchangeStats,
+        value_width: int,
+    ) -> None:
         self.topology = topology
+        self.codec = codec
+        self.stats = stats
+        self.value_width = value_width
         n = topology.num_gpus
         self.egress = {t: np.zeros(n, dtype=np.float64) for t in TIERS}
         self.ingress = {t: np.zeros(n, dtype=np.float64) for t in TIERS}
         self.posted = {t: np.zeros(n, dtype=np.int64) for t in TIERS}
 
-    def tier_of(self, src: int, dst: int) -> str:
-        return self.topology.tier(src, dst)
-
-    def add(self, src: int, dst: int, nbytes: int) -> None:
-        tier = self.tier_of(src, dst)
+    def send(
+        self, src: int, dst: int, ids: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """Post ``ids`` (all within ``[lo, hi)``) from ``src`` to
+        ``dst``; returns the ids ``dst`` decodes."""
+        tier = self.topology.tier(src, dst)
+        decoded, nbytes = _encode_message(
+            self.codec, ids, lo, hi, self.value_width, self.stats, tier
+        )
         self.egress[tier][src] += nbytes
         self.ingress[tier][dst] += nbytes
         self.posted[tier][src] += 1
+        self.stats.sent_ids_per_gpu[src] += ids.shape[0]
+        self.stats.received_ids_per_gpu[dst] += decoded.shape[0]
+        return decoded
 
-    def finish(self, stats: ExchangeStats) -> float:
-        """Price the step; fold the breakdown into ``stats``.
+    def finish(self) -> None:
+        """Record and price the step; fold the breakdown into the stats.
 
-        Returns the step's wall-clock seconds and adds the binding
-        tier's transfer/latency split to the aggregate
+        Adds the binding tier's transfer/latency split to the aggregate
         ``transfer_seconds`` / ``latency_seconds`` (so those two keep
-        summing to ``stats.seconds``).
+        summing to ``stats.seconds``) and counts one round.
         """
+        stats = self.stats
+        record = {
+            tier: tier_record(
+                self.egress[tier], self.ingress[tier], self.posted[tier]
+            )
+            for tier in TIERS
+        }
         step_seconds = 0.0
         binding = (0.0, 0.0)
-        record: dict[str, dict[str, float]] = {}
-        for tier in TIERS:
-            if self.topology.num_gpus == 1:
-                continue
-            messages = int(self.posted[tier].max())
-            # The exact inputs step_breakdown consumes — the what-if
-            # replay re-prices from these and must match bit-for-bit.
-            record[tier] = {
-                "link_bytes": float(
-                    np.maximum(self.egress[tier], self.ingress[tier]).max()
-                ),
-                "total_bytes": float(self.egress[tier].sum()),
-                "messages": messages,
-            }
-            transfer, latency = self.topology.step_breakdown(
-                self.egress[tier], self.ingress[tier], messages, tier=tier
-            )
+        for tier, row in record.items():
+            transfer, latency = self.topology.tier_seconds(tier, row)
             stats.tier_transfer_seconds[tier] += transfer
             stats.tier_latency_seconds[tier] += latency
             if transfer + latency > step_seconds:
@@ -232,7 +242,7 @@ class _Step:
         stats.transfer_seconds += binding[0]
         stats.latency_seconds += binding[1]
         stats.seconds += step_seconds
-        return step_seconds
+        stats.rounds += 1
 
 
 def _combine(
@@ -258,10 +268,9 @@ def _encode_message(
     ids: np.ndarray,
     lo: int,
     hi: int,
-    num_values: int,
     value_width: int,
     stats: ExchangeStats,
-    tier: str = "intra",
+    tier: str,
 ) -> tuple[np.ndarray, int]:
     """Round-trip one message through the codec; returns (ids, bytes)."""
     if isinstance(codec, AutoCodec):
@@ -271,8 +280,8 @@ def _encode_message(
         payload = concrete.encode(ids, lo, hi)
     decoded = concrete.decode(payload, lo, hi)
     total = stats.add_message(
-        concrete.name, int(payload.shape[0]), value_width * num_values,
-        tier=tier,
+        concrete.name, int(payload.shape[0]),
+        value_width * int(ids.shape[0]), tier=tier,
     )
     stats.codec_instructions[concrete.name] = (
         stats.codec_instructions.get(concrete.name, 0.0)
@@ -341,29 +350,29 @@ def exchange(
         received_ids_per_gpu=np.zeros(num_gpus, dtype=np.int64),
         record_trials=record_trials,
     )
+    width = value_width if values is not None else 0
+
+    def new_step() -> _Step:
+        return _Step(topology, codec, stats, width)
+
     if schedule == "flat" or num_gpus == 1:
         incoming, in_vals = _exchange_flat(
-            outgoing, partition, topology, codec, values, combine,
-            value_width, stats,
+            outgoing, partition, values, combine, new_step
         )
     elif schedule == "butterfly":
         incoming, in_vals = _exchange_butterfly(
-            outgoing, partition, topology, codec, values, combine,
-            value_width, stats,
+            outgoing, partition, values, combine, new_step
         )
     else:
         incoming, in_vals = _exchange_hierarchical(
-            outgoing, partition, topology, codec, values, combine,
-            value_width, stats,
+            outgoing, partition, topology, values, combine, new_step
         )
     return incoming, in_vals, stats
 
 
-def _exchange_flat(
-    outgoing, partition, topology, codec, values, combine, value_width, stats
-):
+def _exchange_flat(outgoing, partition, values, combine, new_step):
     num_gpus = partition.num_gpus
-    step = _Step(topology)
+    step = new_step()
     incoming: list[np.ndarray] = []
     in_vals: list[np.ndarray] | None = [] if values is not None else None
     for h in range(num_gpus):
@@ -373,15 +382,7 @@ def _exchange_flat(
         for g in range(num_gpus):
             if g == h or outgoing[g][h].size == 0:
                 continue
-            ids = outgoing[g][h]
-            decoded, nbytes = _encode_message(
-                codec, ids, lo, hi, int(ids.shape[0]),
-                value_width if values is not None else 0, stats,
-                tier=step.tier_of(g, h),
-            )
-            step.add(g, h, nbytes)
-            stats.sent_ids_per_gpu[g] += ids.shape[0]
-            stats.received_ids_per_gpu[h] += decoded.shape[0]
+            decoded = step.send(g, h, outgoing[g][h], lo, hi)
             ids_acc, vals_acc = _combine(
                 ids_acc,
                 vals_acc,
@@ -394,43 +395,20 @@ def _exchange_flat(
             if vals_acc is None:
                 vals_acc = np.empty(0, dtype=np.float64)
             in_vals.append(vals_acc)
-    stats.rounds = 1
-    step.finish(stats)
+    step.finish()
     return incoming, in_vals
 
 
-def _send_state(
-    src: int,
-    dst: int,
-    send_ids: np.ndarray,
-    send_vals: np.ndarray | None,
-    owners: np.ndarray,
-    partition: VertexPartition,
-    codec: WireCodec,
-    values_on: bool,
-    value_width: int,
-    stats: ExchangeStats,
-    step: _Step,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Encode one in-flight state message spanning its owners' ranges."""
+def _send_state(step, partition, src, dst, ids, owners):
+    """Send one in-flight state message spanning its owners' ranges."""
     # The message spans every owner range of its items; bitmap/ef cost
     # covers that whole span.
     lo = int(partition.boundaries[int(owners.min())])
     hi = int(partition.boundaries[int(owners.max()) + 1])
-    decoded, nbytes = _encode_message(
-        codec, send_ids, lo, hi, int(send_ids.shape[0]),
-        value_width if values_on else 0, stats,
-        tier=step.tier_of(src, dst),
-    )
-    step.add(src, dst, nbytes)
-    stats.sent_ids_per_gpu[src] += send_ids.shape[0]
-    stats.received_ids_per_gpu[dst] += decoded.shape[0]
-    return decoded, send_vals
+    return step.send(src, dst, ids, lo, hi)
 
 
-def _exchange_butterfly(
-    outgoing, partition, topology, codec, values, combine, value_width, stats
-):
+def _exchange_butterfly(outgoing, partition, values, combine, new_step):
     num_gpus = partition.num_gpus
     # Live per-GPU state: sorted-unique ids still in flight (own bucket
     # included) and their values; owners recomputed from the partition.
@@ -452,10 +430,9 @@ def _exchange_butterfly(
     # before the rounds and collect their items back afterwards.
     hypercube = 1 << (num_gpus.bit_length() - 1)
     proxy_mask = hypercube - 1
-    rounds = 0
 
     if num_gpus > hypercube:
-        step = _Step(topology)
+        step = new_step()
         for g in range(hypercube, num_gpus):
             owners = partition.owner(ids_state[g])
             away = owners != g
@@ -465,21 +442,19 @@ def _exchange_butterfly(
             keep_vals = vals_state[g][~away] if values_on else None
             ids_state[g], vals_state[g] = keep_ids, keep_vals
             if send_ids.size:
-                decoded, send_vals = _send_state(
-                    g, g & proxy_mask, send_ids, send_vals, owners[away],
-                    partition, codec, values_on, value_width, stats, step,
-                )
                 proxy = g & proxy_mask
+                decoded = _send_state(
+                    step, partition, g, proxy, send_ids, owners[away]
+                )
                 ids_state[proxy], vals_state[proxy] = _combine(
                     ids_state[proxy], vals_state[proxy], decoded, send_vals,
                     combine,
                 )
-        step.finish(stats)
-        rounds += 1
+        step.finish()
 
     for k in range(hypercube.bit_length() - 1):
         bit = 1 << k
-        step = _Step(topology)
+        step = new_step()
         sends: list[tuple[np.ndarray, np.ndarray | None]] = []
         keeps: list[tuple[np.ndarray, np.ndarray | None]] = []
         for g in range(hypercube):
@@ -492,23 +467,21 @@ def _exchange_butterfly(
             send_vals = vals_state[g][away] if values_on else None
             keeps.append((ids_state[g][~away],
                           vals_state[g][~away] if values_on else None))
-            sends.append((send_ids, send_vals))
             if send_ids.size:
-                sends[-1] = _send_state(
-                    g, partner, send_ids, send_vals, owners[away],
-                    partition, codec, values_on, value_width, stats, step,
+                send_ids = _send_state(
+                    step, partition, g, partner, send_ids, owners[away]
                 )
+            sends.append((send_ids, send_vals))
         for g in range(hypercube):
             partner = g ^ bit
             ids_state[g], vals_state[g] = _combine(
                 keeps[g][0], keeps[g][1], sends[partner][0], sends[partner][1],
                 combine,
             )
-        step.finish(stats)
-        rounds += 1
+        step.finish()
 
     if num_gpus > hypercube:
-        step = _Step(topology)
+        step = new_step()
         for g in range(hypercube, num_gpus):
             proxy = g & proxy_mask
             owners = partition.owner(ids_state[proxy])
@@ -519,17 +492,14 @@ def _exchange_butterfly(
             keep_vals = vals_state[proxy][~away] if values_on else None
             ids_state[proxy], vals_state[proxy] = keep_ids, keep_vals
             if send_ids.size:
-                decoded, send_vals = _send_state(
-                    proxy, g, send_ids, send_vals, owners[away],
-                    partition, codec, values_on, value_width, stats, step,
+                decoded = _send_state(
+                    step, partition, proxy, g, send_ids, owners[away]
                 )
                 ids_state[g], vals_state[g] = _combine(
                     ids_state[g], vals_state[g], decoded, send_vals, combine,
                 )
-        step.finish(stats)
-        rounds += 1
+        step.finish()
 
-    stats.rounds = rounds
     in_vals = None
     if values_on:
         in_vals = [
@@ -540,7 +510,7 @@ def _exchange_butterfly(
 
 
 def _exchange_hierarchical(
-    outgoing, partition, topology, codec, values, combine, value_width, stats
+    outgoing, partition, topology, values, combine, new_step
 ):
     """Gather per destination node, cross the slow tier once, scatter.
 
@@ -575,22 +545,13 @@ def _exchange_hierarchical(
     staged: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
 
     # -- phase A: intra-node delivery + per-destination-node gather ------
-    step = _Step(topology)
+    step = new_step()
     for g in range(num_gpus):
         node = g // node_size
         for h in range(node * node_size, (node + 1) * node_size):
             if h == g or outgoing[g][h].size == 0:
                 continue
-            lo, hi = partition.bounds(h)
-            ids = outgoing[g][h]
-            decoded, nbytes = _encode_message(
-                codec, ids, lo, hi, int(ids.shape[0]),
-                value_width if values_on else 0, stats,
-                tier=step.tier_of(g, h),
-            )
-            step.add(g, h, nbytes)
-            stats.sent_ids_per_gpu[g] += ids.shape[0]
-            stats.received_ids_per_gpu[h] += decoded.shape[0]
+            decoded = step.send(g, h, outgoing[g][h], *partition.bounds(h))
             final_ids[h], final_vals[h] = _combine(
                 final_ids[h], final_vals[h], decoded,
                 values[g][h] if values_on else None, combine,
@@ -612,28 +573,19 @@ def _exchange_hierarchical(
                 )
             leader = node * node_size + (dest % node_size)
             if leader != g:
-                lo, hi = node_span(dest)
-                ids, nbytes = _encode_message(
-                    codec, ids, lo, hi, int(ids.shape[0]),
-                    value_width if values_on else 0, stats,
-                    tier=step.tier_of(g, leader),
-                )
-                step.add(g, leader, nbytes)
-                stats.sent_ids_per_gpu[g] += int(ids.shape[0])
-                stats.received_ids_per_gpu[leader] += int(ids.shape[0])
+                ids = step.send(g, leader, ids, *node_span(dest))
             have = staged.get((leader, dest), (empty, vempty if values_on else None))
             staged[(leader, dest)] = _combine(
                 have[0], have[1], ids, vals, combine
             )
-    step.finish(stats)
-    rounds = 1
+    step.finish()
 
     # -- phase B: one inter-node message per ordered node pair ------------
     gathered: list[tuple[np.ndarray, np.ndarray | None]] = [
         (empty, vempty if values_on else None) for _ in range(num_gpus)
     ]
     if num_nodes > 1:
-        step = _Step(topology)
+        step = new_step()
         for node in range(num_nodes):
             for dest in range(num_nodes):
                 if dest == node:
@@ -645,24 +597,15 @@ def _exchange_hierarchical(
                 if ids.size == 0:
                     continue
                 gateway = dest * node_size + (node % node_size)
-                lo, hi = node_span(dest)
-                decoded, nbytes = _encode_message(
-                    codec, ids, lo, hi, int(ids.shape[0]),
-                    value_width if values_on else 0, stats,
-                    tier=step.tier_of(leader, gateway),
-                )
-                step.add(leader, gateway, nbytes)
-                stats.sent_ids_per_gpu[leader] += ids.shape[0]
-                stats.received_ids_per_gpu[gateway] += decoded.shape[0]
+                decoded = step.send(leader, gateway, ids, *node_span(dest))
                 gathered[gateway] = _combine(
                     gathered[gateway][0], gathered[gateway][1],
                     decoded, vals, combine,
                 )
-        step.finish(stats)
-        rounds += 1
+        step.finish()
 
         # -- phase C: gateway scatters to owners over the fast tier ------
-        step = _Step(topology)
+        step = new_step()
         for gw in range(num_gpus):
             ids, vals = gathered[gw]
             if ids.size == 0:
@@ -679,22 +622,14 @@ def _exchange_hierarchical(
                 if part_ids.size == 0:
                     continue
                 if h != gw:
-                    lo, hi = partition.bounds(h)
-                    part_ids, nbytes = _encode_message(
-                        codec, part_ids, lo, hi, int(part_ids.shape[0]),
-                        value_width if values_on else 0, stats,
-                        tier=step.tier_of(gw, h),
+                    part_ids = step.send(
+                        gw, h, part_ids, *partition.bounds(h)
                     )
-                    step.add(gw, h, nbytes)
-                    stats.sent_ids_per_gpu[gw] += int(part_ids.shape[0])
-                    stats.received_ids_per_gpu[h] += int(part_ids.shape[0])
                 final_ids[h], final_vals[h] = _combine(
                     final_ids[h], final_vals[h], part_ids, part_vals, combine,
                 )
-        step.finish(stats)
-        rounds += 1
+        step.finish()
 
-    stats.rounds = rounds
     incoming = [np.asarray(ids, dtype=np.int64) for ids in final_ids]
     in_vals = None
     if values_on:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dist.cluster import DistRunResult, ShardedCluster
+from repro.dist.topology import tier_record
 from repro.dist.wire import MESSAGE_HEADER_BYTES
 
 __all__ = ["DistPageRankResult", "distributed_pagerank"]
@@ -79,21 +80,15 @@ def distributed_pagerank(
     converged = False
     cached: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_gpus
 
-    # Scalar allreduce (dangling mass + delta): 8 bytes to each peer.
+    # Scalar allreduce (dangling mass + delta): 8 bytes to each peer,
+    # one message per peer, priced by the cluster as a serial sync.
     scalar_bytes = np.full(
         num_gpus, (8.0 + MESSAGE_HEADER_BYTES) * (num_gpus - 1)
     )
-    allreduce_seconds = cluster.topology.step_seconds(
-        scalar_bytes, scalar_bytes, max(num_gpus - 1, 0)
-    )
-    # Step-record-shaped pricing inputs so the what-if engine can
-    # re-price the allreduce under a different topology.
     allreduce_record = {
-        "intra": {
-            "link_bytes": float(scalar_bytes.max()),
-            "total_bytes": float(scalar_bytes.sum()),
-            "messages": max(num_gpus - 1, 0),
-        }
+        "intra": tier_record(
+            scalar_bytes, scalar_bytes, np.full(num_gpus, num_gpus - 1)
+        )
     }
 
     def push(g, backend):
@@ -132,15 +127,14 @@ def distributed_pagerank(
             dangling_mass = ranks[dangling].sum() / nv
             new_ranks = np.zeros(nv, dtype=np.float64)
             with cluster.level(f"iteration:{it}", it) as sp:
-                # The scalar allreduce needs the finalized ranks: serial
-                # sync_seconds on top of the (possibly overlapped) level.
+                # The scalar allreduce needs the finalized ranks: a
+                # serial sync on top of the (possibly overlapped) level.
                 delta = sum(
                     cluster.superstep(
                         sp, push, finalize,
                         expand_kernel="dist_pr_push",
                         claim_kernel="dist_pr_finalize",
                         combine="sum",
-                        sync_seconds=allreduce_seconds,
                         sync_record=allreduce_record,
                     )
                 )

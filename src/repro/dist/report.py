@@ -126,7 +126,22 @@ def _level_spans(cluster: ShardedCluster) -> list:
 
 
 def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
-    """Serialise one finished cluster run to the stable metrics schema."""
+    """Serialise one finished cluster run to the stable metrics schema.
+
+    Every dump is a checked run: :func:`verify_dist_attribution` and
+    :func:`~repro.obs.critpath.verify_critpath` must hold, or this
+    raises ``AssertionError`` (under ``python -O`` too).
+    """
+    from repro.obs.critpath import (
+        critical_path_section,
+        extract_cluster_critical_path,
+        verify_critpath,
+    )
+    from repro.obs.whatif import rank_cluster_whatifs, whatif_section
+
+    verify_dist_attribution(cluster)
+    critpath = extract_cluster_critical_path(cluster)
+    verify_critpath(critpath)
     kernels: dict[str, dict[str, float]] = {}
     totals = {
         "elapsed_seconds": cluster.clock,
@@ -177,13 +192,6 @@ def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
         }
         for tier in TIERS
     }
-    from repro.obs.critpath import (
-        critical_path_section,
-        extract_cluster_critical_path,
-    )
-    from repro.obs.whatif import rank_cluster_whatifs, whatif_section
-
-    critpath = extract_cluster_critical_path(cluster)
     return {
         "schema": METRICS_SCHEMA,
         "meta": dict(sorted({**base_meta, **(meta or {})}.items())),

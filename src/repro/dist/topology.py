@@ -40,6 +40,7 @@ __all__ = [
     "TIERS",
     "LinkTopology",
     "build_topology",
+    "tier_record",
 ]
 
 #: PCIe peer-to-peer bandwidth between GPUs (no NVLink on a Titan Xp
@@ -235,50 +236,49 @@ class LinkTopology:
             ),
         )
 
-    def step_breakdown(
-        self,
-        egress_bytes: np.ndarray,
-        ingress_bytes: np.ndarray,
-        messages_per_gpu: int,
-        tier: str = "intra",
-    ) -> tuple[float, float]:
-        """``(transfer, latency)`` seconds of one exchange step.
+    def tier_seconds(self, tier: str, row: dict) -> tuple[float, float]:
+        """``(transfer, latency)`` seconds of one tier of an exchange step.
 
-        ``egress_bytes[g]`` / ``ingress_bytes[g]`` are the bytes GPU
-        ``g`` sends/receives in this step; ``messages_per_gpu`` the
-        number of messages each GPU posts (P-1 for a flat all-to-all,
-        1 per butterfly round).  ``tier`` selects which fabric's
-        bandwidth/contention/latency price the step.
+        ``row`` is that tier's step record (:func:`tier_record`): the
+        busiest link's bytes, the tier's total bytes and the messages
+        its busiest poster sent.  The busiest link serializes, lower-
+        bounded by the contended share of the total; each posted message
+        adds the tier latency unless the tier moved nothing.  This is
+        the one place a step is priced: the exchange, the replays and
+        the post-level syncs all call it.
         """
-        egress = np.asarray(egress_bytes, dtype=np.float64)
-        ingress = np.asarray(ingress_bytes, dtype=np.float64)
-        if egress.shape != (self.num_gpus,) or ingress.shape != (self.num_gpus,):
-            raise ValueError(
-                f"expected {self.num_gpus} per-GPU byte totals, got "
-                f"{egress.shape} / {ingress.shape}"
-            )
         if self.num_gpus == 1:
             return 0.0, 0.0
         bandwidth, contention, latency_s = self.tier_params(tier)
-        link_time = float(np.maximum(egress, ingress).max()) / bandwidth
-        fabric_time = contention * float(egress.sum()) / bandwidth
-        transfer = max(link_time, fabric_time)
+        transfer = max(
+            row["link_bytes"] / bandwidth,
+            contention * row["total_bytes"] / bandwidth,
+        )
         if transfer == 0.0:
             return 0.0, 0.0
-        return transfer, messages_per_gpu * latency_s
+        return transfer, row["messages"] * latency_s
 
-    def step_seconds(
-        self,
-        egress_bytes: np.ndarray,
-        ingress_bytes: np.ndarray,
-        messages_per_gpu: int,
-        tier: str = "intra",
-    ) -> float:
-        """Total duration of one bulk-synchronous exchange step."""
-        transfer, latency = self.step_breakdown(
-            egress_bytes, ingress_bytes, messages_per_gpu, tier=tier
-        )
-        return transfer + latency
+    def step_seconds(self, record: dict) -> float:
+        """Duration of one step record: its tiers drain independently,
+        so the step ends when the slowest one does."""
+        seconds = 0.0
+        for tier, row in record.items():
+            transfer, latency = self.tier_seconds(tier, row)
+            seconds = max(seconds, transfer + latency)
+        return seconds
+
+
+def tier_record(
+    egress: np.ndarray, ingress: np.ndarray, posted: np.ndarray
+) -> dict:
+    """One tier's step record from per-GPU egress and ingress bytes and
+    posted message counts: the inputs :meth:`LinkTopology.tier_seconds`
+    prices."""
+    return {
+        "link_bytes": float(np.maximum(egress, ingress).max()),
+        "total_bytes": float(egress.sum()),
+        "messages": int(posted.max()),
+    }
 
 
 def build_topology(

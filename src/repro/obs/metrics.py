@@ -169,10 +169,28 @@ def run_metrics(
     them are diffed by ``repro compare`` like any other section, so a
     subsystem can extend the schema without forking it.  Reserved keys
     (``schema``, ``meta``, ...) cannot be overridden.
-    """
-    from repro.obs.counters import emulated_counters, kernel_array_attribution
-    from repro.obs.roofline import kernel_rooflines
 
+    Every dump is a checked run: the byte attribution
+    (:func:`~repro.obs.counters.verify_attribution`) and the critical
+    path (:func:`~repro.obs.critpath.verify_critpath`) must hold, or
+    this raises ``AssertionError`` (under ``python -O`` too).
+    """
+    from repro.obs.counters import (
+        emulated_counters,
+        kernel_array_attribution,
+        verify_attribution,
+    )
+    from repro.obs.critpath import (
+        critical_path_section,
+        extract_critical_path,
+        verify_critpath,
+    )
+    from repro.obs.roofline import kernel_rooflines
+    from repro.obs.whatif import rank_engine_whatifs, whatif_section
+
+    verify_attribution(engine)
+    critpath = extract_critical_path(engine)
+    verify_critpath(critpath)
     summary = engine.kernel_summary()
     hw_counters = emulated_counters(engine)
     totals = {
@@ -226,15 +244,7 @@ def run_metrics(
         },
         "roofline": roofline,
     }
-    from repro.obs.critpath import (
-        critical_path_section,
-        extract_critical_path,
-    )
-    from repro.obs.whatif import rank_engine_whatifs, whatif_section
-
-    payload["critical_path"] = critical_path_section(
-        extract_critical_path(engine)
-    )
+    payload["critical_path"] = critical_path_section(critpath)
     payload["whatif"] = whatif_section(rank_engine_whatifs(engine))
     if sections:
         clash = sorted(set(sections) & set(payload))

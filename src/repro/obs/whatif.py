@@ -81,33 +81,23 @@ class WhatIfResult:
 
 
 def _price_step(record: dict, topology, scale: dict | None = None) -> float:
-    """Re-price one exchange step from its recorded byte/message maxima.
+    """Re-price one exchange step from its record.
 
-    Performs exactly the arithmetic of ``LinkTopology.step_breakdown``
-    + ``_Step.finish``: per tier ``max(link, fabric) + messages *
-    latency``, step time the max over tiers with strict-``>``
-    preference for the earlier tier — bit-identical to a re-run on the
-    same records.  ``scale`` multiplies a tier's bytes first (codec
-    swaps; breaks exactness by construction).
+    ``LinkTopology.step_seconds`` prices the record, the same call the
+    run made, so a replay on the recorded topology is bit-identical.
+    ``scale`` multiplies a tier's bytes first (codec swaps; breaks
+    exactness by construction).
     """
-    step_seconds = 0.0
-    for tier, row in record.items():
-        bandwidth, contention, latency_s = topology.tier_params(tier)
-        link_bytes = row["link_bytes"]
-        total_bytes = row["total_bytes"]
-        if scale is not None:
-            factor = scale.get(tier, 1.0)
-            link_bytes *= factor
-            total_bytes *= factor
-        link_time = link_bytes / bandwidth
-        fabric_time = contention * total_bytes / bandwidth
-        transfer = max(link_time, fabric_time)
-        if transfer == 0.0:
-            continue
-        t = transfer + row["messages"] * latency_s
-        if t > step_seconds:
-            step_seconds = t
-    return step_seconds
+    if scale:
+        record = {
+            tier: {
+                **row,
+                "link_bytes": row["link_bytes"] * scale.get(tier, 1.0),
+                "total_bytes": row["total_bytes"] * scale.get(tier, 1.0),
+            }
+            for tier, row in record.items()
+        }
+    return topology.step_seconds(record)
 
 
 def _codec_scale(ex, codec_name: str) -> dict[str, float]:
@@ -169,7 +159,7 @@ def replay_cluster_seconds(
         # The sync carries scalars, not codec traffic: never scaled.
         sync = 0.0
         if charge.sync_record is not None:
-            sync = _price_step(charge.sync_record, topo)
+            sync = topo.step_seconds(charge.sync_record)
         clock += level_seconds(
             charge.expand_seconds, ex_seconds, charge.claim_seconds, sync, ov
         )

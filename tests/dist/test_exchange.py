@@ -353,3 +353,43 @@ class TestHierarchical:
             assert (
                 sum(stats.tier_bytes[t] for t in TIERS) == stats.wire_bytes
             )
+
+
+class TestPinnedDumps:
+    """sha256 of whole metrics dumps (minus ``meta``, which stamps the
+    git sha) for runs whose steps the bench suite does not cover: the
+    butterfly fold and unfold steps of a non-power-of-two count, and
+    PageRank's allreduce sync record.  How a step is sent, recorded and
+    priced must not move any byte, second or what-if prediction."""
+
+    @staticmethod
+    def _digest(argv, tmp_path, capsys):
+        import hashlib
+        import json
+
+        from repro.cli import main
+
+        path = str(tmp_path / "m.json")
+        assert main([*argv, "--metrics", path]) == 0
+        capsys.readouterr()
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["meta"]
+        return hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+
+    def test_butterfly_fold_and_unfold(self, tmp_path, capsys):
+        argv = ["dist", "bfs", "--gpus", "6", "--schedule", "butterfly"]
+        assert self._digest(argv, tmp_path, capsys) == (
+            "ec5373796cceb4b3bf00bc885a373a731a79a4af0b4338cca30f58d436ef6605"
+        )
+
+    def test_hierarchical_pagerank_sync(self, tmp_path, capsys):
+        argv = [
+            "dist", "pagerank", "--gpus", "8", "--nodes", "2",
+            "--schedule", "hierarchical",
+        ]
+        assert self._digest(argv, tmp_path, capsys) == (
+            "9294e21cf537a4867eeca3387ca65eeb711b7da3cb137b3022e1b32f73d85a61"
+        )

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.dist.topology import TIERS, LinkTopology
+from repro.dist.topology import TIERS, LinkTopology, tier_record
 
 
 def _even(n, val):
     return np.full(n, float(val))
 
+
+def _record(egress, ingress, messages, tier="intra"):
+    """A one-tier step record; every GPU posts ``messages``."""
+    egress = np.asarray(egress, dtype=np.float64)
+    posted = np.full(egress.shape[0], messages)
+    return {tier: tier_record(egress, np.asarray(ingress, float), posted)}
 
 class TestValidation:
     def test_rejects_zero_gpus(self):
@@ -27,22 +33,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinkTopology(num_gpus=2, message_latency_s=-1e-6)
 
-    def test_rejects_wrong_shapes(self):
-        topo = LinkTopology(num_gpus=4)
-        with pytest.raises(ValueError):
-            topo.step_seconds(_even(3, 10), _even(4, 10), 1)
-
 
 class TestStepModel:
     def test_single_gpu_is_free(self):
         topo = LinkTopology(num_gpus=1)
-        assert topo.step_seconds(_even(1, 1e9), _even(1, 1e9), 4) == 0.0
+        assert topo.step_seconds(_record([1e9], [1e9], 4)) == 0.0
 
     def test_no_bytes_no_latency(self):
         # An exchange step with nothing to send costs nothing, even if
         # the caller reports posted messages.
         topo = LinkTopology(num_gpus=4)
-        assert topo.step_seconds(_even(4, 0), _even(4, 0), 3) == 0.0
+        row = _record(_even(4, 0), _even(4, 0), 3)["intra"]
+        assert topo.tier_seconds("intra", row) == (0.0, 0.0)
 
     def test_zero_contention_is_busiest_link(self):
         topo = LinkTopology(
@@ -53,8 +55,8 @@ class TestStepModel:
         ingress = np.array([1e6, 1e6, 1e6, 4e6])
         # Busiest direction of the busiest link serializes; the rest
         # overlaps completely.
-        assert topo.step_seconds(egress, ingress, 3) == pytest.approx(
-            4e6 / 1e9
+        assert topo.step_seconds(_record(egress, ingress, 3)) == (
+            pytest.approx(4e6 / 1e9)
         )
 
     def test_full_contention_is_single_pipe(self):
@@ -63,23 +65,22 @@ class TestStepModel:
             message_latency_s=0.0,
         )
         egress = _even(4, 1e6)
-        assert topo.step_seconds(egress, egress, 3) == pytest.approx(
-            egress.sum() / 1e9
+        assert topo.step_seconds(_record(egress, egress, 3)) == (
+            pytest.approx(egress.sum() / 1e9)
         )
 
     def test_latency_scales_with_messages(self):
         topo = LinkTopology(
             num_gpus=2, link_bandwidth=1e9, message_latency_s=1e-6
         )
-        one = topo.step_seconds(_even(2, 8), _even(2, 8), 1)
-        three = topo.step_seconds(_even(2, 8), _even(2, 8), 3)
-        assert three - one == pytest.approx(2e-6)
-
-    def test_breakdown_sums_to_step(self):
-        topo = LinkTopology(num_gpus=4, contention=0.5)
-        egress = np.array([1e5, 2e5, 3e5, 4e5])
-        transfer, latency = topo.step_breakdown(egress, egress[::-1], 3)
-        assert transfer + latency == topo.step_seconds(egress, egress[::-1], 3)
+        one = topo.tier_seconds(
+            "intra", _record(_even(2, 8), _even(2, 8), 1)["intra"]
+        )
+        three = topo.tier_seconds(
+            "intra", _record(_even(2, 8), _even(2, 8), 3)["intra"]
+        )
+        assert one[0] == three[0]
+        assert three[1] - one[1] == pytest.approx(2e-6)
 
     def test_halved_bandwidth_doubles_transfer(self):
         topo = LinkTopology(
@@ -87,8 +88,22 @@ class TestStepModel:
         )
         egress = _even(4, 1e6)
         slow = topo.scaled_bandwidth(0.5)
-        assert slow.step_seconds(egress, egress, 3) == pytest.approx(
-            2 * topo.step_seconds(egress, egress, 3)
+        record = _record(egress, egress, 3)
+        assert slow.step_seconds(record) == pytest.approx(
+            2 * topo.step_seconds(record)
+        )
+
+    def test_slowest_tier_binds(self):
+        topo = LinkTopology.two_tier(
+            num_nodes=2, gpus_per_node=2,
+            link_bandwidth=10e9, inter_bandwidth=1e9,
+            message_latency_s=0.0,
+        )
+        egress = _even(4, 1e6)
+        record = {**_record(egress, egress, 1),
+                  **_record(egress / 2, egress / 2, 1, tier="inter")}
+        assert topo.step_seconds(record) == sum(
+            topo.tier_seconds("inter", record["inter"])
         )
 
     def test_scaled_bandwidth_validation(self):
@@ -149,8 +164,8 @@ class TestTwoTier:
             message_latency_s=0.0,
         )
         egress = _even(4, 1e6)
-        fast = topo.step_seconds(egress, egress, 1, tier="intra")
-        slow = topo.step_seconds(egress, egress, 1, tier="inter")
+        fast = topo.step_seconds(_record(egress, egress, 1, tier="intra"))
+        slow = topo.step_seconds(_record(egress, egress, 1, tier="inter"))
         assert slow == pytest.approx(10 * fast)
 
     def test_scaled_bandwidth_scales_both_tiers(self):

@@ -1,12 +1,17 @@
 """Tests for emulated hardware counters and per-array attribution."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.efg import efg_encode
 from repro.datasets.rmat import rmat_graph
+from repro.dist import ShardedCluster, distributed_bfs
+from repro.dist.report import dist_run_metrics
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.engine import SimEngine
 from repro.obs.counters import (
@@ -92,6 +97,66 @@ class TestAttributionExactness:
             assert row["dram_bytes"] == summary[name]["device_bytes"]
             assert row["pcie_bytes"] == summary[name]["host_bytes"]
             assert row["cache_hit_bytes"] == summary[name]["cached_bytes"]
+
+
+def lose_half_a_byte(engine):
+    """Leave one launch with a fractional ``moved_bytes``."""
+    record = next(r for r in engine.records if r.cost.traffic)
+    next(iter(record.cost.traffic.values())).moved_bytes += 0.5
+
+
+def run_dist_bfs(graph):
+    cluster = ShardedCluster.build(graph, 2, TITAN_XP.scaled(2048.0))
+    distributed_bfs(cluster, int(np.flatnonzero(graph.degrees > 0)[0]))
+    return cluster
+
+
+class TestCheckedDumps:
+    """A metrics dump is only written for a run that passes its checks."""
+
+    def test_engine_dump_rejects_inexact_bytes(self, graph):
+        engine = run_efg_bfs(graph)
+        lose_half_a_byte(engine)
+        with pytest.raises(AssertionError, match="not an exact integer"):
+            run_metrics(engine)
+
+    def test_cluster_dump_rejects_inexact_bytes(self, graph):
+        cluster = run_dist_bfs(graph)
+        lose_half_a_byte(cluster.backends[1].engine)
+        with pytest.raises(
+            AssertionError, match="gpu 1: .*not an exact integer"
+        ):
+            dist_run_metrics(cluster)
+
+    def test_checks_hold_under_python_O(self):
+        # The checks raise explicitly, so ``-O`` cannot strip them.
+        root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+        script = (
+            "import pytest\n"
+            "from repro.datasets.rmat import rmat_graph\n"
+            "from repro.dist.report import dist_run_metrics\n"
+            "from repro.obs.metrics import run_metrics\n"
+            "from tests.obs.test_counters import (\n"
+            "    lose_half_a_byte, run_dist_bfs, run_efg_bfs)\n"
+            "graph = rmat_graph(scale=8, edge_factor=8, seed=11)\n"
+            "engine = run_efg_bfs(graph)\n"
+            "lose_half_a_byte(engine)\n"
+            "with pytest.raises(AssertionError):\n"
+            "    run_metrics(engine)\n"
+            "cluster = run_dist_bfs(graph)\n"
+            "lose_half_a_byte(cluster.backends[0].engine)\n"
+            "with pytest.raises(AssertionError):\n"
+            "    dist_run_metrics(cluster)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(os.path.join(root, "src")), os.path.abspath(root)]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

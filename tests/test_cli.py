@@ -70,16 +70,29 @@ class TestEncode:
 class TestBFS:
     @pytest.mark.parametrize("fmt", ["efg", "csr", "cgr"])
     def test_formats(self, graph_file, capsys, fmt):
-        assert main(["bfs", graph_file, "--format", fmt]) == 0
+        assert main([
+            "profile", "bfs", graph_file, "--format", fmt, "--cache-kb", "64",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "GTEPS" in out
+        assert "GTEPS (resident)" in out
+        assert "list cache: " in out
         assert "bfs_expand" in out
+
+    def test_msbfs_reports_cache_hits(self, graph_file, capsys):
+        assert main([
+            "profile", "msbfs", graph_file, "--num-sources", "32",
+            "--cache-kb", "256",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(resident)" in out
+        hits = out.split("list cache: ", 1)[1].split("/", 1)[0]
+        assert int(hits) > 0
 
     def test_dead_source_redirects(self, tmp_path, capsys):
         g = Graph.from_adjacency([[], [2], [1]])
         base = str(tmp_path / "g")
         save_container(g, base)
-        assert main(["bfs", base, "--source", "0"]) == 0
+        assert main(["profile", "bfs", base, "--source", "0"]) == 0
         assert "has no out-edges" in capsys.readouterr().out
 
 
@@ -477,8 +490,7 @@ class TestBenchAgainstErrors:
 
 #: Positional arguments each verb needs to parse.
 REQUIRED = {
-    "info": ["g"], "encode": ["g"], "bfs": ["g"],
-    "msbfs": ["g"], "serve": ["base"],
+    "info": ["g"], "encode": ["g"], "serve": ["base"],
     "profile": ["bfs"], "dist": ["bfs"], "whatif": ["bfs"],
     "compare": ["a.json", "b.json"],
     "bench": [], "check": [], "suite": [],
@@ -490,10 +502,6 @@ DEFAULTS = {
         "against": None, "command": "bench", "device_scale": 2048,
         "edge_factor": 8, "no_write": False, "out_dir": ".", "rmat_scale": 9,
         "seed": 3, "seq": None, "source_seed": 42, "threshold": 0.0,
-    },
-    "bfs": {
-        "cache_kb": 0, "command": "bfs", "device_scale": 2048, "format": "efg",
-        "graph": "g", "source": 0,
     },
     "check": {
         "command": "check", "decode_only": False, "fuzz": 200, "graph": None,
@@ -514,10 +522,6 @@ DEFAULTS = {
         "command": "encode", "graph": "g", "output": None, "quantum": 512,
     },
     "info": {"all_formats": False, "command": "info", "graph": "g"},
-    "msbfs": {
-        "cache_kb": 256, "command": "msbfs", "device_scale": 2048,
-        "format": "efg", "graph": "g", "num_sources": 64, "seed": 0,
-    },
     "profile": {
         "algo": "bfs", "cache_kb": 0, "command": "profile", "counters": False,
         "device_scale": 2048, "edge_factor": 8, "format": "efg", "graph": None,
@@ -545,7 +549,6 @@ DEFAULTS = {
 #: Every flag or positional that restricts its values.
 CHOICES = {
     "bench": {},
-    "bfs": {"format": ("csr", "efg", "cgr")},
     "check": {},
     "compare": {},
     "dist": {
@@ -555,7 +558,6 @@ CHOICES = {
     },
     "encode": {},
     "info": {},
-    "msbfs": {"format": ("csr", "efg", "cgr")},
     "profile": {
         "algo": ("bfs", "dobfs", "msbfs", "sssp", "delta", "pagerank"),
         "format": ("csr", "efg", "cgr"),
@@ -640,7 +642,7 @@ class TestSourceRange:
     @pytest.mark.parametrize("source", ["999999", "-1"])
     def test_bfs(self, graph_file, capsys, source):
         message = _clean_exit(
-            ["bfs", graph_file, "--source", source], capsys
+            ["profile", "bfs", graph_file, "--source", source], capsys
         )
         assert message == f"--source must be in [0, 300), got {source}"
 
@@ -688,7 +690,7 @@ _OUT_OF_RANGE = [
 class TestLibraryErrorsExitCleanly:
     def test_zero_device_scale(self, graph_file, capsys):
         message = _clean_exit(
-            ["bfs", graph_file, "--device-scale", "0"], capsys
+            ["profile", "bfs", graph_file, "--device-scale", "0"], capsys
         )
         assert "argument --device-scale: must be > 0, got 0" in message
 
@@ -773,12 +775,12 @@ class TestBadGraphPath:
             path.write_text("99999999999 0\n")
             argv, expect = ["info", str(path)], "overflow"
         else:
-            argv = ["bfs", self._corrupt_container(tmp_path)]
+            argv = ["profile", "bfs", self._corrupt_container(tmp_path)]
             expect = "payload CRC"
         proc = _run_cli(*argv)
         assert proc.returncode != 0
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith(f"cannot open {argv[1]}: ")
+        assert lines[0].startswith(f"cannot open {argv[-1]}: ")
         assert expect in lines[0]
         assert "Traceback" not in proc.stderr
