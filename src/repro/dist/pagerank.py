@@ -11,7 +11,8 @@ communication optimisation: the wire carries at most one entry per
 
 Dangling mass and the convergence delta are scalar allreduces; they are
 charged as one tiny 8-byte-per-peer exchange step per iteration rather
-than through the codecs (compressing eight bytes is noise).
+than through the codecs (compressing eight bytes is noise), each peer
+message priced on the tier it crosses.
 
 Unlike BFS/SSSP, float addition order differs from the single-GPU
 driver (partial sums are folded per sender first), so ranks match
@@ -81,15 +82,19 @@ def distributed_pagerank(
     cached: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_gpus
 
     # Scalar allreduce (dangling mass + delta): 8 bytes to each peer,
-    # one message per peer, priced by the cluster as a serial sync.
-    scalar_bytes = np.full(
-        num_gpus, (8.0 + MESSAGE_HEADER_BYTES) * (num_gpus - 1)
-    )
-    allreduce_record = {
-        "intra": tier_record(
-            scalar_bytes, scalar_bytes, np.full(num_gpus, num_gpus - 1)
-        )
-    }
+    # one message per peer, priced by the cluster as a serial sync on
+    # the tier each message crosses.
+    node_size = cluster.topology.node_size
+    peers = {"intra": node_size - 1, "inter": num_gpus - node_size}
+    allreduce_record = {}
+    for tier, count in peers.items():
+        if count:
+            scalar_bytes = np.full(
+                num_gpus, (8.0 + MESSAGE_HEADER_BYTES) * count
+            )
+            allreduce_record[tier] = tier_record(
+                scalar_bytes, scalar_bytes, np.full(num_gpus, count)
+            )
 
     def push(g, backend):
         with backend.engine.launch("dist_pr_push") as k:

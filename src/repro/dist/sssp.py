@@ -55,8 +55,10 @@ def _shard_weight_slices(
 
     Shard ``g`` stores the contiguous global CSR slot range
     ``[vlist[lo], vlist[hi])`` of its owned rows, and its local slot 0
-    is global slot ``vlist[lo]`` — so the slice lines up with
-    ``backend.edge_slots`` of global frontier ids.
+    is global slot ``vlist[lo]`` — so the slice lines up with the edge
+    slots that
+    :meth:`~repro.traversal.backends.GraphBackend.expand_weighted`
+    gathers for global frontier ids.
     """
     vlist = cluster.graph.vlist
     slices = []
@@ -85,15 +87,11 @@ def distributed_sssp(
     weights = np.asarray(weights, dtype=np.float32)
     if weights.shape[0] != cluster.graph.num_edges:
         raise ValueError("one weight per stored arc required")
-    if weights.size and weights.min() < 0:
-        raise ValueError("sssp requires non-negative weights")
-    for b in cluster.backends:
-        if "weights" not in b.engine.memory.plan():
-            raise RuntimeError(
-                "cluster built without weights; use build(..., with_weights=True)"
-            )
+    slices = _shard_weight_slices(cluster, weights)
+    shard_weights = [
+        b.check_weights(w) for b, w in zip(cluster.backends, slices)
+    ]
     cluster.reset()
-    shard_weights = _shard_weight_slices(cluster, weights)
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
@@ -106,12 +104,10 @@ def distributed_sssp(
         if partial_sort and frontier.size > 1:
             frontier = partial_sort_frontier(frontier, nv, SORT_FRACTION)
         with backend.engine.launch("dist_relax") as k:
-            nbrs, seg = backend.expand(frontier, k)
-            slots = backend.edge_slots(frontier)
-            cand = dist[frontier[seg]] + shard_weights[g][slots]
-            k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
-            k.read_stream("work:labels", nbrs, 4)
-            k.instructions(4.0 * nbrs.shape[0])
+            nbrs, seg, w = backend.expand_weighted(
+                frontier, k, shard_weights[g]
+            )
+            cand = dist[frontier[seg]] + w
         return nbrs, cand
 
     def update(g, k, ids, cand):

@@ -171,6 +171,14 @@ def _cluster_kernel_arrays(cluster) -> dict[str, str]:
     return {name: _dominant_array(per) for name, per in totals.items()}
 
 
+def _slower_tier(seconds: dict[str, float]) -> str:
+    """The tier a step spent more fabric time on (``"intra"`` on a tie
+    or when no tier was recorded)."""
+    if seconds.get("inter", 0.0) > seconds.get("intra", 0.0):
+        return "inter"
+    return "intra"
+
+
 def extract_cluster_critical_path(cluster) -> CriticalPath:
     """Label a cluster run's level charges on/off the critical path.
 
@@ -178,8 +186,8 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
     segment is on-path.  Overlap model: the longer of expand/exchange
     is on-path (expand wins exact ties, mirroring ``max``'s
     first-argument preference in :func:`level_seconds`) and
-    the shorter is hidden; claim and sync stay serial.  Exchange
-    segments bind to the tier that spent more fabric time.
+    the shorter is hidden; claim and sync stay serial.  Exchange and
+    sync segments bind to the tier that spent more fabric time.
     """
     path = CriticalPath(
         kind="cluster",
@@ -198,15 +206,10 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
         longer = max(charge.expand_seconds, ex.seconds)
         expand_kernel = charge.expand_kernel
         claim_kernel = charge.claim_kernel
-        intra_s = (
-            ex.tier_transfer_seconds["intra"]
-            + ex.tier_latency_seconds["intra"]
-        )
-        inter_s = (
-            ex.tier_transfer_seconds["inter"]
-            + ex.tier_latency_seconds["inter"]
-        )
-        tier = "inter" if inter_s > intra_s else "intra"
+        tier = _slower_tier({
+            t: ex.tier_transfer_seconds[t] + ex.tier_latency_seconds[t]
+            for t in ("intra", "inter")
+        })
         path.segments.append(
             PathSegment(
                 level=i,
@@ -260,7 +263,10 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
                     level=i,
                     level_name=charge.name,
                     phase="sync",
-                    tier="intra",
+                    tier=_slower_tier({
+                        t: sum(cluster.topology.tier_seconds(t, row))
+                        for t, row in charge.sync_record.items()
+                    }),
                     start_s=clock + serial_front + charge.claim_seconds,
                     seconds=charge.sync_seconds,
                     on_path=True,

@@ -14,12 +14,17 @@ representation really generates:
   probe, scan bookkeeping — Sec. VI-B).
 * **CGR** — interval/residual varint decode is a per-list dependent
   chain: one lane parses while its warp waits, charged via
-  ``serial_work`` at the measured compressed chain length.  Functional
-  neighbours come from the embedded reference adjacency (the byte
-  decoder itself is validated in unit tests); the *cost* path uses the
-  real compressed sizes.
+  ``serial_work`` at the measured compressed chain length.
 * **Ligra+** — same chain model on the CPU device (one list per
   thread, lane width 1), reflecting its shared-memory parallelism.
+
+:class:`GraphBackend` owns the graph shape, the engine and the memory
+plan; a format names its container, its metadata and payload arrays and
+its charges.  CSR, CGR and Ligra+ share one functional ``_decode``, a
+gather from the reference adjacency their containers embed (the CGR and
+Ligra+ byte decoders are validated in unit tests); their *cost* paths
+use the real compressed sizes.  Every SSSP variant relaxes through
+:meth:`GraphBackend.expand_weighted` and :meth:`GraphBackend.check_weights`.
 
 The GPU formats are registered by key in one table: :func:`encode`
 builds a format's container and :func:`build_backend` binds it to a
@@ -46,7 +51,6 @@ pushed to the engine so they appear in profile reports.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,9 +104,16 @@ LIGRA_CYCLES_PER_BYTE = 6.0
 
 
 class GraphBackend(abc.ABC):
-    """One graph representation bound to a simulated device."""
+    """One graph representation bound to a simulated device.
 
-    engine: SimEngine
+    ``shape`` is the CSR shape of the graph (``vlist``, ``degrees``,
+    ``num_nodes``, ``num_edges``): the container's embedded
+    :class:`~repro.formats.graph.Graph`, or the EFG container itself.
+    ``metadata`` and ``payload`` are the ``(name, bytes)`` of the
+    format's two device arrays, registered ahead of the working arrays
+    and the ``weight_bytes`` weight array.
+    """
+
     format_name: str
 
     #: Optional decoded-adjacency cache (see :meth:`attach_cache`).
@@ -112,12 +123,25 @@ class GraphBackend(abc.ABC):
     #: list without decoding, so with a cache this counts misses only).
     lists_decoded: int = 0
 
-    # -- construction helpers -------------------------------------------
-
-    def _finish_setup(self, weight_bytes: int = 0) -> None:
-        """Register working arrays common to the analytics."""
+    def __init__(
+        self,
+        shape: Graph | EFGraph,
+        device: DeviceSpec,
+        weight_bytes: int,
+        params: CostParams | None,
+        *,
+        metadata: tuple[str, int],
+        payload: tuple[str, int],
+    ) -> None:
+        self.engine = SimEngine.for_device(device, params=params)
+        self._shape = shape
+        self.vlist = shape.vlist
+        self.num_nodes = shape.num_nodes
+        self.num_edges = shape.num_edges
         nv = self.num_nodes
         mem = self.engine.memory
+        mem.register(*metadata, priority=0)
+        mem.register(*payload, priority=1)
         # Working data the kernels need resident (priority -1: the
         # planner places it first, mirroring how one allocates outputs
         # before deciding what else fits — Sec. II bullet 1).
@@ -127,22 +151,12 @@ class GraphBackend(abc.ABC):
         if weight_bytes:
             mem.register("weights", weight_bytes, priority=2)
 
-    # -- interface --------------------------------------------------------
-
     @property
-    @abc.abstractmethod
-    def num_nodes(self) -> int:
-        """|V|."""
-
-    @property
-    @abc.abstractmethod
-    def num_edges(self) -> int:
-        """|E|."""
-
-    @property
-    @abc.abstractmethod
     def degrees(self) -> np.ndarray:
-        """Out-degree per vertex."""
+        """Out-degree per vertex.  The shape computes and caches it on
+        first use, so a backend that never expands never holds it (a
+        dist shard's ``vlist`` spans every vertex)."""
+        return self._shape.degrees
 
     def attach_cache(self, cache: DecodedListCache) -> None:
         """Serve future expansions through a decoded-list cache.
@@ -257,9 +271,12 @@ class GraphBackend(abc.ABC):
         stats.instr_saved += saved_instr
         self.engine.metrics.inc("listcache:bytes_saved", saved_bytes)
 
-    @abc.abstractmethod
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Functional neighbour-list decode (no cost accounting)."""
+        """Functional neighbour-list decode (no cost accounting): a
+        gather from ``self.elist``, the reference adjacency the CSR,
+        CGR and Ligra+ containers embed."""
+        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
+        return self.elist[edge_idx], seg
 
     @abc.abstractmethod
     def charge_expand(
@@ -310,35 +327,58 @@ class GraphBackend(abc.ABC):
         """(payload array, per-list payload bytes, metadata array,
         metadata bytes per vertex) for ``vertices``."""
 
-    def edge_slots(self, frontier: np.ndarray) -> np.ndarray:
-        """Flat weight-array slots for the frontier's edges.
-
-        Slot numbering is CSR edge order (``vlist[v] + n``), shared by
-        every backend (Sec. VI-F: weights are not compressed).
-        """
-        slots, _ = csr_gather_indices(*self.edge_ranges(frontier))
-        return slots
-
     def edge_ranges(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, lengths)`` of the frontier's :meth:`edge_slots` ranges,
-        one per frontier vertex, for :meth:`KernelLaunch.read_ranges`."""
+        """``(starts, lengths)`` of the frontier's CSR edge-slot ranges
+        (``vlist[v] + n``), one per frontier vertex, for
+        :meth:`KernelLaunch.read_ranges`."""
         frontier = np.asarray(frontier, dtype=np.int64)
-        return self._vlist()[frontier], self.degrees[frontier]
+        return self.vlist[frontier], self.degrees[frontier]
 
-    @abc.abstractmethod
-    def _vlist(self) -> np.ndarray:
-        """Row-offset array used for edge-slot numbering."""
+    def check_weights(self, weights: np.ndarray) -> np.ndarray:
+        """``weights`` as float32 once validated: one non-negative
+        weight per stored arc, and a ``weights`` array in the memory
+        plan (the backend was built with ``weight_bytes``)."""
+        weights = np.asarray(weights, dtype=np.float32)
+        if weights.shape[0] != self.num_edges:
+            raise ValueError("one weight per stored arc required")
+        if weights.size and weights.min() < 0:
+            raise ValueError("shortest paths require non-negative weights")
+        if "weights" not in self.engine.memory.plan():
+            raise RuntimeError(
+                "backend built without weight_bytes (a cluster: "
+                "build(..., with_weights=True))"
+            )
+        return weights
+
+    def expand_weighted(
+        self, frontier: np.ndarray, kernel: KernelLaunch, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`expand` plus each edge's weight: ``(nbrs, seg, w)``.
+
+        ``weights`` is indexed by CSR edge slot, shared by every backend
+        (Sec. VI-F: weights are not compressed).  Charges the weight
+        gather along the per-list slot ranges, then the distance probe
+        and the relax instructions per candidate.
+        """
+        frontier = np.asarray(frontier, dtype=np.int64)
+        nbrs, seg = self.expand(frontier, kernel)
+        starts, lengths = self.edge_ranges(frontier)
+        slots, _ = csr_gather_indices(starts, lengths)
+        kernel.read_ranges("weights", starts, lengths, 4)
+        # Distance probe + atomicMin per candidate.
+        kernel.read_stream("work:labels", nbrs, 4)
+        kernel.instructions(4.0 * nbrs.shape[0])
+        return nbrs, seg, weights[slots]
 
     def graph_fits_in_memory(self) -> bool:
         """True when every registered array is device resident."""
         return self.engine.memory.all_resident()
 
 
-@dataclass(init=False)
 class CSRBackend(GraphBackend):
     """Uncompressed CSR on the GPU (cugraph-equivalent, Sec. III-D)."""
 
-    csr: CSRGraph
+    format_name = "csr"
 
     def __init__(
         self,
@@ -348,31 +388,12 @@ class CSRBackend(GraphBackend):
         params: CostParams | None = None,
     ) -> None:
         self.csr = csr
-        self.format_name = "csr"
-        self.engine = SimEngine.for_device(device, params=params)
-        nv = csr.num_nodes
-        self.engine.memory.register("vlist", 4 * (nv + 1), priority=0)
-        self.engine.memory.register("elist", 4 * csr.num_edges, priority=1)
-        self._finish_setup(weight_bytes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.csr.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.csr.num_edges
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.csr.graph.degrees
-
-    def _vlist(self) -> np.ndarray:
-        return self.csr.graph.vlist
-
-    def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
-        return self.csr.graph.elist[edge_idx], seg
+        self.elist = csr.graph.elist
+        super().__init__(
+            csr.graph, device, weight_bytes, params,
+            metadata=("vlist", 4 * (csr.num_nodes + 1)),
+            payload=("elist", 4 * csr.num_edges),
+        )
 
     def _payload_info(self, vertices):
         return "elist", 4 * self.degrees[vertices], "vlist", 8
@@ -387,11 +408,10 @@ class CSRBackend(GraphBackend):
         kernel.warp_occupancy(self.degrees[frontier])
 
 
-@dataclass(init=False)
 class EFGBackend(GraphBackend):
     """The paper's EFG format with run-time decompression (Secs. V-VI)."""
 
-    efg: EFGraph
+    format_name = "efg"
 
     def __init__(
         self,
@@ -401,28 +421,12 @@ class EFGBackend(GraphBackend):
         params: CostParams | None = None,
     ) -> None:
         self.efg = efg
-        self.format_name = "efg"
-        self.engine = SimEngine.for_device(device, params=params)
-        nv = efg.num_nodes
-        # vlist (4B) + num_lower_bits (1B) + offsets (4B) per vertex.
-        self.engine.memory.register("efg_meta", 9 * (nv + 1), priority=0)
-        self.engine.memory.register("efg_data", int(efg.data.shape[0]), priority=1)
-        self._finish_setup(weight_bytes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.efg.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.efg.num_edges
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.efg.degrees
-
-    def _vlist(self) -> np.ndarray:
-        return self.efg.vlist
+        super().__init__(
+            efg, device, weight_bytes, params,
+            # vlist (4B) + num_lower_bits (1B) + offsets (4B) per vertex.
+            metadata=("efg_meta", 9 * (efg.num_nodes + 1)),
+            payload=("efg_data", int(efg.data.shape[0])),
+        )
 
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return decode_lists(self.efg, frontier)
@@ -452,11 +456,10 @@ class EFGBackend(GraphBackend):
         kernel.warp_occupancy(self.degrees[frontier])
 
 
-@dataclass(init=False)
 class CGRBackend(GraphBackend):
     """CGR comparator: sequential per-list varint chains on the GPU."""
 
-    cgr: CGRGraph
+    format_name = "cgr"
 
     def __init__(
         self,
@@ -466,31 +469,12 @@ class CGRBackend(GraphBackend):
         params: CostParams | None = None,
     ) -> None:
         self.cgr = cgr
-        self.format_name = "cgr"
-        self.engine = SimEngine.for_device(device, params=params)
-        nv = cgr.num_nodes
-        self.engine.memory.register("cgr_offsets", 4 * (nv + 1), priority=0)
-        self.engine.memory.register("cgr_data", int(cgr.data.shape[0]), priority=1)
-        self._finish_setup(weight_bytes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.cgr.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.cgr.num_edges
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.cgr.graph.degrees
-
-    def _vlist(self) -> np.ndarray:
-        return self.cgr.graph.vlist
-
-    def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
-        return self.cgr.graph.elist[edge_idx], seg
+        self.elist = cgr.graph.elist
+        super().__init__(
+            cgr.graph, device, weight_bytes, params,
+            metadata=("cgr_offsets", 4 * (cgr.num_nodes + 1)),
+            payload=("cgr_data", int(cgr.data.shape[0])),
+        )
 
     def _payload_info(self, vertices):
         return "cgr_data", self.cgr.list_nbytes(vertices), "cgr_offsets", 8
@@ -514,11 +498,10 @@ class CGRBackend(GraphBackend):
         kernel.warp_occupancy(steps)
 
 
-@dataclass(init=False)
 class LigraBackend(GraphBackend):
     """Ligra+(TD) comparator on the CPU host (Sec. VII)."""
 
-    ligra: LigraPlusGraph
+    format_name = "ligra+"
 
     def __init__(
         self,
@@ -528,33 +511,14 @@ class LigraBackend(GraphBackend):
         params: CostParams | None = None,
     ) -> None:
         self.ligra = ligra
-        self.format_name = "ligra+"
-        # CPU: no SIMT divergence penalty, lane width 1 for serial code.
-        cpu_params = params or CostParams(simt_efficiency=0.5, warp_width=1)
-        self.engine = SimEngine.for_device(device, params=cpu_params)
-        nv = ligra.num_nodes
-        self.engine.memory.register("lg_vertices", 8 * nv, priority=0)
-        self.engine.memory.register("lg_data", int(ligra.data.shape[0]), priority=1)
-        self._finish_setup(weight_bytes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.ligra.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.ligra.num_edges
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.ligra.graph.degrees
-
-    def _vlist(self) -> np.ndarray:
-        return self.ligra.graph.vlist
-
-    def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
-        return self.ligra.graph.elist[edge_idx], seg
+        self.elist = ligra.graph.elist
+        super().__init__(
+            ligra.graph, device, weight_bytes,
+            # CPU: no SIMT divergence penalty, lane width 1 for serial code.
+            params or CostParams(simt_efficiency=0.5, warp_width=1),
+            metadata=("lg_vertices", 8 * ligra.num_nodes),
+            payload=("lg_data", int(ligra.data.shape[0])),
+        )
 
     def _payload_info(self, vertices):
         return "lg_data", self.ligra.list_nbytes(vertices), "lg_vertices", 8

@@ -90,14 +90,8 @@ def delta_stepping_sssp(
     nv = backend.num_nodes
     if not 0 <= source < nv:
         raise IndexError(f"source {source} out of range")
-    weights = np.asarray(weights, dtype=np.float32)
-    if weights.shape[0] != backend.num_edges:
-        raise ValueError("one weight per stored arc required")
-    if weights.size and weights.min() < 0:
-        raise ValueError("delta-stepping requires non-negative weights")
+    weights = backend.check_weights(weights)
     engine = backend.engine
-    if "weights" not in engine.memory.plan():
-        raise RuntimeError("backend built without weight_bytes")
     engine.reset_timeline()
     if delta is None:
         delta = suggest_delta(weights, backend.degrees)
@@ -119,15 +113,10 @@ def delta_stepping_sssp(
     def relax(frontier: np.ndarray, light_only: bool) -> np.ndarray:
         """Relax frontier's (light|heavy) edges; return improved verts."""
         with engine.launch("ds_relax") as k:
-            nbrs, seg = backend.expand(frontier, k)
-            slots = backend.edge_slots(frontier)
-            w = weights[slots]
+            nbrs, seg, w = backend.expand_weighted(frontier, k, weights)
             mask = (w < delta) if light_only else (w >= delta)
             cand = dist[frontier[seg[mask]]] + w[mask]
             targets = nbrs[mask]
-            k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
-            k.read_stream("work:labels", nbrs, 4)
-            k.instructions(4.0 * nbrs.shape[0])
         run.edges += int(mask.sum())
         if targets.size == 0:
             return np.empty(0, dtype=np.int64)

@@ -102,7 +102,6 @@ def msbfs(
     sources: np.ndarray,
     max_levels: int | None = None,
     reset_timeline: bool = True,
-    reset_cache_stats: bool | None = None,
 ) -> MSBFSResult:
     """Breadth-first search from up to 64 distinct sources in one run.
 
@@ -120,15 +119,12 @@ def msbfs(
     max_levels:
         Optional safety cap on the number of expansion rounds.
     reset_timeline:
-        Reset the engine timeline/metrics before the run (the
-        stand-alone default).  Pass ``False`` when stacking waves onto
-        one cumulative timeline, e.g. from
-        :class:`repro.serve.GraphService`; ``sim_seconds`` is always
-        this wave's time, not the cumulative clock.
-    reset_cache_stats:
-        Reset the decoded-list cache counters before the run.  Defaults
-        to following ``reset_timeline``, so cross-wave cache reuse keeps
-        accumulating in service mode.
+        Reset the engine timeline/metrics and the decoded-list cache
+        counters before the run (the stand-alone default).  Pass
+        ``False`` when stacking waves onto one cumulative timeline, e.g.
+        from :class:`repro.serve.GraphService`, so cross-wave cache
+        reuse keeps accumulating; ``sim_seconds`` is always this wave's
+        time, not the cumulative clock.
     """
     nv = backend.num_nodes
     sources = np.asarray(sources, dtype=np.int64)
@@ -153,10 +149,8 @@ def msbfs(
     engine = backend.engine
     if reset_timeline:
         engine.reset_timeline()
-    if reset_cache_stats is None:
-        reset_cache_stats = reset_timeline
-    if reset_cache_stats and backend.cache is not None:
-        backend.cache.reset_stats()
+        if backend.cache is not None:
+            backend.cache.reset_stats()
     lists_decoded_before = backend.lists_decoded
     t_start = engine.elapsed_seconds
 

@@ -60,14 +60,8 @@ def sssp(
     nv = backend.num_nodes
     if not 0 <= source < nv:
         raise IndexError(f"source {source} out of range")
-    weights = np.asarray(weights, dtype=np.float32)
-    if weights.shape[0] != backend.num_edges:
-        raise ValueError("one weight per stored arc required")
-    if weights.size and weights.min() < 0:
-        raise ValueError("sssp requires non-negative weights")
+    weights = backend.check_weights(weights)
     engine = backend.engine
-    if "weights" not in engine.memory.plan():
-        raise RuntimeError("backend built without weight_bytes")
     engine.reset_timeline()
 
     dist = np.full(nv, np.inf, dtype=np.float64)
@@ -83,14 +77,10 @@ def sssp(
                 frontier=frontier.size, histogram="sssp.frontier_size",
             ) as sp:
                 with engine.launch("sssp_relax") as k:
-                    nbrs, seg = backend.expand(frontier, k)
-                    slots = backend.edge_slots(frontier)
-                    cand = dist[frontier[seg]] + weights[slots]
-                    # Weight gather follows the per-list slot stream.
-                    k.read_ranges("weights", *backend.edge_ranges(frontier), 4)
-                    # Distance probe + atomicMin per candidate.
-                    k.read_stream("work:labels", nbrs, 4)
-                    k.instructions(4.0 * nbrs.shape[0])
+                    nbrs, seg, w = backend.expand_weighted(
+                        frontier, k, weights
+                    )
+                    cand = dist[frontier[seg]] + w
                 run.edges += int(nbrs.shape[0])
 
                 with engine.launch("sssp_update") as k:

@@ -360,7 +360,9 @@ class TestPinnedDumps:
     git sha) for runs whose steps the bench suite does not cover: the
     butterfly fold and unfold steps of a non-power-of-two count, and
     PageRank's allreduce sync record.  How a step is sent, recorded and
-    priced must not move any byte, second or what-if prediction."""
+    priced must not move any byte, second or what-if prediction.  The
+    PageRank pin prices each allreduce message on the tier it crosses
+    (three intra-node and four inter-node peers per GPU on 2 x 4)."""
 
     @staticmethod
     def _digest(argv, tmp_path, capsys):
@@ -391,5 +393,5 @@ class TestPinnedDumps:
             "--schedule", "hierarchical",
         ]
         assert self._digest(argv, tmp_path, capsys) == (
-            "9294e21cf537a4867eeca3387ca65eeb711b7da3cb137b3022e1b32f73d85a61"
+            "bf6a905725c3a019ea97aa41196e7cba7001897eaccff92e4419a2c8f599110e"
         )

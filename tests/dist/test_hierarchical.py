@@ -23,6 +23,7 @@ from repro.dist.report import dist_report, dist_run_metrics
 from repro.dist.topology import TIERS, LinkTopology
 from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
+from repro.obs.critpath import extract_cluster_critical_path
 from repro.traversal.backends import CSRBackend
 from repro.traversal.bfs import bfs
 from repro.traversal.sssp import sssp
@@ -276,3 +277,41 @@ class TestReporting:
         assert "2 nodes x 4 GPUs" in text
         assert "tier intra:" in text and "tier inter:" in text
         assert "overlap:" in text
+
+
+class TestAllreduceTiers:
+    """PageRank's scalar allreduce prices each peer message on the tier
+    it crosses."""
+
+    @staticmethod
+    def _sync(graph, device, nodes, per_node, inter_bandwidth=1e9):
+        topology = LinkTopology.two_tier(
+            num_nodes=nodes,
+            gpus_per_node=per_node,
+            link_bandwidth=10e9,
+            inter_bandwidth=inter_bandwidth,
+            message_latency_s=device.launch_overhead_s,
+        )
+        cluster = ShardedCluster.build(
+            graph, nodes * per_node, device, schedule="hierarchical",
+            topology=topology,
+        )
+        distributed_pagerank(cluster, max_iterations=2)
+        return cluster, cluster.charges[0]
+
+    def test_two_nodes_book_inter_peers(self, graph, device):
+        _, fast = self._sync(graph, device, 2, 4)
+        assert fast.sync_record["intra"]["messages"] == 3
+        assert fast.sync_record["inter"]["messages"] == 4
+        cluster, slow = self._sync(graph, device, 2, 4, inter_bandwidth=1e6)
+        assert slow.sync_seconds > fast.sync_seconds
+        sync_tiers = {
+            s.tier for s in extract_cluster_critical_path(cluster).segments
+            if s.phase == "sync"
+        }
+        assert sync_tiers == {"inter"}
+
+    def test_one_node_books_intra_only(self, graph, device):
+        _, charge = self._sync(graph, device, 1, 4)
+        assert set(charge.sync_record) == {"intra"}
+        assert charge.sync_record["intra"]["messages"] == 3

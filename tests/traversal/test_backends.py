@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.efg import csr_gather_indices, efg_encode
+from repro.core.listcache import DecodedListCache
 from repro.datasets import rmat_graph
 from repro.formats.cgr import cgr_encode
 from repro.formats.csr import CSRGraph
@@ -24,12 +25,12 @@ from repro.traversal.backends import (
 from repro.traversal.bfs import bfs
 
 
-def _backends(graph, device):
+def _backends(graph, device, weight_bytes=0):
     return [
-        CSRBackend(CSRGraph.from_graph(graph), device),
-        EFGBackend(efg_encode(graph), device),
-        CGRBackend(cgr_encode(graph), device),
-        LigraBackend(ligra_encode(graph)),
+        CSRBackend(CSRGraph.from_graph(graph), device, weight_bytes),
+        EFGBackend(efg_encode(graph), device, weight_bytes),
+        CGRBackend(cgr_encode(graph), device, weight_bytes),
+        LigraBackend(ligra_encode(graph), weight_bytes=weight_bytes),
     ]
 
 
@@ -95,33 +96,73 @@ class TestTrafficScalesWithCompression:
         assert k_hub.cost.floor_seconds > k_small.cost.floor_seconds
 
 
+def _slot_weights(graph, device, frontier):
+    """``expand_weighted`` results on all four backends, without and
+    with a decoded-list cache, under ``weights = arange(|E|)``: each
+    edge's weight is its CSR slot.  Cached backends expand twice, so the
+    second expansion is served from cache hits."""
+    weights = np.arange(graph.num_edges)
+    runs = []
+    for cache_kb in (0, 64):
+        for backend in _backends(graph, device, 4 * graph.num_edges):
+            if cache_kb:
+                backend.attach_cache(DecodedListCache(cache_kb * 1024))
+            for _ in range(2 if cache_kb else 1):
+                with backend.engine.launch("t") as k:
+                    out = backend.expand_weighted(frontier, k, weights)
+            if cache_kb:
+                assert backend.cache.stats.hit_edges > 0
+            runs.append((backend, out))
+    return runs
+
+
 class TestEdgeSlots:
     def test_slots_are_csr_positions(self, small_graph, scaled_device):
-        backend = EFGBackend(efg_encode(small_graph), scaled_device)
         frontier = np.array([2, 5])
-        slots = backend.edge_slots(frontier)
         expect = np.concatenate(
             [
                 np.arange(small_graph.vlist[2], small_graph.vlist[3]),
                 np.arange(small_graph.vlist[5], small_graph.vlist[6]),
             ]
         )
-        assert np.array_equal(slots, expect)
+        for backend, (_, _, w) in _slot_weights(
+            small_graph, scaled_device, frontier
+        ):
+            assert np.array_equal(w, expect), backend.format_name
 
     def test_slots_identical_across_formats(self, small_graph, scaled_device):
         frontier = np.array([0, 7, 3])
-        slot_sets = [
-            b.edge_slots(frontier) for b in _backends(small_graph, scaled_device)
-        ]
-        for s in slot_sets[1:]:
-            assert np.array_equal(s, slot_sets[0])
-
+        runs = _slot_weights(small_graph, scaled_device, frontier)
+        _, (base_n, base_s, base_w) = runs[0]
+        for backend, (nbrs, seg, w) in runs[1:]:
+            assert np.array_equal(nbrs, base_n), backend.format_name
+            assert np.array_equal(seg, base_s), backend.format_name
+            assert np.array_equal(w, base_w), backend.format_name
 
     def test_ranges_expand_to_slots(self, small_graph, scaled_device):
         frontier = np.array([4, 0, 4, 9])
-        for backend in _backends(small_graph, scaled_device):
+        for backend, (_, _, w) in _slot_weights(
+            small_graph, scaled_device, frontier
+        ):
             slots, _ = csr_gather_indices(*backend.edge_ranges(frontier))
-            assert np.array_equal(slots, backend.edge_slots(frontier))
+            assert np.array_equal(slots, w), backend.format_name
+
+
+class TestShape:
+    def test_shape_is_the_containers(self, small_graph, scaled_device):
+        containers = {
+            "csr": lambda b: b.csr.graph,
+            "efg": lambda b: b.efg,
+            "cgr": lambda b: b.cgr.graph,
+            "ligra+": lambda b: b.ligra.graph,
+        }
+        for backend in _backends(small_graph, scaled_device):
+            shape = containers[backend.format_name](backend)
+            assert backend.num_nodes == shape.num_nodes == small_graph.num_nodes
+            assert backend.num_edges == shape.num_edges == small_graph.num_edges
+            assert np.array_equal(backend.degrees, shape.degrees)
+            assert np.array_equal(backend.vlist, shape.vlist)
+            assert np.array_equal(backend.vlist, small_graph.vlist)
 
 
 #: Payload array and per-list (starts, bytes) of each backend's slices.

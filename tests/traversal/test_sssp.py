@@ -117,3 +117,79 @@ class TestRegions:
         t_fit = sssp(fits, 0, w).sim_seconds
         t_stream = sssp(streams, 0, w).sim_seconds
         assert t_stream > t_fit
+
+
+def _dump_digest(payload: dict) -> str:
+    """sha256 of a metrics dump without ``meta`` (it stamps the git sha)."""
+    import hashlib
+    import json
+
+    payload = {k: v for k, v in payload.items() if k != "meta"}
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestPinnedWeightedDumps:
+    """Whole metrics dumps of weighted runs the bench suite does not
+    cover: delta-stepping on every GPU format, frontier relaxation
+    through the decoded-list cache, distributed SSSP on two nodes and
+    Ligra+ SSSP on the CPU.  Where the weighted expansion is written
+    must not move any byte, second or counter."""
+
+    @staticmethod
+    def _cli_digest(argv, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        path = str(tmp_path / "m.json")
+        assert main([*argv, "--metrics", path]) == 0
+        capsys.readouterr()
+        with open(path) as fh:
+            return _dump_digest(json.load(fh))
+
+    DELTA_DIGESTS = {
+        "csr":
+        "a77c0a7c19dff9be515bf4fc06d8e7d64f8d84d05cab04b7133f08f203c39083",
+        "efg":
+        "2b0982942de39d91531607070fd7946fbf7b760b818d8f2d8d2c0f7b122f032c",
+        "cgr":
+        "2afc2f86a4656b6ba0d0fa38b1d3eb58457e6202acb39674b2d5adca1607187b",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DELTA_DIGESTS))
+    def test_delta_stepping(self, fmt, tmp_path, capsys):
+        argv = ["profile", "delta", "--format", fmt]
+        digest = self._cli_digest(argv, tmp_path, capsys)
+        assert digest == self.DELTA_DIGESTS[fmt]
+
+    def test_sssp_through_list_cache(self, tmp_path, capsys):
+        argv = ["profile", "sssp", "--format", "efg", "--cache-kb", "64"]
+        assert self._cli_digest(argv, tmp_path, capsys) == (
+            "80d1d8feef3deed81da537a148cb5f3d152c9a4cc7b4e4c93db576c29efc1ba0"
+        )
+
+    def test_distributed_sssp_two_nodes(self, tmp_path, capsys):
+        argv = ["dist", "sssp", "--gpus", "4", "--nodes", "2"]
+        assert self._cli_digest(argv, tmp_path, capsys) == (
+            "c7c58f79a433ff7ae2c5aea50df7ef2de6263179350202da792d8f5df0ff1d2b"
+        )
+
+    def test_ligra_sssp(self):
+        from repro.bench.harness import (
+            EncodedGraph,
+            make_backend,
+            make_weights,
+            run_profiled,
+        )
+        from repro.datasets import rmat_graph
+
+        graph = rmat_graph(9, 8, seed=1)
+        backend = make_backend("ligra", EncodedGraph(graph), with_weights=True)
+        run = run_profiled(
+            "sssp", backend, source=0, weights=make_weights(graph, 1)
+        )
+        assert _dump_digest(run.metrics) == (
+            "ad0e1376261ef77aac62e7d4b6d71b882f359ced53bbf204fea31118a1484dfe"
+        )
