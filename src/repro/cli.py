@@ -42,12 +42,13 @@ Commands
     Critical-path + what-if replay on a recorded distributed run
     (default: BFS on a pinned RMAT graph over 2 nodes x 4 GPUs,
     hierarchical schedule, ef wire codec, overlap on).  Prints the
-    critical-path breakdown, re-prices the run under each ``--set``
+    critical-path breakdown, re-prices the run under the ``--set``
     scenario without re-running the traversal, and ``--rank`` prints
-    the standard scenario panel ordered by predicted speedup.
-    Bandwidth/latency/contention/overlap predictions are bit-exact
-    against an actual re-run; codec swaps are estimates from recorded
-    trial encodings.  Exit 2 on an unknown knob or malformed --set.
+    the standard scenario panel ordered by predicted speedup.  A wire
+    codec swap (``--set wire=X``, the panel's ``wire X`` rows) runs the
+    workload again with that codec.  Every prediction equals an actual
+    re-run bit-for-bit.  Exit 2, before any run, on an unknown knob, a
+    malformed --set or a bad value.
 ``bench [--out-dir D] [--against FILE|DIR] [--threshold PCT]
 [--source-seed S]``
     Run the pinned workload suite (BFS/SSSP/PageRank x csr/efg/cgr on
@@ -172,31 +173,39 @@ def _check_layout(args: argparse.Namespace) -> None:
         )
 
 
-def _cluster(args: argparse.Namespace, graph, **build_kw):
-    """The ``ShardedCluster`` the cluster flags describe, layout checked."""
-    from repro.dist import ShardedCluster, build_topology
+def _topology(args: argparse.Namespace):
+    """The ``LinkTopology`` the cluster flags describe, layout checked."""
+    from repro.dist import build_topology
 
     _check_layout(args)
-    device = _device(args)
-    topology = build_topology(
-        args.nodes, args.gpus, device,
+    return build_topology(
+        args.nodes, args.gpus, _device(args),
         args.link_gbs, args.inter_gbs, args.contention,
     )
-    return ShardedCluster.build(
-        graph, args.gpus, device,
-        fmt=args.fmt, wire=args.wire, schedule=args.schedule,
-        topology=topology, with_weights=args.algo == "sssp", **build_kw,
-    )
 
 
-def _run_cluster(args: argparse.Namespace, graph, cluster):
-    """Run ``args.algo`` on ``cluster`` (SSSP weights seeded by ``--seed``)."""
+def _cluster_runner(args: argparse.Namespace, graph):
+    """``run(wire, overlap) -> (cluster, result)``: ``args.algo`` on a
+    fresh ``ShardedCluster`` the cluster flags describe, from one
+    source (SSSP weights seeded by ``--seed``)."""
     from repro.bench.harness import make_weights
-    from repro.dist import run_distributed
+    from repro.dist import ShardedCluster, run_distributed
 
+    topology = _topology(args)
+    device = _device(args)
     source = args.source if args.algo == "pagerank" else _source(args, graph)
     weights = make_weights(graph, args.seed) if args.algo == "sssp" else None
-    return run_distributed(cluster, args.algo, source, weights)
+
+    def run(wire: str, overlap: bool):
+        cluster = ShardedCluster.build(
+            graph, args.gpus, device,
+            fmt=args.fmt, wire=wire, schedule=args.schedule,
+            topology=topology, with_weights=args.algo == "sssp",
+            overlap=overlap,
+        )
+        return cluster, run_distributed(cluster, args.algo, source, weights)
+
+    return run
 
 
 def _cluster_label(args: argparse.Namespace, overlap: bool) -> str:
@@ -505,8 +514,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     from repro.obs.metrics import dump_metrics
 
     graph, graph_name = _graph(args)
-    cluster = _cluster(args, graph, overlap=args.overlap)
-    result = _run_cluster(args, graph, cluster)
+    cluster, result = _cluster_runner(args, graph)(args.wire, args.overlap)
     if args.algo == "bfs":
         summary = f"{result.num_levels} levels"
     else:
@@ -551,23 +559,29 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     )
     from repro.obs.whatif import (
         CLUSTER_KNOBS,
+        cluster_scenario,
         parse_sets,
         rank_cluster_whatifs,
         whatif_cluster,
     )
 
-    # Validate every --set up front — a typoed or duplicated knob must
-    # fail before the (comparatively expensive) baseline run, not after.
+    # Check every --set key and value up front: a bad scenario must fail
+    # before the (comparatively expensive) baseline run, not after.
     try:
         sets = parse_sets(args.set, known=CLUSTER_KNOBS)
+        cluster_scenario(_topology(args), sets)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     graph, _ = _graph(args)
     overlap = not args.no_overlap
-    cluster = _cluster(args, graph, overlap=overlap, record_wire=True)
-    result = _run_cluster(args, graph, cluster)
+    run = _cluster_runner(args, graph)
+    cluster, result = run(args.wire, overlap)
+
+    def rerun(wire: str):
+        return run(wire, overlap)[0]
+
     print(
         _cluster_label(args, overlap)
         + f"{result.runtime_ms:.6f} ms simulated baseline"
@@ -577,25 +591,19 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     verify_critpath(path)
     print("verify_critpath: ok")
     if sets:
-        try:
-            scenario = whatif_cluster(cluster, sets)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        kind = "exact" if scenario.exact else "estimate"
+        scenario = whatif_cluster(cluster, sets, rerun)
         print(
             f"\nwhat-if {scenario.name}: "
             f"{scenario.predicted_seconds * 1e3:.6f} ms predicted, "
-            f"{scenario.speedup:.4f}x speedup ({kind})"
+            f"{scenario.speedup:.4f}x speedup"
         )
     if args.rank:
         print("\ntop optimization targets:")
-        print(f"{'scenario':28s} {'predicted ms':>14s} {'speedup':>9s} kind")
-        for r in rank_cluster_whatifs(cluster):
-            kind = "exact" if r.exact else "estimate"
+        print(f"{'scenario':28s} {'predicted ms':>14s} {'speedup':>9s}")
+        for r in rank_cluster_whatifs(cluster, rerun):
             print(
                 f"{r.name:28s} {r.predicted_seconds * 1e3:14.6f} "
-                f"{r.speedup:8.4f}x {kind}"
+                f"{r.speedup:8.4f}x"
             )
     return 0
 
@@ -910,10 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
         p, seed=1, seed_help="seed for generated graphs and weights"
     )
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="re-price the run under this knob (repeatable); "
-                   "knobs: intra_gbs, inter_gbs, bandwidth_x, contention, "
-                   "inter_contention, latency_us, inter_latency_us, "
-                   "overlap, wire")
+                   help="re-price the run under this knob (repeatable; "
+                   "wire=CODEC re-runs with that codec); knobs: intra_gbs, "
+                   "inter_gbs, bandwidth_x, contention, inter_contention, "
+                   "latency_us, inter_latency_us, overlap, wire")
     p.add_argument("--rank", action="store_true",
                    help="print the standard scenario panel ranked by "
                    "predicted speedup")

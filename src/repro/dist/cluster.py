@@ -98,7 +98,6 @@ class ShardedCluster:
         schedule: str,
         fmt: str,
         overlap: bool = False,
-        record_wire: bool = False,
     ) -> None:
         self.graph = graph
         self.partition = partition
@@ -108,7 +107,6 @@ class ShardedCluster:
         self.schedule = schedule
         self.fmt = fmt
         self.overlap = overlap
-        self.record_wire = record_wire
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.reset()
@@ -125,7 +123,6 @@ class ShardedCluster:
         topology: LinkTopology | None = None,
         with_weights: bool = False,
         overlap: bool = False,
-        record_wire: bool = False,
     ) -> "ShardedCluster":
         """Partition ``graph`` and stand up one backend per shard.
 
@@ -133,12 +130,6 @@ class ShardedCluster:
         in the cost model: each level's expand phase hides behind the
         exchange (or vice versa), so the level costs
         ``max(expand, exchange)`` plus the unoverlapped claim.
-
-        ``record_wire=True`` additionally trial-encodes every concrete
-        wire codec on every message, recording per-codec payload sizes
-        the what-if engine needs to predict codec swaps.  Off by
-        default: it multiplies functional encode work without changing
-        any priced charge.
         """
         if schedule not in SCHEDULES:
             raise ValueError(
@@ -172,7 +163,6 @@ class ShardedCluster:
             schedule=schedule,
             fmt=fmt,
             overlap=overlap,
-            record_wire=record_wire,
         )
 
     # -- run lifecycle ----------------------------------------------------
@@ -311,7 +301,6 @@ class ShardedCluster:
             schedule=self.schedule,
             values=values,
             combine=combine,
-            record_trials=self.record_wire,
         )
         m = self.metrics
         m.inc("dist.wire_bytes", stats.wire_bytes)

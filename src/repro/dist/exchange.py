@@ -48,25 +48,13 @@ import numpy as np
 
 from repro.dist.partition import VertexPartition
 from repro.dist.topology import TIERS, LinkTopology, tier_record
-from repro.dist.wire import (
-    MESSAGE_HEADER_BYTES,
-    AutoCodec,
-    WireCodec,
-    get_codec,
-)
+from repro.dist.wire import MESSAGE_HEADER_BYTES, AutoCodec, WireCodec
 from repro.primitives.unique import fold_duplicates, sorted_unique
 
 __all__ = ["SCHEDULES", "ExchangeStats", "exchange"]
 
 #: Exchange schedules the drivers accept.
 SCHEDULES = ("flat", "butterfly", "hierarchical")
-
-#: Concrete codecs trial-sized per message when ``record_trials`` is on
-#: (the what-if engine's codec-swap inputs; ``auto`` is a selector).
-_TRIAL_CODECS = tuple(
-    get_codec(name) for name in ("raw", "raw64", "bitmap", "varint", "ef")
-)
-
 
 def _tier_zeros() -> dict[str, int]:
     return {tier: 0 for tier in TIERS}
@@ -92,17 +80,12 @@ class ExchangeStats:
     messages: int = 0
     #: Ids handed to codecs on the send side (dedup already applied).
     sent_ids: int = 0
-    #: Ids decoded on the receive side (== sent for a correct codec).
-    received_ids: int = 0
     #: Simulated link time of the whole exchange.
     seconds: float = 0.0
     #: Serialization share of :attr:`seconds` (bytes over links).
     transfer_seconds: float = 0.0
     #: Fixed per-message share of :attr:`seconds`.
     latency_seconds: float = 0.0
-    #: Schedule rounds (1 for flat, ~log2 P for butterfly, up to 3 for
-    #: hierarchical).
-    rounds: int = 0
     #: Messages per concrete codec actually used (auto resolves here).
     codec_messages: dict[str, int] = field(default_factory=dict)
     #: Encode instructions per concrete codec (sender-side ALU work).
@@ -132,19 +115,12 @@ class ExchangeStats:
     #: the what-if engine can re-price the exchange under a different
     #: topology bit-exactly.
     step_records: list[dict] = field(default_factory=list)
-    #: Encoded id bytes per tier (compressible share of ``tier_bytes``).
-    tier_id_bytes: dict[str, int] = field(default_factory=_tier_zeros)
-    #: Uncompressed value bytes per tier.
-    tier_value_bytes: dict[str, int] = field(default_factory=_tier_zeros)
-    #: Envelope bytes per tier.
-    tier_header_bytes: dict[str, int] = field(default_factory=_tier_zeros)
-    #: When True, every message is additionally trial-sized through all
-    #: concrete codecs (what-if codec-swap inputs).
-    record_trials: bool = False
-    #: Trial payload bytes per codec per tier (``record_trials`` only).
-    trial_id_bytes: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: Codecs that could not represent some message of this exchange.
-    trial_invalid: set[str] = field(default_factory=set)
+
+    @property
+    def rounds(self) -> int:
+        """Schedule rounds: one step record each (1 for flat, ~log2 P
+        for butterfly, up to 3 for hierarchical)."""
+        return len(self.step_records)
 
     def add_message(
         self,
@@ -162,9 +138,6 @@ class ExchangeStats:
         self.messages += 1
         self.tier_bytes[tier] += total
         self.tier_messages[tier] += 1
-        self.tier_id_bytes[tier] += id_nbytes
-        self.tier_value_bytes[tier] += value_nbytes
-        self.tier_header_bytes[tier] += MESSAGE_HEADER_BYTES
         self.codec_messages[codec_name] = (
             self.codec_messages.get(codec_name, 0) + 1
         )
@@ -220,7 +193,8 @@ class _Step:
 
         Adds the binding tier's transfer/latency split to the aggregate
         ``transfer_seconds`` / ``latency_seconds`` (so those two keep
-        summing to ``stats.seconds``) and counts one round.
+        summing to ``stats.seconds``); the appended record is the
+        step's round.
         """
         stats = self.stats
         record = {
@@ -242,7 +216,6 @@ class _Step:
         stats.transfer_seconds += binding[0]
         stats.latency_seconds += binding[1]
         stats.seconds += step_seconds
-        stats.rounds += 1
 
 
 def _combine(
@@ -288,23 +261,6 @@ def _encode_message(
         + concrete.encode_instr_per_id * int(ids.shape[0])
     )
     stats.sent_ids += int(ids.shape[0])
-    stats.received_ids += int(decoded.shape[0])
-    if stats.record_trials:
-        for cand in _TRIAL_CODECS:
-            if cand.name in stats.trial_invalid:
-                continue
-            try:
-                size = cand.encoded_nbytes(ids, lo, hi)
-            except ValueError:
-                # Representation limit (raw past 2^31): the codec is
-                # not a valid swap target for this exchange at all.
-                stats.trial_invalid.add(cand.name)
-                stats.trial_id_bytes.pop(cand.name, None)
-                continue
-            tiers = stats.trial_id_bytes.setdefault(
-                cand.name, _tier_zeros()
-            )
-            tiers[tier] += size
     return decoded, total
 
 
@@ -317,7 +273,6 @@ def exchange(
     values: list[list[np.ndarray]] | None = None,
     combine: str | None = None,
     value_width: int = 4,
-    record_trials: bool = False,
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None, ExchangeStats]:
     """Deliver every bucket to its owner; returns per-GPU incoming sets.
 
@@ -326,8 +281,6 @@ def exchange(
     ``values``, each id carries one ``value_width``-byte value and
     duplicates are folded with ``combine`` (``"min"`` or ``"sum"``).
     ``incoming[h]`` is the sorted unique union delivered to ``h``.
-    ``record_trials`` additionally sizes every message through every
-    concrete codec (what-if codec-swap inputs; no priced effect).
     """
     num_gpus = partition.num_gpus
     if len(outgoing) != num_gpus:
@@ -348,7 +301,6 @@ def exchange(
     stats = ExchangeStats(
         sent_ids_per_gpu=np.zeros(num_gpus, dtype=np.int64),
         received_ids_per_gpu=np.zeros(num_gpus, dtype=np.int64),
-        record_trials=record_trials,
     )
     width = value_width if values is not None else 0
 

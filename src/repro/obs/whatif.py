@@ -1,25 +1,21 @@
-"""What-if replay: re-price a recorded run under parameter deltas.
+"""What-if replay: predict a recorded run's clock under parameter deltas.
 
 A finished run is a complete pricing record — per-launch cost
 snapshots on the single-GPU timeline, per-step byte/message maxima in
 the cluster's :class:`~repro.dist.cluster.LevelCharge` sequence.
 Because none of the priced knobs (bandwidths, latencies, contention,
-``cached_bw_ratio``, overlap) change the *functional* traversal, a
-run's charges can be re-priced under new parameters without
-re-traversing anything, in milliseconds instead of a full re-run.
+``cached_bw_ratio``, launch overhead, overlap) change the *functional*
+traversal, a run's charges can be re-priced under new parameters
+without re-traversing anything, in milliseconds instead of a full
+re-run.  The replay performs the same floating-point operations in the
+same order as an actual re-run under the changed parameters, so
+predicted equals actual *bit-for-bit* (asserted in tests).
 
-Replays come in two flavours:
-
-* **Exact** — bandwidth / latency / contention / ``cached_bw_ratio`` /
-  launch-overhead / overlap changes.  The replay performs the same
-  floating-point operations in the same order as an actual re-run
-  under the changed parameters, so predicted equals actual
-  *bit-for-bit* (asserted in tests).
-* **Estimates** — wire-codec swaps: per-tier byte rescaling from the
-  recorded per-codec trial sizes (run with ``record_wire=True``).  The
-  recorded trials give each codec's total bytes per tier, not each
-  message's, so the per-step message maxima are rescaled by a ratio of
-  totals — close, not bit-exact.
+A wire-codec swap changes what travels — every message's size, and so
+every step's maxima — so it is not a replay: the caller hands in a
+``rerun(codec)`` callable that runs the same workload with that codec,
+and the prediction is that run's clock (re-priced under any other
+knobs).  Every what-if is therefore exact.
 
 :func:`rank_engine_whatifs` / :func:`rank_cluster_whatifs` run the
 standard scenario panel and rank by predicted speedup — the "top
@@ -29,13 +25,16 @@ trajectory surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.obs.critpath import level_seconds
 
 __all__ = [
     "CLUSTER_KNOBS",
+    "PANEL_CODECS",
     "WhatIfResult",
+    "cluster_scenario",
     "parse_sets",
     "rank_cluster_whatifs",
     "rank_engine_whatifs",
@@ -58,6 +57,10 @@ CLUSTER_KNOBS = (
     "wire",
 )
 
+#: Wire codecs the ranked cluster panel re-runs (``auto`` picks among
+#: them per message, so it is not a swap target of its own).
+PANEL_CODECS = ("raw", "raw64", "bitmap", "varint", "ef")
+
 
 @dataclass(frozen=True)
 class WhatIfResult:
@@ -66,8 +69,6 @@ class WhatIfResult:
     name: str
     baseline_seconds: float
     predicted_seconds: float
-    #: True when the replay is bit-exact w.r.t. an actual re-run.
-    exact: bool
 
     @property
     def speedup(self) -> float:
@@ -80,83 +81,24 @@ class WhatIfResult:
 # -- cluster replay -------------------------------------------------------
 
 
-def _price_step(record: dict, topology, scale: dict | None = None) -> float:
-    """Re-price one exchange step from its record.
-
-    ``LinkTopology.step_seconds`` prices the record, the same call the
-    run made, so a replay on the recorded topology is bit-identical.
-    ``scale`` multiplies a tier's bytes first (codec swaps; breaks
-    exactness by construction).
-    """
-    if scale:
-        record = {
-            tier: {
-                **row,
-                "link_bytes": row["link_bytes"] * scale.get(tier, 1.0),
-                "total_bytes": row["total_bytes"] * scale.get(tier, 1.0),
-            }
-            for tier, row in record.items()
-        }
-    return topology.step_seconds(record)
-
-
-def _codec_scale(ex, codec_name: str) -> dict[str, float]:
-    """Per-tier byte rescaling of one exchange under a codec swap.
-
-    New tier bytes = the codec's recorded trial id payload plus the
-    unchanged value/header bytes; the factor applies uniformly to the
-    step maxima (the estimate: per-message skew is folded into the
-    tier aggregate).
-    """
-    if codec_name in ex.trial_invalid:
-        raise ValueError(
-            f"codec {codec_name!r} cannot represent this run's messages"
-        )
-    trials = ex.trial_id_bytes.get(codec_name)
-    if trials is None:
-        if ex.messages == 0:
-            return {}
-        raise ValueError(
-            f"no trial sizes for codec {codec_name!r}; rerun with "
-            "record_wire=True (repro whatif does this automatically)"
-        )
-    out: dict[str, float] = {}
-    for tier, old in ex.tier_bytes.items():
-        if old <= 0:
-            out[tier] = 1.0
-            continue
-        new = (
-            trials[tier]
-            + ex.tier_value_bytes[tier]
-            + ex.tier_header_bytes[tier]
-        )
-        out[tier] = new / old
-    return out
-
-
 def replay_cluster_seconds(
-    cluster,
-    topology=None,
-    overlap: bool | None = None,
-    codec: str | None = None,
+    cluster, topology=None, overlap: bool | None = None
 ) -> float:
     """Re-price a recorded cluster run; returns the predicted clock.
 
     With no arguments this replays the run as recorded and reproduces
     ``cluster.clock`` bit-exactly (a replay self-check the tests pin).
     ``topology`` re-prices every exchange step and sync under different
-    link parameters; ``overlap`` switches the level cost model;
-    ``codec`` rescales exchange bytes per the recorded trial sizes.
+    link parameters (``LinkTopology.step_seconds``, the call the run
+    made); ``overlap`` switches the level cost model.
     """
     topo = cluster.topology if topology is None else topology
     ov = cluster.overlap if overlap is None else overlap
     clock = 0.0
     for charge in cluster.charges:
-        scale = _codec_scale(charge.exchange, codec) if codec else None
         ex_seconds = 0.0
         for rec in charge.exchange.step_records:
-            ex_seconds += _price_step(rec, topo, scale)
-        # The sync carries scalars, not codec traffic: never scaled.
+            ex_seconds += topo.step_seconds(rec)
         sync = 0.0
         if charge.sync_record is not None:
             sync = topo.step_seconds(charge.sync_record)
@@ -175,52 +117,101 @@ def _parse_bool(raw) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def whatif_cluster(cluster, sets: dict) -> WhatIfResult:
-    """Predict a cluster run's clock under a ``--set`` knob dict."""
-    topo = cluster.topology
+def _parse_number(raw) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _apply_knob(topo, key: str, raw):
+    """``topo`` with one link knob set (``LinkTopology`` checks it)."""
+    value = _parse_number(raw)
+    if key == "intra_gbs":
+        return replace(topo, link_bandwidth=value * 1e9)
+    if key == "inter_gbs":
+        return replace(topo, inter_bandwidth=value * 1e9)
+    if key == "bandwidth_x":
+        return topo.scaled_bandwidth(value)
+    if key == "contention":
+        return replace(topo, contention=value)
+    if key == "inter_contention":
+        return replace(topo, inter_contention=value)
+    if key == "latency_us":
+        return replace(topo, message_latency_s=value * 1e-6)
+    return replace(topo, inter_latency_s=value * 1e-6)
+
+
+def cluster_scenario(topology, sets: dict) -> tuple:
+    """Turn a ``--set`` knob dict into ``(topology, overlap, codec)``.
+
+    ``overlap`` and ``codec`` are ``None`` when not set.  Every value is
+    checked here — numbers parse, the changed ``LinkTopology`` validates
+    its ranges, ``overlap`` is a boolean and ``wire`` names a codec — so
+    a bad scenario fails before any run, with one ``ValueError`` naming
+    the knob.
+    """
+    from repro.dist.wire import WIRE_CODECS
+
+    topo = topology
     overlap: bool | None = None
     codec: str | None = None
-    exact = True
     for key in sorted(sets):
         raw = sets[key]
-        if key == "intra_gbs":
-            topo = replace(topo, link_bandwidth=float(raw) * 1e9)
-        elif key == "inter_gbs":
-            topo = replace(topo, inter_bandwidth=float(raw) * 1e9)
-        elif key == "bandwidth_x":
-            topo = topo.scaled_bandwidth(float(raw))
-        elif key == "contention":
-            topo = replace(topo, contention=float(raw))
-        elif key == "inter_contention":
-            topo = replace(topo, inter_contention=float(raw))
-        elif key == "latency_us":
-            topo = replace(topo, message_latency_s=float(raw) * 1e-6)
-        elif key == "inter_latency_us":
-            topo = replace(topo, inter_latency_s=float(raw) * 1e-6)
-        elif key == "overlap":
-            overlap = _parse_bool(raw)
-        elif key == "wire":
-            codec = str(raw)
-            exact = False
-        else:
+        if key not in CLUSTER_KNOBS:
             raise ValueError(
                 f"unknown knob {key!r}; cluster knobs: "
                 f"{', '.join(CLUSTER_KNOBS)}"
             )
-    predicted = replay_cluster_seconds(
-        cluster, topology=topo, overlap=overlap, codec=codec
-    )
+        try:
+            if key == "overlap":
+                overlap = _parse_bool(raw)
+            elif key == "wire":
+                if raw not in WIRE_CODECS:
+                    raise ValueError(
+                        f"pick a codec from {', '.join(WIRE_CODECS)}"
+                    )
+                codec = raw
+            else:
+                topo = _apply_knob(topo, key, raw)
+        except ValueError as exc:
+            raise ValueError(f"bad --set {key}={raw}: {exc}") from None
+    return topo, overlap, codec
+
+
+def whatif_cluster(cluster, sets: dict, rerun=None) -> WhatIfResult:
+    """Predict a cluster run's clock under a ``--set`` knob dict.
+
+    Link and overlap knobs re-price ``cluster``'s recorded charges.
+    ``wire=X`` re-prices ``rerun(X)`` instead: the same workload run to
+    completion with codec ``X`` (required for a ``wire`` knob).
+    """
+    topo, overlap, codec = cluster_scenario(cluster.topology, sets)
+    run = cluster
+    if codec is not None:
+        if rerun is None:
+            raise ValueError(f"wire={codec} needs a re-run with that codec")
+        run = rerun(codec)
     name = ",".join(f"{k}={sets[k]}" for k in sorted(sets))
     return WhatIfResult(
         name=name or "baseline",
         baseline_seconds=cluster.clock,
-        predicted_seconds=predicted,
-        exact=exact,
+        predicted_seconds=replay_cluster_seconds(
+            run, topology=topo, overlap=overlap
+        ),
     )
 
 
-def rank_cluster_whatifs(cluster) -> list[WhatIfResult]:
-    """The standard scenario panel, ranked by predicted speedup."""
+def rank_cluster_whatifs(cluster, rerun=None) -> list[WhatIfResult]:
+    """The standard scenario panel, ranked by predicted speedup.
+
+    With ``rerun`` (as for :func:`whatif_cluster`) the panel adds one
+    ``wire X`` row per :data:`PANEL_CODECS` codec, the clock of
+    ``rerun(X)``.
+    """
     base = cluster.clock
     topo = cluster.topology
     results = [
@@ -233,7 +224,6 @@ def rank_cluster_whatifs(cluster) -> list[WhatIfResult]:
                     topo, link_bandwidth=topo.link_bandwidth * 2.0
                 ),
             ),
-            exact=True,
         )
     ]
     if topo.num_nodes > 1:
@@ -248,7 +238,6 @@ def rank_cluster_whatifs(cluster) -> list[WhatIfResult]:
                         topo, inter_bandwidth=inter_bw * 2.0
                     ),
                 ),
-                exact=True,
             )
         )
     results.append(
@@ -258,26 +247,16 @@ def rank_cluster_whatifs(cluster) -> list[WhatIfResult]:
             predicted_seconds=replay_cluster_seconds(
                 cluster, overlap=not cluster.overlap
             ),
-            exact=True,
         )
     )
-    # Codec swaps need recorded trial sizes; codecs any message broke
-    # (representation limits) are excluded per _codec_scale.
-    trialed: set[str] = set()
-    invalid: set[str] = set()
-    for charge in cluster.charges:
-        trialed.update(charge.exchange.trial_id_bytes)
-        invalid.update(charge.exchange.trial_invalid)
-    for name in sorted(trialed - invalid):
-        results.append(
+    if rerun is not None:
+        results.extend(
             WhatIfResult(
-                name=f"wire {name}",
+                name=f"wire {codec}",
                 baseline_seconds=base,
-                predicted_seconds=replay_cluster_seconds(
-                    cluster, codec=name
-                ),
-                exact=False,
+                predicted_seconds=rerun(codec).clock,
             )
+            for codec in PANEL_CODECS
         )
     return sorted(results, key=lambda r: (-r.speedup, r.name))
 
@@ -341,7 +320,6 @@ def rank_engine_whatifs(engine) -> list[WhatIfResult]:
             predicted_seconds=replay_engine_seconds(
                 engine, device=dev, params=par
             ),
-            exact=True,
         )
         for name, dev, par in scenarios
     ]
@@ -390,7 +368,6 @@ def whatif_section(results: list[WhatIfResult]) -> dict:
         r.name: {
             "predicted_seconds": r.predicted_seconds,
             "speedup": r.speedup,
-            "exact": float(r.exact),
         }
         for r in results
     }

@@ -18,6 +18,19 @@ __all__ = ["SORT_FRACTION", "partial_radix_sort_key", "partial_sort_frontier"]
 SORT_FRACTION = 0.65
 
 
+def kept_bits(num_nodes: int, fraction: float = SORT_FRACTION) -> int:
+    """High vertex-id bits the frontier sort keys on.
+
+    The ids of ``num_nodes`` vertices span ``bit_length(num_nodes - 1)``
+    bits (at least one); the sort keeps the top ``fraction`` of them,
+    at least one.  The sort and its priced radix passes both read this.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    total_bits = max(1, int(num_nodes - 1).bit_length())
+    return max(1, int(round(total_bits * fraction)))
+
+
 def partial_radix_sort_key(
     keys: np.ndarray, total_bits: int, fraction: float = SORT_FRACTION
 ) -> np.ndarray:
@@ -29,13 +42,11 @@ def partial_radix_sort_key(
     Returns the masked keys; sorting on them (stably) gives the partial
     order the paper uses.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if total_bits <= 0:
         raise ValueError(f"total_bits must be positive, got {total_bits}")
     keys = np.asarray(keys).astype(np.uint64)
-    kept_bits = max(1, int(round(total_bits * fraction)))
-    drop = max(0, total_bits - kept_bits)
+    # ``2**total_bits`` vertices span exactly ``total_bits`` id bits.
+    drop = total_bits - kept_bits(1 << total_bits, fraction)
     mask = np.uint64(((1 << total_bits) - 1) ^ ((1 << drop) - 1))
     return keys & mask
 
@@ -43,7 +54,8 @@ def partial_radix_sort_key(
 def partial_sort_frontier(
     frontier: np.ndarray, num_nodes: int, fraction: float = SORT_FRACTION
 ) -> np.ndarray:
-    """Approximately sort a BFS frontier on the top bits of the vertex id.
+    """Approximately sort a BFS frontier on the top :func:`kept_bits`
+    bits of the vertex id.
 
     Correctness of the traversal does not depend on the order; this is
     purely the locality optimisation of Sec. VI-E.
@@ -66,17 +78,13 @@ def launch_partial_sort(
 ) -> np.ndarray:
     """Partially sort ``frontier`` in one ``kernel`` launch on ``engine``.
 
-    The sort keys on the top :data:`SORT_FRACTION` of the id bits.  The
-    charge is CUB's radix sort: one pass per 8-bit digit of the kept
-    bit range, each pass reading and scattering the ``id_bytes``-wide
-    keys.
+    The sort keys on the top :func:`kept_bits` of the id bits.  The
+    charge is CUB's radix sort: one pass per 8-bit digit of those kept
+    bits, each pass reading and scattering the ``id_bytes``-wide keys.
     """
     with engine.launch(kernel) as k:
         ordered = partial_sort_frontier(frontier, num_nodes, SORT_FRACTION)
-        kept_bits = max(
-            1, int(round(np.log2(max(num_nodes, 2)) * SORT_FRACTION))
-        )
-        passes = -(-kept_bits // 8)
+        passes = -(-kept_bits(num_nodes) // 8)
         k.read("work:frontier", 2 * passes * frontier.shape[0], id_bytes)
         k.instructions(8.0 * passes * frontier.shape[0])
     return ordered

@@ -85,7 +85,8 @@ class TestFlat:
         assert stats.wire_bytes == (
             stats.id_bytes + stats.value_bytes + stats.header_bytes
         )
-        assert stats.sent_ids == 10 and stats.received_ids == 10
+        assert stats.sent_ids == 10
+        assert stats.received_ids_per_gpu.sum() == 10
         assert stats.rounds == 1
 
     def test_value_exchange_min_combines(self):
@@ -384,7 +385,7 @@ class TestPinnedDumps:
     def test_butterfly_fold_and_unfold(self, tmp_path, capsys):
         argv = ["dist", "bfs", "--gpus", "6", "--schedule", "butterfly"]
         assert self._digest(argv, tmp_path, capsys) == (
-            "ec5373796cceb4b3bf00bc885a373a731a79a4af0b4338cca30f58d436ef6605"
+            "fc646ff137ea949fa4c5e85aca3d42566bfef6dd090cfc0c820877ec81babff5"
         )
 
     def test_hierarchical_pagerank_sync(self, tmp_path, capsys):
@@ -393,5 +394,5 @@ class TestPinnedDumps:
             "--schedule", "hierarchical",
         ]
         assert self._digest(argv, tmp_path, capsys) == (
-            "bf6a905725c3a019ea97aa41196e7cba7001897eaccff92e4419a2c8f599110e"
+            "a358a7ede26fa9b832dcef959444bb9ce78ef535849e39da023753bdd4a892ed"
         )

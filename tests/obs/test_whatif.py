@@ -1,9 +1,9 @@
 """What-if replay tests.
 
-The headline acceptance criterion: for the bandwidth / latency /
-contention / overlap knobs, the replayed prediction equals an **actual
-re-run** under the changed parameters bit-for-bit.  Codec swaps are
-estimates with a stated tolerance, pinned here too.
+The headline acceptance criterion: every prediction equals an
+**actual re-run** under the changed parameters bit-for-bit.  The
+bandwidth / latency / contention / overlap knobs re-price the recorded
+run; a wire-codec swap re-runs the workload with that codec.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
 from repro.obs.whatif import (
     CLUSTER_KNOBS,
+    PANEL_CODECS,
     WhatIfResult,
     parse_sets,
     rank_cluster_whatifs,
@@ -49,11 +50,11 @@ def _topology(inter_bw=1e9, **kw):
     )
 
 
-def _bfs_cluster(graph, device, *, overlap=True, topology=None, **kw):
+def _bfs_cluster(graph, device, *, overlap=True, topology=None, wire="ef"):
     cluster = ShardedCluster.build(
         graph, 8, device,
         topology=_topology() if topology is None else topology,
-        wire="ef", schedule="hierarchical", overlap=overlap, **kw,
+        wire=wire, schedule="hierarchical", overlap=overlap,
     )
     distributed_bfs(cluster, 0)
     return cluster
@@ -74,7 +75,6 @@ class TestClusterExactness:
         cluster = _bfs_cluster(graph, device)
         result = whatif_cluster(cluster, {"inter_gbs": "2"})
         actual = _bfs_cluster(graph, device, topology=_topology(2e9))
-        assert result.exact
         assert result.predicted_seconds == actual.clock
         assert result.baseline_seconds == cluster.clock
 
@@ -82,7 +82,6 @@ class TestClusterExactness:
         cluster = _bfs_cluster(graph, device, overlap=True)
         result = whatif_cluster(cluster, {"overlap": "off"})
         actual = _bfs_cluster(graph, device, overlap=False)
-        assert result.exact
         assert result.predicted_seconds == actual.clock
 
     def test_overlap_on_prediction_matches_rerun(self, graph, device):
@@ -129,70 +128,119 @@ class TestClusterExactness:
 
 
 class TestCodecSwap:
-    def test_requires_recorded_trials(self, graph, device):
-        cluster = _bfs_cluster(graph, device)  # record_wire off
-        with pytest.raises(ValueError, match="record_wire"):
-            whatif_cluster(cluster, {"wire": "varint"})
-
-    def test_swap_is_flagged_estimate(self, graph, device):
-        cluster = _bfs_cluster(graph, device, record_wire=True)
-        result = whatif_cluster(cluster, {"wire": "varint"})
-        assert not result.exact
-        assert result.predicted_seconds > 0.0
-
-    def test_swap_to_own_codec_close_to_baseline(self, graph, device):
-        """Re-pricing under the codec the run already used should move
-        the clock only by the tier-aggregation estimate error."""
-        cluster = _bfs_cluster(graph, device, record_wire=True)
-        result = whatif_cluster(cluster, {"wire": "ef"})
-        assert result.predicted_seconds == pytest.approx(
-            cluster.clock, rel=0.02
-        )
-
-    #: Every codec the recorded 2x4 panel below lists (``auto`` is a
-    #: per-message choice, not a trialed codec).
-    PANEL_CODECS = ("bitmap", "ef", "raw", "raw64", "varint")
+    """A ``wire X`` what-if is the clock of a real run with codec X:
+    equal (``==``) to a freshly built cluster running the same algorithm.
+    The clusters sit at the CLI's default links with overlap off, so
+    the exchange is on the clock."""
 
     @staticmethod
-    def _raw_cluster(graph, device, wire, record_wire=False):
-        """2 nodes x 4 GPUs of efg shards, hierarchical, overlap off,
-        at the CLI's default links: the exchange is on the clock."""
-        cluster = ShardedCluster.build(
+    def _build(graph, device, wire, topology=None):
+        return ShardedCluster.build(
             graph, 8, device, fmt="efg", wire=wire,
             schedule="hierarchical",
-            topology=build_topology(2, 8, device, 10.0, 1.0, 0.5),
-            record_wire=record_wire,
+            topology=(
+                build_topology(2, 8, device, 10.0, 1.0, 0.5)
+                if topology is None else topology
+            ),
         )
+
+    @classmethod
+    def _bfs(cls, graph, device, wire, topology=None):
+        cluster = cls._build(graph, device, wire, topology)
         distributed_bfs(cluster, int(pick_sources(graph, 1, seed=42)[0]))
         return cluster
 
+    @classmethod
+    def _pagerank(cls, graph, device, wire, topology=None):
+        # PageRank levels carry the allreduce sync record.
+        cluster = cls._build(graph, device, wire, topology)
+        distributed_pagerank(cluster, max_iterations=4)
+        return cluster
+
     @pytest.fixture(scope="class")
-    def raw_panel(self, graph, device):
-        cluster = self._raw_cluster(graph, device, "raw", record_wire=True)
-        return {r.name: r for r in rank_cluster_whatifs(cluster)}
+    def panels(self, graph, device):
+        """Per algorithm: a raw-wire run and its panel, re-run per codec."""
+        out = {}
+        for algo in ("bfs", "pagerank"):
+            run = getattr(self, f"_{algo}")
+            cluster = run(graph, device, "raw")
+            panel = rank_cluster_whatifs(
+                cluster, lambda wire, run=run: run(graph, device, wire)
+            )
+            out[algo] = cluster, {r.name: r for r in panel}
+        return out
 
+    @pytest.mark.parametrize("algo", ["bfs", "pagerank"])
     @pytest.mark.parametrize("codec", PANEL_CODECS)
-    def test_estimates_within_documented_bound(
-        self, graph, device, raw_panel, codec
+    def test_wire_row_equals_rerun(
+        self, graph, device, panels, algo, codec
     ):
-        """A cross-codec ``wire X`` estimate lands within 10% of a real
-        re-run with that codec.
+        cluster, panel = panels[algo]
+        assert {n for n in panel if n.startswith("wire ")} == {
+            f"wire {c}" for c in PANEL_CODECS
+        }
+        row = panel[f"wire {codec}"]
+        actual = getattr(self, f"_{algo}")(graph, device, codec)
+        assert row.predicted_seconds == actual.clock
+        assert row.baseline_seconds == cluster.clock
 
-        The estimate rescales each tier's per-step maxima by the codec's
-        recorded total trial bytes; the re-run encodes every message on
-        its own, so per-message skew (headers, short-list shapes) moves
-        the max-over-GPUs step terms.  Swapping to the run's own codec
-        is pinned at 2% above; the cross-codec bound is 10% because
-        bitmap, whose message size depends strongly on id spread, has
-        been seen to err by about 8%.
-        """
-        listed = {n for n in raw_panel if n.startswith("wire ")}
-        assert listed == {f"wire {c}" for c in self.PANEL_CODECS}
-        estimate = raw_panel[f"wire {codec}"]
-        assert not estimate.exact
-        actual = self._raw_cluster(graph, device, codec).clock
-        rel_err = abs(estimate.predicted_seconds - actual) / actual
-        assert rel_err <= 0.10
+    @pytest.mark.parametrize("algo", ["bfs", "pagerank"])
+    @pytest.mark.parametrize("codec", PANEL_CODECS)
+    def test_wire_scenario_equals_rerun(self, graph, device, algo, codec):
+        run = getattr(self, f"_{algo}")
+        cluster = run(graph, device, "ef")
+        result = whatif_cluster(
+            cluster, {"wire": codec}, lambda wire: run(graph, device, wire)
+        )
+        assert result.name == f"wire={codec}"
+        assert result.predicted_seconds == run(graph, device, codec).clock
+        assert result.baseline_seconds == cluster.clock
+
+    @pytest.mark.parametrize("algo", ["bfs", "pagerank"])
+    @pytest.mark.parametrize("codec", PANEL_CODECS)
+    def test_wire_with_inter_bandwidth_equals_rerun(
+        self, graph, device, algo, codec
+    ):
+        run = getattr(self, f"_{algo}")
+        cluster = run(graph, device, "ef")
+        result = whatif_cluster(
+            cluster, {"wire": codec, "inter_gbs": "2"},
+            lambda wire: run(graph, device, wire),
+        )
+        actual = run(
+            graph, device, codec,
+            topology=build_topology(2, 8, device, 10.0, 2.0, 0.5),
+        )
+        assert result.predicted_seconds == actual.clock
+
+    def test_swap_to_own_codec_equals_baseline(self, graph, device):
+        cluster = self._bfs(graph, device, "ef")
+        result = whatif_cluster(
+            cluster, {"wire": "ef"},
+            lambda wire: self._bfs(graph, device, wire),
+        )
+        assert result.predicted_seconds == cluster.clock
+        assert result.speedup == 1.0
+
+    def test_auto_is_a_swap_target(self, graph, device):
+        cluster = self._bfs(graph, device, "ef")
+        result = whatif_cluster(
+            cluster, {"wire": "auto"},
+            lambda wire: self._bfs(graph, device, wire),
+        )
+        assert result.predicted_seconds == self._bfs(
+            graph, device, "auto"
+        ).clock
+
+    def test_wire_swap_needs_rerun(self, graph, device):
+        cluster = _bfs_cluster(graph, device)
+        with pytest.raises(ValueError, match="needs a re-run"):
+            whatif_cluster(cluster, {"wire": "varint"})
+
+    def test_panel_without_rerun_has_no_wire_rows(self, graph, device):
+        cluster = _bfs_cluster(graph, device)
+        names = {r.name for r in rank_cluster_whatifs(cluster)}
+        assert not any(n.startswith("wire ") for n in names)
 
 
 class TestEngineExactness:
@@ -215,7 +263,6 @@ class TestEngineExactness:
             device, dram_bandwidth=device.dram_bandwidth * 2.0
         )
         actual = self._run(graph, fast)
-        assert result.exact
         assert result.predicted_seconds == actual.elapsed_seconds
 
     def test_launch_overhead_prediction_matches_rerun(self, graph, device):
@@ -235,9 +282,13 @@ class TestEngineExactness:
 
 class TestRanking:
     def test_cluster_panel_ranked_and_deterministic(self, graph, device):
-        cluster = _bfs_cluster(graph, device, record_wire=True)
-        first = rank_cluster_whatifs(cluster)
-        second = rank_cluster_whatifs(cluster)
+        cluster = _bfs_cluster(graph, device)
+
+        def rerun(wire):
+            return _bfs_cluster(graph, device, wire=wire)
+
+        first = rank_cluster_whatifs(cluster, rerun)
+        second = rank_cluster_whatifs(cluster, rerun)
         assert first == second
         speedups = [r.speedup for r in first]
         assert speedups == sorted(speedups, reverse=True)
@@ -245,7 +296,9 @@ class TestRanking:
         assert "intra_bandwidth x2" in names
         assert "inter_bandwidth x2" in names  # two nodes -> inter tier
         assert "overlap off" in names
-        assert any(n.startswith("wire ") for n in names)
+        assert {n for n in names if n.startswith("wire ")} == {
+            f"wire {c}" for c in PANEL_CODECS
+        }
 
     def test_flat_cluster_skips_inter_scenario(self, graph, device):
         cluster = ShardedCluster.build(graph, 4, device, overlap=True)
@@ -264,7 +317,6 @@ class TestRanking:
             "cached_bw_ratio x2",
             "zero launch overhead",
         }
-        assert all(r.exact for r in results)
 
     def test_top_target(self, graph, device):
         # The panel's head is the top target; equal speedups fall back to
@@ -307,15 +359,14 @@ class TestSurfaces:
         ) == {"overlap": "on"}
 
     def test_whatif_section_numeric(self):
-        results = [WhatIfResult("x", 2.0, 1.0, True)]
+        results = [WhatIfResult("x", 2.0, 1.0)]
         section = whatif_section(results)
         assert section == {
             "x": {
                 "predicted_seconds": 1.0,
                 "speedup": 2.0,
-                "exact": 1.0,
             }
         }
 
     def test_zero_prediction_speedup_is_zero(self):
-        assert WhatIfResult("x", 2.0, 0.0, True).speedup == 0.0
+        assert WhatIfResult("x", 2.0, 0.0).speedup == 0.0

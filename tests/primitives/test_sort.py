@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.gpusim.device import TITAN_XP
+from repro.gpusim.engine import SimEngine
 from repro.primitives.sort import (
+    kept_bits,
+    launch_partial_sort,
     partial_radix_sort_key,
     partial_sort_frontier,
 )
@@ -61,3 +65,24 @@ class TestPartialSortFrontier:
         frontier = rng.integers(0, 1 << 10, size=300)
         out = partial_sort_frontier(frontier, 1 << 10, fraction=1.0)
         assert np.array_equal(out, np.sort(frontier))
+
+
+class TestLaunchPartialSort:
+    def test_kept_bits_follow_the_largest_id(self):
+        # 8,200 ids span bit_length(8,199) = 14 bits; 65% keeps 9.
+        assert kept_bits(8200) == 9
+        assert kept_bits(1 << 10, fraction=1.0) == 10
+        assert kept_bits(1) == 1
+
+    def test_charge_prices_the_bits_the_sort_keys_on(self, rng):
+        # Nine kept bits are two 8-bit radix passes.  Pricing from
+        # round(log2(8,200) * 0.65) = 8 bits would charge one.
+        engine = SimEngine.for_device(TITAN_XP)
+        engine.memory.register("work:frontier", 4 * 8200)
+        frontier = rng.permutation(8200)[:1000]
+        out = launch_partial_sort(engine, "frontier_sort", frontier, 8200, 4)
+        assert np.array_equal(out, partial_sort_frontier(frontier, 8200))
+        (record,) = engine.records
+        assert record.name == "frontier_sort"
+        assert record.cost.instructions == 8.0 * 2 * frontier.size
+        assert record.cost.device_bytes == 2 * 2 * frontier.size * 4

@@ -332,12 +332,12 @@ class TestServedRows:
         # How the served rows are stored and how telemetry is computed
         # must not move any simulated count, byte or second.
         assert self._digest(driven, with_service=False) == (
-            "79dee203f2b7f281d1a305b20d34af41c9b7dd14fe3e257ec36351696cb95a45"
+            "2d73152394218adf832accbe8f71d252b1f0bcced8220d8c76820c337f9fb112"
         )
 
     def test_metrics_dump_pinned(self, driven):
         # The full dump, ``service`` distributions (exact quantiles)
         # included.
         assert self._digest(driven, with_service=True) == (
-            "b60ec2b909636e659bb483e6ca3c53a1f6286b84972052b4da59d6fb2293bfe4"
+            "eaa8e89656ea19966f5cf0f335da023c296a698cd452c05f9b7a9fb456369045"
         )

@@ -419,11 +419,41 @@ class TestWhatIf:
         ]) == 2
         assert "malformed" in capsys.readouterr().err
 
-    def test_wire_swap_reported_as_estimate(self, capsys):
+    def test_wire_swap_is_a_rerun(self, capsys, tmp_path):
+        import json
+
+        # The predicted clock is that of `repro dist` with the codec.
         assert main([
             "whatif", "bfs", *self.SMALL, "--set", "wire=varint",
         ]) == 0
-        assert "(estimate)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        path = str(tmp_path / "m.json")
+        assert main([
+            "dist", "bfs", *self.SMALL, "--gpus", "8", "--nodes", "2",
+            "--schedule", "hierarchical", "--overlap", "--wire", "varint",
+            "--metrics", path,
+        ]) == 0
+        capsys.readouterr()
+        with open(path) as fh:
+            elapsed = json.load(fh)["totals"]["elapsed_seconds"]
+        assert f"what-if wire=varint: {elapsed * 1e3:.6f} ms predicted" in out
+        assert "estimate" not in out and "exact" not in out
+
+    def test_wire_auto_swap(self, capsys):
+        assert main([
+            "whatif", "bfs", *self.SMALL, "--set", "wire=auto",
+        ]) == 0
+        assert "what-if wire=auto: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [
+        "wire=foo", "inter_gbs=abc", "contention=5", "overlap=maybe",
+    ])
+    def test_bad_value_exits_two_before_running(self, capsys, bad):
+        assert main(["whatif", "bfs", *self.SMALL, "--set", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no baseline line
+        assert captured.err.startswith(f"error: bad --set {bad}: ")
+        assert captured.err.count("\n") == 1
 
     def test_duplicate_set_exits_two_before_running(self, capsys):
         # Caught at parse time: exit 2 naming the key, no cluster built.

@@ -151,11 +151,11 @@ class TestPinnedWeightedDumps:
 
     DELTA_DIGESTS = {
         "csr":
-        "a77c0a7c19dff9be515bf4fc06d8e7d64f8d84d05cab04b7133f08f203c39083",
+        "188ce0aeb8048624a90a5c5128c3f47952a96cf5112e9d17322197eda9591fb5",
         "efg":
-        "2b0982942de39d91531607070fd7946fbf7b760b818d8f2d8d2c0f7b122f032c",
+        "1f62eede794e99daea9979cafe77852b698d57e51165f64b0d8d581f2806b648",
         "cgr":
-        "2afc2f86a4656b6ba0d0fa38b1d3eb58457e6202acb39674b2d5adca1607187b",
+        "0f89b7c1cb6f986932b3bece3e6eebd82012bdd222fe94262454569d800cd102",
     }
 
     @pytest.mark.parametrize("fmt", sorted(DELTA_DIGESTS))
@@ -167,13 +167,13 @@ class TestPinnedWeightedDumps:
     def test_sssp_through_list_cache(self, tmp_path, capsys):
         argv = ["profile", "sssp", "--format", "efg", "--cache-kb", "64"]
         assert self._cli_digest(argv, tmp_path, capsys) == (
-            "80d1d8feef3deed81da537a148cb5f3d152c9a4cc7b4e4c93db576c29efc1ba0"
+            "5f073c8faac35e7b29b040185d1db38ebe52ff92a1dae9dcd7ffc5eb860bbcf9"
         )
 
     def test_distributed_sssp_two_nodes(self, tmp_path, capsys):
         argv = ["dist", "sssp", "--gpus", "4", "--nodes", "2"]
         assert self._cli_digest(argv, tmp_path, capsys) == (
-            "c7c58f79a433ff7ae2c5aea50df7ef2de6263179350202da792d8f5df0ff1d2b"
+            "a157a8322495fe939bd4fc0dae3e676c1a6dea31f405a12f76130b6cedc3cbd1"
         )
 
     def test_ligra_sssp(self):
@@ -191,5 +191,5 @@ class TestPinnedWeightedDumps:
             "sssp", backend, source=0, weights=make_weights(graph, 1)
         )
         assert _dump_digest(run.metrics) == (
-            "ad0e1376261ef77aac62e7d4b6d71b882f359ced53bbf204fea31118a1484dfe"
+            "6e1576b6231453b1e9aa3b8f0277bbc370987251641b7c62b6018a1b3810c418"
         )
