@@ -73,6 +73,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -994,9 +995,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A reader that closes stdout early (``repro ... | head -n 1``) ends
+    the command quietly with exit status 1: stdout is pointed at
+    ``os.devnull`` so the interpreter's exit flush cannot fail again.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,14 +18,18 @@ PageRank) is its state plus two kernel bodies per level:
   (the all-to-all through the codec and topology), and the driver's
   per-GPU owner phase inside the claim kernel, which is charged the
   receive-side decode first.  It then prices the level, advances the
-  clock and adds to the run totals the driver's result reports.
+  clock and appends the level's :class:`LevelCharge`.
 
-The cluster also owns the run's telemetry: a :class:`~repro.obs.spans.
-Tracer` over the *cluster* clock (max-over-GPUs per phase, the
-bulk-synchronous convention) whose level spans carry the expand /
-exchange / claim breakdown, and a :class:`~repro.obs.metrics.
-MetricsRegistry` of wire-byte counters — the same obs layer single-GPU
-runs feed, so ``repro compare`` can gate distributed runs too.
+The charges are the run's one per-level ledger: the run totals a
+driver's result reports, the dump's ``levels`` section, the per-level
+report, the critical path and the what-if replay all sum or re-price
+them in level order.  The cluster also owns the run's telemetry: a
+:class:`~repro.obs.spans.Tracer` over the *cluster* clock
+(max-over-GPUs per phase, the bulk-synchronous convention) whose level
+spans hold the drivers' facts (frontier size, claimed ids), and a
+:class:`~repro.obs.metrics.MetricsRegistry` of wire-byte counters — the
+same obs layer single-GPU runs feed, so ``repro compare`` can gate
+distributed runs too.
 """
 
 from __future__ import annotations
@@ -71,6 +75,9 @@ class LevelCharge:
     synchronization (PageRank's scalar allreduce), when one was priced
     into the level; ``sync_seconds`` is its price,
     :meth:`~repro.dist.topology.LinkTopology.step_seconds` of it.
+    ``edges`` counts the ids the level's local phase returned and
+    ``overlapped_seconds`` the exchange time hidden under the longer
+    phase (0 without overlap).
     """
 
     name: str
@@ -83,6 +90,34 @@ class LevelCharge:
     #: The level's expand and claim kernel names (critical-path labels).
     expand_kernel: str = ""
     claim_kernel: str = ""
+    edges: int = 0
+    overlapped_seconds: float = 0.0
+
+    @property
+    def bound(self) -> str:
+        """The binding term of the level — ``link`` means the exchange
+        serialization dominated (the scaling bottleneck the wire codecs
+        attack), ``latency`` the per-message cost."""
+        terms = {
+            "expand": self.expand_seconds,
+            "link": self.exchange.transfer_seconds,
+            "latency": self.exchange.latency_seconds,
+            "claim": self.claim_seconds,
+        }
+        return max(terms.items(), key=lambda kv: kv[1])[0]
+
+    @property
+    def overlap_ratio(self) -> float:
+        """Fraction of the exchange hidden under compute.
+
+        Guarded against zero- (and degenerate negative-) duration
+        exchanges — the empty frontier on a traversal's last level
+        produces a level with no wire traffic, whose ratio is defined
+        as 0.0 rather than a division error.
+        """
+        if self.exchange.seconds <= 0.0:
+            return 0.0
+        return self.overlapped_seconds / self.exchange.seconds
 
 
 class ShardedCluster:
@@ -184,13 +219,12 @@ class ShardedCluster:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.clock = 0.0
-        self.charges = []
-        # Run totals the drivers' results report.
-        self.edges = 0
-        self.wire_bytes = 0
-        self.exchange_seconds = 0.0
-        self.overlapped_seconds = 0.0
-        self.messages = 0
+        self.charges: list[LevelCharge] = []
+
+    @property
+    def edges(self) -> int:
+        """Ids the local phases returned so far, summed over the charges."""
+        return sum(charge.edges for charge in self.charges)
 
     @contextmanager
     def algorithm(self, name: str, **attrs) -> Iterator[Span]:
@@ -360,12 +394,8 @@ class ShardedCluster:
         The level's time (overlap-aware, plus any serial post-level
         sync such as PageRank's scalar allreduce, priced from its step
         record ``sync_record``) advances the clock and is appended as a
-        :class:`LevelCharge` for the replay engines.  ``span`` gets the
-        canonical annotations
-        (:func:`repro.dist.report.level_annotations`) plus
-        ``edges_expanded``, the number of ids the local phase returned;
-        edges, wire bytes, exchange and overlapped seconds and messages
-        add to the run totals.
+        :class:`LevelCharge` named after ``span``, with the number of ids
+        the local phase returned as its ``edges``.
         """
         outgoing: list[list[np.ndarray]] = []
         out_values: list[list[np.ndarray] | None] = []
@@ -412,18 +442,12 @@ class ShardedCluster:
                 claim_seconds, engine.elapsed_seconds - before
             )
 
-        overlapped = self._finish_level(
-            span, expand_seconds, stats, claim_seconds,
+        self._finish_level(
+            span, expand_seconds, stats, claim_seconds, edges,
             sync_record=sync_record,
             expand_kernel=expand_kernel,
             claim_kernel=claim_kernel,
         )
-        span.annotate(edges_expanded=edges)
-        self.edges += edges
-        self.wire_bytes += stats.wire_bytes
-        self.exchange_seconds += stats.seconds
-        self.overlapped_seconds += overlapped
-        self.messages += stats.messages
         return results
 
     def _finish_level(
@@ -432,24 +456,21 @@ class ShardedCluster:
         expand_seconds: float,
         stats: ExchangeStats,
         claim_seconds: float,
+        edges: int,
         *,
         sync_record: dict | None,
         expand_kernel: str,
         claim_kernel: str,
-    ) -> float:
-        """Price one level, advance the clock, record and annotate it;
-        returns the overlapped seconds.
+    ) -> None:
+        """Price one level, advance the clock and record its charge.
 
         Serial cost model (default): the three phases queue one after
         another.  With :attr:`overlap` the exchange streams buckets
         while expansion is still producing them (double-buffered
         pipeline), so the level pays ``max(expand, exchange)`` plus the
-        claim that needs the full incoming set; ``overlapped`` is the
-        time hidden under the longer phase.
+        claim that needs the full incoming set; the overlapped time is
+        the time hidden under the longer phase.
         """
-        # Function-level import: report imports this module at top level.
-        from repro.dist.report import level_annotations
-
         sync_seconds = 0.0
         if sync_record is not None:
             sync_seconds = self.topology.step_seconds(sync_record)
@@ -472,36 +493,10 @@ class ShardedCluster:
                 sync_record=sync_record,
                 expand_kernel=expand_kernel,
                 claim_kernel=claim_kernel,
+                edges=edges,
+                overlapped_seconds=overlapped,
             )
         )
-        span.annotate(
-            **level_annotations(
-                expand_seconds,
-                stats,
-                claim_seconds,
-                overlapped,
-                self.level_bound(expand_seconds, stats, claim_seconds),
-                sync_seconds=sync_seconds,
-                expand_kernel=expand_kernel,
-                claim_kernel=claim_kernel,
-            )
-        )
-        return overlapped
-
-    @staticmethod
-    def level_bound(
-        expand_seconds: float, stats: ExchangeStats, claim_seconds: float
-    ) -> str:
-        """Label the binding term of one level — ``link`` means the
-        exchange serialization dominated (the scaling bottleneck the
-        wire codecs attack), ``latency`` the per-message cost."""
-        terms = {
-            "expand": expand_seconds,
-            "link": stats.transfer_seconds,
-            "latency": stats.latency_seconds,
-            "claim": claim_seconds,
-        }
-        return max(terms.items(), key=lambda kv: kv[1])[0]
 
     def _finish_run(self, algorithm: str) -> None:
         """End-of-run gauges shared by every driver."""
@@ -518,16 +513,27 @@ class ShardedCluster:
             m.set_gauge("dist.wire_bytes_per_edge", wire / edges)
 
     def run_fields(self) -> dict:
-        """The :class:`DistRunResult` fields of the run just finished."""
+        """The :class:`DistRunResult` fields of the run just finished.
+
+        The totals are accumulated over the level charges one level at a
+        time, in level order (``sum`` may compensate float rounding).
+        """
+        wire_bytes = messages = 0
+        exchange_seconds = overlapped_seconds = 0.0
+        for charge in self.charges:
+            wire_bytes += charge.exchange.wire_bytes
+            messages += charge.exchange.messages
+            exchange_seconds += charge.exchange.seconds
+            overlapped_seconds += charge.overlapped_seconds
         return {
-            "exchanged_bytes": self.wire_bytes,
-            "exchange_seconds": self.exchange_seconds,
-            "overlapped_seconds": self.overlapped_seconds,
+            "exchanged_bytes": wire_bytes,
+            "exchange_seconds": exchange_seconds,
+            "overlapped_seconds": overlapped_seconds,
             "sim_seconds": self.clock,
             "num_gpus": self.num_gpus,
             "wire": self.codec.name,
             "schedule": self.schedule,
-            "messages": self.messages,
+            "messages": messages,
             "cluster": self,
         }
 

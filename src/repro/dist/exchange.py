@@ -122,6 +122,12 @@ class ExchangeStats:
         for butterfly, up to 3 for hierarchical)."""
         return len(self.step_records)
 
+    def tier_seconds(self, tier: str) -> float:
+        """Fabric time of one tier: its transfer plus latency seconds."""
+        return (
+            self.tier_transfer_seconds[tier] + self.tier_latency_seconds[tier]
+        )
+
     def add_message(
         self,
         codec_name: str,

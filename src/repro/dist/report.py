@@ -4,9 +4,10 @@
 versioned schema single-GPU :func:`repro.obs.metrics.run_metrics` uses
 — aggregated per-kernel rows (summed over GPUs), the cluster registry
 (wire-byte counters, codec tallies), and per-level exchange breakdowns
-pulled from the span tree.  Identical runs produce byte-identical
-dumps, so ``repro compare`` gates distributed workloads exactly like
-single-GPU ones.
+read off the level charges (:class:`~repro.dist.cluster.LevelCharge`),
+with only the drivers' facts (frontier size) taken from the level
+spans.  Identical runs produce byte-identical dumps, so ``repro
+compare`` gates distributed workloads exactly like single-GPU ones.
 
 :func:`dist_report` renders the per-level story as a table: frontier
 size, wire bytes (split intra/inter on two-tier topologies), the
@@ -17,12 +18,12 @@ invariant (:func:`repro.obs.counters.verify_attribution`) to cluster
 runs: every shard engine's per-array bytes must sum exactly to its
 launch columns, and the cluster's wire counters must decompose exactly
 — ``id + value + header == wire`` and ``intra + inter == wire`` — with
-the per-level span annotations summing back to the counters.
+the level charges' exchanges summing back to the counters.
 """
 
 from __future__ import annotations
 
-from repro.dist.cluster import ShardedCluster
+from repro.dist.cluster import LevelCharge, ShardedCluster
 from repro.dist.topology import TIERS
 from repro.obs.counters import verify_attribution
 from repro.obs.metrics import METRICS_SCHEMA, git_sha
@@ -30,8 +31,6 @@ from repro.obs.metrics import METRICS_SCHEMA, git_sha
 __all__ = [
     "dist_run_metrics",
     "dist_report",
-    "level_annotations",
-    "overlap_ratio",
     "verify_dist_attribution",
 ]
 
@@ -46,83 +45,37 @@ _KERNEL_FIELDS = (
     "seconds",
 )
 
-#: Level-span attributes exported per level (all numeric, diffable).
-_LEVEL_FIELDS = (
-    "frontier_size",
-    "edges_expanded",
-    "wire_bytes",
-    "intra_bytes",
-    "inter_bytes",
-    "overlap_ratio",
-    "messages",
-    "expand_seconds",
-    "exchange_seconds",
-    "claim_seconds",
-    "sync_seconds",
-    "intra_seconds",
-    "inter_seconds",
-)
-
 #: Per-tier counter suffixes exported in the ``tiers`` section.
 _TIER_FIELDS = ("bytes", "messages", "transfer_seconds", "latency_seconds")
 
 
-def overlap_ratio(
-    overlapped_seconds: float, exchange_seconds: float
-) -> float:
-    """Fraction of the exchange hidden under compute for one level.
-
-    Guarded against zero- (and degenerate negative-) duration exchanges
-    — the empty frontier on a traversal's last level produces a level
-    with no wire traffic, whose ratio is defined as 0.0 rather than a
-    division error.  The three drivers all annotate their level spans
-    through this one helper.
-    """
-    if exchange_seconds <= 0.0:
-        return 0.0
-    return overlapped_seconds / exchange_seconds
+def _levels(cluster: ShardedCluster) -> list[tuple[LevelCharge, dict]]:
+    """Each level charge, in level order, with its level span's driver
+    facts (matched by name)."""
+    root = cluster.tracer.root
+    spans = root.find("level") if root is not None else []
+    facts = {span.name: span.attrs for span in spans}
+    return [(charge, facts.get(charge.name, {})) for charge in cluster.charges]
 
 
-def level_annotations(
-    expand_seconds: float,
-    ex,
-    claim_seconds: float,
-    overlapped_seconds: float,
-    bound: str,
-    sync_seconds: float = 0.0,
-    expand_kernel: str = "",
-    claim_kernel: str = "",
-) -> dict:
-    """The shared per-level span annotations all three drivers attach.
-
-    ``ex`` is the level's :class:`repro.dist.exchange.ExchangeStats`.
-    Numeric keys listed in :data:`_LEVEL_FIELDS` flow into the metrics
-    dump; the kernel names feed the critical-path extractor.
-    """
+def _level_section(charge: LevelCharge, facts: dict) -> dict:
+    """One level's numeric row of the dump's ``levels`` section."""
+    ex = charge.exchange
     return {
-        "expand_seconds": expand_seconds,
+        "frontier_size": float(facts.get("frontier_size", 0.0)),
+        "edges_expanded": float(charge.edges),
+        "wire_bytes": float(ex.wire_bytes),
+        "intra_bytes": float(ex.tier_bytes["intra"]),
+        "inter_bytes": float(ex.tier_bytes["inter"]),
+        "overlap_ratio": charge.overlap_ratio,
+        "messages": float(ex.messages),
+        "expand_seconds": charge.expand_seconds,
         "exchange_seconds": ex.seconds,
-        "claim_seconds": claim_seconds,
-        "sync_seconds": sync_seconds,
-        "wire_bytes": ex.wire_bytes,
-        "intra_bytes": ex.tier_bytes["intra"],
-        "inter_bytes": ex.tier_bytes["inter"],
-        "intra_seconds": ex.tier_transfer_seconds["intra"]
-        + ex.tier_latency_seconds["intra"],
-        "inter_seconds": ex.tier_transfer_seconds["inter"]
-        + ex.tier_latency_seconds["inter"],
-        "overlap_ratio": overlap_ratio(overlapped_seconds, ex.seconds),
-        "messages": ex.messages,
-        "bound": bound,
-        "expand_kernel": expand_kernel,
-        "claim_kernel": claim_kernel,
+        "claim_seconds": charge.claim_seconds,
+        "sync_seconds": charge.sync_seconds,
+        "intra_seconds": ex.tier_seconds("intra"),
+        "inter_seconds": ex.tier_seconds("inter"),
     }
-
-
-def _level_spans(cluster: ShardedCluster) -> list:
-    if cluster.tracer.root is None:
-        return []
-    return cluster.tracer.root.find("level")
 
 
 def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
@@ -162,12 +115,10 @@ def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
         for field in totals:
             if field != "elapsed_seconds":
                 totals[field] += row[field]
-    levels = {}
-    for span in _level_spans(cluster):
-        levels[span.name] = {
-            field: float(span.attrs.get(field, 0.0))
-            for field in _LEVEL_FIELDS
-        }
+    levels = {
+        charge.name: _level_section(charge, facts)
+        for charge, facts in _levels(cluster)
+    }
     device = cluster.backends[0].engine.device
     topology = cluster.topology
     base_meta = {
@@ -216,7 +167,6 @@ def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
 
 def dist_report(cluster: ShardedCluster) -> str:
     """Per-level table of one finished cluster run."""
-    spans = _level_spans(cluster)
     tiered = cluster.topology.num_nodes > 1
     header = (
         f"{'level':14s} {'frontier':>9s} {'edges':>9s} {'wire B':>9s} "
@@ -240,22 +190,22 @@ def dist_report(cluster: ShardedCluster) -> str:
         + (", overlap" if cluster.overlap else ""),
         header,
     ]
-    for span in spans:
-        a = span.attrs
+    for charge, facts in _levels(cluster):
+        ex = charge.exchange
         row = (
-            f"{span.name:14s} "
-            f"{int(a.get('frontier_size', 0)):9d} "
-            f"{int(a.get('edges_expanded', 0)):9d} "
-            f"{int(a.get('wire_bytes', 0)):9d} "
+            f"{charge.name:14s} "
+            f"{int(facts.get('frontier_size', 0)):9d} "
+            f"{charge.edges:9d} "
+            f"{int(ex.wire_bytes):9d} "
         )
         if tiered:
-            row += f"{int(a.get('inter_bytes', 0)):9d} "
+            row += f"{int(ex.tier_bytes['inter']):9d} "
         row += (
-            f"{1e6 * float(a.get('expand_seconds', 0.0)):10.2f} "
-            f"{1e6 * float(a.get('exchange_seconds', 0.0)):9.2f} "
-            f"{1e6 * float(a.get('claim_seconds', 0.0)):9.2f} "
-            f"{float(a.get('overlap_ratio', 0.0)):5.2f} "
-            f"{str(a.get('bound', '-')):>8s}"
+            f"{1e6 * charge.expand_seconds:10.2f} "
+            f"{1e6 * ex.seconds:9.2f} "
+            f"{1e6 * charge.claim_seconds:9.2f} "
+            f"{charge.overlap_ratio:5.2f} "
+            f"{charge.bound:>8s}"
         )
         lines.append(row)
     counters = cluster.metrics.counters
@@ -303,8 +253,8 @@ def verify_dist_attribution(cluster: ShardedCluster) -> None:
     2. the wire counters decompose without loss or double count —
        ``id_bytes + value_bytes + header_bytes == wire_bytes`` and
        ``sum(tier bytes) == wire_bytes``;
-    3. the per-level span annotations sum back to the counters, both in
-       aggregate and per tier.
+    3. the level charges' :class:`~repro.dist.exchange.ExchangeStats`
+       sum back to the counters, both in aggregate and per tier.
 
     Raises ``AssertionError`` naming the first violated equality.
     """
@@ -331,19 +281,16 @@ def verify_dist_attribution(cluster: ShardedCluster) -> None:
         raise AssertionError(
             f"per-tier bytes {tier_total} != wire bytes {wire}"
         )
-    span_wire = 0.0
-    span_tier = {tier: 0.0 for tier in TIERS}
-    for span in _level_spans(cluster):
-        span_wire += float(span.attrs.get("wire_bytes", 0))
-        span_tier["intra"] += float(span.attrs.get("intra_bytes", 0))
-        span_tier["inter"] += float(span.attrs.get("inter_bytes", 0))
-    if span_wire != wire:
+    exchanges = [charge.exchange for charge in cluster.charges]
+    charged = sum(ex.wire_bytes for ex in exchanges)
+    if charged != wire:
         raise AssertionError(
-            f"span wire bytes {span_wire} != counter {wire}"
+            f"charged wire bytes {charged} != counter {wire}"
         )
     for tier in TIERS:
+        charged = sum(ex.tier_bytes[tier] for ex in exchanges)
         counted = counters.get(f"dist.tier.{tier}.bytes", 0.0)
-        if span_tier[tier] != counted:
+        if charged != counted:
             raise AssertionError(
-                f"span {tier} bytes {span_tier[tier]} != counter {counted}"
+                f"charged {tier} bytes {charged} != counter {counted}"
             )

@@ -2,18 +2,21 @@
 
 One :class:`SimEngine` drives one analytics run.  Traversal code opens
 kernels with :meth:`launch`; on close, the kernel's simulated duration
-is appended to the timeline.  ``elapsed_seconds`` is a running total
-maintained per launch (level-synchronous algorithms serialize their
-kernels), and ``kernel_summary`` aggregates by kernel name for
-profiling-style reports — mirroring how one reads an ``nvprof`` trace.
+is appended to the timeline as a :class:`LaunchRecord`.
+``elapsed_seconds`` is a running total maintained per launch
+(level-synchronous algorithms serialize their kernels), and
+``kernel_summary`` aggregates by kernel name for profiling-style
+reports — mirroring how one reads an ``nvprof`` trace.
 
-The engine is also the root of the telemetry layer (:mod:`repro.obs`):
-every engine carries a :class:`~repro.obs.spans.Tracer` building the
-``run -> algorithm -> level -> kernel`` span hierarchy and a
-:class:`~repro.obs.metrics.MetricsRegistry` of
-counters/gauges/histograms.  :meth:`launch` opens kernel spans itself;
-:meth:`algorithm` and :meth:`level` own the rest of a driver's run and
-level lifecycle, so a driver is its state plus its kernel bodies.
+The records are the run's one cost ledger.  The engine is also the root
+of the telemetry layer (:mod:`repro.obs`): every engine carries a
+:class:`~repro.obs.spans.Tracer` building the ``run -> algorithm ->
+level`` span hierarchy and a :class:`~repro.obs.metrics.
+MetricsRegistry` of counters/gauges/histograms.  Spans hold structure
+and driver facts only; each record names its enclosing level by
+ordinal, and every per-level cost view sums that level's records.
+:meth:`algorithm` and :meth:`level` own a driver's run and level
+lifecycle, so a driver is its state plus its kernel bodies.
 :meth:`sample` records named time series (frontier size, cache hit
 rate) that the Perfetto exporter turns into counter tracks.  All of it
 keys off the simulated clock, so identical runs produce identical
@@ -44,13 +47,16 @@ class LaunchRecord:
     are strictly sequential, so starts happen to be cumulative — but
     exporters must use the recorded value, never re-accumulate
     durations, so future overlap/async execution cannot silently
-    corrupt traces.
+    corrupt traces.  ``level`` is the ordinal of the enclosing ``level``
+    span in the run's span tree (pre-order, which is opening order), or
+    -1 for a launch outside any level.
     """
 
     name: str
     start_s: float
     seconds: float
     cost: KernelCost
+    level: int = -1
 
 
 @dataclass
@@ -72,6 +78,8 @@ class SimEngine:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     _records: list[LaunchRecord] = field(default_factory=list)
     _elapsed: float = 0.0
+    _level: int = -1
+    _num_levels: int = 0
     _series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
 
     @classmethod
@@ -94,36 +102,19 @@ class SimEngine:
 
     @contextmanager
     def launch(self, name: str) -> Iterator[KernelLaunch]:
-        """Open a kernel launch; its cost lands on the timeline at exit.
-
-        Also opens a ``kernel`` span under whatever span the caller has
-        open, annotated at close with the launch's cost breakdown — the
-        leaf level of the run's span hierarchy.
-        """
+        """Open a kernel launch; its cost lands on the timeline at exit."""
         start = self._elapsed
-        span = self.tracer.open(name, "kernel", start)
         kernel = KernelLaunch(name=name, model=self.model)
-        try:
-            yield kernel
-        except BaseException:
-            self.tracer.close(self._elapsed)
-            raise
+        yield kernel
         seconds = self.model.kernel_seconds(kernel.cost)
         # Snapshot the cost so the caller's live record stays untouched
         # by later mutation; the record is the single source of truth
         # for summaries and exporters.
         snapshot = kernel.cost.snapshot()
-        self._records.append(LaunchRecord(name, start, seconds, snapshot))
-        self._elapsed += seconds
-        span.annotate(
-            seconds=seconds,
-            device_bytes=snapshot.device_bytes,
-            host_bytes=snapshot.host_bytes,
-            cached_bytes=snapshot.cached_bytes,
-            instructions=snapshot.instructions,
-            breakdown=snapshot.breakdown,
+        self._records.append(
+            LaunchRecord(name, start, seconds, snapshot, self._level)
         )
-        self.tracer.close(self._elapsed)
+        self._elapsed += seconds
 
     @contextmanager
     def span(self, name: str, kind: str = "phase", **attrs) -> Iterator[Span]:
@@ -131,12 +122,19 @@ class SimEngine:
 
         Yields the :class:`~repro.obs.spans.Span` so the caller can
         :meth:`~repro.obs.spans.Span.annotate` it with whatever it
-        learns mid-level (edges expanded, direction decision, ...).
+        learns mid-level (edges expanded, direction decision, ...).  A
+        ``level`` span numbers the launches inside it (``LaunchRecord.
+        level``).
         """
         span = self.tracer.open(name, kind, self._elapsed, attrs)
+        outer = self._level
+        if kind == "level":
+            self._level = self._num_levels
+            self._num_levels += 1
         try:
             yield span
         finally:
+            self._level = outer
             self.tracer.close(self._elapsed)
 
     @contextmanager
@@ -174,20 +172,14 @@ class SimEngine:
 
         A ``frontier`` size is observed in the ``histogram`` metric,
         sampled as the ``frontier_size`` series and recorded on the
-        span.  On exit the span is annotated with the per-array traffic
-        of the level's launches, after whatever the driver annotated.
+        span.
         """
-        # Function-level import: repro.obs.counters imports repro.gpusim.
-        from repro.obs.counters import arrays_since
-
         if frontier is not None:
             self.metrics.observe(histogram, frontier)
             self.sample("frontier_size", frontier)
             attrs = {"frontier_size": int(frontier), **attrs}
-        start = self.num_launches
         with self.span(name, "level", level=level, **attrs) as sp:
             yield sp
-            sp.annotate(**arrays_since(self, start))
 
     @property
     def elapsed_seconds(self) -> float:
@@ -217,6 +209,8 @@ class SimEngine:
         """
         self._records.clear()
         self._elapsed = 0.0
+        self._level = -1
+        self._num_levels = 0
         self._series.clear()
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()

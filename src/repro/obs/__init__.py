@@ -31,7 +31,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     git_sha,
 )
-from repro.obs.spans import Span, Tracer, aggregate_kernel_costs
+from repro.obs.spans import Span, Tracer
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -40,6 +40,5 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "aggregate_kernel_costs",
     "git_sha",
 ]

@@ -14,8 +14,8 @@ layer that turns those tags into the counter surface an ``nvprof`` /
 * :func:`verify_attribution` — the premise of the one byte ledger:
   every per-array moved-bytes entry is an exact integer with a known
   residency, so the derived byte columns sum exactly;
-* :func:`top_array` / :func:`arrays_since` — helpers the roofline and
-  the traversal drivers use to label what bound a kernel or a level.
+* :func:`array_traffic` / :func:`top_array` — helpers the roofline
+  uses to label what bound a kernel or a level.
 
 Everything is derived from the immutable launch records, so two runs
 with the same seed produce byte-identical counter tables.
@@ -34,8 +34,8 @@ __all__ = [
     "kernel_array_attribution",
     "emulated_counters",
     "verify_attribution",
+    "array_traffic",
     "top_array",
-    "arrays_since",
     "counters_report",
 ]
 
@@ -46,29 +46,33 @@ _RESIDENCIES = ("device", "host", "cache")
 _EXACT_LIMIT = 2.0**53
 
 
-def kernel_array_attribution(
-    engine: "SimEngine", start: int = 0
-) -> dict[str, dict[str, ArrayTraffic]]:
-    """Per-kernel x per-array traffic table for launches from ``start``.
-
-    Returns ``{kernel_name: {array: ArrayTraffic}}`` aggregated over the
-    timeline slice ``engine.records[start:]``.
-    """
-    out: dict[str, dict[str, ArrayTraffic]] = {}
-    for record in engine.records[start:]:
-        table = out.setdefault(record.name, {})
+def array_traffic(records) -> dict[str, ArrayTraffic]:
+    """Per-array traffic merged over ``records`` (launch records)."""
+    table: dict[str, ArrayTraffic] = {}
+    for record in records:
         for array, traffic in record.cost.traffic.items():
             entry = table.get(array)
             if entry is None:
                 table[array] = traffic.copy()
             else:
                 entry.merge(traffic)
-    return out
+    return table
 
 
-def emulated_counters(
-    engine: "SimEngine", start: int = 0
-) -> dict[str, dict[str, float]]:
+def kernel_array_attribution(
+    engine: "SimEngine",
+) -> dict[str, dict[str, ArrayTraffic]]:
+    """Per-kernel x per-array traffic table of the whole timeline.
+
+    Returns ``{kernel_name: {array: ArrayTraffic}}``.
+    """
+    by_name: dict[str, list] = {}
+    for record in engine.records:
+        by_name.setdefault(record.name, []).append(record)
+    return {name: array_traffic(recs) for name, recs in by_name.items()}
+
+
+def emulated_counters(engine: "SimEngine") -> dict[str, dict[str, float]]:
     """nvprof-style derived counters per kernel name.
 
     * ``dram_bytes`` / ``pcie_bytes`` / ``cache_hit_bytes`` — moved
@@ -85,7 +89,7 @@ def emulated_counters(
     """
     out: dict[str, dict[str, float]] = {}
     lanes: dict[str, list[float]] = {}
-    for record in engine.records[start:]:
+    for record in engine.records:
         row = out.setdefault(
             record.name,
             {
@@ -164,30 +168,6 @@ def top_array(
         if traffic.moved_bytes > best_bytes:
             best, best_bytes = array, traffic.moved_bytes
     return best
-
-
-def arrays_since(engine: "SimEngine", start: int) -> dict[str, object]:
-    """Span annotations for the launches recorded since ``start``.
-
-    Traversal drivers call this at the end of each level span with the
-    ``engine.num_launches`` captured before the level ran; the returned
-    ``arrays`` dict (array -> moved bytes) and ``top_array`` land as
-    span attributes, giving the per-level story its array axis.
-    """
-    totals: dict[str, float] = {}
-    merged: dict[str, ArrayTraffic] = {}
-    for table in kernel_array_attribution(engine, start).values():
-        for array, traffic in table.items():
-            totals[array] = totals.get(array, 0.0) + traffic.moved_bytes
-            entry = merged.get(array)
-            if entry is None:
-                merged[array] = traffic.copy()
-            else:
-                entry.merge(traffic)
-    return {
-        "arrays": dict(sorted(totals.items())),
-        "top_array": top_array(merged),
-    }
 
 
 def counters_report(engine: "SimEngine") -> str:

@@ -46,8 +46,8 @@ class PathSegment:
     """One attributed slice of a run's wall-clock.
 
     ``level`` orders segments into their bulk-synchronous group (for a
-    single-GPU run, the enclosing level span's ordinal, or -1 outside
-    any level).  ``phase`` is ``expand``/``exchange``/``claim``/
+    single-GPU run, the launch record's enclosing level ordinal, or -1
+    outside any level).  ``phase`` is ``expand``/``exchange``/``claim``/
     ``sync`` on clusters and the kernel name on engines.  ``array`` is
     the kernel's dominant traffic binding, ``tier`` the link tier an
     exchange drained on.  Off-path segments are fully hidden under the
@@ -118,42 +118,28 @@ def _dominant_array(breakdown: dict) -> str:
 def extract_critical_path(engine) -> CriticalPath:
     """Label a single-GPU engine timeline (every launch is on-path).
 
-    Walks the span tree in pre-order — kernel spans appear in launch
-    order, each annotated at close with the exact ``seconds`` the
-    engine clock advanced by — and attributes each launch to its
+    One segment per launch record, in launch order, carrying the exact
+    ``seconds`` the engine clock advanced by, attributed to its
     enclosing level span and dominant traffic array.
     """
+    root = engine.tracer.root
+    levels = root.find("level") if root is not None else []
     path = CriticalPath(
         kind="engine",
         overlap=False,
         elapsed_seconds=engine.elapsed_seconds,
     )
-    root = engine.tracer.root
-    if root is None:
-        return path
-    level = -1
-    level_name = ""
-    level_depth = -1
-    for depth, span in root.walk():
-        if span.kind == "level":
-            level += 1
-            level_name = span.name
-            level_depth = depth
-        elif depth <= level_depth:
-            # Left the level subtree: later kernels are outside it.
-            level_name = ""
-            level_depth = -1
-        if span.kind != "kernel":
-            continue
+    for rec in engine.records:
+        level_name = levels[rec.level].name if rec.level >= 0 else ""
         path.segments.append(
             PathSegment(
-                level=level if level_name else -1,
+                level=rec.level,
                 level_name=level_name,
-                phase=span.name,
-                kernel=span.name,
-                array=_dominant_array(span.attrs.get("breakdown", {})),
-                start_s=span.start_s,
-                seconds=float(span.attrs.get("seconds", 0.0)),
+                phase=rec.name,
+                kernel=rec.name,
+                array=_dominant_array(rec.cost.breakdown),
+                start_s=rec.start_s,
+                seconds=rec.seconds,
                 on_path=True,
             )
         )
@@ -207,8 +193,7 @@ def extract_cluster_critical_path(cluster) -> CriticalPath:
         expand_kernel = charge.expand_kernel
         claim_kernel = charge.claim_kernel
         tier = _slower_tier({
-            t: ex.tier_transfer_seconds[t] + ex.tier_latency_seconds[t]
-            for t in ("intra", "inter")
+            t: ex.tier_seconds(t) for t in ("intra", "inter")
         })
         path.segments.append(
             PathSegment(

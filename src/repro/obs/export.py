@@ -3,9 +3,11 @@
 Extends the flat kernel timeline of :mod:`repro.gpusim.trace` with the
 two things a flat trace cannot show:
 
-* the **span hierarchy** (run -> algorithm -> level -> kernel) as
+* the **span hierarchy** (run -> algorithm -> level, serve waves) as
   nested complete events on a dedicated track, so one can click a slow
-  level and see exactly which launches and how many bytes it contains;
+  level and see its driver facts (frontier size, edges expanded) above
+  the launches it spans on the kernel track, where each launch appears
+  once with its cost in ``args``;
 * **counter tracks** sampled over simulated time — frontier size,
   cumulative bytes moved, decoded-list-cache hit rate — the continuous
   signals behind the paper's per-level plots.

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.spans import Span, aggregate_kernel_costs
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.gpusim.engine import SimEngine
 
@@ -100,7 +98,10 @@ class LevelRoofline:
     cached_bytes: float
     instructions: float
     bound: str
+    #: The level span's driver facts (frontier size, edges expanded, ...).
     attrs: dict
+    #: Array that moved the most bytes in the level's launches.
+    top_array: str = ""
 
 
 def _analyze(
@@ -205,37 +206,51 @@ def kernel_rooflines(engine: "SimEngine") -> list[KernelRoofline]:
 
 
 def level_rooflines(engine: "SimEngine") -> list[LevelRoofline]:
-    """Per-level utilization rows from the span tree, in run order."""
+    """Per-level utilization rows in run order, each summed from the
+    level's launch records in launch order."""
+    from repro.obs.counters import array_traffic, top_array
+
     root = engine.tracer.root
     if root is None:
         return []
+    # Pre-order visits level spans in opening order, so entry i is the
+    # level that launch records name by ordinal i.
+    levels = [
+        (algo.name, level)
+        for algo in root.children
+        for level in algo.find("level")
+    ]
+    records: list[list] = [[] for _ in levels]
+    for rec in engine.records:
+        if rec.level >= 0:
+            records[rec.level].append(rec)
     out: list[LevelRoofline] = []
-    for algo in root.children:
-        for level in algo.find("level"):
-            totals = aggregate_kernel_costs(level)
-            bound, _ = _analyze(
-                engine,
-                totals["launches"],
-                totals["device_bytes"],
-                totals["host_bytes"],
-                totals["cached_bytes"],
-                totals["instructions"],
-                0.0,
+    for (algorithm, level), recs in zip(levels, records):
+        seconds = device = host = cached = instructions = 0.0
+        for rec in recs:
+            seconds += rec.seconds
+            device += rec.cost.device_bytes
+            host += rec.cost.host_bytes
+            cached += rec.cost.cached_bytes
+            instructions += rec.cost.instructions
+        bound, _ = _analyze(
+            engine, float(len(recs)), device, host, cached, instructions, 0.0
+        )
+        out.append(
+            LevelRoofline(
+                name=level.name,
+                algorithm=algorithm,
+                seconds=seconds,
+                launches=len(recs),
+                device_bytes=device,
+                host_bytes=host,
+                cached_bytes=cached,
+                instructions=instructions,
+                bound=bound,
+                attrs=dict(level.attrs),
+                top_array=top_array(array_traffic(recs)),
             )
-            out.append(
-                LevelRoofline(
-                    name=level.name,
-                    algorithm=algo.name,
-                    seconds=totals["seconds"],
-                    launches=int(totals["launches"]),
-                    device_bytes=totals["device_bytes"],
-                    host_bytes=totals["host_bytes"],
-                    cached_bytes=totals["cached_bytes"],
-                    instructions=totals["instructions"],
-                    bound=bound,
-                    attrs=dict(level.attrs),
-                )
-            )
+        )
     return out
 
 
@@ -281,7 +296,7 @@ def roofline_report(engine: "SimEngine", max_levels: int = 40) -> str:
             moved = (lv.device_bytes + lv.host_bytes) / 1e6
             frontier = lv.attrs.get("frontier_size", "")
             edges = lv.attrs.get("edges_expanded", "")
-            top = lv.attrs.get("top_array", "") or "-"
+            top = lv.top_array or "-"
             lines.append(
                 f"{_fmt_name(f'{lv.algorithm}/{lv.name}', 24)} "
                 f"{lv.seconds * 1e3:9.3f} {lv.bound:>8s} {lv.launches:8d} "

@@ -1,14 +1,17 @@
 """Hierarchical spans over simulated time.
 
 A traversal run is a tree of nested phases — ``run -> algorithm ->
-level/iteration -> kernel launch`` — and every question worth asking
-about its performance ("why was level 7 slow?", "which levels paid PCIe
-traffic?") is a question about one subtree.  :class:`Tracer` records
-that tree: each :class:`Span` carries its simulated start/end time plus
-free-form attributes (frontier size, edges expanded, direction
-decision, a kernel's cost breakdown), and child spans nest strictly
-inside their parent's interval because all timestamps come from the
-same monotonically increasing simulated clock.
+level/iteration`` (serve waves on a service engine) — and every
+question worth asking about its performance ("why was level 7 slow?",
+"which levels paid PCIe traffic?") is a question about one subtree.
+:class:`Tracer` records that tree: each :class:`Span` carries its
+simulated start/end time plus the driver's facts (frontier size, edges
+expanded, direction decision), and child spans nest strictly inside
+their parent's interval because all timestamps come from the same
+monotonically increasing simulated clock.  Spans hold no costs: a
+level's launches are the launch records that name it
+(:class:`repro.gpusim.engine.LaunchRecord`), and a distributed level's
+price is its :class:`repro.dist.cluster.LevelCharge`.
 
 The tracer is deliberately clock-agnostic: callers pass timestamps in
 (the engine passes its accumulated simulated seconds), so the span tree
@@ -22,17 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["Span", "Tracer", "aggregate_kernel_costs"]
-
-#: Cost attribute keys attached to kernel spans by the engine and
-#: summed by :func:`aggregate_kernel_costs`.
-KERNEL_COST_KEYS = (
-    "seconds",
-    "device_bytes",
-    "host_bytes",
-    "cached_bytes",
-    "instructions",
-)
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -123,18 +116,3 @@ class Tracer:
             return None
         return self.root.to_dict(end_default)
 
-
-def aggregate_kernel_costs(span: Span) -> dict[str, float]:
-    """Sum the kernel-cost attributes of every kernel span under ``span``.
-
-    Gives per-level (or per-algorithm) traffic/instruction/time totals
-    without the drivers having to thread accounting through their loops:
-    the engine already attached each launch's cost to its kernel span.
-    """
-    totals = {key: 0.0 for key in KERNEL_COST_KEYS}
-    totals["launches"] = 0.0
-    for kernel in span.find("kernel"):
-        totals["launches"] += 1.0
-        for key in KERNEL_COST_KEYS:
-            totals[key] += float(kernel.attrs.get(key, 0.0))
-    return totals

@@ -128,7 +128,13 @@ def _parse_number(raw) -> float:
 
 
 def _apply_knob(topo, key: str, raw):
-    """``topo`` with one link knob set (``LinkTopology`` checks it)."""
+    """``topo`` with one link knob set (``LinkTopology`` checks it).
+
+    An ``inter_*`` knob needs an inter tier: a one-node layout refuses
+    it rather than predict an unchanged run.
+    """
+    if key.startswith("inter_") and topo.num_nodes == 1:
+        raise ValueError("a one-node layout has no inter tier")
     value = _parse_number(raw)
     if key == "intra_gbs":
         return replace(topo, link_bandwidth=value * 1e9)

@@ -216,16 +216,16 @@ class TestReporting:
         assert "dist_expand" in a["kernels"]
         assert a["meta"]["num_gpus"] == NUM_GPUS
 
-    def test_level_spans_carry_exchange_breakdown(self, graph, device):
+    def test_level_charges_carry_exchange_breakdown(self, graph, device):
         cluster = ShardedCluster.build(graph, NUM_GPUS, device)
         distributed_bfs(cluster, SOURCE)
-        levels = cluster.tracer.root.find("level")
-        assert levels
-        for span in levels:
-            assert span.attrs["bound"] in (
-                "expand", "link", "latency", "claim"
-            )
-            assert span.attrs["wire_bytes"] >= 0
+        spans = cluster.tracer.root.find("level")
+        assert [c.name for c in cluster.charges] == [s.name for s in spans]
+        for charge, span in zip(cluster.charges, spans):
+            assert charge.bound in ("expand", "link", "latency", "claim")
+            assert charge.exchange.wire_bytes >= 0
+            # Spans keep the driver's facts only; costs live on charges.
+            assert "wire_bytes" not in span.attrs
 
     def test_report_renders(self, graph, device):
         cluster = ShardedCluster.build(graph, NUM_GPUS, device)

@@ -161,12 +161,16 @@ class TestAttribution:
         )
         assert c["dist.tier.inter.bytes"] > 0
 
-    def test_detects_tampered_span(self, graph, device):
+    def test_detects_tampered_charge(self, graph, device):
         cluster = _cluster(graph, device, 2, 2)
         distributed_bfs(cluster, SOURCE)
-        span = cluster.tracer.root.find("level")[1]
-        span.attrs["intra_bytes"] = span.attrs["intra_bytes"] + 1
-        with pytest.raises(AssertionError):
+        ex = cluster.charges[1].exchange
+        ex.tier_bytes["intra"] += 1
+        with pytest.raises(AssertionError, match="charged intra bytes"):
+            verify_dist_attribution(cluster)
+        ex.tier_bytes["intra"] -= 1
+        ex.wire_bytes += 1
+        with pytest.raises(AssertionError, match="charged wire bytes"):
             verify_dist_attribution(cluster)
 
 
@@ -200,12 +204,14 @@ class TestOverlapCostModel:
             assert build(True).sim_seconds <= build(False).sim_seconds
 
     def test_span_overlap_ratio(self, graph, device):
+        # Each level span's overlap ratio is read off its charge.
         cluster = _cluster(graph, device, 2, 4, overlap=True)
         distributed_bfs(cluster, SOURCE)
-        spans = cluster.tracer.root.find("level")
-        assert any(s.attrs["overlap_ratio"] > 0 for s in spans)
-        for s in spans:
-            assert 0.0 <= s.attrs["overlap_ratio"] <= 1.0
+        charges = cluster.charges
+        assert len(charges) == len(cluster.tracer.root.find("level"))
+        assert any(c.overlap_ratio > 0 for c in charges)
+        for c in charges:
+            assert 0.0 <= c.overlap_ratio <= 1.0
 
     def test_overlap_gauge_and_counter(self, graph, device):
         cluster = _cluster(graph, device, 2, 4, overlap=True)

@@ -1,52 +1,49 @@
-"""Unit tests for the shared per-level report helpers."""
+"""Unit tests for the per-level values a report reads off a charge."""
 
 import pytest
 
+from repro.dist.cluster import LevelCharge
 from repro.dist.exchange import ExchangeStats
-from repro.dist.report import level_annotations, overlap_ratio
+
+
+def _charge(overlapped: float, exchange_seconds: float) -> LevelCharge:
+    ex = ExchangeStats()
+    ex.seconds = exchange_seconds
+    return LevelCharge(
+        name="level:0",
+        level=0,
+        expand_seconds=1.0,
+        claim_seconds=0.5,
+        exchange=ex,
+        overlapped_seconds=overlapped,
+    )
 
 
 class TestOverlapRatio:
     def test_plain_fraction(self):
-        assert overlap_ratio(0.25, 1.0) == 0.25
+        assert _charge(0.25, 1.0).overlap_ratio == 0.25
 
     def test_zero_duration_exchange_is_zero(self):
         # The empty last-level frontier: no wire traffic, no division.
-        assert overlap_ratio(0.0, 0.0) == 0.0
+        assert _charge(0.0, 0.0).overlap_ratio == 0.0
 
     def test_degenerate_negative_duration_is_zero(self):
-        assert overlap_ratio(0.1, -1.0) == 0.0
+        assert _charge(0.1, -1.0).overlap_ratio == 0.0
 
     def test_fully_hidden(self):
-        assert overlap_ratio(2.0, 2.0) == 1.0
+        assert _charge(2.0, 2.0).overlap_ratio == 1.0
 
 
 class TestLevelAnnotations:
-    def test_single_helper_feeds_the_span(self):
-        ex = ExchangeStats()
-        annotations = level_annotations(
-            expand_seconds=1.0,
-            ex=ex,
-            claim_seconds=0.5,
-            overlapped_seconds=0.0,
-            bound="expand",
-            expand_kernel="bfs_expand",
-            claim_kernel="bfs_claim",
-        )
-        # The zero-duration guard flows through the shared helper.
-        assert annotations["overlap_ratio"] == 0.0
-        assert annotations["expand_kernel"] == "bfs_expand"
-        assert annotations["intra_bytes"] == 0
-        assert annotations["inter_bytes"] == 0
+    """What a report row reads off one level's charge."""
 
     def test_ratio_uses_exchange_seconds(self):
-        ex = ExchangeStats()
-        ex.seconds = 2.0
-        annotations = level_annotations(
-            expand_seconds=1.0,
-            ex=ex,
-            claim_seconds=0.5,
-            overlapped_seconds=1.0,
-            bound="link",
-        )
-        assert annotations["overlap_ratio"] == pytest.approx(0.5)
+        assert _charge(1.0, 2.0).overlap_ratio == pytest.approx(0.5)
+
+    def test_bound_names_the_largest_term(self):
+        charge = _charge(0.0, 0.0)
+        assert charge.bound == "expand"
+        charge.exchange.transfer_seconds = 3.0
+        assert charge.bound == "link"
+        charge.exchange.latency_seconds = 4.0
+        assert charge.bound == "latency"

@@ -15,7 +15,7 @@ from repro.dist.report import dist_run_metrics
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.engine import SimEngine
 from repro.obs.counters import (
-    arrays_since,
+    array_traffic,
     counters_report,
     emulated_counters,
     kernel_array_attribution,
@@ -23,6 +23,7 @@ from repro.obs.counters import (
     verify_attribution,
 )
 from repro.obs.metrics import run_metrics
+from repro.obs.roofline import level_rooflines
 from repro.traversal.backends import EFGBackend
 from repro.traversal.bfs import bfs
 
@@ -256,21 +257,26 @@ class TestHelpers:
         assert top_array({}) == ""
         assert top_array(merged, residency="host") == ""  # resident run
 
-    def test_arrays_since_windows_the_timeline(self, graph):
+    def test_array_traffic_merges_the_records(self, graph):
         engine = run_efg_bfs(graph)
-        whole = arrays_since(engine, 0)
-        assert whole["arrays"]
-        assert whole["top_array"] in whole["arrays"]
-        empty = arrays_since(engine, engine.num_launches)
-        assert empty == {"arrays": {}, "top_array": ""}
+        whole = array_traffic(engine.records)
+        assert top_array(whole) in whole
+        assert sum(t.moved_bytes for t in whole.values()) == sum(
+            r.cost.device_bytes + r.cost.host_bytes + r.cost.cached_bytes
+            for r in engine.records
+        )
+        assert array_traffic([]) == {}
 
-    def test_level_spans_carry_array_annotations(self, graph):
+    def test_level_rooflines_name_the_top_array(self, graph):
         engine = run_efg_bfs(graph)
-        levels = engine.tracer.root.find("level")
+        levels = level_rooflines(engine)
         assert levels
-        for span in levels:
-            assert "top_array" in span.attrs
-            assert "arrays" in span.attrs
+        for ordinal, row in enumerate(levels):
+            assert "top_array" not in row.attrs
+            assert "arrays" not in row.attrs
+            records = [r for r in engine.records if r.level == ordinal]
+            assert row.top_array == top_array(array_traffic(records))
+            assert row.top_array
 
     def test_counters_report_renders(self, graph):
         engine = run_efg_bfs(graph)

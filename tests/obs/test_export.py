@@ -65,6 +65,25 @@ class TestTraceSchema:
         pids = {e["pid"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert pids == {KERNEL_PID, SPAN_PID, CRITPATH_PID}
 
+    def test_each_launch_once_on_kernel_track_with_its_cost(
+        self, traced_run
+    ):
+        engine, payload = traced_run
+        kernels = [
+            e for e in payload["traceEvents"]
+            if e["ph"] == "X" and e["pid"] == KERNEL_PID
+        ]
+        assert len(kernels) == engine.num_launches
+        for event, record in zip(kernels, engine.records):
+            args = event["args"]
+            assert event["name"] == record.name
+            assert args["seconds"] == record.seconds
+            assert args["device_bytes"] == record.cost.device_bytes
+            assert args["instructions"] == record.cost.instructions
+            assert args["breakdown"] == record.cost.breakdown
+        spans = [e for e in payload["traceEvents"] if e["pid"] == SPAN_PID]
+        assert "kernel" not in {e["cat"] for e in spans}
+
     def test_metadata_names_only_on_critpath_track(self, traced_run):
         _, payload = traced_run
         meta = [e for e in payload["traceEvents"] if e["ph"] == "M"]
@@ -76,7 +95,7 @@ class TestSpanEvents:
     def test_span_kinds_cover_hierarchy(self, traced_run):
         engine, _ = traced_run
         kinds = {e["args"]["kind"] for e in span_events(engine)}
-        assert {"run", "algorithm", "level", "kernel"} <= kinds
+        assert kinds == {"run", "algorithm", "level"}
 
     def test_children_contained_in_parents(self, traced_run):
         engine, _ = traced_run

@@ -4,7 +4,8 @@ import pytest
 
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.engine import SimEngine
-from repro.obs.spans import Span, Tracer, aggregate_kernel_costs
+from repro.obs.roofline import level_rooflines
+from repro.obs.spans import Tracer
 
 
 @pytest.fixture
@@ -56,29 +57,33 @@ class TestTracer:
 
 
 class TestEngineSpans:
-    def test_launch_creates_kernel_span_with_cost(self, engine):
+    def test_launch_records_cost_without_a_span(self, engine):
         with engine.launch("k") as k:
             k.read("arr", 100, 4)
-        kernels = engine.tracer.root.find("kernel")
-        assert len(kernels) == 1
-        assert kernels[0].attrs["device_bytes"] == 400.0
-        assert kernels[0].attrs["seconds"] == pytest.approx(
-            engine.elapsed_seconds
-        )
+        assert engine.tracer.root is None
+        (record,) = engine.records
+        assert record.cost.device_bytes == 400.0
+        assert record.seconds == engine.elapsed_seconds
+        assert record.level == -1
 
     def test_hierarchy_run_algo_level_kernel(self, engine):
         with engine.span("bfs", "algorithm"):
             with engine.span("level:0", "level", level=0):
                 with engine.launch("expand") as k:
                     k.read("arr", 10, 4)
+            with engine.launch("tail"):
+                pass
         root = engine.tracer.root
         assert root.kind == "run"
         algo = root.children[0]
         level = algo.children[0]
-        kernel = level.children[0]
-        assert (algo.kind, level.kind, kernel.kind) == (
-            "algorithm", "level", "kernel",
+        assert (algo.kind, level.kind, level.children) == (
+            "algorithm", "level", [],
         )
+        # A launch names its enclosing level by ordinal, -1 outside one.
+        assert [(r.name, r.level) for r in engine.records] == [
+            ("expand", 0), ("tail", -1),
+        ]
 
     def test_children_contained_in_parent_interval(self, engine):
         with engine.span("algo", "algorithm"):
@@ -96,28 +101,51 @@ class TestEngineSpans:
 
     def test_span_closed_on_exception(self, engine):
         with pytest.raises(ValueError):
-            with engine.launch("k") as k:
-                k.instructions(-1)
+            with engine.level("level:0", 0):
+                with engine.launch("k") as k:
+                    k.instructions(-1)
         assert engine.tracer.current is None
+        assert engine.records == []
+        with engine.launch("after"):
+            pass
+        assert engine.records[0].level == -1
 
     def test_reset_timeline_resets_tracer(self, engine):
-        with engine.launch("k"):
-            pass
+        with engine.level("level:0", 0):
+            with engine.launch("k"):
+                pass
         engine.reset_timeline()
         assert engine.tracer.root is None
+        with engine.level("level:0", 0):
+            with engine.launch("k"):
+                pass
+        assert engine.records[0].level == 0
 
 
 class TestAggregate:
-    def test_aggregates_kernel_attrs(self, engine):
-        with engine.span("level:0", "level") as sp:
-            with engine.launch("a") as k:
-                k.read("arr", 100, 4)
-            with engine.launch("b") as k:
-                k.read("arr", 50, 4)
-        totals = aggregate_kernel_costs(sp)
-        assert totals["device_bytes"] == 600.0
-        assert totals["launches"] == 2.0
-        assert totals["seconds"] == pytest.approx(engine.elapsed_seconds)
+    """A level's cost is the sum of the launch records that name it."""
 
-    def test_empty_span(self):
-        assert aggregate_kernel_costs(Span("x"))["launches"] == 0.0
+    def test_aggregates_kernel_attrs(self, engine):
+        with engine.span("algo", "algorithm"):
+            with engine.span("level:0", "level"):
+                with engine.launch("a") as k:
+                    k.read("arr", 100, 4)
+                with engine.launch("b") as k:
+                    k.read("arr", 50, 4)
+            with engine.span("level:1", "level"):
+                with engine.launch("c") as k:
+                    k.read("arr", 10, 4)
+        first, second = level_rooflines(engine)
+        assert first.device_bytes == 600.0
+        assert first.launches == 2
+        a, b, c = engine.records
+        assert first.seconds == a.seconds + b.seconds
+        assert (second.launches, second.device_bytes) == (1, 40.0)
+        assert first.top_array == second.top_array == "arr"
+
+    def test_empty_span(self, engine):
+        with engine.span("algo", "algorithm"):
+            with engine.span("level:0", "level"):
+                pass
+        (row,) = level_rooflines(engine)
+        assert (row.launches, row.seconds, row.top_array) == (0, 0.0, "")

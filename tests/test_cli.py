@@ -413,6 +413,22 @@ class TestWhatIf:
         ]) == 2
         assert "unknown knob" in capsys.readouterr().err
 
+    def test_inter_knob_on_one_node_exits_two(self, capsys):
+        assert main([
+            "whatif", "bfs", *self.SMALL, "--nodes", "1",
+            "--set", "inter_gbs=5", "--set", "inter_latency_us=100",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the baseline run
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: bad --set inter_gbs=5: ")
+        assert "no inter tier" in line
+        for knob in ("inter_contention=0.5", "inter_latency_us=100"):
+            assert main([
+                "whatif", "bfs", *self.SMALL, "--nodes", "1", "--set", knob,
+            ]) == 2
+            assert "no inter tier" in capsys.readouterr().err
+
     def test_malformed_set_exits_two(self, capsys):
         assert main([
             "whatif", "bfs", *self.SMALL, "--set", "inter_gbs",
@@ -756,6 +772,32 @@ def _run_cli(*argv) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "repro", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+class TestClosedStdout:
+    """A reader that closed stdout ends the command without a traceback,
+    whether the failing write is a mid-run ``print`` (unbuffered) or the
+    final flush (buffered)."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_no_traceback(self, unbuffered):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "profile", "bfs",
+                 "--rmat-scale", "6"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.returncode == 1
 
 
 class TestBadGraphPath:

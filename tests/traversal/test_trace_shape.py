@@ -4,7 +4,9 @@ Each driver's kernel launch-name sequence and each level span's
 attribute keys, in order, are what the profile reports, the Perfetto
 exporter, the critical-path extractor and the what-if replay read.  A
 refactor of the level scaffolding must leave them exactly as they are;
-these literals were recorded from the hand-written drivers.
+these literals were recorded from the hand-written drivers.  Level
+spans carry the drivers' facts only: a level's costs are its launch
+records and, on a cluster, its level charge.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ from repro.traversal.msbfs import msbfs
 from repro.traversal.pagerank import pagerank
 from repro.traversal.sssp import sssp
 
-_DIST_LEVEL = (
-    "expand_seconds", "exchange_seconds", "claim_seconds", "sync_seconds",
-    "wire_bytes", "intra_bytes", "inter_bytes", "intra_seconds",
-    "inter_seconds", "overlap_ratio", "messages", "bound",
-    "expand_kernel", "claim_kernel", "edges_expanded",
-)
 _DIST_ALGO = ("num_gpus", "fmt", "wire", "schedule")
 
 #: driver -> (algorithm span name, algorithm attr keys, launch names
@@ -49,43 +45,39 @@ SHAPES = {
         "bfs_expand bfs_filter frontier_sort bfs_expand bfs_filter "
         "frontier_sort bfs_expand bfs_filter bfs_expand bfs_filter",
         6,
-        ("level", "frontier_size", "edges_expanded", "claimed", "arrays",
-         "top_array"),
+        ("level", "frontier_size", "edges_expanded", "claimed"),
     ),
     "dobfs": (
         "direction_optimizing", ("source", "alpha", "beta"),
         "bfs_top_down bfs_filter bfs_top_down bfs_filter bfs_top_down "
         "bfs_filter bfs_bottom_up bfs_top_down bfs_filter",
         5,
-        ("level", "frontier_size", "direction", "edges_expanded", "claimed",
-         "arrays", "top_array"),
+        ("level", "frontier_size", "direction", "edges_expanded", "claimed"),
     ),
     "msbfs": (
         "msbfs", ("num_sources", "num_lanes"),
         " ".join(["msbfs_expand msbfs_update"] * 6),
         6,
         ("level", "frontier_size", "edges_expanded", "source_edges",
-         "claimed", "arrays", "top_array"),
+         "claimed"),
     ),
     "sssp": (
         "sssp", ("source",),
         " ".join(["sssp_relax sssp_update sssp_scatter"] * 7),
         7,
-        ("level", "frontier_size", "edges_expanded", "improved", "arrays",
-         "top_array"),
+        ("level", "frontier_size", "edges_expanded", "improved"),
     ),
     "delta": (
         "delta_stepping", ("source", "delta"),
         "ds_relax " + " ".join(["ds_relax ds_update"] * 13),
         5,
-        ("level", "frontier_size", "light_phases", "edges_expanded",
-         "arrays", "top_array"),
+        ("level", "frontier_size", "light_phases", "edges_expanded"),
     ),
     "pagerank": (
         "pagerank", ("damping", "max_iterations"),
         " ".join(["pr_push pr_finalize"] * 3),
         3,
-        ("level", "edges_expanded", "rank_delta", "arrays", "top_array"),
+        ("level", "edges_expanded", "rank_delta"),
     ),
     "dist_bfs": (
         "dist_bfs", _DIST_ALGO + ("source", "partial_sort"),
@@ -100,7 +92,7 @@ SHAPES = {
             "dist_pack dist_claim",
         ),
         6,
-        ("level", "frontier_size") + _DIST_LEVEL + ("claimed",),
+        ("level", "frontier_size", "claimed"),
     ),
     "dist_sssp": (
         "dist_sssp", _DIST_ALGO + ("source",),
@@ -111,13 +103,13 @@ SHAPES = {
             + " ".join(["dist_relax dist_pack dist_update"] * 5),
         ),
         7,
-        ("level", "frontier_size") + _DIST_LEVEL + ("improved",),
+        ("level", "frontier_size", "improved"),
     ),
     "dist_pagerank": (
         "dist_pagerank", _DIST_ALGO + ("damping", "max_iterations"),
         (" ".join(["dist_pr_push dist_pack dist_pr_finalize"] * 3),) * 2,
         3,
-        ("level",) + _DIST_LEVEL + ("rank_delta",),
+        ("level", "rank_delta"),
     ),
 }
 
