@@ -13,10 +13,13 @@ keeps the promise honest:
   the CRC integrity check (must show zero silent corruption) and a
   structural-only pass that skips the CRCs (must still show zero
   foreign exceptions — this is what proves the decoders themselves are
-  hardened).  There is no per-format wrapper: each container states
-  its own fault surface (``PAYLOAD_FIELD``, ``METADATA_FIELDS`` and a
-  ``decode_all()`` that raises only typed errors), and mutated copies
-  are rebuilt with :func:`dataclasses.replace`.
+  hardened).  There is no per-format wrapper: each container carries
+  its fault surface (``PAYLOAD_FIELD``, ``METADATA_FIELDS``, a
+  ``decode_all()`` that raises only typed errors and
+  ``verify_integrity()``), and mutated copies are rebuilt with
+  :func:`dataclasses.replace`.  PEF, CGR, Ligra+ and BV share one
+  statement of it, :class:`~repro.formats.integrity.ListContainer`;
+  EFG and the serve container state their own.
 * :mod:`repro.check.differential` — cross-format agreement at decode
   level (every format vs the uncompressed reference) and at algorithm
   level (BFS / SSSP / PageRank across backends and vs the sharded

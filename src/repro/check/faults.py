@@ -24,10 +24,13 @@ straight to the decoder (silent corruption is expected there for e.g.
 lower-bit flips, but foreign exceptions still must not occur — that is
 the test of the decoder hardening itself).
 
-Each container states its own fault surface: ``PAYLOAD_FIELD`` names
-the uint8 array bits are flipped in, ``METADATA_FIELDS`` the integer
-arrays that may be perturbed, and ``decode_all()`` is the full decode
-that must raise only typed errors.  Mutated containers are rebuilt with
+Each container carries its fault surface: ``PAYLOAD_FIELD`` names the
+uint8 array bits are flipped in, ``METADATA_FIELDS`` the integer arrays
+that may be perturbed, ``verify_integrity()`` is the CRC check and
+``decode_all()`` the full decode that must raise only typed errors.
+The list-at-a-time formats (PEF, CGR, Ligra+, BV) inherit all four from
+:class:`~repro.formats.integrity.ListContainer`; EFG and the serve
+container state their own.  Mutated containers are rebuilt with
 :func:`dataclasses.replace`.
 
 Everything is deterministic in ``(seed, format, trial)``.

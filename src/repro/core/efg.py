@@ -44,7 +44,7 @@ from repro.ef.bitstream import extract_fields
 from repro.ef.forward import DEFAULT_QUANTUM
 from repro.ef.select import select1_all, select1_scalar
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32
+from repro.formats.integrity import arrays_crc32, check_crcs
 from repro.primitives.scan import exclusive_scan
 
 __all__ = [
@@ -247,18 +247,9 @@ class EFGraph:
         CorruptMetadataError
             A metadata array changed since encode.
         """
-        if self.meta_crc is not None and self._current_meta_crc() != self.meta_crc:
-            raise CorruptMetadataError(
-                "metadata checksum mismatch", fmt="efg"
-            )
-        if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
-            raise CorruptStreamError(
-                "payload checksum mismatch", fmt="efg"
-            )
-
-    def _current_meta_crc(self) -> int:
-        return arrays_crc32(
-            self.vlist, self.num_lower_bits, self.offsets, self.quantum
+        check_crcs(
+            self, "efg",
+            self.vlist, self.num_lower_bits, self.offsets, self.quantum,
         )
 
     def validate(self) -> None:

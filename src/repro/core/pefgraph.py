@@ -22,42 +22,20 @@ import numpy as np
 from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.ef.partitioned import pef_encode, pef_from_blob, pef_to_blob
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32, decode_by_vertex
+from repro.formats.integrity import ListContainer, arrays_crc32, pack_lists
 
 __all__ = ["PEFGraph", "pefg_encode"]
 
 
-@dataclass
-class PEFGraph:
+@dataclass(frozen=True)
+class PEFGraph(ListContainer):
     """Whole-graph partitioned-Elias-Fano container."""
 
     vlist: np.ndarray
-    offsets: np.ndarray  # int64, |V|+1, byte offsets into data
-    data: np.ndarray  # uint8, concatenated pef blobs
     name: str = ""
-    #: CRC32 over ``data`` / the metadata arrays, stamped by
-    #: :func:`pefg_encode`; ``None`` on hand-built containers.
-    payload_crc: int | None = None
-    meta_crc: int | None = None
 
-    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
-    PAYLOAD_FIELD = "data"
+    FMT = "pef"
     METADATA_FIELDS = ("vlist", "offsets")
-
-    @property
-    def num_nodes(self) -> int:
-        """|V|."""
-        return int(self.vlist.shape[0] - 1)
-
-    @property
-    def num_edges(self) -> int:
-        """|E|."""
-        return int(self.vlist[-1])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Out-degree per vertex."""
-        return np.diff(self.vlist)
 
     @property
     def nbytes(self) -> int:
@@ -65,10 +43,8 @@ class PEFGraph:
         nv = self.num_nodes
         return 4 * (nv + 1) + 4 * (nv + 1) + int(self.data.shape[0])
 
-    def neighbours(self, v: int) -> np.ndarray:
-        """Decode one list."""
-        if not 0 <= v < self.num_nodes:
-            raise IndexError(f"vertex {v} out of range")
+    def decode_list(self, v: int) -> np.ndarray:
+        """Decode one list; an empty list needs no blob."""
         deg = int(self.degrees[v])
         if deg < 0:
             raise CorruptMetadataError(
@@ -84,10 +60,7 @@ class PEFGraph:
                 fmt="pef",
                 vertex=v,
             )
-        try:
-            nbrs = pef_from_blob(self.data[lo:hi])
-        except (CorruptStreamError, CorruptMetadataError) as exc:
-            raise type(exc)(exc.detail, fmt="pef", vertex=v) from exc
+        nbrs = pef_from_blob(self.data[lo:hi])
         if nbrs.shape[0] != deg:
             raise CorruptStreamError(
                 f"decoded {nbrs.shape[0]} neighbours, vlist promises {deg}",
@@ -95,19 +68,6 @@ class PEFGraph:
                 vertex=v,
             )
         return nbrs
-
-    def verify_integrity(self) -> None:
-        """Check the encode-time CRCs; no-op when they were never stamped."""
-        if self.meta_crc is not None and arrays_crc32(
-            self.vlist, self.offsets
-        ) != self.meta_crc:
-            raise CorruptMetadataError("metadata checksum mismatch", fmt="pef")
-        if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
-            raise CorruptStreamError("payload checksum mismatch", fmt="pef")
-
-    def decode_all(self) -> np.ndarray:
-        """Every list, flat int64 in CSR order."""
-        return decode_by_vertex(self)
 
     def to_graph(self) -> Graph:
         """Decode the whole graph."""
@@ -118,27 +78,14 @@ class PEFGraph:
 
 def pefg_encode(graph: Graph, partition_size: int = 128) -> PEFGraph:
     """Encode every neighbour list with run-aware PEF (offline)."""
-    chunks: list[bytes] = []
-    offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-    for v in range(graph.num_nodes):
-        nbrs = graph.neighbours(v)
-        if nbrs.shape[0] == 0:
-            blob = b""
-        else:
-            blob = pef_to_blob(
-                pef_encode(nbrs, partition_size=partition_size)
-            ).tobytes()
-        chunks.append(blob)
-        offsets[v + 1] = offsets[v] + len(blob)
-    data = (
-        np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        if chunks
-        else np.empty(0, dtype=np.uint8)
+    offsets, data = pack_lists(
+        pef_to_blob(pef_encode(nbrs, partition_size=partition_size)).tobytes()
+        if nbrs.shape[0]
+        else b""
+        for nbrs in map(graph.neighbours, range(graph.num_nodes))
     )
     vlist = graph.vlist.copy()
-    for arr in (vlist, offsets, data):
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+    vlist.flags.writeable = False
     return PEFGraph(
         vlist=vlist, offsets=offsets, data=data, name=graph.name,
         payload_crc=arrays_crc32(data),

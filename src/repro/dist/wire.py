@@ -114,11 +114,6 @@ class WireCodec(abc.ABC):
     def decode(self, payload: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Recover the exact id array from one message payload."""
 
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        """Payload size without actually materialising it (override when
-        the size is closed-form)."""
-        return int(self.encode(ids, lo, hi).shape[0])
-
 
 class RawCodec(WireCodec):
     """Uncompressed int32 ids — the literature's baseline wire format."""
@@ -140,9 +135,6 @@ class RawCodec(WireCodec):
             .astype(np.int64)
         )
 
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        return 4 * int(np.asarray(ids).shape[0])
-
 
 class Raw64Codec(WireCodec):
     """Device-width int64 ids shipped unpacked (no pack kernel at all)."""
@@ -156,9 +148,6 @@ class Raw64Codec(WireCodec):
 
     def decode(self, payload: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return np.asarray(payload, dtype=np.uint8).view("<i8").astype(np.int64)
-
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        return FRONTIER_ID_BYTES * int(np.asarray(ids).shape[0])
 
 
 class BitmapCodec(WireCodec):
@@ -181,9 +170,6 @@ class BitmapCodec(WireCodec):
             np.asarray(payload, dtype=np.uint8), count=hi - lo
         )
         return np.flatnonzero(bits).astype(np.int64) + lo
-
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        return -(-(hi - lo) // 8)
 
 
 class VarintCodec(WireCodec):
@@ -281,14 +267,6 @@ class EliasFanoCodec(WireCodec):
         )
         return ef_decode(seq) + lo
 
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        n = int(np.asarray(ids).shape[0])
-        if n == 0:
-            return 0
-        u = self._universe(lo, hi)
-        l = ef_num_lower_bits(n, u)
-        return 4 + ((n * l + 7) >> 3) + ((ef_upper_bits(n, u) + 7) >> 3)
-
 
 class AutoCodec(WireCodec):
     """Per-message selection by actual trial-encoded payload size.
@@ -319,7 +297,7 @@ class AutoCodec(WireCodec):
 
         The bitmap's encode allocates one byte per vertex of the range
         (8 GiB for a 2^33-id range), so it is tried last and skipped
-        when its exact size (:meth:`BitmapCodec.encoded_nbytes`) already
+        when its exact size (one bit per vertex of ``[lo, hi)``) already
         exceeds the smallest payload of the others — it could not win.
         """
         bitmap = self._candidates[1]
@@ -329,7 +307,7 @@ class AutoCodec(WireCodec):
             if (
                 candidate is bitmap
                 and best is not None
-                and bitmap.encoded_nbytes(ids, lo, hi) > best[0]
+                and (hi - lo + 7) // 8 > best[0]
             ):
                 continue
             try:
@@ -364,9 +342,6 @@ class AutoCodec(WireCodec):
         raise NotImplementedError(
             "auto is a selector; decode with the codec trial() returned"
         )
-
-    def encoded_nbytes(self, ids: np.ndarray, lo: int, hi: int) -> int:
-        return int(self.trial(ids, lo, hi)[1].shape[0])
 
 
 #: CLI-facing codec names.

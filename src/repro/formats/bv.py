@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import CorruptMetadataError, CorruptStreamError
+from repro.core.errors import CorruptStreamError
 from repro.formats.cgr import _read_varint, _unzigzag, _write_varint, _zigzag
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32, decode_by_vertex
+from repro.formats.integrity import ListContainer, arrays_crc32, pack_lists
 
-__all__ = ["BVGraph", "bv_encode", "bv_decode_list"]
+__all__ = ["BVGraph", "bv_encode"]
 
 #: How many preceding lists a list may reference.
 DEFAULT_WINDOW = 7
@@ -116,76 +116,40 @@ def _encode_list(
 
 
 @dataclass(frozen=True)
-class BVGraph:
+class BVGraph(ListContainer):
     """Whole-graph BV-style container (ratio comparator, CPU decode)."""
 
     graph: Graph
-    offsets: np.ndarray
-    data: np.ndarray
     window: int
     max_ref_chain: int
-    #: CRC32 over ``data`` / the metadata, stamped by
-    #: :func:`bv_encode`; ``None`` on hand-built containers.
-    payload_crc: int | None = None
-    meta_crc: int | None = None
 
-    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
-    PAYLOAD_FIELD = "data"
-    METADATA_FIELDS = ("offsets",)
+    FMT = "bv"
 
     @property
-    def num_nodes(self) -> int:
-        """|V|."""
-        return self.graph.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """|E|."""
-        return self.graph.num_edges
+    def vlist(self) -> np.ndarray:
+        """The embedded graph's degree prefix sum."""
+        return self.graph.vlist
 
     @property
     def nbytes(self) -> int:
         """Storage: 4 B offsets per vertex + payload."""
         return 4 * int(self.offsets.shape[0]) + int(self.data.shape[0])
 
-    def neighbours(self, v: int) -> np.ndarray:
-        """Decode one list, following reference chains as needed."""
-        return bv_decode_list(self, v)
+    def _crc_metadata(self) -> tuple[np.ndarray | int, ...]:
+        return (self.offsets, self.window, self.max_ref_chain)
 
-    def decode_all(self) -> np.ndarray:
-        """Every list, flat int64 in CSR order."""
-        return decode_by_vertex(self)
+    def decode_list(self, v: int, _depth: int = 0) -> np.ndarray:
+        """Dependent-chain decoder (the reason BV resists GPU porting).
 
-    def verify_integrity(self) -> None:
-        """Check the encode-time CRCs; no-op when they were never stamped."""
-        if self.meta_crc is not None and arrays_crc32(
-            self.offsets, self.window, self.max_ref_chain
-        ) != self.meta_crc:
-            raise CorruptMetadataError("metadata checksum mismatch", fmt="bv")
-        if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
-            raise CorruptStreamError("payload checksum mismatch", fmt="bv")
-
-
-def bv_decode_list(bv: BVGraph, v: int, _depth: int = 0) -> np.ndarray:
-    """Dependent-chain decoder (the reason BV resists GPU porting).
-
-    Hardened against corrupt streams: reference offsets must stay inside
-    the window and point at earlier vertices, chains are bounded by the
-    container's ``max_ref_chain`` (a corrupt offset cannot drive the
-    recursion to a RecursionError), copy-block cursors are checked
-    against the reference length, and varint reads are bounds-checked.
-    """
-    if not 0 <= v < bv.num_nodes:
-        raise IndexError(f"vertex {v} out of range")
-    data = bv.data
-    pos = int(bv.offsets[v])
-    if not 0 <= pos <= int(data.shape[0]):
-        raise CorruptMetadataError(
-            f"list offset {pos} outside the {int(data.shape[0])}-byte payload",
-            fmt="bv",
-            vertex=v,
-        )
-    try:
+        Hardened against corrupt streams: reference offsets must stay
+        inside the window and point at earlier vertices, chains are
+        bounded by ``max_ref_chain`` (a corrupt offset cannot drive the
+        recursion to a RecursionError), copy-block cursors are checked
+        against the reference length, and varint reads are
+        bounds-checked.
+        """
+        data = self.data
+        pos = self.list_start(v)
         ref_offset, pos = _read_varint(data, pos)
         copied = np.empty(0, dtype=np.int64)
         if ref_offset:
@@ -195,21 +159,21 @@ def bv_decode_list(bv: BVGraph, v: int, _depth: int = 0) -> np.ndarray:
                     fmt="bv",
                     vertex=v,
                 )
-            if ref_offset > bv.window:
+            if ref_offset > self.window:
                 raise CorruptStreamError(
-                    f"reference offset {ref_offset} exceeds window {bv.window}",
+                    f"reference offset {ref_offset} exceeds window {self.window}",
                     fmt="bv",
                     vertex=v,
                 )
-            if _depth >= bv.max_ref_chain:
+            if _depth >= self.max_ref_chain:
                 raise CorruptStreamError(
                     f"reference chain deeper than max_ref_chain "
-                    f"{bv.max_ref_chain}",
+                    f"{self.max_ref_chain}",
                     fmt="bv",
                     vertex=v,
                 )
             # Recursive dependency on an earlier list.
-            reference = bv_decode_list(bv, v - ref_offset, _depth + 1)
+            reference = self._decode_tagged(v - ref_offset, _depth + 1)
             nblocks, pos = _read_varint(data, pos)
             blocks = []
             for _ in range(nblocks):
@@ -245,21 +209,16 @@ def bv_decode_list(bv: BVGraph, v: int, _depth: int = 0) -> np.ndarray:
                 )
             residuals[i] = value
             prev = value
-    except CorruptStreamError as exc:
-        if exc.vertex is None:
-            # _read_varint tags errors fmt="cgr" (shared helper); rehome.
-            raise CorruptStreamError(exc.detail, fmt="bv", vertex=v) from exc
-        raise
-    merged = np.concatenate([copied, residuals])
-    merged.sort()
-    deg = int(bv.graph.degrees[v])
-    if deg >= 0 and merged.shape[0] != deg:
-        raise CorruptStreamError(
-            f"decoded {merged.shape[0]} neighbours, degree is {deg}",
-            fmt="bv",
-            vertex=v,
-        )
-    return merged
+        merged = np.concatenate([copied, residuals])
+        merged.sort()
+        deg = int(self.degrees[v])
+        if deg >= 0 and merged.shape[0] != deg:
+            raise CorruptStreamError(
+                f"decoded {merged.shape[0]} neighbours, degree is {deg}",
+                fmt="bv",
+                vertex=v,
+            )
+        return merged
 
 
 def bv_encode(
@@ -270,10 +229,9 @@ def bv_encode(
     """Encode every list with windowed reference compression (offline)."""
     if window < 0 or max_ref_chain < 1:
         raise ValueError("window must be >= 0 and max_ref_chain >= 1")
-    chunks: list[bytes] = []
-    offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
     window_lists: list[tuple[int, np.ndarray]] = []
     chain_depth: dict[int, int] = {}
+    blobs: list[bytes] = []
     for v in range(graph.num_nodes):
         nbrs = graph.neighbours(v)
         blob, ref_offset = _encode_list(
@@ -282,19 +240,11 @@ def bv_encode(
         chain_depth[v] = (
             chain_depth.get(v - ref_offset, 0) + 1 if ref_offset else 0
         )
-        chunks.append(blob)
-        offsets[v + 1] = offsets[v] + len(blob)
+        blobs.append(blob)
         window_lists.append((v, nbrs))
         if len(window_lists) > window:
             window_lists.pop(0)
-    data = (
-        np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        if chunks
-        else np.empty(0, dtype=np.uint8)
-    )
-    for arr in (offsets, data):
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+    offsets, data = pack_lists(blobs)
     return BVGraph(
         graph=graph, offsets=offsets, data=data, window=window,
         max_ref_chain=max_ref_chain,

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import CorruptMetadataError, CorruptStreamError
+from repro.core.errors import CorruptStreamError
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32, decode_by_vertex
+from repro.formats.integrity import ListContainer, arrays_crc32
 from repro.primitives.bitops import pack_varints
 
 __all__ = ["CGRGraph", "cgr_encode", "cgr_decode_list"]
@@ -200,6 +200,11 @@ def _owner_changes(owner: np.ndarray) -> np.ndarray:
     return head
 
 
+#: Hard cap on a single decoded interval when the caller supplies no
+#: degree — keeps a corrupt length varint from requesting a giant arange.
+_MAX_UNCHECKED_INTERVAL = 1 << 32
+
+
 def cgr_decode_list(
     v: int,
     data: np.ndarray,
@@ -212,25 +217,10 @@ def cgr_decode_list(
     from its vlist) the decoder rejects any chain whose counts or
     interval lengths would produce a different number of neighbours —
     corruption of the leading count varints otherwise turns into huge
-    allocations or silently short lists.
+    allocations or silently short lists.  Errors are tagged ``cgr``;
+    :meth:`CGRGraph.neighbours` adds the vertex.
     """
     data = np.asarray(data, dtype=np.uint8)
-    try:
-        return _cgr_decode_list_inner(v, data, offset, expected_degree)
-    except CorruptStreamError as exc:
-        if exc.vertex is None:
-            raise CorruptStreamError(exc.detail, fmt="cgr", vertex=v) from exc
-        raise
-
-
-#: Hard cap on a single decoded interval when the caller supplies no
-#: degree — keeps a corrupt length varint from requesting a giant arange.
-_MAX_UNCHECKED_INTERVAL = 1 << 32
-
-
-def _cgr_decode_list_inner(
-    v: int, data: np.ndarray, offset: int, expected_degree: int | None
-) -> np.ndarray:
     pos = offset
     produced = 0
     budget = expected_degree if expected_degree is not None else _MAX_UNCHECKED_INTERVAL
@@ -294,7 +284,7 @@ def _cgr_decode_list_inner(
 
 
 @dataclass(frozen=True)
-class CGRGraph:
+class CGRGraph(ListContainer):
     """Whole-graph CGR container: per-vertex byte offsets + payload.
 
     ``steps`` counts the varints in each list's encoding — the length
@@ -305,77 +295,34 @@ class CGRGraph:
     """
 
     graph: Graph
-    offsets: np.ndarray  # int64, |V|+1, exclusive byte offsets into data
-    data: np.ndarray  # uint8 payload
     steps: np.ndarray  # int64, |V|, varints per list (decode chain length)
-    #: CRC32 over ``data`` / the metadata arrays, stamped by
-    #: :func:`cgr_encode`; ``None`` on hand-built containers.
-    payload_crc: int | None = None
-    meta_crc: int | None = None
 
-    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
-    PAYLOAD_FIELD = "data"
+    FMT = "cgr"
     METADATA_FIELDS = ("offsets", "steps")
 
     @property
-    def num_nodes(self) -> int:
-        """|V|."""
-        return self.graph.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """|E|."""
-        return self.graph.num_edges
+    def vlist(self) -> np.ndarray:
+        """The embedded graph's degree prefix sum."""
+        return self.graph.vlist
 
     @property
     def nbytes(self) -> int:
         """Storage: 4 B per offset entry (32-bit, like the paper) + payload."""
         return 4 * int(self.offsets.shape[0]) + int(self.data.shape[0])
 
-    def neighbours(self, v: int) -> np.ndarray:
-        """Decode vertex ``v``'s list."""
-        if not 0 <= v < self.num_nodes:
-            raise IndexError(f"vertex {v} out of range")
-        lo = int(self.offsets[v])
-        if not 0 <= lo <= int(self.data.shape[0]):
-            raise CorruptMetadataError(
-                f"list offset {lo} outside the {int(self.data.shape[0])}"
-                "-byte payload",
-                fmt="cgr",
-                vertex=v,
-            )
-        deg = int(self.graph.vlist[v + 1] - self.graph.vlist[v])
-        if deg < 0:
-            raise CorruptMetadataError(
-                "negative degree (vlist not monotone)", fmt="cgr", vertex=v
-            )
-        return cgr_decode_list(v, self.data, lo, expected_degree=deg)
-
-    def decode_all(self) -> np.ndarray:
-        """Every list, flat int64 in CSR order."""
-        return decode_by_vertex(self)
-
-    def verify_integrity(self) -> None:
-        """Check the encode-time CRCs; no-op when they were never stamped."""
-        if self.meta_crc is not None and arrays_crc32(
-            self.offsets, self.steps
-        ) != self.meta_crc:
-            raise CorruptMetadataError("metadata checksum mismatch", fmt="cgr")
-        if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
-            raise CorruptStreamError("payload checksum mismatch", fmt="cgr")
-
-    def list_nbytes(self, v: int | np.ndarray) -> np.ndarray:
-        """Compressed byte length of one or many lists."""
-        v = np.asarray(v)
-        return (self.offsets[v + 1] - self.offsets[v]).astype(np.int64)
+    def decode_list(self, v: int) -> np.ndarray:
+        """Decode list ``v`` against its degree."""
+        lo = self.list_start(v)
+        return cgr_decode_list(
+            v, self.data, lo, expected_degree=int(self.degrees[v])
+        )
 
 
 def cgr_encode(graph: Graph) -> CGRGraph:
     """Encode every neighbour list in one batched pass; offline step."""
     offsets, data, steps = _encode_lists(graph.vlist, graph.elist)
     for arr in (offsets, steps, data):
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return CGRGraph(
         graph=graph, offsets=offsets, data=data, steps=steps,
         payload_crc=arrays_crc32(data),

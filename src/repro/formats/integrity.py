@@ -1,4 +1,4 @@
-"""Stream-integrity checksums for the compressed-graph containers.
+"""Stream integrity and the list-at-a-time container the comparators share.
 
 Structural validation (monotone offsets, plausible section sizes) can
 prove a stream is *malformed*, but a flipped bit deep inside a lower-
@@ -6,28 +6,39 @@ bits section still decodes to a well-formed, silently-wrong neighbour
 list.  Closing that gap needs content integrity: every encoder stamps
 its container with two CRC32s — one over the payload bytes, one over
 the metadata arrays — and ``verify_integrity`` on the container checks
-them before a trusted decode.  This is the same table-stakes check
-archive-scale Elias-Fano deployments (swh-graph, WebGraph) run on
-their streams.
+them (:func:`check_crcs`) before a trusted decode.  This is the same
+table-stakes check archive-scale Elias-Fano deployments (swh-graph,
+WebGraph) run on their streams.
 
-The helpers here are deliberately tiny and dependency-light so that
-``repro.core``, ``repro.formats`` and ``repro.serve`` modules can share
-them without an import cycle: the CRC fold, the typed structural
-checks the CSR-shaped serve container runs at load time, and the
-per-vertex full decode the list-at-a-time containers share.
+CGR, Ligra+, BV and PEF are one shape: a byte blob per neighbour list
+behind an ``offsets`` array.  :class:`ListContainer` is that shape once
+(offsets, payload, CRC stamps, fault surface, checked list starts, the
+per-vertex full decode) and :func:`pack_lists` builds it from the
+per-list blobs; a format adds its own fields, its ``nbytes`` formula
+and ``decode_list``.
+
+The module is deliberately dependency-light so that ``repro.core``,
+``repro.formats`` and ``repro.serve`` modules can share it without an
+import cycle; it also holds the typed structural checks the CSR-shaped
+serve container runs at load time.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.errors import CorruptMetadataError, CorruptStreamError
+from repro.core.errors import CorruptMetadataError, CorruptStreamError, DecodeError
 
 __all__ = [
+    "ListContainer",
     "arrays_crc32",
-    "decode_by_vertex",
+    "check_crcs",
+    "pack_lists",
     "parse_payload_words",
     "validate_csr_arrays",
 ]
@@ -49,14 +60,141 @@ def arrays_crc32(*arrays: np.ndarray | int) -> int:
     return crc & 0xFFFFFFFF
 
 
-def decode_by_vertex(container) -> np.ndarray:
-    """Every list of ``container``, flat int64 in CSR order.
+def check_crcs(container, fmt: str, *metadata: np.ndarray | int) -> None:
+    """Check ``container``'s encode-time CRC stamps against its bytes.
 
-    One ``container.neighbours(v)`` call per vertex, so a corrupt stream
-    surfaces as that decoder's typed error for the first bad list.
+    ``meta_crc`` covers ``metadata`` (arrays and bare ints, hashed as
+    :func:`arrays_crc32` does) and ``payload_crc`` the container's
+    ``PAYLOAD_FIELD``; an unstamped (``None``) CRC is skipped.  A
+    mismatch raises :class:`~repro.core.errors.CorruptMetadataError`
+    or :class:`~repro.core.errors.CorruptStreamError`, metadata first,
+    naming the stored and the actual CRC.
     """
-    rows = [container.neighbours(v) for v in range(container.num_nodes)]
-    return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    payload = getattr(container, container.PAYLOAD_FIELD)
+    for what, stored, arrays, error in (
+        ("metadata", container.meta_crc, metadata, CorruptMetadataError),
+        ("payload", container.payload_crc, (payload,), CorruptStreamError),
+    ):
+        if stored is None:
+            continue
+        actual = arrays_crc32(*arrays)
+        if actual != stored:
+            raise error(
+                f"{what} CRC mismatch: stored {stored:#010x} != actual "
+                f"{actual:#010x}",
+                fmt=fmt,
+            )
+
+
+def pack_lists(blobs: Iterable[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate per-list byte blobs into frozen ``(offsets, data)``.
+
+    ``offsets`` is the int64 exclusive prefix sum of the blob lengths
+    (|blobs| + 1 entries) and ``data`` the uint8 payload, a read-only
+    view of the joined bytes.
+    """
+    blobs = list(blobs)
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)),
+        out=offsets[1:],
+    )
+    offsets.flags.writeable = False
+    return offsets, np.frombuffer(b"".join(blobs), dtype=np.uint8)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ListContainer:
+    """One byte blob per neighbour list behind an ``offsets`` array.
+
+    List ``v`` is ``data[offsets[v] : offsets[v + 1]]``.  A format
+    subclasses this with its own fields, a ``vlist`` (the degree prefix
+    sum: a field, or its embedded graph's), ``FMT`` (its error tag),
+    ``nbytes`` and ``decode_list(v)``; everything else is shared:
+
+    * the fault surface a campaign reads — ``PAYLOAD_FIELD``,
+      ``METADATA_FIELDS`` (integer arrays it may perturb; mutants are
+      rebuilt with :func:`dataclasses.replace`, which recomputes
+      :attr:`degrees`), :meth:`decode_all` and :meth:`verify_integrity`;
+    * :meth:`neighbours`: a range check, then ``decode_list``, with an
+      untagged :class:`~repro.core.errors.DecodeError` tagged with the
+      format and vertex.
+    """
+
+    offsets: np.ndarray  # int64, |V|+1, exclusive byte offsets into data
+    data: np.ndarray  # uint8 payload
+    #: CRC32 over ``data`` / the metadata, stamped by the encoder;
+    #: ``None`` on hand-built containers.
+    payload_crc: int | None = None
+    meta_crc: int | None = None
+
+    PAYLOAD_FIELD = "data"
+    METADATA_FIELDS = ("offsets",)
+
+    @property
+    def num_nodes(self) -> int:
+        """|V|."""
+        return int(self.vlist.shape[0]) - 1
+
+    @property
+    def num_edges(self) -> int:
+        """|E|."""
+        return int(self.vlist[-1])
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Out-degree per vertex, computed once from ``vlist``."""
+        return np.diff(self.vlist)
+
+    def list_nbytes(self, v: int | np.ndarray) -> np.ndarray:
+        """Compressed byte length of one or many lists."""
+        v = np.asarray(v)
+        return (self.offsets[v + 1] - self.offsets[v]).astype(np.int64)
+
+    def list_start(self, v: int) -> int:
+        """Byte offset of list ``v``, checked to lie within the payload."""
+        lo = int(self.offsets[v])
+        if not 0 <= lo <= int(self.data.shape[0]):
+            raise CorruptMetadataError(
+                f"list offset {lo} outside the {int(self.data.shape[0])}"
+                "-byte payload",
+                fmt=self.FMT,
+                vertex=v,
+            )
+        return lo
+
+    def neighbours(self, v: int) -> np.ndarray:
+        """Decode vertex ``v``'s list."""
+        if not 0 <= v < self.num_nodes:
+            raise IndexError(f"vertex {v} out of range")
+        return self._decode_tagged(v)
+
+    def _decode_tagged(self, v: int, *args) -> np.ndarray:
+        """``decode_list(v, *args)``, naming the format and ``v`` on an
+        untagged decode error."""
+        try:
+            return self.decode_list(v, *args)
+        except DecodeError as exc:
+            if exc.vertex is not None:
+                raise
+            raise type(exc)(exc.detail, fmt=self.FMT, vertex=v) from exc
+
+    def decode_all(self) -> np.ndarray:
+        """Every list, flat int64 in CSR order.
+
+        One :meth:`neighbours` call per vertex, so a corrupt stream
+        surfaces as the format's typed error for the first bad list.
+        """
+        rows = [self.neighbours(v) for v in range(self.num_nodes)]
+        return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+
+    def verify_integrity(self) -> None:
+        """Check the encode-time CRCs; no-op when they were never stamped."""
+        check_crcs(self, self.FMT, *self._crc_metadata())
+
+    def _crc_metadata(self) -> tuple[np.ndarray | int, ...]:
+        """What ``meta_crc`` covers: the ``METADATA_FIELDS`` arrays."""
+        return tuple(getattr(self, name) for name in self.METADATA_FIELDS)
 
 
 def parse_payload_words(payload: np.ndarray, *, fmt: str) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import CorruptMetadataError, CorruptStreamError
+from repro.core.errors import CorruptStreamError
 from repro.formats.graph import Graph
-from repro.formats.integrity import arrays_crc32, decode_by_vertex
+from repro.formats.integrity import ListContainer, arrays_crc32, pack_lists
 
 __all__ = ["LigraPlusGraph", "ligra_encode", "ligra_encode_list", "ligra_decode_list"]
 
@@ -137,7 +137,7 @@ def ligra_decode_list(v: int, degree: int, data: np.ndarray, offset: int = 0) ->
 
 
 @dataclass(frozen=True)
-class LigraPlusGraph:
+class LigraPlusGraph(ListContainer):
     """Whole-graph Ligra+ container.
 
     Ligra+ keeps the uncompressed vertex array (offsets + degrees); we
@@ -146,84 +146,30 @@ class LigraPlusGraph:
     """
 
     graph: Graph
-    offsets: np.ndarray  # int64, |V|+1 exclusive byte offsets
-    data: np.ndarray  # uint8 payload
-    #: CRC32 over ``data`` / ``offsets``, stamped by
-    #: :func:`ligra_encode`; ``None`` on hand-built containers.
-    payload_crc: int | None = None
-    meta_crc: int | None = None
 
-    #: Fault surface (see :class:`~repro.core.efg.EFGraph`).
-    PAYLOAD_FIELD = "data"
-    METADATA_FIELDS = ("offsets",)
+    FMT = "ligra"
 
     @property
-    def num_nodes(self) -> int:
-        """|V|."""
-        return self.graph.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """|E|."""
-        return self.graph.num_edges
+    def vlist(self) -> np.ndarray:
+        """The embedded graph's degree prefix sum."""
+        return self.graph.vlist
 
     @property
     def nbytes(self) -> int:
         """Storage: per-vertex offset (4 B) + degree (4 B) + payload."""
         return 8 * self.num_nodes + 4 + int(self.data.shape[0])
 
-    def neighbours(self, v: int) -> np.ndarray:
-        """Decode vertex ``v``'s list."""
-        if not 0 <= v < self.num_nodes:
-            raise IndexError(f"vertex {v} out of range")
-        degree = int(self.graph.degrees[v])
-        if degree < 0:
-            raise CorruptMetadataError(
-                "negative degree (vlist not monotone)", fmt="ligra", vertex=v
-            )
-        lo = int(self.offsets[v])
-        if not 0 <= lo <= int(self.data.shape[0]):
-            raise CorruptMetadataError(
-                f"list offset {lo} outside the {int(self.data.shape[0])}"
-                "-byte payload",
-                fmt="ligra",
-                vertex=v,
-            )
-        return ligra_decode_list(v, degree, self.data, lo)
-
-    def decode_all(self) -> np.ndarray:
-        """Every list, flat int64 in CSR order."""
-        return decode_by_vertex(self)
-
-    def verify_integrity(self) -> None:
-        """Check the encode-time CRCs; no-op when they were never stamped."""
-        if self.meta_crc is not None and arrays_crc32(self.offsets) != self.meta_crc:
-            raise CorruptMetadataError("metadata checksum mismatch", fmt="ligra")
-        if self.payload_crc is not None and arrays_crc32(self.data) != self.payload_crc:
-            raise CorruptStreamError("payload checksum mismatch", fmt="ligra")
-
-    def list_nbytes(self, v: int | np.ndarray) -> np.ndarray:
-        """Compressed byte length of one or many lists."""
-        v = np.asarray(v)
-        return (self.offsets[v + 1] - self.offsets[v]).astype(np.int64)
+    def decode_list(self, v: int) -> np.ndarray:
+        """Decode list ``v`` of its known degree."""
+        lo = self.list_start(v)
+        return ligra_decode_list(v, int(self.degrees[v]), self.data, lo)
 
 
 def ligra_encode(graph: Graph) -> LigraPlusGraph:
     """Encode every neighbour list; offline step."""
-    chunks: list[bytes] = []
-    offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-    for v in range(graph.num_nodes):
-        blob = ligra_encode_list(v, graph.neighbours(v))
-        chunks.append(blob)
-        offsets[v + 1] = offsets[v] + len(blob)
-    data = (
-        np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        if chunks
-        else np.empty(0, dtype=np.uint8)
+    offsets, data = pack_lists(
+        ligra_encode_list(v, graph.neighbours(v)) for v in range(graph.num_nodes)
     )
-    for arr in (offsets, data):
-        if arr.flags.writeable:
-            arr.flags.writeable = False
     return LigraPlusGraph(
         graph=graph, offsets=offsets, data=data,
         payload_crc=arrays_crc32(data),

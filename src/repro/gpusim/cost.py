@@ -195,8 +195,6 @@ class AccessPattern(enum.Enum):
     #: Data-dependent scatter/gather — every element pulls a whole
     #: sector (device) or cacheline (host link).
     RANDOM = "random"
-    #: One fetch shared by the whole block (e.g. a list header).
-    BROADCAST = "broadcast"
 
 
 @dataclass(frozen=True)
@@ -381,8 +379,6 @@ class CostModel:
             raise ValueError("count and elem_bytes must be non-negative")
         if pattern is AccessPattern.COALESCED:
             return float(count * elem_bytes)
-        if pattern is AccessPattern.BROADCAST:
-            return float(elem_bytes)
         # RANDOM: each access pulls a whole transfer unit.
         if residency is Residency.DEVICE:
             unit = self.device.sector_bytes

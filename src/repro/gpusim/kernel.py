@@ -31,25 +31,17 @@ class KernelLaunch:
 
     # -- memory traffic -------------------------------------------------
 
-    def read(
-        self,
-        array: str,
-        count: int,
-        elem_bytes: int,
-        pattern: AccessPattern = AccessPattern.COALESCED,
-    ) -> None:
-        """Record ``count`` reads of ``elem_bytes`` from ``array``."""
-        self.model.charge(self.cost, array, count, elem_bytes, pattern)
+    def read(self, array: str, count: int, elem_bytes: int) -> None:
+        """Record ``count`` coalesced reads of ``elem_bytes`` from ``array``."""
+        self.model.charge(
+            self.cost, array, count, elem_bytes, AccessPattern.COALESCED
+        )
 
-    def write(
-        self,
-        array: str,
-        count: int,
-        elem_bytes: int,
-        pattern: AccessPattern = AccessPattern.COALESCED,
-    ) -> None:
+    def write(self, array: str, count: int, elem_bytes: int) -> None:
         """Record writes; charged like reads (write-allocate traffic)."""
-        self.model.charge(self.cost, array, count, elem_bytes, pattern)
+        self.model.charge(
+            self.cost, array, count, elem_bytes, AccessPattern.COALESCED
+        )
 
     def atomic(self, array: str, count: int, elem_bytes: int = 4) -> None:
         """Record atomics: a random read-modify-write per operation."""
@@ -119,20 +111,16 @@ class KernelLaunch:
             raise ValueError(f"negative instruction count: {count}")
         self.cost.instructions += float(count)
 
-    def bitmask_ops(self, count: float, lanes: int = 64) -> None:
+    def bitmask_ops(self, count: float) -> None:
         """Record ``count`` wide bitmask ALU operations.
 
-        One 64-bit OR/AND/shift updates the traversal state of ``lanes``
+        One 64-bit OR/AND/shift updates the traversal state of up to 64
         concurrent sources at once — the bit-parallel multi-source BFS
         trick.  Each op costs a single data-parallel instruction no
-        matter how many sources it serves; ``lanes`` documents the
-        amortization (and guards against claiming more than 64 on the
-        u64 masks the traversals use).
+        matter how many sources it serves.
         """
         if count < 0:
             raise ValueError(f"negative bitmask op count: {count}")
-        if not 1 <= lanes <= 64:
-            raise ValueError(f"lanes must be in [1, 64], got {lanes}")
         self.cost.instructions += float(count)
 
     def serial_work(self, lane_instructions: float) -> None:

@@ -37,6 +37,7 @@ from repro.core.errors import CorruptMetadataError, CorruptStreamError
 from repro.formats.graph import Graph
 from repro.formats.integrity import (
     arrays_crc32,
+    check_crcs,
     parse_payload_words,
     validate_csr_arrays,
 )
@@ -136,20 +137,9 @@ class GraphContainer:
 
     def verify_integrity(self) -> None:
         """Check both CRC stamps against the current bytes (typed errors)."""
-        actual = arrays_crc32(self.payload)
-        if actual != self.payload_crc:
-            raise CorruptStreamError(
-                "payload CRC mismatch: stored "
-                f"{self.payload_crc:#010x} != actual {actual:#010x}",
-                fmt="container",
-            )
-        actual = arrays_crc32(self.vlist, int(self.directed), CONTAINER_VERSION)
-        if actual != self.meta_crc:
-            raise CorruptMetadataError(
-                "metadata CRC mismatch: stored "
-                f"{self.meta_crc:#010x} != actual {actual:#010x}",
-                fmt="container",
-            )
+        check_crcs(
+            self, "container", self.vlist, int(self.directed), CONTAINER_VERSION
+        )
 
     def validate(self) -> None:
         """Structural validation: offsets monotone, neighbour ids in range."""

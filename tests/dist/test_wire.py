@@ -17,6 +17,7 @@ from repro.dist.wire import (
     VarintCodec,
     get_codec,
 )
+from repro.ef.bounds import ef_num_lower_bits, ef_upper_bits
 
 CONCRETE = [
     RawCodec(), Raw64Codec(), BitmapCodec(), VarintCodec(), EliasFanoCodec()
@@ -52,14 +53,6 @@ class TestRoundTrip:
         ids = np.array([lo, lo + 1, hi - 1], dtype=np.int64)
         assert np.array_equal(codec.decode(codec.encode(ids, lo, hi), lo, hi), ids)
 
-    @pytest.mark.parametrize("codec", CONCRETE, ids=lambda c: c.name)
-    def test_encoded_nbytes_matches_encode(self, rng, codec):
-        lo, hi = 0, 4096
-        ids = _ids(rng, lo, hi, 300)
-        assert codec.encoded_nbytes(ids, lo, hi) == codec.encode(
-            ids, lo, hi
-        ).shape[0]
-
     def test_rejects_unsorted(self):
         for codec in CONCRETE:
             with pytest.raises(ValueError):
@@ -74,12 +67,12 @@ class TestRoundTrip:
 class TestSizes:
     def test_raw_is_4_bytes_per_id(self, rng):
         ids = _ids(rng, 0, 1000, 100)
-        assert RawCodec().encoded_nbytes(ids, 0, 1000) == 4 * ids.shape[0]
+        assert RawCodec().encode(ids, 0, 1000).shape[0] == 4 * ids.shape[0]
 
     def test_raw64_is_frontier_width(self, rng):
         ids = _ids(rng, 0, 1000, 100)
         assert (
-            Raw64Codec().encoded_nbytes(ids, 0, 1000)
+            Raw64Codec().encode(ids, 0, 1000).shape[0]
             == FRONTIER_ID_BYTES * ids.shape[0]
         )
 
@@ -93,8 +86,8 @@ class TestSizes:
 
     def test_bitmap_size_is_range_bits(self):
         ids = np.array([0], dtype=np.int64)
-        assert BitmapCodec().encoded_nbytes(ids, 0, 800) == 100
-        assert BitmapCodec().encoded_nbytes(ids, 0, 801) == 101
+        assert BitmapCodec().encode(ids, 0, 800).shape[0] == 100
+        assert BitmapCodec().encode(ids, 0, 801).shape[0] == 101
 
     def test_bitmap_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -103,20 +96,20 @@ class TestSizes:
     def test_dense_frontier_bitmap_beats_raw(self):
         # Density > 1/32 of the range: one bit per vertex wins over 4 B.
         ids = np.arange(0, 1024, 8, dtype=np.int64)
-        bitmap = BitmapCodec().encoded_nbytes(ids, 0, 1024)
-        raw = RawCodec().encoded_nbytes(ids, 0, 1024)
+        bitmap = BitmapCodec().encode(ids, 0, 1024).shape[0]
+        raw = RawCodec().encode(ids, 0, 1024).shape[0]
         assert bitmap < raw
 
     def test_sparse_frontier_varint_beats_bitmap(self):
         ids = np.array([5, 900_000], dtype=np.int64)
-        varint = VarintCodec().encoded_nbytes(ids, 0, 1_000_000)
-        bitmap = BitmapCodec().encoded_nbytes(ids, 0, 1_000_000)
+        varint = VarintCodec().encode(ids, 0, 1_000_000).shape[0]
+        bitmap = BitmapCodec().encode(ids, 0, 1_000_000).shape[0]
         assert varint < bitmap
 
     def test_varint_small_gaps_one_byte_each(self):
         ids = np.arange(100, 150, dtype=np.int64)
         # First gap (100-lo=100) also fits one byte? 100 < 128 yes.
-        assert VarintCodec().encoded_nbytes(ids, 0, 1000) == 50
+        assert VarintCodec().encode(ids, 0, 1000).shape[0] == 50
 
 
 class TestVarintEdges:
@@ -158,14 +151,18 @@ class TestEliasFano:
         payload = codec.encode(ids, lo, hi)
         # 4-byte count, then lower/upper bitvectors sized by (n, u).
         assert int.from_bytes(payload[:4].tobytes(), "little") == 400
-        assert payload.shape[0] == codec.encoded_nbytes(ids, lo, hi)
+        u = hi - lo - 1
+        l = ef_num_lower_bits(400, u)
+        assert payload.shape[0] == (
+            4 + (400 * l + 7) // 8 + (ef_upper_bits(400, u) + 7) // 8
+        )
 
     def test_sparse_frontier_ef_beats_raw_and_bitmap(self, rng):
         lo, hi = 0, 1 << 20
         ids = _ids(rng, lo, hi, 256)
-        ef = EliasFanoCodec().encoded_nbytes(ids, lo, hi)
-        assert ef < RawCodec().encoded_nbytes(ids, lo, hi)
-        assert ef < BitmapCodec().encoded_nbytes(ids, lo, hi)
+        ef = EliasFanoCodec().encode(ids, lo, hi).shape[0]
+        assert ef < RawCodec().encode(ids, lo, hi).shape[0]
+        assert ef < BitmapCodec().encode(ids, lo, hi).shape[0]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -242,8 +239,8 @@ class TestAuto:
             np.array([7, 4000], dtype=np.int64),  # sparse -> varint
         ):
             chosen = auto.trial(ids, lo, hi)[0]
-            assert chosen.encoded_nbytes(ids, lo, hi) == min(
-                c.encoded_nbytes(ids, lo, hi) for c in auto._candidates
+            assert chosen.encode(ids, lo, hi).shape[0] == min(
+                c.encode(ids, lo, hi).shape[0] for c in auto._candidates
             )
 
     def test_auto_decode_raises(self):
@@ -253,8 +250,8 @@ class TestAuto:
     def test_auto_nbytes_is_min(self, rng):
         ids = _ids(rng, 0, 2048, 200)
         auto = AutoCodec()
-        assert auto.encoded_nbytes(ids, 0, 2048) == min(
-            c.encoded_nbytes(ids, 0, 2048) for c in auto._candidates
+        assert auto.encode(ids, 0, 2048).shape[0] == min(
+            c.encode(ids, 0, 2048).shape[0] for c in auto._candidates
         )
 
     def test_ef_is_a_candidate_and_wins_sparse_wide_ranges(self, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.web import web_graph
-from repro.formats.bv import bv_decode_list, bv_encode
+from repro.formats.bv import bv_encode
 from repro.formats.csr import CSRGraph
 from repro.formats.graph import Graph
 

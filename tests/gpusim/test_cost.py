@@ -68,10 +68,6 @@ class TestEffectiveBytes:
         assert model.effective_bytes(100, 4, AccessPattern.RANDOM,
                                      Residency.HOST) == 100 * 128
 
-    def test_broadcast(self, model):
-        assert model.effective_bytes(1000, 8, AccessPattern.BROADCAST,
-                                     Residency.DEVICE) == 8
-
     def test_negative_rejected(self, model):
         with pytest.raises(ValueError):
             model.effective_bytes(-1, 4, AccessPattern.COALESCED,
@@ -224,8 +220,6 @@ class TestLedger:
                 model.charge(cost, array, count, elem, pattern)
                 if pattern is AccessPattern.COALESCED:
                     moved = count * elem
-                elif pattern is AccessPattern.BROADCAST:
-                    moved = elem
                 else:
                     moved = count * max(elem, unit[array])
                 key, residency = array, column[array]

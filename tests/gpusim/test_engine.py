@@ -153,10 +153,6 @@ class TestCachedAndBitmaskHooks:
         with engine.launch("ms") as k:
             with pytest.raises(ValueError):
                 k.bitmask_ops(-1)
-            with pytest.raises(ValueError):
-                k.bitmask_ops(1, lanes=65)
-            with pytest.raises(ValueError):
-                k.bitmask_ops(1, lanes=0)
 
 
 class TestCounters:
