@@ -88,14 +88,17 @@ def test_multigpu_vs_compression(benchmark, results_dir):
         # without the second device.
         assert r["efg_1gpu_ms"] < 4.0 * r["csr_2gpu_ms"], r["name"]
     # The social graph's scattered neighbours generate the heaviest
-    # all-to-all exchange of the suite (even after the sender dedupes
-    # repeat discoveries, which is what keeps 2-GPU competitive with
-    # 1-GPU EFG here — compression still needs no interconnect at all).
+    # all-to-all exchange of the suite (even after each sender dedupes
+    # repeat discoveries within a level and its visited view drops the
+    # ids it sent in earlier levels, which is what keeps 2-GPU
+    # competitive with 1-GPU EFG here — compression still needs no
+    # interconnect at all).  It measures 0.250 MB; 0.501 MB before the
+    # views.
     frnd = next(r for r in records if r["name"] == "com-frndster")
     assert frnd["exchanged_mb_2gpu"] == max(
         r["exchanged_mb_2gpu"] for r in records
     )
-    assert frnd["exchanged_mb_2gpu"] > 0.3
+    assert frnd["exchanged_mb_2gpu"] > 0.2
     assert frnd["efg_1gpu_ms"] < 2.0 * frnd["csr_2gpu_ms"]
 
 

@@ -3,14 +3,25 @@
 The classic 1-D partitioned BFS the multi-GPU systems in the paper's
 introduction run: every level, each GPU partially sorts and expands its
 shard of the frontier (the same Sec. VI-E sort the single-GPU drivers
-use), packs the discovered neighbours into per-owner buckets, exchanges
-them through the wire codec, and the owners claim unvisited vertices to
-form the next frontier.  Per-level simulated time is the
-bulk-synchronous ``max`` over GPUs of local work plus the exchange.
+use), drops the neighbours its visited view already holds, packs the
+rest into per-owner buckets, exchanges them through the wire codec, and
+the owners claim unvisited vertices to form the next frontier.
+Per-level simulated time is the bulk-synchronous ``max`` over GPUs of
+local work plus the exchange.
+
+Each GPU's visited view (``work:visited``, one flag per vertex of the
+whole graph) is its record of what the owners already hold: its own
+slice, set by its claims, plus every remote id it has sent.  A sent id
+is claimed by its owner at the next level or was visited already, so a
+resend could never win a claim: the view sends each id at most once
+per GPU and run without changing a level (the sender-side filter of
+the Romera thesis; Gunrock culls with a visited bitmask the same way).
+The level's ``edges`` still count every expanded neighbour.
 
 Levels are bit-identical to single-GPU :func:`repro.traversal.bfs.bfs`
-for every codec and schedule: codecs round-trip exactly and claims are
-order-independent, so only the *costs* differ — which is the point.
+for every codec and schedule: codecs round-trip exactly, claims are
+order-independent and the view drops only ids no claim could take, so
+only the *costs* differ — which is the point.
 """
 
 from __future__ import annotations
@@ -68,10 +79,11 @@ def distributed_bfs(
     cluster.reset()
 
     levels = np.full(nv, -1, dtype=np.int64)
-    visited = np.zeros(nv, dtype=bool)
     levels[source] = 0
-    visited[source] = True
     frontiers = cluster.source_frontiers(source)
+    views = [np.zeros(nv, dtype=bool) for _ in frontiers]
+    for view, frontier in zip(views, frontiers):
+        view[frontier] = True
 
     def expand(g, backend):
         frontier = frontiers[g]
@@ -84,12 +96,17 @@ def distributed_bfs(
             )
         with engine.launch("dist_expand") as k:
             nbrs, _ = backend.expand(frontier, k)
+            # Probe the view per neighbour; one compare drops the ids
+            # whose owners already hold them.
             k.read_stream("work:visited", nbrs, 1)
-        return nbrs, None
+            k.instructions(nbrs.shape[0])
+            kept = nbrs[~views[g][nbrs]]
+        return kept, None, int(nbrs.shape[0] - kept.shape[0])
 
     def claim(g, k, candidates, _):
-        fresh = candidates[~visited[candidates]]
-        won = atomic_or_claim(visited, fresh)
+        view = views[g]
+        fresh = candidates[~view[candidates]]
+        won = atomic_or_claim(view, fresh)
         mine = fresh[won]
         k.read_stream("work:visited", candidates, 1)
         k.instructions(2.0 * candidates.shape[0])
@@ -109,6 +126,7 @@ def distributed_bfs(
                 frontiers = cluster.superstep(
                     sp, expand, claim,
                     expand_kernel="dist_expand", claim_kernel="dist_claim",
+                    views=views,
                 )
                 sp.annotate(claimed=int(sum(f.shape[0] for f in frontiers)))
             depth += 1

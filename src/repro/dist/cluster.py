@@ -14,7 +14,9 @@ PageRank) is its state plus two kernel bodies per level:
   per-GPU local phase, :meth:`pack` (dedupe/sort the discovered ids,
   optionally folding a value per id, bucket them by owner, charged at
   the device frontier width
-  :data:`~repro.dist.wire.FRONTIER_ID_BYTES`), :meth:`exchange_buckets`
+  :data:`~repro.dist.wire.FRONTIER_ID_BYTES`, and, for a driver that
+  keeps visited views, marking the remote ids it sends in the sending
+  GPU's view), :meth:`exchange_buckets`
   (the all-to-all through the codec and topology), and the driver's
   per-GPU owner phase inside the claim kernel, which is charged the
   receive-side decode first.  It then prices the level, advances the
@@ -75,9 +77,11 @@ class LevelCharge:
     synchronization (PageRank's scalar allreduce), when one was priced
     into the level; ``sync_seconds`` is its price,
     :meth:`~repro.dist.topology.LinkTopology.step_seconds` of it.
-    ``edges`` counts the ids the level's local phase returned and
-    ``overlapped_seconds`` the exchange time hidden under the longer
-    phase (0 without overlap).
+    ``edges`` counts the ids the level's local phase expanded,
+    ``filtered`` those of them a visited view dropped before the pack
+    (``None`` for a driver without views, so ``edges - filtered`` ids
+    were handed to the pack) and ``overlapped_seconds`` the exchange
+    time hidden under the longer phase (0 without overlap).
     """
 
     name: str
@@ -91,6 +95,9 @@ class LevelCharge:
     expand_kernel: str = ""
     claim_kernel: str = ""
     edges: int = 0
+    filtered: int | None = None
+    #: Ids handed to the pack, counted at the pack call.
+    packed: int = 0
     overlapped_seconds: float = 0.0
 
     @property
@@ -223,7 +230,7 @@ class ShardedCluster:
 
     @property
     def edges(self) -> int:
-        """Ids the local phases returned so far, summed over the charges."""
+        """Ids the local phases expanded so far, summed over the charges."""
         return sum(charge.edges for charge in self.charges)
 
     @contextmanager
@@ -284,13 +291,17 @@ class ShardedCluster:
         ids: np.ndarray,
         values: np.ndarray | None = None,
         combine: str | None = None,
+        view: np.ndarray | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
         """Dedupe + owner-bucket one GPU's discoveries; charge the kernel.
 
         Returns one sorted-unique id bucket per owner (and the folded
         values per bucket when ``values`` is given).  The bucket write
         is charged at the device frontier width — the wire encoding is
-        charged later, on the link, by :meth:`exchange_buckets`.
+        charged later, on the link, by :meth:`exchange_buckets`.  With a
+        visited ``view`` (``nv`` flags), the ids of the remote buckets
+        are set in it: their owners hold them from the next claim on, so
+        the sender need never send them again.
         """
         backend = self.backends[gpu]
         ids = np.asarray(ids, dtype=np.int64)
@@ -318,6 +329,14 @@ class ShardedCluster:
             k.write("work:frontier", int(uniq.shape[0]), FRONTIER_ID_BYTES)
             if folded is not None:
                 k.write("work:frontier", int(uniq.shape[0]), 4)
+            if view is not None:
+                sent = np.concatenate(
+                    (uniq[: cuts[gpu]], uniq[cuts[gpu + 1] :])
+                )
+                view[sent] = True
+                # One 1-byte flag write per sent id, in sorted order (a
+                # write stream, charged like the read stream it mirrors).
+                k.read_stream("work:visited", sent, 1)
         return buckets, val_buckets
 
     def exchange_buckets(
@@ -375,6 +394,7 @@ class ShardedCluster:
         claim_kernel: str,
         combine: str | None = None,
         sync_record: dict | None = None,
+        views: list[np.ndarray] | None = None,
     ) -> list:
         """Run one bulk-synchronous level and price it; returns the
         ``owner`` results in GPU order.
@@ -385,6 +405,11 @@ class ShardedCluster:
           without one) — or ``None`` when it has nothing to send.  The
           cluster packs returned ids on the same engine, so the phase
           costs the max over GPUs of local work plus pack.
+        * With ``views`` (one visited view of ``nv`` flags per GPU, BFS's
+          record of what the owners already hold), ``local`` returns
+          ``(ids, values, filtered)``: the ids it kept and the number of
+          expanded ids it dropped because ``views[g]`` held them.  The
+          pack then marks the remote ids it sends in ``views[g]``.
         * :meth:`exchange_buckets` delivers the buckets to their owners.
         * ``owner(g, kernel, ids, values)`` runs inside GPU ``g``'s
           ``claim_kernel`` launch, after the receive-side decode of the
@@ -395,12 +420,13 @@ class ShardedCluster:
         sync such as PageRank's scalar allreduce, priced from its step
         record ``sync_record``) advances the clock and is appended as a
         :class:`LevelCharge` named after ``span``, with the number of ids
-        the local phase returned as its ``edges``.
+        the local phase expanded (kept plus filtered) as its ``edges``.
         """
         outgoing: list[list[np.ndarray]] = []
         out_values: list[list[np.ndarray] | None] = []
         expand_seconds = 0.0
-        edges = 0
+        edges = packed = 0
+        filtered = None if views is None else 0
         for g, backend in enumerate(self.backends):
             before = backend.engine.elapsed_seconds
             found = local(g, backend)
@@ -410,9 +436,17 @@ class ShardedCluster:
                 if combine is not None:
                     vals = [np.empty(0, dtype=np.float64)] * self.num_gpus
             else:
-                ids, values = found
+                if views is None:
+                    ids, values = found
+                    view = None
+                else:
+                    ids, values, dropped = found
+                    filtered += dropped
+                    edges += dropped
+                    view = views[g]
                 edges += int(ids.shape[0])
-                buckets, vals = self.pack(g, ids, values, combine)
+                packed += int(ids.shape[0])
+                buckets, vals = self.pack(g, ids, values, combine, view)
             outgoing.append(buckets)
             out_values.append(vals)
             expand_seconds = max(
@@ -444,6 +478,8 @@ class ShardedCluster:
 
         self._finish_level(
             span, expand_seconds, stats, claim_seconds, edges,
+            filtered=filtered,
+            packed=packed,
             sync_record=sync_record,
             expand_kernel=expand_kernel,
             claim_kernel=claim_kernel,
@@ -458,6 +494,8 @@ class ShardedCluster:
         claim_seconds: float,
         edges: int,
         *,
+        filtered: int | None,
+        packed: int,
         sync_record: dict | None,
         expand_kernel: str,
         claim_kernel: str,
@@ -478,6 +516,8 @@ class ShardedCluster:
         if self.overlap:
             overlapped = min(expand_seconds, stats.seconds)
             self.metrics.inc("dist.overlapped_seconds", overlapped)
+        if filtered is not None:
+            self.metrics.inc("dist.filtered_ids", filtered)
         self.clock += level_seconds(
             expand_seconds, stats.seconds, claim_seconds, sync_seconds,
             self.overlap,
@@ -494,6 +534,8 @@ class ShardedCluster:
                 expand_kernel=expand_kernel,
                 claim_kernel=claim_kernel,
                 edges=edges,
+                filtered=filtered,
+                packed=packed,
                 overlapped_seconds=overlapped,
             )
         )

@@ -1,11 +1,19 @@
 """1-D vertex partitioning for sharded traversal.
 
 Vertices are range-partitioned into ``num_gpus`` contiguous shards;
-each GPU stores the out-lists of its own vertices (in any backend
-format) plus its slice of the visited bitmap and level array.  This is
-the standard 1-D decomposition of the multi-GPU BFS literature: local
-expansion produces neighbours owned by arbitrary shards, which the
-exchange step routes to their owners.
+each GPU expands the out-lists of its own vertices (in any backend
+format) and claims only its own vertices.  This is the standard 1-D
+decomposition of the multi-GPU BFS literature: local expansion produces
+neighbours owned by arbitrary shards, which the exchange step routes to
+their owners.
+
+What a shard stores is wider than what it owns.  :meth:`VertexPartition.
+subgraph` keeps the full ``nv + 1`` row offsets (rows of other shards
+are empty), and each shard's backend registers its ``work:*`` arrays at
+the global ``nv``.  For ``work:visited`` that is a stated choice:
+distributed BFS keeps one global-sized visited view per GPU, its own
+slice plus the remote ids it has sent, so it can drop ids their owners
+already hold before they reach the wire (``docs/model.md``).
 """
 
 from __future__ import annotations

@@ -10,15 +10,17 @@ spans.  Identical runs produce byte-identical dumps, so ``repro
 compare`` gates distributed workloads exactly like single-GPU ones.
 
 :func:`dist_report` renders the per-level story as a table: frontier
-size, wire bytes (split intra/inter on two-tier topologies), the
-expand/exchange/claim split, and which term bound each level.
+size, expanded edges (and, for a run with visited views, the ids the
+views dropped), wire bytes (split intra/inter on two-tier topologies),
+the expand/exchange/claim split, and which term bound each level.
 
 :func:`verify_dist_attribution` extends the single-GPU attribution
 invariant (:func:`repro.obs.counters.verify_attribution`) to cluster
 runs: every shard engine's per-array bytes must sum exactly to its
 launch columns, and the cluster's wire counters must decompose exactly
 — ``id + value + header == wire`` and ``intra + inter == wire`` — with
-the level charges' exchanges summing back to the counters.
+the level charges' exchanges summing back to the counters, and every
+level's expanded ids must split exactly into filtered and packed ids.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _levels(cluster: ShardedCluster) -> list[tuple[LevelCharge, dict]]:
 def _level_section(charge: LevelCharge, facts: dict) -> dict:
     """One level's numeric row of the dump's ``levels`` section."""
     ex = charge.exchange
-    return {
+    row = {
         "frontier_size": float(facts.get("frontier_size", 0.0)),
         "edges_expanded": float(charge.edges),
         "wire_bytes": float(ex.wire_bytes),
@@ -76,6 +78,9 @@ def _level_section(charge: LevelCharge, facts: dict) -> dict:
         "intra_seconds": ex.tier_seconds("intra"),
         "inter_seconds": ex.tier_seconds("inter"),
     }
+    if charge.filtered is not None:
+        row["filtered_ids"] = float(charge.filtered)
+    return row
 
 
 def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
@@ -168,9 +173,11 @@ def dist_run_metrics(cluster: ShardedCluster, meta: dict | None = None) -> dict:
 def dist_report(cluster: ShardedCluster) -> str:
     """Per-level table of one finished cluster run."""
     tiered = cluster.topology.num_nodes > 1
-    header = (
-        f"{'level':14s} {'frontier':>9s} {'edges':>9s} {'wire B':>9s} "
-    )
+    viewed = any(charge.filtered is not None for charge in cluster.charges)
+    header = f"{'level':14s} {'frontier':>9s} {'edges':>9s} "
+    if viewed:
+        header += f"{'filtered':>9s} "
+    header += f"{'wire B':>9s} "
     if tiered:
         header += f"{'inter B':>9s} "
     header += (
@@ -196,8 +203,10 @@ def dist_report(cluster: ShardedCluster) -> str:
             f"{charge.name:14s} "
             f"{int(facts.get('frontier_size', 0)):9d} "
             f"{charge.edges:9d} "
-            f"{int(ex.wire_bytes):9d} "
         )
+        if viewed:
+            row += f"{charge.filtered or 0:9d} "
+        row += f"{int(ex.wire_bytes):9d} "
         if tiered:
             row += f"{int(ex.tier_bytes['inter']):9d} "
         row += (
@@ -254,7 +263,11 @@ def verify_dist_attribution(cluster: ShardedCluster) -> None:
        ``id_bytes + value_bytes + header_bytes == wire_bytes`` and
        ``sum(tier bytes) == wire_bytes``;
     3. the level charges' :class:`~repro.dist.exchange.ExchangeStats`
-       sum back to the counters, both in aggregate and per tier.
+       sum back to the counters, both in aggregate and per tier;
+    4. per level, the expanded ids are exactly the ids a visited view
+       filtered plus the ids handed to the pack (so a view's drops never
+       leak out of ``edges``), and the filtered ids sum to the
+       ``dist.filtered_ids`` counter.
 
     Raises ``AssertionError`` naming the first violated equality.
     """
@@ -294,3 +307,17 @@ def verify_dist_attribution(cluster: ShardedCluster) -> None:
             raise AssertionError(
                 f"charged {tier} bytes {charged} != counter {counted}"
             )
+    filtered = 0
+    for charge in cluster.charges:
+        dropped = charge.filtered or 0
+        if charge.edges != dropped + charge.packed:
+            raise AssertionError(
+                f"{charge.name}: expanded ids {charge.edges} != filtered "
+                f"{dropped} + packed {charge.packed}"
+            )
+        filtered += dropped
+    counted = counters.get("dist.filtered_ids", 0.0)
+    if filtered != counted:
+        raise AssertionError(
+            f"charged filtered ids {filtered} != counter {counted}"
+        )

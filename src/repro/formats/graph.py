@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.primitives.unique import sorted_unique
+from repro.primitives.unique import dedupe_sorted, sorted_unique
 
 __all__ = ["Graph"]
 
@@ -107,11 +107,12 @@ class Graph:
             raise ValueError("negative vertex ids")
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise ValueError("vertex id >= num_nodes")
-        # Sort by (src, dst) then dedupe.
+        # Sort by (src, dst) in place, then dedupe.
         key = src.astype(np.int64)
         key *= np.int64(num_nodes)
         key += dst
-        key = sorted_unique(key)
+        key.sort()
+        key = dedupe_sorted(key)
         # Row v holds the keys in [v * num_nodes, (v + 1) * num_nodes).
         bounds = np.arange(num_nodes + 1, dtype=np.int64)
         bounds *= np.int64(num_nodes)

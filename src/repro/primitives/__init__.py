@@ -6,7 +6,8 @@ searches (``binsearch_maxle``), the partial frontier sort, the bitmap
 scatter, and the bit-manipulation helpers (``popcount``,
 ``select1_byte``) that back the Elias-Fano ``select`` operation, plus
 the sort-based dedup
-(``sorted_unique``, ``fold_duplicates``) behind every sorted id set.
+(``sorted_unique``, ``dedupe_sorted``, ``fold_duplicates``) behind every
+sorted id set.
 
 Everything here is vectorized NumPy: a call operates on a whole "grid" of
 threads at once, mirroring what one warp/thread-block instruction does on
@@ -27,7 +28,11 @@ from repro.primitives.scan import (
 )
 from repro.primitives.search import binsearch_maxle
 from repro.primitives.sort import partial_radix_sort_key
-from repro.primitives.unique import fold_duplicates, sorted_unique
+from repro.primitives.unique import (
+    dedupe_sorted,
+    fold_duplicates,
+    sorted_unique,
+)
 
 __all__ = [
     "POPCOUNT_TABLE",
@@ -41,5 +46,6 @@ __all__ = [
     "partial_radix_sort_key",
     "scatter_bitmap_to_indices",
     "sorted_unique",
+    "dedupe_sorted",
     "fold_duplicates",
 ]

@@ -4,16 +4,18 @@ Every adjacency list, frontier merge and exchange bucket in the system is
 a sorted, deduplicated id set (EFG's only precondition, Sec. V).  On
 numpy 2.x a plain ``np.unique(x)`` builds that set through a hash table,
 which is tens of times slower than a sort plus an adjacent-difference mask
-on many-distinct int64 arrays.  ``sorted_unique`` is that sort and mask;
-``fold_duplicates`` is the min/sum fold of the values that ride along
-with duplicate frontier ids (SSSP distances, PageRank contributions).
+on many-distinct int64 arrays.  ``sorted_unique`` is that sort and mask,
+``dedupe_sorted`` the mask alone for a caller that sorted an array it
+owns in place; ``fold_duplicates`` is the min/sum fold of the values
+that ride along with duplicate frontier ids (SSSP distances, PageRank
+contributions).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_unique", "fold_duplicates"]
+__all__ = ["dedupe_sorted", "sorted_unique", "fold_duplicates"]
 
 
 def sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -28,7 +30,16 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.integer):
         raise TypeError(f"sorted_unique takes integer arrays, got {x.dtype}")
-    s = np.sort(x, axis=None)
+    return dedupe_sorted(np.sort(x, axis=None))
+
+
+def dedupe_sorted(s: np.ndarray) -> np.ndarray:
+    """Distinct values of an already sorted 1-D array, in order.
+
+    The adjacent-difference mask of :func:`sorted_unique` without its
+    sort: a caller that owns its key sorts it in place (``key.sort()``)
+    and compacts it here, so no sorted copy is ever live beside it.
+    """
     if s.shape[0] < 2:
         return s
     keep = np.empty(s.shape[0], dtype=bool)

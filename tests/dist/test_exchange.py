@@ -385,7 +385,7 @@ class TestPinnedDumps:
     def test_butterfly_fold_and_unfold(self, tmp_path, capsys):
         argv = ["dist", "bfs", "--gpus", "6", "--schedule", "butterfly"]
         assert self._digest(argv, tmp_path, capsys) == (
-            "fc646ff137ea949fa4c5e85aca3d42566bfef6dd090cfc0c820877ec81babff5"
+            "5f9364ae192c28e60206c010c29d059eda52309a03c00116496c2d779558bb4d"
         )
 
     def test_hierarchical_pagerank_sync(self, tmp_path, capsys):

@@ -86,8 +86,8 @@ DIST_PINS = {
         ["bfs", "--gpus", "8", "--nodes", "2", "--schedule",
          "hierarchical", "--overlap", "--wire", "ef"],
         (
-            "0251afb4bc07395288c96fd8dd5f1e1a5c6b683ac379976a4fb320f54681bd0d",
-            "42fd59801a7bd6714d510c345424142b4025b1b1d0dbe8d007ce70e5e79f7684",
+            "957c74872c078ead11cb276722dd00b7015236928919a6aa8cd4d3f7f8852bf4",
+            "44e0b178dd1c09fb575717db6ed2387ad6c7e72aa63fa4b5953501eb7b7e96e8",
         ),
     ),
     "pagerank-hier": (

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro
-from repro.primitives.unique import fold_duplicates, sorted_unique
+from repro.primitives.unique import (
+    dedupe_sorted,
+    fold_duplicates,
+    sorted_unique,
+)
 
 I64 = np.iinfo(np.int64)
 
@@ -76,6 +80,17 @@ class TestSortedUnique:
     def test_non_integer_raises_type_error(self, dtype):
         with pytest.raises(TypeError, match="integer"):
             sorted_unique(np.zeros(3, dtype=dtype))
+
+
+class TestDedupeSorted:
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.int64, st.integers(0, 300), elements=st.integers(-9, 9)))
+    def test_owned_key_sorted_in_place_matches_np_unique(self, x):
+        key = x.copy()
+        key.sort()
+        got = dedupe_sorted(key)
+        assert got.dtype == key.dtype
+        assert np.array_equal(got, np.unique(x))
 
 
 def _reference_fold(ids, values, combine):
