@@ -5,9 +5,11 @@ introduction run: every level, each GPU partially sorts and expands its
 shard of the frontier (the same Sec. VI-E sort the single-GPU drivers
 use), drops the neighbours its visited view already holds, packs the
 rest into per-owner buckets, exchanges them through the wire codec, and
-the owners claim unvisited vertices to form the next frontier.
-Per-level simulated time is the bulk-synchronous ``max`` over GPUs of
-local work plus the exchange.
+the owners claim unvisited vertices to form the next frontier.  Expand
+and claim run :mod:`repro.traversal.bfs`'s bodies on 8-byte global ids;
+a level adds only the view's drop, the pack, the exchange and the
+receive-side decode.  Per-level simulated time is the bulk-synchronous
+``max`` over GPUs of local work plus the exchange.
 
 Each GPU's visited view (``work:visited``, one flag per vertex of the
 whole graph) is its record of what the owners already hold: its own
@@ -32,8 +34,8 @@ import numpy as np
 
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
-from repro.primitives.compact import atomic_or_claim
 from repro.primitives.sort import launch_partial_sort
+from repro.traversal.bfs import claim, expand_and_probe
 
 __all__ = ["DistBFSResult", "distributed_bfs"]
 
@@ -95,22 +97,15 @@ def distributed_bfs(
                 engine, "dist_sort", frontier, nv, FRONTIER_ID_BYTES,
             )
         with engine.launch("dist_expand") as k:
-            nbrs, _ = backend.expand(frontier, k)
-            # Probe the view per neighbour; one compare drops the ids
-            # whose owners already hold them.
-            k.read_stream("work:visited", nbrs, 1)
+            nbrs, _ = expand_and_probe(backend, frontier, k)
+            # One compare per probed neighbour drops the ids whose
+            # owners already hold them.
             k.instructions(nbrs.shape[0])
             kept = nbrs[~views[g][nbrs]]
         return kept, None, int(nbrs.shape[0] - kept.shape[0])
 
-    def claim(g, k, candidates, _):
-        view = views[g]
-        fresh = candidates[~view[candidates]]
-        won = atomic_or_claim(view, fresh)
-        mine = fresh[won]
-        k.read_stream("work:visited", candidates, 1)
-        k.instructions(2.0 * candidates.shape[0])
-        k.write("work:frontier", int(mine.shape[0]), FRONTIER_ID_BYTES)
+    def owner_claim(g, k, candidates, _):
+        mine = candidates[claim(views[g], candidates, k, FRONTIER_ID_BYTES)]
         levels[mine] = depth + 1
         return mine
 
@@ -124,7 +119,7 @@ def distributed_bfs(
                 frontier=int(sum(f.size for f in frontiers)),
             ) as sp:
                 frontiers = cluster.superstep(
-                    sp, expand, claim,
+                    sp, expand, owner_claim,
                     expand_kernel="dist_expand", claim_kernel="dist_claim",
                     views=views,
                 )

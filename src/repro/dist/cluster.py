@@ -6,7 +6,8 @@ head-to-head the paper's introduction sets up), the link topology, the
 wire codec and the exchange schedule.
 
 The cluster owns the run and level lifecycle, so a driver (BFS, SSSP,
-PageRank) is its state plus two kernel bodies per level:
+PageRank) is its state plus two per-GPU phases per level, which run
+its single-GPU kernel bodies under ``dist_`` kernel names:
 
 * :meth:`algorithm` opens the run's algorithm span and records the
   end-of-run gauges; :meth:`level` opens one level span;

@@ -1,9 +1,10 @@
 """Distributed push-style PageRank with a sum-combining exchange.
 
 Every iteration every vertex is active: each GPU pushes
-``rank[v] / deg[v]`` along its owned out-lists, pre-aggregates the
-partial sums per destination in the pack kernel, and the exchange
-delivers ``(vertex, partial mass)`` pairs to the owners — ids through
+``rank[v] / deg[v]`` along its owned out-lists (the single-GPU
+:func:`~repro.traversal.pagerank.push`), pre-aggregates the partial
+sums per destination in the pack kernel, and the exchange delivers
+``(vertex, partial mass)`` pairs to the owners — ids through
 the wire codec, masses uncompressed at 4 bytes each, duplicates folded
 with ``sum``.  The per-destination pre-aggregation is the classic
 communication optimisation: the wire carries at most one entry per
@@ -29,11 +30,9 @@ import numpy as np
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.topology import tier_record
 from repro.dist.wire import MESSAGE_HEADER_BYTES
+from repro.traversal.pagerank import charge_finalize, push, register_rank2
 
 __all__ = ["DistPageRankResult", "distributed_pagerank"]
-
-#: Wire width of one partial rank mass (float32 accumulator).
-MASS_VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,12 @@ def distributed_pagerank(
     num_gpus = cluster.num_gpus
     partition = cluster.partition
     for b in cluster.backends:
-        b.engine.memory.register("work:rank2", 4 * nv, priority=-1)
+        register_rank2(b.engine, nv)
 
     degrees = cluster.graph.degrees.astype(np.float64)
     out_deg_safe = np.maximum(degrees, 1.0)
     dangling = degrees == 0
-    owned = [
-        np.arange(*partition.bounds(g), dtype=np.int64)
-        for g in range(num_gpus)
-    ]
+    vertices = np.arange(nv, dtype=np.int64)
 
     ranks = np.full(nv, 1.0 / nv, dtype=np.float64)
     converged = False
@@ -96,21 +92,13 @@ def distributed_pagerank(
                 scalar_bytes, scalar_bytes, np.full(num_gpus, count)
             )
 
-    def push(g, backend):
+    def local_push(g, backend):
+        lo, hi = partition.bounds(g)
         with backend.engine.launch("dist_pr_push") as k:
-            if cached[g] is None:
-                nbrs, seg = backend.expand(owned[g], k)
-                cached[g] = (nbrs, seg)
-            else:
-                nbrs, seg = cached[g]
-                # Re-charge the identical decode traffic; the functional
-                # decode is reused across iterations because the shard
-                # is static.
-                backend.charge_expand(owned[g], nbrs, k)
-            src = owned[g][seg]
-            contrib = ranks[src] / out_deg_safe[src]
-            k.read_stream("work:rank2", nbrs, 4)
-            k.instructions(4.0 * nbrs.shape[0])
+            nbrs, seg, contrib = push(
+                backend, vertices[lo:hi], share[lo:hi], cached[g], k
+            )
+        cached[g] = nbrs, seg
         return nbrs, contrib
 
     def finalize(g, k, ids, mass):
@@ -119,9 +107,7 @@ def distributed_pagerank(
         if ids.size:
             acc[ids - lo] = mass
         new_ranks[lo:hi] = (1 - damping) / nv + damping * (acc + dangling_mass)
-        k.read("work:labels", hi - lo, 4)
-        k.write("work:rank2", hi - lo, 4)
-        k.instructions(4.0 * (hi - lo))
+        charge_finalize(k, hi - lo)
         return float(np.abs(new_ranks[lo:hi] - ranks[lo:hi]).sum())
 
     it = 0
@@ -130,13 +116,14 @@ def distributed_pagerank(
     ):
         for it in range(1, max_iterations + 1):
             dangling_mass = ranks[dangling].sum() / nv
+            share = ranks / out_deg_safe
             new_ranks = np.zeros(nv, dtype=np.float64)
             with cluster.level(f"iteration:{it}", it) as sp:
                 # The scalar allreduce needs the finalized ranks: a
                 # serial sync on top of the (possibly overlapped) level.
                 delta = sum(
                     cluster.superstep(
-                        sp, push, finalize,
+                        sp, local_push, finalize,
                         expand_kernel="dist_pr_push",
                         claim_kernel="dist_pr_finalize",
                         combine="sum",

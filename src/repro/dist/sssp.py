@@ -1,14 +1,16 @@
 """Distributed SSSP: frontier relaxation with a min-combining exchange.
 
 Bellman-Ford over the 1-D partition: each iteration every GPU relaxes
-the edges of its owned frontier shard (uncompressed float32 weights, as
-in the single-GPU driver — weights are not compressed), producing
-``(vertex, candidate distance)`` pairs for arbitrary owners.  The
-exchange ships the id stream through the wire codec while each id
+the edges of its owned frontier shard with the single-GPU
+:func:`~repro.traversal.sssp.relax` (float32 weights, uncompressed),
+producing ``(vertex, candidate distance)`` pairs for arbitrary owners.
+The exchange ships the id stream through the wire codec while each id
 carries one 4-byte distance, and duplicates met anywhere along the way
 — in the pack kernel, between senders, at butterfly hops — fold with
 ``min``.  Owners keep the candidates that beat their stored distance;
-those vertices form the next frontier.
+those vertices form the next frontier.  The exchange hands each owner
+sorted unique ids, so every frontier is strictly ascending, as the
+single-GPU driver's bitmap scatter makes it, and needs no sort.
 
 Because min-folding is exact (no floating-point reassociation), the
 resulting distances are bit-identical to single-GPU
@@ -23,12 +25,9 @@ import numpy as np
 
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
-from repro.primitives.sort import SORT_FRACTION, partial_sort_frontier
+from repro.traversal.sssp import relax
 
 __all__ = ["DistSSSPResult", "distributed_sssp"]
-
-#: Wire width of one candidate distance (float32, like the weights).
-DISTANCE_VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -48,32 +47,11 @@ class DistSSSPResult(DistRunResult):
         return self.edges_relaxed / self.sim_seconds / 1e9
 
 
-def _shard_weight_slices(
-    cluster: ShardedCluster, weights: np.ndarray
-) -> list[np.ndarray]:
-    """Per-shard weight arrays indexed by shard-local edge slot.
-
-    Shard ``g`` stores the contiguous global CSR slot range
-    ``[vlist[lo], vlist[hi])`` of its owned rows, and its local slot 0
-    is global slot ``vlist[lo]`` — so the slice lines up with the edge
-    slots that
-    :meth:`~repro.traversal.backends.GraphBackend.expand_weighted`
-    gathers for global frontier ids.
-    """
-    vlist = cluster.graph.vlist
-    slices = []
-    for g in range(cluster.num_gpus):
-        lo, hi = cluster.partition.bounds(g)
-        slices.append(weights[vlist[lo] : vlist[hi]])
-    return slices
-
-
 def distributed_sssp(
     cluster: ShardedCluster,
     source: int,
     weights: np.ndarray,
     max_iterations: int | None = None,
-    partial_sort: bool = True,
 ) -> DistSSSPResult:
     """Shortest paths from ``source`` across the cluster's shards.
 
@@ -87,28 +65,27 @@ def distributed_sssp(
     weights = np.asarray(weights, dtype=np.float32)
     if weights.shape[0] != cluster.graph.num_edges:
         raise ValueError("one weight per stored arc required")
-    slices = _shard_weight_slices(cluster, weights)
-    shard_weights = [
-        b.check_weights(w) for b, w in zip(cluster.backends, slices)
-    ]
+    # Shard g stores global CSR slots [vlist[lo], vlist[hi]), local slot
+    # 0 first: the slots ``expand_weighted`` gathers for global ids.
+    vlist = cluster.graph.vlist
+    shard_weights = []
+    for g, backend in enumerate(cluster.backends):
+        lo, hi = cluster.partition.bounds(g)
+        shard_weights.append(
+            backend.check_weights(weights[vlist[lo] : vlist[hi]])
+        )
     cluster.reset()
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
     frontiers = cluster.source_frontiers(source)
 
-    def relax(g, backend):
+    def local_relax(g, backend):
         frontier = frontiers[g]
         if not frontier.size:
             return None
-        if partial_sort and frontier.size > 1:
-            frontier = partial_sort_frontier(frontier, nv, SORT_FRACTION)
         with backend.engine.launch("dist_relax") as k:
-            nbrs, seg, w = backend.expand_weighted(
-                frontier, k, shard_weights[g]
-            )
-            cand = dist[frontier[seg]] + w
-        return nbrs, cand
+            return relax(backend, frontier, dist, shard_weights[g], k)
 
     def update(g, k, ids, cand):
         better = cand < dist[ids]
@@ -129,7 +106,7 @@ def distributed_sssp(
                 frontier=int(sum(f.size for f in frontiers)),
             ) as sp:
                 frontiers = cluster.superstep(
-                    sp, relax, update,
+                    sp, local_relax, update,
                     expand_kernel="dist_relax", claim_kernel="dist_update",
                     combine="min",
                 )

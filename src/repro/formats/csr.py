@@ -20,22 +20,16 @@ __all__ = ["CSRGraph"]
 
 @dataclass(frozen=True)
 class CSRGraph:
-    """32-bit CSR view of a graph for the simulator and size accounting."""
+    """32-bit CSR accounting over a graph's own arrays, for the simulator."""
 
     graph: Graph
-    vlist32: np.ndarray
-    elist32: np.ndarray
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Narrow to 32-bit arrays (the paper's 'with 32-bit types')."""
+        """Wrap ``graph``, checking its ids fit the paper's 32-bit types."""
         if graph.num_nodes >= 2**31 or graph.num_edges >= 2**32:
             raise ValueError("graph too large for 32-bit CSR")
-        return cls(
-            graph=graph,
-            vlist32=graph.vlist.astype(np.uint32),
-            elist32=graph.elist.astype(np.uint32),
-        )
+        return cls(graph=graph)
 
     @property
     def num_nodes(self) -> int:
@@ -50,8 +44,8 @@ class CSRGraph:
     @property
     def nbytes(self) -> int:
         """Storage: 4 B per offset + 4 B per edge."""
-        return int(self.vlist32.nbytes + self.elist32.nbytes)
+        return 4 * (self.num_nodes + 1) + 4 * self.num_edges
 
     def neighbours(self, v: int) -> np.ndarray:
-        """Sorted neighbour list of ``v``."""
-        return self.elist32[self.vlist32[v] : self.vlist32[v + 1]].astype(np.int64)
+        """Sorted neighbour list of ``v`` (a view, do not mutate)."""
+        return self.graph.neighbours(v)

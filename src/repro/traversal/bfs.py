@@ -4,7 +4,9 @@ Each level: (optionally) partially sort the frontier (Sec. VI-E),
 expand it via the backend's decode kernel, claim unvisited neighbours
 with atomics, and compact the winners into the next frontier.  The
 simulated time accumulates per kernel; GTEPS = traversed edges over
-simulated seconds (the paper's Fig. 1 metric).
+simulated seconds (the paper's Fig. 1 metric).  The level bodies
+:func:`expand_and_probe` and :func:`claim` also run the
+direction-optimizing and distributed BFS levels.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpusim.kernel import KernelLaunch
 from repro.primitives.compact import atomic_or_claim
 from repro.primitives.sort import launch_partial_sort
 from repro.traversal.backends import GraphBackend
 
-__all__ = ["BFSResult", "bfs"]
+__all__ = ["BFSResult", "bfs", "claim", "expand_and_probe"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,33 @@ class BFSResult:
     def runtime_ms(self) -> float:
         """Simulated runtime in milliseconds (Table II units)."""
         return self.sim_seconds * 1e3
+
+
+def expand_and_probe(
+    backend: GraphBackend, frontier: np.ndarray, kernel: KernelLaunch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand ``frontier``; charge the decode and a 1-byte visited
+    probe per neighbour to ``kernel`` (Alg. 1 line 3)."""
+    nbrs, seg = backend.expand(frontier, kernel)
+    kernel.read_stream("work:visited", nbrs, 1)
+    return nbrs, seg
+
+
+def claim(
+    visited: np.ndarray, candidates: np.ndarray, kernel: KernelLaunch,
+    id_bytes: int = 4,
+) -> np.ndarray:
+    """Claim ``candidates`` in ``visited``; returns the winner mask.
+
+    Charged to ``kernel`` (Alg. 1 lines 4-6): a visited probe and two
+    instructions per candidate, and the winners' frontier write at
+    ``id_bytes`` each.
+    """
+    won = atomic_or_claim(visited, candidates)
+    kernel.read_stream("work:visited", candidates, 1)
+    kernel.instructions(2.0 * candidates.shape[0])
+    kernel.write("work:frontier", int(np.count_nonzero(won)), id_bytes)
+    return won
 
 
 def bfs(
@@ -103,25 +133,15 @@ def bfs(
                     )
 
                 with engine.launch("bfs_expand") as k:
-                    nbrs, seg = backend.expand(frontier, k)
-                    # Visited-flag probe per candidate edge (Alg. 1
-                    # line 3); locality measured from the real
-                    # neighbour id stream.
-                    k.read_stream("work:visited", nbrs, 1)
+                    nbrs, seg = expand_and_probe(backend, frontier, k)
                 run.edges += int(nbrs.shape[0])
 
                 with engine.launch("bfs_filter") as k:
                     unvisited = ~visited[nbrs]
                     candidates = nbrs[unvisited]
-                    cand_parents = frontier[seg[unvisited]]
-                    won = atomic_or_claim(visited, candidates)
+                    won = claim(visited, candidates, k)
                     next_vertices = candidates[won]
-                    parents[next_vertices] = cand_parents[won]
-                    # Atomic claim per not-yet-visited candidate (line 4)
-                    # and a compacted frontier write (line 6).
-                    k.read_stream("work:visited", candidates, 1)
-                    k.instructions(2.0 * candidates.shape[0])
-                    k.write("work:frontier", int(next_vertices.shape[0]), 4)
+                    parents[next_vertices] = frontier[seg[unvisited]][won]
 
                 depth += 1
                 levels[next_vertices] = depth

@@ -6,8 +6,8 @@ top-down for parity because bottom-up needs the *in*-edges too, which
 implements the hybrid as an extension so that trade-off can be
 measured:
 
-* **top-down** steps expand the frontier exactly like
-  :func:`repro.traversal.bfs.bfs`;
+* **top-down** steps run :func:`repro.traversal.bfs.bfs`'s expand and
+  claim bodies, under the kernel names ``bfs_top_down`` and ``bfs_filter``;
 * **bottom-up** steps scan every unvisited vertex's in-list for a
   frontier parent, stopping at the first hit — functionally exact, and
   the cost model charges only the *scanned prefix* of each compressed
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.primitives.compact import atomic_or_claim
 from repro.traversal.backends import GraphBackend
+from repro.traversal.bfs import claim, expand_and_probe
 
 __all__ = ["DirectionOptimizingResult", "bfs_direction_optimizing"]
 
@@ -123,18 +123,12 @@ def bfs_direction_optimizing(
                     visited[next_vertices] = True
                 else:
                     with engine.launch("bfs_top_down") as k:
-                        nbrs, _ = out_backend.expand(frontier, k)
-                        k.read_stream("work:visited", nbrs, 1)
+                        nbrs, _ = expand_and_probe(out_backend, frontier, k)
                     run.edges += int(nbrs.shape[0])
                     sp.annotate(edges_expanded=int(nbrs.shape[0]))
                     with engine.launch("bfs_filter") as k:
                         fresh = nbrs[~visited[nbrs]]
-                        won = atomic_or_claim(visited, fresh)
-                        next_vertices = fresh[won]
-                        k.instructions(2.0 * fresh.shape[0])
-                        k.write(
-                            "work:frontier", int(next_vertices.shape[0]), 4
-                        )
+                        next_vertices = fresh[claim(visited, fresh, k)]
 
                 unexplored_edges -= int(out_deg[next_vertices].sum())
                 depth += 1

@@ -3,14 +3,9 @@
 Every vertex is active each iteration (the frontier is all of V), so
 each iteration decodes the whole graph and atomically accumulates
 ``rank[src] / deg[src]`` into each destination.  Runs are capped at 50
-iterations like the paper's evaluation.
-
-The full-graph expansion is identical every iteration, so backends'
-functional decode output is cached after the first iteration while the
-*costs* are re-charged each iteration (the simulated device re-decodes
-every time; the simulator just avoids redundant Python work — the
-charged traffic is byte-identical because it is recomputed from the
-same arrays).
+iterations like the paper's evaluation.  The level bodies :func:`push`,
+:func:`charge_finalize` and :func:`register_rank2` are shared with the
+distributed driver.
 """
 
 from __future__ import annotations
@@ -19,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpusim.engine import SimEngine
+from repro.gpusim.kernel import KernelLaunch
 from repro.traversal.backends import GraphBackend
 
-__all__ = ["PageRankResult", "pagerank"]
+__all__ = [
+    "PageRankResult", "charge_finalize", "pagerank", "push", "register_rank2",
+]
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,41 @@ class PageRankResult:
         return self.sim_seconds * 1e3
 
 
+def register_rank2(engine: SimEngine, num_nodes: int) -> None:
+    """Register the second rank buffer for ping-pong accumulation."""
+    engine.memory.register("work:rank2", 4 * num_nodes, priority=-1)
+
+
+def push(
+    backend: GraphBackend, vertices: np.ndarray, share: np.ndarray,
+    cached: tuple[np.ndarray, np.ndarray] | None, kernel: KernelLaunch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Push ``share`` (``rank / out_degree``, one per entry of
+    ``vertices``) along the out-lists; returns ``(nbrs, seg, contrib)``.
+
+    Charged to ``kernel``: the expansion and one atomic float add per
+    edge into ``work:rank2``.  The graph is static, so a ``cached``
+    ``(nbrs, seg)`` of an earlier push over the same vertices skips the
+    functional decode; its identical traffic is still charged.
+    """
+    if cached is None:
+        nbrs, seg = backend.expand(vertices, kernel)
+    else:
+        nbrs, seg = cached
+        backend.charge_expand(vertices, nbrs, kernel)
+    contrib = share[seg]
+    kernel.read_stream("work:rank2", nbrs, 4)
+    kernel.instructions(4.0 * nbrs.shape[0])
+    return nbrs, seg, contrib
+
+
+def charge_finalize(kernel: KernelLaunch, num_vertices: int) -> None:
+    """Charge the finalize of ``num_vertices`` ranks to ``kernel``."""
+    kernel.read("work:labels", num_vertices, 4)
+    kernel.write("work:rank2", num_vertices, 4)
+    kernel.instructions(4.0 * num_vertices)
+
+
 def pagerank(
     backend: GraphBackend,
     damping: float = 0.85,
@@ -59,8 +93,7 @@ def pagerank(
     nv = backend.num_nodes
     engine = backend.engine
     engine.reset_timeline()
-    # Second rank buffer for ping-pong accumulation.
-    engine.memory.register("work:rank2", 4 * nv, priority=-1)
+    register_rank2(engine, nv)
 
     all_vertices = np.arange(nv, dtype=np.int64)
     degrees = backend.degrees.astype(np.float64)
@@ -79,22 +112,13 @@ def pagerank(
         for it in range(1, max_iterations + 1):
             with engine.level(f"iteration:{it}", it) as sp:
                 with engine.launch("pr_push") as k:
-                    if cached is None:
-                        nbrs, seg = backend.expand(all_vertices, k)
-                        cached = (nbrs, seg)
-                    else:
-                        nbrs, seg = cached
-                        # Re-charge the identical decode traffic for this
-                        # iteration; the functional decode is reused
-                        # because the graph is static across iterations.
-                        backend.charge_expand(all_vertices, nbrs, k)
-                    # One share per vertex, gathered once per edge.
-                    contrib = (ranks / out_deg_safe)[seg]
+                    nbrs, seg, contrib = push(
+                        backend, all_vertices, ranks / out_deg_safe,
+                        cached, k,
+                    )
+                    cached = nbrs, seg
                     new_ranks = np.zeros(nv, dtype=np.float64)
                     np.add.at(new_ranks, nbrs, contrib)
-                    # Atomic float add per edge into the destination ranks.
-                    k.read_stream("work:rank2", nbrs, 4)
-                    k.instructions(4.0 * nbrs.shape[0])
                 run.edges += int(nbrs.shape[0])
 
                 with engine.launch("pr_finalize") as k:
@@ -105,9 +129,7 @@ def pagerank(
                     )
                     delta = float(np.abs(new_ranks - ranks).sum())
                     ranks = new_ranks
-                    k.read("work:labels", nv, 4)
-                    k.write("work:rank2", nv, 4)
-                    k.instructions(4.0 * nv)
+                    charge_finalize(k, nv)
                 sp.annotate(
                     edges_expanded=int(nbrs.shape[0]), rank_delta=delta
                 )

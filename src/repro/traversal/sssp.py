@@ -6,7 +6,8 @@ O(|V|) bitmap, and build the next frontier with a parallel scatter —
 exactly the structure the paper describes.  Edge weights live in an
 uncompressed O(|E|) float array in *both* CSR and EFG (weights are not
 compressed), which is why SSSP hits the out-of-core regime much
-earlier than BFS and produces the five regions of Fig. 10.
+earlier than BFS and produces the five regions of Fig. 10.  The level
+body :func:`relax` is shared with the distributed driver.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpusim.kernel import KernelLaunch
 from repro.primitives.compact import scatter_bitmap_to_indices
 from repro.traversal.backends import GraphBackend
 
-__all__ = ["SSSPResult", "sssp"]
+__all__ = ["SSSPResult", "relax", "sssp"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,16 @@ class SSSPResult:
     def runtime_ms(self) -> float:
         """Simulated runtime in milliseconds."""
         return self.sim_seconds * 1e3
+
+
+def relax(
+    backend: GraphBackend, frontier: np.ndarray, dist: np.ndarray,
+    weights: np.ndarray, kernel: KernelLaunch,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relax ``frontier``'s out-edges, charging the weighted expansion
+    to ``kernel``; returns ``(nbrs, dist[source] + weight)``."""
+    nbrs, seg, w = backend.expand_weighted(frontier, kernel, weights)
+    return nbrs, dist[frontier[seg]] + w
 
 
 def sssp(
@@ -77,20 +89,14 @@ def sssp(
                 frontier=frontier.size, histogram="sssp.frontier_size",
             ) as sp:
                 with engine.launch("sssp_relax") as k:
-                    nbrs, seg, w = backend.expand_weighted(
-                        frontier, k, weights
-                    )
-                    cand = dist[frontier[seg]] + w
+                    nbrs, cand = relax(backend, frontier, dist, weights, k)
                 run.edges += int(nbrs.shape[0])
 
                 with engine.launch("sssp_update") as k:
-                    improved_bitmap = np.zeros(nv, dtype=bool)
-                    if nbrs.size:
-                        best = np.full(nv, np.inf, dtype=np.float64)
-                        np.minimum.at(best, nbrs, cand)
-                        better = best < dist
-                        dist = np.where(better, best, dist)
-                        improved_bitmap = better
+                    best = np.full(nv, np.inf, dtype=np.float64)
+                    np.minimum.at(best, nbrs, cand)
+                    improved_bitmap = best < dist
+                    dist = np.where(improved_bitmap, best, dist)
                     improved_count = int(improved_bitmap.sum())
                     k.atomic("work:visited", improved_count, 1)
                     k.instructions(2.0 * nbrs.shape[0])

@@ -17,7 +17,9 @@ from repro.dist import (
     distributed_pagerank,
     distributed_sssp,
 )
+from repro.dist.exchange import SCHEDULES
 from repro.dist.report import dist_report, dist_run_metrics
+from repro.dist.topology import LinkTopology
 from repro.formats.csr import CSRGraph
 from repro.gpusim.device import TITAN_XP
 from repro.obs.metrics import METRICS_SCHEMA
@@ -158,6 +160,36 @@ class TestSSSP:
         )
         assert np.array_equal(flat.distances, bfly.distances)
         assert flat.iterations == bfly.iterations
+
+    @pytest.mark.parametrize("wire", ["raw", "auto", "ef", "bitmap"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_next_frontiers_strictly_ascending(
+        self, graph, device, weights, schedule, wire, monkeypatch
+    ):
+        # The driver relaxes each frontier as it arrives, unsorted: the
+        # min-folded exchange hands every owner sorted unique ids.
+        topology = LinkTopology.two_tier(
+            num_nodes=2, gpus_per_node=3,
+            message_latency_s=device.launch_overhead_s,
+        )
+        cluster = ShardedCluster.build(
+            graph, 6, device, wire=wire, schedule=schedule,
+            topology=topology, with_weights=True,
+        )
+        frontiers = []
+        superstep = cluster.superstep
+
+        def recording(*args, **kwargs):
+            results = superstep(*args, **kwargs)
+            frontiers.extend(results)
+            return results
+
+        monkeypatch.setattr(cluster, "superstep", recording)
+        r = distributed_sssp(cluster, SOURCE, weights)
+        assert len(frontiers) == 6 * r.iterations
+        assert max(f.size for f in frontiers) > 1
+        for frontier in frontiers:
+            assert np.all(np.diff(frontier) > 0)
 
     def test_requires_weighted_cluster(self, graph, device, weights):
         cluster = ShardedCluster.build(graph, NUM_GPUS, device)

@@ -1,5 +1,7 @@
 """Tests for the 32-bit CSR baseline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ class TestCSRGraph:
     def test_constant_time_edge_access(self, tiny_graph):
         csr = CSRGraph.from_graph(tiny_graph)
         # Destination of the n-th edge of vertex i is elist[vlist[i]+n].
-        assert csr.elist32[csr.vlist32[4] + 0] == 2
-        assert csr.elist32[csr.vlist32[4] + 2] == 7
+        assert csr.neighbours(4)[0] == 2
+        assert csr.neighbours(4)[2] == 7
 
     def test_edge_access_bounds(self, tiny_graph):
         csr = CSRGraph.from_graph(tiny_graph)
@@ -30,10 +32,13 @@ class TestCSRGraph:
         for v in range(small_graph.num_nodes):
             assert np.array_equal(csr.neighbours(v), small_graph.neighbours(v))
 
-    def test_dtypes_are_32bit(self, small_graph):
-        csr = CSRGraph.from_graph(small_graph)
-        assert csr.vlist32.dtype == np.uint32
-        assert csr.elist32.dtype == np.uint32
+    @pytest.mark.parametrize(
+        "num_nodes,num_edges", [(2**31, 0), (4, 2**32)], ids=["nodes", "edges"]
+    )
+    def test_rejects_ids_beyond_32bit(self, num_nodes, num_edges):
+        too_big = SimpleNamespace(num_nodes=num_nodes, num_edges=num_edges)
+        with pytest.raises(ValueError, match="32-bit"):
+            CSRGraph.from_graph(too_big)
 
     def test_counts(self, small_graph):
         csr = CSRGraph.from_graph(small_graph)

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.efg import efg_encode
 from repro.formats.cgr import cgr_encode
 from repro.formats.csr import CSRGraph
+from repro.formats.graph import Graph
 from repro.formats.ligra_plus import ligra_encode
+from repro.gpusim.device import TITAN_XP
+from repro.primitives.compact import atomic_or_claim
 from repro.traversal.backends import (
     CGRBackend,
     CSRBackend,
     EFGBackend,
     LigraBackend,
 )
-from repro.traversal.bfs import bfs
+from repro.traversal.bfs import bfs, claim
 from repro.traversal.validate import reference_bfs_levels
 
 
@@ -166,3 +171,65 @@ class TestRelativePerformance:
         t_cgr = bfs(cgr_b, 0).sim_seconds
         # Paper: EFG 1.45x-2x faster than CGR.
         assert t_cgr / t_efg > 1.2
+
+
+#: Vertex count of the shared-claim test graph.
+CLAIM_NV = 64
+
+
+def _prefilter_then_claim(visited, candidates, kernel, id_bytes):
+    """The claim as the distributed driver wrote it before it called
+    :func:`claim`: drop set flags first, claim the rest, charge over
+    every candidate."""
+    fresh = candidates[~visited[candidates]]
+    mine = fresh[atomic_or_claim(visited, fresh)]
+    kernel.read_stream("work:visited", candidates, 1)
+    kernel.instructions(2.0 * candidates.shape[0])
+    kernel.write("work:frontier", int(mine.shape[0]), id_bytes)
+    return mine
+
+
+class TestSharedClaim:
+    """:func:`claim` is the body every BFS driver's claim runs; its
+    winners, flags and charges equal the prefilter-then-claim
+    sequence, because the atomic already skips set flags."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        ring = np.arange(CLAIM_NV, dtype=np.int64)
+        graph = Graph.from_edges(
+            ring, (ring + 1) % CLAIM_NV, num_nodes=CLAIM_NV
+        )
+        return CSRBackend(
+            CSRGraph.from_graph(graph), TITAN_XP.scaled(2048)
+        ).engine
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        candidates=st.lists(st.integers(0, CLAIM_NV - 1), max_size=300),
+        preset=st.sets(st.integers(0, CLAIM_NV - 1)),
+        id_bytes=st.sampled_from([4, 8]),
+    )
+    @example(candidates=[], preset=set(), id_bytes=4)
+    @example(candidates=[], preset={0, 5}, id_bytes=8)
+    @example(candidates=[7] * 50, preset=set(), id_bytes=8)
+    @example(candidates=[7] * 50, preset={7}, id_bytes=4)
+    @example(candidates=[3, 1, 3, 2, 1, 3], preset={2}, id_bytes=8)
+    def test_matches_prefilter_then_claim(
+        self, engine, candidates, preset, id_bytes
+    ):
+        ids = np.array(candidates, dtype=np.int64)
+        flags_old = np.zeros(CLAIM_NV, dtype=bool)
+        flags_old[list(preset)] = True
+        flags_new = flags_old.copy()
+
+        with engine.launch("claim") as k:
+            expected = _prefilter_then_claim(flags_old, ids, k, id_bytes)
+        with engine.launch("claim") as k:
+            got = ids[claim(flags_new, ids, k, id_bytes)]
+        old, new = engine.records[-2:]
+
+        assert np.array_equal(got, expected)
+        assert np.array_equal(flags_new, flags_old)
+        assert new.cost == old.cost
+        assert new.seconds == old.seconds

@@ -1,5 +1,8 @@
 """Tests for direction-optimizing (hybrid) BFS."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -76,3 +79,34 @@ class TestEdgeSavings:
         )
         assert hybrid.bottom_up_levels > 0
         assert hybrid.edges_examined < top_down.edges_examined
+
+
+class TestPinnedDumps:
+    """Whole metrics dumps of ``repro profile dobfs``.  Its top-down
+    steps run BFS's shared expand and claim bodies, so a charge that
+    drifts from the single-GPU level moves these digests."""
+
+    DIGESTS = {
+        "csr":
+        "3540ba61e2eeb491ea16a2f4814f9da554bf99f3526573fbb0ca7cd6adfe9090",
+        "efg":
+        "dea0fee2bfca18749bb2a0f2f9d3dceaa57bd6539cc42ac22ae0fd1fa6455087",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DIGESTS))
+    def test_profile_dobfs(self, fmt, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "m.json"
+        argv = ["profile", "dobfs", "--format", fmt, "--metrics", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # ``meta`` stamps the git sha, so it stays out of the digest.
+        payload = {
+            k: v for k, v in json.loads(path.read_text()).items()
+            if k != "meta"
+        }
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.DIGESTS[fmt]
