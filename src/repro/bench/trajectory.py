@@ -54,6 +54,22 @@ BENCH_SCHEMA = "repro.bench/1"
 
 _BENCH_FILE_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
+#: The suite's algorithms and storage formats (one workload per pair).
+ALGOS = ("bfs", "sssp", "pagerank")
+FORMATS = ("csr", "efg", "cgr")
+#: Distributed workloads: dist BFS per wire codec on a two-tier cluster.
+DIST_WIRES = ("raw", "ef")
+DIST_NODES = 2
+DIST_GPUS_PER_NODE = 4
+DIST_SCHEDULE = "hierarchical"
+DIST_OVERLAP = True
+#: NVLink-class intra-node links vs a 1 GB/s inter-node fabric: the
+#: fast tier is latency-dominated (raw competitive), the slow tier
+#: bandwidth-dominated (Elias-Fano wins) — the crossover the
+#: ``crossover`` payload section locates.
+DIST_LINK_GBS = 300.0
+DIST_INTER_GBS = 1.0
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -61,9 +77,10 @@ class BenchConfig:
 
     The defaults define the canonical CI suite: an RMAT graph small
     enough to run in seconds, on a device scaled so the graph occupies
-    a realistic fraction of memory.  Changing any default is a
-    trajectory break — old entries stop being comparable — so overrides
-    are for local experiments, not for the committed baseline.
+    a realistic fraction of memory.  Changing any default (or a suite
+    constant above) is a trajectory break — old entries stop being
+    comparable — so overrides are for local experiments, not for the
+    committed baseline.
     """
 
     rmat_scale: int = 9
@@ -75,21 +92,6 @@ class BenchConfig:
     #: source draws can never silently gate against each other.
     source_seed: int = 42
     device_scale: float = 2048.0
-    algos: tuple[str, ...] = ("bfs", "sssp", "pagerank")
-    formats: tuple[str, ...] = ("csr", "efg", "cgr")
-    #: Distributed workloads: dist BFS per wire codec on a two-tier
-    #: cluster (empty tuple disables the dist leg of the suite).
-    dist_wires: tuple[str, ...] = ("raw", "ef")
-    dist_nodes: int = 2
-    dist_gpus_per_node: int = 4
-    dist_schedule: str = "hierarchical"
-    dist_overlap: bool = True
-    #: NVLink-class intra-node links vs a 1 GB/s inter-node fabric: the
-    #: fast tier is latency-dominated (raw competitive), the slow tier
-    #: bandwidth-dominated (Elias-Fano wins) — the crossover the
-    #: ``crossover`` payload section locates.
-    dist_link_gbs: float = 300.0
-    dist_inter_gbs: float = 1.0
 
     def suite_meta(self) -> dict:
         return {
@@ -98,15 +100,15 @@ class BenchConfig:
             "seed": self.seed,
             "source_seed": self.source_seed,
             "device_scale": self.device_scale,
-            "algos": list(self.algos),
-            "formats": list(self.formats),
-            "dist_wires": list(self.dist_wires),
-            "dist_nodes": self.dist_nodes,
-            "dist_gpus_per_node": self.dist_gpus_per_node,
-            "dist_schedule": self.dist_schedule,
-            "dist_overlap": self.dist_overlap,
-            "dist_link_gbs": self.dist_link_gbs,
-            "dist_inter_gbs": self.dist_inter_gbs,
+            "algos": list(ALGOS),
+            "formats": list(FORMATS),
+            "dist_wires": list(DIST_WIRES),
+            "dist_nodes": DIST_NODES,
+            "dist_gpus_per_node": DIST_GPUS_PER_NODE,
+            "dist_schedule": DIST_SCHEDULE,
+            "dist_overlap": DIST_OVERLAP,
+            "dist_link_gbs": DIST_LINK_GBS,
+            "dist_inter_gbs": DIST_INTER_GBS,
         }
 
 
@@ -140,9 +142,9 @@ def run_bench_suite(
     source = int(pick_sources(graph, 1, seed=config.source_seed)[0])
 
     workloads: dict[str, dict] = {}
-    for algo in config.algos:
+    for algo in ALGOS:
         needs_weights = algo in ("sssp", "delta")
-        for fmt in config.formats:
+        for fmt in FORMATS:
             backend = build_backend(
                 fmt, graph, device,
                 weight_bytes=4 * graph.num_edges if needs_weights else 0,
@@ -155,9 +157,9 @@ def run_bench_suite(
                 meta={"bench_workload": f"{algo}/{fmt}"},
             )
             workloads[f"{algo}/{fmt}"] = run.metrics
-    for wire in config.dist_wires:
+    for wire in DIST_WIRES:
         workloads[f"dist_bfs/{wire}"] = _run_dist_workload(
-            config, graph, device, source, wire
+            graph, device, source, wire
         )
     workloads["serve/qps"] = _run_serve_workload(config, graph, device)
     workloads["serve/p99"] = _run_p99_workload(config, graph, device)
@@ -242,29 +244,27 @@ def _run_p99_workload(config: BenchConfig, graph, device) -> dict:
     )
 
 
-def _run_dist_workload(
-    config: BenchConfig, graph, device, source: int, wire: str
-) -> dict:
+def _run_dist_workload(graph, device, source: int, wire: str) -> dict:
     """One distributed-BFS workload on the pinned two-tier cluster."""
     from repro.dist import ShardedCluster, distributed_bfs
     from repro.dist.report import dist_run_metrics
     from repro.dist.topology import LinkTopology
 
     topology = LinkTopology.two_tier(
-        num_nodes=config.dist_nodes,
-        gpus_per_node=config.dist_gpus_per_node,
-        link_bandwidth=config.dist_link_gbs * 1e9,
-        inter_bandwidth=config.dist_inter_gbs * 1e9,
+        num_nodes=DIST_NODES,
+        gpus_per_node=DIST_GPUS_PER_NODE,
+        link_bandwidth=DIST_LINK_GBS * 1e9,
+        inter_bandwidth=DIST_INTER_GBS * 1e9,
         message_latency_s=device.launch_overhead_s,
     )
     cluster = ShardedCluster.build(
         graph,
-        config.dist_nodes * config.dist_gpus_per_node,
+        DIST_NODES * DIST_GPUS_PER_NODE,
         device,
         wire=wire,
-        schedule=config.dist_schedule,
+        schedule=DIST_SCHEDULE,
         topology=topology,
-        overlap=config.dist_overlap,
+        overlap=DIST_OVERLAP,
     )
     distributed_bfs(cluster, source)
     return dist_run_metrics(

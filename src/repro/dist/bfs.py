@@ -58,27 +58,15 @@ class DistBFSResult(DistRunResult):
         return self.edges_traversed / self.sim_seconds / 1e9
 
 
-def distributed_bfs(
-    cluster: ShardedCluster,
-    source: int,
-    partial_sort: bool = True,
-) -> DistBFSResult:
-    """BFS from ``source`` across the cluster's shards.
+def distributed_bfs(cluster: ShardedCluster, source: int) -> DistBFSResult:
+    """BFS from ``source`` (a global id) across the cluster's shards.
 
-    Parameters
-    ----------
-    cluster:
-        A built :class:`~repro.dist.cluster.ShardedCluster`.
-    source:
-        Start vertex (global id).
-    partial_sort:
-        Apply the Sec. VI-E partial radix sort to each local frontier
-        shard before expansion (65% of the id bits).
+    Each GPU applies the Sec. VI-E partial radix sort (65% of the id
+    bits) to its frontier shard before expanding it.
     """
     nv = cluster.num_nodes
     if not 0 <= source < nv:
         raise IndexError(f"source {source} out of range")
-    cluster.reset()
 
     levels = np.full(nv, -1, dtype=np.int64)
     levels[source] = 0
@@ -92,7 +80,7 @@ def distributed_bfs(
         if not frontier.size:
             return None
         engine = backend.engine
-        if partial_sort and frontier.size > 1:
+        if frontier.size > 1:
             frontier = launch_partial_sort(
                 engine, "dist_sort", frontier, nv, FRONTIER_ID_BYTES,
             )
@@ -110,9 +98,7 @@ def distributed_bfs(
         return mine
 
     depth = 0
-    with cluster.algorithm(
-        "dist_bfs", source=int(source), partial_sort=partial_sort
-    ):
+    with cluster.algorithm("dist_bfs", source=int(source)):
         while any(f.size for f in frontiers):
             with cluster.level(
                 f"level:{depth}", depth,

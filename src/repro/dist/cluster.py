@@ -9,8 +9,9 @@ The cluster owns the run and level lifecycle, so a driver (BFS, SSSP,
 PageRank) is its state plus two per-GPU phases per level, which run
 its single-GPU kernel bodies under ``dist_`` kernel names:
 
-* :meth:`algorithm` opens the run's algorithm span and records the
-  end-of-run gauges; :meth:`level` opens one level span;
+* :meth:`algorithm` starts a fresh run and opens its algorithm span;
+  on exit it builds the run's metrics; :meth:`level` opens one level
+  span;
 * :meth:`superstep` runs one bulk-synchronous level: the driver's
   per-GPU local phase, :meth:`pack` (dedupe/sort the discovered ids,
   optionally folding a value per id, bucket them by owner, charged at
@@ -30,9 +31,11 @@ them in level order.  The cluster also owns the run's telemetry: a
 :class:`~repro.obs.spans.Tracer` over the *cluster* clock
 (max-over-GPUs per phase, the bulk-synchronous convention) whose level
 spans hold the drivers' facts (frontier size, claimed ids), and a
-:class:`~repro.obs.metrics.MetricsRegistry` of wire-byte counters — the
-same obs layer single-GPU runs feed, so ``repro compare`` can gate
-distributed runs too.
+:class:`~repro.obs.metrics.MetricsRegistry` of wire-byte counters.
+Nothing writes the registry while the run goes: when the run ends it
+is built from the charges (and the frontier histogram from the level
+spans), the same obs layer single-GPU runs feed, so ``repro compare``
+can gate distributed runs too.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ import numpy as np
 from repro.dist.exchange import SCHEDULES, ExchangeStats, exchange
 from repro.dist.partition import VertexPartition
 from repro.dist.topology import LinkTopology
-from repro.dist.wire import FRONTIER_ID_BYTES, WireCodec, get_codec
+from repro.dist.wire import (
+    FRONTIER_ID_BYTES,
+    VALUE_BYTES,
+    WireCodec,
+    get_codec,
+)
 from repro.formats.graph import Graph
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
@@ -150,8 +158,6 @@ class ShardedCluster:
         self.schedule = schedule
         self.fmt = fmt
         self.overlap = overlap
-        self.tracer = Tracer()
-        self.metrics = MetricsRegistry()
         self.reset()
 
     @classmethod
@@ -236,10 +242,12 @@ class ShardedCluster:
 
     @contextmanager
     def algorithm(self, name: str, **attrs) -> Iterator[Span]:
-        """The run's algorithm span; records the end-of-run gauges.
+        """One run: :meth:`reset`, then the run's algorithm span; on a
+        normal exit the run's metrics are built (:meth:`_finish_run`).
 
         ``name`` is also the namespace of the ``<name>.gteps`` gauge.
         """
+        self.reset()
         span = self.tracer.open(
             name, "algorithm", self.clock,
             {
@@ -262,12 +270,11 @@ class ShardedCluster:
     ) -> Iterator[Span]:
         """One bulk-synchronous level span over the cluster clock.
 
-        A ``frontier`` size is observed in ``dist.frontier_size`` and
-        recorded on the span.
+        A ``frontier`` size is recorded on the span (the run's
+        ``dist.frontier_size`` histogram is read off it at run exit).
         """
         attrs: dict[str, Any] = {"level": level}
         if frontier is not None:
-            self.metrics.observe("dist.frontier_size", frontier)
             attrs["frontier_size"] = frontier
         span = self.tracer.open(name, "level", self.clock, attrs)
         try:
@@ -329,7 +336,7 @@ class ShardedCluster:
             )
             k.write("work:frontier", int(uniq.shape[0]), FRONTIER_ID_BYTES)
             if folded is not None:
-                k.write("work:frontier", int(uniq.shape[0]), 4)
+                k.write("work:frontier", int(uniq.shape[0]), VALUE_BYTES)
             if view is not None:
                 sent = np.concatenate(
                     (uniq[: cuts[gpu]], uniq[cuts[gpu + 1] :])
@@ -346,8 +353,8 @@ class ShardedCluster:
         values: list[list[np.ndarray]] | None = None,
         combine: str | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray] | None, ExchangeStats]:
-        """All-to-all through the codec/topology; fold stats into metrics."""
-        incoming, in_vals, stats = exchange(
+        """All-to-all of the packed buckets through the codec/topology."""
+        return exchange(
             outgoing,
             self.partition,
             self.topology,
@@ -356,30 +363,6 @@ class ShardedCluster:
             values=values,
             combine=combine,
         )
-        m = self.metrics
-        m.inc("dist.wire_bytes", stats.wire_bytes)
-        m.inc("dist.id_bytes", stats.id_bytes)
-        m.inc("dist.value_bytes", stats.value_bytes)
-        m.inc("dist.header_bytes", stats.header_bytes)
-        m.inc("dist.messages", stats.messages)
-        m.inc("dist.sent_ids", stats.sent_ids)
-        for name, count in stats.codec_messages.items():
-            m.inc(f"dist.codec.{name}", count)
-        for name, instr in stats.codec_instructions.items():
-            m.inc(f"dist.codec_instr.{name}", instr)
-        for tier in stats.tier_bytes:
-            m.inc(f"dist.tier.{tier}.bytes", stats.tier_bytes[tier])
-            m.inc(f"dist.tier.{tier}.messages", stats.tier_messages[tier])
-            m.inc(
-                f"dist.tier.{tier}.transfer_seconds",
-                stats.tier_transfer_seconds[tier],
-            )
-            m.inc(
-                f"dist.tier.{tier}.latency_seconds",
-                stats.tier_latency_seconds[tier],
-            )
-        m.observe("dist.level_wire_bytes", stats.wire_bytes)
-        return incoming, in_vals, stats
 
     def superstep(
         self,
@@ -516,9 +499,6 @@ class ShardedCluster:
         overlapped = 0.0
         if self.overlap:
             overlapped = min(expand_seconds, stats.seconds)
-            self.metrics.inc("dist.overlapped_seconds", overlapped)
-        if filtered is not None:
-            self.metrics.inc("dist.filtered_ids", filtered)
         self.clock += level_seconds(
             expand_seconds, stats.seconds, claim_seconds, sync_seconds,
             self.overlap,
@@ -542,18 +522,51 @@ class ShardedCluster:
         )
 
     def _finish_run(self, algorithm: str) -> None:
-        """End-of-run gauges shared by every driver."""
+        """Build the run's registry from its level charges and spans.
+
+        Counters add one value per charge, in level order (so every
+        float total is the running tally's, bit for bit); every
+        exchange sets all tier keys, the overlap counter exists only
+        under overlap and the filtered-ids counter only with views.
+        """
+        m = MetricsRegistry()
+        for span in self.tracer.root.find("level"):
+            if "frontier_size" in span.attrs:
+                m.observe("dist.frontier_size", span.attrs["frontier_size"])
+        for charge in self.charges:
+            ex = charge.exchange
+            m.inc("dist.wire_bytes", ex.wire_bytes)
+            m.inc("dist.id_bytes", ex.id_bytes)
+            m.inc("dist.value_bytes", ex.value_bytes)
+            m.inc("dist.header_bytes", ex.header_bytes)
+            m.inc("dist.messages", ex.messages)
+            m.inc("dist.sent_ids", ex.sent_ids)
+            for name, count in ex.codec_messages.items():
+                m.inc(f"dist.codec.{name}", count)
+            for name, instr in ex.codec_instructions.items():
+                m.inc(f"dist.codec_instr.{name}", instr)
+            for tier in ex.tier_bytes:
+                t = f"dist.tier.{tier}"
+                m.inc(f"{t}.bytes", ex.tier_bytes[tier])
+                m.inc(f"{t}.messages", ex.tier_messages[tier])
+                m.inc(f"{t}.transfer_seconds", ex.tier_transfer_seconds[tier])
+                m.inc(f"{t}.latency_seconds", ex.tier_latency_seconds[tier])
+            m.observe("dist.level_wire_bytes", ex.wire_bytes)
+            if self.overlap:
+                m.inc("dist.overlapped_seconds", charge.overlapped_seconds)
+            if charge.filtered is not None:
+                m.inc("dist.filtered_ids", charge.filtered)
         edges = self.edges
-        m = self.metrics
         m.set_gauge("dist.sim_seconds", self.clock)
         m.set_gauge("dist.num_gpus", float(self.num_gpus))
         m.set_gauge("dist.num_nodes", float(self.topology.num_nodes))
         m.set_gauge("dist.overlap", float(self.overlap))
         if self.clock > 0:
             m.set_gauge(f"{algorithm}.gteps", edges / self.clock / 1e9)
-        wire = self.metrics.counters.get("dist.wire_bytes", 0.0)
+        wire = m.counters.get("dist.wire_bytes", 0.0)
         if edges:
             m.set_gauge("dist.wire_bytes_per_edge", wire / edges)
+        self.metrics = m
 
     def run_fields(self) -> dict:
         """The :class:`DistRunResult` fields of the run just finished.

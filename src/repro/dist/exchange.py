@@ -27,17 +27,19 @@ Three schedules:
   G senders have already been folded — the up-to-G× message shrink
   that makes inter-node compression pay.
 
-Optionally each id carries a fixed-width value (SSSP distances,
-PageRank partial sums).  Values ride uncompressed — the id stream is
-what the codecs compress, mirroring the paper's "weights are not
-compressed" stance — and duplicates met along the way are folded with
-the caller's combiner (min for distances, sum for rank mass), which is
-exactly the aggregation that makes the multi-hop schedules competitive.
+Optionally each id carries a :data:`~repro.dist.wire.VALUE_BYTES`-wide
+value (SSSP distances, PageRank partial sums).  Values ride
+uncompressed — the id stream is what the codecs compress, mirroring the
+paper's "weights are not compressed" stance — and duplicates met along
+the way are folded with the caller's combiner (min for distances, sum
+for rank mass), which is exactly the aggregation that makes the
+multi-hop schedules competitive.
 
 Every message is attributed to the link tier it crosses
-(:data:`repro.dist.topology.TIERS`); per-tier byte totals in
-:class:`ExchangeStats` sum exactly to ``wire_bytes``, the invariant
-``repro.dist.report.verify_dist_attribution`` enforces.
+(:data:`repro.dist.topology.TIERS`).  Each :class:`ExchangeStats` is one
+level's record: its id, value and header bytes, and its per-tier bytes,
+each sum exactly to its ``wire_bytes``, the invariants
+``repro.dist.report.verify_dist_attribution`` checks on every level.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ import numpy as np
 
 from repro.dist.partition import VertexPartition
 from repro.dist.topology import TIERS, LinkTopology, tier_record
-from repro.dist.wire import MESSAGE_HEADER_BYTES, AutoCodec, WireCodec
+from repro.dist.wire import (
+    MESSAGE_HEADER_BYTES,
+    VALUE_BYTES,
+    AutoCodec,
+    WireCodec,
+)
 from repro.primitives.unique import fold_duplicates, sorted_unique
 
 __all__ = ["SCHEDULES", "ExchangeStats", "exchange"]
@@ -102,10 +109,7 @@ class ExchangeStats:
     tier_latency_seconds: dict[str, float] = field(
         default_factory=_tier_fzeros
     )
-    #: Per-GPU wire ids encoded / decoded (pack/unpack kernel inputs).
-    sent_ids_per_gpu: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
+    #: Per-GPU wire ids decoded (the claim kernel's decode input).
     received_ids_per_gpu: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
@@ -190,7 +194,6 @@ class _Step:
         self.egress[tier][src] += nbytes
         self.ingress[tier][dst] += nbytes
         self.posted[tier][src] += 1
-        self.stats.sent_ids_per_gpu[src] += ids.shape[0]
         self.stats.received_ids_per_gpu[dst] += decoded.shape[0]
         return decoded
 
@@ -278,14 +281,14 @@ def exchange(
     schedule: str = "flat",
     values: list[list[np.ndarray]] | None = None,
     combine: str | None = None,
-    value_width: int = 4,
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None, ExchangeStats]:
     """Deliver every bucket to its owner; returns per-GPU incoming sets.
 
     ``outgoing[g][h]`` holds the sorted unique ids GPU ``g`` discovered
     for owner ``h`` (``outgoing[g][g]`` never touches a link).  With
-    ``values``, each id carries one ``value_width``-byte value and
-    duplicates are folded with ``combine`` (``"min"`` or ``"sum"``).
+    ``values``, each id carries one :data:`~repro.dist.wire.VALUE_BYTES`
+    value and duplicates are folded with ``combine`` (``"min"`` or
+    ``"sum"``).
     ``incoming[h]`` is the sorted unique union delivered to ``h``.
     """
     num_gpus = partition.num_gpus
@@ -305,10 +308,9 @@ def exchange(
             f"{num_gpus}"
         )
     stats = ExchangeStats(
-        sent_ids_per_gpu=np.zeros(num_gpus, dtype=np.int64),
         received_ids_per_gpu=np.zeros(num_gpus, dtype=np.int64),
     )
-    width = value_width if values is not None else 0
+    width = VALUE_BYTES if values is not None else 0
 
     def new_step() -> _Step:
         return _Step(topology, codec, stats, width)

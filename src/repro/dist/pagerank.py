@@ -61,7 +61,6 @@ def distributed_pagerank(
     """PageRank with uniform teleport across the cluster's shards."""
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    cluster.reset()
     nv = cluster.num_nodes
     num_gpus = cluster.num_gpus
     partition = cluster.partition

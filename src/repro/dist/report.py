@@ -3,11 +3,12 @@
 :func:`dist_run_metrics` serialises one cluster run into the same
 versioned schema single-GPU :func:`repro.obs.metrics.run_metrics` uses
 — aggregated per-kernel rows (summed over GPUs), the cluster registry
-(wire-byte counters, codec tallies), and per-level exchange breakdowns
-read off the level charges (:class:`~repro.dist.cluster.LevelCharge`),
-with only the drivers' facts (frontier size) taken from the level
-spans.  Identical runs produce byte-identical dumps, so ``repro
-compare`` gates distributed workloads exactly like single-GPU ones.
+(wire-byte counters, codec tallies, built from the level charges when
+the run ends), and per-level exchange breakdowns read off the level
+charges (:class:`~repro.dist.cluster.LevelCharge`), with only the
+drivers' facts (frontier size) taken from the level spans.  Identical
+runs produce byte-identical dumps, so ``repro compare`` gates
+distributed workloads exactly like single-GPU ones.
 
 :func:`dist_report` renders the per-level story as a table: frontier
 size, expanded edges (and, for a run with visited views, the ids the
@@ -17,10 +18,9 @@ the expand/exchange/claim split, and which term bound each level.
 :func:`verify_dist_attribution` extends the single-GPU attribution
 invariant (:func:`repro.obs.counters.verify_attribution`) to cluster
 runs: every shard engine's per-array bytes must sum exactly to its
-launch columns, and the cluster's wire counters must decompose exactly
-— ``id + value + header == wire`` and ``intra + inter == wire`` — with
-the level charges' exchanges summing back to the counters, and every
-level's expanded ids must split exactly into filtered and packed ids.
+launch columns, and every level charge must decompose exactly — its
+exchange's ``id + value + header == wire`` and ``intra + inter ==
+wire``, and its expanded ids split into filtered and packed ids.
 """
 
 from __future__ import annotations
@@ -254,70 +254,45 @@ def dist_report(cluster: ShardedCluster) -> str:
 def verify_dist_attribution(cluster: ShardedCluster) -> None:
     """Assert the byte accounting of a finished cluster run is exact.
 
-    Three layers, all exact equalities (every charge path records
-    integer byte amounts, so float sums are exact):
+    All exact equalities (every charge path records integer amounts),
+    checked per level so no error can cancel across levels:
 
     1. every shard engine passes the single-GPU per-array attribution
        invariant (:func:`repro.obs.counters.verify_attribution`);
-    2. the wire counters decompose without loss or double count —
-       ``id_bytes + value_bytes + header_bytes == wire_bytes`` and
-       ``sum(tier bytes) == wire_bytes``;
-    3. the level charges' :class:`~repro.dist.exchange.ExchangeStats`
-       sum back to the counters, both in aggregate and per tier;
-    4. per level, the expanded ids are exactly the ids a visited view
+    2. each level's :class:`~repro.dist.exchange.ExchangeStats`
+       decomposes without loss or double count — ``id_bytes +
+       value_bytes + header_bytes == wire_bytes`` and ``sum(tier
+       bytes) == wire_bytes``;
+    3. each level's expanded ids are exactly the ids a visited view
        filtered plus the ids handed to the pack (so a view's drops never
-       leak out of ``edges``), and the filtered ids sum to the
-       ``dist.filtered_ids`` counter.
+       leak out of ``edges``).
 
-    Raises ``AssertionError`` naming the first violated equality.
+    The ``dist.*`` counters are built from these charges at run exit,
+    so they need no check of their own.  Raises ``AssertionError``
+    naming the level and the first violated equality.
     """
     for g, backend in enumerate(cluster.backends):
         try:
             verify_attribution(backend.engine)
         except AssertionError as exc:
             raise AssertionError(f"gpu {g}: {exc}") from exc
-    counters = cluster.metrics.counters
-    wire = counters.get("dist.wire_bytes", 0.0)
-    parts = (
-        counters.get("dist.id_bytes", 0.0)
-        + counters.get("dist.value_bytes", 0.0)
-        + counters.get("dist.header_bytes", 0.0)
-    )
-    if parts != wire:
-        raise AssertionError(
-            f"id+value+header bytes {parts} != wire bytes {wire}"
-        )
-    tier_total = sum(
-        counters.get(f"dist.tier.{tier}.bytes", 0.0) for tier in TIERS
-    )
-    if tier_total != wire:
-        raise AssertionError(
-            f"per-tier bytes {tier_total} != wire bytes {wire}"
-        )
-    exchanges = [charge.exchange for charge in cluster.charges]
-    charged = sum(ex.wire_bytes for ex in exchanges)
-    if charged != wire:
-        raise AssertionError(
-            f"charged wire bytes {charged} != counter {wire}"
-        )
-    for tier in TIERS:
-        charged = sum(ex.tier_bytes[tier] for ex in exchanges)
-        counted = counters.get(f"dist.tier.{tier}.bytes", 0.0)
-        if charged != counted:
-            raise AssertionError(
-                f"charged {tier} bytes {charged} != counter {counted}"
-            )
-    filtered = 0
     for charge in cluster.charges:
+        ex = charge.exchange
+        parts = ex.id_bytes + ex.value_bytes + ex.header_bytes
+        if parts != ex.wire_bytes:
+            raise AssertionError(
+                f"{charge.name}: id+value+header bytes {parts} != wire "
+                f"bytes {ex.wire_bytes}"
+            )
+        tiers = sum(ex.tier_bytes[tier] for tier in TIERS)
+        if tiers != ex.wire_bytes:
+            raise AssertionError(
+                f"{charge.name}: per-tier bytes {tiers} != wire bytes "
+                f"{ex.wire_bytes}"
+            )
         dropped = charge.filtered or 0
         if charge.edges != dropped + charge.packed:
             raise AssertionError(
                 f"{charge.name}: expanded ids {charge.edges} != filtered "
                 f"{dropped} + packed {charge.packed}"
             )
-        filtered += dropped
-    counted = counters.get("dist.filtered_ids", 0.0)
-    if filtered != counted:
-        raise AssertionError(
-            f"charged filtered ids {filtered} != counter {counted}"
-        )

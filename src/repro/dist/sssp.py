@@ -74,7 +74,6 @@ def distributed_sssp(
         shard_weights.append(
             backend.check_weights(weights[vlist[lo] : vlist[hi]])
         )
-    cluster.reset()
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0

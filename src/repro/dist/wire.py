@@ -44,6 +44,7 @@ from repro.primitives.bitops import pack_varints
 __all__ = [
     "FRONTIER_ID_BYTES",
     "MESSAGE_HEADER_BYTES",
+    "VALUE_BYTES",
     "WIRE_CODECS",
     "WireCodec",
     "RawCodec",
@@ -59,6 +60,11 @@ __all__ = [
 #: every simulated device; kernel writes of frontier entries and any
 #: unpacked (``raw64``) wire accounting must both use this constant.
 FRONTIER_ID_BYTES = 8
+
+#: Width of the value an id carries in a valued exchange (an SSSP
+#: distance, a PageRank partial sum): the pack's value write and the
+#: uncompressed value bytes on the wire both use this constant.
+VALUE_BYTES = 4
 
 #: Fixed per-message envelope: codec tag, id count, range base —
 #: everything the receiver needs before touching the payload.

@@ -74,12 +74,6 @@ class TestBFSEquivalence:
         r = distributed_bfs(cluster, SOURCE)
         assert np.array_equal(r.levels, single_gpu_levels)
 
-    def test_partial_sort_does_not_change_levels(self, graph, device):
-        cluster = ShardedCluster.build(graph, NUM_GPUS, device)
-        sorted_r = distributed_bfs(cluster, SOURCE, partial_sort=True)
-        unsorted_r = distributed_bfs(cluster, SOURCE, partial_sort=False)
-        assert np.array_equal(sorted_r.levels, unsorted_r.levels)
-
 
 class TestWireReduction:
     def _bytes(self, graph, device, wire):

@@ -396,3 +396,23 @@ class TestPinnedDumps:
         assert self._digest(argv, tmp_path, capsys) == (
             "a358a7ede26fa9b832dcef959444bb9ce78ef535849e39da023753bdd4a892ed"
         )
+
+    def test_hierarchical_pagerank_overlap_auto(self, tmp_path, capsys):
+        # Valued exchanges, per-codec tallies under auto, the overlap
+        # counter and the allreduce sync, all rebuilt from the charges.
+        argv = [
+            "dist", "pagerank", "--gpus", "8", "--nodes", "2",
+            "--schedule", "hierarchical", "--overlap", "--wire", "auto",
+        ]
+        assert self._digest(argv, tmp_path, capsys) == (
+            "975ce1130857eab601635b82c10d1f5c1465d547cba049def47506f70a56e09d"
+        )
+
+    def test_butterfly_sssp_overlap_bitmap(self, tmp_path, capsys):
+        argv = [
+            "dist", "sssp", "--gpus", "6", "--schedule", "butterfly",
+            "--overlap", "--wire", "bitmap",
+        ]
+        assert self._digest(argv, tmp_path, capsys) == (
+            "881b5cf270c57605acc3cbfd155508442abe913734765c493c08a2305c9be447"
+        )

@@ -166,11 +166,23 @@ class TestAttribution:
         distributed_bfs(cluster, SOURCE)
         ex = cluster.charges[1].exchange
         ex.tier_bytes["intra"] += 1
-        with pytest.raises(AssertionError, match="charged intra bytes"):
+        with pytest.raises(AssertionError, match="level:1: per-tier bytes"):
             verify_dist_attribution(cluster)
         ex.tier_bytes["intra"] -= 1
         ex.wire_bytes += 1
-        with pytest.raises(AssertionError, match="charged wire bytes"):
+        with pytest.raises(
+            AssertionError, match=r"level:1: id\+value\+header bytes"
+        ):
+            verify_dist_attribution(cluster)
+
+    def test_errors_cannot_cancel_across_levels(self, graph, device):
+        # Two levels wrong by opposite amounts still sum to the right
+        # run total; the per-level check names the first of them.
+        cluster = _cluster(graph, device, 2, 2)
+        distributed_bfs(cluster, SOURCE)
+        cluster.charges[1].exchange.tier_bytes["inter"] += 1
+        cluster.charges[2].exchange.tier_bytes["inter"] -= 1
+        with pytest.raises(AssertionError, match="level:1: per-tier bytes"):
             verify_dist_attribution(cluster)
 
 

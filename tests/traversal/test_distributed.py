@@ -13,15 +13,12 @@ from repro.formats.graph import Graph
 from repro.traversal.validate import reference_bfs_levels
 
 
-def _shared_pipe_bfs(
-    graph, source, num_gpus, device, fmt="csr", wire="raw64",
-    partial_sort=True,
-):
+def _shared_pipe_bfs(graph, source, num_gpus, device, fmt="csr", wire="raw64"):
     cluster = ShardedCluster.build(
         graph, num_gpus, device, fmt=fmt, wire=wire, schedule="flat",
         topology=LinkTopology.for_device(device, num_gpus, contention=1.0),
     )
-    return distributed_bfs(cluster, source, partial_sort=partial_sort)
+    return distributed_bfs(cluster, source)
 
 
 class TestVertexPartition:
@@ -77,19 +74,6 @@ class TestMultiGPUBFS:
     def test_exchange_happens_with_two(self, small_graph, scaled_device):
         r = _shared_pipe_bfs(small_graph, 0, 2, scaled_device)
         assert r.exchanged_bytes > 0
-
-    def test_partial_sort_preserves_levels(self, small_graph, scaled_device):
-        # Regression: the old implementation full-sorted the frontier, so
-        # switching to the paper's partial sort (65% of the id bits,
-        # Sec. VI-E) must not change the traversal outcome.
-        with_sort = _shared_pipe_bfs(
-            small_graph, 3, 4, scaled_device, partial_sort=True
-        )
-        without = _shared_pipe_bfs(
-            small_graph, 3, 4, scaled_device, partial_sort=False
-        )
-        assert np.array_equal(with_sort.levels, without.levels)
-        assert with_sort.num_levels == without.num_levels
 
     def test_frontier_bytes_use_device_width(self, small_graph, scaled_device):
         # Regression: int64 frontiers were charged at 4 B/id on the wire.

@@ -80,7 +80,7 @@ SHAPES = {
         ("level", "edges_expanded", "rank_delta"),
     ),
     "dist_bfs": (
-        "dist_bfs", _DIST_ALGO + ("source", "partial_sort"),
+        "dist_bfs", _DIST_ALGO + ("source",),
         (
             "dist_expand dist_pack dist_claim dist_expand dist_pack "
             "dist_claim dist_sort dist_expand dist_pack dist_claim "
