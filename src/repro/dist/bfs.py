@@ -35,6 +35,7 @@ import numpy as np
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
 from repro.primitives.sort import launch_partial_sort
+from repro.traversal.backends import BFS_WORKING
 from repro.traversal.bfs import claim, expand_and_probe
 
 __all__ = ["DistBFSResult", "distributed_bfs"]
@@ -67,6 +68,8 @@ def distributed_bfs(cluster: ShardedCluster, source: int) -> DistBFSResult:
     nv = cluster.num_nodes
     if not 0 <= source < nv:
         raise IndexError(f"source {source} out of range")
+    for b in cluster.backends:
+        b.place_working(BFS_WORKING)
 
     levels = np.full(nv, -1, dtype=np.int64)
     levels[source] = 0

@@ -30,7 +30,12 @@ import numpy as np
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.topology import tier_record
 from repro.dist.wire import MESSAGE_HEADER_BYTES
-from repro.traversal.pagerank import charge_finalize, push, register_rank2
+from repro.traversal.pagerank import PAGERANK_WORKING, charge_finalize, push
+
+#: Distributed PageRank's working set, bytes per vertex: PageRank's, plus
+#: the frontier array the pack kernel writes its sorted-unique ids and
+#: folded masses to.
+DIST_PAGERANK_WORKING = {**PAGERANK_WORKING, "work:frontier": 8}
 
 __all__ = ["DistPageRankResult", "distributed_pagerank"]
 
@@ -65,7 +70,7 @@ def distributed_pagerank(
     num_gpus = cluster.num_gpus
     partition = cluster.partition
     for b in cluster.backends:
-        register_rank2(b.engine, nv)
+        b.place_working(DIST_PAGERANK_WORKING)
 
     degrees = cluster.graph.degrees.astype(np.float64)
     out_deg_safe = np.maximum(degrees, 1.0)

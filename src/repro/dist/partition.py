@@ -9,7 +9,7 @@ their owners.
 
 What a shard stores is wider than what it owns.  :meth:`VertexPartition.
 subgraph` keeps the full ``nv + 1`` row offsets (rows of other shards
-are empty), and each shard's backend registers its ``work:*`` arrays at
+are empty), and each run places its ``work:*`` arrays on every shard at
 the global ``nv``.  For ``work:visited`` that is a stated choice:
 distributed BFS keeps one global-sized visited view per GPU, its own
 slice plus the remote ids it has sent, so it can drop ids their owners

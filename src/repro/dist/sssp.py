@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.dist.cluster import DistRunResult, ShardedCluster
 from repro.dist.wire import FRONTIER_ID_BYTES
+from repro.traversal.backends import BFS_WORKING
 from repro.traversal.sssp import relax
 
 __all__ = ["DistSSSPResult", "distributed_sssp"]
@@ -65,6 +66,8 @@ def distributed_sssp(
     weights = np.asarray(weights, dtype=np.float32)
     if weights.shape[0] != cluster.graph.num_edges:
         raise ValueError("one weight per stored arc required")
+    for b in cluster.backends:
+        b.place_working(BFS_WORKING)
     # Shard g stores global CSR slots [vlist[lo], vlist[hi]), local slot
     # 0 first: the slots ``expand_weighted`` gathers for global ids.
     vlist = cluster.graph.vlist

@@ -86,13 +86,10 @@ class SimEngine:
     def for_device(
         cls,
         device: DeviceSpec,
-        reserve_bytes: int = 0,
         params: CostParams | None = None,
     ) -> "SimEngine":
         """Convenience constructor wiring a fresh memory manager."""
-        memory = MemoryManager(
-            capacity_bytes=device.memory_bytes, reserve_bytes=reserve_bytes
-        )
+        memory = MemoryManager(capacity_bytes=device.memory_bytes)
         return cls(device=device, memory=memory, params=params or CostParams())
 
     @property
@@ -202,10 +199,13 @@ class SimEngine:
         return self._series
 
     def reset_timeline(self) -> None:
-        """Clear timing state, keeping the memory plan (new traversal run).
+        """Clear timing state for a new traversal run.
 
-        Telemetry — spans, metrics, series — belongs to one run and is
-        reset along with the timeline.
+        The persistent arrays stay registered; the run's driver installs
+        its own working set (:meth:`~repro.gpusim.memory.MemoryManager.
+        working`), replacing the previous run's.  Telemetry — spans,
+        metrics, series — belongs to one run and is reset along with
+        the timeline.
         """
         self._records.clear()
         self._elapsed = 0.0

@@ -69,9 +69,11 @@ from repro.gpusim.cost import CostParams
 from repro.gpusim.device import CPU_E5_2696V4_X2, DeviceSpec
 from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelLaunch
+from repro.gpusim.memory import WORKING_PRIORITY
 from repro.primitives.scan import exclusive_scan
 
 __all__ = [
+    "BFS_WORKING",
     "GPU_FORMATS",
     "GraphBackend",
     "CSRBackend",
@@ -102,6 +104,11 @@ CGR_DEP_LATENCY_CYCLES = 8.0
 #: Ligra+ CPU decode cycles per compressed byte (scalar loop).
 LIGRA_CYCLES_PER_BYTE = 6.0
 
+#: Working set of the BFS family (``bfs``, direction-optimizing BFS,
+#: ``sssp``, delta-stepping and the distributed BFS and SSSP), bytes
+#: per vertex: levels or distances, the visited flags and the frontier.
+BFS_WORKING = {"work:labels": 4, "work:visited": 1, "work:frontier": 8}
+
 
 class GraphBackend(abc.ABC):
     """One graph representation bound to a simulated device.
@@ -110,8 +117,9 @@ class GraphBackend(abc.ABC):
     ``num_nodes``, ``num_edges``): the container's embedded
     :class:`~repro.formats.graph.Graph`, or the EFG container itself.
     ``metadata`` and ``payload`` are the ``(name, bytes)`` of the
-    format's two device arrays, registered ahead of the working arrays
-    and the ``weight_bytes`` weight array.
+    format's two device arrays, registered with the ``weight_bytes``
+    weight array as persistent arrays; each run's working set is
+    installed by its driver (:meth:`place_working`).
     """
 
     format_name: str
@@ -138,18 +146,22 @@ class GraphBackend(abc.ABC):
         self.vlist = shape.vlist
         self.num_nodes = shape.num_nodes
         self.num_edges = shape.num_edges
-        nv = self.num_nodes
         mem = self.engine.memory
         mem.register(*metadata, priority=0)
         mem.register(*payload, priority=1)
-        # Working data the kernels need resident (priority -1: the
-        # planner places it first, mirroring how one allocates outputs
-        # before deciding what else fits — Sec. II bullet 1).
-        mem.register("work:labels", 4 * nv, priority=-1)
-        mem.register("work:visited", nv, priority=-1)
-        mem.register("work:frontier", 8 * nv, priority=-1)
         if weight_bytes:
             mem.register("weights", weight_bytes, priority=2)
+        # Until a run installs its own set, plan with BFS's, so residency
+        # questions asked before any run get the BFS answer.
+        self.place_working(BFS_WORKING)
+
+    def place_working(self, per_vertex: dict[str, int]) -> None:
+        """Make ``per_vertex`` (array -> bytes per vertex) the working
+        set of the next run, replacing the previous run's.  Every driver
+        calls this at run start."""
+        self.engine.memory.working(
+            {name: b * self.num_nodes for name, b in per_vertex.items()}
+        )
 
     @property
     def degrees(self) -> np.ndarray:
@@ -161,14 +173,14 @@ class GraphBackend(abc.ABC):
     def attach_cache(self, cache: DecodedListCache) -> None:
         """Serve future expansions through a decoded-list cache.
 
-        The cache's byte budget is registered as resident working
-        memory (priority -1, like the frontier/visited arrays): the
-        residency it models is on-chip, but budgeting it keeps the
-        planner honest about what else still fits.
+        The cache's byte budget is registered as a persistent array at
+        the working arrays' priority: the residency it models is
+        on-chip, but budgeting it keeps the planner honest about what
+        else still fits.
         """
         self.cache = cache
         self.engine.memory.register(
-            "work:listcache", cache.budget_bytes, priority=-1
+            "work:listcache", cache.budget_bytes, priority=WORKING_PRIORITY
         )
 
     def expand(
@@ -371,7 +383,9 @@ class GraphBackend(abc.ABC):
         return nbrs, seg, weights[slots]
 
     def graph_fits_in_memory(self) -> bool:
-        """True when every registered array is device resident."""
+        """True when the format's arrays, the persistent extras and the
+        last run's working set (BFS's before any run) are all device
+        resident."""
         return self.engine.memory.all_resident()
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.gpusim.kernel import KernelLaunch
 from repro.primitives.compact import atomic_or_claim
 from repro.primitives.sort import launch_partial_sort
-from repro.traversal.backends import GraphBackend
+from repro.traversal.backends import BFS_WORKING, GraphBackend
 
 __all__ = ["BFSResult", "bfs", "claim", "expand_and_probe"]
 
@@ -108,6 +108,7 @@ def bfs(
         raise IndexError(f"source {source} out of range")
     engine = backend.engine
     engine.reset_timeline()
+    backend.place_working(BFS_WORKING)
 
     levels = np.full(nv, -1, dtype=np.int64)
     parents = np.full(nv, -1, dtype=np.int64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.primitives.unique import sorted_unique
-from repro.traversal.backends import GraphBackend
+from repro.traversal.backends import BFS_WORKING, GraphBackend
 
 __all__ = ["DeltaSteppingResult", "delta_stepping_sssp", "suggest_delta"]
 
@@ -93,6 +93,7 @@ def delta_stepping_sssp(
     weights = backend.check_weights(weights)
     engine = backend.engine
     engine.reset_timeline()
+    backend.place_working(BFS_WORKING)
     if delta is None:
         delta = suggest_delta(weights, backend.degrees)
     if delta <= 0:

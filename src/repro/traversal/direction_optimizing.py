@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.traversal.backends import GraphBackend
+from repro.traversal.backends import BFS_WORKING, GraphBackend
 from repro.traversal.bfs import claim, expand_and_probe
 
 __all__ = ["DirectionOptimizingResult", "bfs_direction_optimizing"]
@@ -78,6 +78,7 @@ def bfs_direction_optimizing(
         raise IndexError(f"source {source} out of range")
     engine = out_backend.engine
     engine.reset_timeline()
+    out_backend.place_working(BFS_WORKING)
 
     levels = np.full(nv, -1, dtype=np.int64)
     visited = np.zeros(nv, dtype=bool)

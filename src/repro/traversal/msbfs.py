@@ -157,10 +157,11 @@ def msbfs(
     # Working state the GPU kernels would keep resident: one uint64
     # visited mask, the current/next frontier masks, and the per-lane
     # level output written on first visit.
-    mem = engine.memory
-    mem.register("work:visited_mask", 8 * nv, priority=-1)
-    mem.register("work:frontier_mask", 16 * nv, priority=-1)
-    mem.register("work:mslevels", 4 * nv * num_lanes, priority=-1)
+    backend.place_working({
+        "work:visited_mask": 8,
+        "work:frontier_mask": 16,
+        "work:mslevels": 4 * num_lanes,
+    })
 
     lane_levels = np.full((num_lanes, nv), -1, dtype=np.int32)
     visited = np.zeros(nv, dtype=np.uint64)

@@ -4,8 +4,8 @@ Every vertex is active each iteration (the frontier is all of V), so
 each iteration decodes the whole graph and atomically accumulates
 ``rank[src] / deg[src]`` into each destination.  Runs are capped at 50
 iterations like the paper's evaluation.  The level bodies :func:`push`,
-:func:`charge_finalize` and :func:`register_rank2` are shared with the
-distributed driver.
+:func:`charge_finalize` and the working set :data:`PAGERANK_WORKING` are
+shared with the distributed driver.
 """
 
 from __future__ import annotations
@@ -14,13 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpusim.engine import SimEngine
 from repro.gpusim.kernel import KernelLaunch
 from repro.traversal.backends import GraphBackend
 
 __all__ = [
-    "PageRankResult", "charge_finalize", "pagerank", "push", "register_rank2",
+    "PAGERANK_WORKING", "PageRankResult", "charge_finalize", "pagerank",
+    "push",
 ]
+
+#: PageRank's working set, bytes per vertex: the ranks (``work:labels``)
+#: and the second rank buffer the push accumulates into.  The frontier
+#: is all of V, so there is no visited or frontier array.
+PAGERANK_WORKING = {"work:labels": 4, "work:rank2": 4}
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,6 @@ class PageRankResult:
     def runtime_ms(self) -> float:
         """Simulated runtime in milliseconds."""
         return self.sim_seconds * 1e3
-
-
-def register_rank2(engine: SimEngine, num_nodes: int) -> None:
-    """Register the second rank buffer for ping-pong accumulation."""
-    engine.memory.register("work:rank2", 4 * num_nodes, priority=-1)
 
 
 def push(
@@ -93,7 +93,7 @@ def pagerank(
     nv = backend.num_nodes
     engine = backend.engine
     engine.reset_timeline()
-    register_rank2(engine, nv)
+    backend.place_working(PAGERANK_WORKING)
 
     all_vertices = np.arange(nv, dtype=np.int64)
     degrees = backend.degrees.astype(np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.gpusim.kernel import KernelLaunch
 from repro.primitives.compact import scatter_bitmap_to_indices
-from repro.traversal.backends import GraphBackend
+from repro.traversal.backends import BFS_WORKING, GraphBackend
 
 __all__ = ["SSSPResult", "relax", "sssp"]
 
@@ -75,6 +75,7 @@ def sssp(
     weights = backend.check_weights(weights)
     engine = backend.engine
     engine.reset_timeline()
+    backend.place_working(BFS_WORKING)
 
     dist = np.full(nv, np.inf, dtype=np.float64)
     dist[source] = 0.0
