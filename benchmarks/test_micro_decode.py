@@ -2,7 +2,8 @@
 
 Unlike the table/figure benches (which report *simulated* device time),
 these measure our actual Python implementation: EFG whole-frontier
-decode, EF range decode, and the encode pipelines.  Useful for tracking
+decode, EF range decode, cost-model stream pricing, and the encode
+pipelines.  Useful for tracking
 regressions in the vectorized kernels themselves.  The whole-graph
 decode and encode cases (EFG and CGR) also record the codec's host
 working set (the tracemalloc peak of one call, outputs included) in
@@ -18,6 +19,7 @@ import pytest
 from repro.bench.harness import encoded_suite_graph
 from repro.core.efg import decode_lists
 from repro.ef.encoding import ef_decode_range, ef_encode
+from repro.gpusim.cost import stream_transfer_bytes
 
 
 #: Bound on the whole-graph codec's working set, B/edge.
@@ -71,6 +73,30 @@ def test_decode_frontier_throughput(benchmark, twitter, rng=np.random.default_rn
 
     vals = benchmark(run)
     assert vals.shape[0] == graph.degrees[frontier].sum()
+
+
+def test_stream_pricing_throughput(benchmark, twitter):
+    """Cost-model pricing of the whole-graph neighbour stream (the
+    ``work:visited`` probe of a whole-graph expansion).  Records
+    accesses/s and the call's tracemalloc peak, which the blocked walk
+    keeps under 1 MiB whatever the stream's length."""
+    graph, _ = twitter
+    ids = graph.elist
+
+    moved = benchmark(stream_transfer_bytes, ids, 4, 32)
+    assert moved > 0
+    benchmark.extra_info["accesses"] = ids.shape[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream_transfer_bytes(ids, 4, 32)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["peak_bytes"] = peak
+    assert peak < 1 << 20, peak
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["accesses_per_sec"] = ids.shape[0] / benchmark.stats["mean"]
 
 
 def test_ef_range_decode(benchmark):

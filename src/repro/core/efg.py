@@ -52,6 +52,7 @@ __all__ = [
     "efg_encode",
     "decode_lists",
     "csr_gather_indices",
+    "range_indices",
     "validate_efg",
     "check_decode_batch",
 ]
@@ -67,16 +68,20 @@ def csr_gather_indices(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndar
     Its peak scratch is its two outputs: ``starts[s] - ex[s]`` (``ex``
     the exclusive sum of ``lengths``) repeated plus the flat position.
     """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg_ids = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    return range_indices(starts, lengths), seg_ids
+
+
+def range_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``indices`` half of :func:`csr_gather_indices`:
+    ``starts[s] + 0..lengths[s]-1`` for every segment ``s``, in order."""
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ex, _ = exclusive_scan(lengths)
+    ex, total = exclusive_scan(lengths)
     indices = np.repeat(starts - ex, lengths)
     indices += np.arange(total, dtype=np.int64)
-    seg_ids = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
-    return indices, seg_ids
+    return indices
 
 
 @dataclass

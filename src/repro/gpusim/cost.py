@@ -56,6 +56,11 @@ __all__ = [
 #: that combines requests from concurrently-running warps.
 COALESCE_WINDOW = 32
 
+#: Accesses :func:`stream_transfer_bytes` prices per block: its scratch
+#: is one unit and two bools per access of a block and its look-back,
+#: whatever the stream's length.
+_STREAM_BLOCK = 1 << 16
+
 
 def stream_transfer_bytes(
     ids: np.ndarray,
@@ -74,16 +79,43 @@ def stream_transfer_bytes(
     model sensitive to frontier ordering (Sec. VI-E) and to graph
     reordering (Sec. VIII-D): locality is *measured* from the ids the
     kernel really touches.
+
+    The stream is walked in blocks of ``_STREAM_BLOCK`` accesses, each
+    loaded with the ``window`` accesses before it, so the scratch is
+    the same few buffers for any stream length.
     """
-    ids = np.asarray(ids)
-    if ids.size == 0:
+    ids = np.asarray(ids).reshape(-1)
+    n = ids.shape[0]
+    if n == 0:
         return 0
     _check_stream_args(elem_bytes, unit_bytes, window)
-    units = (ids.astype(np.int64) * elem_bytes) // unit_bytes
-    merged = np.zeros(units.shape[0], dtype=bool)
-    for k in range(1, min(window, units.shape[0] - 1) + 1):
-        merged[k:] |= units[k:] == units[:-k]
-    misses = int((~merged).sum())
+    block = min(_STREAM_BLOCK, n)
+    # Each block is loaded behind the (up to) ``window`` accesses before
+    # it; those are looked back to but not counted again.
+    size = block + min(window, n - block)
+    # The passes compare faster at int32, which holds every unit (and
+    # every product on the way) whenever it holds every
+    # ``id * elem_bytes`` and ``unit_bytes``.
+    top = max(abs(int(ids.min())), abs(int(ids.max())), 1) * elem_bytes
+    narrow = max(top, unit_bytes) < 1 << 31
+    units = np.empty(size, dtype=np.int32 if narrow else np.int64)
+    merged = np.empty(size, dtype=bool)
+    equal = np.empty(size, dtype=bool)
+    misses = 0
+    for b0 in range(0, n, block):
+        back = min(window, b0)
+        u = units[: back + min(block, n - b0)]
+        u[...] = ids[b0 - back : b0 + block]
+        u *= elem_bytes
+        u //= unit_bytes
+        loaded = u.shape[0]
+        hit = merged[:loaded]
+        hit[...] = False
+        for k in range(1, min(window, loaded - 1) + 1):
+            eq = equal[k:loaded]
+            np.equal(u[k:], u[:-k], out=eq)
+            hit[k:] |= eq
+        misses += loaded - back - int(np.count_nonzero(hit[back:]))
     return misses * unit_bytes
 
 

@@ -23,7 +23,10 @@ plan; a format names its container, its metadata and payload arrays and
 its charges.  CSR, CGR and Ligra+ share one functional ``_decode``, a
 gather from the reference adjacency their containers embed (the CGR and
 Ligra+ byte decoders are validated in unit tests); their *cost* paths
-use the real compressed sizes.  Every SSSP variant relaxes through
+use the real compressed sizes.  Every format decodes a frontier one
+block of consecutive lists at a time (``_EXPAND_BLOCK`` edges), so only
+the outputs grow with the frontier; the charges see the whole frontier.
+Every SSSP variant relaxes through
 :meth:`GraphBackend.expand_weighted` and :meth:`GraphBackend.check_weights`.
 
 The GPU formats are registered by key in one table: :func:`encode`
@@ -56,9 +59,10 @@ import numpy as np
 
 from repro.core.efg import (
     EFGraph,
-    csr_gather_indices,
+    check_decode_batch,
     decode_lists,
     efg_encode,
+    range_indices,
 )
 from repro.core.listcache import DECODED_ELEM_BYTES, DecodedListCache
 from repro.formats.cgr import CGRGraph, cgr_encode
@@ -104,10 +108,49 @@ CGR_DEP_LATENCY_CYCLES = 8.0
 #: Ligra+ CPU decode cycles per compressed byte (scalar loop).
 LIGRA_CYCLES_PER_BYTE = 6.0
 
+#: Edges one block of an expansion decodes or gathers: a frontier is
+#: walked in runs of consecutive vertices whose lists sum to at most
+#: this many edges (a longer list is a run of its own), so a round's
+#: per-edge host scratch is sized by the block, not by the frontier.
+_EXPAND_BLOCK = 1 << 16
+
 #: Working set of the BFS family (``bfs``, direction-optimizing BFS,
-#: ``sssp``, delta-stepping and the distributed BFS and SSSP), bytes
-#: per vertex: levels or distances, the visited flags and the frontier.
+#: ``sssp`` and the distributed BFS and SSSP), bytes per vertex: levels
+#: or distances, the visited flags and the frontier.
 BFS_WORKING = {"work:labels": 4, "work:visited": 1, "work:frontier": 8}
+
+
+def _edge_blocks(lengths: np.ndarray):
+    """Yield ``(lo, hi, e0, e1)`` per run ``lengths[lo:hi]`` of at most
+    ``_EXPAND_BLOCK`` edges (or one longer list); ``e0:e1`` are the
+    run's positions in the concatenation of the lists."""
+    ends = np.cumsum(lengths)
+    lo = e0 = 0
+    while lo < lengths.shape[0]:
+        hi = int(np.searchsorted(ends, e0 + _EXPAND_BLOCK, side="right"))
+        hi = max(hi, lo + 1)
+        e1 = int(ends[hi - 1])
+        yield lo, hi, e0, e1
+        lo, e0 = hi, e1
+
+
+def _gather_ranges(
+    array: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """``array[starts[r] : starts[r] + lengths[r]]`` for every range,
+    concatenated, gathered one block of ranges at a time so the index
+    scratch is bounded by ``_EXPAND_BLOCK``."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.empty(int(lengths.sum()), dtype=array.dtype)
+    for lo, hi, e0, e1 in _edge_blocks(lengths):
+        idx = range_indices(starts[lo:hi], lengths[lo:hi])
+        np.take(array, idx, out=out[e0:e1])
+    return out
+
+
+def _segments(lengths: np.ndarray) -> np.ndarray:
+    """The index of its range for every position of the concatenation."""
+    return np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
 
 
 class GraphBackend(abc.ABC):
@@ -221,30 +264,32 @@ class GraphBackend(abc.ABC):
         hit_vertices = frontier[hit_pos]
         hit_lists = cache.get_many(hit_vertices) if hit_pos.size else []
 
-        miss_nbrs = np.empty(0, dtype=np.int64)
-        if miss_vertices.size:
-            miss_nbrs, _ = self._decode(miss_vertices)
+        if miss_pos.size:
+            miss_deg = self.degrees[miss_vertices]
+            miss_nbrs = self._decode_lists(miss_vertices, miss_deg)
             self.lists_decoded += int(miss_vertices.shape[0])
             cache.stats.miss_edges += int(miss_nbrs.shape[0])
             # Install the freshly decoded lists (split back per vertex).
-            bounds = np.cumsum(self.degrees[miss_vertices])[:-1]
+            bounds = np.cumsum(miss_deg)[:-1]
             cache.put_many(miss_vertices, np.split(miss_nbrs, bounds))
             self.charge_expand(miss_vertices, miss_nbrs, kernel)
 
-        # Merge hits and misses back into frontier order.
+        # Merge hits and misses back into frontier order, one block of
+        # lists at a time.
         deg = self.degrees[frontier]
         ex_deg, total = exclusive_scan(deg)
         nbrs = np.empty(int(total), dtype=np.int64)
-        seg = np.repeat(np.arange(frontier.shape[0], dtype=np.int64), deg)
         if miss_pos.size:
-            target, _ = csr_gather_indices(ex_deg[miss_pos], deg[miss_pos])
-            nbrs[target] = miss_nbrs
+            for lo, hi, e0, e1 in _edge_blocks(miss_deg):
+                at = range_indices(ex_deg[miss_pos[lo:hi]], miss_deg[lo:hi])
+                nbrs[at] = miss_nbrs[e0:e1]
         if hit_pos.size:
-            target, _ = csr_gather_indices(ex_deg[hit_pos], deg[hit_pos])
-            nbrs[target] = np.concatenate(hit_lists)
-            self.charge_cached_expand(
-                hit_vertices, int(deg[hit_pos].sum()), kernel
-            )
+            hit_deg = deg[hit_pos]
+            for lo, hi, _, _ in _edge_blocks(hit_deg):
+                at = range_indices(ex_deg[hit_pos[lo:hi]], hit_deg[lo:hi])
+                nbrs[at] = np.concatenate(hit_lists[lo:hi])
+            self.charge_cached_expand(hit_vertices, int(hit_deg.sum()), kernel)
+        seg = _segments(deg)
 
         engine = self.engine
         engine.metrics.inc("listcache:hits", int(hit_pos.size))
@@ -284,11 +329,20 @@ class GraphBackend(abc.ABC):
         self.engine.metrics.inc("listcache:bytes_saved", saved_bytes)
 
     def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Functional neighbour-list decode (no cost accounting): a
-        gather from ``self.elist``, the reference adjacency the CSR,
-        CGR and Ligra+ containers embed."""
-        edge_idx, seg = csr_gather_indices(*self.edge_ranges(frontier))
-        return self.elist[edge_idx], seg
+        """Functional neighbour-list decode (no cost accounting):
+        ``(nbrs, seg)`` as :meth:`expand` returns them, decoded one
+        block of lists at a time (:meth:`_decode_lists`)."""
+        frontier = np.asarray(frontier, dtype=np.int64)
+        deg = self.degrees[frontier]
+        return self._decode_lists(frontier, deg), _segments(deg)
+
+    def _decode_lists(
+        self, frontier: np.ndarray, deg: np.ndarray
+    ) -> np.ndarray:
+        """The neighbour lists of ``frontier`` (degrees ``deg``),
+        concatenated: a blocked gather from ``self.elist``, the
+        reference adjacency the CSR, CGR and Ligra+ containers embed."""
+        return _gather_ranges(self.elist, self.vlist[frontier], deg)
 
     @abc.abstractmethod
     def charge_expand(
@@ -375,12 +429,11 @@ class GraphBackend(abc.ABC):
         frontier = np.asarray(frontier, dtype=np.int64)
         nbrs, seg = self.expand(frontier, kernel)
         starts, lengths = self.edge_ranges(frontier)
-        slots, _ = csr_gather_indices(starts, lengths)
         kernel.read_ranges("weights", starts, lengths, 4)
         # Distance probe + atomicMin per candidate.
         kernel.read_stream("work:labels", nbrs, 4)
         kernel.instructions(4.0 * nbrs.shape[0])
-        return nbrs, seg, weights[slots]
+        return nbrs, seg, _gather_ranges(weights, starts, lengths)
 
     def graph_fits_in_memory(self) -> bool:
         """True when the format's arrays, the persistent extras and the
@@ -442,8 +495,20 @@ class EFGBackend(GraphBackend):
             payload=("efg_data", int(efg.data.shape[0])),
         )
 
-    def _decode(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return decode_lists(self.efg, frontier)
+    def _decode_lists(
+        self, frontier: np.ndarray, deg: np.ndarray
+    ) -> np.ndarray:
+        # The batched multi-list kernel, one block of lists per call.
+        total = int(deg.sum())
+        if total <= _EXPAND_BLOCK:
+            return decode_lists(self.efg, frontier)[0]
+        # Reject a corrupt batch as one whole-frontier decode would,
+        # before its degrees split it into blocks.
+        check_decode_batch(self.efg, frontier)
+        nbrs = np.empty(total, dtype=np.int64)
+        for lo, hi, e0, e1 in _edge_blocks(deg):
+            nbrs[e0:e1] = decode_lists(self.efg, frontier[lo:hi])[0]
+        return nbrs
 
     def _payload_info(self, vertices):
         per_list = self.efg.offsets[vertices + 1] - self.efg.offsets[vertices]

@@ -22,9 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.primitives.unique import sorted_unique
-from repro.traversal.backends import BFS_WORKING, GraphBackend
+from repro.traversal.backends import GraphBackend
 
 __all__ = ["DeltaSteppingResult", "delta_stepping_sssp", "suggest_delta"]
+
+#: Delta-stepping's working set, bytes per vertex: the distances.  Its
+#: buckets are found from the distances themselves, so no launch
+#: touches a visited or frontier array.
+DELTA_STEPPING_WORKING = {"work:labels": 4}
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ def delta_stepping_sssp(
     weights = backend.check_weights(weights)
     engine = backend.engine
     engine.reset_timeline()
-    backend.place_working(BFS_WORKING)
+    backend.place_working(DELTA_STEPPING_WORKING)
     if delta is None:
         delta = suggest_delta(weights, backend.degrees)
     if delta <= 0:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.primitives.scan import exclusive_scan
 from repro.traversal.backends import BFS_WORKING, GraphBackend
 from repro.traversal.bfs import claim, expand_and_probe
 
@@ -163,21 +164,21 @@ def _bottom_up_step(
     if candidates.size == 0:
         return 0, candidates
     nbrs, seg = in_backend._decode(candidates)
-    hit = in_frontier[nbrs]
+    hit_idx = np.flatnonzero(in_frontier[nbrs])
+    del nbrs
+
+    # Per candidate: the position of its first frontier parent in its
+    # list, else its full degree.  Hits come in list order, so a
+    # candidate's first hit starts its run of hits.
+    hit_seg = seg[hit_idx]
+    del seg
+    first = np.ones(hit_idx.shape[0], dtype=bool)
+    np.not_equal(hit_seg[1:], hit_seg[:-1], out=first[1:])
+    found = hit_seg[first]
     deg = in_backend.degrees[candidates]
-
-    # Per candidate: position of the first hit, else full degree.
-    from repro.primitives.scan import exclusive_scan
-
-    ex, total = exclusive_scan(deg)
-    local = np.arange(total, dtype=np.int64) - ex[seg]
-    first_hit = np.full(candidates.shape[0], 2**62, dtype=np.int64)
-    hit_idx = np.flatnonzero(hit)
-    if hit_idx.size:
-        np.minimum.at(first_hit, seg[hit_idx], local[hit_idx])
-    found_mask = first_hit < 2**62
-
-    scanned = np.where(found_mask, first_hit + 1, deg)
+    ex, _ = exclusive_scan(deg)
+    scanned = deg.copy()
+    scanned[found] = hit_idx[first] - ex[found] + 1
     total_scanned = int(scanned.sum())
     in_backend.charge_scan_prefix(candidates, scanned, kernel)
-    return total_scanned, candidates[found_mask]
+    return total_scanned, candidates[found]

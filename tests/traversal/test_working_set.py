@@ -35,6 +35,7 @@ BASE = TITAN_XP.scaled(2048)
 BFS_SET = ["work:labels", "work:visited", "work:frontier"]
 PAGERANK_SET = ["work:labels", "work:rank2"]
 DIST_PAGERANK_SET = ["work:labels", "work:rank2", "work:frontier"]
+DELTA_STEPPING_SET = ["work:labels"]
 MSBFS_SET = ["work:visited_mask", "work:frontier_mask", "work:mslevels"]
 
 
@@ -172,15 +173,24 @@ class TestEachDriverPlacesItsOwnSet:
             lambda b, w: bfs(b, SOURCE),
             lambda b, w: bfs_direction_optimizing(b, source=SOURCE),
             lambda b, w: sssp(b, SOURCE, w),
-            lambda b, w: delta_stepping_sssp(b, SOURCE, w),
         ],
-        ids=["bfs", "dobfs", "sssp", "delta_stepping"],
+        ids=["bfs", "dobfs", "sssp"],
     )
     def test_bfs_family(self, graph, weights, run):
         backend = self._after_msbfs(graph, weights)
         run(backend, weights)
         assert _work_names(backend) == BFS_SET
         assert _touched(backend) <= set(BFS_SET)
+
+    @pytest.mark.parametrize("fmt", ["csr", "efg"])
+    def test_delta_stepping(self, graph, weights, fmt):
+        backend = build_backend(
+            fmt, graph, BASE, weight_bytes=4 * graph.num_edges
+        )
+        msbfs(backend, SOURCES)
+        delta_stepping_sssp(backend, SOURCE, weights)
+        assert _work_names(backend) == DELTA_STEPPING_SET
+        assert _touched(backend) == set(DELTA_STEPPING_SET)
 
     def test_pagerank(self, graph):
         backend = self._after_msbfs(graph)
