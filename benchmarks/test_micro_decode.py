@@ -51,11 +51,7 @@ def test_decode_whole_graph_throughput(benchmark, twitter):
     graph, efg = twitter
     verts = np.arange(graph.num_nodes, dtype=np.int64)
 
-    def run():
-        vals, _ = decode_lists(efg, verts)
-        return vals
-
-    vals = benchmark(run)
+    vals = benchmark(decode_lists, efg, verts)
     assert vals.shape[0] == graph.num_edges
     benchmark.extra_info["edges"] = graph.num_edges
     efg.degrees  # the cached degree array is not decode scratch
@@ -68,10 +64,7 @@ def test_decode_frontier_throughput(benchmark, twitter, rng=np.random.default_rn
     graph, efg = twitter
     frontier = rng.choice(graph.num_nodes, size=4096, replace=False)
 
-    def run():
-        return decode_lists(efg, frontier)[0]
-
-    vals = benchmark(run)
+    vals = benchmark(decode_lists, efg, frontier)
     assert vals.shape[0] == graph.degrees[frontier].sum()
 
 

@@ -181,8 +181,7 @@ class EFGraph:
 
     def neighbours(self, v: int) -> np.ndarray:
         """Decode one full neighbour list."""
-        out, _ = decode_lists(self, np.array([v], dtype=np.int64))
-        return out
+        return decode_lists(self, np.array([v], dtype=np.int64))
 
     def edge_at(self, v: int, i: int) -> int:
         """Random access: the i-th neighbour of ``v`` without a full
@@ -226,10 +225,7 @@ class EFGraph:
 
     def decode_all(self) -> np.ndarray:
         """Every list, flat int64 in CSR order (one batched decode)."""
-        values, _ = decode_lists(
-            self, np.arange(self.num_nodes, dtype=np.int64)
-        )
-        return values
+        return decode_lists(self, np.arange(self.num_nodes, dtype=np.int64))
 
     def to_graph(self) -> Graph:
         """Decode the whole graph back to sorted-adjacency form."""
@@ -577,9 +573,7 @@ def check_decode_batch(efg: EFGraph, vertices: np.ndarray) -> None:
         )
 
 
-def decode_lists(
-    efg: EFGraph, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def decode_lists(efg: EFGraph, vertices: np.ndarray) -> np.ndarray:
     """Decode the full neighbour lists of a batch of vertices.
 
     The whole-batch form of the multi-list kernel (Fig. 7), with the
@@ -594,10 +588,9 @@ def decode_lists(
 
     Returns
     -------
-    (values, segment_ids):
-        ``values`` — concatenated decoded neighbour ids;
-        ``segment_ids`` — for each value, the index *into ``vertices``*
-        of the list it belongs to.
+    values:
+        The decoded neighbour ids of every list, concatenated in
+        ``vertices`` order (int64).
 
     Raises
     ------
@@ -610,7 +603,7 @@ def decode_lists(
     degrees = efg.degrees[vertices]
     total_vals = int(degrees.sum())
     if total_vals == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
 
     # Gather every upper byte of every list (threads <- bytes, Fig. 7
     # step 1) and select every stop bit of the window.
@@ -652,6 +645,4 @@ def decode_lists(
     )
     values <<= l_per_val
     values |= extract_fields(efg.data, low_pos, l_per_val).view(np.int64)
-    del low_pos, l_per_val
-    val_seg = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), degrees)
-    return values, val_seg
+    return values

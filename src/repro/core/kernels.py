@@ -7,7 +7,7 @@ search, ``select1_byte`` LUT probe, segmented bookkeeping for multiple
 lists.  Each "iteration" processes DIMX elements at once (one vector
 op = one lockstep warp instruction).
 
-They produce bit-identical output to the whole-batch fast path
+They decode bit-identical values to the whole-batch fast path
 (:func:`repro.core.efg.decode_lists`) — a property the test suite
 asserts — but run block-by-block in Python, so the traversal simulator
 uses the fast path and these kernels serve correctness validation,

@@ -243,7 +243,13 @@ class ShardedCluster:
     @contextmanager
     def algorithm(self, name: str, **attrs) -> Iterator[Span]:
         """One run: :meth:`reset`, then the run's algorithm span; on a
-        normal exit the run's metrics are built (:meth:`_finish_run`).
+        normal exit the run's metrics are built (:meth:`_finish_run`)
+        and the run is checked: its byte accounting
+        (:func:`~repro.dist.report.verify_dist_attribution`) and its
+        critical path (:func:`~repro.obs.critpath.verify_critpath`) must
+        hold, or this raises ``AssertionError`` (under ``python -O``
+        too).  A run that raises is not checked; its exception
+        propagates unchanged.
 
         ``name`` is also the namespace of the ``<name>.gteps`` gauge.
         """
@@ -263,6 +269,14 @@ class ShardedCluster:
             self._finish_run(name)
         finally:
             self.tracer.close(self.clock)
+        from repro.dist.report import verify_dist_attribution
+        from repro.obs.critpath import (
+            extract_cluster_critical_path,
+            verify_critpath,
+        )
+
+        verify_dist_attribution(self)
+        verify_critpath(extract_cluster_critical_path(self))
 
     @contextmanager
     def level(

@@ -34,6 +34,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryManager
 from repro.obs.metrics import MetricsRegistry, bytes_per_edge
+from repro.obs.roofline import fit_name
 from repro.obs.spans import Span, Tracer
 
 __all__ = ["AlgorithmRun", "LaunchRecord", "SimEngine"]
@@ -143,6 +144,13 @@ class SimEngine:
         The driver adds its traversed edges to the yielded
         :class:`AlgorithmRun`; on exit ``<gauge>.bytes_per_edge`` is set
         from them (no gauge when ``gauge`` is ``None``).
+
+        A run is checked when it ends: on a normal exit the byte
+        attribution (:func:`~repro.obs.counters.verify_attribution`)
+        and the critical path (:func:`~repro.obs.critpath.
+        verify_critpath`) of the whole timeline must hold, or this
+        raises ``AssertionError`` (under ``python -O`` too).  A run that
+        raises is not checked; its exception propagates unchanged.
         """
         self.tracer.open(name, "algorithm", self._elapsed, attrs)
         run = AlgorithmRun()
@@ -154,6 +162,11 @@ class SimEngine:
                 )
         finally:
             self.tracer.close(self._elapsed)
+        from repro.obs.counters import verify_attribution
+        from repro.obs.critpath import extract_critical_path, verify_critpath
+
+        verify_attribution(self)
+        verify_critpath(extract_critical_path(self))
 
     @contextmanager
     def level(
@@ -265,13 +278,6 @@ class SimEngine:
             row["lane_slots"] += rec.cost.lane_slots
         return out
 
-    @staticmethod
-    def _fit_name(name: str, width: int = 32) -> str:
-        """Fixed-width name cell; long names get a trailing ellipsis."""
-        if len(name) <= width:
-            return f"{name:{width}s}"
-        return name[: width - 1] + "…"
-
     def profile_report(self) -> str:
         """nvprof-style text table of where simulated time went.
 
@@ -290,7 +296,7 @@ class SimEngine:
             summary.items(), key=lambda kv: -kv[1]["seconds"]
         ):
             lines.append(
-                f"{self._fit_name(name)} {row['seconds'] * 1e3:10.3f} "
+                f"{fit_name(name, 32)} {row['seconds'] * 1e3:10.3f} "
                 f"{100 * row['seconds'] / total:6.1f} {int(row['launches']):9d} "
                 f"{row['device_bytes'] / 1e6:9.3f} "
                 f"{row['host_bytes'] / 1e6:9.3f} "
@@ -300,7 +306,7 @@ class SimEngine:
         if counters:
             lines.append(f"{'counter':32s} {'value':>18s}")
             for name in sorted(counters):
-                lines.append(f"{self._fit_name(name)} {counters[name]:18,.0f}")
+                lines.append(f"{fit_name(name, 32)} {counters[name]:18,.0f}")
         from repro.obs.critpath import (
             critpath_report_line,
             extract_critical_path,

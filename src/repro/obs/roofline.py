@@ -254,7 +254,8 @@ def level_rooflines(engine: "SimEngine") -> list[LevelRoofline]:
     return out
 
 
-def _fmt_name(name: str, width: int) -> str:
+def fit_name(name: str, width: int) -> str:
+    """Fixed-width name cell; long names get a trailing ellipsis."""
     if len(name) <= width:
         return f"{name:{width}s}"
     return name[: width - 1] + "…"
@@ -276,9 +277,9 @@ def roofline_report(engine: "SimEngine", max_levels: int = 40) -> str:
     ]
     for r in rows:
         lines.append(
-            f"{_fmt_name(r.name, 24)} {r.seconds * 1e3:9.3f} "
+            f"{fit_name(r.name, 24)} {r.seconds * 1e3:9.3f} "
             f"{100 * r.seconds / total:5.1f} {r.bound:>8s} "
-            f"{_fmt_name(r.bound_array or '-', 14).strip():>14s} "
+            f"{fit_name(r.bound_array or '-', 14).strip():>14s} "
             f"{r.achieved_dram_bw / 1e9:10.2f} {100 * r.dram_frac:5.1f} "
             f"{r.achieved_link_bw / 1e9:10.2f} {100 * r.link_frac:5.1f} "
             f"{r.achieved_instr_rate / 1e9:9.2f} {100 * r.compute_frac:5.1f}"
@@ -298,10 +299,10 @@ def roofline_report(engine: "SimEngine", max_levels: int = 40) -> str:
             edges = lv.attrs.get("edges_expanded", "")
             top = lv.top_array or "-"
             lines.append(
-                f"{_fmt_name(f'{lv.algorithm}/{lv.name}', 24)} "
+                f"{fit_name(f'{lv.algorithm}/{lv.name}', 24)} "
                 f"{lv.seconds * 1e3:9.3f} {lv.bound:>8s} {lv.launches:8d} "
                 f"{moved:9.3f} {frontier!s:>9s} {edges!s:>10s} "
-                f"{_fmt_name(str(top), 14).strip():>14s}"
+                f"{fit_name(str(top), 14).strip():>14s}"
             )
         if len(levels) > len(shown):
             lines.append(f"... {len(levels) - len(shown)} more levels")

@@ -501,13 +501,13 @@ class EFGBackend(GraphBackend):
         # The batched multi-list kernel, one block of lists per call.
         total = int(deg.sum())
         if total <= _EXPAND_BLOCK:
-            return decode_lists(self.efg, frontier)[0]
+            return decode_lists(self.efg, frontier)
         # Reject a corrupt batch as one whole-frontier decode would,
         # before its degrees split it into blocks.
         check_decode_batch(self.efg, frontier)
         nbrs = np.empty(total, dtype=np.int64)
         for lo, hi, e0, e1 in _edge_blocks(deg):
-            nbrs[e0:e1] = decode_lists(self.efg, frontier[lo:hi])[0]
+            nbrs[e0:e1] = decode_lists(self.efg, frontier[lo:hi])
         return nbrs
 
     def _payload_info(self, vertices):

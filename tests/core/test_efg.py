@@ -185,32 +185,28 @@ class TestBatchedDecode:
     def test_matches_per_list(self, small_graph, rng):
         efg = efg_encode(small_graph)
         batch = rng.integers(0, small_graph.num_nodes, size=40)
-        vals, seg = decode_lists(efg, batch)
+        vals = decode_lists(efg, batch)
         expect = np.concatenate(
             [small_graph.neighbours(int(v)) for v in batch]
         )
         assert np.array_equal(vals, expect)
-        expect_seg = np.repeat(
-            np.arange(40), small_graph.degrees[batch]
-        )
-        assert np.array_equal(seg, expect_seg)
 
     def test_duplicate_vertices_in_batch(self, small_graph):
         efg = efg_encode(small_graph)
         batch = np.array([5, 5, 5])
-        vals, seg = decode_lists(efg, batch)
+        vals = decode_lists(efg, batch)
         one = small_graph.neighbours(5)
         assert np.array_equal(vals, np.tile(one, 3))
 
     def test_empty_batch(self, small_graph):
         efg = efg_encode(small_graph)
-        vals, seg = decode_lists(efg, np.array([], dtype=np.int64))
-        assert vals.shape == (0,) and seg.shape == (0,)
+        vals = decode_lists(efg, np.array([], dtype=np.int64))
+        assert vals.shape == (0,) and vals.dtype == np.int64
 
     def test_batch_of_empty_lists(self):
         g = Graph.from_adjacency([[], [], [0]])
         efg = efg_encode(g)
-        vals, seg = decode_lists(efg, np.array([0, 1]))
+        vals = decode_lists(efg, np.array([0, 1]))
         assert vals.shape == (0,)
 
     def test_mixed_lower_bit_widths(self, rng):
@@ -225,7 +221,7 @@ class TestBatchedDecode:
             [a for a in adjacency] + [[] for _ in range(10**6 - 3)]
         )
         efg = efg_encode(g)
-        vals, _ = decode_lists(efg, np.array([0, 1, 2]))
+        vals = decode_lists(efg, np.array([0, 1, 2]))
         expect = np.concatenate([g.neighbours(v) for v in range(3)])
         assert np.array_equal(vals, expect)
 

@@ -89,9 +89,10 @@ class TestMultipleLists:
         vals, seg, assignment = decompress_multiple_lists(
             efg, frontier, edges_per_block=edges_per_block
         )
-        ref_vals, ref_seg = decode_lists(efg, frontier)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(seg, ref_seg)
+        assert np.array_equal(vals, decode_lists(efg, frontier))
+        assert np.array_equal(
+            seg, np.repeat(np.arange(len(frontier)), efg.degrees[frontier])
+        )
         assert assignment.total_edges == vals.shape[0]
 
     def test_empty_frontier(self, graph_and_efg):

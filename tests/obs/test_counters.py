@@ -4,14 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.core.efg import efg_encode
 from repro.datasets.rmat import rmat_graph
-from repro.dist import ShardedCluster, distributed_bfs
-from repro.dist.report import dist_run_metrics
+from repro.dist import (
+    ShardedCluster,
+    distributed_bfs,
+    distributed_pagerank,
+    distributed_sssp,
+)
+from repro.gpusim.cost import KernelCost
 from repro.gpusim.device import TITAN_XP
 from repro.gpusim.engine import SimEngine
 from repro.obs.counters import (
@@ -24,8 +30,14 @@ from repro.obs.counters import (
 )
 from repro.obs.metrics import run_metrics
 from repro.obs.roofline import level_rooflines
-from repro.traversal.backends import EFGBackend
+from repro.serve.service import GraphService
+from repro.traversal.backends import EFGBackend, build_backend
 from repro.traversal.bfs import bfs
+from repro.traversal.delta_stepping import delta_stepping_sssp
+from repro.traversal.direction_optimizing import bfs_direction_optimizing
+from repro.traversal.msbfs import msbfs
+from repro.traversal.pagerank import pagerank
+from repro.traversal.sssp import sssp
 
 
 @pytest.fixture(scope="module")
@@ -100,34 +112,183 @@ class TestAttributionExactness:
             assert row["cache_hit_bytes"] == summary[name]["cached_bytes"]
 
 
-def lose_half_a_byte(engine):
-    """Leave one launch with a fractional ``moved_bytes``."""
-    record = next(r for r in engine.records if r.cost.traffic)
-    next(iter(record.cost.traffic.values())).moved_bytes += 0.5
+SOURCES = np.arange(0, 64, 4)
+
+SINGLE_GPU_RUNS = {
+    "bfs": lambda b, s, w: bfs(b, s),
+    "dobfs": lambda b, s, w: bfs_direction_optimizing(b, source=s),
+    "msbfs": lambda b, s, w: msbfs(b, SOURCES),
+    "sssp": lambda b, s, w: sssp(b, s, w),
+    "delta_stepping": lambda b, s, w: delta_stepping_sssp(b, s, w),
+    "pagerank": lambda b, s, w: pagerank(b, max_iterations=2),
+}
+
+CLUSTER_RUNS = {
+    "dist_bfs": lambda c, s, w: distributed_bfs(c, s),
+    "dist_sssp": lambda c, s, w: distributed_sssp(c, s, w),
+    "dist_pagerank": lambda c, s, w: distributed_pagerank(
+        c, max_iterations=2
+    ),
+}
 
 
-def run_dist_bfs(graph):
-    cluster = ShardedCluster.build(graph, 2, TITAN_XP.scaled(2048.0))
-    distributed_bfs(cluster, int(np.flatnonzero(graph.degrees > 0)[0]))
-    return cluster
+@pytest.fixture(scope="module")
+def weights(graph):
+    rng = np.random.default_rng(3)
+    return rng.uniform(0.1, 1.0, size=graph.num_edges).astype(np.float32)
 
 
-class TestCheckedDumps:
-    """A metrics dump is only written for a run that passes its checks."""
+def first_source(graph):
+    return int(np.flatnonzero(graph.degrees > 0)[0])
 
-    def test_engine_dump_rejects_inexact_bytes(self, graph):
-        engine = run_efg_bfs(graph)
-        lose_half_a_byte(engine)
+
+def weighted_backend(graph):
+    return build_backend(
+        "efg", graph, TITAN_XP.scaled(2048.0),
+        weight_bytes=4 * graph.num_edges,
+    )
+
+
+def weighted_cluster(graph):
+    return ShardedCluster.build(
+        graph, 2, TITAN_XP.scaled(2048.0), with_weights=True
+    )
+
+
+class Boom(Exception):
+    """Raised inside a run; must reach the caller as it is."""
+
+
+def charge_half_a_byte_more(monkeypatch, fail_at=None):
+    """Every charge records half a byte more than it moved; with
+    ``fail_at``, the ``fail_at``-th charge raises :class:`Boom`."""
+    add = KernelCost.add_traffic
+    calls = [0]
+
+    def inexact(self, array, residency, moved, **rest):
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise Boom("mid-run failure")
+        add(self, array, residency, moved + 0.5, **rest)
+
+    monkeypatch.setattr(KernelCost, "add_traffic", inexact)
+
+
+def drift_the_clock(monkeypatch):
+    """Every launch advances the clock a nanosecond past its record."""
+    launch = SimEngine.launch
+
+    @contextmanager
+    def drifting(self, name):
+        with launch(self, name) as kernel:
+            yield kernel
+        self._elapsed += 1e-9
+
+    monkeypatch.setattr(SimEngine, "launch", drifting)
+
+
+def tamper_before_finish(monkeypatch, tamper):
+    """Apply ``tamper`` to the last level charge just before the run's
+    metrics are built."""
+    finish = ShardedCluster._finish_run
+
+    def tampered(self, algorithm):
+        tamper(self.charges[-1])
+        finish(self, algorithm)
+
+    monkeypatch.setattr(ShardedCluster, "_finish_run", tampered)
+
+
+class TestCheckedRuns:
+    """Every run checks its attribution and critical path when it ends,
+    whether or not anything dumps it; the driver call itself raises."""
+
+    @pytest.mark.parametrize("run", SINGLE_GPU_RUNS.values(),
+                             ids=SINGLE_GPU_RUNS.keys())
+    def test_single_gpu_run_rejects_half_a_byte(
+        self, graph, weights, run, monkeypatch
+    ):
+        backend = weighted_backend(graph)
+        charge_half_a_byte_more(monkeypatch)
         with pytest.raises(AssertionError, match="not an exact integer"):
-            run_metrics(engine)
+            run(backend, first_source(graph), weights)
 
-    def test_cluster_dump_rejects_inexact_bytes(self, graph):
-        cluster = run_dist_bfs(graph)
-        lose_half_a_byte(cluster.backends[1].engine)
+    @pytest.mark.parametrize("run", SINGLE_GPU_RUNS.values(),
+                             ids=SINGLE_GPU_RUNS.keys())
+    def test_single_gpu_run_rejects_a_drifting_clock(
+        self, graph, weights, run, monkeypatch
+    ):
+        backend = weighted_backend(graph)
+        drift_the_clock(monkeypatch)
+        with pytest.raises(AssertionError, match="on-path replay"):
+            run(backend, first_source(graph), weights)
+
+    def test_every_service_wave_is_checked(self, graph, monkeypatch):
+        service = GraphService.from_graph(graph, fmt="efg")
+        sources = np.flatnonzero(graph.degrees > 0)
+        service.submit(int(sources[0]))
+        assert len(service.step_wave()) == 1
+        charge_half_a_byte_more(monkeypatch)
+        service.submit(int(sources[1]))
+        with pytest.raises(AssertionError, match="not an exact integer"):
+            service.step_wave()
+
+    @pytest.mark.parametrize("run", CLUSTER_RUNS.values(),
+                             ids=CLUSTER_RUNS.keys())
+    def test_cluster_run_rejects_a_tampered_charge(
+        self, graph, weights, run, monkeypatch
+    ):
+        cluster = weighted_cluster(graph)
+
+        def pack_one_more(charge):
+            charge.packed += 1
+
+        tamper_before_finish(monkeypatch, pack_one_more)
+        with pytest.raises(AssertionError, match="expanded ids .* != filtered"):
+            run(cluster, first_source(graph), weights)
+
+    @pytest.mark.parametrize("run", CLUSTER_RUNS.values(),
+                             ids=CLUSTER_RUNS.keys())
+    def test_cluster_run_rejects_a_drifting_clock(
+        self, graph, weights, run, monkeypatch
+    ):
+        cluster = weighted_cluster(graph)
+
+        def claim_longer(charge):
+            charge.claim_seconds += 1e-9
+
+        tamper_before_finish(monkeypatch, claim_longer)
+        with pytest.raises(AssertionError, match="on-path replay"):
+            run(cluster, first_source(graph), weights)
+
+    def test_cluster_run_rejects_half_a_byte_on_a_shard(
+        self, graph, monkeypatch
+    ):
+        cluster = weighted_cluster(graph)
+        charge_half_a_byte_more(monkeypatch)
         with pytest.raises(
-            AssertionError, match="gpu 1: .*not an exact integer"
+            AssertionError, match=r"gpu \d+: .*not an exact integer"
         ):
-            dist_run_metrics(cluster)
+            distributed_bfs(cluster, first_source(graph))
+
+    @pytest.mark.parametrize("scope", ["engine", "cluster"])
+    def test_a_failing_run_raises_its_own_exception(
+        self, graph, scope, monkeypatch
+    ):
+        # The charges before the failure are inexact, so a check run on
+        # the way out would raise AssertionError instead.
+        if scope == "engine":
+            backend = weighted_backend(graph)
+            run = lambda: bfs(backend, first_source(graph))  # noqa: E731
+        else:
+            cluster = weighted_cluster(graph)
+            run = lambda: distributed_bfs(  # noqa: E731
+                cluster, first_source(graph)
+            )
+        charge_half_a_byte_more(monkeypatch, fail_at=5)
+        with pytest.raises(Boom, match="mid-run failure") as info:
+            run()
+        assert info.value.__context__ is None
 
     def test_checks_hold_under_python_O(self):
         # The checks raise explicitly, so ``-O`` cannot strip them.
@@ -135,19 +296,21 @@ class TestCheckedDumps:
         script = (
             "import pytest\n"
             "from repro.datasets.rmat import rmat_graph\n"
-            "from repro.dist.report import dist_run_metrics\n"
-            "from repro.obs.metrics import run_metrics\n"
+            "from repro.dist import distributed_bfs\n"
+            "from repro.traversal.bfs import bfs\n"
             "from tests.obs.test_counters import (\n"
-            "    lose_half_a_byte, run_dist_bfs, run_efg_bfs)\n"
+            "    first_source, weighted_backend, weighted_cluster)\n"
+            "from repro.gpusim.cost import KernelCost\n"
+            "add = KernelCost.add_traffic\n"
+            "KernelCost.add_traffic = (\n"
+            "    lambda self, a, r, moved, **rest:"
+            " add(self, a, r, moved + 0.5, **rest))\n"
             "graph = rmat_graph(scale=8, edge_factor=8, seed=11)\n"
-            "engine = run_efg_bfs(graph)\n"
-            "lose_half_a_byte(engine)\n"
+            "source = first_source(graph)\n"
             "with pytest.raises(AssertionError):\n"
-            "    run_metrics(engine)\n"
-            "cluster = run_dist_bfs(graph)\n"
-            "lose_half_a_byte(cluster.backends[0].engine)\n"
+            "    bfs(weighted_backend(graph), source)\n"
             "with pytest.raises(AssertionError):\n"
-            "    dist_run_metrics(cluster)\n"
+            "    distributed_bfs(weighted_cluster(graph), source)\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
